@@ -3,7 +3,7 @@
 //!
 //! The workload is a message-heavy flood (one 8-byte message per edge per
 //! superstep for 5 supersteps), the regime where the compute phase dominates
-//! and the scoped-thread executor should win. The parallel engine runs with
+//! and the pooled parallel executor should win. The parallel engine runs with
 //! as many threads as workers. Outputs are byte-identical by the runtime's
 //! determinism contract — this benchmark demonstrates that the *only*
 //! difference is wall-clock time.

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use predict_algorithms::PageRankWorkload;
 use predict_bsp::{BspConfig, BspEngine};
-use predict_core::{Predictor, PredictorConfig};
+use predict_core::{PredictorBuilder, PredictorConfig};
 use predict_graph::datasets::{Dataset, DatasetConfig, DatasetScale};
 use predict_sampling::BiasedRandomJump;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(ratio), &graph, |b, graph| {
             b.iter(|| {
                 // A fresh session per iteration: every stage executes.
-                let session = Predictor::builder()
+                let session = PredictorBuilder::new()
                     .engine(Arc::clone(&engine))
                     .sampler(BiasedRandomJump::default())
                     .config(PredictorConfig::single_ratio(ratio))

@@ -6,7 +6,7 @@
 //! in the stack: a transport-backed run records the driver-observed wall
 //! time of every superstep round plus per-worker compute time and serialized
 //! bytes on the wire. This experiment drives the same pinned PageRank run
-//! through the in-process channel transport and the OS-process transport and
+//! through the in-process channel transport and the socket transport and
 //! prints both timelines side by side, which is what lets the simulated cost
 //! model be sanity-checked against an actual message-passing execution.
 //!
@@ -104,11 +104,7 @@ fn main() {
     let mut points: Vec<TransportTiming> = Vec::new();
     let mut measured_runs: Vec<MeasuredRun> = Vec::new();
 
-    for kind in [
-        TransportKind::InProc,
-        TransportKind::Process,
-        TransportKind::Socket,
-    ] {
+    for kind in [TransportKind::InProc, TransportKind::Socket] {
         let opts = DriveOptions::new(kind);
         let result =
             drive(&program, &spec, &[], &graph, &config, &opts).expect("cluster drive succeeds");
@@ -139,7 +135,7 @@ fn main() {
         );
         assert_eq!(points[0].supersteps, p.supersteps);
         // Serialized frames are deterministic, so measured wire bytes are a
-        // transport-independent property of the run — pipes and sockets must
+        // transport-independent property of the run — channels and sockets must
         // report the same count, superstep by superstep.
         assert_eq!(
             points[0].wire_bytes, p.wire_bytes,

@@ -30,7 +30,7 @@
 //! measured is identical across runs and machines.
 
 use predict_algorithms::{ConnectedComponentsWorkload, PageRankWorkload, TopKWorkload, Workload};
-use predict_bsp::{BspConfig, BspEngine, GraphStorage, PartitionStrategy, PoolMode};
+use predict_bsp::{BspConfig, BspEngine, GraphStorage, PartitionStrategy};
 use predict_core::{PredictRequest, PredictService, PredictorConfig};
 use predict_graph::generators::{generate_grid_road, generate_rmat, GridRoadConfig, RmatConfig};
 use predict_graph::{induced_subgraph, CsrGraph, EdgeList, VertexId};
@@ -248,7 +248,7 @@ fn run_probes() -> Vec<ProbeResult> {
     {
         use std::sync::Arc;
         let graph = Arc::new(generate_rmat(&RmatConfig::new(11, 8).with_seed(PROBE_SEED)));
-        let engine = BspEngine::new(BspConfig::with_workers(4).with_pool(PoolMode::On));
+        let engine = BspEngine::new(BspConfig::with_workers(4));
         let service = PredictService::new(engine.clone(), Arc::new(BiasedRandomJump::default()));
         let config = PredictorConfig::single_ratio(0.1);
         let requests: Vec<PredictRequest> = [
@@ -315,7 +315,7 @@ fn run_probes() -> Vec<ProbeResult> {
     // contract behind `PREDICT_STORE`: restarting a service must be
     // disk-read cheap, not recompute expensive.
     {
-        use predict_core::{ArtifactKind, ArtifactStore, Predictor};
+        use predict_core::{ArtifactKind, ArtifactStore, PredictorBuilder};
         use std::sync::Arc;
         let dir = std::env::temp_dir().join(format!("predict_perf_store_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -343,7 +343,7 @@ fn run_probes() -> Vec<ProbeResult> {
         let workload = PageRankWorkload::with_epsilon(0.01, graph.num_vertices());
         let config = PredictorConfig::single_ratio(0.1);
         let session = |engine: BspEngine| {
-            Predictor::builder()
+            PredictorBuilder::new()
                 .engine(engine)
                 .sampler(BiasedRandomJump::default())
                 .config(config.clone())

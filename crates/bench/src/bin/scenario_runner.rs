@@ -28,7 +28,7 @@
 //! Scenarios execute at `PREDICT_SCALE=small` (goldens are small-scale
 //! artifacts; override by exporting `PREDICT_SCALE` yourself) and honor
 //! `PREDICT_THREADS` and `PREDICT_TRANSPORT`, so CI can assert that 1-thread
-//! and 4-thread sweeps — and the in-memory, in-process, OS-process and
+//! and 4-thread sweeps — and the in-memory, in-process and
 //! Unix-domain-socket transports — all produce the same goldens. The summary table carries a
 //! transport column recording which transport each scenario ran under, and a
 //! scenario that dies mid-run (e.g. a killed cluster worker) surfaces the
@@ -207,7 +207,7 @@ fn main() {
     // The transport every child scenario inherits through the environment;
     // parsed with the same knob rules the engine itself applies.
     let transport = predict_bsp::env_transport().name();
-    println!("transport: {transport} (set PREDICT_TRANSPORT=inmem|inproc|process)");
+    println!("transport: {transport} (set PREDICT_TRANSPORT=inmem|inproc|socket)");
 
     let golden = golden_dir();
     if bless {

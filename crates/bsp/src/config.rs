@@ -19,8 +19,8 @@ pub const DEFAULT_MAX_SUPERSTEPS: usize = 500;
 
 /// Below this many vertices-plus-edges, automatic thread selection keeps a
 /// run on the calling thread regardless of available parallelism: PREDIcT
-/// executes thousands of tiny sample runs, and per-phase thread spawns
-/// (~tens of µs each) would dwarf the microseconds of per-shard work. An
+/// executes thousands of tiny sample runs, and per-phase hand-offs to pool
+/// threads would dwarf the microseconds of per-shard work. An
 /// explicit `PREDICT_THREADS` or [`ExecutionMode::Parallel`] request always
 /// wins over this heuristic. Purely a scheduling decision — results are
 /// thread-count independent either way.
@@ -42,7 +42,7 @@ pub enum ExecutionMode {
     Auto,
     /// Run every worker's compute phase on the calling thread.
     Sequential,
-    /// Run worker compute phases on `threads` scoped OS threads
+    /// Run worker compute phases on `threads` worker-pool threads
     /// (`threads == 0` behaves like [`ExecutionMode::Auto`] without the
     /// environment override).
     Parallel {
@@ -84,37 +84,6 @@ impl ExecutionMode {
     }
 }
 
-/// Whether parallel phases run on the engine's persistent
-/// [`WorkerPool`](crate::runtime::WorkerPool) or on per-use scoped threads.
-///
-/// Like [`ExecutionMode`], this is a pure scheduling knob: runs are
-/// byte-identical pool on or off (see [`crate::runtime`] for the determinism
-/// contract). The scoped-thread path exists as an escape hatch and as the
-/// baseline the pool's spawn-counter benches compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PoolMode {
-    /// Honor the `PREDICT_POOL` environment variable: `off`, `0` or `false`
-    /// (case-insensitive) selects scoped threads; anything else — including
-    /// the variable being unset — selects the persistent pool.
-    #[default]
-    Auto,
-    /// Always schedule parallel phases on the persistent worker pool.
-    On,
-    /// Always spawn scoped OS threads per parallel phase (pre-pool behavior).
-    Off,
-}
-
-impl PoolMode {
-    /// Resolves the mode to "use the persistent pool?".
-    pub fn resolve_enabled(self) -> bool {
-        match self {
-            Self::On => true,
-            Self::Off => false,
-            Self::Auto => knobs::env_pool_enabled(),
-        }
-    }
-}
-
 /// Configuration of a [`BspEngine`](crate::engine::BspEngine).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BspConfig {
@@ -139,12 +108,6 @@ pub struct BspConfig {
     /// serialized configs.
     #[serde(default)]
     pub storage: StorageMode,
-    /// Whether parallel phases use the engine's persistent worker pool or
-    /// per-use scoped threads. Never affects results — see
-    /// [`crate::runtime`]. Defaults to [`PoolMode::Auto`] (honor
-    /// `PREDICT_POOL`) when absent from serialized configs.
-    #[serde(default)]
-    pub pool: PoolMode,
     /// Which executor runs the supersteps: the in-memory runtime or a
     /// transport-backed worker cluster (interpreted by `predict_cluster`,
     /// which sits above this crate). Never affects results — see
@@ -163,7 +126,6 @@ impl Default for BspConfig {
             cost: ClusterCostConfig::default(),
             execution: ExecutionMode::Auto,
             storage: StorageMode::Auto,
-            pool: PoolMode::Auto,
             transport: TransportMode::Auto,
         }
     }
@@ -206,12 +168,6 @@ impl BspConfig {
     /// Replaces the graph storage mode.
     pub fn with_storage(mut self, storage: StorageMode) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Replaces the worker-pool mode.
-    pub fn with_pool(mut self, pool: PoolMode) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -330,16 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn configs_serialized_before_the_pool_field_still_deserialize() {
-        let config = BspConfig::with_workers(2);
-        let json = serde_json::to_string(&config).unwrap();
-        let stripped = json.replace(",\"pool\":\"Auto\"", "");
-        assert_ne!(stripped, json, "pool field must be present and Auto");
-        let back: BspConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back, config, "missing pool must default to Auto");
-    }
-
-    #[test]
     fn configs_serialized_before_the_transport_field_still_deserialize() {
         let config = BspConfig::with_workers(2);
         let json = serde_json::to_string(&config).unwrap();
@@ -358,17 +304,15 @@ mod tests {
     }
 
     #[test]
-    fn pool_mode_forced_variants_ignore_the_environment() {
-        assert!(PoolMode::On.resolve_enabled());
-        assert!(!PoolMode::Off.resolve_enabled());
-    }
-
-    #[test]
-    fn pool_mode_round_trips_with_the_config() {
-        let config = BspConfig::with_workers(2).with_pool(PoolMode::Off);
+    fn configs_that_still_carry_the_removed_pool_field_deserialize() {
+        // `pool` selected scoped threads vs the worker pool until the scoped
+        // path was deleted; stored configs that still name it keep loading,
+        // with the field ignored.
+        let config = BspConfig::with_workers(2);
         let json = serde_json::to_string(&config).unwrap();
-        let back: BspConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.pool, PoolMode::Off);
+        let legacy = json.replacen('{', "{\"pool\":\"Off\",", 1);
+        let back: BspConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, config);
     }
 
     #[test]

@@ -123,21 +123,6 @@ impl BspEngine {
         }
     }
 
-    /// A clone of this engine with a different worker-pool mode, sharing the
-    /// run counter, layout cache and pool — the pool counterpart of
-    /// [`BspEngine::with_execution`].
-    pub fn with_pool(&self, pool_mode: crate::config::PoolMode) -> Self {
-        Self {
-            config: BspConfig {
-                pool: pool_mode,
-                ..self.config.clone()
-            },
-            runs: Arc::clone(&self.runs),
-            layouts: Arc::clone(&self.layouts),
-            pool: Arc::clone(&self.pool),
-        }
-    }
-
     /// A clone of this engine with a different transport mode, sharing the
     /// run counter, layout cache and pool — the transport counterpart of
     /// [`BspEngine::with_execution`]. The engine itself never reads the
@@ -166,13 +151,11 @@ impl BspEngine {
         self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The engine's persistent worker pool when [`BspConfig::pool`] resolves
-    /// to enabled, `None` under [`PoolMode::Off`](crate::config::PoolMode).
-    /// The prediction service schedules whole request batches onto this same
-    /// pool, so request stages and superstep phases interleave on one set of
-    /// warm threads.
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.config.pool.resolve_enabled().then_some(&self.pool)
+    /// The engine's persistent worker pool. The prediction service schedules
+    /// whole request batches onto this same pool, so request stages and
+    /// superstep phases interleave on one set of warm threads.
+    pub fn worker_pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
     }
 
     /// OS threads the engine's pool has spawned over its lifetime (flat
@@ -206,7 +189,7 @@ impl BspEngine {
     /// graph should pre-build a [`GraphStorage`] and use
     /// [`BspEngine::run_storage`] to pay the shard construction once.
     ///
-    /// This is a thin facade over [`runtime::execute_on`]; see
+    /// This is a thin facade over [`runtime::execute`]; see
     /// [`crate::runtime`] for the execution model and its determinism
     /// contract.
     pub fn run<P: VertexProgram>(
@@ -277,12 +260,7 @@ impl BspEngine {
             .config
             .execution
             .resolve_threads(num_workers, storage.num_vertices() + storage.num_edges());
-        let pool = self
-            .config
-            .pool
-            .resolve_enabled()
-            .then_some(self.pool.as_ref());
-        runtime::execute_pooled(program, storage, &layout, &self.config, threads, pool)
+        runtime::execute(program, storage, &layout, &self.config, threads, &self.pool)
     }
 }
 

@@ -1,9 +1,8 @@
 //! Centralized parsing of the `PREDICT_*` environment knobs.
 //!
-//! Six environment variables tune how the engine executes a run without
+//! Five environment variables tune how the engine executes a run without
 //! changing its results: `PREDICT_THREADS` (superstep-phase thread count),
-//! `PREDICT_STORAGE` (unified vs sharded graph layout), `PREDICT_POOL`
-//! (persistent worker pool vs scoped threads), `PREDICT_TRANSPORT`
+//! `PREDICT_STORAGE` (unified vs sharded graph layout), `PREDICT_TRANSPORT`
 //! (in-memory executor vs the out-of-process cluster driver),
 //! `PREDICT_TRACE` (Chrome-trace span export path) and `PREDICT_STORE`
 //! (persistent artifact-store directory). They used to
@@ -29,8 +28,6 @@ pub const THREADS_VAR: &str = "PREDICT_THREADS";
 /// Storage-layout knob honored by
 /// [`StorageMode::Auto`](crate::storage::StorageMode).
 pub const STORAGE_VAR: &str = "PREDICT_STORAGE";
-/// Worker-pool knob honored by [`PoolMode::Auto`](crate::config::PoolMode).
-pub const POOL_VAR: &str = "PREDICT_POOL";
 /// Transport knob honored by
 /// [`TransportMode::Auto`](crate::remote::TransportMode).
 pub const TRANSPORT_VAR: &str = "PREDICT_TRANSPORT";
@@ -93,21 +90,6 @@ fn parse_storage(var: &str, value: Option<&str>) -> bool {
     }
 }
 
-/// Parses the pool knob: `off`/`0`/`false` disables the persistent pool,
-/// unset or `on`/`1`/`true` enables it; anything else warns and enables it
-/// (the historical "anything else means enabled" behavior, now loud).
-fn parse_pool(var: &str, value: Option<&str>) -> bool {
-    let Some(raw) = value else { return true };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => false,
-        "" | "on" | "1" | "true" => true,
-        _ => {
-            warn_invalid(var, raw, "`on`/`1`/`true` or `off`/`0`/`false`");
-            true
-        }
-    }
-}
-
 /// The transport choices `PREDICT_TRANSPORT` can select between (the
 /// resolved form of [`TransportMode`](crate::remote::TransportMode)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,8 +99,6 @@ pub enum TransportChoice {
     InMemory,
     /// Channel-connected in-process worker threads speaking the wire format.
     InProc,
-    /// Long-lived OS worker processes speaking the wire format over pipes.
-    Process,
     /// Long-lived OS worker processes speaking the wire format over
     /// length-prefixed frame streams on Unix-domain sockets.
     Socket,
@@ -130,16 +110,15 @@ impl TransportChoice {
         match self {
             Self::InMemory => "inmem",
             Self::InProc => "inproc",
-            Self::Process => "process",
             Self::Socket => "socket",
         }
     }
 }
 
 /// Parses the transport knob: `inmem`/`inmemory` (or unset) selects the
-/// in-memory executor, `inproc` the channel transport, `process` the OS
-/// process transport, `socket` the Unix-domain socket transport; anything
-/// else warns and stays in memory.
+/// in-memory executor, `inproc` the channel transport, `socket` the
+/// Unix-domain socket transport; anything else — including the removed
+/// `process` spelling — warns and stays in memory.
 fn parse_transport(var: &str, value: Option<&str>) -> TransportChoice {
     let Some(raw) = value else {
         return TransportChoice::InMemory;
@@ -147,10 +126,9 @@ fn parse_transport(var: &str, value: Option<&str>) -> TransportChoice {
     match raw.trim().to_ascii_lowercase().as_str() {
         "" | "inmem" | "inmemory" => TransportChoice::InMemory,
         "inproc" => TransportChoice::InProc,
-        "process" => TransportChoice::Process,
         "socket" => TransportChoice::Socket,
         _ => {
-            warn_invalid(var, raw, "`inmem`, `inproc`, `process` or `socket`");
+            warn_invalid(var, raw, "`inmem`, `inproc` or `socket`");
             TransportChoice::InMemory
         }
     }
@@ -192,11 +170,6 @@ pub fn env_threads() -> Option<usize> {
 /// Whether `PREDICT_STORAGE` selects sharded storage.
 pub fn env_storage_sharded() -> bool {
     parse_storage(STORAGE_VAR, env(STORAGE_VAR).as_deref())
-}
-
-/// Whether `PREDICT_POOL` leaves the persistent worker pool enabled.
-pub fn env_pool_enabled() -> bool {
-    parse_pool(POOL_VAR, env(POOL_VAR).as_deref())
 }
 
 /// The transport `PREDICT_TRANSPORT` selects.
@@ -247,19 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_recognizes_both_polarities() {
-        assert!(!parse_pool("P_OFF", Some("off")));
-        assert!(!parse_pool("P_ZERO", Some("0")));
-        assert!(!parse_pool("P_FALSE", Some("FALSE")));
-        assert!(parse_pool("P_ON", Some("on")));
-        assert!(parse_pool("P_ONE", Some("1")));
-        assert!(parse_pool("P_UNSET", None));
-        // Unrecognized values keep the historical "enabled" default.
-        assert!(parse_pool("P_TYPO", Some("offf")));
-    }
-
-    #[test]
-    fn transport_recognizes_all_four_backends() {
+    fn transport_recognizes_every_backend() {
         assert_eq!(
             parse_transport("X_MEM", Some("inmem")),
             TransportChoice::InMemory
@@ -273,10 +234,6 @@ mod tests {
             TransportChoice::InProc
         );
         assert_eq!(
-            parse_transport("X_OS", Some("process")),
-            TransportChoice::Process
-        );
-        assert_eq!(
             parse_transport("X_SOCK", Some("socket")),
             TransportChoice::Socket
         );
@@ -286,6 +243,17 @@ mod tests {
             parse_transport("X_TYPO", Some("processes")),
             TransportChoice::InMemory
         );
+    }
+
+    #[test]
+    fn the_removed_process_transport_is_an_invalid_value() {
+        // `process` (stdin/stdout pipes) was a transport until `socket`
+        // replaced it; a leftover setting warns once and stays in memory.
+        assert_eq!(
+            parse_transport("X_LEGACY", Some("process")),
+            TransportChoice::InMemory
+        );
+        assert!(warned().lock().unwrap().contains("X_LEGACY"));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * a **parallel deterministic runtime** ([`runtime`]) that shards all
 //!   per-vertex state by worker ([`WorkerShard`], cached [`ShardLayout`]s)
 //!   and fans superstep phases out over a persistent work-stealing
-//!   [`WorkerPool`] ([`ExecutionMode`], [`PoolMode`]) while producing
-//!   byte-identical profiles at every thread count, pool on or off;
+//!   [`WorkerPool`] ([`ExecutionMode`]) while producing byte-identical
+//!   profiles at every thread count;
 //! * **per-worker graph storage** ([`storage`]): a run executes against
 //!   either one unified CSR allocation or one
 //!   [`ShardedCsr`](predict_graph::ShardedCsr) per worker
@@ -77,7 +77,7 @@ pub mod worker;
 
 pub use aggregator::{Aggregates, AggregatorKind};
 pub use combiner::{combine_all, combine_in_place, MessageCombiner, MinCombiner, SumCombiner};
-pub use config::{BspConfig, ExecutionMode, PoolMode};
+pub use config::{BspConfig, ExecutionMode};
 pub use cost::{ClusterClock, ClusterCostConfig};
 pub use counters::{sum_counters, WorkerCounters};
 pub use engine::{BspEngine, BspRunResult, HaltReason};
@@ -86,8 +86,5 @@ pub use partition::{PartitionStrategy, Partitioning};
 pub use profile::{RunProfile, SuperstepProfile};
 pub use program::{ComputeContext, InitContext, VertexProgram};
 pub use remote::{MeasuredRun, MeasuredSuperstep, TransportMode};
-pub use runtime::{
-    process_threads_spawned, record_external_spawn, LayoutCache, ShardLayout, WorkerPool,
-    WorkerShard,
-};
+pub use runtime::{LayoutCache, ShardLayout, WorkerPool, WorkerShard};
 pub use storage::{GraphStorage, StorageMode};

@@ -23,7 +23,7 @@
 //!   measured times differ run to run, while serialized profiles are pinned
 //!   byte-for-byte by the golden scenarios and the history store.
 //!
-//! Like execution, storage and pool modes, the transport is a pure
+//! Like execution and storage modes, the transport is a pure
 //! performance/topology knob: the runtime's determinism contract extends
 //! across the transport boundary (see `crate::runtime` point 8), so values,
 //! serialized profiles and halt reasons are byte-identical under every
@@ -43,7 +43,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum TransportMode {
     /// Honor the `PREDICT_TRANSPORT` environment variable (`inmem`,
-    /// `inproc`, `process` or `socket`; unset or invalid values fall back
+    /// `inproc` or `socket`; unset or invalid values fall back
     /// to the in-memory executor, invalid ones with a warning).
     #[default]
     Auto,
@@ -53,10 +53,7 @@ pub enum TransportMode {
     /// carrying serialized wire-format frames.
     InProc,
     /// One long-lived OS worker process per shard (the `cluster_worker`
-    /// binary), speaking the wire format over pipes.
-    Process,
-    /// One long-lived OS worker process per shard, speaking the wire
-    /// format over a Unix-domain socket stream instead of pipes.
+    /// binary), speaking the wire format over a Unix-domain socket stream.
     Socket,
 }
 
@@ -66,7 +63,6 @@ impl TransportMode {
         match self {
             Self::InMemory => TransportChoice::InMemory,
             Self::InProc => TransportChoice::InProc,
-            Self::Process => TransportChoice::Process,
             Self::Socket => TransportChoice::Socket,
             Self::Auto => knobs::env_transport(),
         }
@@ -94,7 +90,7 @@ pub struct MeasuredSuperstep {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MeasuredRun {
     /// Name of the transport that executed the run (`"inproc"` or
-    /// `"process"`).
+    /// `"socket"`).
     pub transport: String,
     /// One entry per executed superstep, aligned with
     /// [`RunProfile::supersteps`](crate::profile::RunProfile::supersteps).
@@ -129,7 +125,6 @@ mod tests {
     fn forced_modes_ignore_the_environment() {
         assert_eq!(TransportMode::InMemory.resolve(), TransportChoice::InMemory);
         assert_eq!(TransportMode::InProc.resolve(), TransportChoice::InProc);
-        assert_eq!(TransportMode::Process.resolve(), TransportChoice::Process);
         assert_eq!(TransportMode::Socket.resolve(), TransportChoice::Socket);
     }
 

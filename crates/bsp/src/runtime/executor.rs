@@ -4,7 +4,7 @@
 //! superstep is two phases:
 //!
 //! 1. **compute** — every shard runs [`WorkerShard::run_superstep`]; shards
-//!    are disjoint, so the executor spreads them over scoped OS threads;
+//!    are disjoint, so the executor spreads them over the worker pool;
 //! 2. **delivery** — the master transposes the per-worker routed outboxes
 //!    into per-destination inbound rows (an `O(workers²)` pointer swap, no
 //!    message is copied), then every shard runs [`WorkerShard::deliver`],
@@ -22,29 +22,26 @@ use crate::engine::{BspRunResult, HaltReason};
 use crate::profile::{RunProfile, SuperstepProfile};
 use crate::program::VertexProgram;
 use crate::runtime::layout::ShardLayout;
-use crate::runtime::pool::{self, WorkerPool};
+use crate::runtime::pool::WorkerPool;
 use crate::runtime::shard::WorkerShard;
 use crate::storage::StorageRef;
-use predict_graph::{CsrGraph, VertexId};
+use predict_graph::VertexId;
 
 /// One row of the inbound transpose matrix: the message buffers destined for
 /// (or produced by) one worker, one buffer per peer worker.
 type MessageRow<M> = Vec<Vec<(VertexId, M)>>;
 
 /// Splits `items` into at most `threads` contiguous chunks and runs `f` on
-/// every item. With a pool, the chunks are scheduled as one scope on the
-/// persistent workers (zero spawns once warm); without one, they fan out
-/// over per-phase scoped OS threads — the pre-pool behavior, kept as the
-/// `PoolMode::Off` escape hatch and counted so spawn-based benches can
-/// compare the two. `threads == 1` degenerates to a plain in-place loop
-/// with no spawn and no pool interaction at all.
+/// every item, scheduling the chunks as one scope on the persistent `pool`
+/// workers (zero spawns once warm). `threads == 1` degenerates to a plain
+/// in-place loop with no pool interaction at all.
 ///
 /// `f` must be safe to run concurrently on distinct items; chunk boundaries
 /// never affect results, only wall-clock time.
 fn for_each_chunked<T: Send, F: Fn(&mut T) + Sync>(
     items: &mut [T],
     threads: usize,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     f: F,
 ) {
     if threads <= 1 || items.len() <= 1 {
@@ -54,91 +51,40 @@ fn for_each_chunked<T: Send, F: Fn(&mut T) + Sync>(
         return;
     }
     let chunk_size = items.len().div_ceil(threads);
-    match pool {
-        Some(pool) => {
-            let f = &f;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
-                .chunks_mut(chunk_size)
-                .map(|chunk| {
-                    Box::new(move || {
-                        for item in chunk {
-                            f(item);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(threads, tasks);
-        }
-        None => std::thread::scope(|scope| {
-            let mut chunks = items.chunks_mut(chunk_size);
-            let first = chunks.next();
-            let f = &f;
-            for chunk in chunks {
-                pool::record_external_spawn();
-                scope.spawn(move || {
-                    for item in chunk {
-                        f(item);
-                    }
-                });
-            }
-            if let Some(chunk) = first {
+    let f = &f;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
+        .chunks_mut(chunk_size)
+        .map(|chunk| {
+            Box::new(move || {
                 for item in chunk {
                     f(item);
                 }
-            }
-        }),
-    }
-}
-
-/// Executes `program` on a unified `graph` over the sharded state described
-/// by `layout`, spreading per-shard phases over `threads` OS threads.
-///
-/// Storage-generic callers use [`execute_on`]; this thin wrapper keeps the
-/// original unified-graph signature for direct runtime users and tests.
-pub fn execute<P: VertexProgram>(
-    program: &P,
-    graph: &CsrGraph,
-    layout: &ShardLayout,
-    config: &BspConfig,
-    threads: usize,
-) -> BspRunResult<P::VertexValue> {
-    execute_on(program, StorageRef::Unified(graph), layout, config, threads)
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.run_scoped(threads, tasks);
 }
 
 /// Executes `program` against `storage` — the unified CSR or one
 /// [`ShardedCsr`](predict_graph::ShardedCsr) per worker — over the sharded
-/// state described by `layout`, spreading per-shard phases over `threads` OS
-/// threads.
+/// state described by `layout`, spreading per-shard phases over `threads`
+/// threads of `pool`.
 ///
 /// This is the engine's whole run loop; [`crate::BspEngine::run`] and
 /// [`crate::BspEngine::run_storage`] are thin facades over it. The output is
 /// byte-identical for every `threads` value *and* for both storage layouts:
 /// under sharded storage each worker's phases read only its own shard's
 /// adjacency, which holds exactly the bytes the unified CSR holds for the
-/// worker's owned vertices.
-pub fn execute_on<P: VertexProgram>(
+/// worker's owned vertices. The pool only decides which OS thread runs a
+/// chunk, never the chunking, the merge order, or anything else the
+/// determinism contract pins.
+pub fn execute<P: VertexProgram>(
     program: &P,
     storage: StorageRef<'_>,
     layout: &ShardLayout,
     config: &BspConfig,
     threads: usize,
-) -> BspRunResult<P::VertexValue> {
-    execute_pooled(program, storage, layout, config, threads, None)
-}
-
-/// [`execute_on`], with parallel phases scheduled on `pool` when one is
-/// given. The engine resolves its [`PoolMode`](crate::config::PoolMode) and
-/// passes its persistent pool here; `None` falls back to per-phase scoped
-/// threads. Pool or not, the output is byte-identical — the pool only
-/// changes which OS thread runs a chunk, never the chunking, the merge
-/// order, or anything else the determinism contract pins.
-pub fn execute_pooled<P: VertexProgram>(
-    program: &P,
-    storage: StorageRef<'_>,
-    layout: &ShardLayout,
-    config: &BspConfig,
-    threads: usize,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
 ) -> BspRunResult<P::VertexValue> {
     let num_workers = layout.num_workers();
     let _run_span = predict_obs::trace::span("bsp.run")

@@ -10,10 +10,9 @@
 //!   [`LayoutCache`] shares them across runs and across graphs of equal size
 //!   instead of rebuilding a `Partitioning` scan per run;
 //! * **a parallel executor** ([`execute`]) that fans each superstep's
-//!   compute and delivery phases out over OS threads — onto the engine's
-//!   persistent [`WorkerPool`] by default, or per-phase scoped threads under
-//!   [`PoolMode::Off`](crate::config::PoolMode) — with per-worker outboxes
-//!   routed by destination worker and merged in a fixed order;
+//!   compute and delivery phases out over the engine's persistent
+//!   [`WorkerPool`], with per-worker outboxes routed by destination worker
+//!   and merged in a fixed order;
 //! * **a persistent worker pool** ([`WorkerPool`]) — long-lived threads with
 //!   per-worker injector deques, work stealing and scoped task latches, so a
 //!   warm service batch runs its supersteps with zero thread spawns (see
@@ -26,10 +25,9 @@
 //!
 //! A run's observable output — final vertex values, [`RunProfile`] (Table 1
 //! counters, aggregates, simulated [`ClusterClock`] timings) and halt reason
-//! — is **byte-identical for every [`ExecutionMode`], thread count and
-//! [`PoolMode`](crate::config::PoolMode)**, given the same graph, program and
-//! [`BspConfig`] seeds. Threads — pooled or scoped — only change wall-clock
-//! time. This holds because every order-sensitive step is pinned:
+//! — is **byte-identical for every [`ExecutionMode`] and thread count**,
+//! given the same graph, program and [`BspConfig`] seeds. Threads only change
+//! wall-clock time. This holds because every order-sensitive step is pinned:
 //!
 //! 1. within a shard, vertices compute in increasing vertex-id order (shard
 //!    slots follow vertex-id order by construction);
@@ -46,15 +44,16 @@
 //! 6. optional message combining ([`VertexProgram::combiner`]) folds each
 //!    inbox left-to-right in delivery order, after delivery, so it is
 //!    insensitive to phase scheduling too;
-//! 7. the worker pool only changes *which OS thread* executes a chunk
-//!    closure: chunk boundaries still come from the resolved thread count,
-//!    chunks write disjoint state, and the scope latch joins all of them
-//!    before the master proceeds — so pooled and scoped scheduling are
-//!    observationally identical;
+//! 7. the worker pool only decides *which OS thread* executes a chunk
+//!    closure: chunk boundaries come from the resolved thread count alone,
+//!    chunks write disjoint state, work stealing moves whole chunks and
+//!    never splits one, and the scope latch joins all of them before the
+//!    master proceeds — so a pooled phase is observationally the sequential
+//!    loop over the same shards;
 //! 8. the contract extends across the process boundary: the cluster
 //!    transports (`predict_cluster`, selected by
 //!    [`TransportMode`](crate::remote::TransportMode)) replay this exact
-//!    loop with each shard behind a message channel or an OS pipe. Message
+//!    loop with each shard behind a message channel or a socket. Message
 //!    batches are sequenced by (source worker, batch sequence number) and
 //!    runs within a batch are stably grouped by destination vertex, so every
 //!    inbox sees the order of point (4); the master merges `StepDone`
@@ -78,9 +77,9 @@ mod layout;
 mod pool;
 mod shard;
 
-pub use executor::{execute, execute_on, execute_pooled};
+pub use executor::execute;
 pub use layout::{LayoutCache, ShardLayout};
-pub use pool::{process_threads_spawned, record_external_spawn, WorkerPool, DEFAULT_POOL_CAPACITY};
+pub use pool::{WorkerPool, DEFAULT_POOL_CAPACITY};
 pub use shard::WorkerShard;
 
 #[cfg(test)]
@@ -89,6 +88,7 @@ mod tests {
     use crate::config::{BspConfig, ExecutionMode};
     use crate::cost::ClusterCostConfig;
     use crate::program::{ComputeContext, InitContext, VertexProgram};
+    use crate::storage::StorageRef;
     use predict_graph::generators::{generate_rmat, RmatConfig};
     use predict_graph::VertexId;
 
@@ -127,9 +127,11 @@ mod tests {
         let graph = generate_rmat(&RmatConfig::new(9, 6).with_seed(11));
         let config = BspConfig::with_workers(7);
         let layout = ShardLayout::build(graph.num_vertices(), 7, config.partition_strategy);
-        let baseline = execute(&Ripple, &graph, &layout, &config, 1);
+        let storage = StorageRef::Unified(&graph);
+        let pool = WorkerPool::new(7);
+        let baseline = execute(&Ripple, storage, &layout, &config, 1, &pool);
         for threads in [2usize, 3, 7] {
-            let run = execute(&Ripple, &graph, &layout, &config, threads);
+            let run = execute(&Ripple, storage, &layout, &config, threads, &pool);
             assert_eq!(baseline.values, run.values, "{threads} threads");
             assert_eq!(baseline.profile, run.profile, "{threads} threads");
             assert_eq!(baseline.halt_reason, run.halt_reason, "{threads} threads");
@@ -185,9 +187,11 @@ mod tests {
         let storage =
             crate::storage::GraphStorage::shard_graph(&graph, 6, config.partition_strategy);
         let layout = ShardLayout::build(graph.num_vertices(), 6, config.partition_strategy);
-        let baseline = execute_on(&Ripple, storage.as_storage_ref(), &layout, &config, 1);
+        let storage = storage.as_storage_ref();
+        let pool = WorkerPool::new(6);
+        let baseline = execute(&Ripple, storage, &layout, &config, 1, &pool);
         for threads in [2usize, 4, 6] {
-            let run = execute_on(&Ripple, storage.as_storage_ref(), &layout, &config, threads);
+            let run = execute(&Ripple, storage, &layout, &config, threads, &pool);
             assert_eq!(baseline.values, run.values, "{threads} threads");
             assert_eq!(baseline.profile, run.profile, "{threads} threads");
         }
@@ -222,44 +226,34 @@ mod tests {
         let _ = engine.run_storage(&storage, &Ripple);
     }
 
+    // The name predates the removal of the scoped-thread executor; the
+    // reference is now the `threads = 1` loop, which never touches the pool.
     #[test]
     fn pooled_execution_is_byte_identical_to_scoped_threads() {
         let graph = generate_rmat(&RmatConfig::new(9, 6).with_seed(19));
         let config = BspConfig::with_workers(6);
         let layout = ShardLayout::build(graph.num_vertices(), 6, config.partition_strategy);
-        let scoped = execute_pooled(
-            &Ripple,
-            crate::storage::StorageRef::Unified(&graph),
-            &layout,
-            &config,
-            4,
-            None,
-        );
+        let storage = StorageRef::Unified(&graph);
         let pool = WorkerPool::new(4);
-        for threads in [1usize, 2, 4] {
-            let pooled = execute_pooled(
-                &Ripple,
-                crate::storage::StorageRef::Unified(&graph),
-                &layout,
-                &config,
-                threads,
-                Some(&pool),
+        let sequential = execute(&Ripple, storage, &layout, &config, 1, &pool);
+        assert_eq!(
+            pool.threads_spawned(),
+            0,
+            "one thread never touches the pool"
+        );
+        for threads in [2usize, 4] {
+            let pooled = execute(&Ripple, storage, &layout, &config, threads, &pool);
+            assert_eq!(sequential.values, pooled.values, "{threads} pooled threads");
+            assert_eq!(
+                sequential.profile, pooled.profile,
+                "{threads} pooled threads"
             );
-            assert_eq!(scoped.values, pooled.values, "{threads} pooled threads");
-            assert_eq!(scoped.profile, pooled.profile, "{threads} pooled threads");
-            assert_eq!(scoped.halt_reason, pooled.halt_reason);
+            assert_eq!(sequential.halt_reason, pooled.halt_reason);
         }
         // Repeated pooled runs reuse the warm workers instead of spawning.
         let warm = pool.threads_spawned();
         for _ in 0..3 {
-            let _ = execute_pooled(
-                &Ripple,
-                crate::storage::StorageRef::Unified(&graph),
-                &layout,
-                &config,
-                4,
-                Some(&pool),
-            );
+            let _ = execute(&Ripple, storage, &layout, &config, 4, &pool);
         }
         assert_eq!(pool.threads_spawned(), warm, "warm runs must not spawn");
     }

@@ -1,16 +1,14 @@
 //! Persistent work-stealing worker pool shared by the superstep executor
 //! and the prediction service.
 //!
-//! Before this module existed the runtime paid an OS thread spawn for every
-//! parallel superstep *phase* (`std::thread::scope` in the executor) and for
-//! every service *batch* (`std::thread::scope` in
-//! `PredictService::submit_batch`). On small PREDIcT sample graphs that spawn
-//! cost dominated the work itself — the PR 3 benches measured a sequential
-//! run at 10.4 ms against a "parallel" run at 16.0 ms. The [`WorkerPool`]
-//! keeps a fixed set of long-lived threads instead; a warm pool schedules a
-//! whole request batch, supersteps and all, with **zero** thread spawns
-//! (asserted by counter-based tests, since wall-clock is meaningless on a
-//! 1-core CI container).
+//! An OS thread spawn per parallel superstep *phase* or per service *batch*
+//! dominates the work itself on small PREDIcT sample graphs — the PR 3
+//! benches measured a sequential run at 10.4 ms against a spawn-per-phase
+//! "parallel" run at 16.0 ms. The [`WorkerPool`] keeps a fixed set of
+//! long-lived threads instead; a warm pool schedules a whole request batch,
+//! supersteps and all, with **zero** thread spawns (asserted by
+//! counter-based tests, since wall-clock is meaningless on a 1-core CI
+//! container).
 //!
 //! # Design
 //!
@@ -29,11 +27,9 @@
 //!   pooled superstep phases — therefore cannot deadlock even on a pool with
 //!   a single live worker, because every waiter is also an executor.
 //! - **Lazy spawning, counted.** Threads spawn on first demand up to the slot
-//!   count, never per task. Every spawn increments both a per-pool counter
-//!   ([`WorkerPool::threads_spawned`]) and a process-global one
-//!   ([`process_threads_spawned`]); the legacy scoped-thread fallbacks report
-//!   to the global counter too via [`record_external_spawn`], so a test can
-//!   assert a warm path spawned nothing anywhere.
+//!   count, never per task. Every spawn increments the per-pool counter
+//!   ([`WorkerPool::threads_spawned`]), so a test can assert a warm path
+//!   spawned nothing.
 //! - **Panic isolation.** Each task runs under `catch_unwind`; the first
 //!   payload is stashed in the scope latch and re-thrown to the *submitting*
 //!   thread after the scope completes, mirroring `std::thread::scope`
@@ -62,23 +58,6 @@ pub const DEFAULT_POOL_CAPACITY: usize = 32;
 /// Sleeping workers re-check for work at least this often, as a lost-wakeup
 /// belt-and-braces; correctness never depends on the timeout firing.
 const PARK_TIMEOUT: Duration = Duration::from_millis(50);
-
-/// Process-wide count of OS threads spawned by the parallel runtime — pool
-/// workers plus every legacy scoped-thread fallback that reports through
-/// [`record_external_spawn`]. Counter-based perf tests assert this stays
-/// flat across warm batches.
-static PROCESS_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Total OS threads the parallel runtime has spawned in this process.
-pub fn process_threads_spawned() -> u64 {
-    PROCESS_SPAWNS.load(Ordering::SeqCst)
-}
-
-/// Reports one OS-thread spawn performed outside the pool (the scoped-thread
-/// fallback paths), so [`process_threads_spawned`] covers every spawn site.
-pub fn record_external_spawn() {
-    PROCESS_SPAWNS.fetch_add(1, Ordering::SeqCst);
-}
 
 /// Acquires a mutex, recovering the guard if a previous holder panicked.
 /// Pool state is kept consistent by atomics, not by guard scopes, so a
@@ -322,7 +301,6 @@ impl WorkerPool {
             match spawned {
                 Ok(handle) => {
                     self.state.spawned.fetch_add(1, Ordering::SeqCst);
-                    PROCESS_SPAWNS.fetch_add(1, Ordering::SeqCst);
                     handles.push(handle);
                     self.state.live.fetch_add(1, Ordering::Release);
                 }

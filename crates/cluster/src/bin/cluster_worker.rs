@@ -1,12 +1,13 @@
 //! Long-lived BSP worker process.
 //!
-//! By default speaks the framed cluster protocol over stdin/stdout (which
-//! is why nothing here may ever print to stdout); `--socket <path>`
-//! connects to a driver's Unix-domain listener instead, and `--tcp
-//! <host:port>` to a TCP listener — the same serve loop over a different
+//! Speaks the framed cluster protocol over a stream it connects back to the
+//! driver on: `--socket <path>` for the driver's Unix-domain listener,
+//! `--tcp <host:port>` for a TCP listener — the same serve loop over either
 //! byte stream. Serves episodes until the driver closes the connection or
 //! sends `Shutdown`. Diagnostics go to stderr, where the driver tails them
-//! into failure reports.
+//! into failure reports. Any other invocation — including none at all,
+//! which once meant "serve on stdin/stdout" — is a usage error, so a stale
+//! launcher fails fast instead of blocking on stdin.
 
 use predict_cluster::socket::{SocketStream, CONNECT_TIMEOUT};
 use predict_cluster::{serve, StdioEndpoint};
@@ -14,16 +15,11 @@ use predict_cluster::{serve, StdioEndpoint};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
-        [] => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            serve(&mut StdioEndpoint::new(stdin.lock(), stdout.lock()), true)
-        }
         [flag, addr] if flag == "--socket" || flag == "--tcp" => serve_socket(addr),
         _ => {
             predict_obs::diag!(
                 Error,
-                "cluster_worker: usage: cluster_worker [--socket <path> | --tcp <host:port>]"
+                "cluster_worker: usage: cluster_worker (--socket <path> | --tcp <host:port>)"
             );
             std::process::exit(2);
         }

@@ -2,8 +2,8 @@
 //!
 //! [`Endpoint`] is everything the serve loop ([`crate::worker`]) knows about
 //! the outside world — send a frame, receive a frame. A standalone worker
-//! process serves a [`StdioEndpoint`] (frames over stdin/stdout, which is
-//! why the worker never prints to stdout); an in-process worker thread
+//! process serves a [`StdioEndpoint`] (frames over the two halves of its
+//! socket stream); an in-process worker thread
 //! serves a [`ChannelEndpoint`] (frames over a pair of mpsc channels). The
 //! serve loop is byte-for-byte the same code either way, which is the point:
 //! the process boundary is a property of the transport, not of the worker.
@@ -26,7 +26,7 @@ pub trait Endpoint {
     fn recv(&mut self) -> io::Result<Option<Frame>>;
 }
 
-/// Frames over a `Read`/`Write` pair — stdin/stdout for the
+/// Frames over a `Read`/`Write` pair — the socket stream of the
 /// `cluster_worker` binary, or any in-memory pair in tests.
 pub struct StdioEndpoint<R: Read, W: Write> {
     reader: BufReader<R>,

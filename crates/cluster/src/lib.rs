@@ -19,10 +19,9 @@
 //!   Pure bytes; no transport anywhere in sight.
 //! * [`protocol`] + [`transport`] + [`endpoint`] + [`socket`] — framed
 //!   star-topology superstep protocol (`Init`/`Step`/`StepDone`/`Finish`),
-//!   spoken over three interchangeable backends: in-process worker threads
-//!   over channels ([`TransportKind::InProc`]), long-lived `cluster_worker`
-//!   OS processes over stdin/stdout pipes ([`TransportKind::Process`]), and
-//!   the same processes over Unix-domain socket streams
+//!   spoken over two interchangeable backends: in-process worker threads
+//!   over channels ([`TransportKind::InProc`]) and long-lived
+//!   `cluster_worker` OS processes over Unix-domain socket streams
 //!   ([`TransportKind::Socket`]; loopback TCP rides the identical code
 //!   path). Barrier, halt voting and aggregate exchange ride the same
 //!   frames.
@@ -31,7 +30,7 @@
 //!   *byte-identical* to in-memory runs (the engine's determinism contract,
 //!   point 8), while recording a [`MeasuredRun`](predict_bsp::MeasuredRun)
 //!   into the profile. [`run_workload`] is the drop-in workload entry point
-//!   the prediction pipeline uses; `PREDICT_TRANSPORT=inproc|process`
+//!   the prediction pipeline uses; `PREDICT_TRANSPORT=inproc|socket`
 //!   switches executors without touching results.
 //!
 //! Failure is structured, not silent: a worker that dies or hangs

@@ -6,7 +6,7 @@
 //! [`TransportMode`](predict_bsp::TransportMode) (honoring the
 //! `PREDICT_TRANSPORT` env knob under `Auto`); `InMemory` — and any workload
 //! without a [`WorkloadSpec`] — dispatches straight to the in-memory trait
-//! method, while `InProc`/`Process`/`Socket` replays the workload's
+//! method, while `InProc`/`Socket` replays the workload's
 //! preparation steps
 //! (undirected conversion for SC and CC, the PageRank pre-pass for TOP-K)
 //! around [`drive`] calls, so the cluster path runs exactly the graph and

@@ -5,8 +5,8 @@
 //! the `cluster_worker` binary pointing at it (`--socket <path>` /
 //! `--tcp <addr>`), and accepts exactly one connection. Per-worker
 //! addresses mean accept order can never confuse worker identities, so the
-//! frame protocol itself is byte-for-byte the one the pipe transport
-//! speaks — the socket is just a different byte stream under the same
+//! frame protocol itself is byte-for-byte the one the in-process channels
+//! carry — the socket is just a byte stream under the same
 //! `[len][tag][body]` framing.
 //!
 //! Two address families behind one code path: Unix-domain sockets (the

@@ -1,5 +1,5 @@
-//! Driver-side transports: in-process worker threads, worker OS processes
-//! over pipes, and worker OS processes over sockets.
+//! Driver-side transports: in-process worker threads and worker OS
+//! processes over sockets.
 //!
 //! A [`Connection`] is the driver's handle to one worker. Every backend
 //! exposes the same three operations — send a frame, receive a frame with a
@@ -10,21 +10,19 @@
 //!   the worker binary runs, connected by mpsc channel pairs. A panicking or
 //!   crashing worker drops its sender, which the driver observes as a
 //!   disconnect — the thread-level analogue of a dead process.
-//! * [`TransportKind::Process`] spawns a long-lived `cluster_worker` OS
-//!   process and speaks the framed protocol over its stdin/stdout. A reader
-//!   thread pumps stdout frames into a channel (so receives can time out
-//!   without platform-specific pipe tricks) and a second thread tails stderr
-//!   into a bounded ring buffer that failure reports quote.
-//! * [`TransportKind::Socket`] spawns the same binary pointed at a
-//!   per-worker Unix-domain socket (`cluster_worker --socket <path>`); the
-//!   driver binds and accepts with a deadline, then the identical
-//!   pump/ring/frame machinery runs over the socket stream. A loopback TCP
-//!   variant ([`Connection::spawn_socket_tcp`]) rides the same code path
-//!   through [`SocketStream`].
+//! * [`TransportKind::Socket`] spawns a long-lived `cluster_worker` OS
+//!   process pointed at a per-worker Unix-domain socket (`cluster_worker
+//!   --socket <path>`); the driver binds and accepts with a deadline, then
+//!   speaks the framed protocol over the socket stream. A reader thread
+//!   pumps inbound frames into a channel (so receives can time out without
+//!   platform-specific tricks) and a second thread tails the worker's
+//!   stderr into a bounded ring buffer that failure reports quote. A
+//!   loopback TCP variant ([`Connection::spawn_socket_tcp`]) rides the same
+//!   code path through [`SocketStream`].
 //!
 //! Workers survive across runs — after serving one episode they loop back to
 //! waiting for the next `Init` — so [`WorkerGroup`]s are pooled globally,
-//! keyed by `(kind, num_workers)`, and process/socket spawn cost is paid
+//! keyed by `(kind, num_workers)`, and process spawn cost is paid
 //! once, not per prediction run. A group that errors is dropped, never
 //! re-pooled.
 
@@ -37,9 +35,10 @@ use predict_bsp::TransportChoice;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::protocol::{read_frame, tag, write_frame};
@@ -52,8 +51,6 @@ const STDERR_TAIL_LINES: usize = 40;
 pub enum TransportKind {
     /// Worker threads in this process, talking over channels.
     InProc,
-    /// Worker OS processes, talking over stdin/stdout pipes.
-    Process,
     /// Worker OS processes, talking over Unix-domain socket streams.
     Socket,
 }
@@ -65,7 +62,6 @@ impl TransportKind {
         match choice {
             TransportChoice::InMemory => None,
             TransportChoice::InProc => Some(Self::InProc),
-            TransportChoice::Process => Some(Self::Process),
             TransportChoice::Socket => Some(Self::Socket),
         }
     }
@@ -74,7 +70,6 @@ impl TransportKind {
     pub fn name(self) -> &'static str {
         match self {
             Self::InProc => "inproc",
-            Self::Process => "process",
             Self::Socket => "socket",
         }
     }
@@ -110,14 +105,6 @@ enum ConnInner {
         tx: Sender<Frame>,
         rx: Receiver<Frame>,
     },
-    Process {
-        child: Child,
-        stdin: BufWriter<ChildStdin>,
-        /// Frames pumped off the child's stdout; the pump thread closes the
-        /// channel on EOF or read error.
-        rx: Receiver<Frame>,
-        stderr: Arc<Mutex<StderrRing>>,
-    },
     Socket {
         /// The worker process, when this connection spawned one (`None` for
         /// connections built from a raw accepted stream in tests).
@@ -129,6 +116,9 @@ enum ConnInner {
         /// Frames pumped off the socket; closed on EOF or read error.
         rx: Receiver<Frame>,
         stderr: Arc<Mutex<StderrRing>>,
+        /// The thread tailing the child's stderr into `stderr`; joined when
+        /// the worker is reported dead so the report holds its last words.
+        stderr_reader: Option<JoinHandle<()>>,
         /// Socket file unlinked on drop (`None` for TCP).
         path: Option<PathBuf>,
     },
@@ -177,61 +167,6 @@ impl Connection {
                 rx: from_worker,
             },
         }
-    }
-
-    /// Spawns a `cluster_worker` process and wires up its pipes.
-    pub fn spawn_process(worker: usize) -> Result<Self, ClusterError> {
-        let bin = worker_bin_path().map_err(|detail| ClusterError::Spawn { worker, detail })?;
-        let mut child = Command::new(&bin)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| ClusterError::Spawn {
-                worker,
-                detail: format!("{}: {e}", bin.display()),
-            })?;
-        let stdin = BufWriter::new(child.stdin.take().expect("piped stdin"));
-        let stdout = child.stdout.take().expect("piped stdout");
-        let child_stderr = child.stderr.take().expect("piped stderr");
-
-        let (frame_tx, rx) = mpsc::channel::<Frame>();
-        std::thread::Builder::new()
-            .name(format!("cluster-stdout-{worker}"))
-            .spawn(move || {
-                let mut reader = BufReader::new(stdout);
-                while let Ok(Some(frame)) = read_frame(&mut reader) {
-                    if frame_tx.send(frame).is_err() {
-                        break; // driver dropped the connection
-                    }
-                }
-                // EOF or read error: dropping frame_tx signals disconnect.
-            })
-            .expect("spawning an OS thread");
-
-        let stderr = Arc::new(Mutex::new(StderrRing::default()));
-        let ring = Arc::clone(&stderr);
-        std::thread::Builder::new()
-            .name(format!("cluster-stderr-{worker}"))
-            .spawn(move || {
-                for line in BufReader::new(child_stderr).lines() {
-                    match line {
-                        Ok(line) => ring.lock().unwrap().push(line),
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawning an OS thread");
-
-        Ok(Self {
-            worker,
-            inner: ConnInner::Process {
-                child,
-                stdin,
-                rx,
-                stderr,
-            },
-        })
     }
 
     /// Spawns a `cluster_worker` process connected over a fresh Unix-domain
@@ -292,7 +227,7 @@ impl Connection {
         let child_stderr = child.stderr.take().expect("piped stderr");
         let stderr = Arc::new(Mutex::new(StderrRing::default()));
         let ring = Arc::clone(&stderr);
-        std::thread::Builder::new()
+        let stderr_reader = std::thread::Builder::new()
             .name(format!("cluster-stderr-{worker}"))
             .spawn(move || {
                 for line in BufReader::new(child_stderr).lines() {
@@ -321,7 +256,7 @@ impl Connection {
                 });
             }
         };
-        Self::from_stream(worker, stream, Some(child), stderr, path)
+        Self::from_stream(worker, stream, Some((child, stderr_reader)), stderr, path)
     }
 
     /// Wraps an already-accepted socket stream as a connection with no
@@ -340,7 +275,7 @@ impl Connection {
     fn from_stream(
         worker: usize,
         stream: SocketStream,
-        child: Option<Child>,
+        child: Option<(Child, JoinHandle<()>)>,
         stderr: Arc<Mutex<StderrRing>>,
         path: Option<PathBuf>,
     ) -> Result<Self, ClusterError> {
@@ -365,6 +300,7 @@ impl Connection {
                 // EOF or read error: dropping frame_tx signals disconnect.
             })
             .expect("spawning an OS thread");
+        let (child, stderr_reader) = child.unzip();
         Ok(Self {
             worker,
             inner: ConnInner::Socket {
@@ -373,6 +309,7 @@ impl Connection {
                 stream,
                 rx,
                 stderr,
+                stderr_reader,
                 path,
             },
         })
@@ -388,20 +325,41 @@ impl Connection {
     pub fn stderr_tail(&self) -> String {
         match &self.inner {
             ConnInner::InProc { .. } => String::new(),
-            ConnInner::Process { stderr, .. } | ConnInner::Socket { stderr, .. } => {
-                stderr.lock().unwrap().tail()
-            }
+            ConnInner::Socket { stderr, .. } => stderr.lock().unwrap().tail(),
         }
     }
 
-    /// OS process id of the worker, when one exists (process and socket
-    /// backends). Lets tests verify spawn-failure cleanup actually reaped
+    /// OS process id of the worker, when one exists (spawned socket
+    /// workers). Lets tests verify spawn-failure cleanup actually reaped
     /// the children.
     pub fn process_id(&self) -> Option<u32> {
         match &self.inner {
             ConnInner::InProc { .. } => None,
-            ConnInner::Process { child, .. } => Some(child.id()),
             ConnInner::Socket { child, .. } => child.as_ref().map(Child::id),
+        }
+    }
+
+    /// Reports this worker as dead. A spawned worker is reaped first —
+    /// closing its stderr pipe — and the stderr reader joined, so the report
+    /// carries the worker's last words instead of racing the reader for
+    /// them. The caller drops a group with a dead worker anyway.
+    fn died(&mut self) -> ClusterError {
+        if let ConnInner::Socket {
+            child: Some(child),
+            stderr_reader,
+            ..
+        } = &mut self.inner
+        {
+            let _ = child.kill();
+            let _ = child.wait();
+            if let Some(reader) = stderr_reader.take() {
+                let _ = reader.join();
+            }
+        }
+        ClusterError::WorkerDied {
+            worker: self.worker,
+            superstep: None,
+            stderr_tail: self.stderr_tail(),
         }
     }
 
@@ -410,17 +368,12 @@ impl Connection {
     pub fn send(&mut self, tag: u8, body: &[u8]) -> Result<(), ClusterError> {
         let sent = match &mut self.inner {
             ConnInner::InProc { tx, .. } => tx.send((tag, body.to_vec())).is_ok(),
-            ConnInner::Process { stdin, .. } => write_frame(stdin, tag, body).is_ok(),
             ConnInner::Socket { writer, .. } => write_frame(writer, tag, body).is_ok(),
         };
         if sent {
             Ok(())
         } else {
-            Err(ClusterError::WorkerDied {
-                worker: self.worker,
-                superstep: None,
-                stderr_tail: self.stderr_tail(),
-            })
+            Err(self.died())
         }
     }
 
@@ -433,31 +386,21 @@ impl Connection {
     pub fn recv(&mut self, timeout: Duration) -> Result<Frame, ClusterError> {
         let received = match &self.inner {
             ConnInner::InProc { rx, .. } => rx.recv_timeout(timeout),
-            ConnInner::Process { rx, .. } => rx.recv_timeout(timeout),
             ConnInner::Socket { rx, .. } => rx.recv_timeout(timeout),
         };
         match received {
             Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::WorkerDied {
-                worker: self.worker,
-                superstep: None,
-                stderr_tail: self.stderr_tail(),
-            }),
+            Err(RecvTimeoutError::Disconnected) => Err(self.died()),
             Err(RecvTimeoutError::Timeout) => {
                 // A process that died instants ago may still race the pump
                 // thread; report a death as a death, not a timeout.
                 let child = match &mut self.inner {
-                    ConnInner::Process { child, .. } => Some(child),
                     ConnInner::Socket { child, .. } => child.as_mut(),
                     ConnInner::InProc { .. } => None,
                 };
                 if let Some(child) = child {
                     if matches!(child.try_wait(), Ok(Some(_))) {
-                        return Err(ClusterError::WorkerDied {
-                            worker: self.worker,
-                            superstep: None,
-                            stderr_tail: self.stderr_tail(),
-                        });
+                        return Err(self.died());
                     }
                 }
                 Err(ClusterError::Timeout {
@@ -478,14 +421,6 @@ impl Drop for Connection {
                 // Ask the thread to exit; if it already died this is a no-op.
                 let _ = tx.send((tag::SHUTDOWN, Vec::new()));
             }
-            ConnInner::Process { child, stdin, .. } => {
-                let _ = write_frame(stdin, tag::SHUTDOWN, &[]);
-                let _ = stdin.flush();
-                // Give the process no reason to linger: kill unconditionally
-                // (a worker that honored Shutdown is already gone) and reap.
-                let _ = child.kill();
-                let _ = child.wait();
-            }
             ConnInner::Socket {
                 child,
                 writer,
@@ -495,7 +430,9 @@ impl Drop for Connection {
             } => {
                 let _ = write_frame(writer, tag::SHUTDOWN, &[]);
                 let _ = writer.flush();
-                // Unblock the pump thread's read, then reap and unlink.
+                // Unblock the pump thread's read, then reap and unlink. Give
+                // the process no reason to linger: kill unconditionally (a
+                // worker that honored Shutdown is already gone).
                 let _ = stream.shutdown();
                 if let Some(child) = child {
                     let _ = child.kill();
@@ -559,7 +496,6 @@ impl WorkerGroup {
     pub fn spawn(kind: TransportKind, num_workers: usize) -> Result<Self, ClusterError> {
         Self::spawn_with(kind, num_workers, |w| match kind {
             TransportKind::InProc => Ok(Connection::spawn_inproc(w)),
-            TransportKind::Process => Connection::spawn_process(w),
             TransportKind::Socket => Connection::spawn_socket(w),
         })
     }

@@ -3,7 +3,7 @@
 //!
 //! These live in `tests/` of the `predict_cluster` package (not in a
 //! downstream crate) so cargo builds the `cluster_worker` binary before
-//! running them — the Process-transport tests spawn it.
+//! running them — the Socket-transport tests spawn it.
 
 use predict_algorithms::{
     PageRank, PageRankParams, SemiClustering, SemiClusteringParams, TopKWorkload, Workload,
@@ -100,19 +100,6 @@ fn pagerank_inproc_is_byte_identical_to_in_memory() {
 }
 
 #[test]
-fn pagerank_process_is_byte_identical_to_in_memory() {
-    let graph = test_graph();
-    let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
-    assert_transport_matches_in_memory(
-        &PageRank::new(params),
-        &ProgramSpec::PageRank { params },
-        &graph,
-        TransportKind::Process,
-        |v: &f64| vec![v.to_bits()],
-    );
-}
-
-#[test]
 fn pagerank_socket_is_byte_identical_to_in_memory() {
     let graph = test_graph();
     let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
@@ -187,19 +174,6 @@ fn semi_clustering_inproc_is_byte_identical_to_in_memory() {
 }
 
 #[test]
-fn semi_clustering_process_is_byte_identical_to_in_memory() {
-    let graph = predict_algorithms::to_undirected(&test_graph());
-    let params = SemiClusteringParams::default();
-    assert_transport_matches_in_memory(
-        &SemiClustering::new(params),
-        &ProgramSpec::SemiClustering { params },
-        &graph,
-        TransportKind::Process,
-        semi_cluster_bits,
-    );
-}
-
-#[test]
 fn semi_clustering_socket_is_byte_identical_to_in_memory() {
     let graph = predict_algorithms::to_undirected(&test_graph());
     let params = SemiClusteringParams::default();
@@ -239,46 +213,6 @@ fn topk_workload_runs_identically_over_the_cluster() {
         in_memory_engine.runs_executed(),
         "both executors must count the pre-pass and the ranking phase"
     );
-}
-
-#[test]
-fn crashed_process_worker_reports_superstep_and_stderr() {
-    let graph = test_graph();
-    let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
-    let opts = DriveOptions {
-        fault: Some((
-            2,
-            FaultSpec {
-                crash_at: Some(1),
-                hang_at: None,
-            },
-        )),
-        ..DriveOptions::new(TransportKind::Process)
-    };
-    let err = drive(
-        &PageRank::new(params),
-        &ProgramSpec::PageRank { params },
-        &[],
-        &graph,
-        &test_config(),
-        &opts,
-    )
-    .expect_err("a crashed worker must fail the drive");
-    match err {
-        ClusterError::WorkerDied {
-            worker,
-            superstep,
-            stderr_tail,
-        } => {
-            assert_eq!(worker, 2);
-            assert_eq!(superstep, Some(1));
-            assert!(
-                stderr_tail.contains("injected crash at superstep 1"),
-                "stderr tail must quote the worker's last words, got: {stderr_tail:?}"
-            );
-        }
-        other => panic!("expected WorkerDied, got: {other}"),
-    }
 }
 
 #[test]

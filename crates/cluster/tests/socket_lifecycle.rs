@@ -152,19 +152,20 @@ fn assert_process_gone(pid: u32) {
 
 /// Pins the `WorkerGroup::spawn` partial-failure fix: when spawning worker N
 /// fails, workers 0..N that already started must be killed and reaped, not
-/// leaked.
+/// leaked. Loopback-TCP workers, so the reaping is checked on connections
+/// that own no socket file (the Unix-socket twin is below).
 #[test]
 fn partial_spawn_failure_reaps_already_spawned_processes() {
     let mut pids = Vec::new();
-    let group = WorkerGroup::spawn_with(TransportKind::Process, 3, |w| {
+    let group = WorkerGroup::spawn_with(TransportKind::Socket, 3, |w| {
         if w == 2 {
             return Err(ClusterError::Spawn {
                 worker: 2,
                 detail: "injected spawn failure".into(),
             });
         }
-        let conn = Connection::spawn_process(w)?;
-        pids.push(conn.process_id().expect("process transport has a pid"));
+        let conn = Connection::spawn_socket_tcp(w)?;
+        pids.push(conn.process_id().expect("socket transport has a pid"));
         Ok(conn)
     });
     let err = match group {
@@ -243,4 +244,44 @@ fn partial_spawn_failure_unlinks_socket_files() {
         leftovers.is_empty(),
         "socket files must be unlinked on group failure: {leftovers:?}"
     );
+}
+
+/// `cluster_worker` with no arguments used to serve the framed protocol on
+/// stdin/stdout. That transport is gone: the invocation must now fail fast
+/// with a usage message instead of blocking on a stdin nobody writes to.
+#[test]
+fn worker_without_arguments_prints_usage_and_exits_2() {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+    let bin = predict_cluster::worker_bin_path().expect("cargo built cluster_worker");
+    let mut child = Command::new(bin)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning cluster_worker");
+    // Held open for the whole wait: a worker that reads stdin would block.
+    let _stdin = child.stdin.take();
+    let mut status = None;
+    for _ in 0..500 {
+        status = child.try_wait().expect("polling cluster_worker");
+        if status.is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let Some(status) = status else {
+        let _ = child.kill();
+        let _ = child.wait();
+        panic!("cluster_worker without arguments is still running after 5 s");
+    };
+    assert_eq!(status.code(), Some(2));
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("reading stderr");
+    assert!(stderr.contains("usage: cluster_worker"), "got: {stderr:?}");
 }

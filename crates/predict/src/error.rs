@@ -2,8 +2,8 @@
 //!
 //! Every stage of the pipeline — sampling, sample-run execution, training-set
 //! assembly, cost-model fitting — reports failures through [`PredictError`],
-//! so sessions, the concurrent [`crate::PredictService`] and the legacy
-//! [`crate::Predictor`] facade all share one error surface. Conditions that
+//! so sessions and the concurrent [`crate::PredictService`] share one error
+//! surface. Conditions that
 //! used to panic inside stage code (non-finite or non-positive ratios
 //! reaching the transform function's assertions) are validated up front and
 //! surfaced as [`PredictError::InvalidConfig`] instead.

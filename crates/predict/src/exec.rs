@@ -3,8 +3,8 @@
 //! Every workload execution in this crate — sample runs, actual runs —
 //! funnels through [`execute_workload`], which routes to whichever executor
 //! the engine's transport mode selects: the in-memory runtime (the default)
-//! or a `predict_cluster` worker group (in-process threads or worker OS
-//! processes, via `PREDICT_TRANSPORT` or
+//! or a `predict_cluster` worker group (in-process threads or
+//! socket-connected worker OS processes, via `PREDICT_TRANSPORT` or
 //! [`PredictorBuilder::transport`](crate::session::PredictorBuilder::transport)).
 //!
 //! The pipeline's interfaces are infallible (a prediction either completes

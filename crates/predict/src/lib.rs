@@ -37,19 +37,17 @@
 //!   sampler and caches artifacts across predictions, so predicting many
 //!   workloads or sweep points on one dataset performs each `(ratio, seed)`
 //!   sample run exactly once. Sessions are built fluently via
-//!   [`Predictor::builder`];
+//!   [`PredictorBuilder`];
 //! * [`service`] — [`PredictService`], a `Sync` front-end holding sessions in
 //!   a sharded LRU cache and answering [`PredictRequest`]s, one at a time or
-//!   in deterministic scoped-thread batches;
-//! * [`pipeline`] — the legacy one-shot [`Predictor`] facade, a thin wrapper
-//!   over the same stage functions (kept for single-prediction callers);
+//!   in deterministic batches on the engine's worker pool;
 //! * [`error`] — the unified [`PredictError`] spanning sampling, engine and
 //!   model failures.
 //!
 //! # Example
 //!
 //! ```
-//! use predict_core::{Predictor, PredictorConfig};
+//! use predict_core::{PredictorBuilder, PredictorConfig};
 //! use predict_algorithms::PageRankWorkload;
 //! use predict_bsp::{BspConfig, BspEngine};
 //! use predict_graph::generators::{generate_rmat, RmatConfig};
@@ -60,7 +58,7 @@
 //!
 //! // Bind the dataset once; every prediction after the first reuses the
 //! // cached sample runs and trained models.
-//! let session = Predictor::builder()
+//! let session = PredictorBuilder::new()
 //!     .engine(BspEngine::new(BspConfig::default()))
 //!     .sampler(BiasedRandomJump::default())
 //!     .config(PredictorConfig::single_ratio(0.1))
@@ -81,7 +79,6 @@ pub mod feature_selection;
 pub mod features;
 pub mod history;
 pub mod metrics;
-pub mod pipeline;
 pub mod regression;
 pub mod service;
 pub mod session;
@@ -103,7 +100,6 @@ pub use history::{HistoricalRun, HistoryStore};
 pub use metrics::{
     absolute_relative_error, r_squared, signed_relative_error, ErrorSample, ErrorSummary,
 };
-pub use pipeline::Predictor;
 pub use predict_store::{ArtifactKind, ArtifactStore};
 pub use regression::{LinearModel, RegressionError};
 pub use service::{PredictRequest, PredictService, PredictServiceConfig};

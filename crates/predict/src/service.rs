@@ -11,13 +11,10 @@
 //! Batches run on the engine's persistent [`predict_bsp::WorkerPool`]:
 //! [`PredictService::submit_batch`] schedules independent requests as pool
 //! tasks and returns results in request order, so a warm service evaluates
-//! batch after batch without spawning a single OS thread (when the pool is
-//! disabled via [`predict_bsp::PoolMode::Off`] or `PREDICT_POOL=off`, it
-//! falls back to scoped threads per batch). Because every pipeline stage is
-//! deterministic and cache values are immutable artifacts, the output is
-//! identical regardless of thread count, scheduling substrate or
-//! interleaving — a 1-thread batch and an N-thread batch produce the same
-//! bytes.
+//! batch after batch without spawning a single OS thread. Because every
+//! pipeline stage is deterministic and cache values are immutable artifacts,
+//! the output is identical regardless of thread count or interleaving — a
+//! 1-thread batch and an N-thread batch produce the same bytes.
 //!
 //! Robustness: a panic inside one request is caught at the request boundary
 //! and surfaced as [`PredictError::WorkerPanicked`] for that request alone —
@@ -26,8 +23,9 @@
 
 use crate::artifacts::stable_fingerprint;
 use crate::error::PredictError;
-use crate::session::{Evaluation, Prediction, PredictionSession, PredictorConfig};
-use crate::Predictor;
+use crate::session::{
+    Evaluation, Prediction, PredictionSession, PredictorBuilder, PredictorConfig,
+};
 use predict_algorithms::Workload;
 use predict_bsp::{BspEngine, ExecutionMode, StorageMode, TransportMode};
 use predict_graph::CsrGraph;
@@ -94,8 +92,8 @@ pub struct PredictServiceConfig {
     /// replaces the execution mode of the engine the service was given
     /// (sharing its run counter and layout cache), so every session's sample
     /// and actual runs execute under `mode`. With it, `submit_batch`
-    /// parallelizes at both levels — requests across scoped threads *and*
-    /// each run's superstep phases across the engine's threads. `None` keeps
+    /// parallelizes at both levels — requests *and* each run's superstep
+    /// phases, all as tasks on the engine's worker pool. `None` keeps
     /// the engine as passed. Never changes results (see
     /// `predict_bsp::runtime`).
     pub execution: Option<ExecutionMode>,
@@ -293,7 +291,7 @@ impl PredictService {
         // Build the session before taking the write lock: construction is
         // cheap (binding is lazy), and keeping panic-prone code outside the
         // critical section means the lock is never poisoned mid-mutation.
-        let mut builder = Predictor::builder()
+        let mut builder = PredictorBuilder::new()
             .engine(Arc::clone(&self.engine))
             .sampler_arc(Arc::clone(&self.sampler))
             .config(self.config.predictor.clone());
@@ -400,17 +398,14 @@ impl PredictService {
     /// Requests are scheduled onto the engine's persistent
     /// [`predict_bsp::WorkerPool`], so a warm service spawns **zero** OS
     /// threads per batch and successive batches pipeline through the same
-    /// workers as each run's superstep phases. When the pool is disabled
-    /// ([`predict_bsp::PoolMode::Off`] or `PREDICT_POOL=off`) the batch
-    /// falls back to scoped threads, one stride per thread.
+    /// workers as each run's superstep phases.
     ///
     /// A panicking request yields `Err(`[`PredictError::WorkerPanicked`]`)`
     /// in its slot; the other requests still complete.
     ///
     /// The output is deterministic: result `i` depends only on request `i`
     /// (every stage is deterministic and cached artifacts are immutable), so
-    /// thread count, scheduling substrate and interleaving change wall-clock
-    /// time, never results.
+    /// thread count and interleaving change wall-clock time, never results.
     ///
     /// # Examples
     ///
@@ -462,61 +457,23 @@ impl PredictService {
         }
         let mut results: Vec<Option<Result<Prediction, PredictError>>> =
             (0..requests.len()).map(|_| None).collect();
-        if let Some(pool) = self.engine.worker_pool() {
-            // One pool task per request: the pool's work-stealing deques
-            // balance uneven request costs, and `run_scoped`'s caller
-            // participation keeps this deadlock-free even when a request's
-            // own superstep phases fan out onto the same pool.
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-                .iter_mut()
-                .zip(requests)
-                .map(|(slot, request)| {
-                    let task: Box<dyn FnOnce() + Send + '_> =
-                        Box::new(move || *slot = Some(self.submit_caught(request)));
-                    task
-                })
-                .collect();
-            pool.run_scoped(threads, tasks);
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    predict_bsp::record_external_spawn();
-                    handles.push(scope.spawn(move || {
-                        // Stride partitioning: thread t takes requests t, t+T, ...
-                        requests
-                            .iter()
-                            .enumerate()
-                            .skip(t)
-                            .step_by(threads)
-                            .map(|(i, r)| (i, self.submit_caught(r)))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for handle in handles {
-                    let worker_results = match handle.join() {
-                        Ok(worker_results) => worker_results,
-                        // submit_caught contains request panics, so an
-                        // unwound worker can only be a harness-level bug;
-                        // still, degrade to per-request errors rather than
-                        // killing the whole batch.
-                        Err(_) => continue,
-                    };
-                    for (i, result) in worker_results {
-                        results[i] = Some(result);
-                    }
-                }
-            });
-        }
+        // One pool task per request: the pool's work-stealing deques balance
+        // uneven request costs, and `run_scoped`'s caller participation keeps
+        // this deadlock-free even when a request's own superstep phases fan
+        // out onto the same pool.
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
+            .iter_mut()
+            .zip(requests)
+            .map(|(slot, request)| {
+                let task: Box<dyn FnOnce() + Send + '_> =
+                    Box::new(move || *slot = Some(self.submit_caught(request)));
+                task
+            })
+            .collect();
+        self.engine.worker_pool().run_scoped(threads, tasks);
         results
             .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(PredictError::WorkerPanicked {
-                        message: "batch worker died before filling this slot".to_string(),
-                    })
-                })
-            })
+            .map(|r| r.expect("run_scoped returns only after every task has run"))
             .collect()
     }
 
@@ -790,21 +747,16 @@ mod tests {
         assert_eq!(svc.sessions_cached(), 1);
     }
 
+    // The name predates the removal of the scoped-thread batch path; the
+    // reference is now the one-thread batch, which answers in request order
+    // on the caller. 2 and 4 threads schedule requests as pool tasks.
     #[test]
     fn pooled_batches_match_scoped_thread_batches() {
-        use predict_bsp::PoolMode;
         let g = graph(23);
         let n = g.num_vertices();
         let mut rendered = Vec::new();
-        for pool in [PoolMode::On, PoolMode::Off] {
-            let svc = PredictService::with_config(
-                BspEngine::new(BspConfig::with_workers(4).with_pool(pool)),
-                Arc::new(BiasedRandomJump::default()),
-                PredictServiceConfig {
-                    predictor: PredictorConfig::single_ratio(0.1),
-                    ..PredictServiceConfig::default()
-                },
-            );
+        for threads in [1usize, 2, 4] {
+            let svc = service();
             let requests: Vec<PredictRequest> = vec![
                 PredictRequest::new(
                     "A",
@@ -815,7 +767,7 @@ mod tests {
                 PredictRequest::new("A", Arc::clone(&g), Arc::new(ConnectedComponentsWorkload)),
             ];
             let results: Vec<String> = svc
-                .submit_batch(&requests, 3)
+                .submit_batch(&requests, threads)
                 .into_iter()
                 .map(|r| match r {
                     Ok(p) => serde_json::to_string(&p).unwrap(),
@@ -824,7 +776,8 @@ mod tests {
                 .collect();
             rendered.push(results);
         }
-        assert_eq!(rendered[0], rendered[1], "PoolMode changed batch results");
+        assert_eq!(rendered[0], rendered[1], "2 pooled threads changed results");
+        assert_eq!(rendered[0], rendered[2], "4 pooled threads changed results");
     }
 
     #[test]

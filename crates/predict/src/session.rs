@@ -19,17 +19,17 @@
 //! Sessions are `Sync`: all caches sit behind locks, the engine and sampler
 //! are shared via [`Arc`], and every stage is deterministic, so concurrent
 //! predictions return byte-identical results to sequential ones. Sessions
-//! are built fluently via [`crate::Predictor::builder`]:
+//! are built fluently via [`PredictorBuilder`]:
 //!
 //! ```
-//! use predict_core::{Predictor, PredictorConfig};
+//! use predict_core::{PredictorBuilder, PredictorConfig};
 //! use predict_algorithms::PageRankWorkload;
 //! use predict_graph::generators::{generate_rmat, RmatConfig};
 //! use predict_sampling::BiasedRandomJump;
 //!
 //! let graph = generate_rmat(&RmatConfig::new(10, 8).with_seed(7));
 //! let workload = PageRankWorkload::with_epsilon(0.01, graph.num_vertices());
-//! let session = Predictor::builder()
+//! let session = PredictorBuilder::new()
 //!     .sampler(BiasedRandomJump::default())
 //!     .config(PredictorConfig::single_ratio(0.1))
 //!     .bind(graph, "quickstart");
@@ -60,6 +60,7 @@ use predict_sampling::{BiasedRandomJump, Sampler, ScratchPool};
 use predict_store::{ArtifactKind, ArtifactStore};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -259,12 +260,7 @@ impl Evaluation {
 }
 
 // ---------------------------------------------------------------------------
-// Shared stage orchestration.
-//
-// Both the cached `PredictionSession` and the legacy one-shot
-// `crate::Predictor` facade run predictions through these functions, so the
-// two paths cannot diverge: a session with a cold cache performs exactly the
-// same engine and sampler invocations, in the same order, as the facade.
+// Stage orchestration.
 
 /// Cached stage artifacts of one session. All maps are keyed by exact stage
 /// inputs; values are `Arc`s so cache hits are O(1) clones.
@@ -400,17 +396,66 @@ fn cache_lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Borrowed inputs of one prediction: the execution substrate plus an
-/// optional artifact cache (`None` = the uncached legacy path).
-pub(crate) struct StageCtx<'a> {
-    pub engine: &'a BspEngine,
-    pub sampler: &'a dyn Sampler,
-    pub graph: &'a CsrGraph,
-    pub dataset: &'a str,
-    pub caches: Option<&'a ArtifactCaches>,
+/// Borrowed inputs of one prediction: the execution substrate plus the
+/// session's artifact tiers.
+struct StageCtx<'a> {
+    engine: &'a BspEngine,
+    sampler: &'a dyn Sampler,
+    graph: &'a CsrGraph,
+    dataset: &'a str,
+    caches: &'a ArtifactCaches,
     /// Persistent artifact store, consulted between the in-memory cache and
-    /// recomputation (`None` = memory-only, the historical behavior).
-    pub store: Option<&'a StoreBinding>,
+    /// recomputation (`None` = memory-only).
+    store: Option<&'a StoreBinding>,
+}
+
+/// The one tiered lookup every stage goes through: memory, then the store,
+/// then `compute` — with the result written through to the store and
+/// published to memory.
+///
+/// Tier order and counting are part of the session's observable behavior
+/// ([`SessionStats`], the `store.*` counters): a memory hit records a hit
+/// and touches nothing else; a memory miss records a miss and, on a
+/// store-backed session, costs exactly one store read; a computed artifact
+/// costs exactly one store write. `store_key` therefore runs only after a
+/// memory miss on a store-backed session — a warm request allocates no key
+/// it never reads.
+fn get_or_compute<K, T, E>(
+    ctx: &StageCtx<'_>,
+    map: &Mutex<HashMap<K, Arc<T>>>,
+    key: K,
+    kind: ArtifactKind,
+    store_key: impl FnOnce(&K) -> String,
+    compute: impl FnOnce() -> Result<T, E>,
+) -> Result<Arc<T>, E>
+where
+    K: Eq + std::hash::Hash,
+    T: Serialize + serde::Deserialize,
+{
+    if let Some(hit) = cache_lock(map).get(&key) {
+        ctx.caches.record(true);
+        return Ok(Arc::clone(hit));
+    }
+    ctx.caches.record(false);
+    let store = ctx.store.map(|store| (store, store_key(&key)));
+    let stored = store
+        .as_ref()
+        .and_then(|(store, store_key)| store.load::<T>(kind, store_key));
+    let artifact = match stored {
+        Some(artifact) => artifact,
+        None => {
+            let artifact = compute()?;
+            if let Some((store, store_key)) = &store {
+                store.save(kind, store_key, &artifact);
+            }
+            artifact
+        }
+    };
+    // Concurrent misses may race here; both hold the same deterministic
+    // artifact, so keeping the first insert is fine.
+    Ok(Arc::clone(
+        cache_lock(map).entry(key).or_insert(Arc::new(artifact)),
+    ))
 }
 
 /// Stage 1: draw (or reuse) the sample for `(ratio, seed)`.
@@ -421,52 +466,19 @@ fn stage_sample(
 ) -> Result<Arc<SampleArtifact>, PredictError> {
     let _span = predict_obs::trace::span("predict.stage.sample").arg("ratio", ratio);
     let _timer = predict_obs::metrics::time_scope("predict.stage.sample_ns");
-    let key = SampleKey::new(ctx.sampler.name(), ratio, seed);
-    if let Some(caches) = ctx.caches {
-        if let Some(hit) = cache_lock(&caches.samples).get(&key) {
-            caches.record(true);
-            return Ok(Arc::clone(hit));
-        }
-        caches.record(false);
-        // Memory miss: a store-backed session may still have the artifact
-        // on disk from a previous process.
-        if let Some(store) = ctx.store {
-            if let Some(artifact) =
-                store.load::<SampleArtifact>(ArtifactKind::Sample, &key.store_key())
-            {
-                let artifact = Arc::new(artifact);
-                return Ok(Arc::clone(
-                    cache_lock(&caches.samples).entry(key).or_insert(artifact),
-                ));
-            }
-        }
-    }
-    let artifact = match ctx.caches {
-        Some(caches) => {
+    get_or_compute(
+        ctx,
+        &ctx.caches.samples,
+        SampleKey::new(ctx.sampler.name(), ratio, seed),
+        ArtifactKind::Sample,
+        SampleKey::store_key,
+        || {
             // Each concurrent draw checks out its own pooled scratch; once
             // the pool is warm (peak concurrency reached) no draw allocates.
-            let mut scratch = caches.scratch.acquire();
-            Arc::new(SampleArtifact::draw_with(
-                ctx.sampler,
-                ctx.graph,
-                ratio,
-                seed,
-                &mut scratch,
-            )?)
-        }
-        None => Arc::new(SampleArtifact::draw(ctx.sampler, ctx.graph, ratio, seed)?),
-    };
-    if let Some(store) = ctx.store {
-        store.save(ArtifactKind::Sample, &key.store_key(), artifact.as_ref());
-    }
-    if let Some(caches) = ctx.caches {
-        // Concurrent misses may race here; both computed the same
-        // deterministic artifact, so keeping the first insert is fine.
-        return Ok(Arc::clone(
-            cache_lock(&caches.samples).entry(key).or_insert(artifact),
-        ));
-    }
-    Ok(artifact)
+            let mut scratch = ctx.caches.scratch.acquire();
+            SampleArtifact::draw_with(ctx.sampler, ctx.graph, ratio, seed, &mut scratch)
+        },
+    )
 }
 
 /// Stage 2: execute (or reuse) the transformed sample run of `workload` on
@@ -480,32 +492,19 @@ fn stage_run(
     let _span =
         predict_obs::trace::span("predict.stage.sample_run").arg("workload", workload.name());
     let _timer = predict_obs::metrics::time_scope("predict.stage.sample_run_ns");
-    let key = RunKey::new(&sample.key, workload, transform);
-    if let Some(caches) = ctx.caches {
-        if let Some(hit) = cache_lock(&caches.runs).get(&key) {
-            caches.record(true);
-            return Arc::clone(hit);
-        }
-        caches.record(false);
-        if let Some(store) = ctx.store {
-            if let Some(artifact) =
-                store.load::<SampleRunArtifact>(ArtifactKind::SampleRun, &key.store_key())
-            {
-                let artifact = Arc::new(artifact);
-                return Arc::clone(cache_lock(&caches.runs).entry(key).or_insert(artifact));
-            }
-        }
-    }
-    let artifact = Arc::new(SampleRunArtifact::execute(
-        ctx.engine, workload, transform, sample,
-    ));
-    if let Some(store) = ctx.store {
-        store.save(ArtifactKind::SampleRun, &key.store_key(), artifact.as_ref());
-    }
-    if let Some(caches) = ctx.caches {
-        return Arc::clone(cache_lock(&caches.runs).entry(key).or_insert(artifact));
-    }
-    artifact
+    let Ok(run) = get_or_compute(
+        ctx,
+        &ctx.caches.runs,
+        RunKey::new(&sample.key, workload, transform),
+        ArtifactKind::SampleRun,
+        RunKey::store_key,
+        || {
+            Ok::<_, Infallible>(SampleRunArtifact::execute(
+                ctx.engine, workload, transform, sample,
+            ))
+        },
+    );
+    run
 }
 
 /// Stage 3: assemble the training set and train (or reuse) the cost model.
@@ -533,30 +532,46 @@ fn stage_model(
         config_fingerprint: config.fingerprint(),
         history_version,
     };
-    // The persistent key additionally carries the sampler: a model is
-    // trained on *this sampler's* sample runs, which `ModelKey` never had
-    // to say because an in-memory cache lives inside one single-sampler
-    // session, while the store is shared by every session of a process.
-    let store_key = format!("{}|{}", ctx.sampler.name(), key.store_key());
-    if let Some(caches) = ctx.caches {
-        if let Some(hit) = cache_lock(&caches.models).get(&key) {
-            caches.record(true);
-            return Ok(Arc::clone(hit));
-        }
-        caches.record(false);
-        // A store-hit model skips the whole training-set assembly below —
+    get_or_compute(
+        ctx,
+        &ctx.caches.models,
+        key,
+        ArtifactKind::Model,
+        // The persistent key additionally carries the sampler: a model is
+        // trained on *this sampler's* sample runs, which `ModelKey` never
+        // had to say because an in-memory cache lives inside one
+        // single-sampler session, while the store is shared by every
+        // session of a process.
+        |key| format!("{}|{}", ctx.sampler.name(), key.store_key()),
+        // A store-hit model skips the whole training-set assembly —
         // including the training-ratio sample runs — which is what lets a
         // warm restart answer with zero engine executions.
-        if let Some(store) = ctx.store {
-            if let Some(model) = store.load::<TrainedModel>(ArtifactKind::Model, &store_key) {
-                let model = Arc::new(model);
-                return Ok(Arc::clone(
-                    cache_lock(&caches.models).entry(key).or_insert(model),
-                ));
-            }
-        }
-    }
+        || {
+            train_model(
+                ctx,
+                workload,
+                config,
+                transform,
+                sample_observations,
+                history,
+                history_version,
+            )
+        },
+    )
+}
 
+/// Assembles the training set of [`stage_model`] — one sample run per
+/// training ratio plus matching history — and fits the cost model on it.
+#[allow(clippy::too_many_arguments)]
+fn train_model(
+    ctx: &StageCtx<'_>,
+    workload: &dyn Workload,
+    config: &PredictorConfig,
+    transform: TransformFunction,
+    sample_observations: &[IterationObservation],
+    history: &HistoryStore,
+    history_version: u64,
+) -> Result<TrainedModel, PredictError> {
     let mut training: Vec<IterationObservation> = Vec::new();
     for (i, &train_ratio) in config.training_ratios.iter().enumerate() {
         if (train_ratio - config.sampling_ratio).abs() < 1e-12 {
@@ -598,7 +613,7 @@ fn stage_model(
 
     let cost_model =
         CostModel::train(&training, &config.cost_model).map_err(PredictError::CostModel)?;
-    let model = Arc::new(TrainedModel {
+    Ok(TrainedModel {
         cost_model,
         provenance: TrainingProvenance {
             source,
@@ -611,63 +626,41 @@ fn stage_model(
             history_version,
             training_ratios: config.training_ratios.clone(),
         },
-    });
-    if let Some(store) = ctx.store {
-        store.save(ArtifactKind::Model, &store_key, model.as_ref());
-    }
-    if let Some(caches) = ctx.caches {
-        return Ok(Arc::clone(
-            cache_lock(&caches.models).entry(key).or_insert(model),
-        ));
-    }
-    Ok(model)
+    })
 }
 
 /// Executes (or reuses) the actual run of `workload` on the full graph.
+/// Actual runs are the most expensive artifact of all; persisting them is
+/// what makes a warm evaluation pass execute zero runs.
 fn stage_actual(ctx: &StageCtx<'_>, workload: &dyn Workload) -> Arc<WorkloadRun> {
     let _span = predict_obs::trace::span("predict.stage.actual").arg("workload", workload.name());
     let _timer = predict_obs::metrics::time_scope("predict.stage.actual_ns");
-    let key = workload.cache_token();
-    if let Some(caches) = ctx.caches {
-        if let Some(hit) = cache_lock(&caches.actuals).get(&key) {
-            caches.record(true);
-            return Arc::clone(hit);
-        }
-        caches.record(false);
-        // Actual runs are the most expensive artifact of all; persisting
-        // them is what makes a warm evaluation pass execute zero runs.
-        if let Some(store) = ctx.store {
-            if let Some(run) = store.load::<WorkloadRun>(ArtifactKind::ActualRun, &key) {
-                let run = Arc::new(run);
-                return Arc::clone(cache_lock(&caches.actuals).entry(key).or_insert(run));
-            }
-        }
-    }
-    // Sharded engines run against the session's cached full-graph storage,
-    // so back-to-back actual runs skip the per-run shard construction. The
-    // dispatch in [`crate::exec`] routes to the in-memory runtime or a
-    // cluster transport per the engine's transport mode; results are
-    // byte-identical either way.
-    let storage = ctx
-        .caches
-        .and_then(|caches| caches.storage.get_or_shard(ctx.engine, ctx.graph));
-    let run = Arc::new(crate::exec::execute_workload(
-        ctx.engine,
-        workload,
-        ctx.graph,
-        storage.as_deref(),
-    ));
-    if let Some(store) = ctx.store {
-        store.save(ArtifactKind::ActualRun, &key, run.as_ref());
-    }
-    if let Some(caches) = ctx.caches {
-        return Arc::clone(cache_lock(&caches.actuals).entry(key).or_insert(run));
-    }
+    let Ok(run) = get_or_compute(
+        ctx,
+        &ctx.caches.actuals,
+        workload.cache_token(),
+        ArtifactKind::ActualRun,
+        String::clone,
+        || {
+            // Sharded engines run against the session's cached full-graph
+            // storage, so back-to-back actual runs skip the per-run shard
+            // construction. The dispatch in [`crate::exec`] routes to the
+            // in-memory runtime or a cluster transport per the engine's
+            // transport mode; results are byte-identical either way.
+            let storage = ctx.caches.storage.get_or_shard(ctx.engine, ctx.graph);
+            Ok::<_, Infallible>(crate::exec::execute_workload(
+                ctx.engine,
+                workload,
+                ctx.graph,
+                storage.as_deref(),
+            ))
+        },
+    );
     run
 }
 
 /// The full prediction: stages 1–3 plus extrapolation and assembly.
-pub(crate) fn predict_stages(
+fn predict_stages(
     ctx: &StageCtx<'_>,
     workload: &dyn Workload,
     config: &PredictorConfig,
@@ -735,7 +728,7 @@ pub(crate) fn predict_stages(
 }
 
 /// Prediction plus the measured actual run.
-pub(crate) fn evaluate_stages(
+fn evaluate_stages(
     ctx: &StageCtx<'_>,
     workload: &dyn Workload,
     config: &PredictorConfig,
@@ -765,8 +758,9 @@ pub(crate) fn evaluate_stages(
 // ---------------------------------------------------------------------------
 // Builder and session.
 
-/// Fluent builder for [`PredictionSession`]s, obtained from
-/// [`crate::Predictor::builder`].
+/// Fluent builder for [`PredictionSession`]s: bind a dataset once, then
+/// predict many workloads/configurations against it with sample runs and
+/// trained models cached across calls.
 ///
 /// Defaults: a [`BspEngine`] with the default configuration, the paper's
 /// [`BiasedRandomJump`] sampler, and [`PredictorConfig::default`].
@@ -788,6 +782,41 @@ impl Default for PredictorBuilder {
 
 impl PredictorBuilder {
     /// Creates a builder with default engine, sampler and configuration.
+    ///
+    /// # Examples
+    ///
+    /// Bind a dataset and predict two workloads; both share the same cached
+    /// sampling artifact, and repeating a prediction re-runs nothing:
+    ///
+    /// ```
+    /// use predict_algorithms::{PageRankWorkload, TopKWorkload};
+    /// use predict_bsp::{BspConfig, BspEngine, ExecutionMode, StorageMode};
+    /// use predict_core::{PredictorBuilder, PredictorConfig};
+    /// use predict_graph::generators::{generate_rmat, RmatConfig};
+    /// use predict_sampling::BiasedRandomJump;
+    ///
+    /// let graph = generate_rmat(&RmatConfig::new(10, 8).with_seed(7));
+    /// let pagerank = PageRankWorkload::with_epsilon(0.01, graph.num_vertices());
+    ///
+    /// let session = PredictorBuilder::new()
+    ///     .engine(BspEngine::new(BspConfig::with_workers(8)))
+    ///     .sampler(BiasedRandomJump::default())
+    ///     .config(PredictorConfig::single_ratio(0.1))
+    ///     // Performance knobs, never result knobs: superstep phases on OS
+    ///     // threads, graph stored as one `ShardedCsr` per worker.
+    ///     .execution(ExecutionMode::Auto)
+    ///     .storage(StorageMode::Sharded)
+    ///     .bind(graph, "my-dataset");
+    ///
+    /// let first = session.predict(&pagerank).unwrap();
+    /// session.predict(&TopKWorkload::default()).unwrap();
+    /// let runs_after_two_workloads = session.engine().runs_executed();
+    ///
+    /// // Re-predicting hits the artifact caches: no new engine runs.
+    /// let again = session.predict(&pagerank).unwrap();
+    /// assert_eq!(first.predicted_superstep_ms, again.predicted_superstep_ms);
+    /// assert_eq!(session.engine().runs_executed(), runs_after_two_workloads);
+    /// ```
     pub fn new() -> Self {
         Self {
             engine: Arc::new(BspEngine::default()),
@@ -982,7 +1011,7 @@ impl PredictionSession {
             sampler: self.sampler.as_ref(),
             graph: &self.graph,
             dataset: &self.dataset,
-            caches: Some(&self.caches),
+            caches: &self.caches,
             store: self.store.as_ref(),
         }
     }
@@ -1160,7 +1189,7 @@ impl PredictionSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Predictor;
+    use crate::critical_path::observations_from_profile;
     use predict_algorithms::{
         ConnectedComponentsWorkload, NeighborhoodWorkload, PageRankWorkload, TopKWorkload,
     };
@@ -1176,39 +1205,145 @@ mod tests {
     }
 
     fn session(config: PredictorConfig) -> PredictionSession {
-        Predictor::builder()
+        session_with_history(config, "test", HistoryStore::new())
+    }
+
+    fn session_with_history(
+        config: PredictorConfig,
+        dataset: &str,
+        history: HistoryStore,
+    ) -> PredictionSession {
+        PredictorBuilder::new()
             .engine(engine())
             .sampler(BiasedRandomJump::default())
             .config(config)
-            .bind(graph(), "test")
+            .bind_with_history(graph(), dataset, history)
     }
 
     #[test]
     fn session_matches_fresh_predictor_exactly() {
-        let g = graph();
-        let engine = engine();
-        let sampler = BiasedRandomJump::default();
-        let workload = PageRankWorkload::with_epsilon(0.001, g.num_vertices());
         let config = PredictorConfig::default().with_seed(13);
+        let workload = PageRankWorkload::with_epsilon(0.001, graph().num_vertices());
+        let render = |p: &Prediction| serde_json::to_string(p).unwrap();
 
-        let fresh = Predictor::new(&engine, &sampler, config.clone())
-            .predict(&workload, &g, &HistoryStore::new(), "test")
+        // A freshly bound session has nothing cached: every stage computes.
+        let fresh = render(&session(config.clone()).predict(&workload).unwrap());
+
+        let s = session(config);
+        let cold = render(&s.predict(&workload).unwrap());
+        let runs = s.engine().runs_executed();
+        let warm = render(&s.predict(&workload).unwrap());
+        assert_eq!(s.engine().runs_executed(), runs, "warm predict re-ran");
+        assert_eq!(fresh, cold);
+        assert_eq!(fresh, warm, "cache hits changed the prediction bytes");
+    }
+
+    #[test]
+    fn pagerank_prediction_is_reasonably_accurate() {
+        let s = session(PredictorConfig::default());
+        let workload = PageRankWorkload::with_epsilon(0.001, s.graph().num_vertices());
+        let eval = s.evaluate(&workload).unwrap();
+
+        assert!(eval.prediction.predicted_iterations > 3);
+        assert!(
+            eval.iteration_error().abs() <= 0.5,
+            "iteration error {} too large ({} vs {})",
+            eval.iteration_error(),
+            eval.prediction.predicted_iterations,
+            eval.actual_iterations
+        );
+        assert!(
+            eval.runtime_error().abs() <= 0.6,
+            "runtime error {} too large ({} vs {})",
+            eval.runtime_error(),
+            eval.prediction.predicted_superstep_ms,
+            eval.actual_superstep_ms
+        );
+        assert!(eval.prediction.cost_model.r_squared() > 0.5);
+    }
+
+    #[test]
+    fn sample_run_is_much_cheaper_than_actual_run() {
+        let s = session(PredictorConfig::single_ratio(0.1));
+        let workload = PageRankWorkload::with_epsilon(0.001, s.graph().num_vertices());
+        let eval = s.evaluate(&workload).unwrap();
+        assert!(
+            eval.sample_overhead_ratio() < 0.5,
+            "sample run overhead ratio {} should be well below 1",
+            eval.sample_overhead_ratio()
+        );
+    }
+
+    #[test]
+    fn history_improves_or_matches_cost_model_fit_on_actual_runs() {
+        let workload = TopKWorkload::default();
+
+        // Record an actual run on a *different* dataset in the history store.
+        let other = generate_rmat(&RmatConfig::new(10, 6).with_seed(5));
+        let other_run = workload.run(&engine(), &other);
+        let mut history = HistoryStore::new();
+        history.record(workload.name(), "other", other_run.profile);
+
+        let config = PredictorConfig::single_ratio(0.1);
+        let without = session_with_history(config.clone(), "this", HistoryStore::new())
+            .evaluate(&workload)
             .unwrap();
-        let s = Predictor::builder()
-            .engine(engine.clone())
-            .sampler(BiasedRandomJump::default())
-            .config(config)
-            .bind(g, "test");
-        let cached_cold = s.predict(&workload).unwrap();
-        let cached_warm = s.predict(&workload).unwrap();
+        let with = session_with_history(config, "this", history)
+            .evaluate(&workload)
+            .unwrap();
 
-        for p in [&cached_cold, &cached_warm] {
-            assert_eq!(fresh.predicted_iterations, p.predicted_iterations);
-            assert_eq!(fresh.predicted_superstep_ms, p.predicted_superstep_ms);
-            assert_eq!(fresh.per_iteration_ms, p.per_iteration_ms);
-            assert_eq!(fresh.achieved_sampling_ratio, p.achieved_sampling_ratio);
-            assert_eq!(fresh.sample_profile, p.sample_profile);
-        }
+        // Fit quality on the actual run's own observations: history-trained
+        // models have seen full-scale iterations and should not fit worse.
+        let actual_obs =
+            observations_from_profile(&with.actual_profile, WorkerSelection::SlowestWorker);
+        let r2_without = without.prediction.cost_model.r_squared_on(&actual_obs);
+        let r2_with = with.prediction.cost_model.r_squared_on(&actual_obs);
+        assert!(
+            r2_with >= r2_without - 0.05,
+            "history should not hurt the fit: {r2_with} vs {r2_without}"
+        );
+    }
+
+    #[test]
+    fn leave_one_out_excludes_the_predicted_dataset() {
+        let g = graph();
+        let workload = PageRankWorkload::with_epsilon(0.01, g.num_vertices());
+        // History contains only runs on the dataset being predicted: they
+        // must be excluded, so predictions match the no-history case exactly.
+        let actual = workload.run(&engine(), &g);
+        let mut history = HistoryStore::new();
+        history.record(workload.name(), "this", actual.profile);
+
+        let config = PredictorConfig::single_ratio(0.1);
+        let a = session_with_history(config.clone(), "this", HistoryStore::new())
+            .predict(&workload)
+            .unwrap();
+        let b = session_with_history(config, "this", history)
+            .predict(&workload)
+            .unwrap();
+        assert_eq!(a.predicted_iterations, b.predicted_iterations);
+        assert!((a.predicted_superstep_ms - b.predicted_superstep_ms).abs() < 1e-9);
+    }
+
+    #[test]
+    fn per_iteration_predictions_align_with_sample_iterations() {
+        let s = session(PredictorConfig::single_ratio(0.1));
+        let workload = PageRankWorkload::with_epsilon(0.01, s.graph().num_vertices());
+        let p = s.predict(&workload).unwrap();
+        assert_eq!(p.per_iteration_ms.len(), p.predicted_iterations);
+        assert_eq!(p.extrapolated_features.len(), p.predicted_iterations);
+        assert!((p.per_iteration_ms.iter().sum::<f64>() - p.predicted_superstep_ms).abs() < 1e-9);
+        assert!(p.extrapolator.vertex_factor > 5.0 && p.extrapolator.vertex_factor < 20.0);
+    }
+
+    #[test]
+    fn empty_graph_is_rejected() {
+        let s = PredictorBuilder::new()
+            .engine(engine())
+            .bind(CsrGraph::from_edges(0, &[]), "x");
+        let workload = PageRankWorkload::with_epsilon(0.01, 1);
+        let err = s.predict(&workload).unwrap_err();
+        assert!(err.is_empty_sample(), "unexpected error: {err:?}");
     }
 
     #[test]

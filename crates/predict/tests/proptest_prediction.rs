@@ -1,14 +1,14 @@
 //! Property-based tests for the prediction building blocks: transform rules,
 //! cost models, feature selection and error metrics — plus the session
-//! equivalence property: a cached `PredictionSession` and a fresh one-shot
-//! `Predictor` produce byte-identical predictions for the same
+//! equivalence property: a warm `PredictionSession` and a freshly bound cold
+//! one produce byte-identical predictions for the same
 //! `(workload, graph, config, seed)`.
 
 use predict_algorithms::{PageRankWorkload, TopKWorkload, Workload};
 use predict_bsp::{BspConfig, BspEngine, WorkerCounters};
 use predict_core::{
     absolute_relative_error, forward_select, signed_relative_error, CostModel, CostModelConfig,
-    FeatureSet, HistoryStore, IterationObservation, KeyFeature, Predictor, PredictorConfig,
+    FeatureSet, IterationObservation, KeyFeature, PredictorBuilder, PredictorConfig,
     SelectionConfig, ThresholdRule, TransformFunction,
 };
 use predict_graph::generators::{generate_rmat, RmatConfig};
@@ -173,10 +173,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(suite_cases(8)))]
 
-    /// Session/facade equivalence: for any small graph, workload choice,
-    /// sampling ratio and seed, a cached `PredictionSession` (asked twice, so
-    /// the second answer comes entirely from cached artifacts) and a fresh
-    /// one-shot `Predictor` produce byte-identical serialized predictions.
+    /// Cache transparency: for any small graph, workload choice, sampling
+    /// ratio and seed, a `PredictionSession` asked twice (so the second
+    /// answer comes entirely from cached artifacts) and a freshly bound
+    /// session that computes every stage produce byte-identical serialized
+    /// predictions.
     #[test]
     fn cached_session_matches_fresh_predictor_byte_identically(
         graph_seed in 0u64..50,
@@ -194,15 +195,16 @@ proptest! {
         let config = PredictorConfig::single_ratio(ratio).with_seed(predict_seed);
         let engine = BspEngine::new(BspConfig::with_workers(3));
 
-        let sampler = BiasedRandomJump::default();
-        let fresh = Predictor::new(&engine, &sampler, config.clone())
-            .predict(workload.as_ref(), &graph, &HistoryStore::new(), "ds");
+        let bind = || {
+            PredictorBuilder::new()
+                .engine(engine.clone())
+                .sampler(BiasedRandomJump::default())
+                .config(config.clone())
+                .bind(graph.clone(), "ds")
+        };
+        let fresh = bind().predict(workload.as_ref());
 
-        let session = Predictor::builder()
-            .engine(engine)
-            .sampler(BiasedRandomJump::default())
-            .config(config)
-            .bind(graph, "ds");
+        let session = bind();
         let cold = session.predict(workload.as_ref());
         let warm = session.predict(workload.as_ref());
 

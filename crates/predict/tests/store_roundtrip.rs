@@ -6,7 +6,7 @@
 
 use predict_algorithms::{PageRankWorkload, TopKWorkload, Workload};
 use predict_bsp::{BspConfig, BspEngine};
-use predict_core::{ArtifactKind, ArtifactStore, Predictor, PredictorConfig};
+use predict_core::{ArtifactKind, ArtifactStore, PredictorBuilder, PredictorConfig};
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_sampling::BiasedRandomJump;
 use proptest::prelude::*;
@@ -73,7 +73,7 @@ proptest! {
         let graph = std::sync::Arc::new(graph);
 
         let store = std::sync::Arc::new(ArtifactStore::open(&dir.0).unwrap());
-        let cold = Predictor::builder()
+        let cold = PredictorBuilder::new()
             .engine(BspEngine::new(BspConfig::with_workers(3)))
             .sampler(BiasedRandomJump::default())
             .config(config.clone())
@@ -98,7 +98,7 @@ proptest! {
 
         // Restart: fresh store handle, fresh engine, same directory.
         let warm_engine = std::sync::Arc::new(BspEngine::new(BspConfig::with_workers(3)));
-        let warm = Predictor::builder()
+        let warm = PredictorBuilder::new()
             .engine(std::sync::Arc::clone(&warm_engine))
             .sampler(BiasedRandomJump::default())
             .config(config)

@@ -36,7 +36,7 @@ fn main() {
 
     let mut chosen: Option<(usize, f64)> = None;
     for workers in [2usize, 4, 8, 16, 29] {
-        let session = Predictor::builder()
+        let session = PredictorBuilder::new()
             .engine(BspEngine::new(BspConfig::with_workers(workers)))
             .sampler(BiasedRandomJump::default())
             .config(PredictorConfig::default())

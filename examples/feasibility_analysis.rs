@@ -31,7 +31,7 @@ fn main() {
         Box::new(NeighborhoodWorkload::default()),
     ];
 
-    let session = Predictor::builder()
+    let session = PredictorBuilder::new()
         .engine(BspEngine::new(BspConfig::with_workers(8)))
         .sampler(BiasedRandomJump::default())
         .config(PredictorConfig::default())

@@ -36,7 +36,7 @@ fn main() {
     //    sampling at 10%, the default transform, and a cost model trained on
     //    sample runs at ratios 0.05-0.2. Every stage artifact (sample draw,
     //    sample runs, trained model, actual run) is cached in the session.
-    let session = Predictor::builder()
+    let session = PredictorBuilder::new()
         .engine(BspEngine::new(BspConfig::with_workers(8)))
         .sampler(BiasedRandomJump::default())
         .config(PredictorConfig::default())

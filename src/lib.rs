@@ -38,7 +38,7 @@
 //! // PREDIcT session: BRJ sampling + transform function + cost model,
 //! // bound to the dataset once. Stage artifacts (sample draws, sample
 //! // runs, trained models) are cached across predictions.
-//! let session = Predictor::builder()
+//! let session = PredictorBuilder::new()
 //!     .engine(BspEngine::new(BspConfig::default()))
 //!     .sampler(BiasedRandomJump::default())
 //!     .config(PredictorConfig::single_ratio(0.1))
@@ -80,12 +80,12 @@ pub mod prelude {
         SemiClusteringWorkload, TopKWorkload, Workload, WorkloadRun,
     };
     pub use predict_bsp::{
-        BspConfig, BspEngine, ClusterCostConfig, ExecutionMode, GraphStorage, PoolMode, RunProfile,
+        BspConfig, BspEngine, ClusterCostConfig, ExecutionMode, GraphStorage, RunProfile,
         StorageMode, TransportMode, WorkerPool,
     };
     pub use predict_core::{
         Evaluation, HistoryStore, KeyFeature, PredictError, PredictRequest, PredictService,
-        Prediction, PredictionSession, Predictor, PredictorConfig, TrainingSource,
+        Prediction, PredictionSession, PredictorBuilder, PredictorConfig, TrainingSource,
         TransformFunction,
     };
     pub use predict_graph::datasets::{Dataset, DatasetScale};
@@ -101,28 +101,12 @@ mod tests {
     fn prelude_exposes_an_end_to_end_workflow() {
         let graph = Dataset::LiveJournal.load_small();
         let workload = PageRankWorkload::with_epsilon(0.01, graph.num_vertices());
-        let session = Predictor::builder()
+        let session = PredictorBuilder::new()
             .engine(BspEngine::new(BspConfig::with_workers(4)))
             .sampler(BiasedRandomJump::default())
             .config(PredictorConfig::single_ratio(0.1))
             .bind(graph, "LJ");
         let prediction = session.predict(&workload).expect("prediction succeeds");
         assert!(prediction.predicted_iterations > 0);
-        // The legacy one-shot facade stays available for single predictions.
-        let engine = BspEngine::new(BspConfig::with_workers(4));
-        let sampler = BiasedRandomJump::default();
-        let predictor = Predictor::new(&engine, &sampler, PredictorConfig::single_ratio(0.1));
-        let one_shot = predictor
-            .predict(
-                &workload,
-                &Dataset::LiveJournal.load_small(),
-                &HistoryStore::new(),
-                "LJ",
-            )
-            .expect("prediction succeeds");
-        assert_eq!(
-            one_shot.predicted_iterations,
-            prediction.predicted_iterations
-        );
     }
 }

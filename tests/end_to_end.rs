@@ -19,7 +19,7 @@ fn predictor_config() -> PredictorConfig {
 }
 
 fn session(dataset: Dataset, label: &str) -> PredictionSession {
-    Predictor::builder()
+    PredictorBuilder::new()
         .engine(BspEngine::new(BspConfig::with_workers(8)))
         .sampler(BiasedRandomJump::default())
         .config(predictor_config())
@@ -132,7 +132,7 @@ fn scale_free_analogs_predict_better_than_livejournal_on_average() {
     let engine = Arc::new(BspEngine::new(BspConfig::with_workers(8)));
 
     let mean_error = |dataset: Dataset| -> f64 {
-        let session = Predictor::builder()
+        let session = PredictorBuilder::new()
             .engine(Arc::clone(&engine))
             .sampler(BiasedRandomJump::default())
             .bind(dataset.load_small(), dataset.prefix());

@@ -15,7 +15,7 @@ use std::sync::Arc;
 fn quickstart_path_produces_a_complete_evaluation() {
     let graph = Dataset::Wikipedia.load_small();
     let workload = PageRankWorkload::with_epsilon(0.001, graph.num_vertices());
-    let session = Predictor::builder()
+    let session = PredictorBuilder::new()
         .engine(BspEngine::new(BspConfig::with_workers(8)))
         .sampler(BiasedRandomJump::default())
         .config(PredictorConfig::default())
@@ -44,7 +44,7 @@ fn capacity_planning_path_predicts_across_worker_counts() {
     let workload = SemiClusteringWorkload::new(SemiClusteringParams::default());
 
     for workers in [2usize, 4] {
-        let session = Predictor::builder()
+        let session = PredictorBuilder::new()
             .engine(BspEngine::new(BspConfig::with_workers(workers)))
             .sampler(BiasedRandomJump::default())
             .config(PredictorConfig::single_ratio(0.1).with_seed(3))
@@ -62,7 +62,7 @@ fn capacity_planning_path_predicts_across_worker_counts() {
 /// verdict.
 #[test]
 fn feasibility_path_sums_predictions_for_a_mixed_workload() {
-    let session = Predictor::builder()
+    let session = PredictorBuilder::new()
         .engine(BspEngine::new(BspConfig::with_workers(8)))
         .sampler(BiasedRandomJump::default())
         .config(PredictorConfig::single_ratio(0.1).with_seed(11))

@@ -31,7 +31,7 @@ fn history_store_roundtrips_through_disk_and_feeds_predictions() {
     std::fs::remove_file(&path).ok();
 
     // Bind a session on a third dataset with the reloaded history.
-    let with_history_session = Predictor::builder()
+    let with_history_session = PredictorBuilder::new()
         .engine(engine.clone())
         .sampler(BiasedRandomJump::default())
         .config(PredictorConfig::single_ratio(0.1))
@@ -47,7 +47,7 @@ fn history_store_roundtrips_through_disk_and_feeds_predictions() {
     );
 
     // History from other datasets adds training rows compared to sample-only.
-    let without_history_session = Predictor::builder()
+    let without_history_session = PredictorBuilder::new()
         .engine(engine)
         .sampler(BiasedRandomJump::default())
         .config(PredictorConfig::single_ratio(0.1))
@@ -63,24 +63,33 @@ fn history_store_roundtrips_through_disk_and_feeds_predictions() {
     assert_eq!(without_history.training.history_observations, 0);
 }
 
+/// A session bound for one prediction: cold caches, every stage computes.
+fn cold_prediction(
+    engine: &BspEngine,
+    graph: &CsrGraph,
+    workload: &dyn Workload,
+    config: PredictorConfig,
+    dataset: &str,
+) -> Prediction {
+    PredictorBuilder::new()
+        .engine(engine.clone())
+        .config(config)
+        .bind(graph.clone(), dataset)
+        .predict(workload)
+        .expect("prediction succeeds")
+}
+
 #[test]
 fn pipeline_is_deterministic_for_fixed_seeds() {
     let engine = engine();
-    let sampler = BiasedRandomJump::default();
     let graph = Dataset::Wikipedia.load_small();
     let workload = PageRankWorkload::with_epsilon(0.001, graph.num_vertices());
-    let predictor = Predictor::new(
-        &engine,
-        &sampler,
-        PredictorConfig::single_ratio(0.1).with_seed(42),
-    );
+    let config = || PredictorConfig::single_ratio(0.1).with_seed(42);
 
-    let a = predictor
-        .predict(&workload, &graph, &HistoryStore::new(), "Wiki")
-        .unwrap();
-    let b = predictor
-        .predict(&workload, &graph, &HistoryStore::new(), "Wiki")
-        .unwrap();
+    // Two independently bound sessions: nothing is shared between the runs
+    // but the inputs and the seed.
+    let a = cold_prediction(&engine, &graph, &workload, config(), "Wiki");
+    let b = cold_prediction(&engine, &graph, &workload, config(), "Wiki");
     assert_eq!(a.predicted_iterations, b.predicted_iterations);
     assert_eq!(a.predicted_superstep_ms, b.predicted_superstep_ms);
     assert_eq!(a.per_iteration_ms, b.per_iteration_ms);
@@ -93,11 +102,10 @@ fn same_seed_runs_serialize_to_byte_identical_history_json() {
     // `HistoryStore::to_json()` output, not just equal in-memory predictions.
     // This guards both the pipeline (no hidden nondeterminism in sampling or
     // the simulated clock) and the serializer (deterministic field and map
-    // ordering). One run goes through a cached session, the other through the
-    // legacy one-shot facade, so the two code paths are also pinned to each
-    // other.
+    // ordering). One prediction is served warm from a session's caches, the
+    // other computed by a freshly bound cold session, so cache hits are also
+    // pinned to recomputation.
     let engine = engine();
-    let sampler = BiasedRandomJump::default();
     let graph = Dataset::LiveJournal.load_small();
     let workload = PageRankWorkload::with_epsilon(0.001, graph.num_vertices());
     let config = || PredictorConfig::single_ratio(0.1).with_seed(0xD5);
@@ -108,17 +116,14 @@ fn same_seed_runs_serialize_to_byte_identical_history_json() {
         history.to_json().expect("history serializes")
     };
 
-    let session = Predictor::builder()
+    let session = PredictorBuilder::new()
         .engine(engine.clone())
         .sampler(BiasedRandomJump::default())
         .config(config())
         .bind(graph.clone(), "LJ");
+    session.predict(&workload).expect("prediction succeeds");
     let a = history_json(session.predict(&workload).expect("prediction succeeds"));
-    let b = history_json(
-        Predictor::new(&engine, &sampler, config())
-            .predict(&workload, &graph, &HistoryStore::new(), "LJ")
-            .expect("prediction succeeds"),
-    );
+    let b = history_json(cold_prediction(&engine, &graph, &workload, config(), "LJ"));
     assert!(!a.is_empty());
     assert_eq!(a.as_bytes(), b.as_bytes(), "same-seed history JSON differs");
 }
@@ -128,7 +133,7 @@ fn different_seeds_still_give_consistent_iteration_predictions() {
     // The prediction should be robust to the sampling seed: iteration
     // estimates across seeds must stay within a small band of each other.
     // One session serves all seeds; each seed is a distinct cached artifact.
-    let session = Predictor::builder()
+    let session = PredictorBuilder::new()
         .engine(engine())
         .sampler(BiasedRandomJump::default())
         .bind(Dataset::Uk2002.load_small(), "UK");

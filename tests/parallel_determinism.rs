@@ -53,7 +53,7 @@ fn end_to_end_prediction_is_byte_identical_across_thread_counts() {
         ExecutionMode::Parallel { threads: 2 },
         ExecutionMode::Parallel { threads: 4 },
     ] {
-        let session = Predictor::builder()
+        let session = PredictorBuilder::new()
             .engine(BspEngine::new(BspConfig::with_workers(8)))
             .execution(mode)
             .sampler(BiasedRandomJump::default())

@@ -49,10 +49,27 @@ fn four_workloads(n: usize) -> Vec<Arc<dyn Workload>> {
     ]
 }
 
+/// One prediction through a session bound for just that call: nothing is
+/// cached yet, so every stage computes.
+fn predict_cold(
+    engine: &BspEngine,
+    g: &Arc<CsrGraph>,
+    workload: &dyn Workload,
+    config: &PredictorConfig,
+) -> Prediction {
+    PredictorBuilder::new()
+        .engine(engine.clone())
+        .config(config.clone())
+        .bind(Arc::clone(g), "Wiki")
+        .predict(workload)
+        .unwrap()
+}
+
 /// The acceptance bar of the session redesign: predicting 4 workloads on one
 /// dataset through a session performs each `(ratio, seed)` sample run
 /// exactly once, counted by engine invocations — repeating every prediction
-/// adds zero runs, while the uncached one-shot path re-runs everything.
+/// adds zero runs and changes no byte, while a freshly bound session per
+/// call re-runs everything.
 #[test]
 fn session_performs_each_sample_run_exactly_once() {
     let g = graph();
@@ -61,7 +78,7 @@ fn session_performs_each_sample_run_exactly_once() {
 
     let calls = Arc::new(AtomicUsize::new(0));
     let engine = BspEngine::new(BspConfig::with_workers(4));
-    let session = Predictor::builder()
+    let session = PredictorBuilder::new()
         .engine(engine.clone())
         .sampler(CountingSampler {
             inner: BiasedRandomJump::default(),
@@ -80,9 +97,10 @@ fn session_performs_each_sample_run_exactly_once() {
     assert_eq!(samples_first_pass, 1, "sampling was not shared");
 
     // Predicting all 4 workloads again: every sample run is cached.
-    for w in &workloads {
-        session.predict(w.as_ref()).unwrap();
-    }
+    let warm: Vec<String> = workloads
+        .iter()
+        .map(|w| serde_json::to_string(&session.predict(w.as_ref()).unwrap()).unwrap())
+        .collect();
     assert_eq!(
         engine.runs_executed(),
         runs_first_pass,
@@ -92,18 +110,21 @@ fn session_performs_each_sample_run_exactly_once() {
     assert_eq!(session.stats().samples, 1);
     assert_eq!(session.stats().sample_runs, workloads.len());
 
-    // Reference: the uncached one-shot path re-runs everything per call, so
-    // two passes cost exactly twice one pass.
-    let uncached_engine = BspEngine::new(BspConfig::with_workers(4));
-    let sampler = BiasedRandomJump::default();
+    // Reference: a session bound per call starts cold and re-runs everything,
+    // so two passes cost exactly twice one pass — and answer with the very
+    // bytes the warm session served from its caches.
+    let cold_engine = BspEngine::new(BspConfig::with_workers(4));
     for _ in 0..2 {
-        for w in &workloads {
-            Predictor::new(&uncached_engine, &sampler, config.clone())
-                .predict(w.as_ref(), &g, &HistoryStore::new(), "Wiki")
-                .unwrap();
-        }
+        let cold: Vec<String> = workloads
+            .iter()
+            .map(|w| {
+                let p = predict_cold(&cold_engine, &g, w.as_ref(), &config);
+                serde_json::to_string(&p).unwrap()
+            })
+            .collect();
+        assert_eq!(warm, cold, "cache hits changed the prediction bytes");
     }
-    assert_eq!(uncached_engine.runs_executed(), 2 * runs_first_pass);
+    assert_eq!(cold_engine.runs_executed(), 2 * runs_first_pass);
 }
 
 /// `submit_batch` output must be identical across 1-thread and N-thread
@@ -194,22 +215,19 @@ fn warm_service_does_no_engine_work() {
     );
 
     let engine = BspEngine::new(BspConfig::with_workers(4));
-    let sampler = BiasedRandomJump::default();
     let start = Instant::now();
     for _ in 0..rounds {
         for w in &workloads {
-            Predictor::new(&engine, &sampler, config.clone())
-                .predict(w.as_ref(), &g, &HistoryStore::new(), "Wiki")
-                .unwrap();
+            predict_cold(&engine, &g, w.as_ref(), &config);
         }
     }
-    let uncached = start.elapsed();
+    let cold = start.elapsed();
     assert!(
         engine.runs_executed() > 0,
-        "the uncached reference must actually run the engine"
+        "the cold reference must actually run the engine"
     );
     eprintln!(
-        "warm service: {warm:?} for {} requests vs uncached one-shot {uncached:?}",
+        "warm service: {warm:?} for {} requests vs a cold session per request {cold:?}",
         rounds * requests.len()
     );
 }

@@ -65,7 +65,7 @@ fn end_to_end_prediction_is_byte_identical_under_sharded_storage() {
         (StorageMode::Sharded, 1),
         (StorageMode::Sharded, 4),
     ] {
-        let session = Predictor::builder()
+        let session = PredictorBuilder::new()
             .engine(BspEngine::new(BspConfig::with_workers(8)))
             .execution(ExecutionMode::Parallel { threads })
             .storage(storage)

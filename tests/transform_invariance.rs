@@ -14,7 +14,7 @@ fn engine() -> BspEngine {
 fn transform_keeps_pagerank_iterations_closer_than_no_transform() {
     // Figure 2 / section 1.1: without scaling the threshold the sample run
     // converges after a different number of iterations than the actual run.
-    let session = Predictor::builder()
+    let session = PredictorBuilder::new()
         .engine(engine())
         .sampler(BiasedRandomJump::default())
         .bind(Dataset::Uk2002.load_small(), "UK");

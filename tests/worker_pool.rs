@@ -35,12 +35,8 @@ fn requests(g: &Arc<CsrGraph>) -> Vec<PredictRequest> {
 #[test]
 fn a_warm_service_answers_batches_without_spawning_threads() {
     let g = graph();
-    // PoolMode::On (not Auto) so a stray PREDICT_POOL=off in the
-    // environment cannot silently turn this into a no-op test.
     let engine = BspEngine::new(
-        BspConfig::with_workers(4)
-            .with_execution(ExecutionMode::Parallel { threads: 4 })
-            .with_pool(PoolMode::On),
+        BspConfig::with_workers(4).with_execution(ExecutionMode::Parallel { threads: 4 }),
     );
     let service = PredictService::new(engine.clone(), Arc::new(BiasedRandomJump::default()));
     let requests = requests(&g);
@@ -66,30 +62,34 @@ fn a_warm_service_answers_batches_without_spawning_threads() {
     }
 }
 
-/// Scheduling substrate must never leak into results: the same batch through
-/// the pool and through scoped fallback threads, at several widths, is
-/// byte-identical.
+/// Pool scheduling must never leak into results: the same batch with both
+/// the requests and each run's superstep phases fanned out over 2 and 4 pool
+/// threads is byte-identical to the one-thread batch, which runs everything
+/// in order on the caller and never touches the pool.
 #[test]
 fn pool_scheduling_never_changes_prediction_bytes() {
     let g = graph();
     let requests = requests(&g);
-    let run = |pool: PoolMode, threads: usize| -> Vec<String> {
-        let service = PredictService::new(
-            BspEngine::new(BspConfig::with_workers(4).with_pool(pool)),
-            Arc::new(BiasedRandomJump::default()),
+    let run = |threads: usize| -> (Vec<String>, u64) {
+        let engine = BspEngine::new(
+            BspConfig::with_workers(4).with_execution(ExecutionMode::Parallel { threads }),
         );
-        service
+        let service = PredictService::new(engine.clone(), Arc::new(BiasedRandomJump::default()));
+        let bytes = service
             .submit_batch(&requests, threads)
             .into_iter()
             .map(|r| serde_json::to_string(&r.expect("prediction succeeds")).unwrap())
-            .collect()
+            .collect();
+        (bytes, engine.pool_threads_spawned())
     };
-    let reference = run(PoolMode::Off, 1);
-    for (pool, threads) in [(PoolMode::On, 1), (PoolMode::On, 4), (PoolMode::Off, 4)] {
+    let (reference, spawned) = run(1);
+    assert_eq!(spawned, 0, "the one-thread reference must not use the pool");
+    for threads in [2, 4] {
+        let (pooled, spawned) = run(threads);
+        assert!(spawned > 0, "{threads} threads did not exercise the pool");
         assert_eq!(
-            reference,
-            run(pool, threads),
-            "{pool:?} at {threads} threads changed prediction bytes"
+            reference, pooled,
+            "{threads} pooled threads changed prediction bytes"
         );
     }
 }
@@ -101,11 +101,7 @@ fn pool_scheduling_never_changes_prediction_bytes() {
 #[test]
 fn warm_batches_reuse_scratch_buffers_and_storage() {
     let g = graph();
-    let engine = BspEngine::new(
-        BspConfig::with_workers(4)
-            .with_pool(PoolMode::On)
-            .with_storage(StorageMode::Sharded),
-    );
+    let engine = BspEngine::new(BspConfig::with_workers(4).with_storage(StorageMode::Sharded));
     let service = PredictService::new(engine, Arc::new(BiasedRandomJump::default()));
     let requests = requests(&g);
     assert!(service.submit_batch(&requests, 4).iter().all(Result::is_ok));
