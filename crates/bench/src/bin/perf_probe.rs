@@ -13,6 +13,10 @@
 //!   the run **fails (exit 1) if any bench regressed more than 1.5x**
 //!   against it (override the factor with `PERF_PROBE_MAX_REGRESSION`) —
 //!   the `perf` CI job runs this on every push;
+//! * independent of any baseline, the run fails if reading a stored UK sample
+//!   back (`store_get_sample_uk`) is slower than redrawing it
+//!   (`sample_draw_uk`): a store tier slower than the work it saves is the
+//!   one regression that defeats its purpose;
 //! * `--bless` (re)writes the baseline from the current run, which is how the
 //!   baseline follows intentional hardware or algorithm changes.
 //!
@@ -315,7 +319,8 @@ fn run_probes() -> Vec<ProbeResult> {
     // contract behind `PREDICT_STORE`: restarting a service must be
     // disk-read cheap, not recompute expensive.
     {
-        use predict_core::{ArtifactKind, ArtifactStore, PredictorBuilder};
+        use predict_core::{ArtifactKind, ArtifactStore, PredictorBuilder, SampleArtifact};
+        use predict_graph::datasets::{Dataset, DatasetScale};
         use std::sync::Arc;
         let dir = std::env::temp_dir().join(format!("predict_perf_store_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -369,6 +374,33 @@ fn run_probes() -> Vec<ProbeResult> {
             warm_engine.runs_executed(),
             0,
             "warm restarts must execute zero engine runs"
+        );
+
+        // The store tier against the work it saves, on the benchmark's
+        // largest default-scale sample (UK, BRJ 0.1): `main` fails the
+        // probe when reading the sample back is slower than redrawing it.
+        let uk = predict_bench::load_dataset(Dataset::Uk2002, DatasetScale::Default);
+        let draw = || {
+            SampleArtifact::draw(&BiasedRandomJump::default(), &uk, 0.1, PROBE_SEED)
+                .expect("UK sample draws")
+        };
+        push("sample_draw_uk", UK_SAMPLE, median_ns(reps, draw));
+        store
+            .put(ArtifactKind::Sample, "probe_uk", 1, &draw())
+            .expect("probe put succeeds");
+        let stored = store.artifact_path(ArtifactKind::Sample, "probe_uk");
+        eprintln!(
+            "[probe] stored UK sample: {} bytes on disk",
+            std::fs::metadata(&stored).map_or(0, |m| m.len())
+        );
+        push(
+            "store_get_sample_uk",
+            UK_SAMPLE,
+            median_ns(reps, || {
+                store
+                    .get_typed::<SampleArtifact>(ArtifactKind::Sample, "probe_uk", 1)
+                    .expect("probe get hits")
+            }),
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -487,6 +519,25 @@ fn run_probes() -> Vec<ProbeResult> {
     results
 }
 
+/// Input label of the `sample_draw_uk` / `store_get_sample_uk` rows.
+const UK_SAMPLE: &str = "uk_default_brj_0.1";
+
+/// The store exists to be cheaper than the work it saves: reading a stored
+/// sample back must not cost more than drawing it again. Baseline-free —
+/// both sides are measured in this run, on this machine.
+fn store_slower_than_recompute(current: &[ProbeResult]) -> Option<String> {
+    let median = |bench: &str| {
+        current
+            .iter()
+            .find(|r| r.bench == bench && r.graph == UK_SAMPLE)
+            .map(|r| r.median_ns)
+    };
+    let (draw, get) = (median("sample_draw_uk")?, median("store_get_sample_uk")?);
+    (get > draw).then(|| {
+        format!("store_get_sample_uk ({get} ns) is slower than sample_draw_uk ({draw} ns)")
+    })
+}
+
 /// Compares `current` against the baseline; returns the regression report
 /// lines (empty = gate passes).
 fn regressions(current: &[ProbeResult], baseline: &[ProbeResult]) -> Vec<String> {
@@ -525,6 +576,11 @@ fn main() {
     let json = serde_json::to_string_pretty(&results).expect("serialize probe results");
     std::fs::write(&out_path, &json).expect("write probe report");
     eprintln!("[saved] {}", out_path.display());
+
+    if let Some(failure) = store_slower_than_recompute(&results) {
+        eprintln!("[gate] {failure} on {UK_SAMPLE}");
+        std::process::exit(1);
+    }
 
     let baseline = baseline_path();
     if bless {

@@ -182,6 +182,15 @@ impl CsrGraph {
         &self.out_targets[self.out_offsets[v]..self.out_offsets[v + 1]]
     }
 
+    /// The whole out-adjacency as its two CSR arrays: `offsets` (one entry
+    /// per vertex plus the end sentinel) into `targets`, so that
+    /// [`Self::out_neighbors`]`(v)` is `targets[offsets[v]..offsets[v + 1]]`.
+    /// For consumers that stream the structure (hashing, bulk export)
+    /// instead of visiting it vertex by vertex.
+    pub fn out_csr(&self) -> (&[usize], &[VertexId]) {
+        (&self.out_offsets, &self.out_targets)
+    }
+
     /// Weights of the out-edges of `v`, aligned with [`Self::out_neighbors`].
     /// Returns `None` for unweighted graphs.
     pub fn out_weights(&self, v: VertexId) -> Option<&[f32]> {

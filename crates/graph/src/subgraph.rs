@@ -10,16 +10,64 @@
 
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Mapping between the dense vertex ids of an induced subgraph and the vertex
 /// ids of the graph it was extracted from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Serializes as `to_original` plus the vertex count of the original graph;
+/// `to_sample` is its exact inverse and is rebuilt on deserialization, which
+/// rejects ids outside the original graph and ids selected twice.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubgraphMapping {
     /// `to_original[new_id] = original_id`.
     to_original: Vec<VertexId>,
     /// `to_sample[original_id] = Some(new_id)` for selected vertices.
     to_sample: Vec<Option<VertexId>>,
+}
+
+impl Serialize for SubgraphMapping {
+    fn serialize_value(&self) -> Value {
+        Value::Map(vec![
+            (
+                "to_original".to_string(),
+                self.to_original.serialize_value(),
+            ),
+            (
+                "num_original".to_string(),
+                self.to_sample.len().serialize_value(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for SubgraphMapping {
+    fn deserialize_value(value: &Value) -> Result<Self, serde::Error> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| serde::Error::msg("SubgraphMapping: expected a map"))?;
+        let to_original =
+            Vec::<VertexId>::deserialize_value(serde::get_field(entries, "to_original")?)?;
+        let num_original = usize::deserialize_value(serde::get_field(entries, "num_original")?)?;
+        let mut to_sample: Vec<Option<VertexId>> = vec![None; num_original];
+        for (sample_id, &original_id) in to_original.iter().enumerate() {
+            let slot = to_sample.get_mut(original_id as usize).ok_or_else(|| {
+                serde::Error::msg(format!(
+                    "SubgraphMapping: original id {original_id} out of range {num_original}"
+                ))
+            })?;
+            if slot.is_some() {
+                return Err(serde::Error::msg(format!(
+                    "SubgraphMapping: original id {original_id} selected twice"
+                )));
+            }
+            *slot = Some(sample_id as VertexId);
+        }
+        Ok(SubgraphMapping {
+            to_original,
+            to_sample,
+        })
+    }
 }
 
 impl SubgraphMapping {
@@ -157,6 +205,41 @@ mod tests {
         assert_eq!(map.sample_id(0), None);
         let pairs: Vec<_> = map.iter().collect();
         assert_eq!(pairs, vec![(0, 3), (1, 1)]);
+    }
+
+    #[test]
+    fn mapping_serializes_without_its_inverse_and_rebuilds_it() {
+        let g = generate_rmat(&RmatConfig::new(7, 4).with_seed(5));
+        let (_, mapping) = induced_subgraph(&g, &[9, 3, 100, 4, 77]);
+        let value = mapping.serialize_value();
+        let keys: Vec<&str> = value
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["to_original", "num_original"]);
+        let back = SubgraphMapping::deserialize_value(&value).unwrap();
+        assert_eq!(back, mapping);
+        assert_eq!(back.sample_id(100), Some(2));
+        assert_eq!(back.sample_id(5), None);
+        assert_eq!(back.sample_id(g.num_vertices() as VertexId), None);
+    }
+
+    #[test]
+    fn deserialize_rejects_out_of_range_and_duplicate_ids() {
+        let mapping = |ids: Vec<VertexId>, num_original: usize| {
+            SubgraphMapping::deserialize_value(&Value::Map(vec![
+                ("to_original".to_string(), ids.serialize_value()),
+                ("num_original".to_string(), num_original.serialize_value()),
+            ]))
+        };
+        assert!(mapping(vec![0, 4, 2], 5).is_ok());
+        assert!(mapping(vec![], 0).is_ok());
+        let out_of_range = mapping(vec![0, 5], 5).unwrap_err();
+        assert!(out_of_range.to_string().contains("out of range"));
+        let duplicate = mapping(vec![3, 1, 3], 5).unwrap_err();
+        assert!(duplicate.to_string().contains("selected twice"));
     }
 
     #[test]

@@ -57,7 +57,7 @@ use predict_bsp::{BspEngine, ExecutionMode, RunProfile, StorageMode, TransportMo
 use predict_graph::CsrGraph;
 use predict_obs::diag;
 use predict_sampling::{BiasedRandomJump, Sampler, ScratchPool};
-use predict_store::{ArtifactKind, ArtifactStore};
+use predict_store::{ArtifactKind, ArtifactStore, Checksum};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -372,18 +372,30 @@ impl StoreBinding {
 /// graph. A relabeled or regenerated dataset therefore invalidates every
 /// stored artifact (stale miss → recompute) instead of silently serving
 /// artifacts of the wrong graph. O(V + E), computed once per store-bound
-/// session.
+/// session, so it is the store's word-at-a-time [`Checksum`] over the raw
+/// CSR arrays (one step per offset, one per pair of targets) rather than a
+/// byte-wise hash.
 fn dataset_provenance(dataset: &str, graph: &CsrGraph) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = crate::artifacts::Fnv1a::new();
-    dataset.hash(&mut hasher);
-    graph.num_vertices().hash(&mut hasher);
-    graph.num_edges().hash(&mut hasher);
-    graph.is_weighted().hash(&mut hasher);
-    for v in graph.vertices() {
-        graph.out_neighbors(v).hash(&mut hasher);
+    let (offsets, targets) = graph.out_csr();
+    let mut sum = Checksum::default();
+    sum.update(dataset.as_bytes());
+    // The counts also settle where `offsets` ends and whether `targets`
+    // has an unpaired last element.
+    sum.update_word(graph.num_vertices() as u64);
+    sum.update_word(graph.num_edges() as u64);
+    sum.update_word(graph.is_weighted().into());
+    for &offset in offsets {
+        sum.update_word(offset as u64);
     }
-    hasher.finish()
+    let pairs = targets.chunks_exact(2);
+    let unpaired = pairs.remainder();
+    for pair in pairs {
+        sum.update_word(u64::from(pair[0]) | u64::from(pair[1]) << 32);
+    }
+    for &target in unpaired {
+        sum.update_word(target.into());
+    }
+    sum.finish()
 }
 
 /// Acquires a cache mutex, recovering the guard if a previous holder

@@ -6,10 +6,14 @@
 
 use predict_algorithms::{PageRankWorkload, TopKWorkload, Workload};
 use predict_bsp::{BspConfig, BspEngine};
-use predict_core::{ArtifactKind, ArtifactStore, PredictorBuilder, PredictorConfig};
+use predict_core::{
+    ArtifactKind, ArtifactStore, PredictionSession, PredictorBuilder, PredictorConfig,
+    TransformFunction,
+};
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_sampling::BiasedRandomJump;
 use proptest::prelude::*;
+use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,6 +37,32 @@ impl Drop for TempStoreDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// The store's own payload bytes of the artifact each of the four stages
+/// hands out, in [`ArtifactKind::ALL`] order — the exact-equality view of an
+/// artifact (float bit patterns included) that no `PartialEq` gives.
+fn stage_artifact_bytes(
+    session: &PredictionSession,
+    workload: &dyn Workload,
+    config: &PredictorConfig,
+) -> [Vec<u8>; 4] {
+    fn bytes<T: Serialize>(artifact: &T) -> Vec<u8> {
+        let encoded = predict_store::encode_value(&artifact.serialize_value());
+        [encoded.tree, encoded.columns].concat()
+    }
+    let (ratio, seed) = (config.sampling_ratio, config.seed);
+    let transform = TransformFunction::default_for(workload.convergence());
+    [
+        bytes(&*session.sample_artifact(ratio, seed).unwrap()),
+        bytes(
+            &*session
+                .sample_run(workload, ratio, seed, transform)
+                .unwrap(),
+        ),
+        bytes(&*session.trained_model(workload, config).unwrap()),
+        bytes(&*session.actual_run(workload)),
+    ]
 }
 
 /// Case count bounded by `PROPTEST_CASES` (CI keeps the suites fast); same
@@ -93,6 +123,7 @@ proptest! {
                 kind.name()
             );
         }
+        let cold_artifacts = stage_artifact_bytes(&cold, workload.as_ref(), &config);
         drop(cold);
         drop(store);
 
@@ -101,9 +132,20 @@ proptest! {
         let warm = PredictorBuilder::new()
             .engine(std::sync::Arc::clone(&warm_engine))
             .sampler(BiasedRandomJump::default())
-            .config(config)
+            .config(config.clone())
             .store_arc(std::sync::Arc::new(ArtifactStore::open(&dir.0).unwrap()))
             .bind(graph, "prop");
+        // Kind by kind first: each stage's artifact is read back from disk
+        // (nothing is in the fresh session's memory) exactly as computed.
+        let warm_artifacts = stage_artifact_bytes(&warm, workload.as_ref(), &config);
+        for (kind, (cold, warm)) in ArtifactKind::ALL
+            .iter()
+            .zip(cold_artifacts.iter().zip(&warm_artifacts))
+        {
+            prop_assert!(cold == warm, "{} artifact changed on disk", kind.name());
+        }
+        prop_assert_eq!(warm.stats().store_hits, 4, "one disk read per artifact kind");
+        prop_assert_eq!(warm_engine.runs_executed(), 0);
         let warm_eval = serde_json::to_string(&warm.evaluate(workload.as_ref()).unwrap()).unwrap();
         prop_assert_eq!(cold_eval, warm_eval, "disk round-trip changed bytes");
         prop_assert_eq!(

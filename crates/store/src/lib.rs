@@ -29,17 +29,25 @@
 //!
 //! ```text
 //! magic     "PSTR"                       4 bytes
-//! format    u32 = 1                      container layout version
+//! format    u32 = 2                      container layout version
 //! mlen      u32                          manifest length in bytes
 //! manifest  JSON                         see [`Manifest`]
-//! mcheck    u64                          FNV-1a over the manifest bytes
-//! payload   lz4_flex block               compressed binary Value tree
+//! mcheck    u64                          checksum of the manifest bytes
+//! tree      lz4_flex block               compressed tree section
+//! columns   bytes                        raw column section
 //! ```
 //!
-//! The manifest carries the artifact schema version, kind, the full logical
-//! key, the dataset provenance hash, and the checksum + lengths of the
-//! payload, so every read is verified end-to-end before a single byte
-//! reaches a deserializer.
+//! The payload is the [`codec`] encoding of the artifact's serde `Value`:
+//! a *tree* section (structure, strings, scalars), which is compressed, and
+//! a *column* section (the elements of every packed numeric vector,
+//! bit-packed), which is stored as is. The manifest carries the artifact
+//! schema version, kind, the full logical key, the dataset provenance hash,
+//! and the checksum + lengths of both sections, so every read is verified
+//! end-to-end before a single byte reaches a deserializer.
+//!
+//! There is one reader and one writer, both for the current versions. A
+//! file written under another [`FORMAT_VERSION`] or [`SCHEMA_VERSION`] is
+//! *stale*, exactly like one written for another dataset.
 //!
 //! # Atomicity and recovery
 //!
@@ -50,18 +58,18 @@
 //! payload checksum; any mismatch (truncation, flipped bits, a foreign
 //! codec) moves the file to `quarantine/` with a [`diag!`] warning and
 //! reports a miss, so the caller recomputes and overwrites — the store
-//! degrades, it never panics. Stale artifacts (provenance or schema-version
-//! mismatch) are plain misses: they stay in place until the write-through
-//! overwrites them.
+//! degrades, it never panics. Stale artifacts (provenance, schema-version
+//! or container-format mismatch) are plain misses: they stay in place until
+//! the write-through overwrites them.
 //!
 //! [`open`]: ArtifactStore::open
 //! [`diag!`]: predict_obs::diag!
 
 pub mod codec;
 
-pub use codec::{decode_value, encode_value, CodecError};
+pub use codec::{decode_value, encode_value, CodecError, Encoded};
 
-use predict_obs::metrics::Counter;
+use predict_obs::metrics::{Counter, Histogram};
 use predict_obs::{diag, registry, span};
 use serde::{Deserialize, Serialize, Value};
 use std::fs;
@@ -71,12 +79,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Container layout version (the file framing, not the artifact schema).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Artifact schema version: bump when the serialized shape of any artifact
 /// changes so older store directories read as stale misses instead of
 /// feeding mismatched fields to a deserializer.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"PSTR";
 
@@ -84,19 +92,70 @@ const MAGIC: [u8; 4] = *b"PSTR";
 /// hundred bytes, so anything bigger is a corrupt length word.
 const MAX_MANIFEST_LEN: usize = 1 << 20;
 
-/// FNV-1a 64-bit over a byte slice — the store's checksum function.
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The store's checksum: FNV-1a 64-bit taken a word at a time.
 ///
-/// The same construction as `predict_core`'s `stable_fingerprint` (FNV-1a,
-/// offset basis `0xcbf29ce484222325`), duplicated here because the
-/// dependency arrow points the other way: `predict_core` consumes this
-/// crate.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Starting from the FNV offset basis, every full 8-byte little-endian word
+/// `w` of the input steps the hash as `h = (h ^ w) * prime`, then each of
+/// the up to seven remaining bytes steps it the same way (classic byte-wise
+/// FNV-1a). One multiply per 8 bytes instead of per byte; each step is
+/// still a bijection of `h` for a fixed input and of the input for a fixed
+/// `h`, so two inputs of equal length that differ in one byte always hash
+/// differently.
+///
+/// Several slices can be fed in turn ([`update`](Self::update)); the result
+/// depends on where the slices are split, which the store pins through the
+/// section lengths in the manifest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checksum(u64);
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Checksum(FNV_OFFSET_BASIS)
     }
-    hash
+}
+
+impl Checksum {
+    /// Steps the hash over one 8-byte word.
+    pub fn update_word(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);
+    }
+
+    /// Steps the hash over `bytes`: full words first, then the tail bytes.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let words = bytes.chunks_exact(8);
+        let tail = words.remainder();
+        for word in words {
+            self.update_word(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        for &b in tail {
+            self.update_word(b.into());
+        }
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// [`Checksum`] of one byte slice.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum::default();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// Byte-wise FNV-1a of a key, naming its file. Not [`checksum`]: file names
+/// are the one part of the layout that stays fixed across format versions,
+/// so that a stale file is found — and overwritten — under the name the
+/// current writer publishes to.
+fn key_hash(key: &str) -> u64 {
+    key.bytes().fold(FNV_OFFSET_BASIS, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// The four kinds of artifact a prediction session persists.
@@ -149,12 +208,15 @@ pub struct Manifest {
     /// Provenance hash binding the artifact to the dataset (label + graph
     /// shape) it was computed from; a mismatch is a stale miss.
     pub provenance: u64,
-    /// FNV-1a of the *uncompressed* payload bytes.
+    /// [`Checksum`] of the *uncompressed* tree section, then the column
+    /// section.
     pub payload_checksum: u64,
-    /// Length of the compressed payload that follows the header.
+    /// Length of the compressed tree section that follows the header.
     pub compressed_len: u64,
-    /// Expected length after decompression.
+    /// Expected length of the tree section after decompression.
     pub uncompressed_len: u64,
+    /// Length of the raw column section that ends the file.
+    pub columns_len: u64,
 }
 
 /// Why a [`ArtifactStore::get`] returned nothing; [`ArtifactStore::get_explained`]
@@ -165,7 +227,8 @@ pub enum MissReason {
     Absent,
     /// File existed but failed validation and was quarantined.
     Quarantined,
-    /// Manifest was readable but belongs to a different provenance, schema
+    /// File was written under a different container format version, or its
+    /// manifest was readable but belongs to a different provenance, schema
     /// version, or (filename-collision case) a different full key.
     Stale,
 }
@@ -177,6 +240,8 @@ struct StoreMetrics {
     hits: Arc<Counter>,
     bytes: Arc<Counter>,
     quarantined: Arc<Counter>,
+    /// Uncompressed payload size (tree + columns) of every `put`.
+    payload_bytes: Arc<Histogram>,
 }
 
 impl StoreMetrics {
@@ -188,6 +253,10 @@ impl StoreMetrics {
             hits: reg.counter("store.hits"),
             bytes: reg.counter("store.bytes"),
             quarantined: reg.counter("store.quarantined"),
+            // 64 B .. 512 MiB in powers of two.
+            payload_bytes: reg.histogram_with("store.payload_bytes", || {
+                Histogram::exponential_edges(64, 2, 24)
+            }),
         }
     }
 }
@@ -252,7 +321,7 @@ impl ArtifactStore {
     pub fn artifact_path(&self, kind: ArtifactKind, key: &str) -> PathBuf {
         self.root
             .join(kind.name())
-            .join(format!("{:016x}.art", checksum(key.as_bytes())))
+            .join(format!("{:016x}.art", key_hash(key)))
     }
 
     /// Number of quarantined files currently parked under `quarantine/`.
@@ -272,7 +341,8 @@ impl ArtifactStore {
     /// Serializes, compresses and atomically publishes one artifact.
     ///
     /// The payload is the binary encoding ([`codec`]) of `value`'s serde
-    /// `Value` tree, compressed with the vendored `lz4_flex` block codec.
+    /// `Value` tree: its tree section compressed with the vendored
+    /// `lz4_flex` block codec, its column section as is.
     /// Publication is write-to-temp + rename, so readers never observe a
     /// partial file. Errors are returned (not panicked) so callers can
     /// degrade to memory-only operation.
@@ -284,36 +354,52 @@ impl ArtifactStore {
         value: &T,
     ) -> io::Result<()> {
         let _span = span("store.write");
-        let payload = encode_value(&value.serialize_value());
-        let compressed = lz4_flex::compress_prepend_size(&payload);
+        let payload = {
+            let _span = span("store.encode");
+            encode_value(&value.serialize_value())
+        };
+        let compressed = {
+            let _span = span("store.compress");
+            lz4_flex::compress_prepend_size(&payload.tree)
+        };
+        self.metrics
+            .payload_bytes
+            .record((payload.tree.len() + payload.columns.len()) as u64);
 
+        let mut payload_checksum = Checksum::default();
+        payload_checksum.update(&payload.tree);
+        payload_checksum.update(&payload.columns);
         let manifest = Manifest {
             schema_version: SCHEMA_VERSION,
             kind: kind.name().to_string(),
             key: key.to_string(),
             provenance,
-            payload_checksum: checksum(&payload),
+            payload_checksum: payload_checksum.finish(),
             compressed_len: compressed.len() as u64,
-            uncompressed_len: payload.len() as u64,
+            uncompressed_len: payload.tree.len() as u64,
+            columns_len: payload.columns.len() as u64,
         };
         let manifest_json = serde_json::to_string(&manifest)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let manifest_bytes = manifest_json.as_bytes();
 
-        let mut file_bytes =
-            Vec::with_capacity(4 + 4 + 4 + manifest_bytes.len() + 8 + compressed.len());
+        let mut file_bytes = Vec::with_capacity(
+            4 + 4 + 4 + manifest_bytes.len() + 8 + compressed.len() + payload.columns.len(),
+        );
         file_bytes.extend_from_slice(&MAGIC);
         file_bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         file_bytes.extend_from_slice(&(manifest_bytes.len() as u32).to_le_bytes());
         file_bytes.extend_from_slice(manifest_bytes);
         file_bytes.extend_from_slice(&checksum(manifest_bytes).to_le_bytes());
         file_bytes.extend_from_slice(&compressed);
+        file_bytes.extend_from_slice(&payload.columns);
 
+        let _publish = span("store.publish");
         // Unique within the process via the counter, across processes via
         // the pid; collisions would only race identical content anyway.
         let tmp_name = format!(
             "{:016x}-{}-{}.tmp",
-            checksum(key.as_bytes()),
+            key_hash(key),
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         );
@@ -417,9 +503,11 @@ impl ArtifactStore {
         if bytes[0..4] != MAGIC {
             return Err("bad magic");
         }
+        // A sound file of another era, not a damaged one: there is no reader
+        // for its layout, so it is stale and the next `put` replaces it.
         let format = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
         if format != FORMAT_VERSION {
-            return Err("unsupported container format version");
+            return Ok(ParseOutcome::Stale);
         }
         let mlen = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
         if mlen > MAX_MANIFEST_LEN {
@@ -454,19 +542,35 @@ impl ArtifactStore {
             return Ok(ParseOutcome::Stale);
         }
 
-        let compressed = &bytes[check_end..];
-        if compressed.len() as u64 != manifest.compressed_len {
+        let sections = &bytes[check_end..];
+        if manifest.compressed_len.checked_add(manifest.columns_len) != Some(sections.len() as u64)
+        {
             return Err("payload length mismatch (truncated write)");
         }
-        let payload = lz4_flex::decompress_size_prepended(compressed)
-            .map_err(|_| "payload decompression failed")?;
-        if payload.len() as u64 != manifest.uncompressed_len {
+        // In range: the sum just matched `sections.len()`.
+        let (compressed, columns) = sections.split_at(manifest.compressed_len as usize);
+        // The block's own size prefix sizes the decompressor's allocation
+        // (and is the length it insists on producing); hold it to the
+        // checksummed manifest before trusting it.
+        let size_prefix = compressed
+            .get(..4)
+            .map(|p| u32::from_le_bytes(p.try_into().expect("4-byte slice")));
+        if size_prefix.map(u64::from) != Some(manifest.uncompressed_len) {
             return Err("decompressed length mismatch");
         }
-        if checksum(&payload) != manifest.payload_checksum {
+        let tree = {
+            let _span = span("store.decompress");
+            lz4_flex::decompress_size_prepended(compressed)
+                .map_err(|_| "payload decompression failed")?
+        };
+        let mut payload_checksum = Checksum::default();
+        payload_checksum.update(&tree);
+        payload_checksum.update(columns);
+        if payload_checksum.finish() != manifest.payload_checksum {
             return Err("payload checksum mismatch");
         }
-        let value = decode_value(&payload).map_err(|_| "payload decode failed")?;
+        let _span = span("store.decode");
+        let value = decode_value(&tree, columns).map_err(|_| "payload decode failed")?;
         Ok(ParseOutcome::Hit(value))
     }
 
@@ -539,6 +643,14 @@ mod tests {
                 "profile".to_string(),
                 Value::Seq(vec![Value::Float(1.5), Value::Float(2.5), Value::Null]),
             ),
+            (
+                "targets".to_string(),
+                Value::Packed(serde::Packed::U32((0..40).map(|i| i * 13 % 97).collect())),
+            ),
+            (
+                "times_ms".to_string(),
+                Value::Packed(serde::Packed::F64(vec![0.25, 1e-9, 7.0])),
+            ),
         ])
     }
 
@@ -580,6 +692,64 @@ mod tests {
     }
 
     #[test]
+    fn foreign_format_version_is_stale_not_quarantined() {
+        let dir = TempStoreDir::new();
+        let store = ArtifactStore::open(&dir.0).unwrap();
+        let path = store.artifact_path(ArtifactKind::Sample, "old");
+        for foreign in [1u32, FORMAT_VERSION + 1] {
+            // A v1 file as PR 9 wrote it: same magic, `format = 1`, then a
+            // manifest and payload this reader has no parser for.
+            let mut file = Vec::new();
+            file.extend_from_slice(&MAGIC);
+            file.extend_from_slice(&foreign.to_le_bytes());
+            let manifest = br#"{"schema_version":1,"kind":"sample","key":"old"}"#;
+            file.extend_from_slice(&(manifest.len() as u32).to_le_bytes());
+            file.extend_from_slice(manifest);
+            file.extend_from_slice(&[0xAB; 40]);
+            fs::write(&path, &file).unwrap();
+
+            let (value, reason) = store.get_explained(ArtifactKind::Sample, "old", 1);
+            assert!(value.is_none());
+            assert_eq!(reason, Some(MissReason::Stale));
+            assert!(path.exists(), "a stale file stays until overwritten");
+            assert_eq!(store.quarantined_files(), 0);
+
+            // The write-through overwrites it in place.
+            store.put(ArtifactKind::Sample, "old", 1, &tree()).unwrap();
+            assert_eq!(store.get(ArtifactKind::Sample, "old", 1), Some(tree()));
+        }
+    }
+
+    #[test]
+    fn older_schema_version_is_stale_not_quarantined() {
+        let dir = TempStoreDir::new();
+        let store = ArtifactStore::open(&dir.0).unwrap();
+        store.put(ArtifactKind::Model, "m", 4, &tree()).unwrap();
+        let path = store.artifact_path(ArtifactKind::Model, "m");
+        // Rewrite the manifest in place with the previous schema version and
+        // a matching manifest checksum: a sound file of an older schema.
+        let bytes = fs::read(&path).unwrap();
+        let mlen = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let manifest = std::str::from_utf8(&bytes[12..12 + mlen]).unwrap();
+        let older = manifest.replace(
+            &format!("\"schema_version\":{SCHEMA_VERSION}"),
+            &format!("\"schema_version\":{}", SCHEMA_VERSION - 1),
+        );
+        assert_eq!(older.len(), mlen, "single-digit versions keep the length");
+        let mut file = bytes[..12].to_vec();
+        file.extend_from_slice(older.as_bytes());
+        file.extend_from_slice(&checksum(older.as_bytes()).to_le_bytes());
+        file.extend_from_slice(&bytes[12 + mlen + 8..]);
+        fs::write(&path, &file).unwrap();
+
+        let (value, reason) = store.get_explained(ArtifactKind::Model, "m", 4);
+        assert!(value.is_none());
+        assert_eq!(reason, Some(MissReason::Stale));
+        assert!(path.exists());
+        assert_eq!(store.quarantined_files(), 0);
+    }
+
+    #[test]
     fn truncated_file_quarantines_and_recovers() {
         let dir = TempStoreDir::new();
         let store = ArtifactStore::open(&dir.0).unwrap();
@@ -610,6 +780,9 @@ mod tests {
         store.put(ArtifactKind::Model, "flip", 3, &tree()).unwrap();
         let path = store.artifact_path(ArtifactKind::Model, "flip");
         let original = fs::read(&path).unwrap();
+        // The file ends with the raw column section.
+        let columns_len = encode_value(&tree()).columns.len();
+        assert!(columns_len > 0 && columns_len < original.len());
         for i in 0..original.len() {
             let mut corrupt = original.clone();
             corrupt[i] ^= 0x20;
@@ -617,8 +790,15 @@ mod tests {
             // Must not panic; must never return a value different from the
             // original tree (a flip that survives all checksums could only
             // be inside JSON whitespace, which FNV catches anyway).
-            if let Some(v) = store.get(ArtifactKind::Model, "flip", 3) {
-                assert_eq!(v, tree(), "flip at byte {i} silently altered the artifact");
+            let read = store.get(ArtifactKind::Model, "flip", 3);
+            if let Some(v) = &read {
+                assert_eq!(*v, tree(), "flip at byte {i} silently altered the artifact");
+            }
+            // Column bytes are never decompressed, so nothing but the
+            // payload checksum stands between a flipped bit and a wrong
+            // (but well-formed) element: it must catch every one.
+            if i >= original.len() - columns_len {
+                assert!(read.is_none(), "flip in column byte {i} went unnoticed");
             }
         }
         // Restore for hygiene.
