@@ -142,22 +142,6 @@ impl NeighborhoodEstimation {
     /// the run profile.
     pub fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> NeighborhoodResult {
         let result = engine.run(graph, self);
-        Self::assemble(result)
-    }
-
-    /// [`NeighborhoodEstimation::run`] against pre-built [`GraphStorage`](predict_bsp::GraphStorage),
-    /// so repeated runs over one graph pay shard construction once.
-    /// Byte-identical to `run` (the engine's storage contract).
-    pub fn run_storage(
-        &self,
-        engine: &BspEngine,
-        storage: &predict_bsp::GraphStorage,
-    ) -> NeighborhoodResult {
-        let result = engine.run_storage(storage, self);
-        Self::assemble(result)
-    }
-
-    fn assemble(result: predict_bsp::BspRunResult<NeighborhoodSketch>) -> NeighborhoodResult {
         let estimates = result.values.iter().map(|s| s.estimate()).collect();
         NeighborhoodResult {
             sketches: result.values,

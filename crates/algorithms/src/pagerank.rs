@@ -80,22 +80,6 @@ impl PageRank {
     /// together with the run profile.
     pub fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> PageRankResult {
         let result = engine.run(graph, self);
-        Self::assemble(result)
-    }
-
-    /// [`PageRank::run`] against pre-built [`GraphStorage`](predict_bsp::GraphStorage), so repeated
-    /// runs over one graph pay shard construction once. Byte-identical to
-    /// `run` (the engine's storage contract).
-    pub fn run_storage(
-        &self,
-        engine: &BspEngine,
-        storage: &predict_bsp::GraphStorage,
-    ) -> PageRankResult {
-        let result = engine.run_storage(storage, self);
-        Self::assemble(result)
-    }
-
-    fn assemble(result: predict_bsp::BspRunResult<f64>) -> PageRankResult {
         PageRankResult {
             ranks: result.values,
             iterations: result.profile.num_iterations(),

@@ -90,27 +90,6 @@ impl TopKRanking {
             "input ranks must cover every vertex of the graph"
         );
         let result = engine.run(graph, self);
-        Self::assemble(result)
-    }
-
-    /// [`TopKRanking::run`] against pre-built [`GraphStorage`](predict_bsp::GraphStorage), so repeated
-    /// runs over one graph pay shard construction once. Byte-identical to
-    /// `run` (the engine's storage contract).
-    pub fn run_storage(
-        &self,
-        engine: &BspEngine,
-        storage: &predict_bsp::GraphStorage,
-    ) -> TopKResult {
-        assert_eq!(
-            self.ranks.len(),
-            storage.num_vertices(),
-            "input ranks must cover every vertex of the graph"
-        );
-        let result = engine.run_storage(storage, self);
-        Self::assemble(result)
-    }
-
-    fn assemble(result: predict_bsp::BspRunResult<TopKState>) -> TopKResult {
         TopKResult {
             top_k: result.values,
             iterations: result.profile.num_iterations(),

@@ -16,7 +16,7 @@ use crate::neighborhood::{NeighborhoodEstimation, NeighborhoodParams};
 use crate::pagerank::{PageRank, PageRankParams};
 use crate::semi_clustering::{SemiClustering, SemiClusteringParams};
 use crate::topk::{TopKParams, TopKRanking};
-use predict_bsp::{BspEngine, GraphStorage, HaltReason, RunProfile};
+use predict_bsp::{BspEngine, HaltReason, RunProfile};
 use predict_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 
@@ -73,26 +73,6 @@ pub trait Workload: Send + Sync + std::fmt::Debug {
 
     /// Executes the workload on `graph` and returns the run profile.
     fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun;
-
-    /// Executes the workload against pre-built [`GraphStorage`] of `graph`,
-    /// so callers that run the same graph repeatedly (the prediction
-    /// session's sample and actual runs) pay shard construction once instead
-    /// of once per run. `storage` must have been built from `graph` with the
-    /// engine's worker count and partition strategy; results are
-    /// byte-identical to [`Workload::run`] (the engine's storage contract).
-    ///
-    /// The default ignores `storage` and delegates to `run` — correct for
-    /// workloads that derive a different graph first (SC and CC convert to
-    /// undirected form, so storage of the original graph does not apply).
-    fn run_storage(
-        &self,
-        engine: &BspEngine,
-        graph: &CsrGraph,
-        storage: &GraphStorage,
-    ) -> WorkloadRun {
-        let _ = storage;
-        self.run(engine, graph)
-    }
 
     /// A serializable description of this workload's configuration, when one
     /// exists. Executors that ship work across a process boundary (the
@@ -198,19 +178,6 @@ impl Workload for PageRankWorkload {
             halt_reason: result.halt_reason,
         }
     }
-
-    fn run_storage(
-        &self,
-        engine: &BspEngine,
-        _graph: &CsrGraph,
-        storage: &GraphStorage,
-    ) -> WorkloadRun {
-        let result = PageRank::new(self.params).run_storage(engine, storage);
-        WorkloadRun {
-            profile: result.profile,
-            halt_reason: result.halt_reason,
-        }
-    }
 }
 
 /// Top-k ranking workload (variable message counts; ratio convergence).
@@ -283,26 +250,6 @@ impl Workload for TopKWorkload {
         .run(engine, graph)
         .ranks;
         let result = TopKRanking::new(self.params, ranks).run(engine, graph);
-        WorkloadRun {
-            profile: result.profile,
-            halt_reason: result.halt_reason,
-        }
-    }
-
-    fn run_storage(
-        &self,
-        engine: &BspEngine,
-        _graph: &CsrGraph,
-        storage: &GraphStorage,
-    ) -> WorkloadRun {
-        // Both phases run on the given graph, so both reuse its storage.
-        let ranks = PageRank::new(PageRankParams::with_epsilon(
-            self.pagerank_epsilon,
-            storage.num_vertices(),
-        ))
-        .run_storage(engine, storage)
-        .ranks;
-        let result = TopKRanking::new(self.params, ranks).run_storage(engine, storage);
         WorkloadRun {
             profile: result.profile,
             halt_reason: result.halt_reason,
@@ -442,19 +389,6 @@ impl Workload for NeighborhoodWorkload {
             halt_reason: result.halt_reason,
         }
     }
-
-    fn run_storage(
-        &self,
-        engine: &BspEngine,
-        _graph: &CsrGraph,
-        storage: &GraphStorage,
-    ) -> WorkloadRun {
-        let result = NeighborhoodEstimation::new(self.params).run_storage(engine, storage);
-        WorkloadRun {
-            profile: result.profile,
-            halt_reason: result.halt_reason,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -485,30 +419,6 @@ mod tests {
             let run = w.run(&engine(), &g);
             assert!(run.iterations() >= 2, "{} did not iterate", w.name());
             assert!(run.profile.superstep_phase_ms() > 0.0);
-        }
-    }
-
-    #[test]
-    fn run_storage_is_byte_identical_to_run_for_every_workload() {
-        let g = graph();
-        let engine = engine();
-        let storage = GraphStorage::shard_graph(
-            &g,
-            engine.config().num_workers,
-            engine.config().partition_strategy,
-        );
-        let workloads: Vec<Box<dyn Workload>> = vec![
-            Box::new(PageRankWorkload::with_epsilon(0.01, g.num_vertices())),
-            Box::new(TopKWorkload::default()),
-            Box::new(SemiClusteringWorkload::default()),
-            Box::new(ConnectedComponentsWorkload),
-            Box::new(NeighborhoodWorkload::default()),
-        ];
-        for w in &workloads {
-            let direct = w.run(&engine, &g);
-            let via_storage = w.run_storage(&engine, &g, &storage);
-            assert_eq!(direct.profile, via_storage.profile, "{}", w.name());
-            assert_eq!(direct.halt_reason, via_storage.halt_reason, "{}", w.name());
         }
     }
 

@@ -206,7 +206,8 @@ fn main() {
 
     // The transport every child scenario inherits through the environment;
     // parsed with the same knob rules the engine itself applies.
-    let transport = predict_bsp::env_transport().name();
+    let transport = predict_cluster::TransportKind::from_mode(predict_bsp::TransportMode::Auto)
+        .map_or("inmem", predict_cluster::TransportKind::name);
     println!("transport: {transport} (set PREDICT_TRANSPORT=inmem|inproc|socket)");
 
     let golden = golden_dir();

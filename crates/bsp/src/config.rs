@@ -4,7 +4,6 @@ use crate::cost::ClusterCostConfig;
 use crate::knobs;
 use crate::partition::PartitionStrategy;
 use crate::remote::TransportMode;
-use crate::storage::StorageMode;
 use serde::{Deserialize, Serialize};
 
 /// Default number of workers. The paper's deployment runs 29 workers plus one
@@ -101,13 +100,6 @@ pub struct BspConfig {
     /// written before this field existed keep deserializing).
     #[serde(default)]
     pub execution: ExecutionMode,
-    /// How [`BspEngine::run`](crate::BspEngine::run) stores the graph: one
-    /// unified CSR allocation or one [`ShardedCsr`](predict_graph::ShardedCsr)
-    /// per worker. Never affects results — see [`crate::storage`]. Defaults
-    /// to [`StorageMode::Auto`] (honor `PREDICT_STORAGE`) when absent from
-    /// serialized configs.
-    #[serde(default)]
-    pub storage: StorageMode,
     /// Which executor runs the supersteps: the in-memory runtime or a
     /// transport-backed worker cluster (interpreted by `predict_cluster`,
     /// which sits above this crate). Never affects results — see
@@ -125,7 +117,6 @@ impl Default for BspConfig {
             max_supersteps: DEFAULT_MAX_SUPERSTEPS,
             cost: ClusterCostConfig::default(),
             execution: ExecutionMode::Auto,
-            storage: StorageMode::Auto,
             transport: TransportMode::Auto,
         }
     }
@@ -139,6 +130,13 @@ impl BspConfig {
             num_workers,
             ..Self::default()
         }
+    }
+
+    /// The worker count a run actually uses: [`BspConfig::num_workers`],
+    /// but never zero. Every executor sizes its layout, shards and worker
+    /// group from this, so a zero-worker config runs as one worker everywhere.
+    pub fn workers(&self) -> usize {
+        self.num_workers.max(1)
     }
 
     /// Replaces the cluster cost configuration.
@@ -162,12 +160,6 @@ impl BspConfig {
     /// Replaces the execution mode.
     pub fn with_execution(mut self, execution: ExecutionMode) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Replaces the graph storage mode.
-    pub fn with_storage(mut self, storage: StorageMode) -> Self {
-        self.storage = storage;
         self
     }
 
@@ -276,16 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn configs_serialized_before_the_storage_field_still_deserialize() {
-        let config = BspConfig::with_workers(2);
-        let json = serde_json::to_string(&config).unwrap();
-        let stripped = json.replace(",\"storage\":\"Auto\"", "");
-        assert_ne!(stripped, json, "storage field must be present and Auto");
-        let back: BspConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back, config, "missing storage must default to Auto");
-    }
-
-    #[test]
     fn configs_serialized_before_the_transport_field_still_deserialize() {
         let config = BspConfig::with_workers(2);
         let json = serde_json::to_string(&config).unwrap();
@@ -305,22 +287,15 @@ mod tests {
 
     #[test]
     fn configs_that_still_carry_the_removed_pool_field_deserialize() {
-        // `pool` selected scoped threads vs the worker pool until the scoped
-        // path was deleted; stored configs that still name it keep loading,
-        // with the field ignored.
+        // `pool` selected scoped threads vs the worker pool and `storage` a
+        // sharded in-memory graph layout until those paths were deleted;
+        // stored configs that still name them keep loading, with the fields
+        // ignored.
         let config = BspConfig::with_workers(2);
         let json = serde_json::to_string(&config).unwrap();
-        let legacy = json.replacen('{', "{\"pool\":\"Off\",", 1);
+        let legacy = json.replacen('{', "{\"pool\":\"Off\",\"storage\":\"Sharded\",", 1);
         let back: BspConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back, config);
-    }
-
-    #[test]
-    fn storage_mode_round_trips_with_the_config() {
-        let config = BspConfig::with_workers(2).with_storage(StorageMode::Sharded);
-        let json = serde_json::to_string(&config).unwrap();
-        let back: BspConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.storage, StorageMode::Sharded);
     }
 
     #[test]

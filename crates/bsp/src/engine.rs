@@ -18,7 +18,6 @@ use crate::config::BspConfig;
 use crate::profile::RunProfile;
 use crate::program::VertexProgram;
 use crate::runtime::{self, LayoutCache, WorkerPool};
-use crate::storage::{GraphStorage, StorageRef};
 use predict_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,52 +92,31 @@ impl BspEngine {
         &self.config
     }
 
+    /// A clone of this engine under `config`, sharing the run counter, layout
+    /// cache and pool — how the prediction layer plumbs an override down
+    /// without re-keying any cache.
+    fn with_config(&self, config: BspConfig) -> Self {
+        Self {
+            config,
+            runs: Arc::clone(&self.runs),
+            layouts: Arc::clone(&self.layouts),
+            pool: Arc::clone(&self.pool),
+        }
+    }
+
     /// A clone of this engine with a different execution mode, sharing the
-    /// run counter and layout cache. This is how the prediction layer plumbs
-    /// an execution override down without re-keying any cache.
+    /// run counter, layout cache and pool.
     pub fn with_execution(&self, execution: crate::config::ExecutionMode) -> Self {
-        Self {
-            config: BspConfig {
-                execution,
-                ..self.config.clone()
-            },
-            runs: Arc::clone(&self.runs),
-            layouts: Arc::clone(&self.layouts),
-            pool: Arc::clone(&self.pool),
-        }
+        self.with_config(self.config.clone().with_execution(execution))
     }
 
-    /// A clone of this engine with a different graph storage mode, sharing
-    /// the run counter and layout cache — the storage counterpart of
-    /// [`BspEngine::with_execution`].
-    pub fn with_storage(&self, storage: crate::storage::StorageMode) -> Self {
-        Self {
-            config: BspConfig {
-                storage,
-                ..self.config.clone()
-            },
-            runs: Arc::clone(&self.runs),
-            layouts: Arc::clone(&self.layouts),
-            pool: Arc::clone(&self.pool),
-        }
-    }
-
-    /// A clone of this engine with a different transport mode, sharing the
-    /// run counter, layout cache and pool — the transport counterpart of
-    /// [`BspEngine::with_execution`]. The engine itself never reads the
-    /// transport knob (its own runs are always in-memory); the cluster
-    /// runner (`predict_cluster`) resolves it to decide whether a workload
-    /// executes in-process or over spawned worker processes.
+    /// The transport counterpart of [`BspEngine::with_execution`]. The
+    /// engine itself never reads the transport knob (its own runs are always
+    /// in-memory); the cluster runner (`predict_cluster`) resolves it to
+    /// decide whether a workload executes in-process or over spawned worker
+    /// processes.
     pub fn with_transport(&self, transport: crate::remote::TransportMode) -> Self {
-        Self {
-            config: BspConfig {
-                transport,
-                ..self.config.clone()
-            },
-            runs: Arc::clone(&self.runs),
-            layouts: Arc::clone(&self.layouts),
-            pool: Arc::clone(&self.pool),
-        }
+        self.with_config(self.config.clone().with_transport(transport))
     }
 
     /// Counts one engine run that was executed outside [`BspEngine::run`] —
@@ -180,15 +158,6 @@ impl BspEngine {
     /// superstep cap, and returns the per-vertex values together with the run
     /// profile.
     ///
-    /// The graph is stored according to [`BspConfig::storage`]: under
-    /// [`StorageMode::Sharded`](crate::storage::StorageMode::Sharded) (or
-    /// `Auto` with `PREDICT_STORAGE=sharded`) the engine first splits `graph`
-    /// into one [`ShardedCsr`](predict_graph::ShardedCsr) per worker and runs
-    /// against the shards — byte-identical results, per-worker memory shape
-    /// (see [`crate::storage`]). Callers that execute many runs over one
-    /// graph should pre-build a [`GraphStorage`] and use
-    /// [`BspEngine::run_storage`] to pay the shard construction once.
-    ///
     /// This is a thin facade over [`runtime::execute`]; see
     /// [`crate::runtime`] for the execution model and its determinism
     /// contract.
@@ -197,70 +166,19 @@ impl BspEngine {
         graph: &CsrGraph,
         program: &P,
     ) -> BspRunResult<P::VertexValue> {
-        if self.config.storage.resolve_sharded() {
-            let storage = GraphStorage::shard_graph(
-                graph,
-                self.config.num_workers.max(1),
-                self.config.partition_strategy,
-            );
-            return self.run_storage(&storage, program);
-        }
-        self.run_on(StorageRef::Unified(graph), program)
-    }
-
-    /// Executes `program` against pre-built [`GraphStorage`] — the unified
-    /// CSR or one shard per worker.
-    ///
-    /// Sharded storage must have been built for this engine's worker count
-    /// and partition strategy (e.g. via [`GraphStorage::shard_graph`] with
-    /// the same settings); the engine validates shard ownership against its
-    /// layout and panics on a mismatch rather than run a partition that
-    /// would silently misroute messages.
-    pub fn run_storage<P: VertexProgram>(
-        &self,
-        storage: &GraphStorage,
-        program: &P,
-    ) -> BspRunResult<P::VertexValue> {
-        self.run_on(storage.as_storage_ref(), program)
-    }
-
-    fn run_on<P: VertexProgram>(
-        &self,
-        storage: StorageRef<'_>,
-        program: &P,
-    ) -> BspRunResult<P::VertexValue> {
         self.runs.fetch_add(1, Ordering::Relaxed);
         predict_obs::registry().counter("bsp.runs").incr();
-        let num_workers = self.config.num_workers.max(1);
+        let num_workers = self.config.workers();
         let layout = self.layouts.get_or_build(
-            storage.num_vertices(),
+            graph.num_vertices(),
             num_workers,
             self.config.partition_strategy,
         );
-        if let StorageRef::Sharded(shards) = storage {
-            assert_eq!(
-                shards.len(),
-                num_workers,
-                "storage sharded over {} workers, engine configured for {num_workers}",
-                shards.len(),
-            );
-            for (w, shard) in shards.iter().enumerate() {
-                // Full ownership comparison, not just counts: two strategies
-                // can produce equal shard sizes with different vertex sets,
-                // and running such storage would silently misroute adjacency.
-                // O(V) once per run, dwarfed by the run itself.
-                assert_eq!(
-                    shard.owned(),
-                    layout.shard_vertices(w),
-                    "shard {w} ownership does not match the engine's partition strategy",
-                );
-            }
-        }
         let threads = self
             .config
             .execution
-            .resolve_threads(num_workers, storage.num_vertices() + storage.num_edges());
-        runtime::execute(program, storage, &layout, &self.config, threads, &self.pool)
+            .resolve_threads(num_workers, graph.num_vertices() + graph.num_edges());
+        runtime::execute(program, graph, &layout, &self.config, threads, &self.pool)
     }
 }
 

@@ -1,15 +1,14 @@
 //! Centralized parsing of the `PREDICT_*` environment knobs.
 //!
-//! Five environment variables tune how the engine executes a run without
+//! Four environment variables tune how the engine executes a run without
 //! changing its results: `PREDICT_THREADS` (superstep-phase thread count),
-//! `PREDICT_STORAGE` (unified vs sharded graph layout), `PREDICT_TRANSPORT`
-//! (in-memory executor vs the out-of-process cluster driver),
-//! `PREDICT_TRACE` (Chrome-trace span export path) and `PREDICT_STORE`
-//! (persistent artifact-store directory). They used to
+//! `PREDICT_TRANSPORT` (in-memory executor vs the out-of-process cluster
+//! driver), `PREDICT_TRACE` (Chrome-trace span export path) and
+//! `PREDICT_STORE` (persistent artifact-store directory). They used to
 //! be parsed ad hoc at each `resolve_*` site, and an invalid value —
-//! `PREDICT_THREADS=fast`, `PREDICT_STORAGE=shard` — was silently ignored,
-//! which made typos indistinguishable from defaults. This module is the one
-//! place the knobs are read: every parser falls back to the documented
+//! `PREDICT_THREADS=fast`, `PREDICT_TRANSPORT=sockets` — was silently
+//! ignored, which made typos indistinguishable from defaults. This module is
+//! the one place the knobs are read: every parser falls back to the documented
 //! default on an unrecognized value *and* warns once per process per
 //! variable on stderr, so a typo'd CI line shows up in the log instead of
 //! quietly benchmarking the wrong configuration.
@@ -18,6 +17,7 @@
 //! tests below never touch the real process environment and cannot race
 //! concurrently running tests.
 
+use crate::remote::TransportMode;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -25,9 +25,6 @@ use std::sync::Mutex;
 /// Thread-count knob honored by
 /// [`ExecutionMode::Auto`](crate::config::ExecutionMode).
 pub const THREADS_VAR: &str = "PREDICT_THREADS";
-/// Storage-layout knob honored by
-/// [`StorageMode::Auto`](crate::storage::StorageMode).
-pub const STORAGE_VAR: &str = "PREDICT_STORAGE";
 /// Transport knob honored by
 /// [`TransportMode::Auto`](crate::remote::TransportMode).
 pub const TRANSPORT_VAR: &str = "PREDICT_TRANSPORT";
@@ -76,80 +73,30 @@ fn parse_threads(var: &str, value: Option<&str>) -> Option<usize> {
     }
 }
 
-/// Parses the storage knob: `sharded` selects sharded storage, unset or
-/// `unified` selects unified; anything else warns and selects unified.
-fn parse_storage(var: &str, value: Option<&str>) -> bool {
-    let Some(raw) = value else { return false };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "sharded" => true,
-        "" | "unified" => false,
-        _ => {
-            warn_invalid(var, raw, "`sharded` or `unified`");
-            false
-        }
-    }
-}
-
-/// The transport choices `PREDICT_TRANSPORT` can select between (the
-/// resolved form of [`TransportMode`](crate::remote::TransportMode)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportChoice {
-    /// The in-memory executor (no transport boundary at all).
-    #[default]
-    InMemory,
-    /// Channel-connected in-process worker threads speaking the wire format.
-    InProc,
-    /// Long-lived OS worker processes speaking the wire format over
-    /// length-prefixed frame streams on Unix-domain sockets.
-    Socket,
-}
-
-impl TransportChoice {
-    /// The knob spelling of this choice, for reports and log lines.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::InMemory => "inmem",
-            Self::InProc => "inproc",
-            Self::Socket => "socket",
-        }
-    }
-}
-
 /// Parses the transport knob: `inmem`/`inmemory` (or unset) selects the
 /// in-memory executor, `inproc` the channel transport, `socket` the
 /// Unix-domain socket transport; anything else — including the removed
-/// `process` spelling — warns and stays in memory.
-fn parse_transport(var: &str, value: Option<&str>) -> TransportChoice {
+/// `process` spelling — warns and stays in memory. Never returns
+/// [`TransportMode::Auto`].
+fn parse_transport(var: &str, value: Option<&str>) -> TransportMode {
     let Some(raw) = value else {
-        return TransportChoice::InMemory;
+        return TransportMode::InMemory;
     };
     match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "inmem" | "inmemory" => TransportChoice::InMemory,
-        "inproc" => TransportChoice::InProc,
-        "socket" => TransportChoice::Socket,
+        "" | "inmem" | "inmemory" => TransportMode::InMemory,
+        "inproc" => TransportMode::InProc,
+        "socket" => TransportMode::Socket,
         _ => {
             warn_invalid(var, raw, "`inmem`, `inproc` or `socket`");
-            TransportChoice::InMemory
+            TransportMode::InMemory
         }
     }
 }
 
-/// Parses the trace knob: a non-empty path selects Chrome-trace export to
-/// that file; unset or blank disables tracing. Any non-blank string is a
-/// legal path, so this parser has no invalid-value warning.
-fn parse_trace(value: Option<&str>) -> Option<PathBuf> {
-    let raw = value?.trim();
-    if raw.is_empty() {
-        return None;
-    }
-    Some(PathBuf::from(raw))
-}
-
-/// Parses the store knob: a non-empty path selects a persistent artifact
-/// store rooted at that directory; unset or blank keeps artifacts in memory
-/// only. Like the trace knob, any non-blank string is a legal path, so
-/// there is no invalid-value warning.
-fn parse_store(value: Option<&str>) -> Option<PathBuf> {
+/// Parses a path knob (`PREDICT_TRACE`, `PREDICT_STORE`): a non-empty
+/// value selects that path; unset or blank leaves the feature off. Any
+/// non-blank string is a legal path, so there is no invalid-value warning.
+fn parse_path(value: Option<&str>) -> Option<PathBuf> {
     let raw = value?.trim();
     if raw.is_empty() {
         return None;
@@ -167,26 +114,21 @@ pub fn env_threads() -> Option<usize> {
     parse_threads(THREADS_VAR, env(THREADS_VAR).as_deref())
 }
 
-/// Whether `PREDICT_STORAGE` selects sharded storage.
-pub fn env_storage_sharded() -> bool {
-    parse_storage(STORAGE_VAR, env(STORAGE_VAR).as_deref())
-}
-
-/// The transport `PREDICT_TRANSPORT` selects.
-pub fn env_transport() -> TransportChoice {
+/// The transport `PREDICT_TRANSPORT` selects (never `Auto`).
+pub fn env_transport() -> TransportMode {
     parse_transport(TRANSPORT_VAR, env(TRANSPORT_VAR).as_deref())
 }
 
 /// The Chrome-trace output path `PREDICT_TRACE` selects, `None` when
 /// tracing is disabled.
 pub fn env_trace_path() -> Option<PathBuf> {
-    parse_trace(env(TRACE_VAR).as_deref())
+    parse_path(env(TRACE_VAR).as_deref())
 }
 
 /// The artifact-store directory `PREDICT_STORE` selects, `None` when
 /// persistence is disabled.
 pub fn env_store_path() -> Option<PathBuf> {
-    parse_store(env(STORE_VAR).as_deref())
+    parse_path(env(STORE_VAR).as_deref())
 }
 
 #[cfg(test)]
@@ -211,37 +153,27 @@ mod tests {
     }
 
     #[test]
-    fn storage_recognizes_sharded_and_unified() {
-        assert!(parse_storage("S_OK", Some("sharded")));
-        assert!(parse_storage("S_CASE", Some(" ShArDeD ")));
-        assert!(!parse_storage("S_UNI", Some("unified")));
-        assert!(!parse_storage("S_UNSET", None));
-        assert!(!parse_storage("S_TYPO", Some("shard")));
-    }
-
-    #[test]
     fn transport_recognizes_every_backend() {
         assert_eq!(
             parse_transport("X_MEM", Some("inmem")),
-            TransportChoice::InMemory
+            TransportMode::InMemory
         );
         assert_eq!(
             parse_transport("X_MEM2", Some("InMemory")),
-            TransportChoice::InMemory
+            TransportMode::InMemory
         );
         assert_eq!(
             parse_transport("X_PROC", Some("inproc")),
-            TransportChoice::InProc
+            TransportMode::InProc
         );
         assert_eq!(
             parse_transport("X_SOCK", Some("socket")),
-            TransportChoice::Socket
+            TransportMode::Socket
         );
-        assert_eq!(TransportChoice::Socket.name(), "socket");
-        assert_eq!(parse_transport("X_UNSET", None), TransportChoice::InMemory);
+        assert_eq!(parse_transport("X_UNSET", None), TransportMode::InMemory);
         assert_eq!(
             parse_transport("X_TYPO", Some("processes")),
-            TransportChoice::InMemory
+            TransportMode::InMemory
         );
     }
 
@@ -251,33 +183,33 @@ mod tests {
         // replaced it; a leftover setting warns once and stays in memory.
         assert_eq!(
             parse_transport("X_LEGACY", Some("process")),
-            TransportChoice::InMemory
+            TransportMode::InMemory
         );
         assert!(warned().lock().unwrap().contains("X_LEGACY"));
     }
 
     #[test]
     fn trace_accepts_paths_and_ignores_blanks() {
-        assert_eq!(parse_trace(None), None);
-        assert_eq!(parse_trace(Some("")), None);
-        assert_eq!(parse_trace(Some("   ")), None);
+        assert_eq!(parse_path(None), None);
+        assert_eq!(parse_path(Some("")), None);
+        assert_eq!(parse_path(Some("   ")), None);
         assert_eq!(
-            parse_trace(Some("trace.json")),
+            parse_path(Some("trace.json")),
             Some(PathBuf::from("trace.json"))
         );
         assert_eq!(
-            parse_trace(Some(" target/out.trace.json ")),
+            parse_path(Some(" target/out.trace.json ")),
             Some(PathBuf::from("target/out.trace.json"))
         );
     }
 
     #[test]
     fn store_accepts_paths_and_ignores_blanks() {
-        assert_eq!(parse_store(None), None);
-        assert_eq!(parse_store(Some("")), None);
-        assert_eq!(parse_store(Some("  ")), None);
+        assert_eq!(parse_path(None), None);
+        assert_eq!(parse_path(Some("")), None);
+        assert_eq!(parse_path(Some("  ")), None);
         assert_eq!(
-            parse_store(Some(" target/store ")),
+            parse_path(Some(" target/store ")),
             Some(PathBuf::from("target/store"))
         );
     }

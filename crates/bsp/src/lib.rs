@@ -15,11 +15,9 @@
 //!   and fans superstep phases out over a persistent work-stealing
 //!   [`WorkerPool`] ([`ExecutionMode`]) while producing byte-identical
 //!   profiles at every thread count;
-//! * **per-worker graph storage** ([`storage`]): a run executes against
-//!   either one unified CSR allocation or one
-//!   [`ShardedCsr`](predict_graph::ShardedCsr) per worker
-//!   ([`GraphStorage`], [`StorageMode`]) — byte-identical results under
-//!   both, so a graph never needs to exist as one allocation;
+//! * **one master loop** ([`runtime::run_master`]) behind a [`Workers`]
+//!   trait, shared by the in-memory executor and the `predict_cluster`
+//!   driver, so a cluster run is the same computation by construction;
 //! * the phase breakdown of a Giraph job (setup / read / superstep / write)
 //!   recorded in a [`RunProfile`];
 //! * a **simulated cluster clock** ([`ClusterClock`]) that converts worker
@@ -81,10 +79,11 @@ pub use config::{BspConfig, ExecutionMode};
 pub use cost::{ClusterClock, ClusterCostConfig};
 pub use counters::{sum_counters, WorkerCounters};
 pub use engine::{BspEngine, BspRunResult, HaltReason};
-pub use knobs::{env_store_path, env_trace_path, env_transport, TransportChoice};
+pub use knobs::{env_store_path, env_trace_path};
 pub use partition::{PartitionStrategy, Partitioning};
 pub use profile::{RunProfile, SuperstepProfile};
 pub use program::{ComputeContext, InitContext, VertexProgram};
 pub use remote::{MeasuredRun, MeasuredSuperstep, TransportMode};
-pub use runtime::{LayoutCache, ShardLayout, WorkerPool, WorkerShard};
-pub use storage::{GraphStorage, StorageMode};
+pub use runtime::{
+    run_master, LayoutCache, ShardLayout, StepSink, WorkerPool, WorkerShard, Workers,
+};

@@ -15,8 +15,8 @@ use predict_graph::{CsrGraph, VertexId};
 /// What a vertex program may observe while initializing one vertex's value:
 /// global graph totals plus the vertex's own out-adjacency.
 ///
-/// This is deliberately *not* a full [`CsrGraph`]: under sharded storage
-/// (see [`crate::storage::GraphStorage`]) a worker holds only its own
+/// This is deliberately *not* a full [`CsrGraph`]: a cluster worker (see
+/// [`crate::storage::WorkerGraph`]) holds only its own
 /// [`ShardedCsr`](predict_graph::ShardedCsr) slice, so initialization — like
 /// [`VertexProgram::compute`] — can only read the local adjacency of the
 /// vertex being initialized. Every algorithm in `predict_algorithms` needs
@@ -67,7 +67,7 @@ pub trait VertexProgram: Sync {
 
     /// Initial value of vertex `v`. Called once per vertex before superstep 0;
     /// `ctx` exposes the graph totals and the vertex's own out-adjacency
-    /// (all a worker can see under sharded storage).
+    /// (all a cluster worker can see).
     fn init_vertex(&self, vertex: VertexId, ctx: &InitContext<'_>) -> Self::VertexValue;
 
     /// The compute function executed for every active vertex in every

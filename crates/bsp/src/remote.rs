@@ -23,17 +23,16 @@
 //!   measured times differ run to run, while serialized profiles are pinned
 //!   byte-for-byte by the golden scenarios and the history store.
 //!
-//! Like execution and storage modes, the transport is a pure
-//! performance/topology knob: the runtime's determinism contract extends
-//! across the transport boundary (see `crate::runtime` point 8), so values,
-//! serialized profiles and halt reasons are byte-identical under every
-//! transport.
+//! Like the execution mode, the transport is a pure performance/topology
+//! knob: both executors run the same master loop (see `crate::runtime`
+//! point 8), so values, serialized profiles and halt reasons are
+//! byte-identical under every transport.
 //!
 //! [`ClusterClock`]: crate::cost::ClusterClock
 //! [`BspConfig`]: crate::config::BspConfig
 //! [`RunProfile`]: crate::profile::RunProfile
 
-use crate::knobs::{self, TransportChoice};
+use crate::knobs;
 use serde::{Deserialize, Serialize};
 
 /// Which executor a run uses: the in-memory runtime or a transport-backed
@@ -58,13 +57,12 @@ pub enum TransportMode {
 }
 
 impl TransportMode {
-    /// Resolves the mode to a concrete transport choice.
-    pub fn resolve(self) -> TransportChoice {
+    /// Resolves `Auto` through `PREDICT_TRANSPORT`; the result is never
+    /// `Auto`.
+    pub fn resolve(self) -> Self {
         match self {
-            Self::InMemory => TransportChoice::InMemory,
-            Self::InProc => TransportChoice::InProc,
-            Self::Socket => TransportChoice::Socket,
             Self::Auto => knobs::env_transport(),
+            forced => forced,
         }
     }
 }
@@ -123,9 +121,13 @@ mod tests {
 
     #[test]
     fn forced_modes_ignore_the_environment() {
-        assert_eq!(TransportMode::InMemory.resolve(), TransportChoice::InMemory);
-        assert_eq!(TransportMode::InProc.resolve(), TransportChoice::InProc);
-        assert_eq!(TransportMode::Socket.resolve(), TransportChoice::Socket);
+        for mode in [
+            TransportMode::InMemory,
+            TransportMode::InProc,
+            TransportMode::Socket,
+        ] {
+            assert_eq!(mode.resolve(), mode);
+        }
     }
 
     #[test]

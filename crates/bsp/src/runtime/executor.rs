@@ -1,31 +1,33 @@
-//! The superstep executor: master loop, phase scheduling and thread fan-out.
+//! The in-memory workers: sharded state, phase scheduling and thread fan-out.
 //!
-//! [`execute`] drives a full BSP run over sharded worker state. Each
-//! superstep is two phases:
+//! [`execute`] runs a full BSP run in this address space by handing
+//! [`LocalWorkers`] to the shared master loop
+//! ([`run_master`](crate::runtime::master::run_master)). Each superstep is
+//! two phases:
 //!
 //! 1. **compute** — every shard runs [`WorkerShard::run_superstep`]; shards
-//!    are disjoint, so the executor spreads them over the worker pool;
-//! 2. **delivery** — the master transposes the per-worker routed outboxes
-//!    into per-destination inbound rows (an `O(workers²)` pointer swap, no
+//!    are disjoint, so the phase spreads over the worker pool;
+//! 2. **delivery** — the per-worker routed outboxes are transposed into
+//!    per-destination inbound rows (an `O(workers²)` pointer swap, no
 //!    message is copied), then every shard runs [`WorkerShard::deliver`],
 //!    again in parallel.
 //!
-//! Everything order-sensitive stays on the master thread between phases:
-//! counters are collected, aggregates merged and the [`ClusterClock`] advanced
-//! in ascending worker order, exactly as the old sequential loop did. See
+//! Between the phases, on the calling thread, every shard is reported to the
+//! master in ascending worker order. Everything order-sensitive — merges,
+//! the simulated clock, the halt decision — happens there, not here. See
 //! [`crate::runtime`] for the resulting determinism contract.
 
 use crate::aggregator::Aggregates;
 use crate::config::BspConfig;
-use crate::cost::ClusterClock;
-use crate::engine::{BspRunResult, HaltReason};
-use crate::profile::{RunProfile, SuperstepProfile};
+use crate::engine::BspRunResult;
 use crate::program::VertexProgram;
 use crate::runtime::layout::ShardLayout;
+use crate::runtime::master::{run_master, StepSink, Workers};
 use crate::runtime::pool::WorkerPool;
 use crate::runtime::shard::WorkerShard;
-use crate::storage::StorageRef;
-use predict_graph::VertexId;
+use crate::storage::WorkerGraph;
+use predict_graph::{CsrGraph, VertexId};
+use std::convert::Infallible;
 
 /// One row of the inbound transpose matrix: the message buffers destined for
 /// (or produced by) one worker, one buffer per peer worker.
@@ -65,96 +67,58 @@ fn for_each_chunked<T: Send, F: Fn(&mut T) + Sync>(
     pool.run_scoped(threads, tasks);
 }
 
-/// Executes `program` against `storage` — the unified CSR or one
-/// [`ShardedCsr`](predict_graph::ShardedCsr) per worker — over the sharded
-/// state described by `layout`, spreading per-shard phases over `threads`
-/// threads of `pool`.
-///
-/// This is the engine's whole run loop; [`crate::BspEngine::run`] and
-/// [`crate::BspEngine::run_storage`] are thin facades over it. The output is
-/// byte-identical for every `threads` value *and* for both storage layouts:
-/// under sharded storage each worker's phases read only its own shard's
-/// adjacency, which holds exactly the bytes the unified CSR holds for the
-/// worker's owned vertices. The pool only decides which OS thread runs a
-/// chunk, never the chunking, the merge order, or anything else the
-/// determinism contract pins.
-pub fn execute<P: VertexProgram>(
-    program: &P,
-    storage: StorageRef<'_>,
-    layout: &ShardLayout,
-    config: &BspConfig,
+/// Every worker of an in-memory run: one [`WorkerShard`] each over the
+/// shared unified CSR, stepped on `threads` threads of `pool`.
+struct LocalWorkers<'a, P: VertexProgram> {
+    program: &'a P,
+    graph: WorkerGraph<'a>,
+    layout: &'a ShardLayout,
     threads: usize,
-    pool: &WorkerPool,
-) -> BspRunResult<P::VertexValue> {
-    let num_workers = layout.num_workers();
-    let _run_span = predict_obs::trace::span("bsp.run")
-        .arg("algorithm", program.name())
-        .arg("workers", num_workers)
-        .arg("threads", threads);
-    let superstep_ns = predict_obs::registry().histogram("bsp.superstep_ns");
-    let mut clock = ClusterClock::new(config.cost.clone());
+    pool: &'a WorkerPool,
+    shards: Vec<WorkerShard<P>>,
+    /// `inbound[dst][src]` buffers circulate between the shards' routed
+    /// outboxes and the delivery phase, so message buffers are pooled across
+    /// supersteps rather than reallocated.
+    inbound: Vec<MessageRow<P::Message>>,
+    superstep_ns: std::sync::Arc<predict_obs::metrics::Histogram>,
+}
 
-    // Setup and read phases.
-    let setup_ms = clock.setup_time_ms();
-    let read_ms = clock.read_time_ms(storage.num_edges(), num_workers);
+impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
+    type Error = Infallible;
 
-    // Per-worker sharded state; value initialization fans out like a phase.
-    let mut shards: Vec<WorkerShard<P>> = (0..num_workers)
-        .map(|w| WorkerShard::init_empty(w, layout))
-        .collect();
-    for_each_chunked(&mut shards, threads, pool, |shard| {
-        shard.init_values(program, storage.worker_graph(shard.worker), layout);
-    });
-
-    // Inbound matrix: `inbound[dst][src]` buffers circulate between the
-    // shards' routed outboxes and the delivery phase, so message buffers are
-    // pooled across supersteps rather than reallocated.
-    let mut inbound: Vec<MessageRow<P::Message>> = (0..num_workers)
-        .map(|_| (0..num_workers).map(|_| Vec::new()).collect())
-        .collect();
-
-    let combiner = program.combiner();
-    let mut previous_aggregates = Aggregates::new();
-    let mut supersteps: Vec<SuperstepProfile> = Vec::new();
-    let mut halt_reason = HaltReason::MaxSupersteps;
-
-    for superstep in 0..config.max_supersteps {
+    fn step(
+        &mut self,
+        superstep: usize,
+        previous_aggregates: &Aggregates,
+        sink: &mut StepSink,
+    ) -> Result<(), Infallible> {
+        let (program, graph, layout) = (self.program, self.graph, self.layout);
+        let (threads, pool) = (self.threads, self.pool);
         let _superstep_span =
             predict_obs::trace::span("bsp.superstep").arg("superstep", superstep as u64);
         let superstep_start = std::time::Instant::now();
-        // Compute phase: every shard processes its vertices against its own
-        // view of the graph. Shards are disjoint; the fan-out cannot reorder
-        // anything observable.
+        // Compute phase: every shard processes its vertices against the
+        // graph. Shards are disjoint; the fan-out cannot reorder anything
+        // observable.
         {
             let _compute_span = predict_obs::trace::span("bsp.compute");
-            let previous_aggregates = &previous_aggregates;
-            for_each_chunked(&mut shards, threads, pool, |shard| {
-                shard.run_superstep(
-                    program,
-                    storage.worker_graph(shard.worker),
-                    layout,
-                    superstep,
-                    previous_aggregates,
-                );
+            for_each_chunked(&mut self.shards, threads, pool, |shard| {
+                shard.run_superstep(program, graph, layout, superstep, previous_aggregates);
             });
         }
 
-        // Master: merge worker outputs in ascending worker order — the same
-        // order the sequential loop used, which pins counter vectors, float
-        // aggregate sums and message delivery order bit-for-bit.
-        let mut worker_counters = Vec::with_capacity(num_workers);
-        let mut aggregates = Aggregates::new();
-        let mut messages_sent = 0u64;
-        for shard in &shards {
-            worker_counters.push(shard.counters);
-            aggregates.merge(&shard.partial_aggregates);
-            messages_sent += shard.counters.total_messages();
+        for shard in &self.shards {
+            sink.report(
+                &shard.counters,
+                &shard.partial_aggregates,
+                shard.all_halted(),
+            );
         }
 
         // Transpose routed outboxes into inbound rows by swapping buffers.
-        for (w, shard) in shards.iter_mut().enumerate() {
+        for (w, shard) in self.shards.iter_mut().enumerate() {
             for (d, buf) in shard.routed.iter_mut().enumerate() {
-                std::mem::swap(buf, &mut inbound[d][w]);
+                std::mem::swap(buf, &mut self.inbound[d][w]);
             }
         }
 
@@ -162,72 +126,71 @@ pub fn execute<P: VertexProgram>(
         // (ascending source worker, production order within a source).
         {
             let _deliver_span = predict_obs::trace::span("bsp.deliver");
-            let mut pairs: Vec<(&mut WorkerShard<P>, &mut MessageRow<P::Message>)> =
-                shards.iter_mut().zip(inbound.iter_mut()).collect();
+            let combiner = program.combiner();
+            let mut pairs: Vec<(&mut WorkerShard<P>, &mut MessageRow<P::Message>)> = self
+                .shards
+                .iter_mut()
+                .zip(self.inbound.iter_mut())
+                .collect();
             for_each_chunked(&mut pairs, threads, pool, |(shard, row)| {
                 shard.deliver(layout, row, combiner);
             });
         }
-
-        // Synchronization phase: the simulated clock charges the critical
-        // path (slowest worker) plus fixed overhead and barrier.
-        let (wall_time_ms, worker_times_ms) = clock.superstep_time_ms(&worker_counters);
-        supersteps.push(SuperstepProfile {
-            superstep,
-            workers: worker_counters,
-            worker_times_ms,
-            wall_time_ms,
-            aggregates: aggregates.clone(),
-        });
-        superstep_ns.record(superstep_start.elapsed().as_nanos() as u64);
-
-        // Termination checks, in the same priority order as Giraph: the
-        // algorithm's global convergence condition first, then the
-        // "all halted and silent" default.
-        if program.master_halt(superstep, &aggregates) {
-            halt_reason = HaltReason::MasterConverged;
-            break;
-        }
-        if messages_sent == 0 && shards.iter().all(|s| s.all_halted()) {
-            halt_reason = HaltReason::AllVerticesHalted;
-            break;
-        }
-        previous_aggregates = aggregates;
+        self.superstep_ns
+            .record(superstep_start.elapsed().as_nanos() as u64);
+        Ok(())
     }
+
+    fn finish(&mut self) -> Result<Vec<Vec<P::VertexValue>>, Infallible> {
+        Ok(self.shards.drain(..).map(|shard| shard.values).collect())
+    }
+}
+
+/// Executes `program` on `graph` over the sharded state described by
+/// `layout`, spreading per-shard phases over `threads` threads of `pool`.
+///
+/// This is the engine's whole in-memory run; [`crate::BspEngine::run`] is a
+/// thin facade over it. The output is byte-identical for every `threads`
+/// value: the pool only decides which OS thread runs a chunk, never the
+/// chunking, the merge order, or anything else the determinism contract
+/// pins.
+pub fn execute<P: VertexProgram>(
+    program: &P,
+    graph: &CsrGraph,
+    layout: &ShardLayout,
+    config: &BspConfig,
+    threads: usize,
+    pool: &WorkerPool,
+) -> BspRunResult<P::VertexValue> {
+    let _run_span = predict_obs::trace::span("bsp.run")
+        .arg("algorithm", program.name())
+        .arg("workers", layout.num_workers())
+        .arg("threads", threads);
+    let num_workers = layout.num_workers();
+    let mut workers = LocalWorkers {
+        program,
+        graph: WorkerGraph::Unified(graph),
+        layout,
+        threads,
+        pool,
+        shards: (0..num_workers)
+            .map(|w| WorkerShard::init_empty(w, layout))
+            .collect(),
+        inbound: (0..num_workers)
+            .map(|_| (0..num_workers).map(|_| Vec::new()).collect())
+            .collect(),
+        superstep_ns: predict_obs::registry().histogram("bsp.superstep_ns"),
+    };
+    // Value initialization fans out like a phase.
+    for_each_chunked(&mut workers.shards, threads, pool, |shard| {
+        shard.init_values(program, workers.graph, layout);
+    });
+    let result = match run_master(program, graph, layout, config, &mut workers) {
+        Ok(result) => result,
+        Err(never) => match never {},
+    };
     predict_obs::registry()
         .counter("bsp.supersteps")
-        .add(supersteps.len() as u64);
-
-    let n = storage.num_vertices();
-    let write_ms = clock.write_time_ms(n, num_workers);
-
-    // Scatter shard values back into a dense vertex-indexed vector. Shard
-    // slots ascend with vertex id, so walking one cursor per shard moves
-    // every value without cloning it.
-    let mut cursors: Vec<_> = shards.into_iter().map(|s| s.values.into_iter()).collect();
-    let mut values: Vec<P::VertexValue> = Vec::with_capacity(n);
-    for v in 0..n {
-        values.push(
-            cursors[layout.owner_of(v as VertexId)]
-                .next()
-                .expect("every vertex has a shard value"),
-        );
-    }
-
-    let profile = RunProfile {
-        algorithm: program.name().to_string(),
-        num_vertices: n,
-        num_edges: storage.num_edges(),
-        num_workers,
-        setup_ms,
-        read_ms,
-        write_ms,
-        supersteps,
-        measured: None,
-    };
-    BspRunResult {
-        values,
-        profile,
-        halt_reason,
-    }
+        .add(result.profile.supersteps.len() as u64);
+    result
 }

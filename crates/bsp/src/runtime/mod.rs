@@ -1,18 +1,23 @@
 //! The parallel deterministic BSP runtime.
 //!
-//! This subsystem replaces the old sequential superstep loop inside
-//! [`BspEngine::run`](crate::engine::BspEngine::run). It owns three things:
+//! Five pieces:
 //!
+//! * **one master loop** ([`run_master`]) — the simulated clock, the
+//!   ascending-worker merges, the halt priority, profile assembly and value
+//!   scatter, written once against the [`Workers`] trait. Two production
+//!   implementations plug into it, both monomorphized: the in-memory
+//!   executor below and `predict_cluster`'s driver, whose workers sit behind
+//!   a channel or a socket;
 //! * **sharded worker state** ([`WorkerShard`]) — per-worker vertex values,
 //!   halt flags, inboxes and outbox buffers, laid out by a cached
 //!   [`ShardLayout`]. Layouts depend only on `(num_vertices, num_workers,
 //!   strategy)` (vertex assignment never inspects edges), so the engine's
 //!   [`LayoutCache`] shares them across runs and across graphs of equal size
 //!   instead of rebuilding a `Partitioning` scan per run;
-//! * **a parallel executor** ([`execute`]) that fans each superstep's
-//!   compute and delivery phases out over the engine's persistent
-//!   [`WorkerPool`], with per-worker outboxes routed by destination worker
-//!   and merged in a fixed order;
+//! * **the in-memory executor** ([`execute`]) — the [`Workers`]
+//!   implementation that fans each superstep's compute and delivery phases
+//!   out over the engine's persistent [`WorkerPool`], with per-worker
+//!   outboxes routed by destination worker;
 //! * **a persistent worker pool** ([`WorkerPool`]) — long-lived threads with
 //!   per-worker injector deques, work stealing and scoped task latches, so a
 //!   warm service batch runs its supersteps with zero thread spawns (see
@@ -25,19 +30,19 @@
 //!
 //! A run's observable output — final vertex values, [`RunProfile`] (Table 1
 //! counters, aggregates, simulated [`ClusterClock`] timings) and halt reason
-//! — is **byte-identical for every [`ExecutionMode`] and thread count**,
-//! given the same graph, program and [`BspConfig`] seeds. Threads only change
-//! wall-clock time. This holds because every order-sensitive step is pinned:
+//! — is **byte-identical for every [`ExecutionMode`], thread count and
+//! transport**, given the same graph, program and [`BspConfig`] seeds.
+//! Threads and transports only change wall-clock time. This holds because
+//! every order-sensitive step is pinned:
 //!
 //! 1. within a shard, vertices compute in increasing vertex-id order (shard
 //!    slots follow vertex-id order by construction);
 //! 2. shards are disjoint: a worker's compute phase touches only its own
 //!    values, halt flags, inboxes and outboxes, so phase fan-out cannot race;
 //! 3. the master merges counters, float aggregate sums and `messages_sent`
-//!    in ascending worker order between phases, on one thread;
+//!    in ascending worker order, on one thread ([`StepSink::report`]);
 //! 4. a vertex's inbox receives messages ordered by (source worker asc,
-//!    source vertex asc, send order) — exactly the order the old sequential
-//!    delivery produced;
+//!    source vertex asc, send order);
 //! 5. the simulated clock consumes its deterministic noise stream in a fixed
 //!    call order (setup, read, per-superstep workers in ascending order,
 //!    write) on the master thread;
@@ -50,17 +55,16 @@
 //!    never splits one, and the scope latch joins all of them before the
 //!    master proceeds — so a pooled phase is observationally the sequential
 //!    loop over the same shards;
-//! 8. the contract extends across the process boundary: the cluster
-//!    transports (`predict_cluster`, selected by
-//!    [`TransportMode`](crate::remote::TransportMode)) replay this exact
-//!    loop with each shard behind a message channel or a socket. Message
-//!    batches are sequenced by (source worker, batch sequence number) and
-//!    runs within a batch are stably grouped by destination vertex, so every
-//!    inbox sees the order of point (4); the master merges `StepDone`
-//!    replies in ascending worker order and drives the same clock call
-//!    order, so values, [`RunProfile`] and halt reason stay byte-identical
-//!    under in-memory, in-process-channel and spawned-process execution
-//!    (pinned by the golden scenarios run under `PREDICT_TRANSPORT`).
+//! 8. same master, by construction: points 3 and 5 and the halt priority
+//!    are lines of [`run_master`], which the cluster transports
+//!    (`predict_cluster`, selected by
+//!    [`TransportMode`](crate::remote::TransportMode)) run too. All a
+//!    transport has to get right is per-worker: each worker computes over a
+//!    shard holding exactly its vertices' adjacency, message batches are
+//!    sequenced by (source worker, batch sequence number) and runs within a
+//!    batch are stably grouped by destination vertex, so every inbox sees
+//!    the order of point (4), and `StepDone` replies are reported in
+//!    ascending worker order.
 //!
 //! Property (2) is also why the runtime exists at all: PREDIcT executes
 //! thousands of sample runs (see `PredictService::submit_batch`), and the
@@ -74,11 +78,13 @@
 
 mod executor;
 mod layout;
+mod master;
 mod pool;
 mod shard;
 
 pub use executor::execute;
 pub use layout::{LayoutCache, ShardLayout};
+pub use master::{run_master, StepSink, Workers};
 pub use pool::{WorkerPool, DEFAULT_POOL_CAPACITY};
 pub use shard::WorkerShard;
 
@@ -88,7 +94,6 @@ mod tests {
     use crate::config::{BspConfig, ExecutionMode};
     use crate::cost::ClusterCostConfig;
     use crate::program::{ComputeContext, InitContext, VertexProgram};
-    use crate::storage::StorageRef;
     use predict_graph::generators::{generate_rmat, RmatConfig};
     use predict_graph::VertexId;
 
@@ -127,11 +132,10 @@ mod tests {
         let graph = generate_rmat(&RmatConfig::new(9, 6).with_seed(11));
         let config = BspConfig::with_workers(7);
         let layout = ShardLayout::build(graph.num_vertices(), 7, config.partition_strategy);
-        let storage = StorageRef::Unified(&graph);
         let pool = WorkerPool::new(7);
-        let baseline = execute(&Ripple, storage, &layout, &config, 1, &pool);
+        let baseline = execute(&Ripple, &graph, &layout, &config, 1, &pool);
         for threads in [2usize, 3, 7] {
-            let run = execute(&Ripple, storage, &layout, &config, threads, &pool);
+            let run = execute(&Ripple, &graph, &layout, &config, threads, &pool);
             assert_eq!(baseline.values, run.values, "{threads} threads");
             assert_eq!(baseline.profile, run.profile, "{threads} threads");
             assert_eq!(baseline.halt_reason, run.halt_reason, "{threads} threads");
@@ -158,91 +162,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_storage_is_byte_identical_to_unified() {
-        let graph = generate_rmat(&RmatConfig::new(9, 6).with_seed(13));
-        let engine = crate::engine::BspEngine::new(
-            BspConfig::with_workers(5).with_cost(ClusterCostConfig::default()),
-        );
-        let unified = engine.run(&graph, &Ripple);
-        let sharded_engine = engine.with_storage(crate::storage::StorageMode::Sharded);
-        let sharded = sharded_engine.run(&graph, &Ripple);
-        assert_eq!(unified.values, sharded.values);
-        assert_eq!(unified.profile, sharded.profile);
-        assert_eq!(unified.halt_reason, sharded.halt_reason);
-        // Pre-built storage takes the same path.
-        let storage = crate::storage::GraphStorage::shard_graph(
-            &graph,
-            5,
-            engine.config().partition_strategy,
-        );
-        let prebuilt = engine.run_storage(&storage, &Ripple);
-        assert_eq!(unified.values, prebuilt.values);
-        assert_eq!(unified.profile, prebuilt.profile);
-    }
-
-    #[test]
-    fn sharded_storage_is_thread_count_independent() {
-        let graph = generate_rmat(&RmatConfig::new(9, 6).with_seed(17));
-        let config = BspConfig::with_workers(6);
-        let storage =
-            crate::storage::GraphStorage::shard_graph(&graph, 6, config.partition_strategy);
-        let layout = ShardLayout::build(graph.num_vertices(), 6, config.partition_strategy);
-        let storage = storage.as_storage_ref();
-        let pool = WorkerPool::new(6);
-        let baseline = execute(&Ripple, storage, &layout, &config, 1, &pool);
-        for threads in [2usize, 4, 6] {
-            let run = execute(&Ripple, storage, &layout, &config, threads, &pool);
-            assert_eq!(baseline.values, run.values, "{threads} threads");
-            assert_eq!(baseline.profile, run.profile, "{threads} threads");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "ownership does not match")]
-    fn mismatched_partition_strategy_is_rejected() {
-        use crate::partition::PartitionStrategy;
-        let graph = generate_rmat(&RmatConfig::new(7, 4).with_seed(1));
-        let engine = crate::engine::BspEngine::new(
-            BspConfig::with_workers(4).with_partition_strategy(PartitionStrategy::Range),
-        );
-        // Same worker count, different strategy: shard sizes can coincide,
-        // but ownership cannot — the engine must reject it even in release
-        // builds instead of silently misrouting adjacency.
-        let storage =
-            crate::storage::GraphStorage::shard_graph(&graph, 4, PartitionStrategy::Modulo);
-        let _ = engine.run_storage(&storage, &Ripple);
-    }
-
-    #[test]
-    #[should_panic(expected = "sharded over")]
-    fn mismatched_shard_count_is_rejected() {
-        let graph = generate_rmat(&RmatConfig::new(7, 4).with_seed(1));
-        let engine = crate::engine::BspEngine::new(BspConfig::with_workers(4));
-        let storage = crate::storage::GraphStorage::shard_graph(
-            &graph,
-            3,
-            engine.config().partition_strategy,
-        );
-        let _ = engine.run_storage(&storage, &Ripple);
-    }
-
-    // The name predates the removal of the scoped-thread executor; the
-    // reference is now the `threads = 1` loop, which never touches the pool.
-    #[test]
-    fn pooled_execution_is_byte_identical_to_scoped_threads() {
+    fn pooled_execution_is_byte_identical_to_the_calling_thread_loop() {
         let graph = generate_rmat(&RmatConfig::new(9, 6).with_seed(19));
         let config = BspConfig::with_workers(6);
         let layout = ShardLayout::build(graph.num_vertices(), 6, config.partition_strategy);
-        let storage = StorageRef::Unified(&graph);
         let pool = WorkerPool::new(4);
-        let sequential = execute(&Ripple, storage, &layout, &config, 1, &pool);
+        let sequential = execute(&Ripple, &graph, &layout, &config, 1, &pool);
         assert_eq!(
             pool.threads_spawned(),
             0,
             "one thread never touches the pool"
         );
         for threads in [2usize, 4] {
-            let pooled = execute(&Ripple, storage, &layout, &config, threads, &pool);
+            let pooled = execute(&Ripple, &graph, &layout, &config, threads, &pool);
             assert_eq!(sequential.values, pooled.values, "{threads} pooled threads");
             assert_eq!(
                 sequential.profile, pooled.profile,
@@ -253,7 +185,7 @@ mod tests {
         // Repeated pooled runs reuse the warm workers instead of spawning.
         let warm = pool.threads_spawned();
         for _ in 0..3 {
-            let _ = execute(&Ripple, storage, &layout, &config, 4, &pool);
+            let _ = execute(&Ripple, &graph, &layout, &config, 4, &pool);
         }
         assert_eq!(pool.threads_spawned(), warm, "warm runs must not spawn");
     }

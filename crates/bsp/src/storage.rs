@@ -1,172 +1,14 @@
-//! Graph storage: one allocation or one shard per worker.
+//! One worker's view of the graph.
 //!
-//! The runtime can execute a vertex program against two physical layouts of
-//! the same logical graph:
-//!
-//! * [`GraphStorage::Unified`] — the classic single
-//!   [`CsrGraph`] allocation shared (read-only) by
-//!   every worker;
-//! * [`GraphStorage::Sharded`] — one [`ShardedCsr`] per worker, each holding
-//!   only the out-adjacency of the vertices that worker owns plus the
-//!   remote-edge cut lists. Compute phases read *only* their local shard;
-//!   messages route across the cut exactly as under unified storage. This is
-//!   the structural prerequisite for graphs that exceed one allocation.
-//!
-//! Both layouts hold byte-identical adjacency per vertex (shards preserve
-//! per-source edge order), so the runtime's determinism contract extends
-//! across storage: values, [`RunProfile`](crate::profile::RunProfile) and
-//! halt reason are identical whichever layout a run uses, at every thread
-//! count (pinned by the workspace's golden scenarios and proptests).
-//!
-//! Storage is selected per run: callers either hand the engine pre-built
-//! storage ([`crate::BspEngine::run_storage`]) or set
-//! [`BspConfig::storage`](crate::config::BspConfig::storage) to a
-//! [`StorageMode`] and keep calling
-//! [`BspEngine::run`](crate::BspEngine::run) — `Auto` honors the
-//! `PREDICT_STORAGE` environment variable, which is how the scenario runner
-//! replays every golden under sharded storage without touching any binary.
+//! A worker reads adjacency through a [`WorkerGraph`]: in memory every
+//! worker shares the one unified [`CsrGraph`]; a cluster worker
+//! (`predict_cluster`) owns exactly one [`ShardedCsr`] — the out-adjacency
+//! of its own vertices plus the remote-edge cut lists — and nothing else of
+//! the graph. Both views hold byte-identical adjacency per owned vertex
+//! (shards preserve per-source edge order), which is one of the things that
+//! makes a cluster run the same computation as an in-memory one.
 
-use crate::partition::{assign_vertex, PartitionStrategy};
-use predict_graph::{CsrGraph, EdgeList, ShardedCsr, VertexId};
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// How [`BspEngine::run`](crate::BspEngine::run) stores the graph for a run.
-///
-/// A pure layout knob: results are byte-identical under every mode (see the
-/// [module documentation](self)); only memory shape and construction cost
-/// differ. Sharded runs built through this knob pay one shard-construction
-/// pass (`O(V + E)`) per run — callers that execute many runs over the same
-/// graph should build a [`GraphStorage`] once and use
-/// [`BspEngine::run_storage`](crate::BspEngine::run_storage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StorageMode {
-    /// Honor the `PREDICT_STORAGE` environment variable (`sharded` selects
-    /// sharded storage; anything else, or unset, selects unified).
-    #[default]
-    Auto,
-    /// One contiguous CSR allocation shared by all workers.
-    Unified,
-    /// One [`ShardedCsr`] per worker, built from the run's graph.
-    Sharded,
-}
-
-impl StorageMode {
-    /// Resolves the mode to a concrete layout choice (`true` = sharded).
-    pub fn resolve_sharded(self) -> bool {
-        match self {
-            Self::Unified => false,
-            Self::Sharded => true,
-            Self::Auto => crate::knobs::env_storage_sharded(),
-        }
-    }
-}
-
-/// A graph in one of the two physical layouts the runtime executes against.
-#[derive(Debug, Clone)]
-pub enum GraphStorage {
-    /// One contiguous CSR allocation shared by every worker.
-    Unified(Arc<CsrGraph>),
-    /// One shard per worker; shard `w` must belong to worker `w` of the
-    /// partitioning the engine runs with.
-    Sharded(Vec<ShardedCsr>),
-}
-
-impl GraphStorage {
-    /// Wraps a unified graph.
-    pub fn unified(graph: impl Into<Arc<CsrGraph>>) -> Self {
-        Self::Unified(graph.into())
-    }
-
-    /// Shards a frozen CSR over `num_workers` workers under `strategy` —
-    /// the same vertex assignment a [`crate::BspConfig`] with those settings
-    /// produces, so the result is directly runnable by such an engine.
-    pub fn shard_graph(graph: &CsrGraph, num_workers: usize, strategy: PartitionStrategy) -> Self {
-        let n = graph.num_vertices();
-        Self::Sharded(predict_graph::shard_csr(graph, num_workers, |v| {
-            assign_vertex(v as usize, n, num_workers, strategy) as usize
-        }))
-    }
-
-    /// Shards an edge list over `num_workers` workers under `strategy`
-    /// without ever materializing the unified CSR — the graph goes from edge
-    /// stream to per-worker shards directly.
-    pub fn shard_edge_list(
-        list: &EdgeList,
-        num_workers: usize,
-        strategy: PartitionStrategy,
-    ) -> Self {
-        let n = list.num_vertices();
-        Self::Sharded(predict_graph::shard_edge_list(list, num_workers, |v| {
-            assign_vertex(v as usize, n, num_workers, strategy) as usize
-        }))
-    }
-
-    /// Number of vertices of the stored graph.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            Self::Unified(g) => g.num_vertices(),
-            Self::Sharded(shards) => shards.first().map(|s| s.global_vertices()).unwrap_or(0),
-        }
-    }
-
-    /// Number of edges of the stored graph.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            Self::Unified(g) => g.num_edges(),
-            Self::Sharded(shards) => shards.first().map(|s| s.global_edges()).unwrap_or(0),
-        }
-    }
-
-    /// Number of shards, or `None` for unified storage.
-    pub fn num_shards(&self) -> Option<usize> {
-        match self {
-            Self::Unified(_) => None,
-            Self::Sharded(shards) => Some(shards.len()),
-        }
-    }
-
-    /// Borrowed view the executor runs against.
-    pub fn as_storage_ref(&self) -> StorageRef<'_> {
-        match self {
-            Self::Unified(g) => StorageRef::Unified(g),
-            Self::Sharded(shards) => StorageRef::Sharded(shards),
-        }
-    }
-}
-
-/// Borrowed storage handed to the executor: either the shared unified graph
-/// or the full shard set.
-#[derive(Clone, Copy)]
-pub enum StorageRef<'a> {
-    Unified(&'a CsrGraph),
-    Sharded(&'a [ShardedCsr]),
-}
-
-impl<'a> StorageRef<'a> {
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            Self::Unified(g) => g.num_vertices(),
-            Self::Sharded(shards) => shards.first().map(|s| s.global_vertices()).unwrap_or(0),
-        }
-    }
-
-    pub fn num_edges(&self) -> usize {
-        match self {
-            Self::Unified(g) => g.num_edges(),
-            Self::Sharded(shards) => shards.first().map(|s| s.global_edges()).unwrap_or(0),
-        }
-    }
-
-    /// The graph as seen by worker `w`: the whole graph under unified
-    /// storage, only worker `w`'s shard under sharded storage.
-    pub fn worker_graph(&self, w: usize) -> WorkerGraph<'a> {
-        match self {
-            Self::Unified(g) => WorkerGraph::Unified(g),
-            Self::Sharded(shards) => WorkerGraph::Shard(&shards[w]),
-        }
-    }
-}
+use predict_graph::{CsrGraph, ShardedCsr, VertexId};
 
 /// One worker's read-only view of the graph during compute and
 /// initialization phases. Vertices are addressed by `(slot, vertex)` pairs —
@@ -221,73 +63,25 @@ impl<'a> WorkerGraph<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::{assign_vertex, PartitionStrategy};
     use predict_graph::generators::{generate_rmat, RmatConfig};
-
-    #[test]
-    fn storage_totals_agree_across_layouts() {
-        let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(2));
-        let unified = GraphStorage::unified(g.clone());
-        let sharded = GraphStorage::shard_graph(&g, 4, PartitionStrategy::Hash);
-        assert_eq!(unified.num_vertices(), sharded.num_vertices());
-        assert_eq!(unified.num_edges(), sharded.num_edges());
-        assert_eq!(unified.num_shards(), None);
-        assert_eq!(sharded.num_shards(), Some(4));
-    }
-
-    #[test]
-    fn shard_edge_list_matches_shard_graph() {
-        let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(3));
-        let el = g.to_edge_list();
-        let a = GraphStorage::shard_edge_list(&el, 3, PartitionStrategy::Range);
-        let b = GraphStorage::shard_graph(&g, 3, PartitionStrategy::Range);
-        let (GraphStorage::Sharded(a), GraphStorage::Sharded(b)) = (&a, &b) else {
-            panic!("both must be sharded");
-        };
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.owned(), y.owned());
-            for slot in 0..x.num_local_vertices() {
-                assert_eq!(x.out_neighbors_at(slot), y.out_neighbors_at(slot));
-            }
-        }
-    }
 
     #[test]
     fn worker_graph_views_agree() {
         let g = generate_rmat(&RmatConfig::new(7, 4).with_seed(5));
-        let sharded = GraphStorage::shard_graph(&g, 3, PartitionStrategy::Modulo);
-        let unified = GraphStorage::unified(g.clone());
-        let (su, ss) = (unified.as_storage_ref(), sharded.as_storage_ref());
-        for w in 0..3 {
-            let (vu, vs) = (su.worker_graph(w), ss.worker_graph(w));
+        let n = g.num_vertices();
+        let shards = predict_graph::shard_csr(&g, 3, |v| {
+            assign_vertex(v as usize, n, 3, PartitionStrategy::Modulo) as usize
+        });
+        let vu = WorkerGraph::Unified(&g);
+        for shard in &shards {
+            let vs = WorkerGraph::Shard(shard);
             assert_eq!(vu.num_vertices(), vs.num_vertices());
             assert_eq!(vu.num_edges(), vs.num_edges());
-            let GraphStorage::Sharded(shards) = &sharded else {
-                unreachable!()
-            };
-            for (slot, &v) in shards[w].owned().iter().enumerate() {
+            for (slot, &v) in shard.owned().iter().enumerate() {
                 assert_eq!(vu.out_neighbors(slot, v), vs.out_neighbors(slot, v));
                 assert_eq!(vu.out_weights(slot, v), vs.out_weights(slot, v));
             }
         }
-    }
-
-    #[test]
-    fn storage_mode_resolves() {
-        assert!(!StorageMode::Unified.resolve_sharded());
-        assert!(StorageMode::Sharded.resolve_sharded());
-        // Auto without the env var resolves to unified. (Mutating the env
-        // var here could race other tests; the scenario runner exercises the
-        // sharded Auto path end to end.)
-        if std::env::var("PREDICT_STORAGE").is_err() {
-            assert!(!StorageMode::Auto.resolve_sharded());
-        }
-    }
-
-    #[test]
-    fn empty_sharded_storage_is_well_formed() {
-        let storage = GraphStorage::Sharded(Vec::new());
-        assert_eq!(storage.num_vertices(), 0);
-        assert_eq!(storage.num_edges(), 0);
-        assert_eq!(storage.num_shards(), Some(0));
     }
 }

@@ -33,9 +33,9 @@ impl<P: VertexProgram> WorkerShard<P> {
     /// increasing vertex-id order, maintains the Table 1 counters, and routes
     /// the produced messages into the per-destination-worker buffers
     /// (`self.routed`), preserving production order. `graph` is this worker's
-    /// view of the graph — the whole CSR under unified storage, only the
-    /// worker's own shard under sharded storage; the phase never reads
-    /// adjacency outside the owned vertices either way.
+    /// view of the graph — the whole CSR in memory, only the worker's own
+    /// shard on a cluster worker; the phase never reads adjacency outside
+    /// the owned vertices either way.
     pub fn run_superstep(
         &mut self,
         program: &P,

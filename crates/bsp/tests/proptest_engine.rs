@@ -2,8 +2,8 @@
 //! totals and determinism on arbitrary graphs.
 
 use predict_bsp::{
-    BspConfig, BspEngine, ClusterCostConfig, ComputeContext, ExecutionMode, GraphStorage,
-    InitContext, PartitionStrategy, Partitioning, StorageMode, VertexProgram,
+    BspConfig, BspEngine, ClusterCostConfig, ComputeContext, ExecutionMode, InitContext,
+    PartitionStrategy, Partitioning, VertexProgram,
 };
 use predict_graph::{CsrGraph, EdgeList, VertexId};
 use proptest::prelude::*;
@@ -150,42 +150,6 @@ proptest! {
         prop_assert_eq!(sequential.values, parallel.values);
         prop_assert_eq!(sequential.halt_reason, parallel.halt_reason);
         prop_assert_eq!(sequential.profile, parallel.profile);
-    }
-
-    /// Unified and sharded graph storage are indistinguishable: for any
-    /// graph, worker count, partition strategy and thread count, the run
-    /// produces identical values, halt reason and full profile — the
-    /// storage half of the runtime's determinism contract. Covers empty
-    /// worker ranges (more workers than a small graph's vertices) and
-    /// cross-shard edges by construction.
-    #[test]
-    fn unified_and_sharded_storage_are_identical(
-        graph in graph_strategy(48, 200),
-        workers in 1usize..8,
-        threads in 1usize..4,
-        strategy_idx in 0usize..3,
-    ) {
-        let strategy = [
-            PartitionStrategy::Hash,
-            PartitionStrategy::Range,
-            PartitionStrategy::Modulo,
-        ][strategy_idx];
-        let config = BspConfig::with_workers(workers)
-            .with_partition_strategy(strategy)
-            .with_execution(ExecutionMode::Parallel { threads });
-        let unified = BspEngine::new(config.clone().with_storage(StorageMode::Unified))
-            .run(&graph, &CountIncoming);
-        let sharded = BspEngine::new(config.clone().with_storage(StorageMode::Sharded))
-            .run(&graph, &CountIncoming);
-        prop_assert_eq!(&unified.values, &sharded.values);
-        prop_assert_eq!(unified.halt_reason, sharded.halt_reason);
-        prop_assert_eq!(&unified.profile, &sharded.profile);
-        // Shards built from the edge list (never materializing the unified
-        // CSR) run identically too.
-        let storage = GraphStorage::shard_edge_list(&graph.to_edge_list(), workers, strategy);
-        let from_list = BspEngine::new(config).run_storage(&storage, &CountIncoming);
-        prop_assert_eq!(&unified.values, &from_list.values);
-        prop_assert_eq!(&unified.profile, &from_list.profile);
     }
 
     /// Every partitioning strategy assigns each vertex to exactly one worker

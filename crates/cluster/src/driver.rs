@@ -1,18 +1,20 @@
-//! The cluster driver: the BSP master over a transport boundary.
+//! The cluster driver: the transport half of a cluster run.
 //!
 //! [`drive`] runs one vertex program to completion against a group of
-//! workers, mirroring the in-memory executor
-//! (`predict_bsp::runtime`) phase for phase: the same clock call order, the
-//! same ascending-worker merges, the same halt priority — which is what
-//! makes the result byte-identical to an in-memory run (determinism contract
-//! point 8). What the in-memory executor does with buffer swaps, the driver
-//! does with `Step`/`StepDone` frames; everything order-sensitive still
-//! happens on this thread.
+//! workers. The master loop is not here: it is
+//! [`predict_bsp::run_master`], the same code the in-memory executor runs,
+//! which is what makes the result byte-identical to an in-memory run
+//! (determinism contract point 8). This module is `RemoteWorkers`, the
+//! master's view of a worker group — what the in-memory executor does with
+//! buffer swaps, it does with `Init`/`Step`/`StepDone`/`Finish` frames:
+//! ship each worker its shard, fan a step out, collect the replies in
+//! ascending worker order under a read deadline, validate them, route
+//! outbound batches to next superstep's `Step`.
 //!
-//! On top of the simulated [`ClusterClock`] timings the driver records what
-//! the paper's simulated clock cannot see: *measured* per-superstep wall
-//! time, per-worker compute time and bytes-on-the-wire, attached to the
-//! returned [`RunProfile`] as a [`MeasuredRun`].
+//! On top of the master's simulated timings it records what a simulated
+//! clock cannot see: *measured* per-superstep wall time, per-worker compute
+//! time and bytes-on-the-wire, attached to the returned profile as a
+//! [`MeasuredRun`].
 
 use crate::error::ClusterError;
 use crate::fault::FaultSchedule;
@@ -21,10 +23,12 @@ use crate::transport::{self, Connection, TransportKind, WorkerGroup};
 use crate::wire::{decode_exact, encode_to_vec, Wire, WireBatch};
 use predict_bsp::runtime::ShardLayout;
 use predict_bsp::{
-    Aggregates, BspConfig, BspRunResult, ClusterClock, GraphStorage, HaltReason, MeasuredRun,
-    MeasuredSuperstep, RunProfile, SuperstepProfile, VertexProgram,
+    run_master, Aggregates, BspConfig, BspRunResult, MeasuredRun, MeasuredSuperstep, StepSink,
+    VertexProgram, Workers,
 };
-use predict_graph::{CsrGraph, ShardedCsr, VertexId};
+use predict_graph::{shard_csr, CsrGraph};
+use predict_obs::metrics::{Counter, Histogram};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a cluster drive runs: backend, read deadline, injected fault.
@@ -69,7 +73,7 @@ impl DriveOptions {
 /// Runs `program` over `graph` on a worker group, returning the same
 /// [`BspRunResult`] the in-memory engine returns — byte-identical values,
 /// profile and halt reason — plus measured timings in
-/// [`RunProfile::measured`].
+/// [`RunProfile::measured`](predict_bsp::RunProfile::measured).
 ///
 /// `spec` must describe the same program as `program` (the driver keeps its
 /// own instance for the master-side halt check; the workers build theirs
@@ -98,7 +102,7 @@ where
             });
         }
         let (fw, schedule) = (*fw, schedule.clone());
-        WorkerGroup::spawn_with(opts.kind, config.num_workers, |w| {
+        WorkerGroup::spawn_with(opts.kind, config.workers(), |w| {
             Ok(if w == fw {
                 Connection::spawn_inproc_faulty(w, schedule.clone())
             } else {
@@ -106,9 +110,9 @@ where
             })
         })?
     } else if opts.fault.is_some() {
-        WorkerGroup::spawn(opts.kind, config.num_workers)?
+        WorkerGroup::spawn(opts.kind, config.workers())?
     } else {
-        transport::checkout(opts.kind, config.num_workers)?
+        transport::checkout(opts.kind, config.workers())?
     };
     let result = drive_on_group(program, spec, ranks, graph, config, opts, &mut group);
     if result.is_ok() && !opts.faulted() {
@@ -178,89 +182,125 @@ where
     P::Message: Wire,
     P::VertexValue: Wire,
 {
-    let num_workers = config.num_workers;
-    let n = graph.num_vertices();
-    let layout = ShardLayout::build(n, num_workers, config.partition_strategy);
+    let layout = ShardLayout::build(
+        graph.num_vertices(),
+        config.workers(),
+        config.partition_strategy,
+    );
     let run_start = Instant::now();
     let _run_span = predict_obs::trace::span("cluster.run")
         .arg("transport", opts.kind.name())
-        .arg("workers", num_workers);
-    let step_ns = predict_obs::registry().histogram("cluster.step_ns");
-    let wire_bytes_counter = predict_obs::registry().counter("cluster.wire_bytes");
+        .arg("workers", layout.num_workers());
+    let mut workers = RemoteWorkers::<P>::init(spec, ranks, graph, &layout, opts, group)?;
+    let mut result = run_master(program, graph, &layout, config, &mut workers)?;
+    result.profile.measured = Some(MeasuredRun {
+        transport: opts.kind.name().to_string(),
+        supersteps: workers.measured,
+        total_wall_ns: run_start.elapsed().as_nanos() as u64,
+    });
+    Ok(result)
+}
 
-    // Same clock call order as the in-memory executor: setup, read, one
-    // superstep call per superstep, write — so simulated times (including
-    // their deterministic noise stream) match bit for bit.
-    let mut clock = ClusterClock::new(config.cost.clone());
-    let setup_ms = clock.setup_time_ms();
-    let read_ms = clock.read_time_ms(graph.num_edges(), num_workers);
+/// A worker group mid-run, as the master sees it.
+struct RemoteWorkers<'a, P: VertexProgram> {
+    group: &'a mut WorkerGroup,
+    layout: &'a ShardLayout,
+    timeout: Duration,
+    /// Undelivered batches per destination worker. Filled from `StepDone`
+    /// replies in ascending source order, drained into the next `Step`.
+    pending: Vec<Vec<WireBatch<P::Message>>>,
+    measured: Vec<MeasuredSuperstep>,
+    step_ns: Arc<Histogram>,
+    wire_bytes: Arc<Counter>,
+    steps: Arc<Counter>,
+}
 
-    let GraphStorage::Sharded(shards) =
-        GraphStorage::shard_graph(graph, num_workers, config.partition_strategy)
-    else {
-        unreachable!("shard_graph always builds sharded storage")
-    };
-
-    // Init every worker, then collect InitOk in ascending worker order.
-    for (w, shard) in shards.iter().enumerate() {
-        let header = InitHeader {
-            protocol_version: protocol::PROTOCOL_VERSION,
-            worker: w,
-            num_workers,
-            strategy: config.partition_strategy,
-            program: spec.clone(),
-            fault: match &opts.fault {
-                Some((fw, fault)) if *fw == w => Some(*fault),
-                _ => None,
-            },
-        };
-        let body = protocol::encode_init(&header, shard, ranks);
-        group.connections[w].send(tag::INIT, &body)?;
+impl<'a, P: VertexProgram> RemoteWorkers<'a, P> {
+    /// Ships every worker its shard of `graph`, then collects `InitOk` in
+    /// ascending worker order.
+    fn init(
+        spec: &ProgramSpec,
+        ranks: &[f64],
+        graph: &CsrGraph,
+        layout: &'a ShardLayout,
+        opts: &DriveOptions,
+        group: &'a mut WorkerGroup,
+    ) -> Result<Self, ClusterError> {
+        let num_workers = layout.num_workers();
+        let shards = shard_csr(graph, num_workers, |v| layout.owner_of(v));
+        for (w, shard) in shards.iter().enumerate() {
+            let header = InitHeader {
+                protocol_version: protocol::PROTOCOL_VERSION,
+                worker: w,
+                num_workers,
+                strategy: layout.strategy(),
+                program: spec.clone(),
+                fault: match &opts.fault {
+                    Some((fw, fault)) if *fw == w => Some(*fault),
+                    _ => None,
+                },
+            };
+            let body = protocol::encode_init(&header, shard, ranks);
+            group.connections[w].send(tag::INIT, &body)?;
+        }
+        drop(shards);
+        for conn in &mut group.connections {
+            expect_frame(conn, tag::INIT_OK, opts.timeout)?;
+        }
+        let registry = predict_obs::registry();
+        Ok(Self {
+            group,
+            layout,
+            timeout: opts.timeout,
+            pending: (0..num_workers).map(|_| Vec::new()).collect(),
+            measured: Vec::new(),
+            step_ns: registry.histogram("cluster.step_ns"),
+            wire_bytes: registry.counter("cluster.wire_bytes"),
+            steps: registry.counter("cluster.steps"),
+        })
     }
-    drop(shards);
-    for conn in &mut group.connections {
-        expect_frame(conn, tag::INIT_OK, opts.timeout)?;
-    }
+}
 
-    // Undelivered batches per destination worker. Filled from `StepDone`
-    // replies in ascending source order, drained into the next `Step`.
-    let mut pending: Vec<Vec<WireBatch<P::Message>>> =
-        (0..num_workers).map(|_| Vec::new()).collect();
-    let mut previous_aggregates = Aggregates::new();
-    let mut supersteps: Vec<SuperstepProfile> = Vec::new();
-    let mut measured: Vec<MeasuredSuperstep> = Vec::new();
-    let mut halt_reason = HaltReason::MaxSupersteps;
+impl<P> Workers<P> for RemoteWorkers<'_, P>
+where
+    P: VertexProgram,
+    P::Message: Wire,
+    P::VertexValue: Wire,
+{
+    type Error = ClusterError;
 
-    for superstep in 0..config.max_supersteps {
+    fn step(
+        &mut self,
+        superstep: usize,
+        previous_aggregates: &Aggregates,
+        sink: &mut StepSink,
+    ) -> Result<(), ClusterError> {
+        let num_workers = self.pending.len();
         let mut step_span =
             predict_obs::trace::span("cluster.step").arg("superstep", superstep as u64);
         let step_start = Instant::now();
-        let mut wire_bytes = vec![0u64; num_workers];
 
         // Fan the step out to every worker before reading any reply, so
         // workers compute concurrently.
-        for w in 0..num_workers {
+        let mut wire_bytes = Vec::with_capacity(num_workers);
+        for (conn, pending) in self.group.connections.iter_mut().zip(&mut self.pending) {
             let step = StepBody {
                 superstep: superstep as u64,
                 previous_aggregates: previous_aggregates.clone(),
-                batches: std::mem::take(&mut pending[w]),
+                batches: std::mem::take(pending),
             };
             let body = encode_to_vec(&step);
-            wire_bytes[w] += body.len() as u64;
-            group.connections[w]
-                .send(tag::STEP, &body)
+            wire_bytes.push(body.len() as u64);
+            conn.send(tag::STEP, &body)
                 .map_err(|e| e.at_superstep(superstep))?;
         }
 
-        // Barrier: collect StepDone in ascending worker order and merge in
-        // that order, as the in-memory master does.
-        let mut worker_counters = Vec::with_capacity(num_workers);
+        // Barrier: collect StepDone in ascending worker order and report in
+        // that order.
         let mut worker_compute_ns = Vec::with_capacity(num_workers);
-        let mut aggregates = Aggregates::new();
-        let mut messages_sent = 0u64;
-        let mut all_halted = true;
         for (w, wire) in wire_bytes.iter_mut().enumerate() {
-            let body = expect_frame(&mut group.connections[w], tag::STEP_DONE, opts.timeout)
+            let conn = &mut self.group.connections[w];
+            let body = expect_frame(conn, tag::STEP_DONE, self.timeout)
                 .map_err(|e| e.at_superstep(superstep))?;
             *wire += body.len() as u64;
             let done: StepDoneBody<P::Message> =
@@ -275,11 +315,8 @@ where
                     ),
                 });
             }
-            worker_counters.push(done.counters);
+            sink.report(&done.counters, &done.partial_aggregates, done.all_halted);
             worker_compute_ns.push(done.compute_ns);
-            aggregates.merge(&done.partial_aggregates);
-            messages_sent += done.counters.total_messages();
-            all_halted &= done.all_halted;
             // Route the worker's outbound batches; sources arrive ascending
             // and each source's batches are ascending by destination, so
             // every pending list stays sorted by source worker.
@@ -291,108 +328,43 @@ where
                         detail: format!("batch addressed to invalid worker {dst}"),
                     });
                 }
-                pending[dst].push(batch);
+                self.pending[dst].push(batch);
             }
         }
 
-        let (wall_time_ms, worker_times_ms) = clock.superstep_time_ms(&worker_counters);
-        supersteps.push(SuperstepProfile {
-            superstep,
-            workers: worker_counters,
-            worker_times_ms,
-            wall_time_ms,
-            aggregates: aggregates.clone(),
-        });
         // Join the driver-side round-trip with the per-worker compute times
         // the STEP_DONE frames carried back.
         step_span.set_arg("worker_compute_ns", format!("{worker_compute_ns:?}"));
         let wall_ns = step_start.elapsed().as_nanos() as u64;
-        step_ns.record(wall_ns);
-        wire_bytes_counter.add(wire_bytes.iter().sum());
-        predict_obs::registry().counter("cluster.steps").incr();
-        measured.push(MeasuredSuperstep {
+        self.step_ns.record(wall_ns);
+        self.wire_bytes.add(wire_bytes.iter().sum());
+        self.steps.incr();
+        self.measured.push(MeasuredSuperstep {
             wall_ns,
             worker_compute_ns,
             wire_bytes,
         });
+        Ok(())
+    }
 
-        // Halt checks in the executor's priority order. The batches still
-        // pending after a halt are never delivered; the in-memory executor
-        // delivers them into inboxes no compute phase will ever read, so
-        // values and profile are unaffected.
-        if program.master_halt(superstep, &aggregates) {
-            halt_reason = HaltReason::MasterConverged;
-            break;
+    fn finish(&mut self) -> Result<Vec<Vec<P::VertexValue>>, ClusterError> {
+        for conn in &mut self.group.connections {
+            conn.send(tag::FINISH, &[])?;
         }
-        if messages_sent == 0 && all_halted {
-            halt_reason = HaltReason::AllVerticesHalted;
-            break;
+        let mut values = Vec::with_capacity(self.group.connections.len());
+        for (w, conn) in self.group.connections.iter_mut().enumerate() {
+            let body = expect_frame(conn, tag::VALUES, self.timeout)?;
+            let shard_values: Vec<P::VertexValue> =
+                decode_exact(&body).map_err(|e| ClusterError::from_wire(w, e))?;
+            let expected = self.layout.shard_vertices(w).len();
+            if shard_values.len() != expected {
+                return Err(ClusterError::Protocol {
+                    worker: w,
+                    detail: format!("expected {expected} values, got {}", shard_values.len()),
+                });
+            }
+            values.push(shard_values);
         }
-        previous_aggregates = aggregates;
+        Ok(values)
     }
-
-    let write_ms = clock.write_time_ms(n, num_workers);
-
-    // Collect final values: one slot-ordered vector per worker, scattered
-    // back to vertex order through one cursor per shard.
-    for conn in &mut group.connections {
-        conn.send(tag::FINISH, &[])?;
-    }
-    let mut cursors = Vec::with_capacity(num_workers);
-    for w in 0..num_workers {
-        let body = expect_frame(&mut group.connections[w], tag::VALUES, opts.timeout)?;
-        let values: Vec<P::VertexValue> =
-            decode_exact(&body).map_err(|e| ClusterError::from_wire(w, e))?;
-        if values.len() != layout.shard_vertices(w).len() {
-            return Err(ClusterError::Protocol {
-                worker: w,
-                detail: format!(
-                    "expected {} values, got {}",
-                    layout.shard_vertices(w).len(),
-                    values.len()
-                ),
-            });
-        }
-        cursors.push(values.into_iter());
-    }
-    let mut values: Vec<P::VertexValue> = Vec::with_capacity(n);
-    for v in 0..n {
-        values.push(
-            cursors[layout.owner_of(v as VertexId)]
-                .next()
-                .expect("value counts verified per shard"),
-        );
-    }
-
-    let profile = RunProfile {
-        algorithm: program.name().to_string(),
-        num_vertices: n,
-        num_edges: graph.num_edges(),
-        num_workers,
-        setup_ms,
-        read_ms,
-        write_ms,
-        supersteps,
-        measured: Some(MeasuredRun {
-            transport: opts.kind.name().to_string(),
-            supersteps: measured,
-            total_wall_ns: run_start.elapsed().as_nanos() as u64,
-        }),
-    };
-    Ok(BspRunResult {
-        values,
-        profile,
-        halt_reason,
-    })
-}
-
-/// Builds the shard this driver would send to `worker` — exposed for tests
-/// and benches that exercise the wire format against real shards.
-pub fn shard_for(graph: &CsrGraph, config: &BspConfig, worker: usize) -> ShardedCsr {
-    let GraphStorage::Sharded(mut shards) =
-        GraphStorage::shard_graph(graph, config.num_workers, config.partition_strategy)
-    else {
-        unreachable!("shard_graph always builds sharded storage")
-    };
-    shards.swap_remove(worker)
 }

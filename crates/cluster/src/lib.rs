@@ -25,11 +25,11 @@
 //!   ([`TransportKind::Socket`]; loopback TCP rides the identical code
 //!   path). Barrier, halt voting and aggregate exchange ride the same
 //!   frames.
-//! * [`driver`] + [`runner`] — the BSP master over a worker group, mirroring
-//!   the in-memory executor's merge and clock order so results are
-//!   *byte-identical* to in-memory runs (the engine's determinism contract,
-//!   point 8), while recording a [`MeasuredRun`](predict_bsp::MeasuredRun)
-//!   into the profile. [`run_workload`] is the drop-in workload entry point
+//! * [`driver`] + [`runner`] — a worker group as the `Workers` of the
+//!   engine's own master loop (`predict_bsp::run_master`), so results are
+//!   *byte-identical* to in-memory runs by construction (the engine's
+//!   determinism contract, point 8), while recording a
+//!   [`MeasuredRun`](predict_bsp::MeasuredRun) into the profile. [`run_workload`] is the drop-in workload entry point
 //!   the prediction pipeline uses; `PREDICT_TRANSPORT=inproc|socket`
 //!   switches executors without touching results.
 //!
@@ -52,7 +52,7 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use driver::{drive, drive_on, shard_for, DriveOptions};
+pub use driver::{drive, drive_on, DriveOptions};
 pub use endpoint::{ChannelEndpoint, Endpoint, StdioEndpoint};
 pub use error::{ClusterError, WireError};
 pub use fault::{Direction, FaultAction, FaultEndpoint, FaultSchedule, FaultStream};

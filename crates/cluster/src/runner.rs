@@ -20,11 +20,12 @@ use crate::error::ClusterError;
 use crate::fault::splitmix64;
 use crate::protocol::{FaultSpec, ProgramSpec};
 use crate::transport::TransportKind;
+use crate::wire::Wire;
 use predict_algorithms::{
     to_undirected, ConnectedComponents, NeighborhoodEstimation, PageRank, PageRankParams,
     SemiClustering, TopKRanking, Workload, WorkloadRun, WorkloadSpec,
 };
-use predict_bsp::{BspEngine, BspRunResult, GraphStorage};
+use predict_bsp::{BspEngine, BspRunResult, VertexProgram};
 use predict_graph::CsrGraph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -69,7 +70,7 @@ fn chaos_fault(num_workers: usize) -> Option<(usize, FaultSpec)> {
     if splitmix64(&mut state) % 100 >= plan.fault_percent as u64 {
         return None;
     }
-    let worker = (splitmix64(&mut state) % num_workers.max(1) as u64) as usize;
+    let worker = (splitmix64(&mut state) % num_workers as u64) as usize;
     let superstep = (splitmix64(&mut state) % 3) as usize;
     Some((
         worker,
@@ -80,27 +81,19 @@ fn chaos_fault(num_workers: usize) -> Option<(usize, FaultSpec)> {
     ))
 }
 
-/// Runs `workload` on `graph` under the engine's resolved transport.
-///
-/// `storage` is an optional pre-built sharded/unified store of `graph`,
-/// forwarded to the in-memory path when that path is taken (the cluster
-/// path ships shards of its own). The in-memory path cannot fail; every
-/// error is a cluster-transport failure.
+/// Runs `workload` on `graph` under the engine's resolved transport. The
+/// in-memory path cannot fail; every error is a cluster-transport failure.
 pub fn run_workload(
     engine: &BspEngine,
     workload: &dyn Workload,
     graph: &CsrGraph,
-    storage: Option<&GraphStorage>,
 ) -> Result<WorkloadRun, ClusterError> {
-    let choice = engine.config().transport.resolve();
-    let (Some(kind), Some(spec)) = (TransportKind::from_choice(choice), workload.spec()) else {
-        return Ok(match storage {
-            Some(storage) => workload.run_storage(engine, graph, storage),
-            None => workload.run(engine, graph),
-        });
+    let kind = TransportKind::from_mode(engine.config().transport);
+    let (Some(kind), Some(spec)) = (kind, workload.spec()) else {
+        return Ok(workload.run(engine, graph));
     };
     let mut opts = DriveOptions::new(kind);
-    opts.fault = chaos_fault(engine.config().num_workers);
+    opts.fault = chaos_fault(engine.config().workers());
     run_spec(engine, &spec, graph, &opts)
 }
 
@@ -112,20 +105,10 @@ pub fn run_spec(
     graph: &CsrGraph,
     opts: &DriveOptions,
 ) -> Result<WorkloadRun, ClusterError> {
-    let config = engine.config();
     match spec {
         WorkloadSpec::PageRank { params } => {
-            let program = PageRank::new(*params);
-            let result = drive(
-                &program,
-                &ProgramSpec::PageRank { params: *params },
-                &[],
-                graph,
-                config,
-                opts,
-            )?;
-            engine.record_external_run();
-            Ok(into_run(result))
+            let spec = ProgramSpec::PageRank { params: *params };
+            counted_drive(engine, opts, &PageRank::new(*params), &spec, &[], graph).map(into_run)
         }
         WorkloadSpec::TopK {
             params,
@@ -134,70 +117,48 @@ pub fn run_spec(
             // The PageRank pre-pass that produces the input ranking; only
             // the top-k phase below is profiled, as in the in-memory path.
             let pr_params = PageRankParams::with_epsilon(*pagerank_epsilon, graph.num_vertices());
+            let pr_spec = ProgramSpec::PageRank { params: pr_params };
             let pre = PageRank::new(pr_params);
-            let ranks = drive(
-                &pre,
-                &ProgramSpec::PageRank { params: pr_params },
-                &[],
-                graph,
-                config,
-                opts,
-            )?
-            .values;
-            engine.record_external_run();
+            let ranks = counted_drive(engine, opts, &pre, &pr_spec, &[], graph)?.values;
             let program = TopKRanking::new(*params, ranks.clone());
-            let result = drive(
-                &program,
-                &ProgramSpec::TopK { params: *params },
-                &ranks,
-                graph,
-                config,
-                opts,
-            )?;
-            engine.record_external_run();
-            Ok(into_run(result))
+            let spec = ProgramSpec::TopK { params: *params };
+            counted_drive(engine, opts, &program, &spec, &ranks, graph).map(into_run)
         }
         WorkloadSpec::SemiClustering { params } => {
-            let undirected = to_undirected(graph);
+            let spec = ProgramSpec::SemiClustering { params: *params };
             let program = SemiClustering::new(*params);
-            let result = drive(
-                &program,
-                &ProgramSpec::SemiClustering { params: *params },
-                &[],
-                &undirected,
-                config,
-                opts,
-            )?;
-            engine.record_external_run();
-            Ok(into_run(result))
+            counted_drive(engine, opts, &program, &spec, &[], &to_undirected(graph)).map(into_run)
         }
         WorkloadSpec::ConnectedComponents {} => {
+            let spec = ProgramSpec::ConnectedComponents {};
             let undirected = to_undirected(graph);
-            let result = drive(
-                &ConnectedComponents,
-                &ProgramSpec::ConnectedComponents {},
-                &[],
-                &undirected,
-                config,
-                opts,
-            )?;
-            engine.record_external_run();
-            Ok(into_run(result))
+            counted_drive(engine, opts, &ConnectedComponents, &spec, &[], &undirected).map(into_run)
         }
         WorkloadSpec::Neighborhood { params } => {
+            let spec = ProgramSpec::Neighborhood { params: *params };
             let program = NeighborhoodEstimation::new(*params);
-            let result = drive(
-                &program,
-                &ProgramSpec::Neighborhood { params: *params },
-                &[],
-                graph,
-                config,
-                opts,
-            )?;
-            engine.record_external_run();
-            Ok(into_run(result))
+            counted_drive(engine, opts, &program, &spec, &[], graph).map(into_run)
         }
     }
+}
+
+/// One cluster drive, counted through [`BspEngine::record_external_run`].
+fn counted_drive<P>(
+    engine: &BspEngine,
+    opts: &DriveOptions,
+    program: &P,
+    spec: &ProgramSpec,
+    ranks: &[f64],
+    graph: &CsrGraph,
+) -> Result<BspRunResult<P::VertexValue>, ClusterError>
+where
+    P: VertexProgram,
+    P::Message: Wire,
+    P::VertexValue: Wire,
+{
+    let result = drive(program, spec, ranks, graph, engine.config(), opts)?;
+    engine.record_external_run();
+    Ok(result)
 }
 
 fn into_run<V>(result: BspRunResult<V>) -> WorkloadRun {

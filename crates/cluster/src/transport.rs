@@ -31,7 +31,7 @@ use crate::error::ClusterError;
 use crate::fault::{FaultEndpoint, FaultSchedule};
 use crate::socket::{fresh_socket_path, SocketListener, SocketStream, ACCEPT_TIMEOUT};
 use crate::worker::serve;
-use predict_bsp::TransportChoice;
+use predict_bsp::TransportMode;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;
@@ -56,13 +56,13 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Maps a resolved env-knob choice to a transport kind; `InMemory` has
-    /// no transport and returns `None`.
-    pub fn from_choice(choice: TransportChoice) -> Option<Self> {
-        match choice {
-            TransportChoice::InMemory => None,
-            TransportChoice::InProc => Some(Self::InProc),
-            TransportChoice::Socket => Some(Self::Socket),
+    /// The transport kind `mode` resolves to (`Auto` through
+    /// `PREDICT_TRANSPORT`); `InMemory` has no transport and returns `None`.
+    pub fn from_mode(mode: TransportMode) -> Option<Self> {
+        match mode.resolve() {
+            TransportMode::InProc => Some(Self::InProc),
+            TransportMode::Socket => Some(Self::Socket),
+            TransportMode::InMemory | TransportMode::Auto => None,
         }
     }
 

@@ -2,9 +2,13 @@
 //!
 //! A worker — OS process or in-process thread, the code path is identical —
 //! owns one [`ShardedCsr`] and the corresponding
-//! [`WorkerShard`] runtime state, and replays exactly the per-worker half of
-//! the in-memory executor: deliver inbound messages, run the compute phase,
-//! route the outbox. The only difference is *where* the buffers come from:
+//! [`WorkerShard`] runtime state, and runs the same per-worker phases the
+//! in-memory executor runs (`WorkerShard::deliver`, then
+//! `WorkerShard::run_superstep`) over a [`WorkerGraph::Shard`] view instead
+//! of the unified CSR. What it reports in `StepDone` — counters, partial
+//! aggregates, halt vote — is what the shared master loop
+//! (`predict_bsp::run_master`) merges. The only difference from an
+//! in-memory shard is *where* the buffers come from:
 //! peer messages arrive as decoded [`WireBatch`](crate::wire::WireBatch)es
 //! instead of swapped
 //! `Vec`s, and the worker's messages to itself never cross the wire at all

@@ -202,7 +202,7 @@ fn topk_workload_runs_identically_over_the_cluster() {
         ..test_config()
     });
     let transported =
-        run_workload(&cluster_engine, &workload, &graph, None).expect("cluster run succeeds");
+        run_workload(&cluster_engine, &workload, &graph).expect("cluster run succeeds");
 
     assert_eq!(transported.halt_reason, in_memory.halt_reason);
     let mut profile = transported.profile;

@@ -26,75 +26,11 @@ use crate::extrapolator::Extrapolator;
 use crate::features::IterationObservation;
 use crate::transform::TransformFunction;
 use predict_algorithms::Workload;
-use predict_bsp::{BspEngine, GraphStorage, HaltReason, PartitionStrategy, RunProfile};
+use predict_bsp::{BspEngine, HaltReason, RunProfile};
 use predict_graph::CsrGraph;
 use predict_sampling::{GraphSample, Sampler};
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Per-graph cache of sharded [`GraphStorage`], keyed by `(num_workers,
-/// partition strategy)` exactly like the engine's `LayoutCache` keys shard
-/// layouts. A sharded engine pays an O(V + E) shard construction on every
-/// [`BspEngine::run`]; artifacts that replay one immutable graph many times
-/// (a cached sample across training ratios and repeated requests, the full
-/// graph across actual runs) hold one of these so the construction happens
-/// once per engine configuration instead.
-///
-/// Entries live in a small vector — a prediction session sees one or two
-/// `(workers, strategy)` pairs in practice, so a linear scan beats hashing.
-/// The cache is deliberately *not* part of the artifact's serialized form or
-/// its clones (clones start empty): storage is a pure acceleration of the
-/// graph it was built from, byte-identical results guaranteed by the
-/// engine's storage contract.
-#[derive(Debug, Default)]
-pub struct StorageCache {
-    entries: Mutex<Vec<(StorageKey, Arc<GraphStorage>)>>,
-    builds: AtomicU64,
-}
-
-/// Cache key of one built storage: `(num_workers, partition strategy)`.
-type StorageKey = (usize, PartitionStrategy);
-
-impl Clone for StorageCache {
-    /// Clones start empty: cached storage belongs to the instance that built
-    /// it, and rebuilding on first use is always correct.
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl StorageCache {
-    /// Returns sharded storage of `graph` for `engine`'s worker count and
-    /// partition strategy, building it on first use — or `None` when the
-    /// engine resolves to unified storage, which needs no preparation.
-    pub fn get_or_shard(&self, engine: &BspEngine, graph: &CsrGraph) -> Option<Arc<GraphStorage>> {
-        if !engine.config().storage.resolve_sharded() {
-            return None;
-        }
-        let key = (
-            engine.config().num_workers.max(1),
-            engine.config().partition_strategy,
-        );
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, storage)) = entries.iter().find(|(k, _)| *k == key) {
-            return Some(Arc::clone(storage));
-        }
-        // Built under the lock so concurrent requests for the same key wait
-        // for one construction instead of racing to duplicate it.
-        self.builds.fetch_add(1, Ordering::SeqCst);
-        let storage = Arc::new(GraphStorage::shard_graph(graph, key.0, key.1));
-        entries.push((key, Arc::clone(&storage)));
-        Some(storage)
-    }
-
-    /// Number of shard constructions this cache has performed — flat once
-    /// warm, which the warm-service tests assert.
-    pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::SeqCst)
-    }
-}
 
 /// Cache key of a sampling-stage artifact: sampling is deterministic in the
 /// `(technique, ratio, seed)` triple, so two draws with equal keys produce
@@ -154,11 +90,6 @@ pub struct SampleArtifact {
     pub full_vertices: usize,
     /// Edge count of the full graph the sample was drawn from.
     pub full_edges: usize,
-    /// Cached sharded storage of the sample graph, built lazily per engine
-    /// configuration so repeated sharded runs over this sample pay shard
-    /// construction once. Not serialized; clones start empty.
-    #[serde(skip)]
-    storage: StorageCache,
 }
 
 impl SampleArtifact {
@@ -202,19 +133,7 @@ impl SampleArtifact {
             full_vertices: graph.num_vertices(),
             full_edges: graph.num_edges(),
             sample,
-            storage: StorageCache::default(),
         })
-    }
-
-    /// Sharded storage of the sample graph for `engine`, cached per
-    /// `(workers, strategy)`; `None` when the engine uses unified storage.
-    pub fn storage_for(&self, engine: &BspEngine) -> Option<Arc<GraphStorage>> {
-        self.storage.get_or_shard(engine, &self.sample.graph)
-    }
-
-    /// Shard constructions this artifact's storage cache has performed.
-    pub fn storage_builds(&self) -> u64 {
-        self.storage.builds()
     }
 
     /// The ratio the sampler actually achieved.
@@ -303,18 +222,8 @@ impl SampleRunArtifact {
     ) -> Self {
         let ratio = sample.clamped_ratio();
         let sample_workload = transform.apply(workload, ratio);
-        // Under sharded storage, run against the sample's cached shards so
-        // repeated runs (training ratios, warm service batches) skip the
-        // per-run shard construction. Byte-identical either way — and
-        // byte-identical again under a cluster transport (the dispatch in
-        // [`crate::exec`]).
-        let storage = sample.storage_for(engine);
-        let run = crate::exec::execute_workload(
-            engine,
-            sample_workload.as_ref(),
-            &sample.sample.graph,
-            storage.as_deref(),
-        );
+        let run =
+            crate::exec::execute_workload(engine, sample_workload.as_ref(), &sample.sample.graph);
         Self {
             sample_key: sample.key.clone(),
             workload: workload.cache_token(),
@@ -498,39 +407,6 @@ mod tests {
             }
             other => panic!("expected EmptySample, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sample_storage_is_built_once_per_engine_configuration() {
-        let g = graph();
-        let sampler = BiasedRandomJump::default();
-        let sample = SampleArtifact::draw(&sampler, &g, 0.3, 11).unwrap();
-        let unified = BspEngine::new(BspConfig::with_workers(4));
-        assert!(
-            sample.storage_for(&unified).is_none(),
-            "unified storage needs no shard construction"
-        );
-        assert_eq!(sample.storage_builds(), 0);
-
-        let sharded = unified.with_storage(predict_bsp::StorageMode::Sharded);
-        let first = sample.storage_for(&sharded).expect("sharded storage");
-        let second = sample.storage_for(&sharded).expect("sharded storage");
-        assert!(Arc::ptr_eq(&first, &second), "storage must be cached");
-        assert_eq!(sample.storage_builds(), 1, "one build per configuration");
-
-        // Sharded sample runs are byte-identical to unified ones.
-        let workload = PageRankWorkload::with_epsilon(0.01, g.num_vertices());
-        let transform = TransformFunction::default_for(workload.convergence());
-        let a = SampleRunArtifact::execute(&unified, &workload, transform, &sample);
-        let b = SampleRunArtifact::execute(&sharded, &workload, transform, &sample);
-        let c = SampleRunArtifact::execute(&sharded, &workload, transform, &sample);
-        assert_eq!(a.profile, b.profile);
-        assert_eq!(b.profile, c.profile);
-        assert_eq!(sample.storage_builds(), 1, "repeat runs reuse the shards");
-
-        // Clones (and thus serialization round-trips) start cold.
-        let clone = sample.clone();
-        assert_eq!(clone.storage_builds(), 0);
     }
 
     #[test]

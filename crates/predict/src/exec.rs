@@ -14,11 +14,10 @@
 //! superstep, stderr tail) as the message.
 
 use predict_algorithms::{Workload, WorkloadRun};
-use predict_bsp::{BspEngine, GraphStorage};
+use predict_bsp::BspEngine;
 use predict_graph::CsrGraph;
 
-/// Runs `workload` on `graph` under the engine's resolved transport,
-/// forwarding pre-built `storage` to the in-memory path when given.
+/// Runs `workload` on `graph` under the engine's resolved transport.
 ///
 /// # Panics
 ///
@@ -29,9 +28,8 @@ pub fn execute_workload(
     engine: &BspEngine,
     workload: &dyn Workload,
     graph: &CsrGraph,
-    storage: Option<&GraphStorage>,
 ) -> WorkloadRun {
-    match predict_cluster::run_workload(engine, workload, graph, storage) {
+    match predict_cluster::run_workload(engine, workload, graph) {
         Ok(run) => run,
         Err(e) => panic!("cluster transport failed: {e}"),
     }

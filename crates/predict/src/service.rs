@@ -27,7 +27,7 @@ use crate::session::{
     Evaluation, Prediction, PredictionSession, PredictorBuilder, PredictorConfig,
 };
 use predict_algorithms::Workload;
-use predict_bsp::{BspEngine, ExecutionMode, StorageMode, TransportMode};
+use predict_bsp::{BspEngine, ExecutionMode, TransportMode};
 use predict_graph::CsrGraph;
 use predict_obs::diag;
 use predict_sampling::Sampler;
@@ -97,12 +97,6 @@ pub struct PredictServiceConfig {
     /// the engine as passed. Never changes results (see
     /// `predict_bsp::runtime`).
     pub execution: Option<ExecutionMode>,
-    /// Engine graph-storage override applied at construction: `Some(mode)`
-    /// makes every session's sample and actual runs execute against the
-    /// chosen layout (unified CSR or one `ShardedCsr` per worker — see
-    /// `predict_bsp::storage`). `None` keeps the engine as passed. Never
-    /// changes results.
-    pub storage: Option<StorageMode>,
     /// Engine transport override applied at construction: `Some(mode)`
     /// makes every session's sample and actual runs execute on the chosen
     /// executor — the in-memory runtime or a `predict_cluster` worker group
@@ -132,7 +126,6 @@ impl Default for PredictServiceConfig {
             sessions_per_shard: 4,
             predictor: PredictorConfig::default(),
             execution: None,
-            storage: None,
             transport: None,
             store: None,
         }
@@ -201,10 +194,6 @@ impl PredictService {
         let engine = engine.into();
         let engine = match config.execution {
             Some(mode) => Arc::new(engine.with_execution(mode)),
-            None => engine,
-        };
-        let engine = match config.storage {
-            Some(mode) => Arc::new(engine.with_storage(mode)),
             None => engine,
         };
         let engine = match config.transport {
@@ -489,8 +478,9 @@ impl PredictService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::TransformFunction;
     use predict_algorithms::{ConnectedComponentsWorkload, PageRankWorkload, TopKWorkload};
-    use predict_bsp::BspConfig;
+    use predict_bsp::{BspConfig, ClusterCostConfig};
     use predict_graph::generators::{generate_rmat, RmatConfig};
     use predict_sampling::BiasedRandomJump;
 
@@ -747,11 +737,10 @@ mod tests {
         assert_eq!(svc.sessions_cached(), 1);
     }
 
-    // The name predates the removal of the scoped-thread batch path; the
-    // reference is now the one-thread batch, which answers in request order
+    // The reference is the one-thread batch, which answers in request order
     // on the caller. 2 and 4 threads schedule requests as pool tasks.
     #[test]
-    fn pooled_batches_match_scoped_thread_batches() {
+    fn pooled_batches_match_the_one_thread_batch() {
         let g = graph(23);
         let n = g.num_vertices();
         let mut rendered = Vec::new();
@@ -826,8 +815,12 @@ mod tests {
     }
 
     fn service_with_store(dir: &std::path::Path) -> PredictService {
+        service_with_store_on(dir, BspConfig::with_workers(4))
+    }
+
+    fn service_with_store_on(dir: &std::path::Path, engine: BspConfig) -> PredictService {
         PredictService::with_config(
-            BspEngine::new(BspConfig::with_workers(4)),
+            BspEngine::new(engine),
             Arc::new(BiasedRandomJump::default()),
             PredictServiceConfig {
                 predictor: PredictorConfig::single_ratio(0.1),
@@ -878,6 +871,67 @@ mod tests {
             0,
             "warm restart re-executed a stored run"
         );
+    }
+
+    #[test]
+    fn a_store_written_by_another_cluster_is_stale_not_served() {
+        let dir = TempStoreDir::new();
+        let g = graph(34);
+        let workload: Arc<dyn Workload> =
+            Arc::new(PageRankWorkload::with_epsilon(0.01, g.num_vertices()));
+        let req = PredictRequest::new("Shape", Arc::clone(&g), Arc::clone(&workload));
+        let sample_run_workers = |svc: &PredictService| {
+            let transform = TransformFunction::default_for(workload.convergence());
+            let run = svc.session_for("Shape", &g).sample_run(
+                workload.as_ref(),
+                0.1,
+                svc.config.predictor.seed,
+                transform,
+            );
+            run.unwrap().profile.num_workers
+        };
+
+        let eight = service_with_store_on(&dir.0, BspConfig::with_workers(8));
+        let by_eight = serde_json::to_string(&eight.submit(&req).unwrap()).unwrap();
+        drop(eight);
+
+        // Another cluster shape on the same directory: every stored artifact
+        // is a stale miss, recomputed and overwritten in place.
+        let four = service_with_store(&dir.0);
+        let by_four = serde_json::to_string(&four.submit(&req).unwrap()).unwrap();
+        assert!(four.engine().runs_executed() > 0, "served the old cluster");
+        assert_eq!(four.session_for("Shape", &g).stats().store_hits, 0);
+        assert_eq!(sample_run_workers(&four), 4);
+        assert_ne!(by_eight, by_four, "worker count must move the prediction");
+        assert_eq!(four.artifact_store().unwrap().quarantined_files(), 0);
+        drop(four);
+
+        // What moved the prediction is also what keys the store: the same
+        // engine under another cost model misses too.
+        let costed = service_with_store_on(
+            &dir.0,
+            BspConfig::with_workers(4).with_cost(ClusterCostConfig::noiseless()),
+        );
+        costed.submit(&req).unwrap();
+        assert!(costed.engine().runs_executed() > 0, "served the old costs");
+        drop(costed);
+        let four = service_with_store(&dir.0);
+        four.submit(&req).unwrap();
+        drop(four);
+
+        // Execution mode and transport never change results, so neither may
+        // cost a hit: the overwritten store answers a sequential, in-process
+        // cluster restart of the 4-worker service with zero runs.
+        let restarted = service_with_store_on(
+            &dir.0,
+            BspConfig::with_workers(4)
+                .with_execution(ExecutionMode::Sequential)
+                .with_transport(TransportMode::InProc),
+        );
+        let again = serde_json::to_string(&restarted.submit(&req).unwrap()).unwrap();
+        assert_eq!(by_four, again, "the overwritten store diverged");
+        assert_eq!(restarted.engine().runs_executed(), 0);
+        assert_eq!(sample_run_workers(&restarted), 4);
     }
 
     #[test]

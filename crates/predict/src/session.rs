@@ -42,7 +42,7 @@
 
 use crate::artifacts::{
     stable_fingerprint, ModelKey, RunKey, SampleArtifact, SampleKey, SampleRunArtifact,
-    StorageCache, TrainedModel, TrainingProvenance, TrainingSource,
+    TrainedModel, TrainingProvenance, TrainingSource,
 };
 use crate::cost_model::{CostModel, CostModelConfig};
 use crate::critical_path::WorkerSelection;
@@ -53,7 +53,7 @@ use crate::history::HistoryStore;
 use crate::metrics::signed_relative_error;
 use crate::transform::TransformFunction;
 use predict_algorithms::{Workload, WorkloadRun};
-use predict_bsp::{BspEngine, ExecutionMode, RunProfile, StorageMode, TransportMode};
+use predict_bsp::{BspConfig, BspEngine, ExecutionMode, RunProfile, TransportMode};
 use predict_graph::CsrGraph;
 use predict_obs::diag;
 use predict_sampling::{BiasedRandomJump, Sampler, ScratchPool};
@@ -276,10 +276,6 @@ pub(crate) struct ArtifactCaches {
     /// throwaway allocation per draw (the bug the old `try_lock` fallback
     /// hid). Scratch state never influences the drawn sample.
     scratch: ScratchPool,
-    /// Cached sharded storage of the session's *full* graph, so repeated
-    /// actual runs under sharded storage pay shard construction once — the
-    /// full-graph counterpart of `SampleArtifact`'s per-sample cache.
-    storage: StorageCache,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -296,7 +292,7 @@ impl ArtifactCaches {
 
 /// A session's handle on the persistent artifact store: the shared
 /// [`ArtifactStore`] plus the provenance hash binding this session's
-/// dataset to its stored artifacts (see [`dataset_provenance`]).
+/// dataset and engine to its stored artifacts (see [`store_provenance`]).
 ///
 /// The store sits *behind* the in-memory caches: a stage consults memory
 /// first, then the store, then computes — and every computed artifact is
@@ -321,9 +317,14 @@ pub(crate) struct StoreBinding {
 }
 
 impl StoreBinding {
-    pub(crate) fn new(store: Arc<ArtifactStore>, dataset: &str, graph: &CsrGraph) -> Self {
+    pub(crate) fn new(
+        store: Arc<ArtifactStore>,
+        dataset: &str,
+        graph: &CsrGraph,
+        config: &BspConfig,
+    ) -> Self {
         Self {
-            provenance: dataset_provenance(dataset, graph),
+            provenance: store_provenance(dataset, graph, config),
             dataset: dataset.to_string(),
             store,
             hits: AtomicU64::new(0),
@@ -367,15 +368,19 @@ impl StoreBinding {
     }
 }
 
-/// Provenance hash binding stored artifacts to the dataset they were
-/// computed from: the label plus the full out-adjacency structure of the
-/// graph. A relabeled or regenerated dataset therefore invalidates every
-/// stored artifact (stale miss → recompute) instead of silently serving
-/// artifacts of the wrong graph. O(V + E), computed once per store-bound
-/// session, so it is the store's word-at-a-time [`Checksum`] over the raw
-/// CSR arrays (one step per offset, one per pair of targets) rather than a
-/// byte-wise hash.
-fn dataset_provenance(dataset: &str, graph: &CsrGraph) -> u64 {
+/// Provenance hash binding stored artifacts to what they were computed
+/// from: the dataset label, the full out-adjacency structure of the graph,
+/// and the engine fields a run's profile depends on. A relabeled or
+/// regenerated dataset — or a service restarted with another cluster shape
+/// or cost model — therefore invalidates every stored artifact (stale miss
+/// → recompute → overwrite) instead of silently serving artifacts of the
+/// wrong graph or the wrong cluster. `execution` and `transport` stay out:
+/// they never change results, so a store written in memory still hits
+/// under `socket` and at any thread count. O(V + E), computed once per
+/// store-bound session, so it is the store's word-at-a-time [`Checksum`]
+/// over the raw CSR arrays (one step per offset, one per pair of targets)
+/// rather than a byte-wise hash.
+fn store_provenance(dataset: &str, graph: &CsrGraph, config: &BspConfig) -> u64 {
     let (offsets, targets) = graph.out_csr();
     let mut sum = Checksum::default();
     sum.update(dataset.as_bytes());
@@ -395,6 +400,9 @@ fn dataset_provenance(dataset: &str, graph: &CsrGraph) -> u64 {
     for &target in unpaired {
         sum.update_word(target.into());
     }
+    sum.update_word(config.workers() as u64);
+    sum.update_word(config.max_supersteps as u64);
+    sum.update(format!("{:?}|{:?}", config.partition_strategy, config.cost).as_bytes());
     sum.finish()
 }
 
@@ -654,17 +662,11 @@ fn stage_actual(ctx: &StageCtx<'_>, workload: &dyn Workload) -> Arc<WorkloadRun>
         ArtifactKind::ActualRun,
         String::clone,
         || {
-            // Sharded engines run against the session's cached full-graph
-            // storage, so back-to-back actual runs skip the per-run shard
-            // construction. The dispatch in [`crate::exec`] routes to the
-            // in-memory runtime or a cluster transport per the engine's
-            // transport mode; results are byte-identical either way.
-            let storage = ctx.caches.storage.get_or_shard(ctx.engine, ctx.graph);
+            // The dispatch in [`crate::exec`] routes to the in-memory
+            // runtime or a cluster transport per the engine's transport
+            // mode; results are byte-identical either way.
             Ok::<_, Infallible>(crate::exec::execute_workload(
-                ctx.engine,
-                workload,
-                ctx.graph,
-                storage.as_deref(),
+                ctx.engine, workload, ctx.graph,
             ))
         },
     );
@@ -781,7 +783,6 @@ pub struct PredictorBuilder {
     sampler: Arc<dyn Sampler>,
     config: PredictorConfig,
     execution: Option<ExecutionMode>,
-    storage: Option<StorageMode>,
     transport: Option<TransportMode>,
     store: Option<Arc<ArtifactStore>>,
 }
@@ -802,7 +803,7 @@ impl PredictorBuilder {
     ///
     /// ```
     /// use predict_algorithms::{PageRankWorkload, TopKWorkload};
-    /// use predict_bsp::{BspConfig, BspEngine, ExecutionMode, StorageMode};
+    /// use predict_bsp::{BspConfig, BspEngine, ExecutionMode};
     /// use predict_core::{PredictorBuilder, PredictorConfig};
     /// use predict_graph::generators::{generate_rmat, RmatConfig};
     /// use predict_sampling::BiasedRandomJump;
@@ -814,10 +815,9 @@ impl PredictorBuilder {
     ///     .engine(BspEngine::new(BspConfig::with_workers(8)))
     ///     .sampler(BiasedRandomJump::default())
     ///     .config(PredictorConfig::single_ratio(0.1))
-    ///     // Performance knobs, never result knobs: superstep phases on OS
-    ///     // threads, graph stored as one `ShardedCsr` per worker.
+    ///     // A performance knob, never a result knob: superstep phases on
+    ///     // OS threads.
     ///     .execution(ExecutionMode::Auto)
-    ///     .storage(StorageMode::Sharded)
     ///     .bind(graph, "my-dataset");
     ///
     /// let first = session.predict(&pagerank).unwrap();
@@ -835,7 +835,6 @@ impl PredictorBuilder {
             sampler: Arc::new(BiasedRandomJump::default()),
             config: PredictorConfig::default(),
             execution: None,
-            storage: None,
             transport: None,
             store: None,
         }
@@ -857,24 +856,12 @@ impl PredictorBuilder {
         self
     }
 
-    /// Overrides how the engine stores graphs during sample and actual runs
-    /// (one unified CSR allocation or one `ShardedCsr` per worker — see
-    /// `predict_bsp::storage`). Like [`PredictorBuilder::execution`], this
-    /// never changes prediction output: runs are byte-identical under either
-    /// storage; only the memory layout (and shard-construction cost per run)
-    /// differs. The derived engine shares the original's run counter and
-    /// layout cache.
-    pub fn storage(mut self, storage: StorageMode) -> Self {
-        self.storage = Some(storage);
-        self
-    }
-
     /// Overrides which executor runs the session's workloads: the in-memory
     /// runtime or a `predict_cluster` worker group (in-process threads or
     /// worker OS processes). Like [`PredictorBuilder::execution`], this
-    /// never changes prediction output — the cluster driver replays the
-    /// in-memory executor's merge and clock order, so profiles are
-    /// byte-identical under every transport (determinism contract point 8);
+    /// never changes prediction output — the cluster driver runs the
+    /// in-memory executor's master loop, so profiles are byte-identical
+    /// under every transport (determinism contract point 8);
     /// only where the supersteps physically run differs, and transported
     /// runs additionally carry measured per-superstep timings. The derived
     /// engine shares the original's run counter and layout cache.
@@ -933,10 +920,6 @@ impl PredictorBuilder {
             Some(mode) => Arc::new(self.engine.with_execution(mode)),
             None => self.engine,
         };
-        let engine = match self.storage {
-            Some(mode) => Arc::new(engine.with_storage(mode)),
-            None => engine,
-        };
         let engine = match self.transport {
             Some(mode) => Arc::new(engine.with_transport(mode)),
             None => engine,
@@ -946,7 +929,7 @@ impl PredictorBuilder {
         // store-bound session, not per lookup.
         let store = self
             .store
-            .map(|store| StoreBinding::new(store, dataset, &graph));
+            .map(|store| StoreBinding::new(store, dataset, &graph, engine.config()));
         PredictionSession {
             engine,
             sampler: self.sampler,
@@ -990,9 +973,6 @@ pub struct SessionStats {
     /// pool — bounded by the peak number of concurrent draws, flat once the
     /// pool is warm (the warm-service tests assert this).
     pub scratch_allocations: u64,
-    /// Shard constructions of the session's full graph (sharded storage
-    /// only) — at most one per engine configuration the session has seen.
-    pub full_storage_builds: u64,
     /// Artifacts served from the persistent store rather than recomputed —
     /// counted separately from the in-memory `hits` so a warm-restart
     /// hit-rate cannot be confused with same-process cache reuse (always 0
@@ -1186,7 +1166,6 @@ impl PredictionSession {
             hits: self.caches.hits.load(Ordering::Relaxed),
             misses: self.caches.misses.load(Ordering::Relaxed),
             scratch_allocations: self.caches.scratch.allocations(),
-            full_storage_builds: self.caches.storage.builds(),
             store_hits: self.store.as_ref().map_or(0, StoreBinding::hits),
         }
     }

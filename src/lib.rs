@@ -80,8 +80,8 @@ pub mod prelude {
         SemiClusteringWorkload, TopKWorkload, Workload, WorkloadRun,
     };
     pub use predict_bsp::{
-        BspConfig, BspEngine, ClusterCostConfig, ExecutionMode, GraphStorage, RunProfile,
-        StorageMode, TransportMode, WorkerPool,
+        BspConfig, BspEngine, ClusterCostConfig, ExecutionMode, RunProfile, TransportMode,
+        WorkerPool,
     };
     pub use predict_core::{
         Evaluation, HistoryStore, KeyFeature, PredictError, PredictRequest, PredictService,
