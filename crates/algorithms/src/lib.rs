@@ -13,8 +13,10 @@
 //! | SSSP (extra) | [`sssp`] | sparse frontier | fixed point |
 //!
 //! The [`workload`] module wraps each of them in the uniform [`Workload`]
-//! interface the prediction pipeline consumes, including per-graph preparation
-//! (undirected conversion, PageRank pre-pass for top-k).
+//! interface the prediction pipeline consumes; a workload describes its run
+//! once as a [`RunPlan`] (undirected conversion, PageRank pre-pass for top-k,
+//! the [`ProgramSpec`] of the profiled program) that the in-memory engine
+//! and the cluster runner both execute.
 //!
 //! # Example
 //!
@@ -52,5 +54,5 @@ pub use sssp::{ShortestPaths, ShortestPathsResult};
 pub use topk::{TopKParams, TopKRanking, TopKResult, TopKState};
 pub use workload::{
     to_undirected, ConnectedComponentsWorkload, NeighborhoodWorkload, PageRankWorkload,
-    SemiClusteringWorkload, TopKWorkload, Workload, WorkloadRun, WorkloadSpec,
+    ProgramSpec, RunPlan, SemiClusteringWorkload, TopKWorkload, Workload, WorkloadRun,
 };

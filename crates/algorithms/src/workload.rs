@@ -5,20 +5,23 @@
 //! caring which algorithm it is. [`Workload`] provides that uniform surface:
 //! a name, the convergence-kind metadata the transform function needs, the
 //! current threshold, a way to rebuild the workload with a different
-//! threshold, and `run`, which handles any per-graph preparation the
-//! algorithm needs (undirected conversion for semi-clustering and connected
-//! components, a PageRank pre-pass for top-k ranking) and returns the run
-//! profile PREDIcT trains and predicts on.
+//! threshold, and `plan`, which describes a run on a graph *once* — the graph
+//! the program executes on (undirected for semi-clustering and connected
+//! components), an optional PageRank pre-pass (top-k ranking) and the
+//! [`ProgramSpec`] naming the vertex program. Every executor consumes the
+//! same [`RunPlan`]: [`RunPlan::run`] on the in-memory engine, the cluster
+//! runner (`predict_cluster::run_workload`) over a worker group, so the
+//! sample run and the actual run are the same preparation on either.
 
-use crate::connected_components::ConnectedComponents;
 use crate::convergence::ConvergenceKind;
-use crate::neighborhood::{NeighborhoodEstimation, NeighborhoodParams};
+use crate::neighborhood::NeighborhoodParams;
 use crate::pagerank::{PageRank, PageRankParams};
-use crate::semi_clustering::{SemiClustering, SemiClusteringParams};
-use crate::topk::{TopKParams, TopKRanking};
-use predict_bsp::{BspEngine, HaltReason, RunProfile};
+use crate::semi_clustering::SemiClusteringParams;
+use crate::topk::TopKParams;
+use predict_bsp::{BspEngine, BspRunResult, HaltReason, RunProfile};
 use predict_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Result of executing a workload on one graph.
 ///
@@ -37,6 +40,16 @@ impl WorkloadRun {
     /// Number of iterations (supersteps) the run executed.
     pub fn iterations(&self) -> usize {
         self.profile.num_iterations()
+    }
+}
+
+/// A workload run keeps a program run's profile and drops its vertex values.
+impl<V> From<BspRunResult<V>> for WorkloadRun {
+    fn from(result: BspRunResult<V>) -> Self {
+        Self {
+            profile: result.profile,
+            halt_reason: result.halt_reason,
+        }
     }
 }
 
@@ -71,54 +84,144 @@ pub trait Workload: Send + Sync + std::fmt::Debug {
     /// by the transform function when configuring the sample run.
     fn with_threshold(&self, threshold: f64) -> Box<dyn Workload>;
 
-    /// Executes the workload on `graph` and returns the run profile.
-    fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun;
-
-    /// A serializable description of this workload's configuration, when one
-    /// exists. Executors that ship work across a process boundary (the
-    /// cluster transports) send this spec to worker processes instead of the
-    /// trait object; the five workloads of this crate all return `Some`.
-    /// External `Workload` implementations may return `None` (the default),
-    /// in which case remote execution falls back to in-memory.
-    fn spec(&self) -> Option<WorkloadSpec> {
+    /// Describes this workload's run on `graph`: the graph the program
+    /// executes on, the optional pre-pass and the program itself. The five
+    /// workloads of this crate all return `Some`, which is what lets an
+    /// executor ship the run across a process boundary (the cluster
+    /// transports send the plan's [`ProgramSpec`] to worker processes instead
+    /// of the trait object). External `Workload` implementations may return
+    /// `None` (the default) and override [`Workload::run`]; they then always
+    /// execute in memory.
+    fn plan<'g>(&self, _graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
         None
+    }
+
+    /// Executes the workload on `graph` in memory and returns the run
+    /// profile: [`RunPlan::run`] of [`Workload::plan`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the implementation provides neither a plan nor its own
+    /// `run`.
+    fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun {
+        self.plan(graph)
+            .expect("a Workload implements `plan` or overrides `run`")
+            .run(engine)
     }
 }
 
-/// Serializable configuration of one of this crate's five workloads — the
-/// wire-transportable counterpart of the `dyn Workload` trait objects (see
-/// [`Workload::spec`]). A spec plus a graph fully determines a run.
+/// Which vertex program to run, with its parameters — the serializable form
+/// a cluster worker rebuilds its program from (`predict_cluster` carries it
+/// in the `Init` header). One spec is exactly one superstep loop; the TOP-K
+/// input ranks are data, not configuration, and travel beside the spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WorkloadSpec {
-    /// [`PageRankWorkload`].
+pub enum ProgramSpec {
+    /// [`PageRank`].
     PageRank {
         /// PageRank parameters.
         params: PageRankParams,
     },
-    /// [`TopKWorkload`].
+    /// [`TopKRanking`](crate::TopKRanking) over externally supplied input
+    /// ranks.
     TopK {
         /// Top-k parameters.
         params: TopKParams,
-        /// Tolerance level of the PageRank pre-pass.
-        pagerank_epsilon: f64,
     },
-    /// [`SemiClusteringWorkload`].
+    /// [`SemiClustering`](crate::SemiClustering).
     SemiClustering {
         /// Semi-clustering parameters.
         params: SemiClusteringParams,
     },
-    /// [`ConnectedComponentsWorkload`].
+    /// [`ConnectedComponents`](crate::ConnectedComponents).
     ConnectedComponents {},
-    /// [`NeighborhoodWorkload`].
+    /// [`NeighborhoodEstimation`](crate::NeighborhoodEstimation).
     Neighborhood {
         /// Neighborhood-estimation parameters.
         params: NeighborhoodParams,
     },
 }
 
-/// Undirected form of `graph`, built the way SC and CC build it before they
-/// run (every edge mirrored, then re-frozen). Public so out-of-process
-/// executors can reproduce exactly the graph those workloads execute on.
+/// Evaluates `$body` with `$program` bound to a reference to the vertex
+/// program `$spec` (a `&ProgramSpec`) names — the one place a spec becomes a
+/// program. `$body` is compiled once per program type, so it may use the
+/// program's associated types; `$ranks` (a `Vec<f64>`) is evaluated only for
+/// [`ProgramSpec::TopK`], whose input ranking it is.
+#[macro_export]
+macro_rules! with_program {
+    ($spec:expr, $ranks:expr, |$program:ident| $body:expr) => {
+        match $spec {
+            $crate::ProgramSpec::PageRank { params } => {
+                let $program = &$crate::PageRank::new(*params);
+                $body
+            }
+            $crate::ProgramSpec::TopK { params } => {
+                let $program = &$crate::TopKRanking::new(*params, $ranks);
+                $body
+            }
+            $crate::ProgramSpec::SemiClustering { params } => {
+                let $program = &$crate::SemiClustering::new(*params);
+                $body
+            }
+            $crate::ProgramSpec::ConnectedComponents {} => {
+                let $program = &$crate::ConnectedComponents;
+                $body
+            }
+            $crate::ProgramSpec::Neighborhood { params } => {
+                let $program = &$crate::NeighborhoodEstimation::new(*params);
+                $body
+            }
+        }
+    };
+}
+
+/// One workload run, described once for every executor (see
+/// [`Workload::plan`]).
+#[derive(Debug, Clone)]
+pub struct RunPlan<'g> {
+    /// The graph `program` (and the pre-pass) executes on: the caller's
+    /// graph, or its undirected form for SC and CC.
+    pub graph: Cow<'g, CsrGraph>,
+    /// PageRank pre-pass whose final ranks are `program`'s input ranking
+    /// (TOP-K only). The pre-pass is executed but not profiled.
+    pub pre_pass: Option<PageRankParams>,
+    /// The profiled program.
+    pub program: ProgramSpec,
+}
+
+impl<'g> RunPlan<'g> {
+    /// `program` on `graph` as given.
+    pub fn on(graph: &'g CsrGraph, program: ProgramSpec) -> Self {
+        Self {
+            graph: Cow::Borrowed(graph),
+            pre_pass: None,
+            program,
+        }
+    }
+
+    /// `program` on the undirected form of `graph`, as the paper runs SC and
+    /// CC.
+    pub fn on_undirected(graph: &CsrGraph, program: ProgramSpec) -> Self {
+        Self {
+            graph: Cow::Owned(to_undirected(graph)),
+            pre_pass: None,
+            program,
+        }
+    }
+
+    /// Executes the plan on the in-memory engine.
+    pub fn run(&self, engine: &BspEngine) -> WorkloadRun {
+        let graph: &CsrGraph = &self.graph;
+        let ranks = match self.pre_pass {
+            Some(params) => engine.run(graph, &PageRank::new(params)).values,
+            None => Vec::new(),
+        };
+        with_program!(&self.program, ranks, |program| engine
+            .run(graph, program)
+            .into())
+    }
+}
+
+/// Undirected form of `graph`: every edge mirrored, then re-frozen.
 pub fn to_undirected(graph: &CsrGraph) -> CsrGraph {
     CsrGraph::from_edge_list(&graph.to_edge_list().to_undirected())
 }
@@ -165,18 +268,9 @@ impl Workload for PageRankWorkload {
         })
     }
 
-    fn spec(&self) -> Option<WorkloadSpec> {
-        Some(WorkloadSpec::PageRank {
-            params: self.params,
-        })
-    }
-
-    fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun {
-        let result = PageRank::new(self.params).run(engine, graph);
-        WorkloadRun {
-            profile: result.profile,
-            halt_reason: result.halt_reason,
-        }
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+        let params = self.params;
+        Some(RunPlan::on(graph, ProgramSpec::PageRank { params }))
     }
 }
 
@@ -235,25 +329,15 @@ impl Workload for TopKWorkload {
         })
     }
 
-    fn spec(&self) -> Option<WorkloadSpec> {
-        Some(WorkloadSpec::TopK {
-            params: self.params,
-            pagerank_epsilon: self.pagerank_epsilon,
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+        let params = self.params;
+        Some(RunPlan {
+            pre_pass: Some(PageRankParams::with_epsilon(
+                self.pagerank_epsilon,
+                graph.num_vertices(),
+            )),
+            ..RunPlan::on(graph, ProgramSpec::TopK { params })
         })
-    }
-
-    fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun {
-        let ranks = PageRank::new(PageRankParams::with_epsilon(
-            self.pagerank_epsilon,
-            graph.num_vertices(),
-        ))
-        .run(engine, graph)
-        .ranks;
-        let result = TopKRanking::new(self.params, ranks).run(engine, graph);
-        WorkloadRun {
-            profile: result.profile,
-            halt_reason: result.halt_reason,
-        }
     }
 }
 
@@ -291,19 +375,10 @@ impl Workload for SemiClusteringWorkload {
         })
     }
 
-    fn spec(&self) -> Option<WorkloadSpec> {
-        Some(WorkloadSpec::SemiClustering {
-            params: self.params,
-        })
-    }
-
-    fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun {
-        let undirected = to_undirected(graph);
-        let result = SemiClustering::new(self.params).run(engine, &undirected);
-        WorkloadRun {
-            profile: result.profile,
-            halt_reason: result.halt_reason,
-        }
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+        let params = self.params;
+        let program = ProgramSpec::SemiClustering { params };
+        Some(RunPlan::on_undirected(graph, program))
     }
 }
 
@@ -329,17 +404,9 @@ impl Workload for ConnectedComponentsWorkload {
         Box::new(Self)
     }
 
-    fn spec(&self) -> Option<WorkloadSpec> {
-        Some(WorkloadSpec::ConnectedComponents {})
-    }
-
-    fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun {
-        let undirected = to_undirected(graph);
-        let result = ConnectedComponents.run(engine, &undirected);
-        WorkloadRun {
-            profile: result.profile,
-            halt_reason: result.halt_reason,
-        }
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+        let program = ProgramSpec::ConnectedComponents {};
+        Some(RunPlan::on_undirected(graph, program))
     }
 }
 
@@ -376,18 +443,9 @@ impl Workload for NeighborhoodWorkload {
         })
     }
 
-    fn spec(&self) -> Option<WorkloadSpec> {
-        Some(WorkloadSpec::Neighborhood {
-            params: self.params,
-        })
-    }
-
-    fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun {
-        let result = NeighborhoodEstimation::new(self.params).run(engine, graph);
-        WorkloadRun {
-            profile: result.profile,
-            halt_reason: result.halt_reason,
-        }
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+        let params = self.params;
+        Some(RunPlan::on(graph, ProgramSpec::Neighborhood { params }))
     }
 }
 

@@ -176,14 +176,16 @@ fn run_probes() -> Vec<ProbeResult> {
         // CSR placement from a raw (duplicate-preserving) edge list.
         let unified_build_ns = median_ns(reps, || CsrGraph::from_edge_list(raw));
         push("csr_build", input.name, unified_build_ns);
-        // The same edge list placed directly into one `ShardedCsr` per
-        // worker (8 workers, the default engine configuration) — what a
+        // The frozen CSR of the same edge list cut into one `ShardedCsr`
+        // per worker (8 workers, the default engine configuration) through a
+        // prebuilt layout — the call `RemoteWorkers::init` makes, i.e. what a
         // cluster drive pays to cut the shards it ships to its workers. The
         // `perf` CI job compares this row against `csr_build` in its
         // uploaded artifact.
-        let layout = ShardLayout::build(raw.num_vertices(), 8, PartitionStrategy::Hash);
+        let frozen = CsrGraph::from_edge_list(raw);
+        let layout = ShardLayout::build(frozen.num_vertices(), 8, PartitionStrategy::Hash);
         let sharded_build_ns = median_ns(reps, || {
-            predict_graph::shard_edge_list(raw, 8, |v| layout.owner_of(v))
+            predict_graph::shard_csr(&frozen, 8, |v| layout.owner_of(v))
         });
         push("sharded_csr_build", input.name, sharded_build_ns);
         eprintln!(

@@ -92,33 +92,6 @@ impl BspEngine {
         &self.config
     }
 
-    /// A clone of this engine under `config`, sharing the run counter, layout
-    /// cache and pool — how the prediction layer plumbs an override down
-    /// without re-keying any cache.
-    fn with_config(&self, config: BspConfig) -> Self {
-        Self {
-            config,
-            runs: Arc::clone(&self.runs),
-            layouts: Arc::clone(&self.layouts),
-            pool: Arc::clone(&self.pool),
-        }
-    }
-
-    /// A clone of this engine with a different execution mode, sharing the
-    /// run counter, layout cache and pool.
-    pub fn with_execution(&self, execution: crate::config::ExecutionMode) -> Self {
-        self.with_config(self.config.clone().with_execution(execution))
-    }
-
-    /// The transport counterpart of [`BspEngine::with_execution`]. The
-    /// engine itself never reads the transport knob (its own runs are always
-    /// in-memory); the cluster runner (`predict_cluster`) resolves it to
-    /// decide whether a workload executes in-process or over spawned worker
-    /// processes.
-    pub fn with_transport(&self, transport: crate::remote::TransportMode) -> Self {
-        self.with_config(self.config.clone().with_transport(transport))
-    }
-
     /// Counts one engine run that was executed outside [`BspEngine::run`] —
     /// the cluster runner drives supersteps through its own transport but
     /// still reports each drive here, so

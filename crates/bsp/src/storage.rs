@@ -3,8 +3,7 @@
 //! A worker reads adjacency through a [`WorkerGraph`]: in memory every
 //! worker shares the one unified [`CsrGraph`]; a cluster worker
 //! (`predict_cluster`) owns exactly one [`ShardedCsr`] — the out-adjacency
-//! of its own vertices plus the remote-edge cut lists — and nothing else of
-//! the graph. Both views hold byte-identical adjacency per owned vertex
+//! of its own vertices — and nothing else of the graph. Both views hold byte-identical adjacency per owned vertex
 //! (shards preserve per-source edge order), which is one of the things that
 //! makes a cluster run the same computation as an in-memory one.
 

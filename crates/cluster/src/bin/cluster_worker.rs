@@ -10,7 +10,7 @@
 //! launcher fails fast instead of blocking on stdin.
 
 use predict_cluster::socket::{SocketStream, CONNECT_TIMEOUT};
-use predict_cluster::{serve, StdioEndpoint};
+use predict_cluster::{serve, StreamEndpoint};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,5 +40,5 @@ fn serve_socket(addr: &str) -> Result<(), String> {
     let reader = stream
         .try_clone()
         .map_err(|e| format!("cloning socket stream: {e}"))?;
-    serve(&mut StdioEndpoint::new(reader, stream), true)
+    serve(&mut StreamEndpoint::new(reader, stream), true)
 }

@@ -2,7 +2,7 @@
 //!
 //! [`Endpoint`] is everything the serve loop ([`crate::worker`]) knows about
 //! the outside world — send a frame, receive a frame. A standalone worker
-//! process serves a [`StdioEndpoint`] (frames over the two halves of its
+//! process serves a [`StreamEndpoint`] (frames over the two halves of its
 //! socket stream); an in-process worker thread
 //! serves a [`ChannelEndpoint`] (frames over a pair of mpsc channels). The
 //! serve loop is byte-for-byte the same code either way, which is the point:
@@ -28,12 +28,12 @@ pub trait Endpoint {
 
 /// Frames over a `Read`/`Write` pair — the socket stream of the
 /// `cluster_worker` binary, or any in-memory pair in tests.
-pub struct StdioEndpoint<R: Read, W: Write> {
+pub struct StreamEndpoint<R: Read, W: Write> {
     reader: BufReader<R>,
     writer: BufWriter<W>,
 }
 
-impl<R: Read, W: Write> StdioEndpoint<R, W> {
+impl<R: Read, W: Write> StreamEndpoint<R, W> {
     /// Wraps a raw read/write pair in buffered frame I/O.
     pub fn new(reader: R, writer: W) -> Self {
         Self {
@@ -43,7 +43,7 @@ impl<R: Read, W: Write> StdioEndpoint<R, W> {
     }
 }
 
-impl<R: Read, W: Write> Endpoint for StdioEndpoint<R, W> {
+impl<R: Read, W: Write> Endpoint for StreamEndpoint<R, W> {
     fn send(&mut self, tag: u8, body: &[u8]) -> io::Result<()> {
         write_frame(&mut self.writer, tag, body)
     }
@@ -110,14 +110,14 @@ mod tests {
     }
 
     #[test]
-    fn stdio_endpoint_round_trips_over_buffers() {
+    fn stream_endpoint_round_trips_over_buffers() {
         let mut wire = Vec::new();
         {
-            let mut ep = StdioEndpoint::new(io::empty(), &mut wire);
+            let mut ep = StreamEndpoint::new(io::empty(), &mut wire);
             ep.send(tag::INIT, b"hello").unwrap();
             // BufWriter flushes on write_frame, but be explicit about drop.
         }
-        let mut ep = StdioEndpoint::new(wire.as_slice(), io::sink());
+        let mut ep = StreamEndpoint::new(wire.as_slice(), io::sink());
         assert_eq!(ep.recv().unwrap(), Some((tag::INIT, b"hello".to_vec())));
         assert_eq!(ep.recv().unwrap(), None);
     }

@@ -8,8 +8,8 @@
 //! superstep — plus the tail of the worker's stderr for spawned processes,
 //! so a crash in a worker surfaces as a structured report instead of a hang.
 
+use serde::Serialize;
 use std::fmt;
-use std::time::Duration;
 
 /// A malformed byte payload (one wire batch or one frame body).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +54,9 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// A failed cluster drive: which worker, which superstep, and why.
-#[derive(Debug, Clone, PartialEq)]
+/// Serializable, so the prediction stack can carry it inside its own error
+/// type to whoever reports the failed request.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ClusterError {
     /// The worker process (or thread) could not be started.
     Spawn {
@@ -80,8 +82,8 @@ pub enum ClusterError {
         worker: usize,
         /// Superstep in flight when the timeout elapsed, if any.
         superstep: Option<usize>,
-        /// The read timeout that elapsed.
-        timeout: Duration,
+        /// The read timeout that elapsed, in milliseconds.
+        timeout_ms: u64,
         /// Last lines of the worker process's stderr.
         stderr_tail: String,
     },
@@ -113,30 +115,11 @@ impl ClusterError {
 
     /// Fills in the superstep on errors whose transport layer could not know
     /// it (deaths and timeouts reported without drive context).
-    pub fn at_superstep(self, s: usize) -> Self {
-        match self {
-            Self::WorkerDied {
-                worker,
-                superstep: None,
-                stderr_tail,
-            } => Self::WorkerDied {
-                worker,
-                superstep: Some(s),
-                stderr_tail,
-            },
-            Self::Timeout {
-                worker,
-                superstep: None,
-                timeout,
-                stderr_tail,
-            } => Self::Timeout {
-                worker,
-                superstep: Some(s),
-                timeout,
-                stderr_tail,
-            },
-            other => other,
+    pub fn at_superstep(mut self, s: usize) -> Self {
+        if let Self::WorkerDied { superstep, .. } | Self::Timeout { superstep, .. } = &mut self {
+            superstep.get_or_insert(s);
         }
+        self
     }
 }
 
@@ -173,10 +156,10 @@ impl fmt::Display for ClusterError {
             Self::Timeout {
                 worker,
                 superstep,
-                timeout,
+                timeout_ms,
                 stderr_tail,
             } => {
-                write!(f, "cluster worker {worker} sent nothing for {timeout:?}")?;
+                write!(f, "cluster worker {worker} sent nothing for {timeout_ms}ms")?;
                 write_superstep(f, superstep)?;
                 write_stderr_tail(f, stderr_tail)
             }
@@ -217,7 +200,7 @@ mod tests {
         let e = ClusterError::Timeout {
             worker: 0,
             superstep: None,
-            timeout: Duration::from_millis(250),
+            timeout_ms: 250,
             stderr_tail: String::new(),
         };
         let text = e.to_string();

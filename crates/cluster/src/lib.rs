@@ -1,14 +1,14 @@
-//! Out-of-process BSP workers over the cut lists: a transport-abstracted
+//! Out-of-process BSP workers, one graph shard each: a transport-abstracted
 //! mini-Giraph.
 //!
-//! The in-memory engine (`predict_bsp`) simulates a cluster: shards, cut
-//! lists and per-worker counters all exist, but every "worker" is a thread
-//! reading shared memory and the clock is synthetic. This crate makes the
+//! The in-memory engine (`predict_bsp`) simulates a cluster: per-worker
+//! vertex ranges and counters exist, but every "worker" is a thread reading
+//! shared memory and the clock is synthetic. This crate makes the
 //! distribution real. Each worker owns its
 //! [`ShardedCsr`](predict_graph::ShardedCsr) shard behind an explicit
-//! transport boundary, peer messages travel as encoded batches over the cut,
-//! and every superstep's wall time and bytes-on-the-wire are *measured*, not
-//! simulated — the numbers the paper's simulated clock
+//! transport boundary, peer messages travel as encoded batches between
+//! workers, and every superstep's wall time and bytes-on-the-wire are
+//! *measured*, not simulated — the numbers the paper's simulated clock
 //! (`predict_bsp::ClusterClock`) can then be judged against.
 //!
 //! Three layers:
@@ -29,9 +29,13 @@
 //!   engine's own master loop (`predict_bsp::run_master`), so results are
 //!   *byte-identical* to in-memory runs by construction (the engine's
 //!   determinism contract, point 8), while recording a
-//!   [`MeasuredRun`](predict_bsp::MeasuredRun) into the profile. [`run_workload`] is the drop-in workload entry point
-//!   the prediction pipeline uses; `PREDICT_TRANSPORT=inproc|socket`
-//!   switches executors without touching results.
+//!   [`MeasuredRun`](predict_bsp::MeasuredRun) into the profile.
+//!   [`run_workload`] is the one seam the prediction pipeline runs every
+//!   sample and actual run through — it places a workload's
+//!   [`RunPlan`](predict_algorithms::RunPlan) on the executor the engine's
+//!   `BspConfig::transport` names and returns the [`ClusterError`] a
+//!   transported run met; `PREDICT_TRANSPORT=inproc|socket` switches
+//!   executors without touching results.
 //!
 //! Failure is structured, not silent: a worker that dies or hangs
 //! mid-superstep surfaces as a [`ClusterError`] naming the worker, the
@@ -53,11 +57,11 @@ pub mod wire;
 pub mod worker;
 
 pub use driver::{drive, drive_on, DriveOptions};
-pub use endpoint::{ChannelEndpoint, Endpoint, StdioEndpoint};
+pub use endpoint::{ChannelEndpoint, Endpoint, StreamEndpoint};
 pub use error::{ClusterError, WireError};
 pub use fault::{Direction, FaultAction, FaultEndpoint, FaultSchedule, FaultStream};
 pub use protocol::{FaultSpec, InitHeader, ProgramSpec, StepBody, StepDoneBody, PROTOCOL_VERSION};
-pub use runner::{clear_chaos, install_chaos, run_spec, run_workload, ChaosPlan};
+pub use runner::run_workload;
 pub use socket::{SocketListener, SocketStream};
 pub use transport::{checkin, checkout, worker_bin_path, Connection, TransportKind, WorkerGroup};
 pub use wire::{

@@ -32,14 +32,15 @@
 
 use crate::error::WireError;
 use crate::wire::{Reader, Wire, WireBatch};
-use predict_algorithms::{NeighborhoodParams, PageRankParams, SemiClusteringParams, TopKParams};
+pub use predict_algorithms::ProgramSpec;
 use predict_bsp::{Aggregates, PartitionStrategy, WorkerCounters};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
 /// Version of the frame protocol, carried in every [`InitHeader`]; workers
-/// refuse an `Init` from a driver speaking another version.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// refuse an `Init` from a driver speaking another version. Version 2
+/// dropped the per-peer cut lists from the shard section of `Init`.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Frame tags.
 pub mod tag {
@@ -117,52 +118,6 @@ impl FaultSpec {
     /// True when no fault is injected.
     pub fn is_none(&self) -> bool {
         self.crash_at.is_none() && self.hang_at.is_none()
-    }
-}
-
-/// Which vertex program a worker must run, with its parameters. The
-/// transportable mirror of [`WorkloadSpec`](predict_algorithms::WorkloadSpec)
-/// at the single-program level —
-/// one `Step` loop runs exactly one program (the TOP-K workload drives two
-/// episodes: a PageRank pre-pass, then the top-k phase whose input ranks
-/// ride the `Init` frame's binary section).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ProgramSpec {
-    /// `predict_algorithms::PageRank`.
-    PageRank {
-        /// PageRank parameters.
-        params: PageRankParams,
-    },
-    /// `predict_algorithms::TopKRanking`; input ranks travel in the `Init`
-    /// frame's binary section.
-    TopK {
-        /// Top-k parameters.
-        params: TopKParams,
-    },
-    /// `predict_algorithms::SemiClustering`.
-    SemiClustering {
-        /// Semi-clustering parameters.
-        params: SemiClusteringParams,
-    },
-    /// `predict_algorithms::ConnectedComponents`.
-    ConnectedComponents {},
-    /// `predict_algorithms::NeighborhoodEstimation`.
-    Neighborhood {
-        /// Neighborhood-estimation parameters.
-        params: NeighborhoodParams,
-    },
-}
-
-impl ProgramSpec {
-    /// Short program name used in error messages.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::PageRank { .. } => "pagerank",
-            Self::TopK { .. } => "top-k",
-            Self::SemiClustering { .. } => "semi-clustering",
-            Self::ConnectedComponents {} => "connected-components",
-            Self::Neighborhood { .. } => "neighborhood",
-        }
     }
 }
 
@@ -349,7 +304,7 @@ mod tests {
             num_workers: 2,
             strategy: PartitionStrategy::Modulo,
             program: ProgramSpec::TopK {
-                params: TopKParams::default(),
+                params: predict_algorithms::TopKParams::default(),
             },
             fault: None,
         };
@@ -365,6 +320,44 @@ mod tests {
         assert_eq!(h2, header);
         assert_eq!(s2.owned(), shards[1].owned());
         assert_eq!(r2, ranks);
+    }
+
+    /// Pins the `Init` body to the sections a worker reads — header, the four
+    /// shard scalars, owned, offsets, targets, optional weights, ranks — so a
+    /// derived structure cannot ride along unnoticed again.
+    #[test]
+    fn init_body_holds_only_what_a_worker_reads() {
+        use predict_graph::{CsrGraph, EdgeList};
+        let mut weighted = EdgeList::new();
+        for (s, d, w) in [(0u32, 1u32, 0.5f32), (1, 2, 2.0), (2, 0, 1.0), (0, 2, 4.0)] {
+            weighted.push_weighted(s, d, w);
+        }
+        let unweighted: EdgeList = [(0u32, 1u32), (1, 2), (2, 3), (3, 0), (0, 2)]
+            .into_iter()
+            .collect();
+        for (list, ranks) in [(weighted, vec![0.25f64; 3]), (unweighted, Vec::new())] {
+            let g = CsrGraph::from_edge_list(&list);
+            let header = InitHeader {
+                protocol_version: PROTOCOL_VERSION,
+                worker: 0,
+                num_workers: 2,
+                strategy: PartitionStrategy::Modulo,
+                program: ProgramSpec::ConnectedComponents {},
+                fault: None,
+            };
+            for shard in predict_graph::shard_csr(&g, 2, |v| v as usize % 2) {
+                let json = serde_json::to_string(&header).unwrap();
+                let (n, m) = (shard.num_local_vertices(), shard.num_local_edges());
+                let expected = (4 + json.len())      // header
+                    + 4 * 8                          // worker, workers, |V|, |E|
+                    + (4 + 4 * n)                    // owned
+                    + (4 + 8 * (n + 1))              // offsets
+                    + (4 + 4 * m)                    // targets
+                    + if shard.is_weighted() { 1 + 4 + 4 * m } else { 1 }
+                    + (4 + 8 * ranks.len()); // ranks
+                assert_eq!(encode_init(&header, &shard, &ranks).len(), expected);
+            }
+        }
     }
 
     #[test]

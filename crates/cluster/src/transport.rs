@@ -406,7 +406,7 @@ impl Connection {
                 Err(ClusterError::Timeout {
                     worker: self.worker,
                     superstep: None,
-                    timeout,
+                    timeout_ms: timeout.as_millis() as u64,
                     stderr_tail: self.stderr_tail(),
                 })
             }

@@ -367,10 +367,6 @@ impl Wire for ShardedCsr {
         self.out_offsets().to_vec().encode(out);
         self.out_targets().to_vec().encode(out);
         self.out_weights().map(<[f32]>::to_vec).encode(out);
-        let cut: Vec<Vec<u32>> = (0..self.num_workers())
-            .map(|p| self.cut_to(p).to_vec())
-            .collect();
-        cut.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let worker = usize::decode(r)?;
@@ -381,7 +377,6 @@ impl Wire for ShardedCsr {
         let out_offsets: Vec<usize> = Vec::decode(r)?;
         let out_targets: Vec<VertexId> = Vec::decode(r)?;
         let out_weights: Option<Vec<f32>> = Option::decode(r)?;
-        let cut: Vec<Vec<u32>> = Vec::decode(r)?;
         ShardedCsr::from_parts(
             worker,
             num_workers,
@@ -391,7 +386,6 @@ impl Wire for ShardedCsr {
             out_offsets,
             out_targets,
             out_weights,
-            cut,
         )
         .map_err(WireError::Invalid)
     }
@@ -562,8 +556,8 @@ mod tests {
             let bytes = encode_to_vec(shard);
             let back: ShardedCsr = decode_exact(&bytes).unwrap();
             assert_eq!(back.owned(), shard.owned());
+            assert_eq!(back.out_offsets(), shard.out_offsets());
             assert_eq!(back.out_targets(), shard.out_targets());
-            assert_eq!(back.cut_to(1), shard.cut_to(1));
             // Any truncation is rejected (either as Truncated or Invalid).
             assert!(decode_exact::<ShardedCsr>(&bytes[..bytes.len() - 1]).is_err());
         }

@@ -22,11 +22,9 @@
 //! ends the loop.
 
 use crate::endpoint::Endpoint;
-use crate::protocol::{self, tag, FaultSpec, InitHeader, ProgramSpec, StepBody, StepDoneBody};
+use crate::protocol::{self, tag, FaultSpec, InitHeader, StepBody, StepDoneBody};
 use crate::wire::{batch_from_routed, batch_into_row, encode_to_vec, Wire};
-use predict_algorithms::{
-    ConnectedComponents, NeighborhoodEstimation, PageRank, SemiClustering, TopKRanking,
-};
+use predict_algorithms::with_program;
 use predict_bsp::runtime::{ShardLayout, WorkerShard};
 use predict_bsp::storage::WorkerGraph;
 use predict_bsp::VertexProgram;
@@ -54,10 +52,7 @@ pub fn serve(ep: &mut impl Endpoint, standalone: bool) -> Result<(), String> {
             (tag::INIT, body) => {
                 let (header, shard, ranks) = match protocol::decode_init(&body) {
                     Ok(init) => init,
-                    Err(e) => {
-                        report(ep, format!("bad init frame: {e}"));
-                        return Err(format!("bad init frame: {e}"));
-                    }
+                    Err(e) => return fail(ep, format!("bad init frame: {e}")),
                 };
                 if header.protocol_version != protocol::PROTOCOL_VERSION {
                     let msg = format!(
@@ -65,55 +60,28 @@ pub fn serve(ep: &mut impl Endpoint, standalone: bool) -> Result<(), String> {
                         header.protocol_version,
                         protocol::PROTOCOL_VERSION
                     );
-                    report(ep, msg.clone());
-                    return Err(msg);
+                    return fail(ep, msg);
                 }
-                serve_episode(ep, standalone, header, shard, ranks)?;
+                // One monomorphized episode loop per program the header can
+                // name.
+                with_program!(&header.program, ranks, |program| run_episode(
+                    ep, standalone, &header, shard, program
+                ))?;
             }
             (other, _) => {
                 let msg = format!("unexpected frame tag {other:#04x} while awaiting init");
-                report(ep, msg.clone());
-                return Err(msg);
+                return fail(ep, msg);
             }
         }
     }
 }
 
-/// Best-effort `Error` frame; the driver may already be gone.
-fn report(ep: &mut impl Endpoint, message: String) {
+/// Ends the serve loop on a protocol violation: a best-effort `Error` frame
+/// (the driver may already be gone), then the same message as the loop's
+/// error.
+fn fail(ep: &mut impl Endpoint, message: String) -> Result<(), String> {
     let _ = ep.send(tag::ERROR, &encode_to_vec(&message));
-}
-
-/// Dispatches one episode to the monomorphized loop for the program the
-/// header names.
-fn serve_episode(
-    ep: &mut impl Endpoint,
-    standalone: bool,
-    header: InitHeader,
-    shard: ShardedCsr,
-    ranks: Vec<f64>,
-) -> Result<(), String> {
-    match &header.program {
-        ProgramSpec::PageRank { params } => {
-            let program = PageRank::new(*params);
-            run_episode(ep, standalone, &header, shard, &program)
-        }
-        ProgramSpec::TopK { params } => {
-            let program = TopKRanking::new(*params, ranks);
-            run_episode(ep, standalone, &header, shard, &program)
-        }
-        ProgramSpec::SemiClustering { params } => {
-            let program = SemiClustering::new(*params);
-            run_episode(ep, standalone, &header, shard, &program)
-        }
-        ProgramSpec::ConnectedComponents {} => {
-            run_episode(ep, standalone, &header, shard, &ConnectedComponents)
-        }
-        ProgramSpec::Neighborhood { params } => {
-            let program = NeighborhoodEstimation::new(*params);
-            run_episode(ep, standalone, &header, shard, &program)
-        }
-    }
+    Err(message)
 }
 
 /// One episode: the per-worker superstep loop over an explicit transport.
@@ -134,8 +102,7 @@ where
     let layout = ShardLayout::build(shard_csr.global_vertices(), num_workers, header.strategy);
     if layout.shard_vertices(me) != shard_csr.owned() {
         let msg = format!("shard ownership of worker {me} does not match the layout");
-        report(ep, msg.clone());
-        return Err(msg);
+        return fail(ep, msg);
     }
     let graph = WorkerGraph::Shard(&shard_csr);
     let mut state: WorkerShard<P> = WorkerShard::init(program, graph, &layout, me);
@@ -164,19 +131,14 @@ where
             (tag::STEP, body) => {
                 let step: StepBody<P::Message> = match crate::wire::decode_exact(&body) {
                     Ok(step) => step,
-                    Err(e) => {
-                        let msg = format!("bad step frame: {e}");
-                        report(ep, msg.clone());
-                        return Err(msg);
-                    }
+                    Err(e) => return fail(ep, format!("bad step frame: {e}")),
                 };
                 if step.superstep != expected_superstep {
                     let msg = format!(
                         "step frame for superstep {} while expecting {expected_superstep}",
                         step.superstep
                     );
-                    report(ep, msg.clone());
-                    return Err(msg);
+                    return fail(ep, msg);
                 }
                 expected_superstep += 1;
                 let superstep = step.superstep as usize;
@@ -191,9 +153,7 @@ where
                 for batch in step.batches {
                     let src = batch.src as usize;
                     if src >= num_workers || src == me {
-                        let msg = format!("batch from invalid source worker {src}");
-                        report(ep, msg.clone());
-                        return Err(msg);
+                        return fail(ep, format!("batch from invalid source worker {src}"));
                     }
                     row[src] = batch_into_row(batch);
                 }
@@ -245,8 +205,7 @@ where
             (tag::SHUTDOWN, _) => return Ok(()),
             (other, _) => {
                 let msg = format!("unexpected frame tag {other:#04x} during episode");
-                report(ep, msg.clone());
-                return Err(msg);
+                return fail(ep, msg);
             }
         }
     }

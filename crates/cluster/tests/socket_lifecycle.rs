@@ -127,10 +127,10 @@ fn unresponsive_peer_surfaces_as_timeout() {
 
     match err {
         ClusterError::Timeout {
-            worker, timeout, ..
+            worker, timeout_ms, ..
         } => {
             assert_eq!(worker, 0);
-            assert_eq!(timeout, Duration::from_millis(300));
+            assert_eq!(timeout_ms, 300);
         }
         other => panic!("expected Timeout, got {other:?}"),
     }

@@ -7,8 +7,7 @@
 //!   optional edge weights and both out- and in-adjacency, the representation
 //!   used by the BSP engine and the samplers.
 //! * [`ShardedCsr`] — the per-worker slice of a graph (local CSR over the
-//!   owned vertices plus remote-edge cut lists), so a graph partitioned over
-//!   BSP workers never needs to exist as one contiguous allocation.
+//!   owned vertices), the only part of a graph a cluster worker holds.
 //! * [`EdgeList`] / [`GraphBuilder`] — mutable construction APIs.
 //! * [`generators`] — synthetic graph generators (R-MAT, Barabási–Albert,
 //!   Erdős–Rényi, Watts–Strogatz, degenerate chains, plus grid road
@@ -52,6 +51,6 @@ pub mod types;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use edge_list::EdgeList;
-pub use sharded::{shard_csr, shard_edge_list, ShardedCsr};
+pub use sharded::{shard_csr, ShardedCsr};
 pub use subgraph::{induced_subgraph, SubgraphMapping};
 pub use types::{Edge, EdgeCount, VertexCount, VertexId};

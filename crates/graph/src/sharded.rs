@@ -5,32 +5,28 @@
 //! features — messages, bytes, active vertices — fall out of that partition.
 //! A [`ShardedCsr`] makes the partition structural: it is the slice of a
 //! graph owned by *one* worker, holding only the out-adjacency of the
-//! vertices assigned to that worker, plus the cut lists of edges whose
-//! destination lives on a peer worker. A graph sharded over `W` workers is a
-//! `Vec<ShardedCsr>` whose shards together cover every edge exactly once —
-//! and the graph never needs to exist as one contiguous allocation.
+//! vertices assigned to that worker — exactly what a cluster worker reads
+//! while it computes, and therefore exactly what the `Init` frame ships. A
+//! graph sharded over `W` workers is a `Vec<ShardedCsr>` whose shards
+//! together cover every edge exactly once.
 //!
-//! Shards are built by the same counting machinery as
-//! [`CsrGraph`](crate::csr::CsrGraph) (degree histogram → prefix offsets →
-//! direct placement, no sorting), either straight from an [`EdgeList`]
-//! ([`shard_edge_list`]) or by slicing an already-frozen CSR
-//! ([`shard_csr`]). Both preserve per-source edge order, so a shard's
-//! adjacency of vertex `v` is byte-identical to the unified
-//! `CsrGraph::out_neighbors(v)` — the property that lets the BSP runtime
-//! guarantee byte-identical results under either storage (see
+//! [`shard_csr`] cuts the shards out of a frozen
+//! [`CsrGraph`](crate::csr::CsrGraph) by copying each owned vertex's
+//! adjacency slice, so a shard's adjacency of vertex `v` is byte-identical
+//! to the unified `CsrGraph::out_neighbors(v)` — the property that lets a
+//! cluster run reproduce an in-memory run bit for bit (see
 //! `predict_bsp::runtime`).
 //!
 //! Ownership is expressed as a plain `owner(v) -> worker` function so this
-//! crate stays partitioning-agnostic; `predict_bsp` supplies its
-//! `PartitionStrategy` assignment when building storage for an engine.
+//! crate stays partitioning-agnostic; the cluster driver supplies its
+//! `ShardLayout`'s assignment.
 
 use crate::csr::prefix_sum;
-use crate::edge_list::EdgeList;
-use crate::types::{Edge, VertexId};
+use crate::types::VertexId;
 use serde::Serialize;
 
 /// The slice of a graph owned by one worker: a local CSR over the worker's
-/// owned vertices plus the remote-edge cut lists.
+/// owned vertices.
 ///
 /// * **Owned vertices** — ascending global vertex ids assigned to this
 ///   worker; local *slot* `i` is the `i`-th owned vertex, the same dense
@@ -38,11 +34,6 @@ use serde::Serialize;
 /// * **Local CSR** — `out_offsets`/`out_targets` indexed by slot; targets are
 ///   *global* vertex ids (a message can leave the shard, the adjacency
 ///   cannot).
-/// * **Cut lists** — for every peer worker `w`, the positions (indices into
-///   `out_targets`) of the out-edges whose destination is owned by `w`.
-///   These make the per-worker remote-edge totals of the paper's
-///   critical-path model (section 3.4) a structural fact of the storage
-///   instead of a per-run scan.
 #[derive(Debug, Clone, Serialize)]
 pub struct ShardedCsr {
     worker: usize,
@@ -60,16 +51,12 @@ pub struct ShardedCsr {
     /// Weights aligned with `out_targets`; `None` when the graph is
     /// unweighted (the decision is global, matching `CsrGraph`).
     out_weights: Option<Vec<f32>>,
-    /// `cut[w]` = indices into `out_targets` of edges destined for peer
-    /// worker `w`; `cut[self.worker]` is always empty (local edges are
-    /// implicit).
-    cut: Vec<Vec<u32>>,
 }
 
 impl ShardedCsr {
     /// Reassembles a shard from its raw parts — the decode half of a wire
     /// format (`predict_cluster` ships shards to worker processes this way).
-    /// Validates the structural invariants the builders guarantee so a
+    /// Validates the structural invariants [`shard_csr`] guarantees so a
     /// corrupted or truncated payload is rejected instead of producing a
     /// shard that would misroute messages.
     #[allow(clippy::too_many_arguments)]
@@ -82,7 +69,6 @@ impl ShardedCsr {
         out_offsets: Vec<usize>,
         out_targets: Vec<VertexId>,
         out_weights: Option<Vec<f32>>,
-        cut: Vec<Vec<u32>>,
     ) -> Result<Self, String> {
         if num_workers == 0 {
             return Err("at least one worker is required".into());
@@ -123,22 +109,6 @@ impl ShardedCsr {
                 return Err("weights must align with targets".into());
             }
         }
-        if cut.len() != num_workers {
-            return Err(format!(
-                "expected {num_workers} cut lists, got {}",
-                cut.len()
-            ));
-        }
-        if !cut[worker].is_empty() {
-            return Err("the cut list to the shard's own worker must be empty".into());
-        }
-        if cut
-            .iter()
-            .flatten()
-            .any(|&i| i as usize >= out_targets.len())
-        {
-            return Err("cut position exceeds the local edge count".into());
-        }
         Ok(Self {
             worker,
             num_workers,
@@ -148,7 +118,6 @@ impl ShardedCsr {
             out_offsets,
             out_targets,
             out_weights,
-            cut,
         })
     }
 
@@ -228,22 +197,6 @@ impl ShardedCsr {
         self.out_weights.as_deref()
     }
 
-    /// Positions (indices into the shard's edge array) of the out-edges cut
-    /// to peer worker `peer`. Empty for `peer == self.worker()`.
-    pub fn cut_to(&self, peer: usize) -> &[u32] {
-        &self.cut[peer]
-    }
-
-    /// Number of out-edges whose destination is owned by another worker.
-    pub fn remote_edges(&self) -> usize {
-        self.cut.iter().map(Vec::len).sum()
-    }
-
-    /// Number of out-edges whose destination this shard also owns.
-    pub fn local_edges(&self) -> usize {
-        self.num_local_edges() - self.remote_edges()
-    }
-
     /// Rough in-memory footprint of the shard in bytes, the per-worker
     /// analog of [`CsrGraph::size_bytes`](crate::csr::CsrGraph::size_bytes).
     pub fn size_bytes(&self) -> usize {
@@ -255,125 +208,15 @@ impl ShardedCsr {
                 .as_ref()
                 .map(|w| w.len() * std::mem::size_of::<f32>())
                 .unwrap_or(0)
-            + self
-                .cut
-                .iter()
-                .map(|c| c.len() * std::mem::size_of::<u32>())
-                .sum::<usize>()
     }
 }
 
-/// Dense vertex-to-worker assignment shared by both shard builders: owner and
-/// slot of every vertex plus the ascending owned list per worker. This is the
-/// same decomposition `predict_bsp`'s shard layout computes; rebuilding it
-/// here keeps the crates decoupled (the closure is the only coupling point).
-struct Assignment {
-    owner: Vec<u32>,
-    slot: Vec<u32>,
-    owned: Vec<Vec<VertexId>>,
-}
-
-fn assign(
-    num_vertices: usize,
-    num_workers: usize,
-    owner_of: impl Fn(VertexId) -> usize,
-) -> Assignment {
-    assert!(num_workers > 0, "at least one worker is required");
-    let mut owner = vec![0u32; num_vertices];
-    let mut slot = vec![0u32; num_vertices];
-    let mut owned: Vec<Vec<VertexId>> = vec![Vec::new(); num_workers];
-    for v in 0..num_vertices {
-        let w = owner_of(v as VertexId);
-        assert!(w < num_workers, "owner {w} of vertex {v} out of range");
-        owner[v] = w as u32;
-        let shard = &mut owned[w];
-        slot[v] = shard.len() as u32;
-        shard.push(v as VertexId);
-    }
-    Assignment { owner, slot, owned }
-}
-
-/// Fills every shard's cut lists from its placed adjacency.
-fn build_cuts(shards: &mut [ShardedCsr], owner: &[u32]) {
-    for shard in shards.iter_mut() {
-        for (i, &dst) in shard.out_targets.iter().enumerate() {
-            let peer = owner[dst as usize] as usize;
-            if peer != shard.worker {
-                shard.cut[peer].push(i as u32);
-            }
-        }
-    }
-}
-
-/// Shards `list` over `num_workers` workers without ever materializing the
-/// unified CSR: one degree-counting pass, one placement pass — the same
-/// counting build [`CsrGraph::from_edges`](crate::csr::CsrGraph::from_edges)
-/// uses, split per worker. Per-source edge order (insertion order) is
-/// preserved, so each shard's adjacency matches the unified graph's.
+/// Shards a frozen [`CsrGraph`](crate::csr::CsrGraph) over `num_workers`
+/// workers by copying each owned vertex's adjacency slice into its worker's
+/// shard; per-source edge order (and weights) are preserved.
 ///
-/// `owner_of` maps every vertex id below `list.num_vertices()` to its worker
+/// `owner_of` maps every vertex id below `graph.num_vertices()` to its worker
 /// (must be `< num_workers`).
-///
-/// # Panics
-///
-/// Panics if `num_workers == 0` or `owner_of` returns an out-of-range worker.
-pub fn shard_edge_list(
-    list: &EdgeList,
-    num_workers: usize,
-    owner_of: impl Fn(VertexId) -> usize,
-) -> Vec<ShardedCsr> {
-    let n = list.num_vertices();
-    let edges = list.edges();
-    let a = assign(n, num_workers, owner_of);
-    let weighted = edges.iter().any(|e| e.weight != 1.0);
-
-    // Per-shard slot degree histograms.
-    let mut degrees: Vec<Vec<usize>> = a.owned.iter().map(|o| vec![0usize; o.len()]).collect();
-    for e in edges {
-        let w = a.owner[e.src as usize] as usize;
-        degrees[w][a.slot[e.src as usize] as usize] += 1;
-    }
-
-    let mut shards: Vec<ShardedCsr> = (0..num_workers)
-        .map(|w| {
-            let out_offsets = prefix_sum(&degrees[w]);
-            let local_edges = *out_offsets.last().unwrap_or(&0);
-            ShardedCsr {
-                worker: w,
-                num_workers,
-                global_vertices: n,
-                global_edges: edges.len(),
-                owned: a.owned[w].clone(),
-                out_targets: vec![0 as VertexId; local_edges],
-                out_weights: weighted.then(|| vec![1.0f32; local_edges]),
-                out_offsets,
-                cut: vec![Vec::new(); num_workers],
-            }
-        })
-        .collect();
-
-    // Placement pass in input order: per-source insertion order survives,
-    // exactly as in the unified counting build.
-    let mut cursors: Vec<Vec<usize>> = shards.iter().map(|s| s.out_offsets.clone()).collect();
-    for e in edges {
-        let w = a.owner[e.src as usize] as usize;
-        let slot = a.slot[e.src as usize] as usize;
-        let c = &mut cursors[w][slot];
-        shards[w].out_targets[*c] = e.dst;
-        if let Some(ws) = shards[w].out_weights.as_mut() {
-            ws[*c] = e.weight;
-        }
-        *c += 1;
-    }
-
-    build_cuts(&mut shards, &a.owner);
-    shards
-}
-
-/// Shards an already-frozen [`CsrGraph`](crate::csr::CsrGraph) by copying
-/// each owned vertex's adjacency slice into its worker's shard. Cheaper than
-/// [`shard_edge_list`] when the unified CSR already exists (no per-edge owner
-/// lookups on the source side), and produces the identical shards.
 ///
 /// # Panics
 ///
@@ -383,78 +226,56 @@ pub fn shard_csr(
     num_workers: usize,
     owner_of: impl Fn(VertexId) -> usize,
 ) -> Vec<ShardedCsr> {
+    assert!(num_workers > 0, "at least one worker is required");
     let n = graph.num_vertices();
-    let a = assign(n, num_workers, owner_of);
-    let weighted = graph.is_weighted();
-
-    let mut shards: Vec<ShardedCsr> = (0..num_workers)
-        .map(|w| {
-            let degrees: Vec<usize> = a.owned[w].iter().map(|&v| graph.out_degree(v)).collect();
+    let mut owned: Vec<Vec<VertexId>> = vec![Vec::new(); num_workers];
+    for v in 0..n as VertexId {
+        let w = owner_of(v);
+        assert!(w < num_workers, "owner {w} of vertex {v} out of range");
+        owned[w].push(v);
+    }
+    owned
+        .into_iter()
+        .enumerate()
+        .map(|(worker, owned)| {
+            let degrees: Vec<usize> = owned.iter().map(|&v| graph.out_degree(v)).collect();
             let out_offsets = prefix_sum(&degrees);
             let local_edges = *out_offsets.last().unwrap_or(&0);
+            let mut out_targets = Vec::with_capacity(local_edges);
+            let mut out_weights = graph.is_weighted().then(|| Vec::with_capacity(local_edges));
+            for &v in &owned {
+                out_targets.extend_from_slice(graph.out_neighbors(v));
+                if let Some(ws) = out_weights.as_mut() {
+                    ws.extend_from_slice(graph.out_weights(v).expect("weighted graph has weights"));
+                }
+            }
             ShardedCsr {
-                worker: w,
+                worker,
                 num_workers,
                 global_vertices: n,
                 global_edges: graph.num_edges(),
-                owned: a.owned[w].clone(),
-                out_targets: Vec::with_capacity(local_edges),
-                out_weights: weighted.then(|| Vec::with_capacity(local_edges)),
+                owned,
                 out_offsets,
-                cut: vec![Vec::new(); num_workers],
+                out_targets,
+                out_weights,
             }
         })
-        .collect();
-
-    for shard in shards.iter_mut() {
-        for &v in &shard.owned {
-            shard.out_targets.extend_from_slice(graph.out_neighbors(v));
-            if let Some(ws) = shard.out_weights.as_mut() {
-                ws.extend_from_slice(graph.out_weights(v).expect("weighted graph has weights"));
-            }
-        }
-    }
-
-    build_cuts(&mut shards, &a.owner);
-    shards
-}
-
-/// Reassembles the unified edge multiset from a set of shards, in ascending
-/// `(worker, slot, edge)` order. Used by tests and by callers that need to
-/// hand a sharded graph to an API that still wants one allocation.
-pub fn unshard_to_edge_list(shards: &[ShardedCsr]) -> EdgeList {
-    let global_vertices = shards.first().map(|s| s.global_vertices).unwrap_or(0);
-    let mut el = EdgeList::with_capacity(shards.iter().map(|s| s.num_local_edges()).sum());
-    el.ensure_vertices(global_vertices);
-    for shard in shards {
-        for slot in 0..shard.num_local_vertices() {
-            let src = shard.owned[slot];
-            let nbrs = shard.out_neighbors_at(slot);
-            match shard.out_weights_at(slot) {
-                Some(ws) => {
-                    for (&dst, &w) in nbrs.iter().zip(ws) {
-                        el.push_edge(Edge::weighted(src, dst, w));
-                    }
-                }
-                None => {
-                    for &dst in nbrs {
-                        el.push(src, dst);
-                    }
-                }
-            }
-        }
-    }
-    el
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::CsrGraph;
+    use crate::edge_list::EdgeList;
     use crate::generators::{generate_rmat, RmatConfig};
 
     fn modulo(workers: usize) -> impl Fn(VertexId) -> usize {
         move |v| v as usize % workers
+    }
+
+    fn shard_list(el: &EdgeList, workers: usize) -> Vec<ShardedCsr> {
+        shard_csr(&CsrGraph::from_edge_list(el), workers, modulo(workers))
     }
 
     fn diamond() -> EdgeList {
@@ -464,8 +285,7 @@ mod tests {
 
     #[test]
     fn shards_partition_vertices_and_edges() {
-        let el = diamond();
-        let shards = shard_edge_list(&el, 2, modulo(2));
+        let shards = shard_list(&diamond(), 2);
         assert_eq!(shards.len(), 2);
         // Worker 0 owns 0, 2; worker 1 owns 1, 3.
         assert_eq!(shards[0].owned(), &[0, 2]);
@@ -480,10 +300,11 @@ mod tests {
     #[test]
     fn shard_adjacency_matches_unified_csr() {
         let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(7));
-        let el = g.to_edge_list();
         for workers in [1usize, 3, 5] {
-            let shards = shard_edge_list(&el, workers, modulo(workers));
+            let shards = shard_csr(&g, workers, modulo(workers));
+            let mut edges = 0;
             for shard in &shards {
+                edges += shard.num_local_edges();
                 for (slot, &v) in shard.owned().iter().enumerate() {
                     assert_eq!(
                         shard.out_neighbors_at(slot),
@@ -493,58 +314,27 @@ mod tests {
                     );
                 }
             }
+            assert_eq!(
+                edges,
+                g.num_edges(),
+                "every edge lands in exactly one shard"
+            );
         }
     }
 
     #[test]
-    fn shard_csr_equals_shard_edge_list() {
-        let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(9));
-        let el = g.to_edge_list();
-        let from_list = shard_edge_list(&el, 4, modulo(4));
-        let from_csr = shard_csr(&g, 4, modulo(4));
-        for (a, b) in from_list.iter().zip(&from_csr) {
-            assert_eq!(a.owned(), b.owned());
-            assert_eq!(a.out_offsets, b.out_offsets);
-            assert_eq!(a.out_targets, b.out_targets);
-            assert_eq!(a.out_weights, b.out_weights);
-            assert_eq!(a.cut, b.cut);
-        }
-    }
-
-    #[test]
-    fn cut_lists_identify_remote_edges() {
-        let el = diamond();
-        let shards = shard_edge_list(&el, 2, modulo(2));
-        // Worker 0 owns {0, 2}: edges 0->1 (remote), 0->2 (local), 2->3
-        // (remote).
-        assert_eq!(shards[0].remote_edges(), 2);
-        assert_eq!(shards[0].local_edges(), 1);
-        assert_eq!(shards[0].cut_to(0), &[] as &[u32]);
-        // Worker 1 owns {1, 3}: edge 1->3 is local.
-        assert_eq!(shards[1].remote_edges(), 0);
-        assert_eq!(shards[1].local_edges(), 1);
-        // Cut positions point at the actual remote targets.
-        for &i in shards[0].cut_to(1) {
-            let dst = shards[0].out_targets[i as usize];
-            assert_eq!(dst as usize % 2, 1);
-        }
-    }
-
-    #[test]
-    fn single_worker_owns_everything_with_empty_cuts() {
+    fn single_worker_owns_everything() {
         let g = generate_rmat(&RmatConfig::new(7, 4).with_seed(3));
         let shards = shard_csr(&g, 1, modulo(1));
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].num_local_vertices(), g.num_vertices());
         assert_eq!(shards[0].num_local_edges(), g.num_edges());
-        assert_eq!(shards[0].remote_edges(), 0);
-        assert_eq!(shards[0].local_edges(), g.num_edges());
     }
 
     #[test]
     fn more_workers_than_vertices_leaves_empty_shards() {
         let el: EdgeList = [(0u32, 1u32), (1, 2)].into_iter().collect();
-        let shards = shard_edge_list(&el, 8, modulo(8));
+        let shards = shard_list(&el, 8);
         assert_eq!(shards.len(), 8);
         for (w, s) in shards.iter().enumerate() {
             if w < 3 {
@@ -559,8 +349,7 @@ mod tests {
 
     #[test]
     fn empty_graph_shards_are_empty() {
-        let el = EdgeList::new();
-        let shards = shard_edge_list(&el, 3, modulo(3));
+        let shards = shard_list(&EdgeList::new(), 3);
         assert_eq!(shards.len(), 3);
         for s in &shards {
             assert_eq!(s.global_vertices(), 0);
@@ -575,9 +364,9 @@ mod tests {
         el.push_weighted(0, 1, 0.25); // worker 0 -> worker 1
         el.push_weighted(1, 2, 4.0); // worker 1 -> worker 0
         el.push_weighted(2, 0, 1.0); // worker 0 -> worker 0 (local)
-        let shards = shard_edge_list(&el, 2, modulo(2));
-        assert!(shards.iter().all(ShardedCsr::is_weighted));
         let g = CsrGraph::from_edge_list(&el);
+        let shards = shard_csr(&g, 2, modulo(2));
+        assert!(shards.iter().all(ShardedCsr::is_weighted));
         for shard in &shards {
             for (slot, &v) in shard.owned().iter().enumerate() {
                 assert_eq!(
@@ -586,13 +375,9 @@ mod tests {
                 );
             }
         }
-        // The cut edge 0 -> 1 carries its weight on worker 0's shard.
-        let cut = shards[0].cut_to(1);
-        assert_eq!(cut.len(), 1);
-        assert_eq!(
-            shards[0].out_weights.as_ref().unwrap()[cut[0] as usize],
-            0.25
-        );
+        // The cross-shard edge 0 -> 1 carries its weight on worker 0's shard.
+        assert_eq!(shards[0].out_neighbors_at(0), &[1]);
+        assert_eq!(shards[0].out_weights_at(0).unwrap(), &[0.25]);
     }
 
     #[test]
@@ -600,22 +385,9 @@ mod tests {
         let mut el = EdgeList::new();
         el.push(0, 1);
         el.push(0, 1);
-        let shards = shard_edge_list(&el, 2, modulo(2));
+        let shards = shard_list(&el, 2);
         assert_eq!(shards[0].num_local_edges(), 2);
         assert_eq!(shards[0].out_neighbors_at(0), &[1, 1]);
-    }
-
-    #[test]
-    fn unshard_round_trips_to_the_same_graph() {
-        let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(5));
-        let shards = shard_csr(&g, 4, modulo(4));
-        let el = unshard_to_edge_list(&shards);
-        let g2 = CsrGraph::from_edge_list(&el);
-        assert_eq!(g2.num_vertices(), g.num_vertices());
-        assert_eq!(g2.num_edges(), g.num_edges());
-        for v in g.vertices() {
-            assert_eq!(g2.out_neighbors(v), g.out_neighbors(v));
-        }
     }
 
     #[test]
@@ -628,14 +400,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_panics() {
-        let _ = shard_edge_list(&EdgeList::new(), 0, modulo(1));
+        let _ = shard_csr(&CsrGraph::from_edges(0, &[]), 0, modulo(1));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_owner_panics() {
-        let el = diamond();
-        let _ = shard_edge_list(&el, 2, |_| 7);
+        let _ = shard_csr(&CsrGraph::from_edge_list(&diamond()), 2, |_| 7);
     }
 
     #[test]
@@ -651,121 +422,62 @@ mod tests {
                 shard.out_offsets().to_vec(),
                 shard.out_targets().to_vec(),
                 shard.out_weights().map(<[f32]>::to_vec),
-                (0..shard.num_workers())
-                    .map(|p| shard.cut_to(p).to_vec())
-                    .collect(),
             )
             .expect("built shards satisfy the invariants");
             assert_eq!(rebuilt.owned(), shard.owned());
             assert_eq!(rebuilt.out_offsets, shard.out_offsets);
             assert_eq!(rebuilt.out_targets, shard.out_targets);
-            assert_eq!(rebuilt.cut, shard.cut);
         }
     }
 
     #[test]
     fn from_parts_rejects_malformed_payloads() {
         // Well-formed baseline: worker 0 of 2 owns vertex 0 with edge 0 -> 1.
-        let ok = ShardedCsr::from_parts(
-            0,
-            2,
-            2,
-            1,
-            vec![0],
-            vec![0, 1],
-            vec![1],
-            None,
-            vec![vec![], vec![0]],
+        type Parts = (
+            usize,
+            Vec<VertexId>,
+            Vec<usize>,
+            Vec<VertexId>,
+            Option<Vec<f32>>,
         );
-        assert!(ok.is_ok());
-        let cases: Vec<(&str, Result<ShardedCsr, String>)> = vec![
+        let build = |(worker, owned, offsets, targets, weights): Parts| {
+            ShardedCsr::from_parts(worker, 2, 2, 1, owned, offsets, targets, weights)
+        };
+        assert!(build((0, vec![0], vec![0, 1], vec![1], None)).is_ok());
+        let cases: Vec<(&str, Parts)> = vec![
             (
                 "worker out of range",
-                ShardedCsr::from_parts(
-                    2,
-                    2,
-                    2,
-                    1,
-                    vec![0],
-                    vec![0, 1],
-                    vec![1],
-                    None,
-                    vec![vec![], vec![0]],
-                ),
+                (2, vec![0], vec![0, 1], vec![1], None),
             ),
             (
-                "offsets truncated",
-                ShardedCsr::from_parts(
-                    0,
-                    2,
-                    2,
-                    1,
-                    vec![0],
-                    vec![0],
-                    vec![1],
-                    None,
-                    vec![vec![], vec![0]],
-                ),
+                "owned not ascending",
+                (0, vec![1, 0], vec![0, 1, 1], vec![1], None),
+            ),
+            (
+                "owned out of range",
+                (0, vec![5], vec![0, 1], vec![1], None),
+            ),
+            ("offsets truncated", (0, vec![0], vec![0], vec![1], None)),
+            (
+                "offsets decreasing",
+                (0, vec![0, 1], vec![0, 1, 0], vec![1], None),
+            ),
+            ("last offset off", (0, vec![0], vec![0, 0], vec![1], None)),
+            (
+                "more edges than the graph",
+                (0, vec![0], vec![0, 2], vec![1, 1], None),
             ),
             (
                 "target out of range",
-                ShardedCsr::from_parts(
-                    0,
-                    2,
-                    2,
-                    1,
-                    vec![0],
-                    vec![0, 1],
-                    vec![9],
-                    None,
-                    vec![vec![], vec![0]],
-                ),
-            ),
-            (
-                "own cut list not empty",
-                ShardedCsr::from_parts(
-                    0,
-                    2,
-                    2,
-                    1,
-                    vec![0],
-                    vec![0, 1],
-                    vec![1],
-                    None,
-                    vec![vec![0], vec![]],
-                ),
-            ),
-            (
-                "cut position out of range",
-                ShardedCsr::from_parts(
-                    0,
-                    2,
-                    2,
-                    1,
-                    vec![0],
-                    vec![0, 1],
-                    vec![1],
-                    None,
-                    vec![vec![], vec![5]],
-                ),
+                (0, vec![0], vec![0, 1], vec![9], None),
             ),
             (
                 "misaligned weights",
-                ShardedCsr::from_parts(
-                    0,
-                    2,
-                    2,
-                    1,
-                    vec![0],
-                    vec![0, 1],
-                    vec![1],
-                    Some(vec![1.0, 2.0]),
-                    vec![vec![], vec![0]],
-                ),
+                (0, vec![0], vec![0, 1], vec![1], Some(vec![1.0, 2.0])),
             ),
         ];
-        for (what, result) in cases {
-            assert!(result.is_err(), "{what} must be rejected");
+        for (what, parts) in cases {
+            assert!(build(parts).is_err(), "{what} must be rejected");
         }
     }
 }

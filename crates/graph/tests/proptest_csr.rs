@@ -1,9 +1,7 @@
 //! Property-based tests for the CSR graph representation and the induced
 //! subgraph extraction — the invariants every other crate relies on.
 
-use predict_graph::{
-    induced_subgraph, shard_csr, shard_edge_list, CsrGraph, Edge, EdgeList, ShardedCsr, VertexId,
-};
+use predict_graph::{induced_subgraph, shard_csr, CsrGraph, Edge, EdgeList, ShardedCsr, VertexId};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary edge list over up to `max_vertices` vertices.
@@ -264,10 +262,10 @@ proptest! {
 
     /// Sharding is a pure re-layout: for any (possibly weighted) edge list,
     /// worker count and modulo ownership, every shard's per-slot adjacency
-    /// and weights equal the unified CSR's for the owned vertex, cut lists
-    /// point exactly at the cross-shard edges, and shard totals partition
-    /// the graph. Covers empty worker ranges (more workers than vertices)
-    /// and cross-shard weighted edges by construction.
+    /// and weights equal the unified CSR's for the owned vertex, shard totals
+    /// partition the graph, and every shard survives `from_parts`. Covers
+    /// empty worker ranges (more workers than vertices) and cross-shard
+    /// weighted edges by construction.
     #[test]
     fn sharded_csr_matches_unified_reference(
         pairs in prop::collection::vec((0u32..40, 0u32..40, 0.5f32..4.0), 0..160),
@@ -280,7 +278,7 @@ proptest! {
         }
         let g = CsrGraph::from_edge_list(&el);
         let owner = |v: VertexId| v as usize % workers;
-        let shards = shard_edge_list(&el, workers, owner);
+        let shards = shard_csr(&g, workers, owner);
 
         prop_assert_eq!(shards.len(), workers);
         let vertex_total: usize = shards.iter().map(ShardedCsr::num_local_vertices).sum();
@@ -295,38 +293,17 @@ proptest! {
                 prop_assert_eq!(shard.out_neighbors_at(slot), g.out_neighbors(v));
                 prop_assert_eq!(shard.out_weights_at(slot), g.out_weights(v));
             }
-            // Cut lists: every listed edge crosses to exactly that peer, and
-            // local + remote accounts for every local edge.
-            let mut remote = 0usize;
-            for peer in 0..workers {
-                for &_idx in shard.cut_to(peer) {
-                    prop_assert!(peer != shard.worker());
-                }
-                remote += shard.cut_to(peer).len();
-            }
-            prop_assert_eq!(shard.remote_edges(), remote);
-            prop_assert_eq!(shard.local_edges() + remote, shard.num_local_edges());
-            // Every slot's neighbors that live elsewhere appear in a cut.
-            let cut_total: usize = (0..shard.num_local_vertices())
-                .map(|slot| {
-                    shard
-                        .out_neighbors_at(slot)
-                        .iter()
-                        .filter(|&&d| owner(d) != shard.worker())
-                        .count()
-                })
-                .sum();
-            prop_assert_eq!(cut_total, remote);
-        }
-
-        // Sharding the frozen CSR produces the same shards.
-        let from_csr = shard_csr(&g, workers, owner);
-        for (a, b) in shards.iter().zip(&from_csr) {
-            prop_assert_eq!(a.owned(), b.owned());
-            for slot in 0..a.num_local_vertices() {
-                prop_assert_eq!(a.out_neighbors_at(slot), b.out_neighbors_at(slot));
-                prop_assert_eq!(a.out_weights_at(slot), b.out_weights_at(slot));
-            }
+            let rebuilt = ShardedCsr::from_parts(
+                shard.worker(),
+                shard.num_workers(),
+                shard.global_vertices(),
+                shard.global_edges(),
+                shard.owned().to_vec(),
+                shard.out_offsets().to_vec(),
+                shard.out_targets().to_vec(),
+                shard.out_weights().map(<[f32]>::to_vec),
+            );
+            prop_assert!(rebuilt.is_ok(), "{:?}", rebuilt.err());
         }
     }
 

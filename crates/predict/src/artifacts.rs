@@ -213,24 +213,27 @@ pub struct SampleRunArtifact {
 
 impl SampleRunArtifact {
     /// Executes `workload` on the sample graph with its threshold rescaled by
-    /// `transform` at the sample's achieved ratio, profiling the run.
+    /// `transform` at the sample's achieved ratio, profiling the run. The run
+    /// goes through `predict_cluster::run_workload` like the actual run does,
+    /// so it fails only when the engine places it on a cluster transport and
+    /// the drive fails.
     pub fn execute(
         engine: &BspEngine,
         workload: &dyn Workload,
         transform: TransformFunction,
         sample: &SampleArtifact,
-    ) -> Self {
+    ) -> Result<Self, PredictError> {
         let ratio = sample.clamped_ratio();
         let sample_workload = transform.apply(workload, ratio);
         let run =
-            crate::exec::execute_workload(engine, sample_workload.as_ref(), &sample.sample.graph);
-        Self {
+            predict_cluster::run_workload(engine, sample_workload.as_ref(), &sample.sample.graph)?;
+        Ok(Self {
             sample_key: sample.key.clone(),
             workload: workload.cache_token(),
             transformed_threshold: sample_workload.threshold(),
             profile: run.profile,
             halt_reason: run.halt_reason,
-        }
+        })
     }
 
     /// Number of iterations (supersteps) the run executed.
@@ -417,7 +420,7 @@ mod tests {
         let workload = PageRankWorkload::with_epsilon(0.01, g.num_vertices());
         let sample = SampleArtifact::draw(&sampler, &g, 0.2, 5).unwrap();
         let transform = TransformFunction::default_for(workload.convergence());
-        let run = SampleRunArtifact::execute(&engine, &workload, transform, &sample);
+        let run = SampleRunArtifact::execute(&engine, &workload, transform, &sample).unwrap();
         assert!(run.iterations() >= 2);
         assert!(run.transformed_threshold > workload.threshold());
         assert_eq!(run.sample_key, sample.key);

@@ -1,14 +1,17 @@
 //! The unified error type of the prediction stack.
 //!
-//! Every stage of the pipeline — sampling, sample-run execution, training-set
-//! assembly, cost-model fitting — reports failures through [`PredictError`],
-//! so sessions and the concurrent [`crate::PredictService`] share one error
-//! surface. Conditions that
+//! Every stage of the pipeline — sampling, sample-run and actual-run
+//! execution, training-set assembly, cost-model fitting — reports failures
+//! through [`PredictError`], so sessions and the concurrent
+//! [`crate::PredictService`] share one error surface. A run placed on a
+//! cluster transport that loses a worker is [`PredictError::Cluster`], the
+//! driver's structured report carried by value. Conditions that
 //! used to panic inside stage code (non-finite or non-positive ratios
 //! reaching the transform function's assertions) are validated up front and
 //! surfaced as [`PredictError::InvalidConfig`] instead.
 
 use crate::regression::RegressionError;
+use predict_cluster::ClusterError;
 use serde::Serialize;
 
 /// Errors produced by the prediction pipeline, sessions and the service.
@@ -43,6 +46,12 @@ pub enum PredictError {
     },
     /// The cost model could not be trained on the assembled training set.
     CostModel(RegressionError),
+    /// A sample run or actual run was placed on a cluster transport and the
+    /// drive failed: a worker died, hung past the read deadline or spoke the
+    /// protocol wrong. The report names the worker and superstep and quotes
+    /// the worker's stderr tail. Nothing is cached for the failed stage, so
+    /// resubmitting the request runs it again on a fresh worker group.
+    Cluster(ClusterError),
     /// A service worker panicked while evaluating this request. The panic is
     /// caught at the request boundary so one poisoned request cannot take
     /// down its batch (or the service): the other requests in the batch
@@ -73,6 +82,7 @@ impl std::fmt::Display for PredictError {
                 "no training data beyond the extrapolation sample run for {workload} on {dataset}"
             ),
             PredictError::CostModel(e) => write!(f, "cost model training failed: {e}"),
+            PredictError::Cluster(e) => write!(f, "cluster transport failed: {e}"),
             PredictError::WorkerPanicked { message } => {
                 write!(f, "prediction worker panicked: {message}")
             }
@@ -81,6 +91,12 @@ impl std::fmt::Display for PredictError {
 }
 
 impl std::error::Error for PredictError {}
+
+impl From<ClusterError> for PredictError {
+    fn from(e: ClusterError) -> Self {
+        PredictError::Cluster(e)
+    }
+}
 
 impl PredictError {
     /// True when this error is the sampling stage's empty-sample condition,
@@ -143,6 +159,33 @@ mod tests {
         let opaque = std::panic::catch_unwind(|| std::panic::panic_any(17u32)).unwrap_err();
         let e = PredictError::from_panic(opaque);
         assert!(e.to_string().contains("non-string"), "{e}");
+    }
+
+    #[test]
+    fn cluster_errors_keep_their_structure() {
+        let died = ClusterError::WorkerDied {
+            worker: 3,
+            superstep: Some(0),
+            stderr_tail: "thread panicked".to_string(),
+        };
+        let e = PredictError::from(died.clone());
+        assert_eq!(e, PredictError::Cluster(died));
+        let text = e.to_string();
+        assert!(text.starts_with("cluster transport failed: "), "{text}");
+        assert!(text.contains("worker 3") && text.contains("superstep 0"));
+        assert_eq!(
+            serde_json::to_string(&e).unwrap(),
+            r#"{"Cluster":{"WorkerDied":{"worker":3,"superstep":0,"stderr_tail":"thread panicked"}}}"#
+        );
+        let timeout = PredictError::Cluster(ClusterError::Timeout {
+            worker: 1,
+            superstep: None,
+            timeout_ms: 1500,
+            stderr_tail: String::new(),
+        });
+        assert!(timeout.to_string().contains("1500ms"));
+        let json = serde_json::to_string(&timeout).unwrap();
+        assert!(json.contains(r#""timeout_ms":1500"#), "{json}");
     }
 
     #[test]

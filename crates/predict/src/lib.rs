@@ -41,8 +41,8 @@
 //! * [`service`] — [`PredictService`], a `Sync` front-end holding sessions in
 //!   a sharded LRU cache and answering [`PredictRequest`]s, one at a time or
 //!   in deterministic batches on the engine's worker pool;
-//! * [`error`] — the unified [`PredictError`] spanning sampling, engine and
-//!   model failures.
+//! * [`error`] — the unified [`PredictError`] spanning sampling, cluster
+//!   transport and model failures.
 //!
 //! # Example
 //!
@@ -73,7 +73,6 @@ pub mod bounds;
 pub mod cost_model;
 pub mod critical_path;
 pub mod error;
-pub mod exec;
 pub mod extrapolator;
 pub mod feature_selection;
 pub mod features;

@@ -16,10 +16,20 @@
 //! the output is identical regardless of thread count or interleaving — a
 //! 1-thread batch and an N-thread batch produce the same bytes.
 //!
-//! Robustness: a panic inside one request is caught at the request boundary
-//! and surfaced as [`PredictError::WorkerPanicked`] for that request alone —
-//! the rest of the batch completes, and the session-cache shard locks
-//! recover from poisoning so the service keeps serving afterwards.
+//! Robustness: failure is a value. A sample or actual run that loses its
+//! cluster worker returns [`PredictError::Cluster`] — from
+//! [`PredictService::submit`], [`PredictService::evaluate`] and in its
+//! [`PredictService::submit_batch`] slot alike — with the driver's report
+//! (worker, superstep, stderr tail) intact, and the next request runs on a
+//! fresh worker group. A *panic* inside one batch request (a bug, not a
+//! transport failure) is caught at the request boundary and surfaced as
+//! [`PredictError::WorkerPanicked`] for that request alone — the rest of the
+//! batch completes, and the session-cache shard locks recover from poisoning
+//! so the service keeps serving afterwards.
+//!
+//! How and where runs execute (threads, in-memory or a `predict_cluster`
+//! worker group) is not a service setting: it is the
+//! [`BspConfig`](predict_bsp::BspConfig) of the engine the service is given.
 
 use crate::artifacts::stable_fingerprint;
 use crate::error::PredictError;
@@ -27,7 +37,7 @@ use crate::session::{
     Evaluation, Prediction, PredictionSession, PredictorBuilder, PredictorConfig,
 };
 use predict_algorithms::Workload;
-use predict_bsp::{BspEngine, ExecutionMode, TransportMode};
+use predict_bsp::BspEngine;
 use predict_graph::CsrGraph;
 use predict_obs::diag;
 use predict_sampling::Sampler;
@@ -88,23 +98,6 @@ pub struct PredictServiceConfig {
     pub sessions_per_shard: usize,
     /// Default pipeline configuration for requests without an override.
     pub predictor: PredictorConfig,
-    /// Engine execution override applied at construction: `Some(mode)`
-    /// replaces the execution mode of the engine the service was given
-    /// (sharing its run counter and layout cache), so every session's sample
-    /// and actual runs execute under `mode`. With it, `submit_batch`
-    /// parallelizes at both levels — requests *and* each run's superstep
-    /// phases, all as tasks on the engine's worker pool. `None` keeps
-    /// the engine as passed. Never changes results (see
-    /// `predict_bsp::runtime`).
-    pub execution: Option<ExecutionMode>,
-    /// Engine transport override applied at construction: `Some(mode)`
-    /// makes every session's sample and actual runs execute on the chosen
-    /// executor — the in-memory runtime or a `predict_cluster` worker group
-    /// (see `predict_bsp::remote`). `None` keeps the engine as passed
-    /// (which itself defaults to honoring `PREDICT_TRANSPORT`). Never
-    /// changes results; transported runs additionally carry measured
-    /// per-superstep timings in their profiles.
-    pub transport: Option<TransportMode>,
     /// Root directory of the persistent artifact store. `Some(path)` opens
     /// (creating on first use) a [`predict_store::ArtifactStore`] there and
     /// attaches it to every session the service binds: artifacts missing
@@ -125,8 +118,6 @@ impl Default for PredictServiceConfig {
             shards: 8,
             sessions_per_shard: 4,
             predictor: PredictorConfig::default(),
-            execution: None,
-            transport: None,
             store: None,
         }
     }
@@ -192,14 +183,6 @@ impl PredictService {
     ) -> Self {
         let shards = config.shards.max(1);
         let engine = engine.into();
-        let engine = match config.execution {
-            Some(mode) => Arc::new(engine.with_execution(mode)),
-            None => engine,
-        };
-        let engine = match config.transport {
-            Some(mode) => Arc::new(engine.with_transport(mode)),
-            None => engine,
-        };
         // Resolve the store directory (explicit config wins over the
         // `PREDICT_STORE` environment knob) and open it once; every session
         // the service binds shares this handle. An unopenable store is a
@@ -375,7 +358,8 @@ impl PredictService {
 
     /// Evaluates one request with panics contained to the request boundary:
     /// an unwinding stage becomes [`PredictError::WorkerPanicked`] for this
-    /// request instead of propagating into (and killing) a batch.
+    /// request instead of propagating into (and killing) a batch. Typed
+    /// errors — a failed cluster drive included — pass through unchanged.
     fn submit_caught(&self, request: &PredictRequest) -> Result<Prediction, PredictError> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.submit(request)))
             .unwrap_or_else(|payload| Err(PredictError::from_panic(payload)))
@@ -389,8 +373,9 @@ impl PredictService {
     /// threads per batch and successive batches pipeline through the same
     /// workers as each run's superstep phases.
     ///
-    /// A panicking request yields `Err(`[`PredictError::WorkerPanicked`]`)`
-    /// in its slot; the other requests still complete.
+    /// A failed request reports its own error in its slot — a lost cluster
+    /// worker as [`PredictError::Cluster`], a panic as
+    /// [`PredictError::WorkerPanicked`]; the other requests still complete.
     ///
     /// The output is deterministic: result `i` depends only on request `i`
     /// (every stage is deterministic and cached artifacts are immutable), so
@@ -480,7 +465,8 @@ mod tests {
     use super::*;
     use crate::transform::TransformFunction;
     use predict_algorithms::{ConnectedComponentsWorkload, PageRankWorkload, TopKWorkload};
-    use predict_bsp::{BspConfig, ClusterCostConfig};
+    use predict_bsp::{BspConfig, ClusterCostConfig, ExecutionMode, TransportMode};
+    use predict_cluster::{checkin, checkout, ClusterError, TransportKind};
     use predict_graph::generators::{generate_rmat, RmatConfig};
     use predict_sampling::BiasedRandomJump;
 
@@ -629,7 +615,6 @@ mod tests {
 
     #[test]
     fn execution_override_changes_no_bytes() {
-        use predict_bsp::ExecutionMode;
         let g = graph(9);
         let workload: Arc<dyn Workload> =
             Arc::new(PageRankWorkload::with_epsilon(0.01, g.num_vertices()));
@@ -640,11 +625,10 @@ mod tests {
             ExecutionMode::Parallel { threads: 4 },
         ] {
             let svc = PredictService::with_config(
-                BspEngine::new(BspConfig::with_workers(4)),
+                BspEngine::new(BspConfig::with_workers(4).with_execution(mode)),
                 Arc::new(BiasedRandomJump::default()),
                 PredictServiceConfig {
                     predictor: PredictorConfig::single_ratio(0.1),
-                    execution: Some(mode),
                     ..PredictServiceConfig::default()
                 },
             );
@@ -710,6 +694,91 @@ mod tests {
         }
         // The service keeps serving after the panic.
         assert!(svc.submit(&requests[0]).is_ok());
+    }
+
+    /// Workers of the in-process cluster below. No other test of this
+    /// binary drives an `InProc` group of this size, so the process-global
+    /// group pool holds only what this test put there.
+    const POISONED_WORKERS: usize = 5;
+
+    /// Takes the idle pooled group (spawning one if the pool is empty), shuts
+    /// one worker down behind the pool's back and checks the group in again:
+    /// the next drive that pops it finds worker 2 gone.
+    fn poison_the_pooled_group() {
+        let mut group = checkout(TransportKind::InProc, POISONED_WORKERS).unwrap();
+        group.connections[2]
+            .send(predict_cluster::protocol::tag::SHUTDOWN, &[])
+            .unwrap();
+        checkin(group);
+    }
+
+    fn assert_worker_2_died<T: std::fmt::Debug>(result: &Result<T, PredictError>) {
+        match result {
+            Err(PredictError::Cluster(ClusterError::WorkerDied { worker: 2, .. })) => {}
+            other => panic!("expected Cluster(WorkerDied {{ worker: 2, .. }}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_lost_cluster_worker_is_a_typed_error_not_an_unwind() {
+        let cluster =
+            BspConfig::with_workers(POISONED_WORKERS).with_transport(TransportMode::InProc);
+        let svc = PredictService::with_config(
+            BspEngine::new(cluster),
+            Arc::new(BiasedRandomJump::default()),
+            PredictServiceConfig {
+                predictor: PredictorConfig::single_ratio(0.1),
+                ..PredictServiceConfig::default()
+            },
+        );
+        let g = graph(41);
+        let workload: Arc<dyn Workload> =
+            Arc::new(PageRankWorkload::with_epsilon(0.01, g.num_vertices()));
+        let req = PredictRequest::new("Lost", Arc::clone(&g), Arc::clone(&workload));
+        let seeded = |seed| {
+            req.clone()
+                .with_config(PredictorConfig::single_ratio(0.1).with_seed(seed))
+        };
+        // What the in-memory executor answers: the cluster must agree once
+        // its worker group is healthy again.
+        let in_memory = PredictService::with_config(
+            BspEngine::new(BspConfig::with_workers(POISONED_WORKERS)),
+            Arc::new(BiasedRandomJump::default()),
+            svc.config.clone(),
+        );
+        let expected = serde_json::to_string(&in_memory.evaluate(&req).unwrap()).unwrap();
+
+        // submit: the sample run loses its worker. Nothing is cached for the
+        // failed stage, so the same request then runs on a fresh group.
+        poison_the_pooled_group();
+        assert_worker_2_died(&svc.submit(&req));
+        let session = svc.session_for("Lost", &g);
+        assert_eq!(session.stats().sample_runs, 0, "a failed run was cached");
+        svc.submit(&req)
+            .expect("a fresh worker group serves the request");
+
+        // evaluate: the prediction is cached now, the actual run fails.
+        poison_the_pooled_group();
+        assert_worker_2_died(&svc.evaluate(&req));
+        assert_eq!(session.stats().actual_runs, 0, "a failed run was cached");
+        let recovered = serde_json::to_string(&svc.evaluate(&req).unwrap()).unwrap();
+        assert_eq!(recovered, expected, "recovery changed the evaluation");
+
+        // The session's own stage accessor reports the same variant.
+        let transform = TransformFunction::default_for(workload.convergence());
+        poison_the_pooled_group();
+        assert_worker_2_died(&session.sample_run(workload.as_ref(), 0.1, 77, transform));
+        session
+            .sample_run(workload.as_ref(), 0.1, 77, transform)
+            .expect("the sample run succeeds on a fresh group");
+
+        // A pooled batch: whichever request pops the poisoned group reports
+        // the typed error in its slot (not `WorkerPanicked`), the other runs.
+        poison_the_pooled_group();
+        let results = svc.submit_batch(&[seeded(5), seeded(6)], 2);
+        let (failed, served): (Vec<_>, Vec<_>) = results.iter().partition(|r| r.is_err());
+        assert_eq!((failed.len(), served.len()), (1, 1), "{results:?}");
+        assert_worker_2_died(failed[0]);
     }
 
     #[test]
@@ -932,6 +1001,58 @@ mod tests {
         assert_eq!(by_four, again, "the overwritten store diverged");
         assert_eq!(restarted.engine().runs_executed(), 0);
         assert_eq!(sample_run_workers(&restarted), 4);
+    }
+
+    #[test]
+    fn a_store_written_by_another_sampler_tuning_is_stale_not_served() {
+        let dir = TempStoreDir::new();
+        let g = graph(35);
+        let workload: Arc<dyn Workload> =
+            Arc::new(PageRankWorkload::with_epsilon(0.01, g.num_vertices()));
+        let req = PredictRequest::new("Tuning", Arc::clone(&g), workload);
+        let default = BiasedRandomJump::default();
+        let tuned = BiasedRandomJump::new(0.5, 0.2);
+        let service = |sampler: BiasedRandomJump, store: Option<&std::path::Path>| {
+            PredictService::with_config(
+                BspEngine::new(BspConfig::with_workers(4)),
+                Arc::new(sampler),
+                PredictServiceConfig {
+                    predictor: PredictorConfig::single_ratio(0.1),
+                    store: store.map(Into::into),
+                    ..PredictServiceConfig::default()
+                },
+            )
+        };
+        let answer = |svc: &PredictService| serde_json::to_string(&svc.submit(&req).unwrap());
+        let by_default = answer(&service(default, Some(&dir.0))).unwrap();
+        let by_tuned = answer(&service(tuned, None)).unwrap();
+        assert_ne!(by_default, by_tuned, "the tuning must move the prediction");
+
+        // Both samplers are named "BRJ", so their store keys collide; only
+        // the provenance tells them apart. In each direction the other
+        // tuning's artifacts are stale misses, recomputed and overwritten in
+        // place; equal parameters then hit with zero runs.
+        for (sampler, expected) in [(tuned, &by_tuned), (default, &by_default)] {
+            let cold = service(sampler, Some(&dir.0));
+            assert_eq!(&answer(&cold).unwrap(), expected, "served another sampler");
+            assert!(cold.engine().runs_executed() > 0);
+            assert_eq!(cold.session_for("Tuning", &g).stats().store_hits, 0);
+            assert_eq!(cold.artifact_store().unwrap().quarantined_files(), 0);
+            drop(cold);
+
+            let warm = service(sampler, Some(&dir.0));
+            assert_eq!(&answer(&warm).unwrap(), expected);
+            assert_eq!(warm.engine().runs_executed(), 0, "equal tuning must hit");
+            assert!(warm.session_for("Tuning", &g).stats().store_hits > 0);
+        }
+
+        // The actual run depends on no sampler, so it stays shared: stored by
+        // the default tuning's evaluation, it is the one artifact the other
+        // tuning reads back.
+        service(default, Some(&dir.0)).evaluate(&req).unwrap();
+        let other = service(tuned, Some(&dir.0));
+        other.evaluate(&req).unwrap();
+        assert_eq!(other.session_for("Tuning", &g).stats().store_hits, 1);
     }
 
     #[test]

@@ -18,8 +18,17 @@
 //!
 //! Sessions are `Sync`: all caches sit behind locks, the engine and sampler
 //! are shared via [`Arc`], and every stage is deterministic, so concurrent
-//! predictions return byte-identical results to sequential ones. Sessions
-//! are built fluently via [`PredictorBuilder`]:
+//! predictions return byte-identical results to sequential ones.
+//!
+//! The sample run and the actual run are the same execution path on two
+//! graphs: both stages call `predict_cluster::run_workload`, which places
+//! the workload's run plan on the executor the engine's
+//! [`BspConfig`] names (in memory, or a worker group). A
+//! transported run can fail; the failure travels up every stage by `?` as
+//! [`PredictError::Cluster`] and nothing is cached for it.
+//! [`PredictionSession::actual_run`] is the one API that panics instead.
+//!
+//! Sessions are built fluently via [`PredictorBuilder`]:
 //!
 //! ```
 //! use predict_core::{PredictorBuilder, PredictorConfig};
@@ -53,14 +62,13 @@ use crate::history::HistoryStore;
 use crate::metrics::signed_relative_error;
 use crate::transform::TransformFunction;
 use predict_algorithms::{Workload, WorkloadRun};
-use predict_bsp::{BspConfig, BspEngine, ExecutionMode, RunProfile, TransportMode};
+use predict_bsp::{BspConfig, BspEngine, RunProfile};
 use predict_graph::CsrGraph;
 use predict_obs::diag;
 use predict_sampling::{BiasedRandomJump, Sampler, ScratchPool};
 use predict_store::{ArtifactKind, ArtifactStore, Checksum};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -308,7 +316,15 @@ pub(crate) struct StoreBinding {
     /// file and invalidate each other on every pass via the provenance
     /// check.
     dataset: String,
+    /// Provenance of what only the dataset and the engine determine — actual
+    /// runs — see [`store_provenance`].
     provenance: u64,
+    /// `provenance` extended by the sampler's full configuration (its `Debug`
+    /// rendering): the provenance of samples, sample runs and the models
+    /// trained on them. Store keys carry only the sampler's *name*, so this is
+    /// what keeps a sampler tuned differently from reading another tuning's
+    /// artifacts; actual runs stay shared by every sampler of a dataset.
+    sampled_provenance: u64,
     /// Artifacts served from disk rather than recomputed — surfaced as
     /// [`SessionStats::store_hits`], deliberately separate from the
     /// in-memory `hits` counter so a load driver's hit-rate is honest about
@@ -322,12 +338,27 @@ impl StoreBinding {
         dataset: &str,
         graph: &CsrGraph,
         config: &BspConfig,
+        sampler: &dyn Sampler,
     ) -> Self {
+        let provenance = store_provenance(dataset, graph, config);
+        let mut sampled = provenance;
+        sampled.update(format!("{sampler:?}").as_bytes());
         Self {
-            provenance: store_provenance(dataset, graph, config),
+            provenance: provenance.finish(),
+            sampled_provenance: sampled.finish(),
             dataset: dataset.to_string(),
             store,
             hits: AtomicU64::new(0),
+        }
+    }
+
+    /// The provenance artifacts of `kind` are stored under.
+    fn provenance_of(&self, kind: ArtifactKind) -> u64 {
+        match kind {
+            ArtifactKind::ActualRun => self.provenance,
+            ArtifactKind::Sample | ArtifactKind::SampleRun | ArtifactKind::Model => {
+                self.sampled_provenance
+            }
         }
     }
 
@@ -349,7 +380,7 @@ impl StoreBinding {
     fn load<T: serde::Deserialize>(&self, kind: ArtifactKind, key: &str) -> Option<T> {
         let loaded = self
             .store
-            .get_typed::<T>(kind, &self.full_key(key), self.provenance);
+            .get_typed::<T>(kind, &self.full_key(key), self.provenance_of(kind));
         if loaded.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -358,7 +389,10 @@ impl StoreBinding {
 
     fn save<T: Serialize>(&self, kind: ArtifactKind, key: &str, artifact: &T) {
         let key = self.full_key(key);
-        if let Err(err) = self.store.put(kind, &key, self.provenance, artifact) {
+        if let Err(err) = self
+            .store
+            .put(kind, &key, self.provenance_of(kind), artifact)
+        {
             diag!(
                 Warn,
                 "store: failed to persist {} artifact `{key}` ({err}); continuing in memory",
@@ -379,8 +413,9 @@ impl StoreBinding {
 /// under `socket` and at any thread count. O(V + E), computed once per
 /// store-bound session, so it is the store's word-at-a-time [`Checksum`]
 /// over the raw CSR arrays (one step per offset, one per pair of targets)
-/// rather than a byte-wise hash.
-fn store_provenance(dataset: &str, graph: &CsrGraph, config: &BspConfig) -> u64 {
+/// rather than a byte-wise hash. Returned unfinished so [`StoreBinding`] can
+/// extend it by the sampler.
+fn store_provenance(dataset: &str, graph: &CsrGraph, config: &BspConfig) -> Checksum {
     let (offsets, targets) = graph.out_csr();
     let mut sum = Checksum::default();
     sum.update(dataset.as_bytes());
@@ -403,7 +438,7 @@ fn store_provenance(dataset: &str, graph: &CsrGraph, config: &BspConfig) -> u64 
     sum.update_word(config.workers() as u64);
     sum.update_word(config.max_supersteps as u64);
     sum.update(format!("{:?}|{:?}", config.partition_strategy, config.cost).as_bytes());
-    sum.finish()
+    sum
 }
 
 /// Acquires a cache mutex, recovering the guard if a previous holder
@@ -440,14 +475,14 @@ struct StageCtx<'a> {
 /// costs exactly one store write. `store_key` therefore runs only after a
 /// memory miss on a store-backed session — a warm request allocates no key
 /// it never reads.
-fn get_or_compute<K, T, E>(
+fn get_or_compute<K, T>(
     ctx: &StageCtx<'_>,
     map: &Mutex<HashMap<K, Arc<T>>>,
     key: K,
     kind: ArtifactKind,
     store_key: impl FnOnce(&K) -> String,
-    compute: impl FnOnce() -> Result<T, E>,
-) -> Result<Arc<T>, E>
+    compute: impl FnOnce() -> Result<T, PredictError>,
+) -> Result<Arc<T>, PredictError>
 where
     K: Eq + std::hash::Hash,
     T: Serialize + serde::Deserialize,
@@ -502,29 +537,24 @@ fn stage_sample(
 }
 
 /// Stage 2: execute (or reuse) the transformed sample run of `workload` on
-/// `sample`.
+/// `sample`. A failed run is not cached, so the next request runs it again.
 fn stage_run(
     ctx: &StageCtx<'_>,
     workload: &dyn Workload,
     transform: TransformFunction,
     sample: &SampleArtifact,
-) -> Arc<SampleRunArtifact> {
+) -> Result<Arc<SampleRunArtifact>, PredictError> {
     let _span =
         predict_obs::trace::span("predict.stage.sample_run").arg("workload", workload.name());
     let _timer = predict_obs::metrics::time_scope("predict.stage.sample_run_ns");
-    let Ok(run) = get_or_compute(
+    get_or_compute(
         ctx,
         &ctx.caches.runs,
         RunKey::new(&sample.key, workload, transform),
         ArtifactKind::SampleRun,
         RunKey::store_key,
-        || {
-            Ok::<_, Infallible>(SampleRunArtifact::execute(
-                ctx.engine, workload, transform, sample,
-            ))
-        },
-    );
-    run
+        || SampleRunArtifact::execute(ctx.engine, workload, transform, sample),
+    )
 }
 
 /// Stage 3: assemble the training set and train (or reuse) the cost model.
@@ -606,7 +636,7 @@ fn train_model(
             Err(e) if e.is_empty_sample() => continue,
             Err(e) => return Err(e),
         };
-        let train_run = stage_run(ctx, workload, transform, &train_sample);
+        let train_run = stage_run(ctx, workload, transform, &train_sample)?;
         training.extend(train_run.observations(config.worker_selection));
     }
     let sample_rows = training.len();
@@ -649,28 +679,29 @@ fn train_model(
     })
 }
 
-/// Executes (or reuses) the actual run of `workload` on the full graph.
-/// Actual runs are the most expensive artifact of all; persisting them is
-/// what makes a warm evaluation pass execute zero runs.
-fn stage_actual(ctx: &StageCtx<'_>, workload: &dyn Workload) -> Arc<WorkloadRun> {
+/// Executes (or reuses) the actual run of `workload` on the full graph —
+/// through the same `predict_cluster::run_workload` seam as the sample run,
+/// on whichever executor the engine's transport mode names. Actual runs are
+/// the most expensive artifact of all; persisting them is what makes a warm
+/// evaluation pass execute zero runs.
+fn stage_actual(
+    ctx: &StageCtx<'_>,
+    workload: &dyn Workload,
+) -> Result<Arc<WorkloadRun>, PredictError> {
     let _span = predict_obs::trace::span("predict.stage.actual").arg("workload", workload.name());
     let _timer = predict_obs::metrics::time_scope("predict.stage.actual_ns");
-    let Ok(run) = get_or_compute(
+    get_or_compute(
         ctx,
         &ctx.caches.actuals,
         workload.cache_token(),
         ArtifactKind::ActualRun,
         String::clone,
         || {
-            // The dispatch in [`crate::exec`] routes to the in-memory
-            // runtime or a cluster transport per the engine's transport
-            // mode; results are byte-identical either way.
-            Ok::<_, Infallible>(crate::exec::execute_workload(
+            Ok(predict_cluster::run_workload(
                 ctx.engine, workload, ctx.graph,
-            ))
+            )?)
         },
-    );
-    run
+    )
 }
 
 /// The full prediction: stages 1–3 plus extrapolation and assembly.
@@ -689,7 +720,7 @@ fn predict_stages(
         .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
 
     let sample = stage_sample(ctx, config.sampling_ratio, config.seed)?;
-    let run = stage_run(ctx, workload, transform, &sample);
+    let run = stage_run(ctx, workload, transform, &sample)?;
     // Extracted once: stage 3 trains on these observations (when a training
     // ratio equals the sampling ratio) and the extrapolation below scales
     // them to the full graph.
@@ -752,7 +783,7 @@ fn evaluate_stages(
     let _span = predict_obs::trace::span("session.evaluate").arg("workload", workload.name());
     let _timer = predict_obs::metrics::time_scope("session.evaluate_ns");
     let prediction = predict_stages(ctx, workload, config, history, history_version)?;
-    let actual = stage_actual(ctx, workload);
+    let actual = stage_actual(ctx, workload)?;
     let actual_remote_message_bytes: f64 = actual
         .profile
         .per_superstep_totals()
@@ -777,13 +808,16 @@ fn evaluate_stages(
 /// trained models cached across calls.
 ///
 /// Defaults: a [`BspEngine`] with the default configuration, the paper's
-/// [`BiasedRandomJump`] sampler, and [`PredictorConfig::default`].
+/// [`BiasedRandomJump`] sampler, and [`PredictorConfig::default`]. How and
+/// where the session's runs execute — thread count, in-memory or on a
+/// `predict_cluster` worker group — is set in one place, the
+/// [`BspConfig`] the engine is built from
+/// (`BspConfig::{with_execution, with_transport}`); neither ever changes a
+/// prediction byte.
 pub struct PredictorBuilder {
     engine: Arc<BspEngine>,
     sampler: Arc<dyn Sampler>,
     config: PredictorConfig,
-    execution: Option<ExecutionMode>,
-    transport: Option<TransportMode>,
     store: Option<Arc<ArtifactStore>>,
 }
 
@@ -811,13 +845,13 @@ impl PredictorBuilder {
     /// let graph = generate_rmat(&RmatConfig::new(10, 8).with_seed(7));
     /// let pagerank = PageRankWorkload::with_epsilon(0.01, graph.num_vertices());
     ///
+    /// // A performance knob, never a result knob: superstep phases on OS
+    /// // threads.
+    /// let cluster = BspConfig::with_workers(8).with_execution(ExecutionMode::Auto);
     /// let session = PredictorBuilder::new()
-    ///     .engine(BspEngine::new(BspConfig::with_workers(8)))
+    ///     .engine(BspEngine::new(cluster))
     ///     .sampler(BiasedRandomJump::default())
     ///     .config(PredictorConfig::single_ratio(0.1))
-    ///     // A performance knob, never a result knob: superstep phases on
-    ///     // OS threads.
-    ///     .execution(ExecutionMode::Auto)
     ///     .bind(graph, "my-dataset");
     ///
     /// let first = session.predict(&pagerank).unwrap();
@@ -834,8 +868,6 @@ impl PredictorBuilder {
             engine: Arc::new(BspEngine::default()),
             sampler: Arc::new(BiasedRandomJump::default()),
             config: PredictorConfig::default(),
-            execution: None,
-            transport: None,
             store: None,
         }
     }
@@ -843,30 +875,6 @@ impl PredictorBuilder {
     /// Sets the BSP engine (owned or already shared).
     pub fn engine(mut self, engine: impl Into<Arc<BspEngine>>) -> Self {
         self.engine = engine.into();
-        self
-    }
-
-    /// Overrides how the engine executes superstep phases (sequentially or on
-    /// OS threads). Execution mode never changes prediction output — the
-    /// runtime's determinism contract guarantees byte-identical profiles at
-    /// every thread count — only how fast sample and actual runs execute.
-    /// The derived engine shares the original's run counter and layout cache.
-    pub fn execution(mut self, execution: ExecutionMode) -> Self {
-        self.execution = Some(execution);
-        self
-    }
-
-    /// Overrides which executor runs the session's workloads: the in-memory
-    /// runtime or a `predict_cluster` worker group (in-process threads or
-    /// worker OS processes). Like [`PredictorBuilder::execution`], this
-    /// never changes prediction output — the cluster driver runs the
-    /// in-memory executor's master loop, so profiles are byte-identical
-    /// under every transport (determinism contract point 8);
-    /// only where the supersteps physically run differs, and transported
-    /// runs additionally carry measured per-superstep timings. The derived
-    /// engine shares the original's run counter and layout cache.
-    pub fn transport(mut self, transport: TransportMode) -> Self {
-        self.transport = Some(transport);
         self
     }
 
@@ -916,22 +924,15 @@ impl PredictorBuilder {
         dataset: &str,
         history: HistoryStore,
     ) -> PredictionSession {
-        let engine = match self.execution {
-            Some(mode) => Arc::new(self.engine.with_execution(mode)),
-            None => self.engine,
-        };
-        let engine = match self.transport {
-            Some(mode) => Arc::new(engine.with_transport(mode)),
-            None => engine,
-        };
         let graph = graph.into();
         // Provenance (an O(V + E) graph hash) is computed here, once per
         // store-bound session, not per lookup.
-        let store = self
-            .store
-            .map(|store| StoreBinding::new(store, dataset, &graph, engine.config()));
+        let store = self.store.map(|store| {
+            let sampler = self.sampler.as_ref();
+            StoreBinding::new(store, dataset, &graph, self.engine.config(), sampler)
+        });
         PredictionSession {
-            engine,
+            engine: self.engine,
             sampler: self.sampler,
             config: self.config,
             graph,
@@ -1091,7 +1092,7 @@ impl PredictionSession {
         transform: TransformFunction,
     ) -> Result<Arc<SampleRunArtifact>, PredictError> {
         let sample = self.sample_artifact(ratio, seed)?;
-        Ok(stage_run(&self.ctx(), workload, transform, &sample))
+        stage_run(&self.ctx(), workload, transform, &sample)
     }
 
     /// Trains (or reuses) the stage-3 cost model of `workload` under
@@ -1107,7 +1108,7 @@ impl PredictionSession {
             .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
         let ctx = self.ctx();
         let sample = stage_sample(&ctx, config.sampling_ratio, config.seed)?;
-        let run = stage_run(&ctx, workload, transform, &sample);
+        let run = stage_run(&ctx, workload, transform, &sample)?;
         let sample_observations = run.observations(config.worker_selection);
         let (history, version) = self.history_snapshot();
         stage_model(
@@ -1122,8 +1123,15 @@ impl PredictionSession {
     }
 
     /// Executes (or reuses) the actual run of `workload` on the full graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the engine places the run on a cluster transport and the
+    /// drive fails. This is the one place a [`PredictError::Cluster`] becomes
+    /// a panic (the signature is part of the frozen benchmark adapter);
+    /// [`PredictionSession::evaluate`] returns the same failure as a value.
     pub fn actual_run(&self, workload: &dyn Workload) -> Arc<WorkloadRun> {
-        stage_actual(&self.ctx(), workload)
+        stage_actual(&self.ctx(), workload).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Records a historical actual run. Bumps the history version, so models

@@ -89,8 +89,11 @@ impl Deserialize for GraphSample {
 /// triple; all randomness must flow from the seed. Samplers are `Send + Sync`
 /// so one instance can be shared behind an `Arc` by concurrent prediction
 /// sessions — every implementation in this crate is a plain configuration
-/// struct with no interior mutability.
-pub trait Sampler: Send + Sync {
+/// struct with no interior mutability. The `Debug` rendering must cover every
+/// parameter that influences a draw: store-backed prediction sessions mix it
+/// into the provenance of persisted artifacts, so a sampler tuned differently
+/// never reads another tuning's samples.
+pub trait Sampler: Send + Sync + std::fmt::Debug {
     /// Short name of the technique (used in reports and plots, e.g. "BRJ").
     fn name(&self) -> &'static str;
 
@@ -188,6 +191,7 @@ mod tests {
     use super::*;
     use predict_graph::generators::{generate_rmat, RmatConfig};
 
+    #[derive(Debug)]
     struct FirstK;
     impl Sampler for FirstK {
         fn name(&self) -> &'static str {

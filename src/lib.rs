@@ -65,8 +65,8 @@ pub use predict_bsp as bsp;
 /// `predict-algorithms`).
 pub use predict_algorithms as algorithms;
 
-/// Out-of-process BSP workers over the cut lists: wire format, transports
-/// and the measured-superstep cluster driver (re-export of
+/// Out-of-process BSP workers, one graph shard each: wire format,
+/// transports and the measured-superstep cluster driver (re-export of
 /// `predict-cluster`).
 pub use predict_cluster as cluster;
 

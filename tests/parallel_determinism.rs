@@ -54,8 +54,9 @@ fn end_to_end_prediction_is_byte_identical_across_thread_counts() {
         ExecutionMode::Parallel { threads: 4 },
     ] {
         let session = PredictorBuilder::new()
-            .engine(BspEngine::new(BspConfig::with_workers(8)))
-            .execution(mode)
+            .engine(BspEngine::new(
+                BspConfig::with_workers(8).with_execution(mode),
+            ))
             .sampler(BiasedRandomJump::default())
             .config(PredictorConfig::single_ratio(0.1))
             .bind(std::sync::Arc::clone(&graph), "UK");
