@@ -8,7 +8,9 @@
 //! runtimes can vary by orders of magnitude. The algorithm runs to a fixed
 //! point (no tunable convergence threshold).
 
-use predict_bsp::{BspEngine, ComputeContext, InitContext, VertexProgram};
+use predict_bsp::{
+    BspEngine, ComputeContext, InitContext, MessageCombiner, MinCombiner, VertexProgram,
+};
 use predict_graph::{CsrGraph, VertexId};
 
 /// Aggregator counting label updates per superstep.
@@ -90,6 +92,11 @@ impl VertexProgram for ConnectedComponents {
 
     fn message_size_bytes(&self, _msg: &VertexId) -> u64 {
         4
+    }
+
+    /// Only the smallest incoming label matters.
+    fn combiner(&self) -> Option<&dyn MessageCombiner<VertexId>> {
+        Some(&MinCombiner)
     }
 }
 

@@ -13,6 +13,7 @@
 use predict_bsp::{Aggregates, BspEngine, ComputeContext, InitContext, VertexProgram};
 use predict_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Aggregator summing the per-vertex neighborhood estimates of a superstep.
 pub const TOTAL_ESTIMATE_AGGREGATOR: &str = "neighborhood/total_estimate";
@@ -91,8 +92,14 @@ impl NeighborhoodSketch {
 
     /// ORs another sketch into this one; returns `true` if any bit changed.
     pub fn union_with(&mut self, other: &NeighborhoodSketch) -> bool {
+        self.union_with_bitmasks(&other.bitmasks)
+    }
+
+    /// ORs another sketch's bitstrings into this one; returns `true` if any
+    /// bit changed.
+    fn union_with_bitmasks(&mut self, other: &[u64]) -> bool {
         let mut changed = false;
-        for (a, b) in self.bitmasks.iter_mut().zip(other.bitmasks.iter()) {
+        for (a, b) in self.bitmasks.iter_mut().zip(other) {
             let merged = *a | *b;
             if merged != *a {
                 *a = merged;
@@ -168,9 +175,13 @@ pub struct NeighborhoodResult {
     pub halt_reason: predict_bsp::HaltReason,
 }
 
+/// A sketch's bitstrings on their way to a vertex's neighbors: built once by
+/// the sender, shared by every copy the runtime hands out.
+pub type SketchMessage = Arc<[u64]>;
+
 impl VertexProgram for NeighborhoodEstimation {
     type VertexValue = NeighborhoodSketch;
-    type Message = Vec<u64>;
+    type Message = SketchMessage;
 
     fn name(&self) -> &'static str {
         "neighborhood-estimation"
@@ -185,27 +196,24 @@ impl VertexProgram for NeighborhoodEstimation {
 
     fn compute(
         &self,
-        ctx: &mut ComputeContext<'_, NeighborhoodSketch, Vec<u64>>,
-        messages: &[Vec<u64>],
+        ctx: &mut ComputeContext<'_, NeighborhoodSketch, SketchMessage>,
+        messages: &[SketchMessage],
     ) {
         let mut changed = ctx.superstep == 0;
         for msg in messages {
-            let other = NeighborhoodSketch {
-                bitmasks: msg.clone(),
-            };
-            changed |= ctx.value.union_with(&other);
+            changed |= ctx.value.union_with_bitmasks(msg);
         }
         ctx.aggregate(TOTAL_ESTIMATE_AGGREGATOR, ctx.value.estimate());
         ctx.aggregate(ACTIVE_AGGREGATOR, 1.0);
         if changed {
             ctx.aggregate(CHANGED_AGGREGATOR, 1.0);
-            let payload = ctx.value.bitmasks.clone();
-            ctx.send_to_all_neighbors(payload);
+            let payload = ctx.value.bitmasks.as_slice();
+            ctx.send_to_all_neighbors(payload.into());
         }
         ctx.vote_to_halt();
     }
 
-    fn message_size_bytes(&self, msg: &Vec<u64>) -> u64 {
+    fn message_size_bytes(&self, msg: &SketchMessage) -> u64 {
         (msg.len() * 8) as u64
     }
 

@@ -7,7 +7,9 @@
 //! absolute rank change per vertex drops below a user threshold `τ`, which the
 //! paper typically sets to `τ = ε / N` for a tolerance level `ε`.
 
-use predict_bsp::{Aggregates, BspEngine, ComputeContext, InitContext, VertexProgram};
+use predict_bsp::{
+    Aggregates, BspEngine, ComputeContext, InitContext, MessageCombiner, SumCombiner, VertexProgram,
+};
 use predict_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
 
@@ -143,6 +145,12 @@ impl VertexProgram for PageRank {
 
     fn message_size_bytes(&self, _msg: &f64) -> u64 {
         8
+    }
+
+    /// A vertex only needs the sum of its rank transfers; the runtime's
+    /// delivery-order left fold is the sum `compute` would have taken.
+    fn combiner(&self) -> Option<&dyn MessageCombiner<f64>> {
+        Some(&SumCombiner)
     }
 
     fn master_halt(&self, superstep: usize, aggregates: &Aggregates) -> bool {

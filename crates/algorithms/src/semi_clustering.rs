@@ -16,6 +16,7 @@
 use predict_bsp::{Aggregates, BspEngine, ComputeContext, InitContext, VertexProgram};
 use predict_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Aggregator counting semi-cluster updates performed in a superstep.
 pub const UPDATED_CLUSTERS_AGGREGATOR: &str = "semicluster/updated";
@@ -212,7 +213,7 @@ impl SemiClustering {
 
     fn incident_edges(
         &self,
-        ctx: &ComputeContext<'_, SemiClusterList, Vec<SemiCluster>>,
+        ctx: &ComputeContext<'_, SemiClusterList, SemiClusterMessage>,
     ) -> Vec<(VertexId, f32)> {
         let weights = ctx.out_weights;
         ctx.out_neighbors
@@ -268,9 +269,13 @@ impl SemiClusteringResult {
     }
 }
 
+/// The clusters a vertex forwards to its neighbors: built once by the
+/// sender, shared by every copy the runtime hands out.
+pub type SemiClusterMessage = Arc<[SemiCluster]>;
+
 impl VertexProgram for SemiClustering {
     type VertexValue = SemiClusterList;
-    type Message = Vec<SemiCluster>;
+    type Message = SemiClusterMessage;
 
     fn name(&self) -> &'static str {
         "semi-clustering"
@@ -288,13 +293,13 @@ impl VertexProgram for SemiClustering {
 
     fn compute(
         &self,
-        ctx: &mut ComputeContext<'_, SemiClusterList, Vec<SemiCluster>>,
-        messages: &[Vec<SemiCluster>],
+        ctx: &mut ComputeContext<'_, SemiClusterList, SemiClusterMessage>,
+        messages: &[SemiClusterMessage],
     ) {
         if ctx.superstep == 0 {
             // First iteration: every vertex introduces itself as a singleton
             // semi-cluster to all of its neighbors.
-            let own = ctx.value.clusters.clone();
+            let own: SemiClusterMessage = ctx.value.clusters.as_slice().into();
             ctx.aggregate(TOTAL_CLUSTERS_AGGREGATOR, own.len() as f64);
             ctx.send_to_all_neighbors(own);
             ctx.vote_to_halt();
@@ -308,7 +313,7 @@ impl VertexProgram for SemiClustering {
         // adding this vertex where allowed.
         let mut candidates: Vec<SemiCluster> = Vec::new();
         for msg in messages {
-            for sc in msg {
+            for sc in msg.iter() {
                 candidates.push(sc.clone());
                 if !sc.contains(vertex) && sc.len() < self.params.v_max {
                     candidates.push(sc.extended_with(vertex, &incident));
@@ -319,7 +324,7 @@ impl VertexProgram for SemiClustering {
         // Forward the S_max best candidates to the neighbors.
         self.sort_by_score(&mut candidates);
         candidates.dedup_by(|a, b| a.vertices == b.vertices);
-        let forward: Vec<SemiCluster> =
+        let forward: SemiClusterMessage =
             candidates.iter().take(self.params.s_max).cloned().collect();
 
         // Update the vertex's own list with the candidates that contain it.
@@ -345,7 +350,7 @@ impl VertexProgram for SemiClustering {
         ctx.vote_to_halt();
     }
 
-    fn message_size_bytes(&self, msg: &Vec<SemiCluster>) -> u64 {
+    fn message_size_bytes(&self, msg: &SemiClusterMessage) -> u64 {
         msg.iter().map(|c| c.size_bytes()).sum()
     }
 
@@ -505,8 +510,8 @@ mod tests {
             internal_weight: 2.0,
             boundary_weight: 1.0,
         };
-        assert_eq!(sc.message_size_bytes(&vec![c1.clone()]), 20);
-        assert_eq!(sc.message_size_bytes(&vec![c1, c2]), 20 + 28);
+        assert_eq!(sc.message_size_bytes(&[c1.clone()].into()), 20);
+        assert_eq!(sc.message_size_bytes(&[c1, c2].into()), 20 + 28);
     }
 
     #[test]

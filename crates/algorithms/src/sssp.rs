@@ -7,7 +7,9 @@
 //! belongs to the "sparse computation" family with highly variable
 //! per-iteration work.
 
-use predict_bsp::{BspEngine, ComputeContext, InitContext, VertexProgram};
+use predict_bsp::{
+    BspEngine, ComputeContext, InitContext, MessageCombiner, MinCombiner, VertexProgram,
+};
 use predict_graph::{CsrGraph, VertexId};
 
 /// Aggregator counting distance relaxations per superstep.
@@ -82,12 +84,9 @@ impl VertexProgram for ShortestPaths {
             }
             ctx.aggregate(RELAXATIONS_AGGREGATOR, 1.0);
             let base = *ctx.value;
-            let weights: Vec<f64> = match ctx.out_weights {
-                Some(ws) => ws.iter().map(|&w| w as f64).collect(),
-                None => vec![1.0; ctx.out_neighbors.len()],
-            };
-            for (i, weight) in weights.into_iter().enumerate() {
-                let dst = ctx.out_neighbors[i];
+            let (neighbors, weights) = (ctx.out_neighbors, ctx.out_weights);
+            for (i, &dst) in neighbors.iter().enumerate() {
+                let weight = weights.map_or(1.0, |ws| ws[i] as f64);
                 ctx.send(dst, base + weight);
             }
         }
@@ -96,6 +95,11 @@ impl VertexProgram for ShortestPaths {
 
     fn message_size_bytes(&self, _msg: &f64) -> u64 {
         8
+    }
+
+    /// Only the shortest offered distance matters.
+    fn combiner(&self) -> Option<&dyn MessageCombiner<f64>> {
+        Some(&MinCombiner)
     }
 }
 

@@ -14,6 +14,8 @@
 use predict_bsp::{Aggregates, BspEngine, ComputeContext, InitContext, VertexProgram};
 use predict_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Aggregator counting vertices that updated their top-k list this superstep.
 pub const UPDATED_VERTICES_AGGREGATOR: &str = "topk/updated_vertices";
@@ -98,18 +100,45 @@ impl TopKRanking {
         }
     }
 
-    /// Merges `incoming` entries into `entries`, keeping the `k` highest
-    /// distinct vertices. Returns `true` when the list changed.
+    /// Merges `incoming` entries into `entries` — sorted by rank descending,
+    /// ties by vertex id — keeping the `k` highest distinct vertices. Returns
+    /// `true` when the list changed. Every list holds a vertex under its one
+    /// input rank, so an entry is a duplicate exactly when it compares equal.
     fn merge_into(&self, entries: &mut Vec<RankEntry>, incoming: &[RankEntry]) -> bool {
-        let before = entries.clone();
-        entries.extend_from_slice(incoming);
-        // Sort by rank descending, break ties by vertex id for determinism.
-        entries.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then_with(|| a.1.cmp(&b.1)));
-        entries.dedup_by_key(|e| e.1);
-        entries.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then_with(|| a.1.cmp(&b.1)));
-        entries.truncate(self.params.k);
-        *entries != before
+        let k = self.params.k;
+        let mut changed = false;
+        for &entry in incoming {
+            // A full list takes nothing that does not beat its last entry.
+            let full = entries.len() >= k;
+            if full
+                && entries
+                    .last()
+                    .is_none_or(|last| rank_order(last, &entry) != Ordering::Greater)
+            {
+                continue;
+            }
+            // First position whose entry does not sort before `entry`.
+            let at = entries
+                .iter()
+                .position(|held| rank_order(held, &entry) != Ordering::Less)
+                .unwrap_or(entries.len());
+            if entries.get(at) == Some(&entry) {
+                continue;
+            }
+            if full {
+                entries.pop();
+            }
+            entries.insert(at, entry);
+            changed = true;
+        }
+        changed
     }
+}
+
+/// Order of a top-k list: rank descending, ties by ascending vertex id.
+fn rank_order(a: &RankEntry, b: &RankEntry) -> Ordering {
+    let by_rank = b.0.partial_cmp(&a.0).expect("ranks are never NaN");
+    by_rank.then_with(|| a.1.cmp(&b.1))
 }
 
 /// Output of a top-k ranking run.
@@ -125,9 +154,13 @@ pub struct TopKResult {
     pub halt_reason: predict_bsp::HaltReason,
 }
 
+/// A top-k list on its way to a vertex's neighbors: built once by the
+/// sender, shared by every copy the runtime hands out.
+pub type TopKMessage = Arc<[RankEntry]>;
+
 impl VertexProgram for TopKRanking {
     type VertexValue = TopKState;
-    type Message = Vec<RankEntry>;
+    type Message = TopKMessage;
 
     fn name(&self) -> &'static str {
         "topk-ranking"
@@ -135,21 +168,20 @@ impl VertexProgram for TopKRanking {
 
     fn init_vertex(&self, vertex: VertexId, _ctx: &InitContext<'_>) -> TopKState {
         let own_rank = self.ranks.get(vertex as usize).copied().unwrap_or(0.0);
-        TopKState {
-            own_rank,
-            entries: vec![(own_rank, vertex)],
-        }
+        let mut entries = Vec::with_capacity(self.params.k);
+        entries.push((own_rank, vertex));
+        TopKState { own_rank, entries }
     }
 
     fn compute(
         &self,
-        ctx: &mut ComputeContext<'_, TopKState, Vec<RankEntry>>,
-        messages: &[Vec<RankEntry>],
+        ctx: &mut ComputeContext<'_, TopKState, TopKMessage>,
+        messages: &[TopKMessage],
     ) {
         if ctx.superstep == 0 {
             // First iteration: every vertex advertises its own rank.
-            let own = vec![(ctx.value.own_rank, ctx.vertex)];
-            ctx.send_to_all_neighbors(own);
+            let own = [(ctx.value.own_rank, ctx.vertex)];
+            ctx.send_to_all_neighbors(own.into());
             ctx.vote_to_halt();
             return;
         }
@@ -160,13 +192,13 @@ impl VertexProgram for TopKRanking {
         }
         if changed {
             ctx.aggregate(UPDATED_VERTICES_AGGREGATOR, 1.0);
-            let update = ctx.value.entries.clone();
-            ctx.send_to_all_neighbors(update);
+            let update = ctx.value.entries.as_slice();
+            ctx.send_to_all_neighbors(update.into());
         }
         ctx.vote_to_halt();
     }
 
-    fn message_size_bytes(&self, msg: &Vec<RankEntry>) -> u64 {
+    fn message_size_bytes(&self, msg: &TopKMessage) -> u64 {
         // Each entry is an 8-byte rank plus a 4-byte vertex id.
         (msg.len() * 12) as u64
     }
@@ -287,8 +319,8 @@ mod tests {
     #[test]
     fn message_size_reflects_entry_count() {
         let topk = TopKRanking::new(TopKParams::default(), vec![0.0]);
-        assert_eq!(topk.message_size_bytes(&vec![]), 0);
-        assert_eq!(topk.message_size_bytes(&vec![(0.1, 1), (0.2, 2)]), 24);
+        assert_eq!(topk.message_size_bytes(&[].into()), 0);
+        assert_eq!(topk.message_size_bytes(&[(0.1, 1), (0.2, 2)].into()), 24);
     }
 
     #[test]

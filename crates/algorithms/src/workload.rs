@@ -221,9 +221,10 @@ impl<'g> RunPlan<'g> {
     }
 }
 
-/// Undirected form of `graph`: every edge mirrored, then re-frozen.
+/// Undirected form of `graph`: every edge mirrored
+/// ([`CsrGraph::to_undirected`]).
 pub fn to_undirected(graph: &CsrGraph) -> CsrGraph {
-    CsrGraph::from_edge_list(&graph.to_edge_list().to_undirected())
+    graph.to_undirected()
 }
 
 /// PageRank workload (constant per-iteration runtime; absolute-aggregate

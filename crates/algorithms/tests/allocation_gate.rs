@@ -1,0 +1,203 @@
+//! Allocation gate for the BSP message plane: what a run allocates must
+//! follow the vertices that send, never the messages they send.
+//!
+//! * **PageRank** declares a combiner, so delivery folds into one slot per
+//!   vertex and, once the two sets of routed buffers the executor swaps have
+//!   grown to the run's volume (supersteps 0 and 1), a superstep allocates a
+//!   small constant — aggregate names and the master's per-superstep
+//!   bookkeeping — that is the same for a degree-8 and a degree-32 graph.
+//! * **Top-k** broadcasts one shared payload per sending vertex: its
+//!   allocation count follows the number of (vertex, superstep) sends, not
+//!   the four-times-larger message count of the denser graph.
+//!
+//! Counts are read from a counting global allocator shared by every thread
+//! of the test binary — hence one test function, and sequential execution —
+//! and must repeat exactly.
+
+use predict_algorithms::topk::UPDATED_VERTICES_AGGREGATOR;
+use predict_algorithms::{PageRank, PageRankParams, TopKParams, TopKRanking};
+use predict_bsp::{
+    Aggregates, BspConfig, BspEngine, ComputeContext, ExecutionMode, InitContext, MessageCombiner,
+    RunProfile, VertexProgram,
+};
+use predict_graph::generators::{generate_rmat, RmatConfig};
+use predict_graph::{CsrGraph, VertexId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+/// Allocator calls that hand out memory (`alloc`, `realloc`) so far.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAllocator;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a relaxed
+// `fetch_add` on a static, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` are the caller's, passed through as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, passed
+        // through as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// `inner`, with the allocation count noted each time the master finishes a
+/// superstep — the one per-superstep call a program gets on the master.
+struct Marked<P> {
+    inner: P,
+    marks: Mutex<Vec<u64>>,
+}
+
+impl<P: VertexProgram> VertexProgram for Marked<P> {
+    type VertexValue = P::VertexValue;
+    type Message = P::Message;
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn init_vertex(&self, vertex: VertexId, ctx: &InitContext<'_>) -> P::VertexValue {
+        self.inner.init_vertex(vertex, ctx)
+    }
+    fn compute(
+        &self,
+        ctx: &mut ComputeContext<'_, P::VertexValue, P::Message>,
+        messages: &[P::Message],
+    ) {
+        self.inner.compute(ctx, messages);
+    }
+    fn message_size_bytes(&self, msg: &P::Message) -> u64 {
+        self.inner.message_size_bytes(msg)
+    }
+    fn combiner(&self) -> Option<&dyn MessageCombiner<P::Message>> {
+        self.inner.combiner()
+    }
+    fn master_halt(&self, superstep: usize, aggregates: &Aggregates) -> bool {
+        let mut marks = self.marks.lock().expect("marks lock");
+        assert!(marks.len() < marks.capacity(), "marking must not allocate");
+        marks.push(ALLOCATIONS.load(Ordering::Relaxed));
+        self.inner.master_halt(superstep, aggregates)
+    }
+}
+
+/// One sequential run over 4 workers under the counting allocator.
+struct Counted {
+    /// Allocations of every superstep after superstep 0 (mark to mark).
+    per_superstep: Vec<u64>,
+    /// Allocations of the whole run, initialization and result included.
+    total: u64,
+    profile: RunProfile,
+}
+
+fn counted_run<P: VertexProgram>(program: P, graph: &CsrGraph, max_supersteps: usize) -> Counted {
+    let engine = BspEngine::new(
+        BspConfig::with_workers(4)
+            .with_max_supersteps(max_supersteps)
+            .with_execution(ExecutionMode::Sequential),
+    );
+    let marked = Marked {
+        inner: program,
+        marks: Mutex::new(Vec::with_capacity(max_supersteps)),
+    };
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let profile = engine.run(graph, &marked).profile;
+    let total = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let marks = marked.marks.into_inner().expect("marks lock");
+    Counted {
+        per_superstep: marks.windows(2).map(|w| w[1] - w[0]).collect(),
+        total,
+        profile,
+    }
+}
+
+fn total_messages(profile: &RunProfile) -> u64 {
+    let totals = profile.per_superstep_totals();
+    totals.iter().map(|t| t.total_messages()).sum()
+}
+
+#[test]
+fn allocations_follow_sending_vertices_not_messages() {
+    // Pinned inputs: 1024 vertices at average degree 8 and 32.
+    let sparse = generate_rmat(&RmatConfig::new(10, 8).with_seed(7));
+    let dense = generate_rmat(&RmatConfig::new(10, 32).with_seed(7));
+    let n = sparse.num_vertices();
+    assert_eq!(dense.num_vertices(), n);
+
+    // PageRank, 12 supersteps on both graphs (a zero tolerance never halts).
+    let pagerank = PageRank::new(PageRankParams::new(0.85, 0.0));
+    let pr_sparse = counted_run(pagerank, &sparse, 12);
+    let pr_dense = counted_run(pagerank, &dense, 12);
+    assert!(total_messages(&pr_dense.profile) > 3 * total_messages(&pr_sparse.profile));
+    // Supersteps 0 and 1 grow the two sets of routed buffers; from
+    // superstep 2 on nothing follows the graph any more.
+    let (steady_sparse, steady_dense) =
+        (&pr_sparse.per_superstep[1..], &pr_dense.per_superstep[1..]);
+    assert_eq!(steady_sparse.len(), 10);
+    assert_eq!(
+        steady_sparse, steady_dense,
+        "the same at a third of the messages"
+    );
+    assert!(
+        steady_dense.iter().all(|&allocations| allocations <= 32),
+        "per-superstep bookkeeping only, nothing per vertex or message: {steady_dense:?}"
+    );
+
+    // Top-k over pinned ranks, run to its fixed point.
+    let ranks: Vec<f64> = (0..n)
+        .map(|v| ((v * 2_654_435_761) % 1009) as f64)
+        .collect();
+    let topk = |graph: &CsrGraph| {
+        let program = TopKRanking::new(TopKParams::new(5, 0.0), ranks.clone());
+        let run = counted_run(program, graph, 64);
+        // Every vertex sends in superstep 0, the updated ones afterwards.
+        let updated = run.profile.supersteps.iter();
+        let updated = updated.map(|s| s.aggregates.get_or(UPDATED_VERTICES_AGGREGATOR, 0.0));
+        let sends = n as f64 + updated.sum::<f64>();
+        (run.total as f64, sends, total_messages(&run.profile) as f64)
+    };
+    let (alloc_sparse, sends_sparse, messages_sparse) = topk(&sparse);
+    let (alloc_dense, sends_dense, messages_dense) = topk(&dense);
+    for (allocations, sends) in [(alloc_sparse, sends_sparse), (alloc_dense, sends_dense)] {
+        assert!(
+            allocations <= 3.0 * sends,
+            "a handful per sending vertex per superstep: {allocations} for {sends} sends"
+        );
+    }
+    let (by_allocations, by_sends, by_messages) = (
+        alloc_dense / alloc_sparse,
+        sends_dense / sends_sparse,
+        messages_dense / messages_sparse,
+    );
+    assert!(
+        by_messages > 3.0,
+        "the dense graph sends {by_messages}x the messages"
+    );
+    assert!(
+        by_allocations <= 1.5 * by_sends && by_allocations < by_messages / 2.0,
+        "allocations grew {by_allocations}x: sends {by_sends}x, messages {by_messages}x"
+    );
+
+    // Counts repeat exactly.
+    assert_eq!(
+        counted_run(pagerank, &dense, 12).per_superstep,
+        pr_dense.per_superstep
+    );
+    assert_eq!(counted_run(pagerank, &dense, 12).total, pr_dense.total);
+    assert_eq!(topk(&dense), (alloc_dense, sends_dense, messages_dense));
+    assert_eq!(topk(&sparse), (alloc_sparse, sends_sparse, messages_sparse));
+}

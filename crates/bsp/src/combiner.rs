@@ -6,15 +6,26 @@
 //! time — before combining — exactly as Giraph's counters are, so installing a
 //! combiner changes delivery cost but not the profiled Table 1 features.
 //!
-//! The parallel runtime applies combiners during the delivery phase: a
-//! program that returns one from [`VertexProgram::combiner`] has every inbox
-//! reduced in place ([`combine_in_place`]) right after delivery, so its
-//! compute function sees at most one message per superstep. Combining folds
-//! left-to-right in delivery order — (source worker asc, source vertex asc,
-//! send order) — which keeps runs byte-identical across thread counts even
-//! for non-associative floating-point folds.
+//! The runtime combines **at delivery**: a program that returns a combiner
+//! from [`VertexProgram::combiner`] gets one inbox slot per owned vertex, and
+//! [`WorkerShard::deliver`] folds every arriving message straight into its
+//! destination's slot, so no per-vertex message list is ever built and the
+//! compute function sees at most one message per superstep. PageRank
+//! ([`SumCombiner`]), connected components and SSSP ([`MinCombiner`]) run this
+//! way.
+//!
+//! The fold is a left fold in delivery order — source worker ascending, then
+//! the order the source worker produced the messages in (source vertex
+//! ascending, send order within a vertex): the slot of a vertex that received
+//! `m1, m2, m3` holds `combine(combine(m1, m2), m3)`. That is exactly what a
+//! compute function folding its uncombined message list front to back would
+//! have computed (`messages.iter().sum()`, `.min()`), which keeps runs
+//! byte-identical across thread counts and transports even for
+//! non-associative floating-point sums (point 6 of the
+//! [determinism contract](crate::runtime)).
 //!
 //! [`VertexProgram::combiner`]: crate::program::VertexProgram::combiner
+//! [`WorkerShard::deliver`]: crate::runtime::WorkerShard::deliver
 
 /// Merges two messages bound for the same destination vertex into one.
 pub trait MessageCombiner<M>: Sync {
@@ -50,37 +61,6 @@ impl MessageCombiner<u32> for MinCombiner {
     }
 }
 
-/// Applies a combiner to a vector of messages, reducing it to at most one
-/// message. Returns the input untouched when it has fewer than two entries.
-pub fn combine_all<M, C: MessageCombiner<M>>(combiner: &C, mut messages: Vec<M>) -> Vec<M> {
-    if messages.len() < 2 {
-        return messages;
-    }
-    let mut acc = messages.pop().expect("checked non-empty");
-    while let Some(m) = messages.pop() {
-        acc = combiner.combine(acc, m);
-    }
-    vec![acc]
-}
-
-/// Reduces `messages` in place to at most one message, folding left-to-right
-/// (delivery order) and consuming the originals (no clones). The vector's
-/// capacity is kept, so the runtime can reuse the same inbox buffer across
-/// supersteps. No-op for fewer than two entries.
-pub fn combine_in_place<M, C: MessageCombiner<M> + ?Sized>(combiner: &C, messages: &mut Vec<M>) {
-    if messages.len() < 2 {
-        return;
-    }
-    let mut acc: Option<M> = None;
-    for m in messages.drain(..) {
-        acc = Some(match acc {
-            None => m,
-            Some(a) => combiner.combine(a, m),
-        });
-    }
-    messages.push(acc.expect("checked non-empty"));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,43 +74,5 @@ mod tests {
     fn min_combiner_keeps_minimum() {
         assert_eq!(MinCombiner.combine(3.0_f64, 1.0), 1.0);
         assert_eq!(MinCombiner.combine(7u32, 9), 7);
-    }
-
-    #[test]
-    fn combine_all_reduces_to_single_message() {
-        let out = combine_all(&SumCombiner, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(out, vec![10.0]);
-    }
-
-    #[test]
-    fn combine_all_passes_small_inputs_through() {
-        let out: Vec<f64> = combine_all(&SumCombiner, vec![]);
-        assert!(out.is_empty());
-        let out = combine_all(&SumCombiner, vec![5.0]);
-        assert_eq!(out, vec![5.0]);
-    }
-
-    #[test]
-    fn combine_in_place_folds_left_to_right_and_keeps_capacity() {
-        let mut messages = Vec::with_capacity(16);
-        messages.extend([7u32, 3, 9, 1]);
-        combine_in_place(&MinCombiner, &mut messages);
-        assert_eq!(messages, vec![1]);
-        assert_eq!(messages.capacity(), 16, "inbox capacity must be kept");
-
-        let mut single = vec![5.0f64];
-        combine_in_place(&SumCombiner, &mut single);
-        assert_eq!(single, vec![5.0]);
-        let mut empty: Vec<f64> = Vec::new();
-        combine_in_place(&SumCombiner, &mut empty);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn combine_in_place_works_through_a_trait_object() {
-        let dynamic: &dyn MessageCombiner<u32> = &MinCombiner;
-        let mut messages = vec![4u32, 2, 8];
-        combine_in_place(dynamic, &mut messages);
-        assert_eq!(messages, vec![2]);
     }
 }

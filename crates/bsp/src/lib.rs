@@ -74,7 +74,7 @@ pub mod storage;
 pub mod worker;
 
 pub use aggregator::{Aggregates, AggregatorKind};
-pub use combiner::{combine_all, combine_in_place, MessageCombiner, MinCombiner, SumCombiner};
+pub use combiner::{MessageCombiner, MinCombiner, SumCombiner};
 pub use config::{BspConfig, ExecutionMode};
 pub use cost::{ClusterClock, ClusterCostConfig};
 pub use counters::{sum_counters, WorkerCounters};
@@ -85,5 +85,5 @@ pub use profile::{RunProfile, SuperstepProfile};
 pub use program::{ComputeContext, InitContext, VertexProgram};
 pub use remote::{MeasuredRun, MeasuredSuperstep, TransportMode};
 pub use runtime::{
-    run_master, LayoutCache, ShardLayout, StepSink, WorkerPool, WorkerShard, Workers,
+    run_master, Inbox, LayoutCache, ShardLayout, StepSink, WorkerPool, WorkerShard, Workers,
 };

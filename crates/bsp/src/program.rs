@@ -94,9 +94,11 @@ pub trait VertexProgram: Sync {
     }
 
     /// Optional message combiner applied by the runtime's delivery phase:
-    /// when `Some`, every vertex inbox is reduced to at most one message
-    /// before the next compute phase (see [`crate::combiner`]). Table 1
-    /// counters are recorded at send time and are unaffected.
+    /// when `Some`, every message is folded into its destination vertex's
+    /// single inbox slot as it arrives, so compute sees at most one message
+    /// (see [`crate::combiner`] for the fold order). Table 1 counters are
+    /// recorded at send time and are unaffected. The answer must not change
+    /// during a run.
     ///
     /// Only opt in when the program's semantics are combine-safe — i.e. its
     /// compute function only consumes the combined reduction of its messages,
@@ -126,9 +128,15 @@ pub struct ComputeContext<'a, V, M> {
     /// Aggregates computed during the *previous* superstep (empty in
     /// superstep 0).
     pub previous_aggregates: &'a Aggregates,
-    pub(crate) outbox: &'a mut Vec<(VertexId, M)>,
-    pub(crate) partial_aggregates: &'a mut Aggregates,
-    pub(crate) halted: &'a mut bool,
+    /// What the vertex has sent so far, in send order ([`Self::send`]). The
+    /// executor routes and empties it after the call. Public, like the two
+    /// fields below, so that an executor outside this crate — the reference
+    /// interpreter the runtime is tested against — can run a program.
+    pub outbox: &'a mut Vec<(VertexId, M)>,
+    /// The executing worker's partial aggregates ([`Self::aggregate`]).
+    pub partial_aggregates: &'a mut Aggregates,
+    /// The vertex's halt vote ([`Self::vote_to_halt`]).
+    pub halted: &'a mut bool,
 }
 
 impl<'a, V, M: Clone> ComputeContext<'a, V, M> {

@@ -5,12 +5,14 @@
 //! ([`run_master`](crate::runtime::master::run_master)). Each superstep is
 //! two phases:
 //!
-//! 1. **compute** — every shard runs [`WorkerShard::run_superstep`]; shards
-//!    are disjoint, so the phase spreads over the worker pool;
+//! 1. **compute** — every shard runs [`WorkerShard::run_superstep`], which
+//!    also routes each produced message to its destination worker's buffer;
+//!    shards are disjoint, so the phase spreads over the worker pool;
 //! 2. **delivery** — the per-worker routed outboxes are transposed into
 //!    per-destination inbound rows (an `O(workers²)` pointer swap, no
 //!    message is copied), then every shard runs [`WorkerShard::deliver`],
-//!    again in parallel.
+//!    again in parallel, folding into one slot per vertex when the program
+//!    declares a combiner.
 //!
 //! Between the phases, on the calling thread, every shard is reported to the
 //! master in ascending worker order. Everything order-sensitive — merges,
@@ -126,14 +128,13 @@ impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
         // (ascending source worker, production order within a source).
         {
             let _deliver_span = predict_obs::trace::span("bsp.deliver");
-            let combiner = program.combiner();
             let mut pairs: Vec<(&mut WorkerShard<P>, &mut MessageRow<P::Message>)> = self
                 .shards
                 .iter_mut()
                 .zip(self.inbound.iter_mut())
                 .collect();
             for_each_chunked(&mut pairs, threads, pool, |(shard, row)| {
-                shard.deliver(layout, row, combiner);
+                shard.deliver(program, layout, row);
             });
         }
         self.superstep_ns
@@ -174,7 +175,7 @@ pub fn execute<P: VertexProgram>(
         threads,
         pool,
         shards: (0..num_workers)
-            .map(|w| WorkerShard::init_empty(w, layout))
+            .map(|w| WorkerShard::init_empty(program, w, layout))
             .collect(),
         inbound: (0..num_workers)
             .map(|_| (0..num_workers).map(|_| Vec::new()).collect())

@@ -9,7 +9,7 @@
 //!   executor below and `predict_cluster`'s driver, whose workers sit behind
 //!   a channel or a socket;
 //! * **sharded worker state** ([`WorkerShard`]) — per-worker vertex values,
-//!   halt flags, inboxes and outbox buffers, laid out by a cached
+//!   halt flags, [`Inbox`] and outbox buffers, laid out by a cached
 //!   [`ShardLayout`]. Layouts depend only on `(num_vertices, num_workers,
 //!   strategy)` (vertex assignment never inspects edges), so the engine's
 //!   [`LayoutCache`] shares them across runs and across graphs of equal size
@@ -24,7 +24,10 @@
 //!   [`pool`](self) module docs for lifecycle and barrier semantics);
 //! * **buffer reuse** — inboxes, outboxes and the inbound transpose matrix
 //!   are allocated once per run and cleared in place; counter and aggregate
-//!   accumulators are reset, never reallocated.
+//!   accumulators are reset, never reallocated. Past the sending vertex's
+//!   own scratch, a message is written twice on its way to the vertex that
+//!   reads it: into its destination worker's routed buffer, and into its
+//!   destination vertex's inbox.
 //!
 //! # Determinism contract
 //!
@@ -41,14 +44,17 @@
 //!    values, halt flags, inboxes and outboxes, so phase fan-out cannot race;
 //! 3. the master merges counters, float aggregate sums and `messages_sent`
 //!    in ascending worker order, on one thread ([`StepSink::report`]);
-//! 4. a vertex's inbox receives messages ordered by (source worker asc,
-//!    source vertex asc, send order);
+//! 4. a vertex's inbox receives messages in **delivery order**: source
+//!    worker ascending, then source vertex ascending, then send order;
 //! 5. the simulated clock consumes its deterministic noise stream in a fixed
 //!    call order (setup, read, per-superstep workers in ascending order,
 //!    write) on the master thread;
-//! 6. optional message combining ([`VertexProgram::combiner`]) folds each
-//!    inbox left-to-right in delivery order, after delivery, so it is
-//!    insensitive to phase scheduling too;
+//! 6. message combining ([`VertexProgram::combiner`]) is a **left fold in
+//!    the delivery order of point 4**, applied as each message arrives: the
+//!    inbox slot of a vertex that is delivered `m1, m2, m3` holds
+//!    `combine(combine(m1, m2), m3)` — bit for bit what a compute function
+//!    folding the uncombined list front to back computes, and, the order
+//!    being point 4's, insensitive to phase scheduling too;
 //! 7. the worker pool only decides *which OS thread* executes a chunk
 //!    closure: chunk boundaries come from the resolved thread count alone,
 //!    chunks write disjoint state, work stealing moves whole chunks and
@@ -86,7 +92,7 @@ pub use executor::execute;
 pub use layout::{LayoutCache, ShardLayout};
 pub use master::{run_master, StepSink, Workers};
 pub use pool::{WorkerPool, DEFAULT_POOL_CAPACITY};
-pub use shard::WorkerShard;
+pub use shard::{Inbox, WorkerShard};
 
 #[cfg(test)]
 mod tests {

@@ -1,13 +1,14 @@
 //! Per-worker sharded state of one BSP run.
 //!
 //! A [`WorkerShard`] owns every piece of mutable per-vertex state of the
-//! vertices assigned to one worker — values, halt flags, inboxes — plus the
-//! worker's outbox buffers, counters and partial aggregates. Shards are
-//! disjoint by construction, which is what lets the executor run compute and
-//! delivery phases of different workers on different OS threads without
+//! vertices assigned to one worker — values, halt flags, the [`Inbox`] —
+//! plus the worker's outbox buffers, counters and partial aggregates. Shards
+//! are disjoint by construction, which is what lets the executor run compute
+//! and delivery phases of different workers on different OS threads without
 //! synchronization. All buffers are allocated once per run and reused across
-//! supersteps (cleared, never dropped), replacing the per-superstep
-//! allocations of the old sequential loop.
+//! supersteps (cleared, never dropped): once the routed buffers have grown
+//! to the run's message volume, sending and delivering a message allocates
+//! nothing for a program with a combiner.
 //!
 //! The phase logic itself — compute and delivery — lives in
 //! [`crate::worker`], which operates on shards.
@@ -19,6 +20,62 @@ use crate::runtime::layout::ShardLayout;
 use crate::storage::WorkerGraph;
 use predict_graph::VertexId;
 
+/// The messages delivered to a shard's vertices at the end of the previous
+/// superstep, indexed by shard slot. The compute phase reads a vertex's
+/// messages as a slice and empties them in place.
+///
+/// Which form a run uses is the program's choice, made once at
+/// [`WorkerShard::init_empty`] by whether it declares a
+/// [`combiner`](VertexProgram::combiner).
+#[derive(Debug, PartialEq)]
+pub enum Inbox<M> {
+    /// One slot per vertex holding the left fold, in delivery order, of
+    /// everything the vertex received (see [`crate::combiner`]): delivery
+    /// writes one slot per message and compute reads a slice of length ≤ 1.
+    Folded(Vec<Option<M>>),
+    /// One list per vertex holding every message in delivery order, for
+    /// programs that read individual messages. Lists keep their capacity
+    /// across supersteps.
+    Lists(Vec<Vec<M>>),
+}
+
+impl<M> Inbox<M> {
+    /// An empty inbox for `vertices` vertices, folded or not.
+    fn new(vertices: usize, folded: bool) -> Self {
+        if folded {
+            Self::Folded((0..vertices).map(|_| None).collect())
+        } else {
+            Self::Lists((0..vertices).map(|_| Vec::new()).collect())
+        }
+    }
+
+    /// The messages awaiting the vertex at `slot`.
+    #[inline]
+    pub fn messages(&self, slot: usize) -> &[M] {
+        match self {
+            Self::Folded(slots) => slots[slot].as_slice(),
+            Self::Lists(lists) => &lists[slot],
+        }
+    }
+
+    /// Drops the messages of the vertex at `slot`.
+    #[inline]
+    pub(crate) fn clear(&mut self, slot: usize) {
+        match self {
+            Self::Folded(slots) => slots[slot] = None,
+            Self::Lists(lists) => lists[slot].clear(),
+        }
+    }
+
+    /// True when no vertex has a message waiting.
+    pub fn is_empty(&self) -> bool {
+        match self {
+            Self::Folded(slots) => slots.iter().all(Option::is_none),
+            Self::Lists(lists) => lists.iter().all(Vec::is_empty),
+        }
+    }
+}
+
 /// All mutable state of one worker during a run, indexed by shard slot
 /// (see [`ShardLayout::slot_of`]).
 pub struct WorkerShard<P: VertexProgram> {
@@ -28,12 +85,12 @@ pub struct WorkerShard<P: VertexProgram> {
     pub values: Vec<P::VertexValue>,
     /// Per-vertex halt flags of the owned vertices.
     pub halted: Vec<bool>,
-    /// Per-vertex inboxes: messages delivered at the end of the previous
-    /// superstep, consumed (and cleared in place, keeping capacity) by the
-    /// compute phase.
-    pub inboxes: Vec<Vec<P::Message>>,
-    /// Compute-phase scratch: messages in production order before routing.
-    /// Cleared (capacity kept) every superstep.
+    /// Messages delivered at the end of the previous superstep, consumed
+    /// (and emptied in place) by the compute phase.
+    pub inbox: Inbox<P::Message>,
+    /// Compute-phase scratch: what the vertex being computed has sent so
+    /// far, routed and emptied (capacity kept) as soon as its compute call
+    /// returns.
     pub outbox: Vec<(VertexId, P::Message)>,
     /// Routed outboxes, one per destination worker, in production order.
     /// Swapped with the executor's inbound matrix between phases; capacity
@@ -48,14 +105,15 @@ pub struct WorkerShard<P: VertexProgram> {
 impl<P: VertexProgram> WorkerShard<P> {
     /// Creates the shard of worker `worker` with every buffer allocated but
     /// no vertex values yet; [`WorkerShard::init_values`] fills them (the
-    /// executor fans value initialization out like any other phase).
-    pub fn init_empty(worker: usize, layout: &ShardLayout) -> Self {
+    /// executor fans value initialization out like any other phase). The
+    /// inbox is [`Inbox::Folded`] exactly when `program` declares a combiner.
+    pub fn init_empty(program: &P, worker: usize, layout: &ShardLayout) -> Self {
         let vertices = layout.shard_vertices(worker);
         Self {
             worker,
             values: Vec::with_capacity(vertices.len()),
             halted: vec![false; vertices.len()],
-            inboxes: (0..vertices.len()).map(|_| Vec::new()).collect(),
+            inbox: Inbox::new(vertices.len(), program.combiner().is_some()),
             outbox: Vec::new(),
             routed: (0..layout.num_workers()).map(|_| Vec::new()).collect(),
             counters: WorkerCounters::new(vertices.len() as u64),
@@ -89,7 +147,7 @@ impl<P: VertexProgram> WorkerShard<P> {
 
     /// Creates the fully-initialized shard of worker `worker`.
     pub fn init(program: &P, graph: WorkerGraph<'_>, layout: &ShardLayout, worker: usize) -> Self {
-        let mut shard = Self::init_empty(worker, layout);
+        let mut shard = Self::init_empty(program, worker, layout);
         shard.init_values(program, graph, layout);
         shard
     }

@@ -1,18 +1,18 @@
 //! Per-worker superstep phases, operating on sharded state.
 //!
-//! A worker owns one [`WorkerShard`]: the values, halt flags, inboxes and
+//! A worker owns one [`WorkerShard`]: the values, halt flags, inbox and
 //! outbox buffers of its partition of the vertices. This module implements
 //! the two phases the runtime executor schedules every superstep:
 //!
 //! * [`WorkerShard::run_superstep`] — the **compute phase**: execute the
 //!   program's compute function for every active owned vertex (ascending
-//!   vertex id), maintain the Table 1 counters, accumulate partial
-//!   aggregates, and route produced messages into per-destination-worker
-//!   buffers;
-//! * [`WorkerShard::deliver`] — the **delivery phase**: append the inbound
+//!   vertex id), accumulate partial aggregates, and route each produced
+//!   message once — sized, classified local/remote, counted into the Table 1
+//!   counters and pushed to its destination worker's buffer in one pass;
+//! * [`WorkerShard::deliver`] — the **delivery phase**: hand the inbound
 //!   messages (ascending source worker, production order within a source) to
-//!   the owned vertices' inboxes and optionally apply the program's message
-//!   combiner.
+//!   the owned vertices' [`Inbox`], folding each one into its vertex's slot
+//!   when the program declares a combiner.
 //!
 //! Both phases touch only the shard's own state, so the executor
 //! ([`crate::runtime`]) may run any number of shards concurrently; the
@@ -20,9 +20,8 @@
 //! the whole run deterministic.
 
 use crate::aggregator::Aggregates;
-use crate::combiner::{combine_in_place, MessageCombiner};
 use crate::program::{ComputeContext, VertexProgram};
-use crate::runtime::{ShardLayout, WorkerShard};
+use crate::runtime::{Inbox, ShardLayout, WorkerShard};
 use crate::storage::WorkerGraph;
 use predict_graph::VertexId;
 
@@ -30,12 +29,13 @@ impl<P: VertexProgram> WorkerShard<P> {
     /// Executes the compute phase of superstep `superstep` for this shard.
     ///
     /// Runs [`VertexProgram::compute`] for every active owned vertex in
-    /// increasing vertex-id order, maintains the Table 1 counters, and routes
-    /// the produced messages into the per-destination-worker buffers
-    /// (`self.routed`), preserving production order. `graph` is this worker's
-    /// view of the graph — the whole CSR in memory, only the worker's own
-    /// shard on a cluster worker; the phase never reads adjacency outside
-    /// the owned vertices either way.
+    /// increasing vertex-id order and, as each call returns, routes what the
+    /// vertex sent into the per-destination-worker buffers (`self.routed`),
+    /// preserving production order (ascending sender vertex, send order
+    /// within a vertex) and counting every message at send time. `graph` is
+    /// this worker's view of the graph — the whole CSR in memory, only the
+    /// worker's own shard on a cluster worker; the phase never reads
+    /// adjacency outside the owned vertices either way.
     pub fn run_superstep(
         &mut self,
         program: &P,
@@ -49,7 +49,7 @@ impl<P: VertexProgram> WorkerShard<P> {
         debug_assert!(self.outbox.is_empty());
 
         for (i, &v) in layout.shard_vertices(self.worker).iter().enumerate() {
-            let incoming = &mut self.inboxes[i];
+            let incoming = self.inbox.messages(i);
             if self.halted[i] && incoming.is_empty() {
                 continue;
             }
@@ -58,7 +58,6 @@ impl<P: VertexProgram> WorkerShard<P> {
             // halt.
             self.counters.active_vertices += 1;
 
-            let outbox_start = self.outbox.len();
             let mut vertex_halted = false;
             {
                 let mut ctx = ComputeContext {
@@ -76,48 +75,68 @@ impl<P: VertexProgram> WorkerShard<P> {
                 };
                 program.compute(&mut ctx, incoming);
             }
-            incoming.clear();
+            self.inbox.clear(i);
             self.halted[i] = vertex_halted;
 
-            // Classify and count the messages this vertex just sent.
-            for (dst, msg) in &self.outbox[outbox_start..] {
-                let bytes = program.message_size_bytes(msg);
-                let local = layout.owner_of(*dst) == self.worker;
-                self.counters.record_message(bytes, local);
+            // Route what this vertex just sent: one ownership lookup per
+            // message decides both its counter pair and its buffer.
+            for (dst, msg) in self.outbox.drain(..) {
+                let owner = layout.owner_of(dst);
+                let bytes = program.message_size_bytes(&msg);
+                self.counters.record_message(bytes, owner == self.worker);
+                self.routed[owner].push((dst, msg));
             }
-        }
-
-        // Route the outbox into per-destination-worker buffers, preserving
-        // production order (ascending sender vertex, send order within a
-        // vertex) — the order the old sequential delivery loop used.
-        for (dst, msg) in self.outbox.drain(..) {
-            self.routed[layout.owner_of(dst)].push((dst, msg));
         }
     }
 
-    /// Executes the delivery phase for this shard: appends the messages of
+    /// Executes the delivery phase for this shard: hands the messages of
     /// `inbound` (one buffer per source worker, in ascending source-worker
-    /// order) to the owned vertices' inboxes, then applies the program's
-    /// message combiner, if any, to every non-trivial inbox.
+    /// order) to the owned vertices' inbox. A program with a combiner has
+    /// each message folded into its destination's slot as it arrives — a
+    /// left fold in delivery order, see [`crate::combiner`]; any other
+    /// program has it appended to the destination's list.
     ///
     /// Buffers in `inbound` are drained in place so their capacity is reused
     /// by the next superstep.
     pub fn deliver(
         &mut self,
+        program: &P,
         layout: &ShardLayout,
         inbound: &mut [Vec<(VertexId, P::Message)>],
-        combiner: Option<&dyn MessageCombiner<P::Message>>,
     ) {
-        for buf in inbound.iter_mut() {
-            for (dst, msg) in buf.drain(..) {
-                debug_assert_eq!(layout.owner_of(dst), self.worker);
-                self.inboxes[layout.slot_of(dst)].push(msg);
+        let worker = self.worker;
+        match &mut self.inbox {
+            Inbox::Folded(slots) => {
+                let combiner = program
+                    .combiner()
+                    .expect("a folded inbox belongs to a combining program");
+                drain_arrivals(layout, worker, inbound, |slot, msg| {
+                    let slot = &mut slots[slot];
+                    *slot = Some(match slot.take() {
+                        Some(folded) => combiner.combine(folded, msg),
+                        None => msg,
+                    });
+                });
+            }
+            Inbox::Lists(lists) => {
+                drain_arrivals(layout, worker, inbound, |slot, msg| lists[slot].push(msg));
             }
         }
-        if let Some(combiner) = combiner {
-            for inbox in &mut self.inboxes {
-                combine_in_place(combiner, inbox);
-            }
+    }
+}
+
+/// Drains `inbound` in delivery order, handing `place` each message with the
+/// slot its destination vertex has in the shard of `worker`.
+fn drain_arrivals<M>(
+    layout: &ShardLayout,
+    worker: usize,
+    inbound: &mut [Vec<(VertexId, M)>],
+    mut place: impl FnMut(usize, M),
+) {
+    for buf in inbound {
+        for (dst, msg) in buf.drain(..) {
+            debug_assert_eq!(layout.owner_of(dst), worker);
+            place(layout.slot_of(dst), msg);
         }
     }
 }
@@ -125,7 +144,7 @@ impl<P: VertexProgram> WorkerShard<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::combiner::MinCombiner;
+    use crate::combiner::{MessageCombiner, MinCombiner};
     use crate::partition::PartitionStrategy;
     use crate::program::InitContext;
     use predict_graph::{CsrGraph, EdgeList};
@@ -223,7 +242,7 @@ mod tests {
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 1);
         shard.halted = vec![true; 2];
         let mut inbound = vec![vec![(3u32, 1u32), (3, 2)], Vec::new()];
-        shard.deliver(&l, &mut inbound, None);
+        shard.deliver(&program, &l, &mut inbound);
         assert!(inbound[0].is_empty(), "inbound buffers must be drained");
 
         shard.run_superstep(
@@ -235,26 +254,109 @@ mod tests {
         );
         assert_eq!(shard.counters.active_vertices, 1);
         assert_eq!(shard.values[l.slot_of(3)], 3);
-        assert!(
-            shard.inboxes.iter().all(|i| i.is_empty()),
-            "inboxes must be consumed"
-        );
+        assert!(shard.inbox.is_empty(), "the inbox must be consumed");
         assert_eq!(shard.partial_aggregates.get("received"), Some(2.0));
         // The vertex voted to halt again after processing.
         assert!(shard.all_halted());
     }
 
+    /// [`SumIds`]' reactivated vertices keep the smallest id they received:
+    /// the same program, declared combine-safe.
+    struct MinIds;
+
+    impl VertexProgram for MinIds {
+        type VertexValue = u64;
+        type Message = u32;
+
+        fn name(&self) -> &'static str {
+            "min-ids"
+        }
+
+        fn init_vertex(&self, _v: VertexId, _ctx: &InitContext<'_>) -> u64 {
+            u64::MAX
+        }
+
+        fn compute(&self, ctx: &mut ComputeContext<'_, u64, u32>, messages: &[u32]) {
+            assert!(messages.len() <= 1, "a combining program sees one message");
+            if let Some(&m) = messages.first() {
+                *ctx.value = m as u64;
+            }
+            ctx.vote_to_halt();
+        }
+
+        fn message_size_bytes(&self, _m: &u32) -> u64 {
+            4
+        }
+
+        fn combiner(&self) -> Option<&dyn MessageCombiner<u32>> {
+            Some(&MinCombiner)
+        }
+    }
+
     #[test]
     fn deliver_applies_the_combiner_per_inbox() {
         let (g, l) = two_worker_setup();
-        let program = SumIds;
-        let mut shard = WorkerShard::<SumIds>::init(&program, WorkerGraph::Unified(&g), &l, 1);
+        let program = MinIds;
+        let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 1);
         let mut inbound = vec![vec![(3u32, 9u32), (3, 4), (1, 7)], vec![(3, 6)]];
-        shard.deliver(&l, &mut inbound, Some(&MinCombiner));
-        // Vertex 3 received 9, 4, 6 -> combined to the minimum.
-        assert_eq!(shard.inboxes[l.slot_of(3)], vec![4]);
-        // Single-message inboxes pass through untouched.
-        assert_eq!(shard.inboxes[l.slot_of(1)], vec![7]);
+        shard.deliver(&program, &l, &mut inbound);
+        assert!(inbound.iter().all(Vec::is_empty), "buffers must be drained");
+        // Vertex 3 received 9, 4, 6 -> folded to the minimum on arrival.
+        assert_eq!(shard.inbox.messages(l.slot_of(3)), [4]);
+        // A single message is its own fold.
+        assert_eq!(shard.inbox.messages(l.slot_of(1)), [7]);
+        // A second delivery before compute keeps folding into the same slot.
+        shard.deliver(&program, &l, &mut [vec![(3u32, 2u32)], Vec::new()]);
+        assert_eq!(shard.inbox.messages(l.slot_of(3)), [2]);
+
+        shard.halted = vec![true; 2];
+        shard.run_superstep(
+            &program,
+            WorkerGraph::Unified(&g),
+            &l,
+            1,
+            &Aggregates::new(),
+        );
+        assert_eq!(shard.values, vec![7, 2]);
+        assert!(shard.inbox.is_empty(), "slots must be consumed");
+    }
+
+    #[test]
+    fn the_fold_is_a_left_fold_in_delivery_order() {
+        /// Records the order of combination: only a left fold over
+        /// (source worker asc, production order) yields "((a+b)+c)+d".
+        struct Trace;
+        impl MessageCombiner<String> for Trace {
+            fn combine(&self, a: String, b: String) -> String {
+                format!("({a}+{b})")
+            }
+        }
+        struct Traced;
+        impl VertexProgram for Traced {
+            type VertexValue = ();
+            type Message = String;
+            fn name(&self) -> &'static str {
+                "traced"
+            }
+            fn init_vertex(&self, _v: VertexId, _ctx: &InitContext<'_>) {}
+            fn compute(&self, _ctx: &mut ComputeContext<'_, (), String>, _m: &[String]) {}
+            fn message_size_bytes(&self, m: &String) -> u64 {
+                m.len() as u64
+            }
+            fn combiner(&self) -> Option<&dyn MessageCombiner<String>> {
+                Some(&Trace)
+            }
+        }
+        let (g, l) = two_worker_setup();
+        let mut shard = WorkerShard::init(&Traced, WorkerGraph::Unified(&g), &l, 1);
+        let msg = |dst: u32, m: &str| (dst, m.to_string());
+        let mut inbound = vec![
+            vec![msg(3, "a"), msg(1, "x"), msg(3, "b")],
+            vec![msg(3, "c"), msg(3, "d")],
+        ];
+        shard.deliver(&Traced, &l, &mut inbound);
+        assert_eq!(shard.inbox.messages(l.slot_of(3)), ["(((a+b)+c)+d)"]);
+        assert_eq!(shard.inbox.messages(l.slot_of(1)), ["x"]);
     }
 
     #[test]
@@ -269,20 +371,30 @@ mod tests {
             0,
             &Aggregates::new(),
         );
-        // Superstep 0 produced 3 messages through the outbox scratch.
+        // Superstep 0 routed 3 messages through the per-vertex scratch, two
+        // of them from vertex 0.
+        assert!(shard.outbox.is_empty(), "the scratch is emptied per vertex");
         let capacity = shard.outbox.capacity();
-        assert!(capacity >= 3);
+        assert!(capacity >= 2);
+        let routed: Vec<usize> = shard.routed.iter().map(Vec::capacity).collect();
+        shard.routed.iter_mut().for_each(Vec::clear);
+        shard.halted = vec![false; 2];
         shard.run_superstep(
             &program,
             WorkerGraph::Unified(&g),
             &l,
-            1,
+            0,
             &Aggregates::new(),
         );
         assert_eq!(
             shard.outbox.capacity(),
             capacity,
             "outbox scratch must be reused, not reallocated"
+        );
+        assert_eq!(
+            shard.routed.iter().map(Vec::capacity).collect::<Vec<_>>(),
+            routed,
+            "routed buffers must be reused, not reallocated"
         );
     }
 }

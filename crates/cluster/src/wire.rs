@@ -27,6 +27,7 @@ use predict_algorithms::{NeighborhoodSketch, SemiCluster, SemiClusterList, TopKS
 use predict_bsp::{Aggregates, AggregatorKind, WorkerCounters};
 use predict_graph::{ShardedCsr, VertexId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Version every [`WireBatch`] and frame body leads with; decoders reject
 /// anything else. Bump on any incompatible change to an encoding.
@@ -168,12 +169,17 @@ impl Wire for String {
     }
 }
 
+/// A sequence on the wire: `u32` length, then the items.
+fn encode_items<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u32).encode(out);
+    for item in items {
+        item.encode(out);
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        encode_items(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = u32::decode(r)? as usize;
@@ -185,6 +191,18 @@ impl<T: Wire> Wire for Vec<T> {
             items.push(T::decode(r)?);
         }
         Ok(items)
+    }
+}
+
+/// A shared slice — the broadcast payload of the top-k, semi-clustering and
+/// neighborhood programs — travels byte for byte as the `Vec<T>` holding the
+/// same items, and is decoded through it, bounds and all.
+impl<T: Wire> Wire for Arc<[T]> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_items(self, out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Vec::decode(r).map(Self::from)
     }
 }
 

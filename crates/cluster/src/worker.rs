@@ -106,7 +106,6 @@ where
     }
     let graph = WorkerGraph::Shard(&shard_csr);
     let mut state: WorkerShard<P> = WorkerShard::init(program, graph, &layout, me);
-    let combiner = program.combiner();
     let fault = header.fault.unwrap_or_default();
 
     // Messages this worker sent to itself last superstep; delivered next
@@ -157,7 +156,7 @@ where
                     }
                     row[src] = batch_into_row(batch);
                 }
-                state.deliver(&layout, &mut row, combiner);
+                state.deliver(program, &layout, &mut row);
 
                 // Compute phase, measured.
                 let start = Instant::now();

@@ -1,6 +1,9 @@
 //! Property-based tests of the cluster wire format: batch round-trips for
 //! all five workload message types, plus rejection of truncated and
-//! version-mismatched payloads.
+//! version-mismatched payloads. The three broadcast payloads (top-k,
+//! semi-clustering, neighborhood) are shared slices, `Arc<[T]>`, which must
+//! be the `Vec<T>` of the same items on the wire: same bytes, same
+//! rejections.
 //!
 //! Round-trips are asserted at the byte level (`encode(decode(bytes)) ==
 //! bytes`), which is both stronger than value equality and insensitive to
@@ -10,6 +13,7 @@ use predict_algorithms::SemiCluster;
 use predict_cluster::{decode_exact, encode_to_vec, Wire, WireBatch, WireError, WIRE_VERSION};
 use predict_graph::VertexId;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Case count for this suite, bounded by `PROPTEST_CASES` when set (CI sets
 /// it so the property suites finish in seconds).
@@ -98,6 +102,59 @@ fn check_batch_payload<M: Wire + std::fmt::Debug>(
     Ok(())
 }
 
+/// The batch whose messages are the shared form of `batch`'s.
+fn shared<T: Clone>(batch: &WireBatch<Vec<T>>) -> WireBatch<Arc<[T]>> {
+    let share = |(vertex, messages): &(VertexId, Vec<Vec<T>>)| {
+        let messages = messages.iter().map(|m| m.as_slice().into()).collect();
+        (*vertex, messages)
+    };
+    WireBatch {
+        superstep: batch.superstep,
+        src: batch.src,
+        dst: batch.dst,
+        seq: batch.seq,
+        runs: batch.runs.iter().map(share).collect(),
+    }
+}
+
+/// Asserts that a shared-slice batch is its `Vec` twin on the wire — equal
+/// bytes — and passes every check of [`check_batch_payload`] itself; and
+/// that one shared payload answers every truncation and every inflated
+/// length prefix with the error its `Vec` twin gives.
+fn check_shared_payload<T>(batch: &WireBatch<Vec<T>>, cut: usize) -> Result<(), TestCaseError>
+where
+    T: Wire + Clone + std::fmt::Debug,
+{
+    let twin = shared(batch);
+    prop_assert_eq!(encode_to_vec(&twin), encode_to_vec(batch));
+    check_batch_payload(&twin, cut)?;
+
+    let items: Vec<T> = batch.runs.iter().flat_map(|(_, m)| m.concat()).collect();
+    let bytes = encode_to_vec(&items);
+    let slice: Arc<[T]> = items.as_slice().into();
+    prop_assert_eq!(&encode_to_vec(&slice), &bytes);
+    let back: Arc<[T]> = decode_exact(&bytes).expect("encoded slice decodes");
+    prop_assert_eq!(&encode_to_vec(&back), &bytes);
+    let errors = |bytes: &[u8]| {
+        let as_slice = decode_exact::<Arc<[T]>>(bytes).map(|_| ());
+        let as_vec = decode_exact::<Vec<T>>(bytes).map(|_| ());
+        (as_slice, as_vec)
+    };
+    for cut in 0..bytes.len() {
+        let (as_slice, as_vec) = errors(&bytes[..cut]);
+        prop_assert!(as_slice.is_err(), "truncation to {} bytes", cut);
+        prop_assert_eq!(as_slice, as_vec);
+    }
+    for claimed in [items.len() as u32 + 1, u32::MAX] {
+        let mut inflated = bytes.clone();
+        inflated[..4].copy_from_slice(&claimed.to_le_bytes());
+        let (as_slice, as_vec) = errors(&inflated);
+        prop_assert!(as_slice.is_err(), "length inflated to {}", claimed);
+        prop_assert_eq!(as_slice, as_vec);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(suite_cases(64)))]
 
@@ -107,23 +164,23 @@ proptest! {
         check_batch_payload(&b, cut)?;
     }
 
-    /// Top-k messages: vectors of `(rank, vertex)` entries.
+    /// Top-k messages: shared lists of `(rank, vertex)` entries.
     #[test]
     fn topk_batches_round_trip(
         b in batch(prop::collection::vec((wide_f64(), 0u32..10_000), 0..5)),
         cut in 0usize..10_000,
     ) {
-        check_batch_payload::<Vec<(f64, VertexId)>>(&b, cut)?;
+        check_shared_payload::<(f64, VertexId)>(&b, cut)?;
     }
 
-    /// Semi-clustering messages: vectors of cluster structs — the
+    /// Semi-clustering messages: shared lists of cluster structs — the
     /// variable-*size* message shape of the paper.
     #[test]
     fn semi_clustering_batches_round_trip(
         b in batch(prop::collection::vec(semi_cluster(), 0..4)),
         cut in 0usize..10_000,
     ) {
-        check_batch_payload::<Vec<SemiCluster>>(&b, cut)?;
+        check_shared_payload::<SemiCluster>(&b, cut)?;
     }
 
     /// Connected-components messages: bare vertex ids.
@@ -135,12 +192,12 @@ proptest! {
         check_batch_payload::<VertexId>(&b, cut)?;
     }
 
-    /// Neighborhood-estimation messages: Flajolet–Martin bitmask vectors.
+    /// Neighborhood-estimation messages: shared Flajolet–Martin bitmasks.
     #[test]
     fn neighborhood_batches_round_trip(
         b in batch(prop::collection::vec(0u64..u64::MAX, 0..4)),
         cut in 0usize..10_000,
     ) {
-        check_batch_payload::<Vec<u64>>(&b, cut)?;
+        check_shared_payload::<u64>(&b, cut)?;
     }
 }

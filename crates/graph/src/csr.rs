@@ -276,6 +276,81 @@ impl CsrGraph {
         el
     }
 
+    /// The undirected form of this graph in directed representation: every
+    /// edge also present reversed, self-loops dropped, parallel edges merged,
+    /// adjacency sorted by neighbor id — the graph
+    /// `CsrGraph::from_edge_list(&self.to_edge_list().to_undirected())`
+    /// builds, without the edge list, the mirroring or the dedup sort.
+    ///
+    /// The structure comes straight from the two adjacencies this graph
+    /// already holds. A weighted graph keeps, for both directions of a pair,
+    /// the weight of the pair's first edge in CSR order (ascending source,
+    /// then stored order), which is the first occurrence
+    /// [`EdgeList::to_undirected`]'s dedup keeps.
+    pub fn to_undirected(&self) -> CsrGraph {
+        let n = self.num_vertices;
+        let mut degree = vec![0usize; n];
+        self.for_each_undirected_edge(|x, _| degree[x] += 1);
+        let offsets = prefix_sum(&degree);
+        let mut targets = vec![0 as VertexId; offsets[n]];
+        let mut cursor = offsets[..n].to_vec();
+        self.for_each_undirected_edge(|x, u| {
+            targets[cursor[x]] = u as VertexId;
+            cursor[x] += 1;
+        });
+
+        // `edges()` walks CSR order: the first edge to reach a slot, forward
+        // or mirrored, is the first occurrence the edge-list dedup keeps.
+        let weights = self.is_weighted().then(|| {
+            let mut weights = vec![1.0f32; targets.len()];
+            let mut placed = vec![false; targets.len()];
+            for (u, x, weight) in self.edges().filter(|&(u, x, _)| u != x) {
+                for (from, to) in [(u, x), (x, u)] {
+                    let (lo, hi) = (offsets[from as usize], offsets[from as usize + 1]);
+                    let found = targets[lo..hi].binary_search(&to);
+                    let at = lo + found.expect("every edge is in the undirected structure");
+                    if !std::mem::replace(&mut placed[at], true) {
+                        weights[at] = weight;
+                    }
+                }
+            }
+            weights
+        });
+        // Like `from_edges`: all-1.0 weights freeze as an unweighted graph.
+        let weights = weights.filter(|ws| ws.iter().any(|&w| w != 1.0));
+
+        Self {
+            num_vertices: n,
+            in_offsets: offsets.clone(),
+            in_sources: targets.clone(),
+            out_offsets: offsets,
+            out_targets: targets,
+            out_weights: weights,
+            degree_order: OnceLock::new(),
+        }
+    }
+
+    /// Calls `add(x, u)` once per ordered pair of distinct vertices joined
+    /// by an edge in either direction, with `u` ascending for every `x`.
+    ///
+    /// Visiting `u` in ascending order and handing it to each vertex adjacent
+    /// to it makes the repeats of one `u` (parallel edges, an edge present
+    /// both ways) adjacent in time: `last[x] == u` spots them.
+    fn for_each_undirected_edge(&self, mut add: impl FnMut(usize, usize)) {
+        let mut last = vec![usize::MAX; self.num_vertices];
+        for u in 0..self.num_vertices {
+            let out = &self.out_targets[self.out_offsets[u]..self.out_offsets[u + 1]];
+            let inc = &self.in_sources[self.in_offsets[u]..self.in_offsets[u + 1]];
+            out.iter().chain(inc).for_each(|&x| {
+                let x = x as usize;
+                if x != u && last[x] != u {
+                    last[x] = u;
+                    add(x, u);
+                }
+            });
+        }
+    }
+
     /// Rough in-memory footprint in bytes of the graph structure, used by the
     /// dataset presets to report a "size" column analogous to Table 2.
     pub fn size_bytes(&self) -> usize {

@@ -79,6 +79,46 @@ proptest! {
         }
     }
 
+    /// `CsrGraph::to_undirected` — built from the two adjacencies the graph
+    /// already holds — is the graph the edge-list path builds (mirror every
+    /// edge, drop self-loops, stable dedup keeping the first occurrence,
+    /// re-freeze): same adjacency in the same order both ways, same weights
+    /// bit for bit, same weighted-or-not. Small id spaces force parallel
+    /// edges, self-loops and pairs present in both directions; `weight_mode`
+    /// covers unweighted input, arbitrary weights, and weighted input whose
+    /// surviving weights are all 1.0 (which freezes unweighted).
+    #[test]
+    fn to_undirected_equals_the_edge_list_path(
+        triples in prop::collection::vec((0u32..12, 0u32..12, 0u8..4), 0..120),
+        extra_vertices in 0usize..4,
+        weight_mode in 0u8..3,
+    ) {
+        let mut el = EdgeList::new();
+        for (i, &(s, d, w)) in triples.iter().enumerate() {
+            let weight = match weight_mode {
+                0 => 1.0,
+                1 => 0.5 + f32::from(w) + i as f32 / 128.0,
+                // Only a repeat of an earlier pair carries a weight.
+                _ if triples[..i].iter().any(|&(a, b, _)| (a, b) == (s, d) || (a, b) == (d, s)) => 7.0,
+                _ => 1.0,
+            };
+            el.push_weighted(s, d, weight);
+        }
+        el.ensure_vertices(el.num_vertices() + extra_vertices);
+        let g = CsrGraph::from_edge_list(&el);
+        let expected = CsrGraph::from_edge_list(&g.to_edge_list().to_undirected());
+        let direct = g.to_undirected();
+
+        prop_assert_eq!(direct.num_vertices(), expected.num_vertices());
+        prop_assert_eq!(direct.out_csr(), expected.out_csr());
+        prop_assert_eq!(direct.is_weighted(), expected.is_weighted());
+        for v in expected.vertices() {
+            prop_assert_eq!(direct.in_neighbors(v), expected.in_neighbors(v));
+            let bits = |g: &CsrGraph| g.out_weights(v).map(|ws| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>());
+            prop_assert_eq!(bits(&direct), bits(&expected), "weights of vertex {}", v);
+        }
+    }
+
     /// An induced subgraph never contains edges that were absent from the
     /// parent graph, and its edge count is bounded by the parent's.
     #[test]
