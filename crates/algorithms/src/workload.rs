@@ -19,7 +19,7 @@ use crate::pagerank::{PageRank, PageRankParams};
 use crate::semi_clustering::SemiClusteringParams;
 use crate::topk::TopKParams;
 use predict_bsp::{BspEngine, BspRunResult, HaltReason, RunProfile};
-use predict_graph::CsrGraph;
+use predict_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -139,6 +139,12 @@ pub enum ProgramSpec {
         /// Neighborhood-estimation parameters.
         params: NeighborhoodParams,
     },
+    /// [`ShortestPaths`](crate::ShortestPaths) — no workload runs it; the
+    /// transport oracle suite drives it like every other program.
+    ShortestPaths {
+        /// The source vertex distances are measured from.
+        source: VertexId,
+    },
 }
 
 /// Evaluates `$body` with `$program` bound to a reference to the vertex
@@ -168,6 +174,10 @@ macro_rules! with_program {
             }
             $crate::ProgramSpec::Neighborhood { params } => {
                 let $program = &$crate::NeighborhoodEstimation::new(*params);
+                $body
+            }
+            $crate::ProgramSpec::ShortestPaths { source } => {
+                let $program = &$crate::ShortestPaths::new(*source);
                 $body
             }
         }

@@ -143,23 +143,14 @@ fn main() {
         );
         assert_eq!(points[0].remote_payload_bytes, p.remote_payload_bytes);
     }
-    // Network-term validation: the bytes the simulated clock charges for
-    // (raw remote message payloads) must be covered by — and never exceed —
-    // what actually crossed the socket; framing, counters and aggregates
-    // only ever add bytes on top of the payload.
-    for p in &points {
-        assert!(
-            p.wire_bytes >= p.remote_payload_bytes,
-            "{}: measured wire bytes ({}) below the simulated network term's \
-             payload bytes ({})",
-            p.transport,
-            p.wire_bytes,
-            p.remote_payload_bytes
-        );
-    }
+    // Network term against the wire: the simulated clock charges every
+    // remote message its full payload, while a batch section writes a run of
+    // byte-identical messages once (a PageRank sender with more than three
+    // out-edges into one worker already costs less on the wire than Table 1
+    // charges), so the ratio is reported, not bounded.
     eprintln!(
         "[cluster_timing] network term: {} remote payload bytes, {} measured wire bytes \
-         ({:.2}x framing overhead), identical across {} transports",
+         ({:.2}x the payload), identical across {} transports",
         points[0].remote_payload_bytes,
         points[0].wire_bytes,
         points[0].wire_bytes as f64 / points[0].remote_payload_bytes.max(1) as f64,

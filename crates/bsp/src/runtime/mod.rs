@@ -66,11 +66,13 @@
 //!    (`predict_cluster`, selected by
 //!    [`TransportMode`](crate::remote::TransportMode)) run too. All a
 //!    transport has to get right is per-worker: each worker computes over a
-//!    shard holding exactly its vertices' adjacency, message batches are
-//!    sequenced by (source worker, batch sequence number) and runs within a
-//!    batch are stably grouped by destination vertex, so every inbox sees
-//!    the order of point (4), and `StepDone` replies are reported in
-//!    ascending worker order.
+//!    shard holding exactly its vertices' adjacency, a worker's messages to
+//!    a peer travel as one batch section in production order — nothing is
+//!    regrouped — and are delivered in ascending source-worker order with
+//!    the receiver's own messages at its own position, so every delivery
+//!    row is the one the in-memory transpose builds and every inbox sees
+//!    the order of point (4); `StepDone` replies are reported in ascending
+//!    worker order.
 //!
 //! Property (2) is also why the runtime exists at all: PREDIcT executes
 //! thousands of sample runs (see `PredictService::submit_batch`), and the

@@ -1,142 +1,20 @@
-//! The runtime against an oracle: a sequential reference BSP interpreter.
-//!
-//! [`reference_run`] is Pregel as section 2.2 of the paper describes it,
-//! written down once with none of the runtime's machinery: one loop over the
-//! vertices, one message list per vertex holding every message in delivery
-//! order, **no combiner**, no shards, no buffers, no threads. The runtime —
-//! folding at delivery for the programs that declare a combiner, sharing
-//! broadcast payloads, routing as it computes, fanning phases out over a
-//! pool — must produce the same vertex values and the same [`RunProfile`]
+//! The runtime against the oracle ([`reference::reference_run`]): the
+//! in-memory runtime — folding at delivery, sharing broadcast payloads,
+//! routing as it computes, fanning phases out over a pool — must produce the
+//! reference run's vertex values and [`RunProfile`](predict_bsp::RunProfile)
 //! bit for bit, for every program of `predict_algorithms`, at every thread
 //! count.
-//!
-//! What the two share on purpose: the program under test, the vertex-to-
-//! worker assignment ([`Partitioning`]) and the simulated clock
-//! ([`ClusterClock`]) — inputs of a run, not the execution being checked.
 
-use predict_algorithms::{
-    ConnectedComponents, NeighborhoodEstimation, NeighborhoodParams, PageRank, PageRankParams,
-    SemiClustering, SemiClusteringParams, ShortestPaths, TopKParams, TopKRanking,
-};
-use predict_bsp::{
-    Aggregates, BspConfig, BspEngine, ClusterClock, ComputeContext, ExecutionMode, HaltReason,
-    InitContext, Partitioning, RunProfile, SuperstepProfile, VertexProgram, WorkerCounters,
-};
-use predict_graph::{CsrGraph, EdgeList, VertexId};
+mod reference;
+
+use predict_algorithms::with_program;
+use predict_bsp::{BspConfig, BspEngine, ExecutionMode, VertexProgram};
+use predict_graph::CsrGraph;
 use proptest::prelude::*;
+use reference::{assert_same_run, graph_strategy, program_case, reference_run, suite_cases};
 use std::fmt::Debug;
 
-/// Runs `program` on `graph` the slow, obvious way.
-fn reference_run<P: VertexProgram>(
-    program: &P,
-    graph: &CsrGraph,
-    config: &BspConfig,
-) -> (Vec<P::VertexValue>, RunProfile, HaltReason) {
-    let (n, workers) = (graph.num_vertices(), config.workers());
-    let partitioning = Partitioning::new(graph, workers, config.partition_strategy);
-    let owner = |v: VertexId| partitioning.worker_of(v);
-    let mut clock = ClusterClock::new(config.cost.clone());
-    let setup_ms = clock.setup_time_ms();
-    let read_ms = clock.read_time_ms(graph.num_edges(), workers);
-
-    let mut values: Vec<P::VertexValue> = graph
-        .vertices()
-        .map(|v| program.init_vertex(v, &InitContext::for_vertex(graph, v)))
-        .collect();
-    let mut halted = vec![false; n];
-    let mut inboxes: Vec<Vec<P::Message>> = vec![Vec::new(); n];
-    let mut supersteps: Vec<SuperstepProfile> = Vec::new();
-    let mut halt_reason = HaltReason::MaxSupersteps;
-
-    for superstep in 0..config.max_supersteps {
-        let previous = supersteps
-            .last()
-            .map_or_else(Aggregates::new, |s| s.aggregates.clone());
-        let mut counters: Vec<WorkerCounters> = (0..workers)
-            .map(|w| WorkerCounters::new(partitioning.vertices_of_worker(w) as u64))
-            .collect();
-        let mut partials = vec![Aggregates::new(); workers];
-        // What each worker's vertices sent, in production order.
-        let mut sent: Vec<Vec<(VertexId, P::Message)>> = vec![Vec::new(); workers];
-
-        // Ascending vertex id is ascending vertex id within every worker.
-        for v in graph.vertices() {
-            let (w, i) = (owner(v), v as usize);
-            let incoming = std::mem::take(&mut inboxes[i]);
-            if halted[i] && incoming.is_empty() {
-                continue;
-            }
-            counters[w].active_vertices += 1;
-            let mut outbox = Vec::new();
-            let mut vote = false;
-            let mut ctx = ComputeContext {
-                vertex: v,
-                superstep,
-                value: &mut values[i],
-                out_neighbors: graph.out_neighbors(v),
-                out_weights: graph.out_weights(v),
-                num_vertices: n,
-                num_edges: graph.num_edges(),
-                previous_aggregates: &previous,
-                outbox: &mut outbox,
-                partial_aggregates: &mut partials[w],
-                halted: &mut vote,
-            };
-            program.compute(&mut ctx, &incoming);
-            halted[i] = vote;
-            for (dst, message) in outbox {
-                let bytes = program.message_size_bytes(&message);
-                counters[w].record_message(bytes, owner(dst) == w);
-                sent[w].push((dst, message));
-            }
-        }
-
-        // Delivery order: source worker ascending, then production order.
-        for (dst, message) in sent.into_iter().flatten() {
-            inboxes[dst as usize].push(message);
-        }
-
-        // The master: merge in ascending worker order, time, decide.
-        let mut aggregates = Aggregates::new();
-        partials.iter().for_each(|p| aggregates.merge(p));
-        let in_flight: u64 = counters.iter().map(WorkerCounters::total_messages).sum();
-        let (wall_time_ms, worker_times_ms) = clock.superstep_time_ms(&counters);
-        let halt = if program.master_halt(superstep, &aggregates) {
-            Some(HaltReason::MasterConverged)
-        } else if in_flight == 0 && halted.iter().all(|&h| h) {
-            Some(HaltReason::AllVerticesHalted)
-        } else {
-            None
-        };
-        supersteps.push(SuperstepProfile {
-            superstep,
-            workers: counters,
-            worker_times_ms,
-            wall_time_ms,
-            aggregates,
-        });
-        if let Some(reason) = halt {
-            halt_reason = reason;
-            break;
-        }
-    }
-
-    let profile = RunProfile {
-        algorithm: program.name().to_string(),
-        num_vertices: n,
-        num_edges: graph.num_edges(),
-        num_workers: workers,
-        setup_ms,
-        read_ms,
-        write_ms: clock.write_time_ms(n, workers),
-        supersteps,
-        measured: None,
-    };
-    (values, profile, halt_reason)
-}
-
-/// The engine at `threads` threads against the oracle. `Debug` text is
-/// compared beside `==` because it tells `-0.0` from `0.0`.
+/// The engine at `threads` threads against the oracle.
 fn check<P>(
     program: &P,
     graph: &CsrGraph,
@@ -155,37 +33,9 @@ where
             1 => ExecutionMode::Sequential,
             threads => ExecutionMode::Parallel { threads },
         });
-    let (values, profile, halt_reason) = reference_run(program, graph, &config);
+    let reference = reference_run(program, graph, &config);
     let run = BspEngine::new(config).run(graph, program);
-    prop_assert_eq!(&run.values, &values);
-    prop_assert_eq!(format!("{:?}", run.values), format!("{values:?}"));
-    prop_assert_eq!(&run.profile, &profile);
-    prop_assert_eq!(format!("{:?}", run.profile), format!("{profile:?}"));
-    prop_assert_eq!(run.halt_reason, halt_reason);
-    Ok(())
-}
-
-/// Strategy: a small graph with parallel edges, self-loops, isolated
-/// vertices and — when `weighted` — edge weights.
-fn graph_strategy() -> impl Strategy<Value = CsrGraph> {
-    (
-        prop::collection::vec((0u32..40, 0u32..40, 1u8..9), 1..160),
-        any::<bool>(),
-    )
-        .prop_map(|(edges, weighted)| {
-            let mut el = EdgeList::new();
-            for (s, d, w) in edges {
-                el.push_weighted(s, d, if weighted { f32::from(w) / 2.0 } else { 1.0 });
-            }
-            CsrGraph::from_edge_list(&el)
-        })
-}
-
-fn suite_cases(default_cases: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .map_or(default_cases, |env| default_cases.min(env))
+    assert_same_run(&(run.values, run.profile, run.halt_reason), &reference)
 }
 
 proptest! {
@@ -194,23 +44,12 @@ proptest! {
     #[test]
     fn the_runtime_equals_the_reference_interpreter(
         graph in graph_strategy(),
-        algorithm in 0usize..6,
+        algorithm in 0usize..reference::PROGRAMS,
         workers in 1usize..7,
         threads in 0usize..3,
     ) {
         let threads = [1, 2, 4][threads];
-        let n = graph.num_vertices();
-        match algorithm {
-            0 => check(&PageRank::new(PageRankParams::with_epsilon(0.01, n)), &graph, workers, threads)?,
-            1 => check(&ConnectedComponents, &graph, workers, threads)?,
-            2 => check(&ShortestPaths::new(graph.vertices().next().unwrap_or(0)), &graph, workers, threads)?,
-            3 => {
-                // Few distinct ranks, so ties reach the vertex-id tie-break.
-                let ranks = (0..n).map(|v| (v * 37 % 11) as f64 / 11.0).collect();
-                check(&TopKRanking::new(TopKParams::new(3, 0.0), ranks), &graph, workers, threads)?
-            }
-            4 => check(&SemiClustering::new(SemiClusteringParams::new(2, 2, 4, 0.1, 0.001)), &graph, workers, threads)?,
-            _ => check(&NeighborhoodEstimation::new(NeighborhoodParams::default()), &graph, workers, threads)?,
-        }
+        let (spec, ranks) = program_case(algorithm, &graph);
+        with_program!(&spec, ranks, |program| check(program, &graph, workers, threads))?;
     }
 }

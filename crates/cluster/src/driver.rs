@@ -8,8 +8,15 @@
 //! master's view of a worker group — what the in-memory executor does with
 //! buffer swaps, it does with `Init`/`Step`/`StepDone`/`Finish` frames:
 //! ship each worker its shard, fan a step out, collect the replies in
-//! ascending worker order under a read deadline, validate them, route
-//! outbound batches to next superstep's `Step`.
+//! ascending worker order under a read deadline, validate them, relay
+//! outbound batch sections to next superstep's `Step`.
+//!
+//! The relay is opaque ([`Relay`]): of a `StepDone` the driver decodes the
+//! [`StepReport`](crate::protocol::StepReport) the master reads — superstep
+//! echo, counters, aggregates, halt vote, `compute_ns` — and each section's
+//! framing, then copies the sections verbatim into their destinations' next
+//! `Step`. It never decodes a message, so it is generic over the program
+//! only where the master and the final values need it.
 //!
 //! On top of the master's simulated timings it records what a simulated
 //! clock cannot see: *measured* per-superstep wall time, per-worker compute
@@ -18,9 +25,9 @@
 
 use crate::error::ClusterError;
 use crate::fault::FaultSchedule;
-use crate::protocol::{self, tag, FaultSpec, InitHeader, ProgramSpec, StepBody, StepDoneBody};
+use crate::protocol::{self, tag, FaultSpec, InitHeader, ProgramSpec, Relay};
 use crate::transport::{self, Connection, TransportKind, WorkerGroup};
-use crate::wire::{decode_exact, encode_to_vec, Wire, WireBatch};
+use crate::wire::{decode_exact, Wire};
 use predict_bsp::runtime::ShardLayout;
 use predict_bsp::{
     run_master, Aggregates, BspConfig, BspRunResult, MeasuredRun, MeasuredSuperstep, StepSink,
@@ -89,7 +96,6 @@ pub fn drive<P>(
 ) -> Result<BspRunResult<P::VertexValue>, ClusterError>
 where
     P: VertexProgram,
-    P::Message: Wire,
     P::VertexValue: Wire,
 {
     // Faulted groups die by design; never take one from (or return one to)
@@ -124,8 +130,9 @@ where
 }
 
 /// Runs one drive on a caller-provided worker group — for tests and tools
-/// that build groups through custom spawns (e.g. the loopback-TCP socket
-/// variant). The group is consumed: healthy or not, it is never pooled.
+/// that build groups through custom spawns (e.g. workers behind a raw
+/// socket stream). The group is consumed: healthy or not, it is never
+/// pooled.
 pub fn drive_on<P>(
     program: &P,
     spec: &ProgramSpec,
@@ -137,7 +144,6 @@ pub fn drive_on<P>(
 ) -> Result<BspRunResult<P::VertexValue>, ClusterError>
 where
     P: VertexProgram,
-    P::Message: Wire,
     P::VertexValue: Wire,
 {
     drive_on_group(program, spec, ranks, graph, config, opts, &mut group)
@@ -179,7 +185,6 @@ fn drive_on_group<P>(
 ) -> Result<BspRunResult<P::VertexValue>, ClusterError>
 where
     P: VertexProgram,
-    P::Message: Wire,
     P::VertexValue: Wire,
 {
     let layout = ShardLayout::build(
@@ -191,7 +196,7 @@ where
     let _run_span = predict_obs::trace::span("cluster.run")
         .arg("transport", opts.kind.name())
         .arg("workers", layout.num_workers());
-    let mut workers = RemoteWorkers::<P>::init(spec, ranks, graph, &layout, opts, group)?;
+    let mut workers = RemoteWorkers::init(spec, ranks, graph, &layout, opts, group)?;
     let mut result = run_master(program, graph, &layout, config, &mut workers)?;
     result.profile.measured = Some(MeasuredRun {
         transport: opts.kind.name().to_string(),
@@ -202,20 +207,22 @@ where
 }
 
 /// A worker group mid-run, as the master sees it.
-struct RemoteWorkers<'a, P: VertexProgram> {
+struct RemoteWorkers<'a> {
     group: &'a mut WorkerGroup,
     layout: &'a ShardLayout,
     timeout: Duration,
-    /// Undelivered batches per destination worker. Filled from `StepDone`
+    /// Undelivered sections per destination worker. Filled from `StepDone`
     /// replies in ascending source order, drained into the next `Step`.
-    pending: Vec<Vec<WireBatch<P::Message>>>,
+    relay: Relay,
+    /// The `Step` body being sent, reused across workers and supersteps.
+    step_body: Vec<u8>,
     measured: Vec<MeasuredSuperstep>,
     step_ns: Arc<Histogram>,
     wire_bytes: Arc<Counter>,
     steps: Arc<Counter>,
 }
 
-impl<'a, P: VertexProgram> RemoteWorkers<'a, P> {
+impl<'a> RemoteWorkers<'a> {
     /// Ships every worker its shard of `graph`, then collects `InitOk` in
     /// ascending worker order.
     fn init(
@@ -252,7 +259,8 @@ impl<'a, P: VertexProgram> RemoteWorkers<'a, P> {
             group,
             layout,
             timeout: opts.timeout,
-            pending: (0..num_workers).map(|_| Vec::new()).collect(),
+            relay: Relay::new(num_workers),
+            step_body: Vec::new(),
             measured: Vec::new(),
             step_ns: registry.histogram("cluster.step_ns"),
             wire_bytes: registry.counter("cluster.wire_bytes"),
@@ -261,10 +269,9 @@ impl<'a, P: VertexProgram> RemoteWorkers<'a, P> {
     }
 }
 
-impl<P> Workers<P> for RemoteWorkers<'_, P>
+impl<P> Workers<P> for RemoteWorkers<'_>
 where
     P: VertexProgram,
-    P::Message: Wire,
     P::VertexValue: Wire,
 {
     type Error = ClusterError;
@@ -275,7 +282,7 @@ where
         previous_aggregates: &Aggregates,
         sink: &mut StepSink,
     ) -> Result<(), ClusterError> {
-        let num_workers = self.pending.len();
+        let num_workers = self.group.connections.len();
         let mut step_span =
             predict_obs::trace::span("cluster.step").arg("superstep", superstep as u64);
         let step_start = Instant::now();
@@ -283,53 +290,34 @@ where
         // Fan the step out to every worker before reading any reply, so
         // workers compute concurrently.
         let mut wire_bytes = Vec::with_capacity(num_workers);
-        for (conn, pending) in self.group.connections.iter_mut().zip(&mut self.pending) {
-            let step = StepBody {
-                superstep: superstep as u64,
-                previous_aggregates: previous_aggregates.clone(),
-                batches: std::mem::take(pending),
-            };
-            let body = encode_to_vec(&step);
+        for (w, conn) in self.group.connections.iter_mut().enumerate() {
+            let body = &mut self.step_body;
+            self.relay
+                .step_body(body, w, superstep as u64, previous_aggregates);
             wire_bytes.push(body.len() as u64);
-            conn.send(tag::STEP, &body)
+            conn.send(tag::STEP, body)
                 .map_err(|e| e.at_superstep(superstep))?;
         }
 
         // Barrier: collect StepDone in ascending worker order and report in
-        // that order.
+        // that order. Relaying in that order keeps every destination's
+        // sections ascending by source worker.
         let mut worker_compute_ns = Vec::with_capacity(num_workers);
         for (w, wire) in wire_bytes.iter_mut().enumerate() {
             let conn = &mut self.group.connections[w];
             let body = expect_frame(conn, tag::STEP_DONE, self.timeout)
                 .map_err(|e| e.at_superstep(superstep))?;
             *wire += body.len() as u64;
-            let done: StepDoneBody<P::Message> =
-                decode_exact(&body).map_err(|e| ClusterError::from_wire(w, e))?;
-            if done.superstep != superstep as u64 {
-                return Err(ClusterError::Protocol {
-                    worker: w,
-                    detail: format!(
-                        "step-done for superstep {} while collecting superstep {superstep} \
-                         (duplicated or reordered barrier frame)",
-                        done.superstep
-                    ),
-                });
-            }
-            sink.report(&done.counters, &done.partial_aggregates, done.all_halted);
-            worker_compute_ns.push(done.compute_ns);
-            // Route the worker's outbound batches; sources arrive ascending
-            // and each source's batches are ascending by destination, so
-            // every pending list stays sorted by source worker.
-            for batch in done.batches {
-                let dst = batch.dst as usize;
-                if dst >= num_workers || dst == w {
-                    return Err(ClusterError::Protocol {
-                        worker: w,
-                        detail: format!("batch addressed to invalid worker {dst}"),
-                    });
-                }
-                self.pending[dst].push(batch);
-            }
+            let report = self
+                .relay
+                .collect(&body, w, superstep as u64)
+                .map_err(|e| ClusterError::from_wire(w, e))?;
+            sink.report(
+                &report.counters,
+                &report.partial_aggregates,
+                report.all_halted,
+            );
+            worker_compute_ns.push(report.compute_ns);
         }
 
         // Join the driver-side round-trip with the per-worker compute times

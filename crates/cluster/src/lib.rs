@@ -14,17 +14,18 @@
 //! Three layers:
 //!
 //! * [`wire`] — a compact, versioned, length-delimited encoding of
-//!   everything that crosses a worker boundary: message batches as sorted
-//!   per-vertex runs ([`WireBatch`]), counters, aggregates, shards, values.
-//!   Pure bytes; no transport anywhere in sight.
+//!   everything that crosses a worker boundary: message batches as
+//!   production-order batch sections ([`WireBatch`]), counters, aggregates,
+//!   shards, values. Pure bytes; no transport anywhere in sight.
 //! * [`protocol`] + [`transport`] + [`endpoint`] + [`socket`] — framed
 //!   star-topology superstep protocol (`Init`/`Step`/`StepDone`/`Finish`),
 //!   spoken over two interchangeable backends: in-process worker threads
 //!   over channels ([`TransportKind::InProc`]) and long-lived
 //!   `cluster_worker` OS processes over Unix-domain socket streams
-//!   ([`TransportKind::Socket`]; loopback TCP rides the identical code
-//!   path). Barrier, halt voting and aggregate exchange ride the same
-//!   frames.
+//!   ([`TransportKind::Socket`]). Barrier, halt voting and aggregate
+//!   exchange ride the same frames; the driver relays peer messages as
+//!   opaque sections, encoded once by the sender and decoded once by the
+//!   receiver.
 //! * [`driver`] + [`runner`] — a worker group as the `Workers` of the
 //!   engine's own master loop (`predict_bsp::run_master`), so results are
 //!   *byte-identical* to in-memory runs by construction (the engine's
@@ -60,11 +61,9 @@ pub use driver::{drive, drive_on, DriveOptions};
 pub use endpoint::{ChannelEndpoint, Endpoint, StreamEndpoint};
 pub use error::{ClusterError, WireError};
 pub use fault::{Direction, FaultAction, FaultEndpoint, FaultSchedule, FaultStream};
-pub use protocol::{FaultSpec, InitHeader, ProgramSpec, StepBody, StepDoneBody, PROTOCOL_VERSION};
+pub use protocol::{FaultSpec, InitHeader, ProgramSpec, PROTOCOL_VERSION};
 pub use runner::run_workload;
-pub use socket::{SocketListener, SocketStream};
+pub use socket::SocketListener;
 pub use transport::{checkin, checkout, worker_bin_path, Connection, TransportKind, WorkerGroup};
-pub use wire::{
-    batch_from_routed, batch_into_row, decode_exact, encode_to_vec, Wire, WireBatch, WIRE_VERSION,
-};
+pub use wire::{decode_exact, encode_to_vec, Wire, WireBatch, WIRE_VERSION};
 pub use worker::serve;

@@ -2,16 +2,15 @@
 //!
 //! The topology is a star: the driver is the BSP master, every worker holds
 //! one shard, and all traffic flows through the driver (workers never talk
-//! to each other — peer batches are relayed by the master inside `Step` /
+//! to each other — peer messages are relayed by the master inside `Step` /
 //! `StepDone` frames, which is also what pins delivery order). One episode:
 //!
 //! ```text
 //!   driver                                   worker
 //!     | -- Init(header, shard, ranks) ------->  |   decode, build state
 //!     | <------------------------- InitOk ----  |
-//!     | -- Step(s, aggs, inbound batches) --->  |   deliver, compute s
-//!     | <-- StepDone(counters, aggs, halted,    |
-//!     |              compute_ns, outbound) ---  |
+//!     | -- Step(s, aggs, sections in) ------->  |   decode, deliver, compute s
+//!     | <-- StepDone(report, sections out) ---  |   write routed buffers
 //!     |            ... repeat per superstep ... |
 //!     | -- Finish --------------------------->  |
 //!     | <-- Values(slot-ordered values) ------  |   back to Init wait
@@ -26,21 +25,43 @@
 //! `StepDone` *is* the barrier arrival, carrying the halt flag and the
 //! worker's partial aggregates.
 //!
+//! The superstep bodies carry peer messages as batch sections
+//! ([`crate::wire`]), each encoded once by its sender and decoded once by
+//! its receiver:
+//!
+//! ```text
+//!   StepDone := StepReport  count:u32  section × count   (dst ascending)
+//!   Step     := superstep:u64  aggregates  count:u32  section × count
+//!                                                         (src ascending)
+//! ```
+//!
+//! A worker writes each non-empty routed buffer as one section
+//! ([`encode_step_done`]). The driver decodes only the [`StepReport`] — what
+//! the master merges — and each section's framing, then copies the section
+//! bytes verbatim into its destination's next `Step` ([`Relay`]); it decodes
+//! no message. The receiver decodes the sections into its per-source
+//! delivery rows ([`decode_step`]). So a corrupt *message* is found, and
+//! reported through an `Error` frame, by the worker that receives it, while
+//! corrupt *framing* is a protocol error of the worker that sent it.
+//!
 //! After `Values`, the worker loops back to waiting for the next `Init`, so
 //! a pooled worker serves many runs; `Shutdown` (or EOF on its pipe) ends
 //! it.
 
 use crate::error::WireError;
-use crate::wire::{Reader, Wire, WireBatch};
+use crate::wire::{patch_u32, read_section, write_section, Reader, SectionHeader, Wire};
 pub use predict_algorithms::ProgramSpec;
+use predict_bsp::runtime::ShardLayout;
 use predict_bsp::{Aggregates, PartitionStrategy, WorkerCounters};
+use predict_graph::VertexId;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
 /// Version of the frame protocol, carried in every [`InitHeader`]; workers
 /// refuse an `Init` from a driver speaking another version. Version 2
-/// dropped the per-peer cut lists from the shard section of `Init`.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// dropped the per-peer cut lists from the shard section of `Init`; version
+/// 3 carries peer messages as relayed batch sections.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Frame tags.
 pub mod tag {
@@ -183,39 +204,12 @@ pub fn decode_init(
     Ok((header, shard, ranks))
 }
 
-/// Body of a `Step` frame: previous superstep's merged aggregates plus the
-/// inbound batches for this worker (from peers only; the worker's own local
-/// messages never cross the wire).
+/// The head of a `StepDone` body: everything the master needs from one
+/// worker to run its merge, clock and halt logic — the frame doubles as the
+/// barrier arrival and the halt vote — and the only part of it the driver
+/// decodes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StepBody<M> {
-    /// Superstep to compute.
-    pub superstep: u64,
-    /// Aggregates merged by the master at the end of the previous superstep.
-    pub previous_aggregates: Aggregates,
-    /// Inbound batches, ascending source worker.
-    pub batches: Vec<WireBatch<M>>,
-}
-
-impl<M: Wire> Wire for StepBody<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.superstep.encode(out);
-        self.previous_aggregates.encode(out);
-        self.batches.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            superstep: u64::decode(r)?,
-            previous_aggregates: Aggregates::decode(r)?,
-            batches: Vec::decode(r)?,
-        })
-    }
-}
-
-/// Body of a `StepDone` frame: everything the master needs from one worker
-/// to run its merge, clock and halt logic — this frame doubles as the
-/// barrier arrival and the halt vote.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepDoneBody<M> {
+pub struct StepReport {
     /// Echo of the superstep this reply answers. The driver rejects a
     /// mismatch, so a duplicated or reordered barrier frame (a fault, a
     /// confused worker) surfaces as a protocol error instead of silently
@@ -229,18 +223,15 @@ pub struct StepDoneBody<M> {
     pub all_halted: bool,
     /// Measured wall time of the worker's compute phase, nanoseconds.
     pub compute_ns: u64,
-    /// Outbound batches, ascending destination worker (self excluded).
-    pub batches: Vec<WireBatch<M>>,
 }
 
-impl<M: Wire> Wire for StepDoneBody<M> {
+impl Wire for StepReport {
     fn encode(&self, out: &mut Vec<u8>) {
         self.superstep.encode(out);
         self.counters.encode(out);
         self.partial_aggregates.encode(out);
         self.all_halted.encode(out);
         self.compute_ns.encode(out);
-        self.batches.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Self {
@@ -249,15 +240,178 @@ impl<M: Wire> Wire for StepDoneBody<M> {
             partial_aggregates: Aggregates::decode(r)?,
             all_halted: bool::decode(r)?,
             compute_ns: u64::decode(r)?,
-            batches: Vec::decode(r)?,
         })
     }
+}
+
+/// Writes the `StepDone` body of worker `me` into `out` (cleared first):
+/// `report`, then one batch section per non-empty peer buffer of `routed`,
+/// ascending destination, written straight from the buffer in production
+/// order. Written buffers are left empty with their capacity; `routed[me]`,
+/// whose messages never cross the wire, is not touched.
+pub fn encode_step_done<M: Wire>(
+    out: &mut Vec<u8>,
+    report: &StepReport,
+    me: usize,
+    routed: &mut [Vec<(VertexId, M)>],
+) {
+    out.clear();
+    report.encode(out);
+    let count_at = out.len();
+    0u32.encode(out);
+    let mut count = 0u32;
+    for (dst, buffer) in routed.iter_mut().enumerate() {
+        if dst == me || buffer.is_empty() {
+            continue;
+        }
+        let header = SectionHeader {
+            superstep: report.superstep,
+            src: me as u32,
+            dst: dst as u32,
+            seq: report.superstep,
+        };
+        write_section(out, header, buffer.iter().map(|(v, m)| (*v, m)));
+        buffer.clear();
+        count += 1;
+    }
+    patch_u32(out, count_at, count);
+}
+
+/// The driver's half of the message path: batch sections taken from
+/// `StepDone` bodies, queued verbatim per destination worker until its next
+/// `Step`. Queues keep their capacity across supersteps.
+#[derive(Debug)]
+pub struct Relay {
+    /// Per destination worker: how many sections are queued, and their bytes.
+    queued: Vec<(u32, Vec<u8>)>,
+}
+
+impl Relay {
+    /// An empty relay for `num_workers` workers.
+    pub fn new(num_workers: usize) -> Self {
+        Self {
+            queued: (0..num_workers).map(|_| (0, Vec::new())).collect(),
+        }
+    }
+
+    /// Reads the `StepDone` body worker `src` sent for `superstep`: decodes
+    /// its [`StepReport`], checks every section's framing — version,
+    /// superstep, source, a destination that is a peer and strictly above the
+    /// previous one, a body inside the frame — and queues each section's
+    /// bytes for its destination. No message is decoded.
+    pub fn collect(
+        &mut self,
+        body: &[u8],
+        src: usize,
+        superstep: u64,
+    ) -> Result<StepReport, WireError> {
+        let mut r = Reader::new(body);
+        let report = StepReport::decode(&mut r)?;
+        if report.superstep != superstep {
+            return Err(WireError::Invalid(format!(
+                "step-done for superstep {} while collecting superstep {superstep} \
+                 (duplicated or reordered barrier frame)",
+                report.superstep
+            )));
+        }
+        let count = u32::decode(&mut r)?;
+        let mut next_dst = 0;
+        for _ in 0..count {
+            let section = read_section(&mut r)?;
+            let header = section.header;
+            let dst = header.dst as usize;
+            let framed = header.superstep == superstep
+                && header.seq == superstep
+                && header.src as usize == src;
+            if !framed || dst < next_dst || dst == src || dst >= self.queued.len() {
+                return Err(WireError::Invalid(format!(
+                    "section {header:?} in the step-done of worker {src} for superstep \
+                     {superstep}"
+                )));
+            }
+            next_dst = dst + 1;
+            let (queued, bytes) = &mut self.queued[dst];
+            *queued += 1;
+            bytes.extend_from_slice(section.raw);
+        }
+        if !r.is_empty() {
+            return Err(WireError::Invalid("trailing bytes after step-done".into()));
+        }
+        Ok(report)
+    }
+
+    /// Writes the `Step` body of superstep `superstep` for worker `dst` into
+    /// `out` (cleared first) and empties that worker's queue.
+    pub fn step_body(
+        &mut self,
+        out: &mut Vec<u8>,
+        dst: usize,
+        superstep: u64,
+        previous_aggregates: &Aggregates,
+    ) {
+        out.clear();
+        superstep.encode(out);
+        previous_aggregates.encode(out);
+        let (queued, bytes) = &mut self.queued[dst];
+        queued.encode(out);
+        out.extend_from_slice(bytes);
+        *queued = 0;
+        bytes.clear();
+    }
+}
+
+/// Decodes the `Step` body worker `me` of `layout` received: returns the
+/// superstep to compute and the previous superstep's aggregates, and appends
+/// each section's messages to `rows[src]`, one row per worker (`rows[me]` is
+/// not touched). Sections must come from distinct peers in ascending order,
+/// be addressed to `me`, date from the previous superstep and name only
+/// vertices `me` owns: anything else is an error, never a misdelivery.
+pub fn decode_step<M: Wire + Clone>(
+    body: &[u8],
+    layout: &ShardLayout,
+    me: usize,
+    rows: &mut [Vec<(VertexId, M)>],
+) -> Result<(u64, Aggregates), WireError> {
+    let mut r = Reader::new(body);
+    let superstep = u64::decode(&mut r)?;
+    let previous_aggregates = Aggregates::decode(&mut r)?;
+    let count = u32::decode(&mut r)?;
+    let mut next_src = 0;
+    for _ in 0..count {
+        let section = read_section(&mut r)?;
+        let header = section.header;
+        let src = header.src as usize;
+        let framed = header.dst as usize == me
+            && header.superstep.checked_add(1) == Some(superstep)
+            && header.seq == header.superstep;
+        if !framed || src < next_src || src == me || src >= rows.len() {
+            return Err(WireError::Invalid(format!(
+                "section {header:?} in the superstep-{superstep} step of worker {me}"
+            )));
+        }
+        next_src = src + 1;
+        let row = &mut rows[src];
+        let start = row.len();
+        section.decode_into(row)?;
+        let foreign = row[start..]
+            .iter()
+            .find(|(v, _)| (*v as usize) >= layout.num_vertices() || layout.owner_of(*v) != me);
+        if let Some((v, _)) = foreign {
+            return Err(WireError::Invalid(format!(
+                "message for vertex {v}, which worker {me} does not own"
+            )));
+        }
+    }
+    if !r.is_empty() {
+        return Err(WireError::Invalid("trailing bytes after step".into()));
+    }
+    Ok((superstep, previous_aggregates))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_exact, encode_to_vec};
+    use crate::wire::encode_to_vec;
 
     #[test]
     fn frames_round_trip_over_a_buffer() {
@@ -360,33 +514,51 @@ mod tests {
         }
     }
 
+    /// Worker 1 of 3 writes its routed buffers, the relay forwards them, and
+    /// each receiver decodes exactly its buffer, in production order.
     #[test]
     fn step_bodies_round_trip() {
+        let layout = ShardLayout::build(9, 3, PartitionStrategy::Modulo);
         let mut aggs = Aggregates::new();
         aggs.add("delta", 1.25);
-        let step = StepBody::<f64> {
-            superstep: 4,
-            previous_aggregates: aggs.clone(),
-            batches: vec![WireBatch {
-                superstep: 3,
-                src: 1,
-                dst: 0,
-                seq: 3,
-                runs: vec![(2, vec![0.5, 0.25])],
-            }],
-        };
-        let back: StepBody<f64> = decode_exact(&encode_to_vec(&step)).unwrap();
-        assert_eq!(back, step);
-
-        let done = StepDoneBody::<f64> {
+        let report = StepReport {
             superstep: 4,
             counters: WorkerCounters::new(10),
-            partial_aggregates: aggs,
+            partial_aggregates: aggs.clone(),
             all_halted: false,
             compute_ns: 12345,
-            batches: vec![],
         };
-        let back: StepDoneBody<f64> = decode_exact(&encode_to_vec(&done)).unwrap();
-        assert_eq!(back, done);
+        let sent: Vec<Vec<(VertexId, f64)>> = vec![
+            vec![(6, 0.5), (0, 0.5), (3, -0.0)],
+            vec![(4, 9.0)],
+            vec![(8, 0.25), (2, 0.25)],
+        ];
+        let mut routed = sent.clone();
+        let mut done = Vec::new();
+        encode_step_done(&mut done, &report, 1, &mut routed);
+        assert!(routed[0].is_empty() && routed[2].is_empty());
+        assert_eq!(routed[1], sent[1], "local messages stay home");
+
+        let mut relay = Relay::new(3);
+        assert_eq!(relay.collect(&done, 1, 4).unwrap(), report);
+        assert!(relay.collect(&done, 1, 5).is_err(), "a stale barrier frame");
+        let mut step = Vec::new();
+        for dst in [0, 2] {
+            relay.step_body(&mut step, dst, 5, &aggs);
+            let mut rows: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); 3];
+            let (superstep, previous) = decode_step(&step, &layout, dst, &mut rows).unwrap();
+            assert_eq!((superstep, previous), (5, aggs.clone()));
+            assert_eq!(rows[1], sent[dst]);
+            // The messages are for `dst`; nobody else may accept them.
+            let other = 2 - dst;
+            let mut rows: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); 3];
+            assert!(decode_step(&step, &layout, other, &mut rows).is_err());
+        }
+        relay.step_body(&mut step, 0, 6, &aggs);
+        assert_eq!(
+            step.len(),
+            8 + encode_to_vec(&aggs).len() + 4,
+            "queue drained"
+        );
     }
 }

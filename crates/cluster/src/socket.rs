@@ -1,19 +1,12 @@
 //! Socket plumbing for [`TransportKind::Socket`](crate::TransportKind):
-//! listeners and streams the framed protocol runs over.
+//! the Unix-domain listeners and streams the framed protocol runs over.
 //!
-//! The driver binds one listener *per worker* at a unique address, spawns
-//! the `cluster_worker` binary pointing at it (`--socket <path>` /
-//! `--tcp <addr>`), and accepts exactly one connection. Per-worker
-//! addresses mean accept order can never confuse worker identities, so the
-//! frame protocol itself is byte-for-byte the one the in-process channels
-//! carry — the socket is just a byte stream under the same
-//! `[len][tag][body]` framing.
-//!
-//! Two address families behind one code path: Unix-domain sockets (the
-//! `PREDICT_TRANSPORT=socket` default) and loopback-only TCP
-//! ([`SocketListener::bind_tcp_loopback`], exercised by tests and available
-//! to multi-machine experiments later). [`SocketStream`] erases the
-//! difference for everything above this module.
+//! The driver binds one listener *per worker* at a unique path, spawns the
+//! `cluster_worker` binary pointing at it (`--socket <path>`), and accepts
+//! exactly one connection. Per-worker paths mean accept order can never
+//! confuse worker identities, so the frame protocol itself is byte-for-byte
+//! the one the in-process channels carry — the socket is just a byte stream
+//! under the same `[len][tag][body]` framing.
 //!
 //! Binding is defensive about *stale* socket files: a previous driver that
 //! was killed leaves its socket path behind (Unix sockets are not unlinked
@@ -23,8 +16,7 @@
 //! live driver owns the path and binding fails with a structured error
 //! instead of hijacking it.
 
-use std::io::{self, Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,19 +34,12 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Poll interval of the non-blocking accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
-/// A bound, listening socket awaiting its one worker connection.
+/// A bound, listening Unix-domain socket awaiting its one worker connection.
+/// Its `path` is unlinked when the connection accepted from it shuts down.
 #[derive(Debug)]
-pub enum SocketListener {
-    /// Unix-domain listener; `path` is unlinked when the connection that
-    /// was accepted from it shuts down.
-    Unix {
-        /// The listening socket.
-        listener: UnixListener,
-        /// Filesystem path the socket is bound at.
-        path: PathBuf,
-    },
-    /// Loopback TCP listener.
-    Tcp(TcpListener),
+pub struct SocketListener {
+    listener: UnixListener,
+    path: PathBuf,
 }
 
 impl SocketListener {
@@ -83,32 +68,16 @@ impl SocketListener {
             }
             Err(e) => return Err(e),
         };
-        Ok(Self::Unix {
+        Ok(Self {
             listener,
             path: path.to_path_buf(),
         })
     }
 
-    /// Binds a TCP listener on a kernel-assigned loopback port.
-    pub fn bind_tcp_loopback() -> io::Result<Self> {
-        Ok(Self::Tcp(TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?))
-    }
-
-    /// The address a worker must connect to, in the form the
-    /// `cluster_worker` binary's `--socket` / `--tcp` flag takes.
-    pub fn connect_addr(&self) -> io::Result<String> {
-        match self {
-            Self::Unix { path, .. } => Ok(path.display().to_string()),
-            Self::Tcp(l) => Ok(l.local_addr()?.to_string()),
-        }
-    }
-
-    /// The socket file this listener owns, if it is a Unix listener.
-    pub fn unix_path(&self) -> Option<&Path> {
-        match self {
-            Self::Unix { path, .. } => Some(path),
-            Self::Tcp(_) => None,
-        }
+    /// The socket file this listener is bound at — what a worker's
+    /// `--socket` flag takes.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Accepts one connection, waiting at most `timeout`.
@@ -116,22 +85,13 @@ impl SocketListener {
     /// Runs a non-blocking accept loop so a worker that never connects
     /// (spawn raced a crash, wrong binary) surfaces as a `TimedOut` error
     /// instead of blocking the driver forever.
-    pub fn accept_timeout(&self, timeout: Duration) -> io::Result<SocketStream> {
+    pub fn accept_timeout(&self, timeout: Duration) -> io::Result<UnixStream> {
         let deadline = Instant::now() + timeout;
+        self.listener.set_nonblocking(true)?;
         loop {
-            let accepted = match self {
-                Self::Unix { listener, .. } => {
-                    listener.set_nonblocking(true)?;
-                    listener.accept().map(|(s, _)| SocketStream::Unix(s))
-                }
-                Self::Tcp(listener) => {
-                    listener.set_nonblocking(true)?;
-                    listener.accept().map(|(s, _)| SocketStream::Tcp(s))
-                }
-            };
-            match accepted {
-                Ok(stream) => {
-                    stream.set_blocking()?;
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false)?;
                     return Ok(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -149,101 +109,22 @@ impl SocketListener {
     }
 }
 
-/// One established frame stream, Unix or TCP — `Read`/`Write` either way.
-#[derive(Debug)]
-pub enum SocketStream {
-    /// A Unix-domain stream.
-    Unix(UnixStream),
-    /// A TCP stream (loopback in this crate's own usage).
-    Tcp(TcpStream),
-}
-
-impl SocketStream {
-    /// Connects to `addr`: a filesystem path (Unix) or `host:port` (TCP),
-    /// retrying until `timeout` — the worker-side half of the handshake.
-    pub fn connect(addr: &str, timeout: Duration) -> io::Result<Self> {
-        let deadline = Instant::now() + timeout;
-        let is_tcp = addr.parse::<SocketAddr>().is_ok();
-        loop {
-            let attempt = if is_tcp {
-                TcpStream::connect(addr).map(Self::Tcp)
-            } else {
-                UnixStream::connect(addr).map(Self::Unix)
-            };
-            match attempt {
-                Ok(stream) => {
-                    if let Self::Tcp(tcp) = &stream {
-                        // Frames are latency-bound request/replies; never
-                        // batch them behind Nagle.
-                        tcp.set_nodelay(true)?;
-                    }
-                    return Ok(stream);
+/// Connects to the listener at `path`, retrying until `timeout` — the
+/// worker-side half of the handshake.
+pub fn connect(path: &Path, timeout: Duration) -> io::Result<UnixStream> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match UnixStream::connect(path) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => {
+                if Instant::now() >= deadline {
+                    return Err(io::Error::new(
+                        e.kind(),
+                        format!("connecting to {}: {e}", path.display()),
+                    ));
                 }
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            e.kind(),
-                            format!("connecting to {addr}: {e}"),
-                        ));
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
+                std::thread::sleep(ACCEPT_POLL);
             }
-        }
-    }
-
-    /// An independent handle to the same stream (reads and writes on
-    /// different threads).
-    pub fn try_clone(&self) -> io::Result<Self> {
-        Ok(match self {
-            Self::Unix(s) => Self::Unix(s.try_clone()?),
-            Self::Tcp(s) => Self::Tcp(s.try_clone()?),
-        })
-    }
-
-    /// Tears the stream down in both directions, unblocking any thread
-    /// mid-read on a clone.
-    pub fn shutdown(&self) -> io::Result<()> {
-        match self {
-            Self::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            Self::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        }
-    }
-
-    fn set_blocking(&self) -> io::Result<()> {
-        match self {
-            Self::Unix(s) => {
-                s.set_nonblocking(false)?;
-            }
-            Self::Tcp(s) => {
-                s.set_nonblocking(false)?;
-                s.set_nodelay(true)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Read for SocketStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Self::Unix(s) => s.read(buf),
-            Self::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for SocketStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Self::Unix(s) => s.write(buf),
-            Self::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Self::Unix(s) => s.flush(),
-            Self::Tcp(s) => s.flush(),
         }
     }
 }
@@ -263,6 +144,7 @@ pub fn fresh_socket_path(worker: usize) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
 
     #[test]
     fn fresh_paths_never_collide() {
@@ -276,9 +158,9 @@ mod tests {
     fn unix_round_trip_through_accept_and_connect() {
         let path = fresh_socket_path(7);
         let listener = SocketListener::bind_unix(&path).unwrap();
-        let addr = listener.connect_addr().unwrap();
+        let peer_path = listener.path().to_path_buf();
         let peer = std::thread::spawn(move || {
-            let mut s = SocketStream::connect(&addr, CONNECT_TIMEOUT).unwrap();
+            let mut s = connect(&peer_path, CONNECT_TIMEOUT).unwrap();
             s.write_all(b"ping").unwrap();
             let mut buf = [0u8; 4];
             s.read_exact(&mut buf).unwrap();
@@ -291,22 +173,6 @@ mod tests {
         stream.write_all(b"pong").unwrap();
         assert_eq!(&peer.join().unwrap(), b"pong");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn tcp_loopback_rides_the_same_code_path() {
-        let listener = SocketListener::bind_tcp_loopback().unwrap();
-        let addr = listener.connect_addr().unwrap();
-        assert!(addr.starts_with("127.0.0.1:"));
-        let peer = std::thread::spawn(move || {
-            let mut s = SocketStream::connect(&addr, CONNECT_TIMEOUT).unwrap();
-            s.write_all(b"x").unwrap();
-        });
-        let mut stream = listener.accept_timeout(ACCEPT_TIMEOUT).unwrap();
-        let mut buf = [0u8; 1];
-        stream.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"x");
-        peer.join().unwrap();
     }
 
     #[test]
@@ -327,7 +193,7 @@ mod tests {
         drop(SocketListener::bind_unix(&path).unwrap());
         assert!(path.exists(), "unix sockets are not unlinked on drop");
         let relisten = SocketListener::bind_unix(&path).unwrap();
-        assert!(relisten.unix_path().is_some());
+        assert_eq!(relisten.path(), path);
         drop(relisten);
         std::fs::remove_file(&path).unwrap();
     }

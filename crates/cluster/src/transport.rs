@@ -16,9 +16,7 @@
 //!   speaks the framed protocol over the socket stream. A reader thread
 //!   pumps inbound frames into a channel (so receives can time out without
 //!   platform-specific tricks) and a second thread tails the worker's
-//!   stderr into a bounded ring buffer that failure reports quote. A
-//!   loopback TCP variant ([`Connection::spawn_socket_tcp`]) rides the same
-//!   code path through [`SocketStream`].
+//!   stderr into a bounded ring buffer that failure reports quote.
 //!
 //! Workers survive across runs — after serving one episode they loop back to
 //! waiting for the next `Init` — so [`WorkerGroup`]s are pooled globally,
@@ -29,11 +27,13 @@
 use crate::endpoint::{ChannelEndpoint, Frame};
 use crate::error::ClusterError;
 use crate::fault::{FaultEndpoint, FaultSchedule};
-use crate::socket::{fresh_socket_path, SocketListener, SocketStream, ACCEPT_TIMEOUT};
+use crate::socket::{fresh_socket_path, SocketListener, ACCEPT_TIMEOUT};
 use crate::worker::serve;
 use predict_bsp::TransportMode;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -109,17 +109,18 @@ enum ConnInner {
         /// The worker process, when this connection spawned one (`None` for
         /// connections built from a raw accepted stream in tests).
         child: Option<Child>,
-        writer: BufWriter<SocketStream>,
+        writer: BufWriter<UnixStream>,
         /// A second handle to the stream, shut down on drop to unblock the
         /// pump thread.
-        stream: SocketStream,
+        stream: UnixStream,
         /// Frames pumped off the socket; closed on EOF or read error.
         rx: Receiver<Frame>,
         stderr: Arc<Mutex<StderrRing>>,
         /// The thread tailing the child's stderr into `stderr`; joined when
         /// the worker is reported dead so the report holds its last words.
         stderr_reader: Option<JoinHandle<()>>,
-        /// Socket file unlinked on drop (`None` for TCP).
+        /// Socket file unlinked on drop (`None` for connections built from a
+        /// raw stream).
         path: Option<PathBuf>,
     },
 }
@@ -178,47 +179,22 @@ impl Connection {
             worker,
             detail: format!("binding {}: {e}", path.display()),
         })?;
-        Self::spawn_socket_on(worker, listener, "--socket")
-    }
-
-    /// Spawns a `cluster_worker` process connected over loopback TCP — the
-    /// same frame stream on the other address family.
-    pub fn spawn_socket_tcp(worker: usize) -> Result<Self, ClusterError> {
-        let listener = SocketListener::bind_tcp_loopback().map_err(|e| ClusterError::Spawn {
-            worker,
-            detail: format!("binding loopback TCP: {e}"),
-        })?;
-        Self::spawn_socket_on(worker, listener, "--tcp")
-    }
-
-    fn spawn_socket_on(
-        worker: usize,
-        listener: SocketListener,
-        flag: &str,
-    ) -> Result<Self, ClusterError> {
-        let path = listener.unix_path().map(PathBuf::from);
-        let addr = listener.connect_addr().map_err(|e| ClusterError::Spawn {
-            worker,
-            detail: format!("reading listener address: {e}"),
-        })?;
-        let cleanup_path = |path: &Option<PathBuf>| {
-            if let Some(p) = path {
-                let _ = std::fs::remove_file(p);
-            }
+        let cleanup_path = || {
+            let _ = std::fs::remove_file(&path);
         };
         let bin = worker_bin_path().map_err(|detail| {
-            cleanup_path(&path);
+            cleanup_path();
             ClusterError::Spawn { worker, detail }
         })?;
         let mut child = Command::new(&bin)
-            .arg(flag)
-            .arg(&addr)
+            .arg("--socket")
+            .arg(listener.path())
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
             .map_err(|e| {
-                cleanup_path(&path);
+                cleanup_path();
                 ClusterError::Spawn {
                     worker,
                     detail: format!("{}: {e}", bin.display()),
@@ -246,23 +222,30 @@ impl Connection {
             Err(e) => {
                 let _ = child.kill();
                 let _ = child.wait();
-                cleanup_path(&path);
+                cleanup_path();
                 return Err(ClusterError::Spawn {
                     worker,
                     detail: format!(
-                        "worker never connected to {addr}: {e}; stderr tail:\n{}",
+                        "worker never connected to {}: {e}; stderr tail:\n{}",
+                        path.display(),
                         stderr.lock().unwrap().tail()
                     ),
                 });
             }
         };
-        Self::from_stream(worker, stream, Some((child, stderr_reader)), stderr, path)
+        Self::from_stream(
+            worker,
+            stream,
+            Some((child, stderr_reader)),
+            stderr,
+            Some(path),
+        )
     }
 
     /// Wraps an already-accepted socket stream as a connection with no
     /// child process behind it — lifecycle tests use this to play the
     /// driver against hand-rolled fake workers.
-    pub fn from_socket_stream(worker: usize, stream: SocketStream) -> Result<Self, ClusterError> {
+    pub fn from_socket_stream(worker: usize, stream: UnixStream) -> Result<Self, ClusterError> {
         Self::from_stream(
             worker,
             stream,
@@ -274,7 +257,7 @@ impl Connection {
 
     fn from_stream(
         worker: usize,
-        stream: SocketStream,
+        stream: UnixStream,
         child: Option<(Child, JoinHandle<()>)>,
         stderr: Arc<Mutex<StderrRing>>,
         path: Option<PathBuf>,
@@ -433,7 +416,7 @@ impl Drop for Connection {
                 // Unblock the pump thread's read, then reap and unlink. Give
                 // the process no reason to linger: kill unconditionally (a
                 // worker that honored Shutdown is already gone).
-                let _ = stream.shutdown();
+                let _ = stream.shutdown(Shutdown::Both);
                 if let Some(child) = child {
                     let _ = child.kill();
                     let _ = child.wait();

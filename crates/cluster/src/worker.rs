@@ -8,13 +8,15 @@
 //! of the unified CSR. What it reports in `StepDone` — counters, partial
 //! aggregates, halt vote — is what the shared master loop
 //! (`predict_bsp::run_master`) merges. The only difference from an
-//! in-memory shard is *where* the buffers come from:
-//! peer messages arrive as decoded [`WireBatch`](crate::wire::WireBatch)es
-//! instead of swapped
-//! `Vec`s, and the worker's messages to itself never cross the wire at all
-//! (they are kept locally and merged into the next superstep's delivery row
-//! at the worker's own position, preserving the ascending-source delivery
-//! order of the determinism contract).
+//! in-memory shard is *where* the buffers come from: peer messages arrive
+//! as batch sections, decoded straight into per-source delivery rows the
+//! episode reuses across supersteps ([`protocol::decode_step`]), and leave
+//! as sections written straight from the routed buffers
+//! ([`protocol::encode_step_done`]) instead of swapped `Vec`s. The worker's
+//! messages to itself never cross the wire at all: its own routed buffer
+//! becomes its own row, delivered at its own position, so every row holds
+//! exactly what the in-memory transpose would have put there, in production
+//! order (determinism contract point 8).
 //!
 //! The loop structure (see [`crate::protocol`]): wait for `Init`, serve one
 //! episode of `Step`/`StepDone` rounds until `Finish`/`Values`, loop back to
@@ -22,8 +24,8 @@
 //! ends the loop.
 
 use crate::endpoint::Endpoint;
-use crate::protocol::{self, tag, FaultSpec, InitHeader, StepBody, StepDoneBody};
-use crate::wire::{batch_from_routed, batch_into_row, encode_to_vec, Wire};
+use crate::protocol::{self, tag, FaultSpec, InitHeader, StepReport};
+use crate::wire::{encode_to_vec, Wire};
 use predict_algorithms::with_program;
 use predict_bsp::runtime::{ShardLayout, WorkerShard};
 use predict_bsp::storage::WorkerGraph;
@@ -108,9 +110,11 @@ where
     let mut state: WorkerShard<P> = WorkerShard::init(program, graph, &layout, me);
     let fault = header.fault.unwrap_or_default();
 
-    // Messages this worker sent to itself last superstep; delivered next
-    // superstep at the worker's own position in the source order.
-    let mut pending_local: Vec<(VertexId, P::Message)> = Vec::new();
+    // Delivery rows, one per source worker, drained by every delivery and
+    // refilled by the next `Step`; `rows[me]` holds what this worker sent
+    // itself last superstep.
+    let mut rows: Vec<Vec<(VertexId, P::Message)>> = (0..num_workers).map(|_| Vec::new()).collect();
+    let mut done = Vec::new();
 
     // Supersteps are strictly sequential; a `Step` that skips ahead or
     // repeats (duplicated/reordered frame) is a protocol violation, not
@@ -128,71 +132,43 @@ where
         };
         match frame {
             (tag::STEP, body) => {
-                let step: StepBody<P::Message> = match crate::wire::decode_exact(&body) {
-                    Ok(step) => step,
-                    Err(e) => return fail(ep, format!("bad step frame: {e}")),
-                };
-                if step.superstep != expected_superstep {
+                let (step, previous_aggregates) =
+                    match protocol::decode_step(&body, &layout, me, &mut rows) {
+                        Ok(step) => step,
+                        Err(e) => return fail(ep, format!("bad step frame: {e}")),
+                    };
+                if step != expected_superstep {
                     let msg = format!(
-                        "step frame for superstep {} while expecting {expected_superstep}",
-                        step.superstep
+                        "step frame for superstep {step} while expecting {expected_superstep}"
                     );
                     return fail(ep, msg);
                 }
                 expected_superstep += 1;
-                let superstep = step.superstep as usize;
+                let superstep = step as usize;
                 inject_fault(&fault, superstep, standalone)?;
 
-                // Delivery phase: the batches produced in the previous
-                // superstep, ascending source worker, with this worker's own
-                // local messages at its own position.
-                let mut row: Vec<Vec<(VertexId, P::Message)>> =
-                    (0..num_workers).map(|_| Vec::new()).collect();
-                row[me] = std::mem::take(&mut pending_local);
-                for batch in step.batches {
-                    let src = batch.src as usize;
-                    if src >= num_workers || src == me {
-                        return fail(ep, format!("batch from invalid source worker {src}"));
-                    }
-                    row[src] = batch_into_row(batch);
-                }
-                state.deliver(program, &layout, &mut row);
+                // Delivery phase: ascending source worker, this worker's own
+                // messages at its own position.
+                state.deliver(program, &layout, &mut rows);
 
                 // Compute phase, measured.
                 let start = Instant::now();
-                state.run_superstep(
-                    program,
-                    graph,
-                    &layout,
-                    superstep,
-                    &step.previous_aggregates,
-                );
+                state.run_superstep(program, graph, &layout, superstep, &previous_aggregates);
                 let compute_ns = start.elapsed().as_nanos() as u64;
 
-                // Keep local messages, batch up everything bound for peers.
-                pending_local = std::mem::take(&mut state.routed[me]);
-                let mut batches = Vec::with_capacity(num_workers.saturating_sub(1));
-                for dst in 0..num_workers {
-                    if dst == me {
-                        continue;
-                    }
-                    batches.push(batch_from_routed(
-                        step.superstep,
-                        me as u32,
-                        dst as u32,
-                        &mut state.routed[dst],
-                    ));
-                }
-
-                let done = StepDoneBody {
-                    superstep: step.superstep,
+                // Keep local messages as next superstep's own row (the
+                // drained row's capacity goes back to the routed buffer);
+                // write everything bound for peers.
+                std::mem::swap(&mut rows[me], &mut state.routed[me]);
+                let report = StepReport {
+                    superstep: step,
                     counters: state.counters,
                     partial_aggregates: state.partial_aggregates.clone(),
                     all_halted: state.all_halted(),
                     compute_ns,
-                    batches,
                 };
-                ep.send(tag::STEP_DONE, &encode_to_vec(&done))
+                protocol::encode_step_done(&mut done, &report, me, &mut state.routed);
+                ep.send(tag::STEP_DONE, &done)
                     .map_err(|e| format!("sending step-done: {e}"))?;
             }
             (tag::FINISH, _) => {

@@ -10,8 +10,7 @@ use predict_algorithms::{
 };
 use predict_bsp::{BspConfig, BspEngine, HaltReason, TransportMode};
 use predict_cluster::{
-    drive, drive_on, run_workload, ClusterError, Connection, DriveOptions, FaultSpec, ProgramSpec,
-    TransportKind, WorkerGroup,
+    drive, run_workload, ClusterError, DriveOptions, FaultSpec, ProgramSpec, TransportKind,
 };
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_graph::CsrGraph;
@@ -110,41 +109,6 @@ fn pagerank_socket_is_byte_identical_to_in_memory() {
         TransportKind::Socket,
         |v: &f64| vec![v.to_bits()],
     );
-}
-
-/// Loopback TCP rides the same stream abstraction as Unix sockets; a drive
-/// over a hand-spawned TCP group must still match the in-memory run bit for
-/// bit.
-#[test]
-fn pagerank_tcp_loopback_is_byte_identical_to_in_memory() {
-    let graph = test_graph();
-    let config = test_config();
-    let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
-    let program = PageRank::new(params);
-
-    let engine = BspEngine::new(config.clone());
-    let in_memory = engine.run(&graph, &program);
-
-    let group = WorkerGroup::spawn_with(
-        TransportKind::Socket,
-        config.num_workers,
-        Connection::spawn_socket_tcp,
-    )
-    .expect("TCP worker group spawns");
-    let transported = drive_on(
-        &program,
-        &ProgramSpec::PageRank { params },
-        &[],
-        &graph,
-        &config,
-        &DriveOptions::new(TransportKind::Socket),
-        group,
-    )
-    .expect("TCP drive succeeds");
-
-    assert_eq!(transported.halt_reason, in_memory.halt_reason);
-    let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&transported.values), bits(&in_memory.values));
 }
 
 /// Semi-clustering exercises variable-size messages (vectors of cluster

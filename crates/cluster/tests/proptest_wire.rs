@@ -7,9 +7,14 @@
 //!
 //! Round-trips are asserted at the byte level (`encode(decode(bytes)) ==
 //! bytes`), which is both stronger than value equality and insensitive to
-//! float comparison subtleties.
+//! float comparison subtleties. The section property goes the other way,
+//! from a routed buffer: what a receiver decodes is the sender's list, in
+//! order, bit for bit — across runs of identical messages (written once)
+//! next to messages that compare equal but encode differently (`0.0` /
+//! `-0.0`) or compare unequal but share a bit pattern (NaN).
 
 use predict_algorithms::SemiCluster;
+use predict_cluster::wire::{read_section, write_section, Reader, SectionHeader};
 use predict_cluster::{decode_exact, encode_to_vec, Wire, WireBatch, WireError, WIRE_VERSION};
 use predict_graph::VertexId;
 use proptest::prelude::*;
@@ -67,7 +72,7 @@ fn semi_cluster() -> impl Strategy<Value = SemiCluster> {
 /// Asserts the byte-level round-trip and the two rejection properties every
 /// batch payload must satisfy: any truncation fails to decode, and a bumped
 /// version is refused with `VersionMismatch`.
-fn check_batch_payload<M: Wire + std::fmt::Debug>(
+fn check_batch_payload<M: Wire + Clone + std::fmt::Debug>(
     batch: &WireBatch<M>,
     cut: usize,
 ) -> Result<(), TestCaseError> {
@@ -155,8 +160,90 @@ where
     Ok(())
 }
 
+/// Floats that `==` confuses: signed zeros, NaNs with distinct payloads
+/// and signs, and ordinary values.
+const PALETTE: [u64; 8] = [
+    0x0000_0000_0000_0000, // 0.0
+    0x8000_0000_0000_0000, // -0.0
+    0x7FF8_0000_0000_0000, // NaN
+    0x7FF8_0000_0000_0001, // NaN, another payload
+    0xFFF8_0000_0000_0000, // -NaN
+    0x7FF0_0000_0000_0001, // signalling NaN
+    0x3FF0_0000_0000_0000, // 1.0
+    0x3FB9_9999_9999_999A, // 0.1
+];
+
+/// Strategy: a routed buffer of runs — `(first vertex, palette index, run
+/// length)` — each run one payload sent to consecutive vertices, runs up to
+/// 64 messages long, adjacent runs free to pick the same or a confusable
+/// payload.
+fn routed_runs() -> impl Strategy<Value = Vec<(u32, usize, usize)>> {
+    prop::collection::vec((0u32..4_096, 0usize..PALETTE.len(), 1usize..65), 0..24)
+}
+
+/// A top-k message: one shared ranking.
+type Ranking = Arc<[(f64, VertexId)]>;
+
+/// Writes `routed` as one section and reads it back through the framing.
+fn section_round_trip<M: Wire + Clone>(routed: &[(u32, M)]) -> (Vec<u8>, Vec<(u32, M)>) {
+    let header = SectionHeader {
+        superstep: 7,
+        src: 1,
+        dst: 0,
+        seq: 7,
+    };
+    let mut bytes = Vec::new();
+    write_section(&mut bytes, header, routed.iter().map(|(v, m)| (*v, m)));
+    let mut r = Reader::new(&bytes);
+    let section = read_section(&mut r).expect("a written section reads");
+    assert!(r.is_empty() && section.header == header && section.raw == &bytes[..]);
+    let mut row = Vec::new();
+    section
+        .decode_into(&mut row)
+        .expect("a written section decodes");
+    (bytes, row)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(suite_cases(64)))]
+
+    /// Plain floats (PageRank, SSSP): the decoded list is the routed list
+    /// bit for bit, and each maximal run of equal *bit patterns* is one
+    /// group — so identical messages are written once and `0.0` / `-0.0` /
+    /// NaN payloads never merge.
+    #[test]
+    fn sections_decode_to_the_routed_list_bit_for_bit(runs in routed_runs()) {
+        let routed: Vec<(u32, f64)> = runs
+            .iter()
+            .flat_map(|&(v, p, len)| (0..len as u32).map(move |i| (v + i, f64::from_bits(PALETTE[p]))))
+            .collect();
+        let (bytes, row) = section_round_trip(&routed);
+        let bits = |list: &[(u32, f64)]| list.iter().map(|(v, m)| (*v, m.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&row), bits(&routed));
+        let groups = routed.chunk_by(|a, b| a.1.to_bits() == b.1.to_bits());
+        let body: usize = groups.map(|g| 8 + 4 + 4 * g.len()).sum();
+        prop_assert_eq!(bytes.len(), 30 + body);
+    }
+
+    /// Shared slices (top-k): one `Arc` per run, as a broadcasting sender
+    /// produces, with the confusable floats inside the entries.
+    #[test]
+    fn shared_payload_sections_decode_to_the_routed_list(runs in routed_runs()) {
+        let routed: Vec<(u32, Ranking)> = runs
+            .iter()
+            .flat_map(|&(v, p, len)| {
+                let shared: Ranking = vec![(f64::from_bits(PALETTE[p]), v)].into();
+                (0..len as u32).map(move |i| (v + i, Arc::clone(&shared)))
+            })
+            .collect();
+        let (_, row) = section_round_trip(&routed);
+        let bits = |list: &[(u32, Ranking)]| {
+            list.iter()
+                .map(|(v, m)| (*v, m.iter().map(|(r, u)| (r.to_bits(), *u)).collect::<Vec<_>>()))
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(&row), bits(&routed));
+    }
 
     /// PageRank messages: plain `f64` rank contributions.
     #[test]

@@ -16,13 +16,15 @@
 
 use predict_algorithms::{PageRank, PageRankParams};
 use predict_bsp::BspConfig;
-use predict_cluster::socket::fresh_socket_path;
+use predict_cluster::socket::{connect, fresh_socket_path};
 use predict_cluster::{
-    drive_on, ClusterError, Connection, DriveOptions, ProgramSpec, SocketListener, SocketStream,
-    TransportKind, WorkerGroup,
+    drive_on, ClusterError, Connection, DriveOptions, ProgramSpec, SocketListener, TransportKind,
+    WorkerGroup,
 };
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_graph::CsrGraph;
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -40,14 +42,13 @@ fn single_worker_config() -> BspConfig {
 /// Accepts one fake-peer connection on a fresh Unix socket and wraps it as a
 /// one-worker group; `peer` runs on its own thread with the connected stream.
 fn group_with_fake_peer(
-    peer: impl FnOnce(SocketStream) + Send + 'static,
+    peer: impl FnOnce(UnixStream) + Send + 'static,
 ) -> (WorkerGroup, std::thread::JoinHandle<()>) {
     let path = fresh_socket_path(0);
     let listener = SocketListener::bind_unix(&path).expect("binding a fresh socket path");
-    let addr = listener.connect_addr().expect("reading listener address");
+    let peer_path = path.clone();
     let handle = std::thread::spawn(move || {
-        let stream =
-            SocketStream::connect(&addr, Duration::from_secs(5)).expect("fake peer connects");
+        let stream = connect(&peer_path, Duration::from_secs(5)).expect("fake peer connects");
         peer(stream);
     });
     let stream = listener
@@ -72,7 +73,7 @@ fn group_with_fake_peer(
 fn peer_death_before_init_surfaces_as_worker_died() {
     let (group, handle) = group_with_fake_peer(|stream| {
         // Connect, then vanish: close both directions and exit.
-        let _ = stream.shutdown();
+        let _ = stream.shutdown(Shutdown::Both);
     });
 
     let graph = test_graph();
@@ -152,8 +153,7 @@ fn assert_process_gone(pid: u32) {
 
 /// Pins the `WorkerGroup::spawn` partial-failure fix: when spawning worker N
 /// fails, workers 0..N that already started must be killed and reaped, not
-/// leaked. Loopback-TCP workers, so the reaping is checked on connections
-/// that own no socket file (the Unix-socket twin is below).
+/// leaked (their socket files are checked by the test below).
 #[test]
 fn partial_spawn_failure_reaps_already_spawned_processes() {
     let mut pids = Vec::new();
@@ -164,7 +164,7 @@ fn partial_spawn_failure_reaps_already_spawned_processes() {
                 detail: "injected spawn failure".into(),
             });
         }
-        let conn = Connection::spawn_socket_tcp(w)?;
+        let conn = Connection::spawn_socket(w)?;
         pids.push(conn.process_id().expect("socket transport has a pid"));
         Ok(conn)
     });
