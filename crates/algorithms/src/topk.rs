@@ -10,12 +10,38 @@
 //!
 //! Convergence uses a size-invariant ratio: the run stops when the fraction
 //! of vertices that performed an update drops below `τ`.
+//!
+//! # Why top-k is combine-safe
+//!
+//! The program is its own [`MessageCombiner`]: the runtime folds every rank
+//! list bound for a vertex into one list at delivery, merging each arrival
+//! into the first at capacity `k` — the same merge compute applies. Folding
+//! changes nothing a run observes:
+//!
+//! * **values** — lists are kept in one total order (rank descending, ties
+//!   by ascending vertex id; a vertex carries its one input rank in every
+//!   list, so equal entries are the same entry), and the top `k` of a union
+//!   under a total order does not depend on how the union is grouped or in
+//!   which order its parts arrive. Merging the folded list into the vertex's
+//!   own gives the top `k` of the own list and every message, as merging
+//!   the messages one by one does;
+//! * **the update flag** — merging inserts an entry exactly when the list
+//!   it ends with differs from the one it started with: once an entry
+//!   enters, the list is the top `k` of a union the initial list is not the
+//!   top `k` of, and stays so as the union grows. So `changed` is "final
+//!   list ≠ initial list" either way, and with it the
+//!   [`UPDATED_VERTICES_AGGREGATOR`] aggregate, what is sent, and every
+//!   Table 1 counter (counted at send time, before combining).
+//!
+//! What folding saves is the per-message work: a vertex's inbox is one list
+//! of at most `k` entries, and merging a message into it allocates nothing.
 
-use predict_bsp::{Aggregates, BspEngine, ComputeContext, InitContext, VertexProgram};
+use predict_bsp::{
+    Aggregates, BspEngine, ComputeContext, InitContext, MessageCombiner, VertexProgram,
+};
 use predict_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Aggregator counting vertices that updated their top-k list this superstep.
 pub const UPDATED_VERTICES_AGGREGATOR: &str = "topk/updated_vertices";
@@ -155,8 +181,19 @@ pub struct TopKResult {
 }
 
 /// A top-k list on its way to a vertex's neighbors: built once by the
-/// sender, shared by every copy the runtime hands out.
-pub type TopKMessage = Arc<[RankEntry]>;
+/// sender, which the runtime stores once however many neighbors it has.
+pub type TopKMessage = Vec<RankEntry>;
+
+/// Folds rank lists bound for one vertex into one list of the `k` best
+/// entries (see the [module docs](self) for why this is exact).
+impl MessageCombiner<TopKMessage> for TopKRanking {
+    fn combine(&self, acc: &mut TopKMessage, msg: &TopKMessage) {
+        // The first arrival is a clone sized to its own length: grow it to
+        // `k` once, so no later merge reallocates.
+        acc.reserve(self.params.k.saturating_sub(acc.len()));
+        self.merge_into(acc, msg);
+    }
+}
 
 impl VertexProgram for TopKRanking {
     type VertexValue = TopKState;
@@ -180,20 +217,22 @@ impl VertexProgram for TopKRanking {
     ) {
         if ctx.superstep == 0 {
             // First iteration: every vertex advertises its own rank.
-            let own = [(ctx.value.own_rank, ctx.vertex)];
-            ctx.send_to_all_neighbors(own.into());
+            let own = vec![(ctx.value.own_rank, ctx.vertex)];
+            ctx.send_to_all_neighbors(own);
             ctx.vote_to_halt();
             return;
         }
 
+        // One folded list from the runtime; the uncombined lists, in
+        // delivery order, from an executor that does not combine.
         let mut changed = false;
         for msg in messages {
             changed |= self.merge_into(&mut ctx.value.entries, msg);
         }
         if changed {
             ctx.aggregate(UPDATED_VERTICES_AGGREGATOR, 1.0);
-            let update = ctx.value.entries.as_slice();
-            ctx.send_to_all_neighbors(update.into());
+            let update = ctx.value.entries.clone();
+            ctx.send_to_all_neighbors(update);
         }
         ctx.vote_to_halt();
     }
@@ -201,6 +240,10 @@ impl VertexProgram for TopKRanking {
     fn message_size_bytes(&self, msg: &TopKMessage) -> u64 {
         // Each entry is an 8-byte rank plus a 4-byte vertex id.
         (msg.len() * 12) as u64
+    }
+
+    fn combiner(&self) -> Option<&dyn MessageCombiner<TopKMessage>> {
+        Some(self)
     }
 
     fn master_halt(&self, superstep: usize, aggregates: &Aggregates) -> bool {
@@ -220,6 +263,7 @@ mod tests {
     use predict_bsp::{BspConfig, ClusterCostConfig};
     use predict_graph::generators::{chain, generate_rmat, RmatConfig};
     use predict_graph::EdgeList;
+    use proptest::prelude::*;
 
     fn engine() -> BspEngine {
         BspEngine::new(BspConfig::with_workers(4).with_cost(ClusterCostConfig::noiseless()))
@@ -316,11 +360,77 @@ mod tests {
         assert!(!changed_again);
     }
 
+    /// The sorted, duplicate-free entry list of `members`, each vertex under
+    /// its one rank from `ranks` (a quarter-step palette, so different
+    /// vertices tie on rank).
+    fn entries(ranks: &[u8], members: &[VertexId]) -> Vec<RankEntry> {
+        let mut list: Vec<RankEntry> = members
+            .iter()
+            .map(|&v| (f64::from(ranks[v as usize]) / 4.0, v))
+            .collect();
+        list.sort_by(rank_order);
+        list.dedup();
+        list
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The combiner algebra: folding the incoming lists with the
+        /// combiner — in any order, in any grouping — and merging the fold
+        /// once gives the entries and the `changed` flag of merging the lists
+        /// one by one, and `changed` is exactly "the list moved".
+        #[test]
+        fn folding_then_merging_once_equals_merging_one_by_one(
+            k in 1usize..5,
+            ranks in prop::collection::vec(0u8..4, 12),
+            own in prop::collection::vec(0u32..12, 1..6),
+            incoming in prop::collection::vec(
+                (any::<u32>(), any::<bool>(), prop::collection::vec(0u32..12, 0..9)),
+                1..7,
+            ),
+        ) {
+            let topk = TopKRanking::new(TopKParams::new(k, 0.0), vec![0.0; 12]);
+            let mut initial = entries(&ranks, &own);
+            initial.truncate(k);
+            let lists: Vec<TopKMessage> =
+                incoming.iter().map(|(_, _, members)| entries(&ranks, members)).collect();
+
+            let mut one_by_one = initial.clone();
+            let mut changed_one_by_one = false;
+            for list in &lists {
+                changed_one_by_one |= topk.merge_into(&mut one_by_one, list);
+            }
+
+            // Shuffle by key, cut into groups at the flags, fold each group
+            // front to back, then fold the groups together back to front.
+            let mut order: Vec<usize> = (0..lists.len()).collect();
+            order.sort_by_key(|&i| incoming[i].0);
+            let mut groups: Vec<TopKMessage> = Vec::new();
+            for i in order {
+                match groups.last_mut() {
+                    Some(acc) if !incoming[i].1 => topk.combine(acc, &lists[i]),
+                    _ => groups.push(lists[i].clone()),
+                }
+            }
+            let mut folded = groups.pop().expect("one list at least");
+            while let Some(group) = groups.pop() {
+                topk.combine(&mut folded, &group);
+            }
+            let mut merged = initial.clone();
+            let changed = topk.merge_into(&mut merged, &folded);
+
+            prop_assert_eq!(&merged, &one_by_one);
+            prop_assert_eq!(changed, changed_one_by_one);
+            prop_assert_eq!(changed, merged != initial);
+        }
+    }
+
     #[test]
     fn message_size_reflects_entry_count() {
         let topk = TopKRanking::new(TopKParams::default(), vec![0.0]);
-        assert_eq!(topk.message_size_bytes(&[].into()), 0);
-        assert_eq!(topk.message_size_bytes(&[(0.1, 1), (0.2, 2)].into()), 24);
+        assert_eq!(topk.message_size_bytes(&vec![]), 0);
+        assert_eq!(topk.message_size_bytes(&vec![(0.1, 1), (0.2, 2)]), 24);
     }
 
     #[test]

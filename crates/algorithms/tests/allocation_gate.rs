@@ -1,14 +1,18 @@
 //! Allocation gate for the BSP message plane: what a run allocates must
-//! follow the vertices that send, never the messages they send.
+//! follow the vertices that send and receive, never the messages between
+//! them.
 //!
-//! * **PageRank** declares a combiner, so delivery folds into one slot per
-//!   vertex and, once the two sets of routed buffers the executor swaps have
+//! * **PageRank** folds `f64` shares into one slot per vertex, so once the
+//!   two sets of payload tables and routed buffers the executor swaps have
 //!   grown to the run's volume (supersteps 0 and 1), a superstep allocates a
 //!   small constant — aggregate names and the master's per-superstep
 //!   bookkeeping — that is the same for a degree-8 and a degree-32 graph.
-//! * **Top-k** broadcasts one shared payload per sending vertex: its
-//!   allocation count follows the number of (vertex, superstep) sends, not
-//!   the four-times-larger message count of the denser graph.
+//! * **Top-k** stores one list per sending vertex and folds arrivals into
+//!   one list per receiving vertex: each superstep allocates one list per
+//!   sender plus one or two per receiver (the first arrival's clone, grown
+//!   to `k` at most once) plus bookkeeping, and the run's total grows from
+//!   the sparse to the dense graph as its sending and receiving
+//!   vertex-supersteps do, not as its three-times-larger message count.
 //!
 //! Counts are read from a counting global allocator shared by every thread
 //! of the test binary — hence one test function, and sequential execution —
@@ -164,32 +168,55 @@ fn allocations_follow_sending_vertices_not_messages() {
     let topk = |graph: &CsrGraph| {
         let program = TopKRanking::new(TopKParams::new(5, 0.0), ranks.clone());
         let run = counted_run(program, graph, 64);
-        // Every vertex sends in superstep 0, the updated ones afterwards.
-        let updated = run.profile.supersteps.iter();
-        let updated = updated.map(|s| s.aggregates.get_or(UPDATED_VERTICES_AGGREGATOR, 0.0));
-        let sends = n as f64 + updated.sum::<f64>();
-        (run.total as f64, sends, total_messages(&run.profile) as f64)
+        let steps = &run.profile.supersteps;
+        // A vertex sends when it updated (every vertex in superstep 0), and
+        // — every vertex halting every superstep — it is active in
+        // superstep s + 1 exactly when superstep s delivered to it.
+        let sends: Vec<u64> = steps
+            .iter()
+            .map(|s| s.aggregates.get_or(UPDATED_VERTICES_AGGREGATOR, 0.0) as u64)
+            .collect();
+        let receives: Vec<u64> = steps
+            .iter()
+            .skip(1)
+            .map(|s| s.workers.iter().map(|w| w.active_vertices).sum())
+            .chain([0])
+            .collect();
+        // Mark to mark, superstep s ≥ 1 computes (its senders clone their
+        // list), delivers (each receiver clones its first arrival, and
+        // grows it to k at most once) and runs the master.
+        for (s, &allocations) in (1..).zip(&run.per_superstep) {
+            let (sent, received) = (sends[s], receives[s]);
+            assert!(
+                sent + received <= allocations && allocations <= sent + 2 * received + 32,
+                "superstep {s}: {allocations} allocations for {sent} sends and {received} receives"
+            );
+        }
+        let events = n as u64 + sends[1..].iter().sum::<u64>() + receives.iter().sum::<u64>();
+        (run.total, events, total_messages(&run.profile))
     };
-    let (alloc_sparse, sends_sparse, messages_sparse) = topk(&sparse);
-    let (alloc_dense, sends_dense, messages_dense) = topk(&dense);
-    for (allocations, sends) in [(alloc_sparse, sends_sparse), (alloc_dense, sends_dense)] {
+    let (alloc_sparse, events_sparse, messages_sparse) = topk(&sparse);
+    let (alloc_dense, events_dense, messages_dense) = topk(&dense);
+    for (allocations, events) in [(alloc_sparse, events_sparse), (alloc_dense, events_dense)] {
         assert!(
-            allocations <= 3.0 * sends,
-            "a handful per sending vertex per superstep: {allocations} for {sends} sends"
+            allocations <= 2 * events,
+            "{allocations} allocations for {events} sending and receiving vertex-supersteps"
         );
     }
-    let (by_allocations, by_sends, by_messages) = (
-        alloc_dense / alloc_sparse,
-        sends_dense / sends_sparse,
-        messages_dense / messages_sparse,
+    let ratio = |dense: u64, sparse: u64| dense as f64 / sparse as f64;
+    let (by_allocations, by_events, by_messages) = (
+        ratio(alloc_dense, alloc_sparse),
+        ratio(events_dense, events_sparse),
+        ratio(messages_dense, messages_sparse),
     );
     assert!(
         by_messages > 3.0,
         "the dense graph sends {by_messages}x the messages"
     );
     assert!(
-        by_allocations <= 1.5 * by_sends && by_allocations < by_messages / 2.0,
-        "allocations grew {by_allocations}x: sends {by_sends}x, messages {by_messages}x"
+        (by_allocations / by_events - 1.0).abs() < 0.1 && by_allocations < by_messages / 2.0,
+        "allocations grew {by_allocations}x: vertex-supersteps {by_events}x, messages \
+         {by_messages}x"
     );
 
     // Counts repeat exactly.
@@ -198,6 +225,9 @@ fn allocations_follow_sending_vertices_not_messages() {
         pr_dense.per_superstep
     );
     assert_eq!(counted_run(pagerank, &dense, 12).total, pr_dense.total);
-    assert_eq!(topk(&dense), (alloc_dense, sends_dense, messages_dense));
-    assert_eq!(topk(&sparse), (alloc_sparse, sends_sparse, messages_sparse));
+    assert_eq!(topk(&dense), (alloc_dense, events_dense, messages_dense));
+    assert_eq!(
+        topk(&sparse),
+        (alloc_sparse, events_sparse, messages_sparse)
+    );
 }

@@ -6,20 +6,24 @@
 //! time — before combining — exactly as Giraph's counters are, so installing a
 //! combiner changes delivery cost but not the profiled Table 1 features.
 //!
-//! The runtime combines **at delivery**: a program that returns a combiner
-//! from [`VertexProgram::combiner`] gets one inbox slot per owned vertex, and
-//! [`WorkerShard::deliver`] folds every arriving message straight into its
-//! destination's slot, so no per-vertex message list is ever built and the
-//! compute function sees at most one message per superstep. PageRank
-//! ([`SumCombiner`]), connected components and SSSP ([`MinCombiner`]) run this
-//! way.
+//! The runtime combines **at delivery, by reference**: a program that returns
+//! a combiner from [`VertexProgram::combiner`] gets one inbox slot per owned
+//! vertex, and [`WorkerShard::deliver`] folds every arriving message straight
+//! into its destination's slot. A message reaches delivery as a handle into
+//! its sender's payload table, which holds each sent payload once; the first
+//! arrival at a slot clones the payload, every later one is folded in from
+//! the table by reference ([`MessageCombiner::combine`]). No per-vertex
+//! message list is ever built, and the compute function sees at most one
+//! message per superstep. PageRank ([`SumCombiner`]), connected components
+//! and SSSP ([`MinCombiner`]) and top-k ranking (which merges rank lists) run
+//! this way.
 //!
 //! The fold is a left fold in delivery order — source worker ascending, then
 //! the order the source worker produced the messages in (source vertex
 //! ascending, send order within a vertex): the slot of a vertex that received
-//! `m1, m2, m3` holds `combine(combine(m1, m2), m3)`. That is exactly what a
-//! compute function folding its uncombined message list front to back would
-//! have computed (`messages.iter().sum()`, `.min()`), which keeps runs
+//! `m1, m2, m3` holds `m1` folded with `m2`, then with `m3`. That is exactly
+//! what a compute function folding its uncombined message list front to back
+//! would have computed (`messages.iter().sum()`, `.min()`), which keeps runs
 //! byte-identical across thread counts and transports even for
 //! non-associative floating-point sums (point 6 of the
 //! [determinism contract](crate::runtime)).
@@ -27,10 +31,12 @@
 //! [`VertexProgram::combiner`]: crate::program::VertexProgram::combiner
 //! [`WorkerShard::deliver`]: crate::runtime::WorkerShard::deliver
 
-/// Merges two messages bound for the same destination vertex into one.
+/// Folds messages bound for the same destination vertex into one.
 pub trait MessageCombiner<M>: Sync {
-    /// Combines `a` and `b` into a single equivalent message.
-    fn combine(&self, a: M, b: M) -> M;
+    /// Folds `msg` into `acc`, which holds the fold of every earlier
+    /// message to the same vertex, so that `acc` becomes a single equivalent
+    /// message.
+    fn combine(&self, acc: &mut M, msg: &M);
 }
 
 /// Combiner that sums `f64` messages — correct for PageRank-style rank
@@ -39,8 +45,8 @@ pub trait MessageCombiner<M>: Sync {
 pub struct SumCombiner;
 
 impl MessageCombiner<f64> for SumCombiner {
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a + b
+    fn combine(&self, acc: &mut f64, msg: &f64) {
+        *acc += *msg;
     }
 }
 
@@ -50,14 +56,14 @@ impl MessageCombiner<f64> for SumCombiner {
 pub struct MinCombiner;
 
 impl MessageCombiner<f64> for MinCombiner {
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a.min(b)
+    fn combine(&self, acc: &mut f64, msg: &f64) {
+        *acc = acc.min(*msg);
     }
 }
 
 impl MessageCombiner<u32> for MinCombiner {
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
+    fn combine(&self, acc: &mut u32, msg: &u32) {
+        *acc = (*acc).min(*msg);
     }
 }
 
@@ -65,14 +71,27 @@ impl MessageCombiner<u32> for MinCombiner {
 mod tests {
     use super::*;
 
+    /// `acc` with `msgs` folded in, front to back.
+    fn fold<M: Copy>(combiner: &impl MessageCombiner<M>, mut acc: M, msgs: &[M]) -> M {
+        msgs.iter().for_each(|m| combiner.combine(&mut acc, m));
+        acc
+    }
+
     #[test]
     fn sum_combiner_sums() {
-        assert_eq!(SumCombiner.combine(1.5, 2.5), 4.0);
+        assert_eq!(fold(&SumCombiner, 1.5, &[2.5]), 4.0);
+        // The same IEEE operation, in the same order, as a front-to-back sum.
+        let msgs = [0.1, 0.2, 0.3, 1e16, -1e16];
+        let sum = msgs[1..].iter().fold(msgs[0], |a, b| a + b);
+        assert_eq!(
+            fold(&SumCombiner, msgs[0], &msgs[1..]).to_bits(),
+            sum.to_bits()
+        );
     }
 
     #[test]
     fn min_combiner_keeps_minimum() {
-        assert_eq!(MinCombiner.combine(3.0_f64, 1.0), 1.0);
-        assert_eq!(MinCombiner.combine(7u32, 9), 7);
+        assert_eq!(fold(&MinCombiner, 3.0_f64, &[1.0, 2.0]), 1.0);
+        assert_eq!(fold(&MinCombiner, 7u32, &[9, 8]), 7);
     }
 }

@@ -128,34 +128,54 @@ pub struct ComputeContext<'a, V, M> {
     /// Aggregates computed during the *previous* superstep (empty in
     /// superstep 0).
     pub previous_aggregates: &'a Aggregates,
-    /// What the vertex has sent so far, in send order ([`Self::send`]). The
-    /// executor routes and empties it after the call. Public, like the two
-    /// fields below, so that an executor outside this crate — the reference
-    /// interpreter the runtime is tested against — can run a program.
-    pub outbox: &'a mut Vec<(VertexId, M)>,
+    /// The executing worker's payload table for this superstep: every
+    /// message payload sent so far, each stored once however many vertices
+    /// it goes to. Handles in [`Self::outbox`] index it.
+    pub payloads: &'a mut Vec<M>,
+    /// What the vertex has sent so far, in send order ([`Self::send`]): one
+    /// `(destination, payload handle)` pair per message. The executor routes
+    /// and empties it after the call. Public, like the fields around it, so
+    /// that an executor outside this crate — the reference interpreter the
+    /// runtime is tested against — can run a program.
+    pub outbox: &'a mut Vec<(VertexId, u32)>,
     /// The executing worker's partial aggregates ([`Self::aggregate`]).
     pub partial_aggregates: &'a mut Aggregates,
     /// The vertex's halt vote ([`Self::vote_to_halt`]).
     pub halted: &'a mut bool,
 }
 
-impl<'a, V, M: Clone> ComputeContext<'a, V, M> {
+impl<'a, V, M> ComputeContext<'a, V, M> {
     /// Out-degree of this vertex.
     pub fn out_degree(&self) -> usize {
         self.out_neighbors.len()
     }
 
-    /// Sends `msg` to vertex `dst`, to be delivered in the next superstep.
-    pub fn send(&mut self, dst: VertexId, msg: M) {
-        self.outbox.push((dst, msg));
+    /// Stores `msg` in the payload table and returns its handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` payloads in one worker's superstep.
+    fn store(&mut self, msg: M) -> u32 {
+        let handle = u32::try_from(self.payloads.len()).expect("a payload table fits u32 handles");
+        self.payloads.push(msg);
+        handle
     }
 
-    /// Sends a copy of `msg` to every out-neighbor of this vertex.
+    /// Sends `msg` to vertex `dst`, to be delivered in the next superstep.
+    pub fn send(&mut self, dst: VertexId, msg: M) {
+        let handle = self.store(msg);
+        self.outbox.push((dst, handle));
+    }
+
+    /// Sends `msg` to every out-neighbor of this vertex: the payload is
+    /// stored once, and each neighbor gets a handle to it.
     pub fn send_to_all_neighbors(&mut self, msg: M) {
-        for i in 0..self.out_neighbors.len() {
-            let dst = self.out_neighbors[i];
-            self.outbox.push((dst, msg.clone()));
+        if self.out_neighbors.is_empty() {
+            return;
         }
+        let handle = self.store(msg);
+        let edges = self.out_neighbors.iter().map(|&dst| (dst, handle));
+        self.outbox.extend(edges);
     }
 
     /// Contributes `value` to the global sum-aggregator `name`.
@@ -216,7 +236,7 @@ mod tests {
         let g = CsrGraph::from_edge_list(&el);
         let program = Broadcast;
         let prev = Aggregates::new();
-        let mut outbox = Vec::new();
+        let (mut payloads, mut outbox) = (vec![7u32], Vec::new());
         let mut partial = Aggregates::new();
         let mut halted = false;
         let mut value = program.init_vertex(0, &InitContext::for_vertex(&g, 0));
@@ -230,14 +250,18 @@ mod tests {
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
             previous_aggregates: &prev,
+            payloads: &mut payloads,
             outbox: &mut outbox,
             partial_aggregates: &mut partial,
             halted: &mut halted,
         };
         program.compute(&mut ctx, &[]);
+        ctx.send(2, 9);
 
-        assert_eq!(outbox.len(), 2);
-        assert!(outbox.iter().all(|(_, m)| *m == 0));
+        // The broadcast payload is stored once, behind the table's earlier
+        // entry, and referenced once per neighbor; a point send adds its own.
+        assert_eq!(payloads, [7, 0, 9]);
+        assert_eq!(outbox, [(1, 1), (2, 1), (2, 2)]);
         assert_eq!(partial.get("sent"), Some(2.0));
         assert!(halted);
     }
@@ -247,7 +271,8 @@ mod tests {
         let el: EdgeList = [(0u32, 1u32)].into_iter().collect();
         let g = CsrGraph::from_edge_list(&el);
         let prev = Aggregates::new();
-        let mut outbox: Vec<(VertexId, u32)> = Vec::new();
+        let mut payloads: Vec<u32> = Vec::new();
+        let mut outbox = Vec::new();
         let mut partial = Aggregates::new();
         let mut halted = false;
         let mut value = 0u32;
@@ -260,6 +285,7 @@ mod tests {
             num_vertices: 2,
             num_edges: 1,
             previous_aggregates: &prev,
+            payloads: &mut payloads,
             outbox: &mut outbox,
             partial_aggregates: &mut partial,
             halted: &mut halted,

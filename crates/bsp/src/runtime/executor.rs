@@ -6,13 +6,16 @@
 //! two phases:
 //!
 //! 1. **compute** — every shard runs [`WorkerShard::run_superstep`], which
-//!    also routes each produced message to its destination worker's buffer;
-//!    shards are disjoint, so the phase spreads over the worker pool;
-//! 2. **delivery** — the per-worker routed outboxes are transposed into
-//!    per-destination inbound rows (an `O(workers²)` pointer swap, no
+//!    stores each sent payload once in the shard's payload table and routes
+//!    a handle to it per message to its destination worker's buffer; shards
+//!    are disjoint, so the phase spreads over the worker pool;
+//! 2. **delivery** — every shard's payload table is swapped out into the
+//!    executor's tables and the per-worker routed outboxes are transposed
+//!    into per-destination inbound rows (`O(workers²)` pointer swaps, no
 //!    message is copied), then every shard runs [`WorkerShard::deliver`],
-//!    again in parallel, folding into one slot per vertex when the program
-//!    declares a combiner.
+//!    again in parallel, reading all source tables while it fills its own
+//!    inbox — folding into one slot per vertex when the program declares a
+//!    combiner.
 //!
 //! Between the phases, on the calling thread, every shard is reported to the
 //! master in ascending worker order. Everything order-sensitive — merges,
@@ -31,9 +34,9 @@ use crate::storage::WorkerGraph;
 use predict_graph::{CsrGraph, VertexId};
 use std::convert::Infallible;
 
-/// One row of the inbound transpose matrix: the message buffers destined for
-/// (or produced by) one worker, one buffer per peer worker.
-type MessageRow<M> = Vec<Vec<(VertexId, M)>>;
+/// One row of the inbound transpose matrix: the `(destination, handle)`
+/// buffers destined for one worker, one buffer per source worker.
+type MessageRow = Vec<Vec<(VertexId, u32)>>;
 
 /// Splits `items` into at most `threads` contiguous chunks and runs `f` on
 /// every item, scheduling the chunks as one scope on the persistent `pool`
@@ -81,7 +84,10 @@ struct LocalWorkers<'a, P: VertexProgram> {
     /// `inbound[dst][src]` buffers circulate between the shards' routed
     /// outboxes and the delivery phase, so message buffers are pooled across
     /// supersteps rather than reallocated.
-    inbound: Vec<MessageRow<P::Message>>,
+    inbound: Vec<MessageRow>,
+    /// `tables[src]`: worker `src`'s payload table of the superstep being
+    /// delivered, swapped with the shard's own the same way.
+    tables: Vec<Vec<P::Message>>,
     superstep_ns: std::sync::Arc<predict_obs::metrics::Histogram>,
 }
 
@@ -117,24 +123,29 @@ impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
             );
         }
 
-        // Transpose routed outboxes into inbound rows by swapping buffers.
+        // Take every shard's payload table (it gets back the one delivered
+        // last superstep, which its next compute phase clears) and
+        // transpose routed outboxes into inbound rows, all by swapping.
         for (w, shard) in self.shards.iter_mut().enumerate() {
+            std::mem::swap(&mut shard.payloads, &mut self.tables[w]);
             for (d, buf) in shard.routed.iter_mut().enumerate() {
                 std::mem::swap(buf, &mut self.inbound[d][w]);
             }
         }
 
         // Delivery phase: every destination shard pulls its inbound row
-        // (ascending source worker, production order within a source).
+        // (ascending source worker, production order within a source),
+        // reading the payloads from the shared source tables.
         {
             let _deliver_span = predict_obs::trace::span("bsp.deliver");
-            let mut pairs: Vec<(&mut WorkerShard<P>, &mut MessageRow<P::Message>)> = self
+            let tables = &self.tables;
+            let mut pairs: Vec<(&mut WorkerShard<P>, &mut MessageRow)> = self
                 .shards
                 .iter_mut()
                 .zip(self.inbound.iter_mut())
                 .collect();
             for_each_chunked(&mut pairs, threads, pool, |(shard, row)| {
-                shard.deliver(program, layout, row);
+                shard.deliver(program, layout, row, tables);
             });
         }
         self.superstep_ns
@@ -180,6 +191,7 @@ pub fn execute<P: VertexProgram>(
         inbound: (0..num_workers)
             .map(|_| (0..num_workers).map(|_| Vec::new()).collect())
             .collect(),
+        tables: (0..num_workers).map(|_| Vec::new()).collect(),
         superstep_ns: predict_obs::registry().histogram("bsp.superstep_ns"),
     };
     // Value initialization fans out like a phase.

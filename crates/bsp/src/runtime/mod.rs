@@ -1,6 +1,6 @@
 //! The parallel deterministic BSP runtime.
 //!
-//! Five pieces:
+//! Six pieces:
 //!
 //! * **one master loop** ([`run_master`]) — the simulated clock, the
 //!   ascending-worker merges, the halt priority, profile assembly and value
@@ -22,12 +22,14 @@
 //!   per-worker injector deques, work stealing and scoped task latches, so a
 //!   warm service batch runs its supersteps with zero thread spawns (see
 //!   [`pool`](self) module docs for lifecycle and barrier semantics);
-//! * **buffer reuse** — inboxes, outboxes and the inbound transpose matrix
-//!   are allocated once per run and cleared in place; counter and aggregate
-//!   accumulators are reset, never reallocated. Past the sending vertex's
-//!   own scratch, a message is written twice on its way to the vertex that
-//!   reads it: into its destination worker's routed buffer, and into its
-//!   destination vertex's inbox.
+//! * **one payload per send, a handle per edge** — a sent payload is stored
+//!   once in its worker's payload table, however many vertices it goes to;
+//!   what is routed is a 4-byte handle per message, and delivery reads the
+//!   payload from the table, folding it into the destination's slot by
+//!   reference or cloning it into the destination's list;
+//! * **buffer reuse** — inboxes, payload tables, outboxes and the inbound
+//!   transpose matrix are allocated once per run and cleared in place;
+//!   counter and aggregate accumulators are reset, never reallocated.
 //!
 //! # Determinism contract
 //!
@@ -50,11 +52,13 @@
 //!    call order (setup, read, per-superstep workers in ascending order,
 //!    write) on the master thread;
 //! 6. message combining ([`VertexProgram::combiner`]) is a **left fold in
-//!    the delivery order of point 4**, applied as each message arrives: the
-//!    inbox slot of a vertex that is delivered `m1, m2, m3` holds
-//!    `combine(combine(m1, m2), m3)` — bit for bit what a compute function
-//!    folding the uncombined list front to back computes, and, the order
-//!    being point 4's, insensitive to phase scheduling too;
+//!    the delivery order of point 4**, applied by reference as each message
+//!    arrives: the inbox slot of a vertex that is delivered `m1, m2, m3`
+//!    starts as a clone of `m1`, then `combine(slot, m2)` and
+//!    `combine(slot, m3)` fold the later payloads in, read in place from
+//!    their senders' tables — bit for bit what a compute function folding
+//!    the uncombined list front to back computes, and, the order being point
+//!    4's, insensitive to phase scheduling too;
 //! 7. the worker pool only decides *which OS thread* executes a chunk
 //!    closure: chunk boundaries come from the resolved thread count alone,
 //!    chunks write disjoint state, work stealing moves whole chunks and

@@ -6,9 +6,9 @@
 //! are disjoint by construction, which is what lets the executor run compute
 //! and delivery phases of different workers on different OS threads without
 //! synchronization. All buffers are allocated once per run and reused across
-//! supersteps (cleared, never dropped): once the routed buffers have grown
-//! to the run's message volume, sending and delivering a message allocates
-//! nothing for a program with a combiner.
+//! supersteps (cleared, never dropped): once the payload tables and routed
+//! buffers have grown to the run's volume, sending and delivering a message
+//! allocates nothing for a program with a plain-value combiner.
 //!
 //! The phase logic itself — compute and delivery — lives in
 //! [`crate::worker`], which operates on shards.
@@ -88,14 +88,20 @@ pub struct WorkerShard<P: VertexProgram> {
     /// Messages delivered at the end of the previous superstep, consumed
     /// (and emptied in place) by the compute phase.
     pub inbox: Inbox<P::Message>,
+    /// The payload table of the current superstep: every payload the shard's
+    /// vertices sent, each stored once. The executor swaps it out after the
+    /// compute phase so delivery can read it; the compute phase clears what
+    /// it swaps back (capacity kept).
+    pub payloads: Vec<P::Message>,
     /// Compute-phase scratch: what the vertex being computed has sent so
-    /// far, routed and emptied (capacity kept) as soon as its compute call
-    /// returns.
-    pub outbox: Vec<(VertexId, P::Message)>,
-    /// Routed outboxes, one per destination worker, in production order.
-    /// Swapped with the executor's inbound matrix between phases; capacity
-    /// circulates across supersteps instead of being reallocated.
-    pub routed: Vec<Vec<(VertexId, P::Message)>>,
+    /// far, as `(destination, payload handle)` pairs, routed and emptied
+    /// (capacity kept) as soon as its compute call returns.
+    pub outbox: Vec<(VertexId, u32)>,
+    /// Routed outboxes, one per destination worker, in production order:
+    /// `(destination, handle into `payloads`)` pairs. Swapped with the
+    /// executor's inbound matrix between phases; capacity circulates across
+    /// supersteps instead of being reallocated.
+    pub routed: Vec<Vec<(VertexId, u32)>>,
     /// Table 1 counters of the current superstep (reset in place).
     pub counters: WorkerCounters,
     /// Partial aggregates of the current superstep (cleared in place).
@@ -114,6 +120,7 @@ impl<P: VertexProgram> WorkerShard<P> {
             values: Vec::with_capacity(vertices.len()),
             halted: vec![false; vertices.len()],
             inbox: Inbox::new(vertices.len(), program.combiner().is_some()),
+            payloads: Vec::new(),
             outbox: Vec::new(),
             routed: (0..layout.num_workers()).map(|_| Vec::new()).collect(),
             counters: WorkerCounters::new(vertices.len() as u64),

@@ -7,12 +7,16 @@
 //! * [`WorkerShard::run_superstep`] — the **compute phase**: execute the
 //!   program's compute function for every active owned vertex (ascending
 //!   vertex id), accumulate partial aggregates, and route each produced
-//!   message once — sized, classified local/remote, counted into the Table 1
-//!   counters and pushed to its destination worker's buffer in one pass;
+//!   message once — classified local/remote, counted into the Table 1
+//!   counters and pushed to its destination worker's buffer in one pass. A
+//!   message is a 4-byte handle into the shard's payload table, which holds
+//!   each sent payload once; each payload is sized once, and every edge is
+//!   still counted;
 //! * [`WorkerShard::deliver`] — the **delivery phase**: hand the inbound
 //!   messages (ascending source worker, production order within a source) to
-//!   the owned vertices' [`Inbox`], folding each one into its vertex's slot
-//!   when the program declares a combiner.
+//!   the owned vertices' [`Inbox`], reading each payload from its source's
+//!   table — folded into the vertex's slot by reference when the program
+//!   declares a combiner, cloned into its list otherwise.
 //!
 //! Both phases touch only the shard's own state, so the executor
 //! ([`crate::runtime`]) may run any number of shards concurrently; the
@@ -32,8 +36,9 @@ impl<P: VertexProgram> WorkerShard<P> {
     /// increasing vertex-id order and, as each call returns, routes what the
     /// vertex sent into the per-destination-worker buffers (`self.routed`),
     /// preserving production order (ascending sender vertex, send order
-    /// within a vertex) and counting every message at send time. `graph` is
-    /// this worker's view of the graph — the whole CSR in memory, only the
+    /// within a vertex) and counting every message at send time. The
+    /// payloads land in `self.payloads`, cleared first. `graph` is this
+    /// worker's view of the graph — the whole CSR in memory, only the
     /// worker's own shard on a cluster worker; the phase never reads
     /// adjacency outside the owned vertices either way.
     pub fn run_superstep(
@@ -46,6 +51,7 @@ impl<P: VertexProgram> WorkerShard<P> {
     ) {
         self.counters.reset(self.values.len() as u64);
         self.partial_aggregates.clear();
+        self.payloads.clear();
         debug_assert!(self.outbox.is_empty());
 
         for (i, &v) in layout.shard_vertices(self.worker).iter().enumerate() {
@@ -69,6 +75,7 @@ impl<P: VertexProgram> WorkerShard<P> {
                     num_vertices: graph.num_vertices(),
                     num_edges: graph.num_edges(),
                     previous_aggregates,
+                    payloads: &mut self.payloads,
                     outbox: &mut self.outbox,
                     partial_aggregates: &mut self.partial_aggregates,
                     halted: &mut vertex_halted,
@@ -79,30 +86,43 @@ impl<P: VertexProgram> WorkerShard<P> {
             self.halted[i] = vertex_halted;
 
             // Route what this vertex just sent: one ownership lookup per
-            // message decides both its counter pair and its buffer.
-            for (dst, msg) in self.outbox.drain(..) {
+            // message decides both its counter pair and its buffer. A
+            // broadcast is a run of one handle, so its payload is sized once.
+            let mut sized: Option<(u32, u64)> = None;
+            for (dst, handle) in self.outbox.drain(..) {
+                let bytes = match sized {
+                    Some((last, bytes)) if last == handle => bytes,
+                    _ => {
+                        let bytes = program.message_size_bytes(&self.payloads[handle as usize]);
+                        sized = Some((handle, bytes));
+                        bytes
+                    }
+                };
                 let owner = layout.owner_of(dst);
-                let bytes = program.message_size_bytes(&msg);
                 self.counters.record_message(bytes, owner == self.worker);
-                self.routed[owner].push((dst, msg));
+                self.routed[owner].push((dst, handle));
             }
         }
     }
 
     /// Executes the delivery phase for this shard: hands the messages of
-    /// `inbound` (one buffer per source worker, in ascending source-worker
-    /// order) to the owned vertices' inbox. A program with a combiner has
-    /// each message folded into its destination's slot as it arrives — a
-    /// left fold in delivery order, see [`crate::combiner`]; any other
-    /// program has it appended to the destination's list.
+    /// `inbound` (one buffer of `(destination, handle)` pairs per source
+    /// worker, in ascending source-worker order) to the owned vertices'
+    /// inbox, reading each payload from its source worker's table in
+    /// `tables`. A program with a combiner has each message folded into its
+    /// destination's slot as it arrives — the first arrival cloned, every
+    /// later one folded in by reference, a left fold in delivery order (see
+    /// [`crate::combiner`]); any other program has a clone of it appended
+    /// to the destination's list.
     ///
     /// Buffers in `inbound` are drained in place so their capacity is reused
-    /// by the next superstep.
+    /// by the next superstep; `tables` is only read.
     pub fn deliver(
         &mut self,
         program: &P,
         layout: &ShardLayout,
-        inbound: &mut [Vec<(VertexId, P::Message)>],
+        inbound: &mut [Vec<(VertexId, u32)>],
+        tables: &[Vec<P::Message>],
     ) {
         let worker = self.worker;
         match &mut self.inbox {
@@ -110,33 +130,41 @@ impl<P: VertexProgram> WorkerShard<P> {
                 let combiner = program
                     .combiner()
                     .expect("a folded inbox belongs to a combining program");
-                drain_arrivals(layout, worker, inbound, |slot, msg| {
-                    let slot = &mut slots[slot];
-                    *slot = Some(match slot.take() {
+                drain_arrivals(
+                    layout,
+                    worker,
+                    inbound,
+                    tables,
+                    |slot, msg| match &mut slots[slot] {
                         Some(folded) => combiner.combine(folded, msg),
-                        None => msg,
-                    });
-                });
+                        empty => *empty = Some(msg.clone()),
+                    },
+                );
             }
             Inbox::Lists(lists) => {
-                drain_arrivals(layout, worker, inbound, |slot, msg| lists[slot].push(msg));
+                drain_arrivals(layout, worker, inbound, tables, |slot, msg| {
+                    lists[slot].push(msg.clone())
+                });
             }
         }
     }
 }
 
-/// Drains `inbound` in delivery order, handing `place` each message with the
-/// slot its destination vertex has in the shard of `worker`.
+/// Drains `inbound` in delivery order, handing `place` each message's
+/// payload, read from its source's table, with the slot its destination
+/// vertex has in the shard of `worker`.
 fn drain_arrivals<M>(
     layout: &ShardLayout,
     worker: usize,
-    inbound: &mut [Vec<(VertexId, M)>],
-    mut place: impl FnMut(usize, M),
+    inbound: &mut [Vec<(VertexId, u32)>],
+    tables: &[Vec<M>],
+    mut place: impl FnMut(usize, &M),
 ) {
-    for buf in inbound {
-        for (dst, msg) in buf.drain(..) {
+    debug_assert_eq!(inbound.len(), tables.len());
+    for (buf, table) in inbound.iter_mut().zip(tables) {
+        for (dst, handle) in buf.drain(..) {
             debug_assert_eq!(layout.owner_of(dst), worker);
-            place(layout.slot_of(dst), msg);
+            place(layout.slot_of(dst), &table[handle as usize]);
         }
     }
 }
@@ -189,6 +217,21 @@ mod tests {
         (g, l)
     }
 
+    /// Inbound `(destination, message)` buffers, one per source worker, as
+    /// delivery input: handle buffers and the payload tables they index.
+    type Inbound<M> = (Vec<Vec<(VertexId, u32)>>, Vec<Vec<M>>);
+
+    /// Splits each buffer of `rows` into handles and a table holding one
+    /// payload per message.
+    fn inbound<M>(rows: Vec<Vec<(VertexId, M)>>) -> Inbound<M> {
+        rows.into_iter()
+            .map(|row| {
+                let (dsts, table): (Vec<VertexId>, Vec<M>) = row.into_iter().unzip();
+                (dsts.into_iter().zip(0u32..).collect(), table)
+            })
+            .unzip()
+    }
+
     #[test]
     fn superstep_zero_sends_messages_and_counts_them() {
         let (g, l) = two_worker_setup();
@@ -210,9 +253,11 @@ mod tests {
         assert_eq!(shard.counters.local_messages, 1);
         assert_eq!(shard.counters.remote_messages, 2);
         assert_eq!(shard.counters.total_message_bytes(), 12);
-        // Messages were routed by destination worker, in production order.
+        // Each vertex's payload was stored once, and its messages were
+        // routed by destination worker, in production order, as handles.
+        assert_eq!(shard.payloads, [0, 2]);
         assert_eq!(shard.routed[0], vec![(2, 0)]);
-        assert_eq!(shard.routed[1], vec![(1, 0), (3, 2)]);
+        assert_eq!(shard.routed[1], vec![(1, 0), (3, 1)]);
         // Both vertices voted to halt.
         assert!(shard.all_halted());
     }
@@ -241,9 +286,9 @@ mod tests {
         // Worker 1 owns vertices 1 and 3.
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 1);
         shard.halted = vec![true; 2];
-        let mut inbound = vec![vec![(3u32, 1u32), (3, 2)], Vec::new()];
-        shard.deliver(&program, &l, &mut inbound);
-        assert!(inbound[0].is_empty(), "inbound buffers must be drained");
+        let (mut handles, tables) = inbound(vec![vec![(3u32, 1u32), (3, 2)], Vec::new()]);
+        shard.deliver(&program, &l, &mut handles, &tables);
+        assert!(handles[0].is_empty(), "inbound buffers must be drained");
 
         shard.run_superstep(
             &program,
@@ -298,15 +343,17 @@ mod tests {
         let (g, l) = two_worker_setup();
         let program = MinIds;
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 1);
-        let mut inbound = vec![vec![(3u32, 9u32), (3, 4), (1, 7)], vec![(3, 6)]];
-        shard.deliver(&program, &l, &mut inbound);
-        assert!(inbound.iter().all(Vec::is_empty), "buffers must be drained");
+        let (mut handles, tables) = inbound(vec![vec![(3u32, 9u32), (3, 4), (1, 7)], vec![(3, 6)]]);
+        shard.deliver(&program, &l, &mut handles, &tables);
+        assert!(handles.iter().all(Vec::is_empty), "buffers must be drained");
+        assert_eq!(tables, [vec![9, 4, 7], vec![6]], "tables are only read");
         // Vertex 3 received 9, 4, 6 -> folded to the minimum on arrival.
         assert_eq!(shard.inbox.messages(l.slot_of(3)), [4]);
         // A single message is its own fold.
         assert_eq!(shard.inbox.messages(l.slot_of(1)), [7]);
         // A second delivery before compute keeps folding into the same slot.
-        shard.deliver(&program, &l, &mut [vec![(3u32, 2u32)], Vec::new()]);
+        let (mut handles, tables) = inbound(vec![vec![(3u32, 2u32)], Vec::new()]);
+        shard.deliver(&program, &l, &mut handles, &tables);
         assert_eq!(shard.inbox.messages(l.slot_of(3)), [2]);
 
         shard.halted = vec![true; 2];
@@ -327,8 +374,8 @@ mod tests {
         /// (source worker asc, production order) yields "((a+b)+c)+d".
         struct Trace;
         impl MessageCombiner<String> for Trace {
-            fn combine(&self, a: String, b: String) -> String {
-                format!("({a}+{b})")
+            fn combine(&self, acc: &mut String, msg: &String) {
+                *acc = format!("({acc}+{msg})");
             }
         }
         struct Traced;
@@ -350,13 +397,26 @@ mod tests {
         let (g, l) = two_worker_setup();
         let mut shard = WorkerShard::init(&Traced, WorkerGraph::Unified(&g), &l, 1);
         let msg = |dst: u32, m: &str| (dst, m.to_string());
-        let mut inbound = vec![
+        let (mut handles, tables) = inbound(vec![
             vec![msg(3, "a"), msg(1, "x"), msg(3, "b")],
             vec![msg(3, "c"), msg(3, "d")],
-        ];
-        shard.deliver(&Traced, &l, &mut inbound);
+        ]);
+        shard.deliver(&Traced, &l, &mut handles, &tables);
         assert_eq!(shard.inbox.messages(l.slot_of(3)), ["(((a+b)+c)+d)"]);
         assert_eq!(shard.inbox.messages(l.slot_of(1)), ["x"]);
+    }
+
+    #[test]
+    fn a_shared_payload_reaches_every_list_it_is_handed_to() {
+        let (g, l) = two_worker_setup();
+        let program = SumIds;
+        let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 1);
+        // One payload per source, each handed to both owned vertices.
+        let mut handles = vec![vec![(3u32, 0u32), (1, 0)], vec![(3, 0)]];
+        let tables = vec![vec![5u32], vec![8]];
+        shard.deliver(&program, &l, &mut handles, &tables);
+        assert_eq!(shard.inbox.messages(l.slot_of(3)), [5, 8]);
+        assert_eq!(shard.inbox.messages(l.slot_of(1)), [5]);
     }
 
     #[test]
@@ -376,6 +436,7 @@ mod tests {
         assert!(shard.outbox.is_empty(), "the scratch is emptied per vertex");
         let capacity = shard.outbox.capacity();
         assert!(capacity >= 2);
+        let payloads = shard.payloads.capacity();
         let routed: Vec<usize> = shard.routed.iter().map(Vec::capacity).collect();
         shard.routed.iter_mut().for_each(Vec::clear);
         shard.halted = vec![false; 2];
@@ -390,6 +451,16 @@ mod tests {
             shard.outbox.capacity(),
             capacity,
             "outbox scratch must be reused, not reallocated"
+        );
+        assert_eq!(
+            shard.payloads,
+            [0, 2],
+            "the table is cleared, then refilled"
+        );
+        assert_eq!(
+            shard.payloads.capacity(),
+            payloads,
+            "the payload table must be reused, not reallocated"
         );
         assert_eq!(
             shard.routed.iter().map(Vec::capacity).collect::<Vec<_>>(),

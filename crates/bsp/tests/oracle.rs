@@ -1,6 +1,7 @@
 //! The runtime against the oracle ([`reference::reference_run`]): the
-//! in-memory runtime — folding at delivery, sharing broadcast payloads,
-//! routing as it computes, fanning phases out over a pool — must produce the
+//! in-memory runtime — storing each payload once and routing handles,
+//! folding at delivery by reference (top-k included), routing as it
+//! computes, fanning phases out over a pool — must produce the
 //! reference run's vertex values and [`RunProfile`](predict_bsp::RunProfile)
 //! bit for bit, for every program of `predict_algorithms`, at every thread
 //! count.

@@ -7,11 +7,13 @@
 //! [`reference_run`] is Pregel as section 2.2 of the paper describes it,
 //! written down once with none of the runtime's machinery: one loop over the
 //! vertices, one message list per vertex holding every message in delivery
-//! order, **no combiner**, no shards, no buffers, no threads, no wire. An
-//! executor — folding at delivery for the programs that declare a combiner,
-//! sharing broadcast payloads, routing as it computes, fanning phases out
-//! over a pool, relaying batch sections between worker processes — must
-//! produce the same vertex values and the same [`RunProfile`] bit for bit.
+//! order, **no combiner**, no shards, no buffers, no threads, no wire; a
+//! payload handle a vertex sends is expanded back into a message of its own
+//! per destination. An executor — folding at delivery by reference for the
+//! programs that declare a combiner, storing each payload once and routing
+//! handles, routing as it computes, fanning phases out over a pool,
+//! relaying batch sections between worker processes — must produce the same
+//! vertex values and the same [`RunProfile`] bit for bit.
 //!
 //! What the oracle and an executor share on purpose: the program under test,
 //! the vertex-to-worker assignment ([`Partitioning`]) and the simulated clock
@@ -72,7 +74,7 @@ pub fn reference_run<P: VertexProgram>(
                 continue;
             }
             counters[w].active_vertices += 1;
-            let mut outbox = Vec::new();
+            let (mut payloads, mut outbox) = (Vec::new(), Vec::new());
             let mut vote = false;
             let mut ctx = ComputeContext {
                 vertex: v,
@@ -83,13 +85,16 @@ pub fn reference_run<P: VertexProgram>(
                 num_vertices: n,
                 num_edges: graph.num_edges(),
                 previous_aggregates: &previous,
+                payloads: &mut payloads,
                 outbox: &mut outbox,
                 partial_aggregates: &mut partials[w],
                 halted: &mut vote,
             };
             program.compute(&mut ctx, &incoming);
             halted[i] = vote;
-            for (dst, message) in outbox {
+            // Every handle expands back into a message of its own.
+            for (dst, handle) in outbox {
+                let message: P::Message = payloads[handle as usize].clone();
                 let bytes = program.message_size_bytes(&message);
                 counters[w].record_message(bytes, owner(dst) == w);
                 sent[w].push((dst, message));

@@ -35,12 +35,13 @@
 //!                                                         (src ascending)
 //! ```
 //!
-//! A worker writes each non-empty routed buffer as one section
-//! ([`encode_step_done`]). The driver decodes only the [`StepReport`] — what
+//! A worker writes each non-empty routed buffer of payload handles as one
+//! section ([`encode_step_done`]). The driver decodes only the [`StepReport`] — what
 //! the master merges — and each section's framing, then copies the section
 //! bytes verbatim into its destination's next `Step` ([`Relay`]); it decodes
 //! no message. The receiver decodes the sections into its per-source
-//! delivery rows ([`decode_step`]). So a corrupt *message* is found, and
+//! payload tables and delivery rows of handles ([`decode_step`]), each
+//! group's message once. So a corrupt *message* is found, and
 //! reported through an `Error` frame, by the worker that receives it, while
 //! corrupt *framing* is a protocol error of the worker that sent it.
 //!
@@ -246,14 +247,16 @@ impl Wire for StepReport {
 
 /// Writes the `StepDone` body of worker `me` into `out` (cleared first):
 /// `report`, then one batch section per non-empty peer buffer of `routed`,
-/// ascending destination, written straight from the buffer in production
-/// order. Written buffers are left empty with their capacity; `routed[me]`,
-/// whose messages never cross the wire, is not touched.
+/// ascending destination, written straight from the buffer of handles into
+/// `payloads` in production order. Written buffers are left empty with
+/// their capacity; `routed[me]`, whose messages never cross the wire, is not
+/// touched.
 pub fn encode_step_done<M: Wire>(
     out: &mut Vec<u8>,
     report: &StepReport,
     me: usize,
-    routed: &mut [Vec<(VertexId, M)>],
+    routed: &mut [Vec<(VertexId, u32)>],
+    payloads: &[M],
 ) {
     out.clear();
     report.encode(out);
@@ -270,7 +273,8 @@ pub fn encode_step_done<M: Wire>(
             dst: dst as u32,
             seq: report.superstep,
         };
-        write_section(out, header, buffer.iter().map(|(v, m)| (*v, m)));
+        let messages = buffer.iter().map(|&(v, h)| (v, h, &payloads[h as usize]));
+        write_section(out, header, messages);
         buffer.clear();
         count += 1;
     }
@@ -362,15 +366,18 @@ impl Relay {
 
 /// Decodes the `Step` body worker `me` of `layout` received: returns the
 /// superstep to compute and the previous superstep's aggregates, and appends
-/// each section's messages to `rows[src]`, one row per worker (`rows[me]` is
-/// not touched). Sections must come from distinct peers in ascending order,
-/// be addressed to `me`, date from the previous superstep and name only
-/// vertices `me` owns: anything else is an error, never a misdelivery.
-pub fn decode_step<M: Wire + Clone>(
+/// each section's payloads to `tables[src]` and its `(destination, handle)`
+/// pairs to `rows[src]`, one row and one table per worker (`rows[me]` and
+/// `tables[me]` are not touched). Sections must come from distinct peers in
+/// ascending order, be addressed to `me`, date from the previous superstep
+/// and name only vertices `me` owns: anything else is an error, never a
+/// misdelivery.
+pub fn decode_step<M: Wire>(
     body: &[u8],
     layout: &ShardLayout,
     me: usize,
-    rows: &mut [Vec<(VertexId, M)>],
+    rows: &mut [Vec<(VertexId, u32)>],
+    tables: &mut [Vec<M>],
 ) -> Result<(u64, Aggregates), WireError> {
     let mut r = Reader::new(body);
     let superstep = u64::decode(&mut r)?;
@@ -384,7 +391,7 @@ pub fn decode_step<M: Wire + Clone>(
         let framed = header.dst as usize == me
             && header.superstep.checked_add(1) == Some(superstep)
             && header.seq == header.superstep;
-        if !framed || src < next_src || src == me || src >= rows.len() {
+        if !framed || src < next_src || src == me || src >= rows.len().min(tables.len()) {
             return Err(WireError::Invalid(format!(
                 "section {header:?} in the superstep-{superstep} step of worker {me}"
             )));
@@ -392,7 +399,7 @@ pub fn decode_step<M: Wire + Clone>(
         next_src = src + 1;
         let row = &mut rows[src];
         let start = row.len();
-        section.decode_into(row)?;
+        section.decode_into(row, &mut tables[src])?;
         let foreign = row[start..]
             .iter()
             .find(|(v, _)| (*v as usize) >= layout.num_vertices() || layout.owner_of(*v) != me);
@@ -528,31 +535,41 @@ mod tests {
             all_halted: false,
             compute_ns: 12345,
         };
-        let sent: Vec<Vec<(VertexId, f64)>> = vec![
-            vec![(6, 0.5), (0, 0.5), (3, -0.0)],
-            vec![(4, 9.0)],
-            vec![(8, 0.25), (2, 0.25)],
+        let payloads = [0.5f64, -0.0, 9.0, 0.25];
+        let sent: Vec<Vec<(VertexId, u32)>> = vec![
+            vec![(6, 0), (0, 0), (3, 1)],
+            vec![(4, 2)],
+            vec![(8, 3), (2, 3)],
         ];
         let mut routed = sent.clone();
         let mut done = Vec::new();
-        encode_step_done(&mut done, &report, 1, &mut routed);
+        encode_step_done(&mut done, &report, 1, &mut routed, &payloads);
         assert!(routed[0].is_empty() && routed[2].is_empty());
         assert_eq!(routed[1], sent[1], "local messages stay home");
 
         let mut relay = Relay::new(3);
         assert_eq!(relay.collect(&done, 1, 4).unwrap(), report);
         assert!(relay.collect(&done, 1, 5).is_err(), "a stale barrier frame");
+        // Each message as `(destination, payload bits)`.
+        let expand = |row: &[(VertexId, u32)], table: &[f64]| -> Vec<(VertexId, u64)> {
+            row.iter()
+                .map(|&(v, h)| (v, table[h as usize].to_bits()))
+                .collect()
+        };
         let mut step = Vec::new();
         for dst in [0, 2] {
             relay.step_body(&mut step, dst, 5, &aggs);
-            let mut rows: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); 3];
-            let (superstep, previous) = decode_step(&step, &layout, dst, &mut rows).unwrap();
+            let mut rows = vec![Vec::new(); 3];
+            let mut tables: Vec<Vec<f64>> = vec![Vec::new(); 3];
+            let (superstep, previous) =
+                decode_step(&step, &layout, dst, &mut rows, &mut tables).unwrap();
             assert_eq!((superstep, previous), (5, aggs.clone()));
-            assert_eq!(rows[1], sent[dst]);
+            assert_eq!(expand(&rows[1], &tables[1]), expand(&sent[dst], &payloads));
             // The messages are for `dst`; nobody else may accept them.
             let other = 2 - dst;
-            let mut rows: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); 3];
-            assert!(decode_step(&step, &layout, other, &mut rows).is_err());
+            let mut rows = vec![Vec::new(); 3];
+            let mut tables: Vec<Vec<f64>> = vec![Vec::new(); 3];
+            assert!(decode_step(&step, &layout, other, &mut rows, &mut tables).is_err());
         }
         relay.step_body(&mut step, 0, 6, &aggs);
         assert_eq!(

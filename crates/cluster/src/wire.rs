@@ -14,9 +14,10 @@
 //! regrouped, so a receiver that appends them to its delivery row in section
 //! order sees what the in-memory delivery phase sees (point 8 of the
 //! `predict_bsp::runtime` determinism contract). The sender writes a section
-//! straight from its buffer ([`write_section`]); the driver relays it without
-//! looking past its header ([`read_section`]); the receiver decodes it once
-//! ([`Section::decode_into`]).
+//! straight from its buffer of payload handles ([`write_section`]); the
+//! driver relays it without looking past its header ([`read_section`]); the
+//! receiver decodes it once ([`Section::decode_into`]) into the same shape
+//! the sender held — a payload table and one handle per destination.
 //!
 //! ```text
 //!   section := version:u16  superstep:u64  src:u32  dst:u32  seq:u64
@@ -28,9 +29,11 @@
 //! A group is a run of consecutive messages whose *encodings* are
 //! byte-identical: the message is written once, followed by the destination
 //! vertices it goes to — a PageRank sender's rank share, a CC label, one
-//! shared top-k / semi-clustering / neighborhood slice. Encodings are
+//! broadcast top-k / semi-clustering / neighborhood list. Encodings are
 //! compared, never values, so `0.0` and `-0.0` (equal as floats) or two NaNs
-//! with different payloads never merge. `body_len` bounds every read of the
+//! with different payloads never merge. A run of one payload handle is one
+//! group without being compared at all, so the bytes are the same whether
+//! or not a sender shared its payloads. `body_len` bounds every read of the
 //! body, and a group's `count` is checked against the bytes left before
 //! anything is reserved for it.
 //!
@@ -212,9 +215,9 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-/// A shared slice — the broadcast payload of the top-k, semi-clustering and
-/// neighborhood programs — travels byte for byte as the `Vec<T>` holding the
-/// same items, and is decoded through it, bounds and all.
+/// A shared slice — the message of the semi-clustering and neighborhood
+/// programs — travels byte for byte as the `Vec<T>` holding the same items,
+/// and is decoded through it, bounds and all.
 impl<T: Wire> Wire for Arc<[T]> {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_items(self, out);
@@ -460,8 +463,16 @@ pub(crate) fn patch_u32(out: &mut [u8], at: usize, value: u32) {
 }
 
 /// Appends one batch section to `out`: `header`, then `messages` —
-/// `(destination vertex, message)` pairs in production order — as groups of
-/// byte-identical consecutive encodings (see the [module docs](self)).
+/// `(destination vertex, payload handle, payload)` triples in production
+/// order — as groups of byte-identical consecutive encodings (see the
+/// [module docs](self)).
+///
+/// Equal handles name the same payload: a message whose handle is its
+/// predecessor's joins the open group without being encoded, so a broadcast
+/// payload is encoded once however many destinations it has. A message with
+/// a new handle is encoded and byte-compared with the open group, so two
+/// payloads with equal encodings still share a group — the section does not
+/// depend on how the sender numbered its payloads.
 ///
 /// # Panics
 ///
@@ -470,7 +481,7 @@ pub(crate) fn patch_u32(out: &mut [u8], at: usize, value: u32) {
 pub fn write_section<'m, M: Wire + 'm>(
     out: &mut Vec<u8>,
     header: SectionHeader,
-    messages: impl IntoIterator<Item = (VertexId, &'m M)>,
+    messages: impl IntoIterator<Item = (VertexId, u32, &'m M)>,
 ) {
     WIRE_VERSION.encode(out);
     header.superstep.encode(out);
@@ -481,20 +492,25 @@ pub fn write_section<'m, M: Wire + 'm>(
     0u32.encode(out);
     let body_start = out.len();
     // The open group: its message bytes, where its count goes, the count
-    // (zero before the first message).
-    let (mut open, mut count_at, mut count) = (0..0, 0, 0u32);
-    for (vertex, message) in messages {
-        let start = out.len();
-        message.encode(out);
-        if count > 0 && same_bytes(&out[open.clone()], &out[start..]) {
-            out.truncate(start);
+    // (zero before the first message), the handle of its latest message.
+    let (mut open, mut count_at, mut count, mut last) = (0..0, 0, 0u32, 0u32);
+    for (vertex, handle, message) in messages {
+        if count > 0 && handle == last {
             count += 1;
         } else {
-            if count > 0 {
-                patch_u32(out, count_at, count);
+            let start = out.len();
+            message.encode(out);
+            if count > 0 && same_bytes(&out[open.clone()], &out[start..]) {
+                out.truncate(start);
+                count += 1;
+            } else {
+                if count > 0 {
+                    patch_u32(out, count_at, count);
+                }
+                (open, count_at, count) = (start..out.len(), out.len(), 1);
+                0u32.encode(out);
             }
-            (open, count_at, count) = (start..out.len(), out.len(), 1);
-            0u32.encode(out);
+            last = handle;
         }
         vertex.encode(out);
     }
@@ -544,13 +560,14 @@ pub fn read_section<'a>(r: &mut Reader<'a>) -> Result<Section<'a>, WireError> {
 }
 
 impl Section<'_> {
-    /// Decodes the section's groups, appending one `(destination vertex,
-    /// message)` pair per destination to `row`, in production order. A
-    /// group's message is decoded once and cloned per destination — for a
-    /// shared slice, a reference count.
-    pub fn decode_into<M: Wire + Clone>(
+    /// Decodes the section's groups in production order: `entry` takes each
+    /// group's message, decoded once, and returns what the group's
+    /// destinations carry; one `(destination vertex, entry)` pair per
+    /// destination is appended to `row`.
+    fn decode_groups<M: Wire, E: Clone>(
         &self,
-        row: &mut Vec<(VertexId, M)>,
+        row: &mut Vec<(VertexId, E)>,
+        mut entry: impl FnMut(M) -> Result<E, WireError>,
     ) -> Result<(), WireError> {
         let mut r = Reader::new(self.body);
         while !r.is_empty() {
@@ -563,13 +580,31 @@ impl Section<'_> {
             let what = "group destinations";
             let len = count.checked_mul(4).ok_or(WireError::Truncated { what })?;
             let vertices = r.take(len, what)?;
+            let entry = entry(message)?;
             row.reserve(count);
             for vertex in vertices.chunks_exact(4) {
                 let vertex = u32::from_le_bytes(vertex.try_into().expect("4-byte chunk"));
-                row.push((vertex, message.clone()));
+                row.push((vertex, entry.clone()));
             }
         }
         Ok(())
+    }
+
+    /// Decodes the section's groups: each group's message is decoded once
+    /// and appended to the payload `table`, and one `(destination vertex,
+    /// handle into table)` pair per destination is appended to `row`, in
+    /// production order.
+    pub fn decode_into<M: Wire>(
+        &self,
+        row: &mut Vec<(VertexId, u32)>,
+        table: &mut Vec<M>,
+    ) -> Result<(), WireError> {
+        self.decode_groups(row, |message| {
+            let handle = u32::try_from(table.len())
+                .map_err(|_| WireError::Invalid("more payloads than handles".into()))?;
+            table.push(message);
+            Ok(handle)
+        })
     }
 }
 
@@ -611,16 +646,21 @@ impl<M: Wire + Clone> Wire for WireBatch<M> {
             dst: self.dst,
             seq: self.seq,
         };
+        // A value holds no payload twice: every message gets a handle of its
+        // own, so groups come from byte comparison alone.
         let messages = self
             .runs
             .iter()
-            .flat_map(|(vertex, messages)| messages.iter().map(move |m| (*vertex, m)));
+            .flat_map(|(vertex, messages)| messages.iter().map(move |m| (*vertex, m)))
+            .zip(0u32..)
+            .map(|((vertex, m), handle)| (vertex, handle, m));
         write_section(out, header, messages);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let section = read_section(r)?;
+        // A value holds a message per destination: no table, no handles.
         let mut row: Vec<(VertexId, M)> = Vec::new();
-        section.decode_into(&mut row)?;
+        section.decode_groups(&mut row, Ok)?;
         let runs = row
             .chunk_by(|a, b| a.0 == b.0)
             .map(|run| (run[0].0, run.iter().map(|(_, m)| m.clone()).collect()))
@@ -716,8 +756,10 @@ mod tests {
 
     #[test]
     fn sections_keep_production_order_and_write_shared_encodings_once() {
-        let routed: Vec<(VertexId, f64)> =
-            vec![(5, 0.5), (2, 0.5), (9, 0.5), (5, 0.0), (2, -0.0), (7, -0.0)];
+        // Handles as a sender holds them: 0.5 stored once and handed to
+        // three vertices, then a second 0.5 payload, then 0.0 and -0.0.
+        let payloads = [0.5f64, 0.5, 0.0, -0.0];
+        let routed: Vec<(VertexId, u32)> = vec![(5, 0), (2, 0), (9, 1), (5, 2), (2, 3), (7, 3)];
         let header = SectionHeader {
             superstep: 3,
             src: 0,
@@ -725,25 +767,35 @@ mod tests {
             seq: 3,
         };
         let mut out = Vec::new();
-        write_section(&mut out, header, routed.iter().map(|(v, m)| (*v, m)));
-        // Behind the 30-byte header, three groups: 0.5 to three vertices,
-        // 0.0 to one, -0.0 to two.
+        let messages = routed.iter().map(|&(v, h)| (v, h, &payloads[h as usize]));
+        write_section(&mut out, header, messages);
+        // Behind the 30-byte header, three groups: 0.5 to three vertices
+        // (two payloads, equal bytes), 0.0 to one, -0.0 to two.
         let group = |vertices: usize| 8 + 4 + 4 * vertices;
         assert_eq!(out.len(), 30 + group(3) + group(1) + group(2));
+        // One handle per message writes the same bytes.
+        let mut unshared = Vec::new();
+        let messages = routed.iter().zip(0u32..);
+        write_section(
+            &mut unshared,
+            header,
+            messages.map(|(&(v, h), own)| (v, own, &payloads[h as usize])),
+        );
+        assert_eq!(unshared, out);
 
         let mut r = Reader::new(&out);
         let section = read_section(&mut r).unwrap();
         assert!(r.is_empty());
         assert_eq!(section.header, header);
         assert_eq!(section.raw, &out[..]);
-        let mut row: Vec<(VertexId, f64)> = vec![(1, 1.0)];
-        section.decode_into(&mut row).unwrap();
-        let bits = |row: &[(VertexId, f64)]| -> Vec<(VertexId, u64)> {
-            row.iter().map(|(v, m)| (*v, m.to_bits())).collect()
-        };
+        let (mut row, mut table): (Vec<(VertexId, u32)>, Vec<f64>) = (vec![(1, 0)], vec![1.0]);
+        section.decode_into(&mut row, &mut table).unwrap();
+        // One payload per group, appended behind what the table held.
+        let bits: Vec<u64> = table.iter().map(|m| m.to_bits()).collect();
+        assert_eq!(bits, [1.0f64, 0.5, 0.0, -0.0].map(f64::to_bits));
         assert_eq!(
-            bits(&row[1..]),
-            bits(&routed),
+            row[1..],
+            [(5, 1), (2, 1), (9, 1), (5, 2), (2, 3), (7, 3)],
             "appended in production order"
         );
 

@@ -9,14 +9,16 @@
 //! aggregates, halt vote — is what the shared master loop
 //! (`predict_bsp::run_master`) merges. The only difference from an
 //! in-memory shard is *where* the buffers come from: peer messages arrive
-//! as batch sections, decoded straight into per-source delivery rows the
-//! episode reuses across supersteps ([`protocol::decode_step`]), and leave
-//! as sections written straight from the routed buffers
+//! as batch sections, decoded straight into per-source payload tables and
+//! delivery rows of handles the episode reuses across supersteps
+//! ([`protocol::decode_step`]), and leave as sections written straight from
+//! the routed buffers and the shard's payload table
 //! ([`protocol::encode_step_done`]) instead of swapped `Vec`s. The worker's
-//! messages to itself never cross the wire at all: its own routed buffer
-//! becomes its own row, delivered at its own position, so every row holds
-//! exactly what the in-memory transpose would have put there, in production
-//! order (determinism contract point 8).
+//! messages to itself never cross the wire at all: its own routed buffer and
+//! payload table become its own row and table, kept until the next step's
+//! delivery reads them at its own position, so every row holds exactly
+//! what the in-memory transpose would have put there, in production order
+//! (determinism contract point 8).
 //!
 //! The loop structure (see [`crate::protocol`]): wait for `Init`, serve one
 //! episode of `Step`/`StepDone` rounds until `Finish`/`Values`, loop back to
@@ -110,10 +112,12 @@ where
     let mut state: WorkerShard<P> = WorkerShard::init(program, graph, &layout, me);
     let fault = header.fault.unwrap_or_default();
 
-    // Delivery rows, one per source worker, drained by every delivery and
-    // refilled by the next `Step`; `rows[me]` holds what this worker sent
-    // itself last superstep.
-    let mut rows: Vec<Vec<(VertexId, P::Message)>> = (0..num_workers).map(|_| Vec::new()).collect();
+    // Delivery rows of payload handles and the payload tables they index,
+    // one of each per source worker. Rows are drained by every delivery,
+    // tables cleared after it, both refilled by the next `Step`; `rows[me]`
+    // and `tables[me]` hold what this worker sent itself last superstep.
+    let mut rows: Vec<Vec<(VertexId, u32)>> = (0..num_workers).map(|_| Vec::new()).collect();
+    let mut tables: Vec<Vec<P::Message>> = (0..num_workers).map(|_| Vec::new()).collect();
     let mut done = Vec::new();
 
     // Supersteps are strictly sequential; a `Step` that skips ahead or
@@ -133,7 +137,7 @@ where
         match frame {
             (tag::STEP, body) => {
                 let (step, previous_aggregates) =
-                    match protocol::decode_step(&body, &layout, me, &mut rows) {
+                    match protocol::decode_step(&body, &layout, me, &mut rows, &mut tables) {
                         Ok(step) => step,
                         Err(e) => return fail(ep, format!("bad step frame: {e}")),
                     };
@@ -148,18 +152,22 @@ where
                 inject_fault(&fault, superstep, standalone)?;
 
                 // Delivery phase: ascending source worker, this worker's own
-                // messages at its own position.
-                state.deliver(program, &layout, &mut rows);
+                // messages at its own position. Then every payload has been
+                // delivered.
+                state.deliver(program, &layout, &mut rows, &tables);
+                tables.iter_mut().for_each(Vec::clear);
 
                 // Compute phase, measured.
                 let start = Instant::now();
                 state.run_superstep(program, graph, &layout, superstep, &previous_aggregates);
                 let compute_ns = start.elapsed().as_nanos() as u64;
 
-                // Keep local messages as next superstep's own row (the
-                // drained row's capacity goes back to the routed buffer);
-                // write everything bound for peers.
+                // Keep local messages and the payload table as next
+                // superstep's own row and table (the drained row's and the
+                // cleared table's capacity go back to the shard); write
+                // everything bound for peers.
                 std::mem::swap(&mut rows[me], &mut state.routed[me]);
+                std::mem::swap(&mut tables[me], &mut state.payloads);
                 let report = StepReport {
                     superstep: step,
                     counters: state.counters,
@@ -167,7 +175,7 @@ where
                     all_halted: state.all_halted(),
                     compute_ns,
                 };
-                protocol::encode_step_done(&mut done, &report, me, &mut state.routed);
+                protocol::encode_step_done(&mut done, &report, me, &mut state.routed, &tables[me]);
                 ep.send(tag::STEP_DONE, &done)
                     .map_err(|e| format!("sending step-done: {e}"))?;
             }

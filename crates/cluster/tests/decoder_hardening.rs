@@ -6,28 +6,26 @@
 //! `WireError` before anything is reserved for it.
 //!
 //! The bodies are real: captured from pinned PageRank and top-k drives by a
-//! recording endpoint between each worker's serve loop and its socket.
+//! recording endpoint between each worker's serve loop and its socket. The
+//! `Step` decoder under test is the one a worker runs: it builds per-source
+//! payload tables and rows of handles into them.
 //!
 //! One test function on purpose: the allocation high-water mark is read
 //! from a counting global allocator, which every thread of the test binary
 //! shares.
 
+mod recording;
+
 use predict_algorithms::{PageRank, PageRankParams, TopKParams, TopKRanking};
 use predict_bsp::runtime::ShardLayout;
 use predict_bsp::{BspConfig, VertexProgram};
-use predict_cluster::endpoint::Frame;
 use predict_cluster::protocol::{decode_step, tag, Relay};
 use predict_cluster::wire::Reader;
-use predict_cluster::{
-    drive_on, encode_to_vec, serve, ClusterError, Connection, DriveOptions, Endpoint, ProgramSpec,
-    StreamEndpoint, TransportKind, Wire, WireError, WorkerGroup,
-};
+use predict_cluster::{encode_to_vec, ProgramSpec, TransportKind, Wire, WireError};
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_graph::{CsrGraph, VertexId};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Largest single allocation requested since the last reset.
 static LARGEST_ALLOCATION: AtomicUsize = AtomicUsize::new(0);
@@ -62,34 +60,6 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const WORKERS: usize = 3;
 
-/// Frames one worker received (`false`) and sent (`true`), in order.
-type Log = Arc<Mutex<Vec<(bool, Frame)>>>;
-
-/// A worker endpoint that logs every frame passing through it.
-struct Recording<E> {
-    inner: E,
-    log: Log,
-}
-
-impl<E: Endpoint> Endpoint for Recording<E> {
-    fn send(&mut self, tag: u8, body: &[u8]) -> std::io::Result<()> {
-        let frame = (tag, body.to_vec());
-        self.log.lock().expect("log lock").push((true, frame));
-        self.inner.send(tag, body)
-    }
-
-    fn recv(&mut self) -> std::io::Result<Option<Frame>> {
-        let frame = self.inner.recv()?;
-        if let Some(frame) = &frame {
-            self.log
-                .lock()
-                .expect("log lock")
-                .push((false, frame.clone()));
-        }
-        Ok(frame)
-    }
-}
-
 /// Drives `program` on `WORKERS` recording serve loops and returns worker
 /// 0's superstep-1 `Step` body and superstep-1 `StepDone` body.
 fn capture<P>(program: &P, spec: &ProgramSpec, ranks: &[f64], graph: &CsrGraph) -> [Vec<u8>; 2]
@@ -97,32 +67,12 @@ where
     P: VertexProgram,
     P::VertexValue: Wire,
 {
-    let logs: Vec<Log> = (0..WORKERS).map(|_| Log::default()).collect();
-    let mut serving = Vec::new();
-    let group = WorkerGroup::spawn_with(TransportKind::Socket, WORKERS, |w| {
-        let (driver_side, worker_side) = UnixStream::pair().map_err(|e| ClusterError::Spawn {
-            worker: w,
-            detail: e.to_string(),
-        })?;
-        let log = Arc::clone(&logs[w]);
-        serving.push(std::thread::spawn(move || {
-            let reader = worker_side.try_clone().expect("cloning the worker socket");
-            let inner = StreamEndpoint::new(reader, worker_side);
-            serve(&mut Recording { inner, log }, false)
-        }));
-        Connection::from_socket_stream(w, driver_side)
-    })
-    .expect("recording group builds");
     let config = BspConfig::with_workers(WORKERS);
-    let opts = DriveOptions::new(TransportKind::Socket);
-    drive_on(program, spec, ranks, graph, &config, &opts, group).expect("recorded drive");
-    for serve_loop in serving {
-        let served = serve_loop.join().expect("serve loop does not panic");
-        served.expect("serve loop ends cleanly");
-    }
-    let log = logs[0].lock().expect("log lock");
+    let logs = recording::record(TransportKind::Socket, program, spec, ranks, graph, &config);
     let body = |sent: bool, want: u8| {
-        let frames = log.iter().filter(|(s, (t, _))| *s == sent && *t == want);
+        let frames = logs[0]
+            .iter()
+            .filter(|(s, (t, _))| *s == sent && *t == want);
         frames.map(|(_, (_, body))| body.clone()).nth(1)
     };
     let step = body(false, tag::STEP).expect("a superstep-1 step");
@@ -131,8 +81,9 @@ where
 }
 
 /// Runs `decode` with the allocation high-water mark reset and checks the
-/// mark against the bytes present: a decoded row entry is at most 24 bytes
-/// per 4-byte destination and a decoded top-k entry 16 bytes per 12 on the
+/// mark against the bytes present: a row of handles holds 8 bytes per
+/// 4-byte destination, a payload table one decoded message per group of at
+/// least 12 bytes, and a decoded top-k entry takes 16 bytes per 12 on the
 /// wire, so 16x the body, plus slack for small bookkeeping vectors, bounds
 /// every honest or corrupt decode.
 fn bounded<T>(bytes: usize, decode: impl FnOnce() -> T) -> T {
@@ -209,11 +160,12 @@ fn hammer(body: &[u8], fields: &[usize], decode: impl Fn(&[u8]) -> Result<(), Wi
 /// its captured `StepDone`, relayed as worker 0's superstep-1 reply and then
 /// decoded by each peer it addresses — the relay checks only framing, so a
 /// corrupt message or group count must be caught by its receiver.
-fn hammer_bodies<M: Wire + Clone>(bodies: &[Vec<u8>; 2], layout: &ShardLayout) {
+fn hammer_bodies<M: Wire>(bodies: &[Vec<u8>; 2], layout: &ShardLayout) {
     let [step, done] = bodies;
     let decode_as = |body: &[u8], me: usize| {
-        let mut rows: Vec<Vec<(VertexId, M)>> = vec![Vec::new(); WORKERS];
-        decode_step(body, layout, me, &mut rows).map(|(_, aggregates)| aggregates)
+        let mut rows: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); WORKERS];
+        let mut tables: Vec<Vec<M>> = (0..WORKERS).map(|_| Vec::new()).collect();
+        decode_step(body, layout, me, &mut rows, &mut tables).map(|(_, aggregates)| aggregates)
     };
     let aggregates = decode_as(step, 0).expect("the captured step decodes");
     let head = 8 + encode_to_vec(&aggregates).len();

@@ -1,17 +1,18 @@
 //! Property-based tests of the cluster wire format: batch round-trips for
 //! all five workload message types, plus rejection of truncated and
-//! version-mismatched payloads. The three broadcast payloads (top-k,
-//! semi-clustering, neighborhood) are shared slices, `Arc<[T]>`, which must
-//! be the `Vec<T>` of the same items on the wire: same bytes, same
-//! rejections.
+//! version-mismatched payloads. The semi-clustering and neighborhood
+//! messages are shared slices, `Arc<[T]>`, which must be the `Vec<T>` of the
+//! same items on the wire: same bytes, same rejections.
 //!
 //! Round-trips are asserted at the byte level (`encode(decode(bytes)) ==
 //! bytes`), which is both stronger than value equality and insensitive to
-//! float comparison subtleties. The section property goes the other way,
-//! from a routed buffer: what a receiver decodes is the sender's list, in
-//! order, bit for bit — across runs of identical messages (written once)
-//! next to messages that compare equal but encode differently (`0.0` /
-//! `-0.0`) or compare unequal but share a bit pattern (NaN).
+//! float comparison subtleties. The section properties go the other way,
+//! from a routed buffer of payload handles: what a receiver decodes is the
+//! sender's list, in order, bit for bit — across runs of one payload
+//! (written once) next to messages that compare equal but encode
+//! differently (`0.0` / `-0.0`) or compare unequal but share a bit pattern
+//! (NaN) — and the bytes do not depend on whether the sender shared its
+//! payloads.
 
 use predict_algorithms::SemiCluster;
 use predict_cluster::wire::{read_section, write_section, Reader, SectionHeader};
@@ -181,11 +182,40 @@ fn routed_runs() -> impl Strategy<Value = Vec<(u32, usize, usize)>> {
     prop::collection::vec((0u32..4_096, 0usize..PALETTE.len(), 1usize..65), 0..24)
 }
 
-/// A top-k message: one shared ranking.
-type Ranking = Arc<[(f64, VertexId)]>;
+/// A top-k message: one ranking.
+type Ranking = Vec<(f64, VertexId)>;
 
-/// Writes `routed` as one section and reads it back through the framing.
-fn section_round_trip<M: Wire + Clone>(routed: &[(u32, M)]) -> (Vec<u8>, Vec<(u32, M)>) {
+/// A routed buffer as a broadcasting sender holds it: one payload per run
+/// of `runs` (built by `payload` from the run's first vertex and palette
+/// index), handed to the run's consecutive vertices by handle.
+fn routed<M>(
+    runs: &[(u32, usize, usize)],
+    payload: impl Fn(u32, usize) -> M,
+) -> (Vec<M>, Vec<(u32, u32)>) {
+    let payloads = runs.iter().map(|&(v, p, _)| payload(v, p)).collect();
+    let handles = runs
+        .iter()
+        .zip(0u32..)
+        .flat_map(|(&(v, _, len), handle)| (0..len as u32).map(move |i| (v + i, handle)));
+    (payloads, handles.collect())
+}
+
+/// Each message of a routed buffer as the bytes of its payload.
+fn expand<M: Wire>(payloads: &[M], routed: &[(u32, u32)]) -> Vec<(u32, Vec<u8>)> {
+    routed
+        .iter()
+        .map(|&(v, h)| (v, encode_to_vec(&payloads[h as usize])))
+        .collect()
+}
+
+/// Writes `routed` as one section — with its handles, or with one handle
+/// per message as if nothing were shared — and reads it back through the
+/// framing: the bytes, then the decoded table and row of handles.
+fn section_round_trip<M: Wire>(
+    payloads: &[M],
+    routed: &[(u32, u32)],
+    shared: bool,
+) -> (Vec<u8>, Vec<M>, Vec<(u32, u32)>) {
     let header = SectionHeader {
         superstep: 7,
         src: 1,
@@ -193,15 +223,19 @@ fn section_round_trip<M: Wire + Clone>(routed: &[(u32, M)]) -> (Vec<u8>, Vec<(u3
         seq: 7,
     };
     let mut bytes = Vec::new();
-    write_section(&mut bytes, header, routed.iter().map(|(v, m)| (*v, m)));
+    let messages = routed.iter().zip(0u32..).map(|(&(v, h), own)| {
+        let handle = if shared { h } else { own };
+        (v, handle, &payloads[h as usize])
+    });
+    write_section(&mut bytes, header, messages);
     let mut r = Reader::new(&bytes);
     let section = read_section(&mut r).expect("a written section reads");
     assert!(r.is_empty() && section.header == header && section.raw == &bytes[..]);
-    let mut row = Vec::new();
+    let (mut table, mut row) = (Vec::new(), Vec::new());
     section
-        .decode_into(&mut row)
+        .decode_into(&mut row, &mut table)
         .expect("a written section decodes");
-    (bytes, row)
+    (bytes, table, row)
 }
 
 proptest! {
@@ -209,40 +243,37 @@ proptest! {
 
     /// Plain floats (PageRank, SSSP): the decoded list is the routed list
     /// bit for bit, and each maximal run of equal *bit patterns* is one
-    /// group — so identical messages are written once and `0.0` / `-0.0` /
-    /// NaN payloads never merge.
+    /// group, decoded to one payload — so identical messages are written
+    /// once and `0.0` / `-0.0` / NaN payloads never merge, whether or not
+    /// the sender shared them.
     #[test]
     fn sections_decode_to_the_routed_list_bit_for_bit(runs in routed_runs()) {
-        let routed: Vec<(u32, f64)> = runs
-            .iter()
-            .flat_map(|&(v, p, len)| (0..len as u32).map(move |i| (v + i, f64::from_bits(PALETTE[p]))))
-            .collect();
-        let (bytes, row) = section_round_trip(&routed);
-        let bits = |list: &[(u32, f64)]| list.iter().map(|(v, m)| (*v, m.to_bits())).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&row), bits(&routed));
-        let groups = routed.chunk_by(|a, b| a.1.to_bits() == b.1.to_bits());
-        let body: usize = groups.map(|g| 8 + 4 + 4 * g.len()).sum();
+        let (payloads, routed) = routed(&runs, |_, p| f64::from_bits(PALETTE[p]));
+        let (bytes, table, row) = section_round_trip(&payloads, &routed, true);
+        prop_assert_eq!(expand(&table, &row), expand(&payloads, &routed));
+        let groups = routed.chunk_by(|a, b| {
+            payloads[a.1 as usize].to_bits() == payloads[b.1 as usize].to_bits()
+        });
+        let groups: Vec<usize> = groups.map(<[_]>::len).collect();
+        prop_assert_eq!(table.len(), groups.len());
+        let body: usize = groups.iter().map(|len| 8 + 4 + 4 * len).sum();
         prop_assert_eq!(bytes.len(), 30 + body);
+        let (unshared, _, _) = section_round_trip(&payloads, &routed, false);
+        prop_assert_eq!(unshared, bytes);
     }
 
-    /// Shared slices (top-k): one `Arc` per run, as a broadcasting sender
-    /// produces, with the confusable floats inside the entries.
+    /// Top-k rankings, one per run as a broadcasting sender stores them,
+    /// with the confusable floats inside the entries: decoded to the routed
+    /// list, and written to the bytes the same list gives with nothing
+    /// shared.
     #[test]
     fn shared_payload_sections_decode_to_the_routed_list(runs in routed_runs()) {
-        let routed: Vec<(u32, Ranking)> = runs
-            .iter()
-            .flat_map(|&(v, p, len)| {
-                let shared: Ranking = vec![(f64::from_bits(PALETTE[p]), v)].into();
-                (0..len as u32).map(move |i| (v + i, Arc::clone(&shared)))
-            })
-            .collect();
-        let (_, row) = section_round_trip(&routed);
-        let bits = |list: &[(u32, Ranking)]| {
-            list.iter()
-                .map(|(v, m)| (*v, m.iter().map(|(r, u)| (r.to_bits(), *u)).collect::<Vec<_>>()))
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(bits(&row), bits(&routed));
+        let (payloads, routed) =
+            routed(&runs, |v, p| -> Ranking { vec![(f64::from_bits(PALETTE[p]), v)] });
+        let (bytes, table, row) = section_round_trip(&payloads, &routed, true);
+        prop_assert_eq!(expand(&table, &row), expand(&payloads, &routed));
+        let (unshared, _, _) = section_round_trip(&payloads, &routed, false);
+        prop_assert_eq!(unshared, bytes);
     }
 
     /// PageRank messages: plain `f64` rank contributions.
@@ -251,7 +282,8 @@ proptest! {
         check_batch_payload(&b, cut)?;
     }
 
-    /// Top-k messages: shared lists of `(rank, vertex)` entries.
+    /// Top-k messages: lists of `(rank, vertex)` entries, and their shared
+    /// twins.
     #[test]
     fn topk_batches_round_trip(
         b in batch(prop::collection::vec((wide_f64(), 0u32..10_000), 0..5)),

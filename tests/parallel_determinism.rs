@@ -1,45 +1,11 @@
-//! Integration tests for the parallel runtime's determinism contract: the
-//! `RunProfile` of a workload — counters, aggregates and simulated timings —
+//! Integration test for the parallel runtime's determinism contract, end to
+//! end: a full prediction — sampling, sample runs, training, extrapolation —
 //! serializes to byte-identical JSON no matter how many OS threads execute
-//! the superstep phases (see `predict_bsp::runtime`).
+//! the superstep phases (see `predict_bsp::runtime`). Engine runs alone are
+//! held to the same contract program by program, thread count by thread
+//! count, by the oracle suite (`crates/bsp/tests/oracle.rs`).
 
 use predict_repro::prelude::*;
-
-/// Runs `workload` on `graph` under the given execution mode and returns the
-/// profile serialized to JSON (the byte-level representation the history
-/// store and experiment harness persist).
-fn profile_json(workload: &dyn Workload, graph: &CsrGraph, mode: ExecutionMode) -> String {
-    let engine = BspEngine::new(BspConfig::with_workers(8).with_execution(mode));
-    let run = workload.run(&engine, graph);
-    run.profile.to_json().expect("profile serializes")
-}
-
-fn assert_thread_count_invariant(workload: &dyn Workload, graph: &CsrGraph) {
-    let sequential = profile_json(workload, graph, ExecutionMode::Sequential);
-    for threads in [1usize, 2, 4] {
-        let parallel = profile_json(workload, graph, ExecutionMode::Parallel { threads });
-        assert_eq!(
-            sequential,
-            parallel,
-            "{} profile diverged at {threads} threads",
-            workload.name()
-        );
-    }
-}
-
-#[test]
-fn pagerank_profile_is_byte_identical_across_thread_counts() {
-    let graph = Dataset::Wikipedia.load_small();
-    let workload = PageRankWorkload::with_epsilon(0.01, graph.num_vertices());
-    assert_thread_count_invariant(&workload, &graph);
-}
-
-#[test]
-fn semi_clustering_profile_is_byte_identical_across_thread_counts() {
-    let graph = Dataset::LiveJournal.load_small();
-    let workload = SemiClusteringWorkload::default();
-    assert_thread_count_invariant(&workload, &graph);
-}
 
 #[test]
 fn end_to_end_prediction_is_byte_identical_across_thread_counts() {
