@@ -14,8 +14,7 @@ use predict_graph::datasets::Dataset;
 use predict_sampling::{BiasedRandomJump, Sampler};
 use std::sync::Arc;
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let sampler: Arc<dyn Sampler> = Arc::new(BiasedRandomJump::default());
     let ratios = [0.05, 0.1, 0.2];
     let datasets = [Dataset::Wikipedia, Dataset::Uk2002];
@@ -61,5 +60,5 @@ fn main() {
         }
         payload.push(serde_json::json!({"transform": label, "points": points}));
     }
-    table.emit("ablation_transform", &payload);
+    table.emit("ablation_transform", &payload)
 }

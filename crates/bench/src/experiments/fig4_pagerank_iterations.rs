@@ -16,8 +16,7 @@ use predict_graph::datasets::Dataset;
 use predict_sampling::{BiasedRandomJump, Sampler};
 use std::sync::Arc;
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let sampler: Arc<dyn Sampler> = Arc::new(BiasedRandomJump::default());
     let mut all_points: Vec<(f64, Vec<PredictionPoint>)> = Vec::new();
 
@@ -63,5 +62,5 @@ fn main() {
                 .map(move |p| serde_json::json!({"epsilon": e, "point": p}))
         })
         .collect();
-    table.emit("fig4_pagerank_iterations", &flat);
+    table.emit("fig4_pagerank_iterations", &flat)
 }

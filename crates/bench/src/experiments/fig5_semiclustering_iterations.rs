@@ -16,8 +16,7 @@ use predict_graph::datasets::Dataset;
 use predict_sampling::{BiasedRandomJump, Sampler};
 use std::sync::Arc;
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let sampler: Arc<dyn Sampler> = Arc::new(BiasedRandomJump::default());
     let datasets = [Dataset::LiveJournal, Dataset::Wikipedia, Dataset::Uk2002];
     let mut all_points: Vec<(f64, Vec<PredictionPoint>)> = Vec::new();
@@ -69,5 +68,5 @@ fn main() {
                 .map(move |p| serde_json::json!({"tau": t, "point": p}))
         })
         .collect();
-    table.emit("fig5_semiclustering_iterations", &flat);
+    table.emit("fig5_semiclustering_iterations", &flat)
 }

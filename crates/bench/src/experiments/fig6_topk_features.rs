@@ -15,8 +15,7 @@ use predict_graph::datasets::Dataset;
 use predict_sampling::{BiasedRandomJump, Sampler};
 use std::sync::Arc;
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let sampler: Arc<dyn Sampler> = Arc::new(BiasedRandomJump::default());
     let datasets = [Dataset::LiveJournal, Dataset::Wikipedia, Dataset::Uk2002];
 
@@ -50,5 +49,5 @@ fn main() {
             pct(p.remote_bytes_error),
         ]);
     }
-    table.emit("fig6_topk_features", &points);
+    table.emit("fig6_topk_features", &points)
 }

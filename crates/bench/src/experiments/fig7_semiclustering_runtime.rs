@@ -41,8 +41,7 @@ fn sweep(history: HistoryMode) -> Vec<PredictionPoint> {
     )
 }
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let without_history = sweep(HistoryMode::SampleRunsOnly);
     let with_history = sweep(HistoryMode::WithHistory);
 
@@ -78,5 +77,5 @@ fn main() {
         "sample_only": without_history,
         "with_history": with_history,
     });
-    table.emit("fig7_semiclustering_runtime", &payload);
+    table.emit("fig7_semiclustering_runtime", &payload)
 }

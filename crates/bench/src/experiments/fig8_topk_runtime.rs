@@ -34,8 +34,7 @@ fn sweep(history: HistoryMode) -> Vec<PredictionPoint> {
     )
 }
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let without_history = sweep(HistoryMode::SampleRunsOnly);
     let with_history = sweep(HistoryMode::WithHistory);
 
@@ -71,5 +70,5 @@ fn main() {
         "sample_only": without_history,
         "with_history": with_history,
     });
-    table.emit("fig8_topk_runtime", &payload);
+    table.emit("fig8_topk_runtime", &payload)
 }

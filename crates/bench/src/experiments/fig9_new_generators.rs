@@ -1,7 +1,7 @@
 //! Figure 9 extension: sampling-technique sensitivity on the new generators.
 //!
 //! Figure 9 of the paper compares BRJ / RJ / MHRW on the UK web analog; this
-//! binary runs the same comparison on the datasets *outside* the paper's
+//! experiment runs the same comparison on the datasets *outside* the paper's
 //! power-law regime — the grid road network, the bipartite web graph and the
 //! degree-corrected block model — using the PageRank iteration-prediction
 //! pipeline. These are the structures where the techniques genuinely
@@ -37,8 +37,7 @@ fn sweep(sampler: Arc<dyn Sampler>) -> Vec<PredictionPoint> {
     )
 }
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let samplers: [(&str, Arc<dyn Sampler>); 3] = [
         ("BRJ", Arc::new(BiasedRandomJump::default())),
         ("RJ", Arc::new(RandomJump::default())),
@@ -77,5 +76,5 @@ fn main() {
             "points": points,
         }));
     }
-    table.emit("fig9_new_generators", &payload);
+    table.emit("fig9_new_generators", &payload)
 }

@@ -32,8 +32,7 @@ fn sweep(
     )
 }
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let samplers: [(&str, Arc<dyn Sampler>); 3] = [
         ("BRJ", Arc::new(BiasedRandomJump::default())),
         ("RJ", Arc::new(RandomJump::default())),
@@ -88,5 +87,5 @@ fn main() {
             }));
         }
     }
-    table.emit("fig9_sampling_sensitivity", &payload);
+    table.emit("fig9_sampling_sensitivity", &payload)
 }

@@ -12,8 +12,7 @@ use predict_graph::datasets::Dataset;
 use predict_sampling::{BiasedRandomJump, Sampler};
 use std::sync::Arc;
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let sampler: Arc<dyn Sampler> = Arc::new(BiasedRandomJump::default());
     let ratios = [0.05, 0.1, 0.15, 0.2, 0.25];
 
@@ -68,5 +67,5 @@ fn main() {
         }
         payload.push(serde_json::json!({"variant": label, "points": points}));
     }
-    table.emit("semiclustering_sensitivity", &payload);
+    table.emit("semiclustering_sensitivity", &payload)
 }

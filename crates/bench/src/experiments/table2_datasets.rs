@@ -8,8 +8,7 @@
 use predict_bench::{experiment_scale, ResultTable};
 use predict_graph::datasets::table2_summary;
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let scale = experiment_scale();
     let rows = table2_summary(scale);
 
@@ -65,5 +64,5 @@ fn main() {
             })
         })
         .collect();
-    table.emit("table2_datasets", &points);
+    table.emit("table2_datasets", &points)
 }

@@ -1,7 +1,7 @@
 //! Table 2 extension: characteristics of the datasets beyond the paper.
 //!
 //! The paper's Table 2 covers four power-law-adjacent web/social graphs; this
-//! binary prints the same characteristics table for the extended analogs the
+//! experiment prints the same characteristics table for the extended analogs the
 //! reproduction adds — the grid road network (huge diameter, no hubs), the
 //! bipartite web graph (two-mode mixture distribution) and the
 //! degree-corrected block model (communities plus heavy tails). Together with
@@ -11,8 +11,7 @@
 use predict_bench::{experiment_scale, ResultTable};
 use predict_graph::datasets::{dataset_summary, Dataset};
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let scale = experiment_scale();
     let rows = dataset_summary(&Dataset::EXTENDED, scale);
 
@@ -65,5 +64,5 @@ fn main() {
             })
         })
         .collect();
-    table.emit("table2_new_datasets", &points);
+    table.emit("table2_new_datasets", &points)
 }

@@ -17,8 +17,7 @@ use predict_graph::CsrGraph;
 use predict_sampling::{BiasedRandomJump, Sampler};
 use std::sync::Arc;
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let sampler: Arc<dyn Sampler> = Arc::new(BiasedRandomJump::default());
     let ratios = [0.01, 0.1, 0.2];
 
@@ -108,5 +107,5 @@ fn main() {
             "overhead_at_0.1": overhead,
         }));
     }
-    table.emit("table3_overhead", &payload);
+    table.emit("table3_overhead", &payload)
 }

@@ -3,7 +3,7 @@
 //!
 //! The Langville & Meyer bound `log10(ε) / log10(d)` ignores the input
 //! dataset, so the paper shows it over-estimates the measured iteration count
-//! by 2–3.5x; PREDIcT's sample-run estimate is far tighter. This binary
+//! by 2–3.5x; PREDIcT's sample-run estimate is far tighter. This experiment
 //! reports the bound, the actual iteration count on every dataset analog, and
 //! PREDIcT's estimate from a 10% BRJ sample.
 
@@ -16,8 +16,7 @@ use predict_graph::datasets::Dataset;
 use predict_sampling::BiasedRandomJump;
 use std::sync::Arc;
 
-fn main() {
-    let _obs = predict_bench::observability_guard();
+pub fn run() -> std::io::Result<()> {
     let scale = experiment_scale();
     let service = PredictService::new(experiment_engine(), Arc::new(BiasedRandomJump::default()));
     let damping = 0.85;
@@ -74,5 +73,5 @@ fn main() {
             }));
         }
     }
-    table.emit("upper_bounds", &payload);
+    table.emit("upper_bounds", &payload)
 }

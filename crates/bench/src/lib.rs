@@ -1,9 +1,10 @@
-//! Shared harness for the experiment binaries that regenerate every table and
-//! figure of the paper.
+//! Shared harness for the experiments that regenerate every table and figure
+//! of the paper.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure (the
-//! architecture book, `docs/ARCHITECTURE.md`, has the index). They all
-//! follow the same protocol, which this library factors out:
+//! Each experiment is a subcommand of the `predict_bench` binary and
+//! reproduces one table or figure (the architecture book,
+//! `docs/ARCHITECTURE.md`, has the index). They all follow the same
+//! protocol, which this library factors out:
 //!
 //! 1. build the dataset analogs (Table 2) at the scale selected by the
 //!    `PREDICT_SCALE` environment variable (`small`, `default` or `large`);
@@ -23,13 +24,14 @@ use predict_graph::datasets::{Dataset, DatasetConfig, DatasetScale};
 use predict_graph::CsrGraph;
 use predict_sampling::Sampler;
 use serde::Serialize;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Sampling ratios swept by the paper's figures (x-axis of Figures 4–9).
 pub const PAPER_SAMPLING_RATIOS: [f64; 6] = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25];
 
-/// Seed used by every experiment binary so results are reproducible.
+/// Seed used by every experiment so results are reproducible.
 pub const EXPERIMENT_SEED: u64 = 0xE9;
 
 /// Scale selected through the `PREDICT_SCALE` environment variable
@@ -52,8 +54,9 @@ pub fn experiment_engine() -> BspEngine {
     BspEngine::new(BspConfig::with_workers(8))
 }
 
-/// Honors the observability knobs for this process. Call first thing in
-/// `main` and keep the guard alive for the whole run:
+/// Honors the observability knobs for this process. Call first thing in a
+/// subcommand that does the work being observed, once per process, and keep
+/// the guard alive for the whole run:
 ///
 /// ```no_run
 /// let _obs = predict_bench::observability_guard();
@@ -299,7 +302,7 @@ pub fn prediction_sweep(
     points
 }
 
-/// A plain-text result table printed by every experiment binary.
+/// A plain-text result table printed by every experiment.
 #[derive(Debug, Clone, Serialize)]
 pub struct ResultTable {
     /// Title of the experiment (e.g. "Figure 4: ...").
@@ -359,32 +362,32 @@ impl ResultTable {
         out
     }
 
-    /// Prints the table to stdout and saves it (plus `points`, when provided)
-    /// as JSON under `target/experiments/<name>.json`.
-    pub fn emit<T: Serialize>(&self, name: &str, points: &T) {
+    /// Prints the table to stdout and saves it (plus `points`) as JSON under
+    /// `target/experiments/<name>.json`. A result that could not be saved is
+    /// an error: the scenario runner diffs the saved file, never stdout.
+    pub fn emit<T: Serialize>(&self, name: &str, points: &T) -> io::Result<()> {
         println!("{}", self.render());
-        let dir = output_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            #[derive(Serialize)]
-            struct Payload<'a, T> {
-                table: &'a ResultTable,
-                points: &'a T,
-            }
-            let path = dir.join(format!("{name}.json"));
-            match serde_json::to_string_pretty(&Payload {
-                table: self,
-                points,
-            }) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(&path, json) {
-                        eprintln!("could not write {}: {e}", path.display());
-                    } else {
-                        eprintln!("[saved] {}", path.display());
-                    }
-                }
-                Err(e) => eprintln!("could not serialize results: {e}"),
-            }
+        let path = self.save(&output_dir(), name, points)?;
+        eprintln!("[saved] {}", path.display());
+        Ok(())
+    }
+
+    /// Writes the table and `points` to `<dir>/<name>.json`.
+    fn save<T: Serialize>(&self, dir: &Path, name: &str, points: &T) -> io::Result<PathBuf> {
+        #[derive(Serialize)]
+        struct Payload<'a, T> {
+            table: &'a ResultTable,
+            points: &'a T,
         }
+        let json = serde_json::to_string_pretty(&Payload {
+            table: self,
+            points,
+        })
+        .map_err(io::Error::other)?;
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, json)?;
+        Ok(path)
     }
 }
 
@@ -422,6 +425,17 @@ mod tests {
         assert!(rendered.contains("Test"));
         assert!(rendered.contains("Wiki"));
         assert!(rendered.contains("-3.2%"));
+    }
+
+    #[test]
+    fn saving_into_an_unwritable_directory_is_an_error() {
+        // A directory below a regular file cannot be created, even by root.
+        let file = std::env::temp_dir().join(format!("predict_emit_{}", std::process::id()));
+        std::fs::write(&file, b"").expect("temp file");
+        let table = ResultTable::new("Test", &["a"]);
+        let saved = table.save(&file.join("experiments"), "t", &Vec::<u8>::new());
+        std::fs::remove_file(&file).ok();
+        assert!(saved.is_err(), "saved to {saved:?}");
     }
 
     #[test]

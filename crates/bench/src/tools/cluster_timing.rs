@@ -5,7 +5,7 @@
 //! Table 1 counters. The cluster subsystem adds the first *measured* numbers
 //! in the stack: a transport-backed run records the driver-observed wall
 //! time of every superstep round plus per-worker compute time and serialized
-//! bytes on the wire. This experiment drives the same pinned PageRank run
+//! bytes on the wire. This report drives the same pinned PageRank run
 //! through the in-process channel transport and the socket transport and
 //! prints both timelines side by side, which is what lets the simulated cost
 //! model be sanity-checked against an actual message-passing execution.
@@ -13,12 +13,16 @@
 //! The run's *results* are byte-identical across transports (runtime
 //! determinism contract point 8); only the timing columns differ. Measured
 //! wall-clock numbers vary run to run and machine to machine, so this
-//! binary is deliberately **not** one of the golden `scenario_runner`
+//! subcommand is deliberately **not** one of the golden `scenario_runner`
 //! scenarios — it is a report, not a regression artifact.
 //!
-//! Pass `--json` to dump the full per-transport [`MeasuredRun`]s (plus the
-//! derived timing summaries) as machine-readable JSON on stdout instead of
-//! the table, so measured timings can be diffed across runs and machines.
+//! ```text
+//! predict_bench cluster_timing [--json]
+//! ```
+//!
+//! `--json` dumps the full per-transport [`MeasuredRun`]s (plus the derived
+//! timing summaries) as machine-readable JSON on stdout instead of the
+//! table, so measured timings can be diffed across runs and machines.
 
 use predict_algorithms::{PageRank, PageRankParams};
 use predict_bench::{experiment_scale, load_dataset, ResultTable};
@@ -80,9 +84,10 @@ fn timing_of(profile: &RunProfile, measured: &MeasuredRun) -> TransportTiming {
     }
 }
 
-fn main() {
+/// Drives the pinned run over both transports and reports the timelines.
+pub fn run(args: &[String]) {
     let _obs = predict_bench::observability_guard();
-    let json = std::env::args().skip(1).any(|a| a == "--json");
+    let json = args.iter().any(|a| a == "--json");
     let scale = experiment_scale();
     let graph = load_dataset(Dataset::LiveJournal, scale);
     let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
@@ -165,7 +170,8 @@ fn main() {
             .collect();
         let payload = serde_json::to_string_pretty(&entries).expect("measured timings serialize");
         println!("{payload}");
-    } else {
-        table.emit("cluster_timing", &points);
+    } else if let Err(e) = table.emit("cluster_timing", &points) {
+        predict_obs::diag!(Error, "could not save the cluster_timing report: {e}");
+        std::process::exit(1);
     }
 }

@@ -1,7 +1,7 @@
 //! Docs link checker: fails CI when a relative Markdown link is broken.
 //!
 //! `cargo doc -D warnings` already guards rustdoc's intra-doc links; this
-//! binary covers the repository-level Markdown (`README.md`,
+//! subcommand covers the repository-level Markdown (`README.md`,
 //! `docs/ARCHITECTURE.md`, `ROADMAP.md`, and the rest of the checked-in
 //! `.md` files) so the architecture book cannot silently rot as files move.
 //!
@@ -14,8 +14,14 @@
 //! * reference definitions `[label]: target` get the same treatment.
 //!
 //! Exit code: 0 when every link resolves, 1 otherwise (each broken link is
-//! reported as `file: target`). Usage: `docs_links [repo_root]` — the root
-//! defaults to the workspace root two levels above this crate's manifest.
+//! reported as `file: target`).
+//!
+//! ```text
+//! predict_bench docs_links [repo_root]
+//! ```
+//!
+//! The root defaults to the workspace root two levels above this crate's
+//! manifest.
 
 use std::path::{Path, PathBuf};
 
@@ -75,9 +81,10 @@ fn is_relative_target(target: &str) -> bool {
         || target.starts_with('#'))
 }
 
-fn main() {
-    let root: PathBuf = std::env::args()
-        .nth(1)
+/// Checks every listed document under the root named in `args`.
+pub fn run(args: &[String]) {
+    let root: PathBuf = args
+        .first()
         .map(PathBuf::from)
         .unwrap_or_else(|| {
             Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -2,7 +2,7 @@
 //! service, measuring cold-store vs warm-store tail latency.
 //!
 //! The paper positions PREDIcT as a service a scheduler consults for SLA
-//! feasibility and capacity planning. This binary drives that deployment
+//! feasibility and capacity planning. This subcommand drives that deployment
 //! shape under load: a pinned scenario (four small dataset analogs × three
 //! workloads × a spread of predictor seeds) is fired at a [`PredictService`]
 //! by many concurrent client threads, twice —
@@ -19,18 +19,18 @@
 //! is honest: it counts disk hits, not in-memory cache hits — see
 //! `SessionStats::store_hits`). The report is printed as a table and saved
 //! machine-readable to `target/experiments/load_driver.json`, which CI
-//! uploads next to `BENCH_PR4.json`.
+//! uploads.
 //!
 //! Usage:
 //!
 //! ```text
-//! load_driver                        # closed loop, 2000 requests, 8 clients
-//! load_driver --requests 5000       # more load
-//! load_driver --clients 16          # wider closed loop
-//! load_driver --open --rate 500     # open loop at 500 requests/second
-//! load_driver --store DIR           # explicit store dir (default: temp)
-//! load_driver --keep-store          # skip the cold wipe (measure twice warm)
-//! load_driver --check-speedup 2.0   # exit 1 unless warm p99 ≥ 2x better
+//! predict_bench load_driver                      # closed loop, 2000 requests, 8 clients
+//! predict_bench load_driver --requests 5000      # more load
+//! predict_bench load_driver --clients 16         # wider closed loop
+//! predict_bench load_driver --open --rate 500    # open loop at 500 requests/second
+//! predict_bench load_driver --store DIR          # explicit store dir (default: temp)
+//! predict_bench load_driver --keep-store         # skip the cold wipe (measure twice warm)
+//! predict_bench load_driver --check-speedup 2.0  # exit 1 unless warm p99 ≥ 2x better
 //! ```
 //!
 //! Closed loop (default): each client fires its next request the moment the
@@ -239,19 +239,19 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
         .and_then(|v| v.parse().ok())
 }
 
-fn main() {
+/// Runs the cold and the warm phase with the options in `args`.
+pub fn run(args: &[String]) {
     let _obs = predict_bench::observability_guard();
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = DriverOptions {
-        requests: flag_value(&args, "--requests").unwrap_or(2000),
-        clients: flag_value::<usize>(&args, "--clients").unwrap_or(8).max(1),
+        requests: flag_value(args, "--requests").unwrap_or(2000),
+        clients: flag_value::<usize>(args, "--clients").unwrap_or(8).max(1),
         open_loop: args.iter().any(|a| a == "--open"),
-        rate_per_sec: flag_value::<f64>(&args, "--rate")
+        rate_per_sec: flag_value::<f64>(args, "--rate")
             .filter(|r| r.is_finite() && *r > 0.0)
             .unwrap_or(500.0),
     };
-    let check_speedup: Option<f64> = flag_value(&args, "--check-speedup");
-    let store_dir: PathBuf = flag_value(&args, "--store").unwrap_or_else(|| {
+    let check_speedup: Option<f64> = flag_value(args, "--check-speedup");
+    let store_dir: PathBuf = flag_value(args, "--store").unwrap_or_else(|| {
         std::env::temp_dir().join(format!("predict_load_store_{}", std::process::id()))
     });
     let keep_store = args.iter().any(|a| a == "--keep-store");
@@ -312,7 +312,7 @@ fn main() {
         p99_speedup: f64,
         graph: &'static str,
     }
-    table.emit(
+    let saved = table.emit(
         "load_driver",
         &Report {
             phases: [&cold, &warm],
@@ -323,6 +323,10 @@ fn main() {
     eprintln!("[load] warm p99 speedup over cold: {p99_speedup:.2}x");
 
     let mut failed = false;
+    if let Err(e) = saved {
+        eprintln!("[load] FAIL: could not save the report: {e}");
+        failed = true;
+    }
     if warm.bsp_runs > 0 {
         eprintln!(
             "[load] FAIL: warm phase executed {} engine run(s); a restarted \

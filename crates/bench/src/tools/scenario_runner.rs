@@ -1,22 +1,23 @@
-//! Scenario runner: executes every figure/table experiment binary and diffs
-//! its JSON output against the golden files under `crates/bench/golden/`.
+//! Scenario runner: executes every figure/table experiment and diffs its
+//! JSON output against the golden files under `crates/bench/golden/`.
 //!
 //! Every stage of the reproduction is deterministic — fixed experiment seeds,
 //! a seeded simulated cluster clock, and a BSP runtime that is byte-identical
 //! at every thread count — so each experiment's JSON is a stable artifact.
 //! The goldens pin them: any engine, sampling or prediction change that
 //! shifts a single byte of any figure shows up as a diff here, which is what
-//! lets the runtime be refactored aggressively (ROADMAP "Experiment harness
-//! scenarios").
-//!
-//! Usage:
+//! lets the runtime be refactored aggressively.
 //!
 //! ```text
-//! scenario_runner                # run all scenarios, diff against goldens
-//! scenario_runner --bless        # run all scenarios, (re)write the goldens
-//! scenario_runner fig4 table3    # only scenarios whose name contains a filter
-//! scenario_runner --expect-warm  # additionally assert a warm store answered
+//! predict_bench scenario_runner                # run all scenarios, diff against goldens
+//! predict_bench scenario_runner --bless        # run all scenarios, (re)write the goldens
+//! predict_bench scenario_runner fig4 table3    # only scenarios whose name contains a filter
+//! predict_bench scenario_runner --expect-warm  # additionally assert a warm store answered
 //! ```
+//!
+//! The scenarios are the experiments registered in `main.rs`. Each runs as a
+//! child process of this binary (`predict_bench <name>`), so its metrics, its
+//! `[store-summary]` line and its `PREDICT_TRACE` file are its own.
 //!
 //! `--expect-warm` requires `PREDICT_STORE` to point at a directory a prior
 //! pass already populated: every scenario must still match its golden *and*
@@ -39,36 +40,9 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The figure/table experiment binaries; each emits
-/// `target/experiments/<name>.json`.
-const SCENARIOS: [&str; 15] = [
-    "fig4_pagerank_iterations",
-    "fig5_semiclustering_iterations",
-    "fig6_topk_features",
-    "fig7_semiclustering_runtime",
-    "fig8_topk_runtime",
-    "fig9_sampling_sensitivity",
-    "fig9_new_generators",
-    "table2_datasets",
-    "table2_new_datasets",
-    "table3_overhead",
-    "ablation_critical_path",
-    "ablation_extrapolation",
-    "ablation_transform",
-    "semiclustering_sensitivity",
-    "upper_bounds",
-];
-
-/// Directory of this binary's sibling experiment binaries.
-fn bin_dir() -> PathBuf {
-    let mut exe = std::env::current_exe().expect("current exe path");
-    exe.pop();
-    exe
-}
-
 /// The golden directory, resolved relative to the crate at compile time so
 /// the runner works from any working directory inside the repo.
-fn golden_dir() -> PathBuf {
+pub(crate) fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("golden")
 }
 
@@ -80,12 +54,20 @@ struct ScenarioRun {
 }
 
 fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
-    let bin = bin_dir().join(name);
+    // A file an earlier run left behind must never stand in for this run's.
+    let json_path = predict_bench::output_dir().join(format!("{name}.json"));
+    match std::fs::remove_file(&json_path) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(format!("could not remove stale {}: {e}", json_path.display())),
+    }
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate current exe: {e}"))?;
     let scale = std::env::var("PREDICT_SCALE").unwrap_or_else(|_| "small".to_string());
-    let output = Command::new(&bin)
+    let output = Command::new(&exe)
+        .arg(name)
         .env("PREDICT_SCALE", &scale)
         .output()
-        .map_err(|e| format!("could not launch {}: {e}", bin.display()))?;
+        .map_err(|e| format!("could not launch {} {name}: {e}", exe.display()))?;
     if !output.status.success() {
         // Surface the tail of the child's stderr so a CI failure is
         // debuggable without a local repro. Cluster-transport failures land
@@ -101,7 +83,6 @@ fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
             tail.join("\n  ")
         ));
     }
-    let json_path = predict_bench::output_dir().join(format!("{name}.json"));
     let json = std::fs::read_to_string(&json_path)
         .map_err(|e| format!("{name} produced no {}: {e}", json_path.display()))?;
     Ok(ScenarioRun {
@@ -185,8 +166,8 @@ fn print_summary(outcomes: &[Outcome], transport: &str) {
     println!("\n{} scenario(s), {} failure(s)", outcomes.len(), failures);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Runs the scenarios selected by `args` and diffs them against the goldens.
+pub fn run(args: &[String]) {
     let bless = args.iter().any(|a| a == "--bless");
     let expect_warm = args.iter().any(|a| a == "--expect-warm");
     if expect_warm && predict_bsp::env_store_path().is_none() {
@@ -194,9 +175,9 @@ fn main() {
         std::process::exit(1);
     }
     let filters: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let selected: Vec<&str> = SCENARIOS
+    let selected: Vec<&str> = crate::EXPERIMENTS
         .iter()
-        .copied()
+        .map(|&(name, _)| name)
         .filter(|name| filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str())))
         .collect();
     if selected.is_empty() {
@@ -215,8 +196,8 @@ fn main() {
         std::fs::create_dir_all(&golden).expect("create golden dir");
     }
 
-    // Every selected scenario runs to completion — a diff in one bin never
-    // hides diffs in the others — and the run ends with a summary table plus
+    // Every selected scenario runs to completion — a diff in one experiment
+    // never hides diffs in the others — and the run ends with a summary table plus
     // a non-zero exit when anything diverged.
     let mut outcomes: Vec<Outcome> = Vec::with_capacity(selected.len());
     for name in &selected {

@@ -1,11 +1,11 @@
 //! Trace viewer: renders a Chrome trace-event file produced via
 //! `PREDICT_TRACE` as a text timeline plus a metrics table.
 //!
-//! Any scenario binary exports a trace when the knob is set:
+//! Any experiment exports a trace when the knob is set:
 //!
 //! ```text
-//! PREDICT_TRACE=target/experiments/fig4.trace.json fig4_pagerank_iterations
-//! trace_view target/experiments/fig4.trace.json
+//! PREDICT_TRACE=target/experiments/fig4.trace.json predict_bench fig4_pagerank_iterations
+//! predict_bench trace_view target/experiments/fig4.trace.json [--full]
 //! ```
 //!
 //! The timeline groups events by thread and indents by span nesting
@@ -199,14 +199,14 @@ fn print_metrics(root: &[(String, Value)]) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Renders the trace file named in `args`.
+pub fn run(args: &[String]) {
     let full = args.iter().any(|a| a == "--full");
     let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
         predict_obs::diag!(
             Error,
-            "usage: trace_view <trace.json> [--full]\n\
-             produce a trace with PREDICT_TRACE=<path> on any scenario binary"
+            "usage: predict_bench trace_view <trace.json> [--full]\n\
+             produce a trace with PREDICT_TRACE=<path> on any experiment"
         );
         std::process::exit(2);
     };

@@ -8,8 +8,8 @@
 //! * a vertex-centric programming model ([`VertexProgram`], [`ComputeContext`])
 //!   with messages, global [`Aggregates`] and vote-to-halt semantics;
 //! * a master/worker execution structure with hash partitioning
-//!   ([`Partitioning`]) and per-worker, per-superstep Table 1 feature counters
-//!   ([`WorkerCounters`]);
+//!   ([`PartitionStrategy`]) and per-worker, per-superstep Table 1 feature
+//!   counters ([`WorkerCounters`]);
 //! * a **parallel deterministic runtime** ([`runtime`]) that shards all
 //!   per-vertex state by worker ([`WorkerShard`], cached [`ShardLayout`]s)
 //!   and fans superstep phases out over a persistent work-stealing
@@ -80,7 +80,7 @@ pub use cost::{ClusterClock, ClusterCostConfig};
 pub use counters::{sum_counters, WorkerCounters};
 pub use engine::{BspEngine, BspRunResult, HaltReason};
 pub use knobs::{env_store_path, env_trace_path};
-pub use partition::{PartitionStrategy, Partitioning};
+pub use partition::PartitionStrategy;
 pub use profile::{RunProfile, SuperstepProfile};
 pub use program::{ComputeContext, InitContext, VertexProgram};
 pub use remote::{MeasuredRun, MeasuredSuperstep, TransportMode};

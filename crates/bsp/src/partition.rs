@@ -3,11 +3,10 @@
 //! The Giraph master partitions the input graph over workers before the first
 //! superstep (section 2.2 of the paper). The partitioning scheme determines
 //! which messages are local versus remote and which worker ends up on the
-//! critical path: the paper's critical-path model (section 3.4) identifies the
-//! worker with the largest number of outbound edges, which is exactly what
-//! [`Partitioning::outbound_edges_per_worker`] reports.
+//! critical path. The runtime materializes the assignment once per
+//! `(num_vertices, num_workers, strategy)` as a cached
+//! [`ShardLayout`](crate::ShardLayout).
 
-use predict_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
 
 /// Strategy for assigning vertices to workers.
@@ -46,137 +45,32 @@ pub(crate) fn assign_vertex(
     }
 }
 
-/// A concrete assignment of every vertex to a worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partitioning {
-    strategy: PartitionStrategy,
-    num_workers: usize,
-    assignment: Vec<u32>,
-    vertices_per_worker: Vec<usize>,
-    outbound_edges_per_worker: Vec<usize>,
-}
-
-impl Partitioning {
-    /// Partitions the vertices of `graph` over `num_workers` workers using
-    /// `strategy`.
-    ///
-    /// The per-worker outbound-edge totals (the input of the paper's
-    /// critical-path model) are computed here, once, so repeated
-    /// [`Partitioning::critical_path_worker`] queries never rescan the CSR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_workers == 0`.
-    pub fn new(graph: &CsrGraph, num_workers: usize, strategy: PartitionStrategy) -> Self {
-        assert!(num_workers > 0, "at least one worker is required");
-        let n = graph.num_vertices();
-        let mut assignment = vec![0u32; n];
-        let mut vertices_per_worker = vec![0usize; num_workers];
-        let mut outbound_edges_per_worker = vec![0usize; num_workers];
-        for (v, slot) in assignment.iter_mut().enumerate() {
-            let w = assign_vertex(v, n, num_workers, strategy);
-            *slot = w;
-            vertices_per_worker[w as usize] += 1;
-            outbound_edges_per_worker[w as usize] += graph.out_degree(v as VertexId);
-        }
-        Self {
-            strategy,
-            num_workers,
-            assignment,
-            vertices_per_worker,
-            outbound_edges_per_worker,
-        }
-    }
-
-    /// The strategy this partitioning was built with.
-    pub fn strategy(&self) -> PartitionStrategy {
-        self.strategy
-    }
-
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
-        self.num_workers
-    }
-
-    /// Worker that owns vertex `v`.
-    pub fn worker_of(&self, v: VertexId) -> usize {
-        self.assignment[v as usize] as usize
-    }
-
-    /// Number of vertices assigned to worker `w`.
-    pub fn vertices_of_worker(&self, w: usize) -> usize {
-        self.vertices_per_worker[w]
-    }
-
-    /// Iterates over the vertices assigned to worker `w` in increasing id
-    /// order.
-    pub fn worker_vertices(&self, w: usize) -> impl Iterator<Item = VertexId> + '_ {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(move |(_, &a)| a as usize == w)
-            .map(|(v, _)| v as VertexId)
-    }
-
-    /// Total outbound edges of the vertices owned by each worker, computed
-    /// once at construction. The worker with the largest count is the paper's
-    /// critical-path worker.
-    pub fn outbound_edges_per_worker(&self) -> &[usize] {
-        &self.outbound_edges_per_worker
-    }
-
-    /// Index of the worker with the most outbound edges (the critical-path
-    /// worker of the paper's model). Returns 0 for an empty graph.
-    pub fn critical_path_worker(&self) -> usize {
-        self.outbound_edges_per_worker
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &e)| e)
-            .map(|(w, _)| w)
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predict_graph::generators::{generate_rmat, star, RmatConfig};
+
+    const STRATEGIES: [PartitionStrategy; 3] = [
+        PartitionStrategy::Hash,
+        PartitionStrategy::Range,
+        PartitionStrategy::Modulo,
+    ];
 
     #[test]
     fn every_vertex_is_assigned_exactly_once() {
-        let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(1));
-        for strategy in [
-            PartitionStrategy::Hash,
-            PartitionStrategy::Range,
-            PartitionStrategy::Modulo,
-        ] {
-            let p = Partitioning::new(&g, 7, strategy);
-            let total: usize = (0..7).map(|w| p.vertices_of_worker(w)).sum();
-            assert_eq!(total, g.num_vertices());
-            for v in g.vertices() {
-                assert!(p.worker_of(v) < 7);
-            }
-        }
-    }
-
-    #[test]
-    fn worker_vertices_matches_assignment() {
-        let g = generate_rmat(&RmatConfig::new(7, 4).with_seed(2));
-        let p = Partitioning::new(&g, 4, PartitionStrategy::Hash);
-        for w in 0..4 {
-            let vs: Vec<_> = p.worker_vertices(w).collect();
-            assert_eq!(vs.len(), p.vertices_of_worker(w));
-            assert!(vs.iter().all(|&v| p.worker_of(v) == w));
+        for strategy in STRATEGIES {
+            assert!((0..300).all(|v| assign_vertex(v, 300, 7, strategy) < 7));
         }
     }
 
     #[test]
     fn hash_partitioning_is_roughly_balanced() {
-        let g = generate_rmat(&RmatConfig::new(10, 4).with_seed(3));
-        let p = Partitioning::new(&g, 8, PartitionStrategy::Hash);
-        let expected = g.num_vertices() / 8;
-        for w in 0..8 {
-            let v = p.vertices_of_worker(w);
+        let n = 1024;
+        let mut owned = [0usize; 8];
+        for v in 0..n {
+            owned[assign_vertex(v, n, 8, PartitionStrategy::Hash) as usize] += 1;
+        }
+        let expected = n / 8;
+        for (w, &v) in owned.iter().enumerate() {
             assert!(
                 v > expected / 2 && v < expected * 2,
                 "worker {w} owns {v} vertices, expected around {expected}"
@@ -186,43 +80,36 @@ mod tests {
 
     #[test]
     fn modulo_strategy_is_predictable() {
-        let g = generate_rmat(&RmatConfig::new(6, 4).with_seed(1));
-        let p = Partitioning::new(&g, 3, PartitionStrategy::Modulo);
-        assert_eq!(p.worker_of(0), 0);
-        assert_eq!(p.worker_of(1), 1);
-        assert_eq!(p.worker_of(2), 2);
-        assert_eq!(p.worker_of(3), 0);
-    }
-
-    #[test]
-    fn outbound_edges_sum_to_edge_count() {
-        let g = generate_rmat(&RmatConfig::new(9, 6).with_seed(5));
-        let p = Partitioning::new(&g, 5, PartitionStrategy::Hash);
-        let sum: usize = p.outbound_edges_per_worker().iter().sum();
-        assert_eq!(sum, g.num_edges());
+        let owners: Vec<u32> = (0..4)
+            .map(|v| assign_vertex(v, 64, 3, PartitionStrategy::Modulo))
+            .collect();
+        assert_eq!(owners, [0, 1, 2, 0]);
     }
 
     #[test]
     fn critical_path_worker_owns_the_hub_in_a_star() {
-        // All edges leave the hub (vertex 0), so the worker that owns vertex 0
-        // must be the critical-path worker.
-        let g = star(100);
-        let p = Partitioning::new(&g, 4, PartitionStrategy::Modulo);
-        assert_eq!(p.critical_path_worker(), p.worker_of(0));
+        // Most edges leave the hub (vertex 0), so the worker that owns vertex
+        // 0 owns the most outbound edges: it is the critical-path worker.
+        let g = predict_graph::generators::star(100);
+        let n = g.num_vertices();
+        let owner = |v| assign_vertex(v, n, 4, PartitionStrategy::Modulo) as usize;
+        let mut outbound = [0usize; 4];
+        for v in g.vertices() {
+            outbound[owner(v as usize)] += g.out_degree(v);
+        }
+        let hub_owner = owner(0);
+        for (w, &edges) in outbound.iter().enumerate() {
+            assert!(
+                w == hub_owner || edges < outbound[hub_owner],
+                "{outbound:?}"
+            );
+        }
     }
 
     #[test]
     fn single_worker_owns_everything() {
-        let g = generate_rmat(&RmatConfig::new(6, 4).with_seed(1));
-        let p = Partitioning::new(&g, 1, PartitionStrategy::Hash);
-        assert_eq!(p.vertices_of_worker(0), g.num_vertices());
-        assert_eq!(p.critical_path_worker(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        let g = generate_rmat(&RmatConfig::new(5, 2).with_seed(1));
-        let _ = Partitioning::new(&g, 0, PartitionStrategy::Hash);
+        for strategy in STRATEGIES {
+            assert!((0..64).all(|v| assign_vertex(v, 64, 1, strategy) == 0));
+        }
     }
 }

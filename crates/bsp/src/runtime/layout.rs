@@ -6,8 +6,7 @@
 //! everything the runtime needs to shard per-vertex state — owner and
 //! shard-slot of every vertex plus the sorted vertex list of every shard —
 //! and can be cached and shared between runs, graphs of equal size, and
-//! engine clones. This replaces the per-run `Partitioning` scan the
-//! sequential engine used to redo on every invocation.
+//! engine clones.
 
 use crate::partition::{assign_vertex, PartitionStrategy};
 use predict_graph::VertexId;
@@ -178,21 +177,19 @@ impl LayoutCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::Partitioning;
-    use predict_graph::generators::{generate_rmat, RmatConfig};
 
     #[test]
     fn layout_matches_partitioning_assignment() {
-        let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(1));
+        let n = 256;
         for strategy in [
             PartitionStrategy::Hash,
             PartitionStrategy::Range,
             PartitionStrategy::Modulo,
         ] {
-            let p = Partitioning::new(&g, 5, strategy);
-            let l = ShardLayout::build(g.num_vertices(), 5, strategy);
-            for v in g.vertices() {
-                assert_eq!(l.owner_of(v), p.worker_of(v), "vertex {v}");
+            let l = ShardLayout::build(n, 5, strategy);
+            for v in 0..n {
+                let owner = assign_vertex(v, n, 5, strategy) as usize;
+                assert_eq!(l.owner_of(v as VertexId), owner, "vertex {v}");
             }
         }
     }

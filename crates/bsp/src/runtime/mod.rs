@@ -12,8 +12,7 @@
 //!   halt flags, [`Inbox`] and outbox buffers, laid out by a cached
 //!   [`ShardLayout`]. Layouts depend only on `(num_vertices, num_workers,
 //!   strategy)` (vertex assignment never inspects edges), so the engine's
-//!   [`LayoutCache`] shares them across runs and across graphs of equal size
-//!   instead of rebuilding a `Partitioning` scan per run;
+//!   [`LayoutCache`] shares them across runs and across graphs of equal size;
 //! * **the in-memory executor** ([`execute`]) — the [`Workers`]
 //!   implementation that fans each superstep's compute and delivery phases
 //!   out over the engine's persistent [`WorkerPool`], with per-worker

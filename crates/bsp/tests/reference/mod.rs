@@ -15,16 +15,17 @@
 //! relaying batch sections between worker processes — must produce the same
 //! vertex values and the same [`RunProfile`] bit for bit.
 //!
-//! What the oracle and an executor share on purpose: the program under test,
-//! the vertex-to-worker assignment ([`Partitioning`]) and the simulated clock
-//! ([`ClusterClock`]) — inputs of a run, not the execution being checked.
+//! What the oracle and an executor share on purpose: the program under test
+//! and the simulated clock ([`ClusterClock`]) — inputs of a run, not the
+//! execution being checked. The vertex-to-worker rule is written out again
+//! here ([`worker_of`]) rather than read from the runtime's `ShardLayout`.
 
 use predict_algorithms::{
     NeighborhoodParams, PageRankParams, ProgramSpec, SemiClusteringParams, TopKParams,
 };
 use predict_bsp::{
-    Aggregates, BspConfig, ClusterClock, ComputeContext, HaltReason, InitContext, Partitioning,
-    RunProfile, SuperstepProfile, VertexProgram, WorkerCounters,
+    Aggregates, BspConfig, ClusterClock, ComputeContext, HaltReason, InitContext,
+    PartitionStrategy, RunProfile, SuperstepProfile, VertexProgram, WorkerCounters,
 };
 use predict_graph::{CsrGraph, EdgeList, VertexId};
 use proptest::prelude::*;
@@ -33,6 +34,18 @@ use std::fmt::Debug;
 /// Values, profile and halt reason of one run.
 pub type Run<V> = (Vec<V>, RunProfile, HaltReason);
 
+/// The worker that owns vertex `v` of an `n`-vertex graph, per strategy.
+fn worker_of(v: usize, n: usize, workers: usize, strategy: PartitionStrategy) -> usize {
+    match strategy {
+        PartitionStrategy::Hash => {
+            let hash = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            (hash % workers as u64) as usize
+        }
+        PartitionStrategy::Range => v * workers / n.max(1),
+        PartitionStrategy::Modulo => v % workers,
+    }
+}
+
 /// Runs `program` on `graph` the slow, obvious way.
 pub fn reference_run<P: VertexProgram>(
     program: &P,
@@ -40,8 +53,9 @@ pub fn reference_run<P: VertexProgram>(
     config: &BspConfig,
 ) -> Run<P::VertexValue> {
     let (n, workers) = (graph.num_vertices(), config.workers());
-    let partitioning = Partitioning::new(graph, workers, config.partition_strategy);
-    let owner = |v: VertexId| partitioning.worker_of(v);
+    let owner = |v: VertexId| worker_of(v as usize, n, workers, config.partition_strategy);
+    let mut owned = vec![0u64; workers];
+    graph.vertices().for_each(|v| owned[owner(v)] += 1);
     let mut clock = ClusterClock::new(config.cost.clone());
     let setup_ms = clock.setup_time_ms();
     let read_ms = clock.read_time_ms(graph.num_edges(), workers);
@@ -59,9 +73,8 @@ pub fn reference_run<P: VertexProgram>(
         let previous = supersteps
             .last()
             .map_or_else(Aggregates::new, |s| s.aggregates.clone());
-        let mut counters: Vec<WorkerCounters> = (0..workers)
-            .map(|w| WorkerCounters::new(partitioning.vertices_of_worker(w) as u64))
-            .collect();
+        let mut counters: Vec<WorkerCounters> =
+            owned.iter().map(|&o| WorkerCounters::new(o)).collect();
         let mut partials = vec![Aggregates::new(); workers];
         // What each worker's vertices sent, in production order.
         let mut sent: Vec<Vec<(VertexId, P::Message)>> = vec![Vec::new(); workers];

@@ -34,7 +34,7 @@
 //! spans buffer in memory and flush to the `PREDICT_TRACE` file, metrics
 //! live in atomics until a snapshot is requested. Scenario goldens are
 //! byte-identical with tracing on and off (CI replays them both ways), and
-//! the `perf_probe` gate pins the disabled-tracer overhead.
+//! the repository benchmark measures the disabled-tracer overhead.
 
 pub mod diag;
 pub mod metrics;

@@ -10,7 +10,8 @@
 //! alternative used as an ablation baseline.
 
 use crate::features::{FeatureSet, IterationObservation};
-use predict_bsp::{sum_counters, Partitioning, RunProfile, SuperstepProfile, WorkerCounters};
+use predict_bsp::{sum_counters, RunProfile, ShardLayout, SuperstepProfile, WorkerCounters};
+use predict_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 
 /// Which worker's counters represent an iteration when extracting features
@@ -23,19 +24,26 @@ pub enum WorkerSelection {
     #[default]
     SlowestWorker,
     /// The fixed worker owning the most outbound edges, the paper's
-    /// before-execution heuristic (requires the partitioning, see
+    /// before-execution heuristic (requires the shard layout, see
     /// [`critical_path_worker_by_edges`]).
     FixedWorker(usize),
     /// The average over all workers — an ablation that ignores skew.
     MeanWorker,
 }
 
-/// The paper's pre-execution critical-path heuristic: the worker with the
-/// largest total number of outbound edges for the given partitioning. The
-/// counts are cached inside [`Partitioning`] at construction, so this query
-/// never rescans the CSR.
-pub fn critical_path_worker_by_edges(partitioning: &Partitioning) -> usize {
-    partitioning.critical_path_worker()
+/// The paper's pre-execution critical-path heuristic: the worker whose
+/// vertices of `graph` have the largest total number of outbound edges under
+/// `layout`.
+pub fn critical_path_worker_by_edges(graph: &CsrGraph, layout: &ShardLayout) -> usize {
+    let mut outbound_edges = vec![0usize; layout.num_workers()];
+    for v in graph.vertices() {
+        outbound_edges[layout.owner_of(v)] += graph.out_degree(v);
+    }
+    outbound_edges
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, &edges)| edges)
+        .map_or(0, |(w, _)| w)
 }
 
 fn mean_counters(workers: &[WorkerCounters]) -> WorkerCounters {
@@ -87,8 +95,7 @@ pub fn observations_from_profile(
 mod tests {
     use super::*;
     use crate::features::KeyFeature;
-    use predict_bsp::Aggregates;
-    use predict_bsp::PartitionStrategy;
+    use predict_bsp::{Aggregates, PartitionStrategy};
     use predict_graph::generators::star;
 
     fn superstep() -> SuperstepProfile {
@@ -158,8 +165,8 @@ mod tests {
     #[test]
     fn edge_heuristic_picks_the_hub_owner_on_a_star() {
         let g = star(64);
-        let p = Partitioning::new(&g, 4, PartitionStrategy::Modulo);
-        let w = critical_path_worker_by_edges(&p);
-        assert_eq!(w, p.worker_of(0));
+        let layout = ShardLayout::build(g.num_vertices(), 4, PartitionStrategy::Modulo);
+        let w = critical_path_worker_by_edges(&g, &layout);
+        assert_eq!(w, layout.owner_of(0));
     }
 }
