@@ -7,6 +7,9 @@
 //!   grown to the run's volume (supersteps 0 and 1), a superstep allocates a
 //!   small constant — aggregate names and the master's per-superstep
 //!   bookkeeping — that is the same for a degree-8 and a degree-32 graph.
+//!   A routed buffer holds one entry per point send and one per destination
+//!   worker of a broadcast, never one per edge: the edge groups a broadcast
+//!   expands through are built once per run, before superstep 0.
 //! * **Top-k** stores one list per sending vertex and folds arrivals into
 //!   one list per receiving vertex: each superstep allocates one list per
 //!   sender plus one or two per receiver (the first arrival's clone, grown

@@ -5,6 +5,7 @@ use crate::knobs;
 use crate::partition::PartitionStrategy;
 use crate::remote::TransportMode;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Default number of workers. The paper's deployment runs 29 workers plus one
 /// master on 10 physical nodes; the default here is smaller so tests and
@@ -59,12 +60,16 @@ impl ExecutionMode {
     /// Priority under [`ExecutionMode::Auto`]: an explicitly-set
     /// `PREDICT_THREADS` wins unconditionally; otherwise runs below
     /// [`MIN_PARALLEL_WORK`] stay on the calling thread; otherwise the
-    /// machine's available parallelism is used.
+    /// machine's available parallelism is used. That is read once per
+    /// process (it reads cgroup files); `PREDICT_THREADS` is read per call.
     pub fn resolve_threads(self, num_workers: usize, run_work: usize) -> usize {
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
         let available = || {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+            *AVAILABLE.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+            })
         };
         let auto_no_env = || {
             if run_work < MIN_PARALLEL_WORK {

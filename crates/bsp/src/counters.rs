@@ -58,6 +58,15 @@ impl WorkerCounters {
         }
     }
 
+    /// Records `local` local and `remote` remote messages of `bytes` bytes
+    /// each — a broadcast, counted per edge without a call per edge.
+    pub(crate) fn record_messages(&mut self, bytes: u64, local: u64, remote: u64) {
+        self.local_messages += local;
+        self.local_message_bytes += local * bytes;
+        self.remote_messages += remote;
+        self.remote_message_bytes += remote * bytes;
+    }
+
     /// Total messages sent (local + remote).
     pub fn total_messages(&self) -> u64 {
         self.local_messages + self.remote_messages
@@ -117,6 +126,14 @@ mod tests {
         assert_eq!(c.remote_message_bytes, 40);
         assert_eq!(c.total_messages(), 3);
         assert_eq!(c.total_message_bytes(), 48);
+        // A broadcast's bulk record is one record per message.
+        let mut bulk = WorkerCounters::new(10);
+        bulk.record_messages(12, 3, 2);
+        let mut each = WorkerCounters::new(10);
+        for local in [true, true, true, false, false] {
+            each.record_message(12, local);
+        }
+        assert_eq!(bulk, each);
     }
 
     #[test]

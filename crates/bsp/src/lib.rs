@@ -82,8 +82,9 @@ pub use engine::{BspEngine, BspRunResult, HaltReason};
 pub use knobs::{env_store_path, env_trace_path};
 pub use partition::PartitionStrategy;
 pub use profile::{RunProfile, SuperstepProfile};
-pub use program::{ComputeContext, InitContext, VertexProgram};
+pub use program::{ComputeContext, InitContext, VertexProgram, BROADCAST};
 pub use remote::{MeasuredRun, MeasuredSuperstep, TransportMode};
 pub use runtime::{
-    run_master, Inbox, LayoutCache, ShardLayout, StepSink, WorkerPool, WorkerShard, Workers,
+    run_master, EdgeGroups, Inbox, LayoutCache, ShardLayout, StepSink, WorkerPool, WorkerShard,
+    Workers,
 };

@@ -12,6 +12,12 @@ use crate::aggregator::Aggregates;
 use crate::combiner::MessageCombiner;
 use predict_graph::{CsrGraph, VertexId};
 
+/// The destination of an outbox entry that stands for every out-edge of the
+/// sending vertex ([`ComputeContext::send_to_all_neighbors`]). No vertex has
+/// this id: [`ShardLayout::build`](crate::runtime::ShardLayout::build)
+/// keeps vertex ids below `2^31`.
+pub const BROADCAST: VertexId = VertexId::MAX;
+
 /// What a vertex program may observe while initializing one vertex's value:
 /// global graph totals plus the vertex's own out-adjacency.
 ///
@@ -132,11 +138,12 @@ pub struct ComputeContext<'a, V, M> {
     /// message payload sent so far, each stored once however many vertices
     /// it goes to. Handles in [`Self::outbox`] index it.
     pub payloads: &'a mut Vec<M>,
-    /// What the vertex has sent so far, in send order ([`Self::send`]): one
-    /// `(destination, payload handle)` pair per message. The executor routes
-    /// and empties it after the call. Public, like the fields around it, so
-    /// that an executor outside this crate — the reference interpreter the
-    /// runtime is tested against — can run a program.
+    /// What the vertex has sent so far, in send order: one `(destination,
+    /// payload handle)` pair per [`Self::send`], one `(BROADCAST, handle)`
+    /// pair per [`Self::send_to_all_neighbors`]. The executor routes and
+    /// empties it after the call. Public, like the fields around it, so that
+    /// an executor outside this crate — the reference interpreter the runtime
+    /// is tested against — can run a program.
     pub outbox: &'a mut Vec<(VertexId, u32)>,
     /// The executing worker's partial aggregates ([`Self::aggregate`]).
     pub partial_aggregates: &'a mut Aggregates,
@@ -168,14 +175,14 @@ impl<'a, V, M> ComputeContext<'a, V, M> {
     }
 
     /// Sends `msg` to every out-neighbor of this vertex: the payload is
-    /// stored once, and each neighbor gets a handle to it.
+    /// stored once, and one [`BROADCAST`] entry stands for every out-edge —
+    /// the executor resolves it against the edge list, one message per edge.
     pub fn send_to_all_neighbors(&mut self, msg: M) {
         if self.out_neighbors.is_empty() {
             return;
         }
         let handle = self.store(msg);
-        let edges = self.out_neighbors.iter().map(|&dst| (dst, handle));
-        self.outbox.extend(edges);
+        self.outbox.push((BROADCAST, handle));
     }
 
     /// Contributes `value` to the global sum-aggregator `name`.
@@ -259,9 +266,10 @@ mod tests {
         ctx.send(2, 9);
 
         // The broadcast payload is stored once, behind the table's earlier
-        // entry, and referenced once per neighbor; a point send adds its own.
+        // entry, and sent as one entry for both neighbors; a point send adds
+        // its own.
         assert_eq!(payloads, [7, 0, 9]);
-        assert_eq!(outbox, [(1, 1), (2, 1), (2, 2)]);
+        assert_eq!(outbox, [(BROADCAST, 1), (2, 2)]);
         assert_eq!(partial.get("sent"), Some(2.0));
         assert!(halted);
     }

@@ -7,15 +7,19 @@
 //!
 //! 1. **compute** — every shard runs [`WorkerShard::run_superstep`], which
 //!    stores each sent payload once in the shard's payload table and routes
-//!    a handle to it per message to its destination worker's buffer; shards
-//!    are disjoint, so the phase spreads over the worker pool;
+//!    a handle to it per point send, and per destination worker of a
+//!    broadcast, to that worker's buffer; shards are disjoint, so the phase
+//!    spreads over the worker pool;
 //! 2. **delivery** — every shard's payload table is swapped out into the
 //!    executor's tables and the per-worker routed outboxes are transposed
 //!    into per-destination inbound rows (`O(workers²)` pointer swaps, no
 //!    message is copied), then every shard runs [`WorkerShard::deliver`],
-//!    again in parallel, reading all source tables while it fills its own
-//!    inbox — folding into one slot per vertex when the program declares a
-//!    combiner.
+//!    again in parallel, reading all source tables and edge groups while it
+//!    fills its own inbox — folding into one slot per vertex when the
+//!    program declares a combiner.
+//!
+//! Every worker's [`EdgeGroups`] are built once per run, in the fan-out that
+//! initializes the vertex values.
 //!
 //! Between the phases, on the calling thread, every shard is reported to the
 //! master in ascending worker order. Everything order-sensitive — merges,
@@ -29,7 +33,7 @@ use crate::program::VertexProgram;
 use crate::runtime::layout::ShardLayout;
 use crate::runtime::master::{run_master, StepSink, Workers};
 use crate::runtime::pool::WorkerPool;
-use crate::runtime::shard::WorkerShard;
+use crate::runtime::shard::{EdgeGroups, WorkerShard};
 use crate::storage::WorkerGraph;
 use predict_graph::{CsrGraph, VertexId};
 use std::convert::Infallible;
@@ -81,6 +85,9 @@ struct LocalWorkers<'a, P: VertexProgram> {
     threads: usize,
     pool: &'a WorkerPool,
     shards: Vec<WorkerShard<P>>,
+    /// `groups[w]`: worker `w`'s edge groups, read by its compute phase and
+    /// by every delivery.
+    groups: Vec<EdgeGroups>,
     /// `inbound[dst][src]` buffers circulate between the shards' routed
     /// outboxes and the delivery phase, so message buffers are pooled across
     /// supersteps rather than reallocated.
@@ -101,7 +108,7 @@ impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
         sink: &mut StepSink,
     ) -> Result<(), Infallible> {
         let (program, graph, layout) = (self.program, self.graph, self.layout);
-        let (threads, pool) = (self.threads, self.pool);
+        let (threads, pool, groups) = (self.threads, self.pool, &self.groups);
         let _superstep_span =
             predict_obs::trace::span("bsp.superstep").arg("superstep", superstep as u64);
         let superstep_start = std::time::Instant::now();
@@ -111,7 +118,8 @@ impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
         {
             let _compute_span = predict_obs::trace::span("bsp.compute");
             for_each_chunked(&mut self.shards, threads, pool, |shard| {
-                shard.run_superstep(program, graph, layout, superstep, previous_aggregates);
+                let own = &groups[shard.worker];
+                shard.run_superstep(program, graph, layout, own, superstep, previous_aggregates);
             });
         }
 
@@ -135,7 +143,7 @@ impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
 
         // Delivery phase: every destination shard pulls its inbound row
         // (ascending source worker, production order within a source),
-        // reading the payloads from the shared source tables.
+        // reading the payloads and edge groups of every source.
         {
             let _deliver_span = predict_obs::trace::span("bsp.deliver");
             let tables = &self.tables;
@@ -145,7 +153,7 @@ impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
                 .zip(self.inbound.iter_mut())
                 .collect();
             for_each_chunked(&mut pairs, threads, pool, |(shard, row)| {
-                shard.deliver(program, layout, row, tables);
+                shard.deliver(program, layout, groups, row, tables);
             });
         }
         self.superstep_ns
@@ -188,15 +196,23 @@ pub fn execute<P: VertexProgram>(
         shards: (0..num_workers)
             .map(|w| WorkerShard::init_empty(program, w, layout))
             .collect(),
+        groups: vec![EdgeGroups::default(); num_workers],
         inbound: (0..num_workers)
             .map(|_| (0..num_workers).map(|_| Vec::new()).collect())
             .collect(),
         tables: (0..num_workers).map(|_| Vec::new()).collect(),
         superstep_ns: predict_obs::registry().histogram("bsp.superstep_ns"),
     };
-    // Value initialization fans out like a phase.
-    for_each_chunked(&mut workers.shards, threads, pool, |shard| {
-        shard.init_values(program, workers.graph, layout);
+    // Value initialization and edge grouping fan out like a phase.
+    let view = workers.graph;
+    let mut init: Vec<_> = workers
+        .shards
+        .iter_mut()
+        .zip(workers.groups.iter_mut())
+        .collect();
+    for_each_chunked(&mut init, threads, pool, |(shard, groups)| {
+        shard.init_values(program, view, layout);
+        **groups = EdgeGroups::build(view, layout, shard.worker);
     });
     let result = match run_master(program, graph, layout, config, &mut workers) {
         Ok(result) => result,

@@ -41,9 +41,15 @@ impl ShardLayout {
     ///
     /// # Panics
     ///
-    /// Panics if `num_workers == 0`.
+    /// Panics if `num_workers == 0`, or if `num_vertices` reaches `2^31`: a
+    /// routed message entry tells a vertex from an edge group by the top bit
+    /// (see [`EdgeGroups`](crate::runtime::EdgeGroups)).
     pub fn build(num_vertices: usize, num_workers: usize, strategy: PartitionStrategy) -> Self {
         assert!(num_workers > 0, "at least one worker is required");
+        assert!(
+            num_vertices < 1 << 31,
+            "{num_vertices} vertices: vertex ids must stay below 2^31"
+        );
         let mut owner = vec![0u32; num_vertices];
         let mut slot = vec![0u32; num_vertices];
         let mut shards: Vec<Vec<VertexId>> = vec![Vec::new(); num_workers];

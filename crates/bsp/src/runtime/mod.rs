@@ -21,11 +21,14 @@
 //!   per-worker injector deques, work stealing and scoped task latches, so a
 //!   warm service batch runs its supersteps with zero thread spawns (see
 //!   [`pool`](self) module docs for lifecycle and barrier semantics);
-//! * **one payload per send, a handle per edge** — a sent payload is stored
-//!   once in its worker's payload table, however many vertices it goes to;
-//!   what is routed is a 4-byte handle per message, and delivery reads the
-//!   payload from the table, folding it into the destination's slot by
-//!   reference or cloning it into the destination's list;
+//! * **one payload per send, one entry per destination worker** — a sent
+//!   payload is stored once in its worker's payload table, however many
+//!   vertices it goes to; a point send routes one 4-byte handle, and a
+//!   broadcast routes one handle per destination worker, tagged with an
+//!   [`EdgeGroups`] group that each worker resolves from its out-edges once
+//!   per run. Delivery expands a group straight into destination slots and
+//!   reads the payload from the table, folding it into the destination's
+//!   slot by reference or cloning it into the destination's list;
 //! * **buffer reuse** — inboxes, payload tables, outboxes and the inbound
 //!   transpose matrix are allocated once per run and cleared in place;
 //!   counter and aggregate accumulators are reset, never reallocated.
@@ -70,12 +73,13 @@
 //!    [`TransportMode`](crate::remote::TransportMode)) run too. All a
 //!    transport has to get right is per-worker: each worker computes over a
 //!    shard holding exactly its vertices' adjacency, a worker's messages to
-//!    a peer travel as one batch section in production order — nothing is
-//!    regrouped — and are delivered in ascending source-worker order with
-//!    the receiver's own messages at its own position, so every delivery
-//!    row is the one the in-memory transpose builds and every inbox sees
-//!    the order of point (4); `StepDone` replies are reported in ascending
-//!    worker order.
+//!    a peer travel as one batch section in production order — its edge
+//!    groups expanded back into one `(vertex, message)` pair per edge as the
+//!    section is written, nothing regrouped — and are delivered in ascending
+//!    source-worker order with the receiver's own messages (groups kept) at
+//!    its own position, so every inbox receives exactly what the in-memory
+//!    transpose delivers, in the order of point (4); `StepDone` replies are
+//!    reported in ascending worker order.
 //!
 //! Property (2) is also why the runtime exists at all: PREDIcT executes
 //! thousands of sample runs (see `PredictService::submit_batch`), and the
@@ -97,7 +101,7 @@ pub use executor::execute;
 pub use layout::{LayoutCache, ShardLayout};
 pub use master::{run_master, StepSink, Workers};
 pub use pool::{WorkerPool, DEFAULT_POOL_CAPACITY};
-pub use shard::{Inbox, WorkerShard};
+pub use shard::{group_of, EdgeGroups, Inbox, WorkerShard, GROUP_BIT};
 
 #[cfg(test)]
 mod tests {

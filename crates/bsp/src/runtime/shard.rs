@@ -10,6 +10,10 @@
 //! buffers have grown to the run's volume, sending and delivering a message
 //! allocates nothing for a program with a plain-value combiner.
 //!
+//! Beside the shard, each worker's [`EdgeGroups`] — its out-edges resolved
+//! against the layout once per run — let a broadcast travel as one routed
+//! entry per destination worker instead of one per edge.
+//!
 //! The phase logic itself — compute and delivery — lives in
 //! [`crate::worker`], which operates on shards.
 
@@ -19,6 +23,122 @@ use crate::program::{InitContext, VertexProgram};
 use crate::runtime::layout::ShardLayout;
 use crate::storage::WorkerGraph;
 use predict_graph::VertexId;
+use std::ops::Range;
+
+/// Tag bit of a routed entry that names one of its source worker's edge
+/// groups instead of a destination vertex. Vertex ids stay below it
+/// ([`ShardLayout::build`] asserts so).
+pub const GROUP_BIT: VertexId = 1 << 31;
+
+/// The edge group a routed entry names, or `None` for a vertex entry.
+#[inline]
+pub fn group_of(entry: VertexId) -> Option<usize> {
+    (entry & GROUP_BIT != 0).then_some((entry & !GROUP_BIT) as usize)
+}
+
+/// One worker's out-edges, resolved against a [`ShardLayout`] once per run.
+///
+/// Every owned vertex gets one *edge group* per destination worker that owns
+/// at least one of its out-neighbors, in ascending worker order. A group
+/// holds those neighbors' shard slots in adjacency order, parallel edges and
+/// self-loops included. A broadcast then routes one `GROUP_BIT | group`
+/// entry per group, and delivery expands it straight into destination slots
+/// with no per-edge ownership lookup. Each vertex's `(local, remote)` edge
+/// counts keep the Table 1 counters per edge.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct EdgeGroups {
+    /// The groups of the vertex at slot `i` are
+    /// `vertex_groups[i]..vertex_groups[i + 1]`.
+    vertex_groups: Vec<u32>,
+    /// Group -> the worker owning its destinations.
+    workers: Vec<u32>,
+    /// The slots of group `g` are `slots[group_slots[g]..group_slots[g + 1]]`.
+    group_slots: Vec<u32>,
+    /// Destination shard slots, group after group.
+    slots: Vec<u32>,
+    /// Vertex slot -> `(local, remote)` out-edge counts.
+    edge_counts: Vec<(u32, u32)>,
+}
+
+impl EdgeGroups {
+    /// Resolves the out-edges of worker `worker`'s vertices, read through
+    /// `graph` — the unified CSR and the worker's own
+    /// [`ShardedCsr`](predict_graph::ShardedCsr) build equal groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker's out-edges overflow `u32` offsets, or its group
+    /// count reaches `2^31` (it must fit below [`GROUP_BIT`]).
+    pub fn build(graph: WorkerGraph<'_>, layout: &ShardLayout, worker: usize) -> Self {
+        let vertices = layout.shard_vertices(worker);
+        let offset = |len: usize| u32::try_from(len).expect("a worker's out-edges fit u32");
+        // Sized up front from one pass over the degrees, which costs less
+        // than growing the buffers by reallocation.
+        let degree = |(i, &v): (usize, &VertexId)| graph.out_neighbors(i, v).len();
+        let edges: usize = vertices.iter().enumerate().map(degree).sum();
+        let max_groups = edges.min(vertices.len() * layout.num_workers());
+        let mut groups = Self {
+            vertex_groups: Vec::with_capacity(vertices.len() + 1),
+            workers: Vec::with_capacity(max_groups),
+            group_slots: Vec::with_capacity(max_groups + 1),
+            slots: Vec::with_capacity(edges),
+            edge_counts: Vec::with_capacity(vertices.len()),
+        };
+        groups.vertex_groups.push(0);
+        groups.group_slots.push(0);
+        // Per destination worker: the slots of the current vertex's
+        // out-neighbors it owns, in adjacency order.
+        let mut pending: Vec<Vec<u32>> = vec![Vec::new(); layout.num_workers()];
+        for (i, &v) in vertices.iter().enumerate() {
+            let neighbors = graph.out_neighbors(i, v);
+            for &n in neighbors {
+                pending[layout.owner_of(n)].push(layout.slot_of(n) as u32);
+            }
+            let local = pending[worker].len();
+            for (w, slots) in pending.iter_mut().enumerate() {
+                if !slots.is_empty() {
+                    groups.workers.push(w as u32);
+                    groups.slots.append(slots);
+                    groups.group_slots.push(offset(groups.slots.len()));
+                }
+            }
+            groups.vertex_groups.push(offset(groups.workers.len()));
+            let remote = neighbors.len() - local;
+            groups.edge_counts.push((offset(local), offset(remote)));
+        }
+        assert!(
+            groups.workers.len() < GROUP_BIT as usize,
+            "{} edge groups do not fit below the group tag bit",
+            groups.workers.len()
+        );
+        groups
+    }
+
+    /// The groups of the owned vertex at shard slot `slot`.
+    #[inline]
+    pub fn of_vertex(&self, slot: usize) -> Range<usize> {
+        self.vertex_groups[slot] as usize..self.vertex_groups[slot + 1] as usize
+    }
+
+    /// The worker owning every destination of group `group`.
+    #[inline]
+    pub fn worker(&self, group: usize) -> usize {
+        self.workers[group] as usize
+    }
+
+    /// The destination shard slots of group `group`, in adjacency order.
+    #[inline]
+    pub fn slots(&self, group: usize) -> &[u32] {
+        &self.slots[self.group_slots[group] as usize..self.group_slots[group + 1] as usize]
+    }
+
+    /// `(local, remote)` out-edge counts of the owned vertex at `slot`.
+    #[inline]
+    pub fn edge_counts(&self, slot: usize) -> (u64, u64) {
+        let (local, remote) = self.edge_counts[slot];
+        (local.into(), remote.into())
+    }
+}
 
 /// The messages delivered to a shard's vertices at the end of the previous
 /// superstep, indexed by shard slot. The compute phase reads a vertex's
@@ -94,13 +214,16 @@ pub struct WorkerShard<P: VertexProgram> {
     /// it swaps back (capacity kept).
     pub payloads: Vec<P::Message>,
     /// Compute-phase scratch: what the vertex being computed has sent so
-    /// far, as `(destination, payload handle)` pairs, routed and emptied
-    /// (capacity kept) as soon as its compute call returns.
+    /// far, as `(destination, payload handle)` pairs — the destination
+    /// [`BROADCAST`](crate::program::BROADCAST) for a broadcast — routed and
+    /// emptied (capacity kept) as soon as its compute call returns.
     pub outbox: Vec<(VertexId, u32)>,
     /// Routed outboxes, one per destination worker, in production order:
-    /// `(destination, handle into `payloads`)` pairs. Swapped with the
-    /// executor's inbound matrix between phases; capacity circulates across
-    /// supersteps instead of being reallocated.
+    /// `(entry, handle into `payloads`)` pairs, where the entry is the
+    /// destination vertex of a point send or `GROUP_BIT | group` for a
+    /// broadcast, one per destination worker ([`EdgeGroups`]). Swapped with
+    /// the executor's inbound matrix between phases; capacity circulates
+    /// across supersteps instead of being reallocated.
     pub routed: Vec<Vec<(VertexId, u32)>>,
     /// Table 1 counters of the current superstep (reset in place).
     pub counters: WorkerCounters,

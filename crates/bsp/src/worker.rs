@@ -6,17 +6,20 @@
 //!
 //! * [`WorkerShard::run_superstep`] — the **compute phase**: execute the
 //!   program's compute function for every active owned vertex (ascending
-//!   vertex id), accumulate partial aggregates, and route each produced
-//!   message once — classified local/remote, counted into the Table 1
-//!   counters and pushed to its destination worker's buffer in one pass. A
-//!   message is a 4-byte handle into the shard's payload table, which holds
-//!   each sent payload once; each payload is sized once, and every edge is
-//!   still counted;
+//!   vertex id), accumulate partial aggregates, and route what each vertex
+//!   sent — one payload per send, one entry per destination worker. The
+//!   shard's payload table holds each sent payload once, sized once; a
+//!   point send routes one `(vertex, handle)` entry after one ownership
+//!   lookup, a broadcast one `(GROUP_BIT | group, handle)` entry per
+//!   destination worker of the sender's [`EdgeGroups`], and the Table 1
+//!   counters still count every edge;
 //! * [`WorkerShard::deliver`] — the **delivery phase**: hand the inbound
 //!   messages (ascending source worker, production order within a source) to
-//!   the owned vertices' [`Inbox`], reading each payload from its source's
-//!   table — folded into the vertex's slot by reference when the program
-//!   declares a combiner, cloned into its list otherwise.
+//!   the owned vertices' [`Inbox`], expanding each group entry through its
+//!   source worker's groups straight into destination slots and reading each
+//!   payload from its source's table — folded into the vertex's slot by
+//!   reference when the program declares a combiner, cloned into its list
+//!   otherwise.
 //!
 //! Both phases touch only the shard's own state, so the executor
 //! ([`crate::runtime`]) may run any number of shards concurrently; the
@@ -24,8 +27,8 @@
 //! the whole run deterministic.
 
 use crate::aggregator::Aggregates;
-use crate::program::{ComputeContext, VertexProgram};
-use crate::runtime::{Inbox, ShardLayout, WorkerShard};
+use crate::program::{ComputeContext, VertexProgram, BROADCAST};
+use crate::runtime::{group_of, EdgeGroups, Inbox, ShardLayout, WorkerShard, GROUP_BIT};
 use crate::storage::WorkerGraph;
 use predict_graph::VertexId;
 
@@ -36,16 +39,18 @@ impl<P: VertexProgram> WorkerShard<P> {
     /// increasing vertex-id order and, as each call returns, routes what the
     /// vertex sent into the per-destination-worker buffers (`self.routed`),
     /// preserving production order (ascending sender vertex, send order
-    /// within a vertex) and counting every message at send time. The
-    /// payloads land in `self.payloads`, cleared first. `graph` is this
-    /// worker's view of the graph — the whole CSR in memory, only the
-    /// worker's own shard on a cluster worker; the phase never reads
-    /// adjacency outside the owned vertices either way.
+    /// within a vertex) and counting every message at send time. A broadcast
+    /// is routed through `groups`, this worker's edge groups. The payloads
+    /// land in `self.payloads`, cleared first. `graph` is this worker's view
+    /// of the graph — the whole CSR in memory, only the worker's own shard
+    /// on a cluster worker; the phase never reads adjacency outside the
+    /// owned vertices either way.
     pub fn run_superstep(
         &mut self,
         program: &P,
         graph: WorkerGraph<'_>,
         layout: &ShardLayout,
+        groups: &EdgeGroups,
         superstep: usize,
         previous_aggregates: &Aggregates,
     ) {
@@ -85,42 +90,45 @@ impl<P: VertexProgram> WorkerShard<P> {
             self.inbox.clear(i);
             self.halted[i] = vertex_halted;
 
-            // Route what this vertex just sent: one ownership lookup per
-            // message decides both its counter pair and its buffer. A
-            // broadcast is a run of one handle, so its payload is sized once.
-            let mut sized: Option<(u32, u64)> = None;
+            // Route what this vertex just sent, sizing each payload once. A
+            // point send takes one ownership lookup; a broadcast routes one
+            // entry per edge group and counts its edges in bulk.
             for (dst, handle) in self.outbox.drain(..) {
-                let bytes = match sized {
-                    Some((last, bytes)) if last == handle => bytes,
-                    _ => {
-                        let bytes = program.message_size_bytes(&self.payloads[handle as usize]);
-                        sized = Some((handle, bytes));
-                        bytes
+                let bytes = program.message_size_bytes(&self.payloads[handle as usize]);
+                if dst == BROADCAST {
+                    let (local, remote) = groups.edge_counts(i);
+                    self.counters.record_messages(bytes, local, remote);
+                    for group in groups.of_vertex(i) {
+                        self.routed[groups.worker(group)].push((GROUP_BIT | group as u32, handle));
                     }
-                };
-                let owner = layout.owner_of(dst);
-                self.counters.record_message(bytes, owner == self.worker);
-                self.routed[owner].push((dst, handle));
+                } else {
+                    let owner = layout.owner_of(dst);
+                    self.counters.record_message(bytes, owner == self.worker);
+                    self.routed[owner].push((dst, handle));
+                }
             }
         }
     }
 
     /// Executes the delivery phase for this shard: hands the messages of
-    /// `inbound` (one buffer of `(destination, handle)` pairs per source
-    /// worker, in ascending source-worker order) to the owned vertices'
-    /// inbox, reading each payload from its source worker's table in
-    /// `tables`. A program with a combiner has each message folded into its
+    /// `inbound` (one buffer of `(entry, handle)` pairs per source worker, in
+    /// ascending source-worker order) to the owned vertices' inbox, reading
+    /// each payload from its source worker's table in `tables`. A vertex
+    /// entry is one message; a group entry `GROUP_BIT | g` of `inbound[src]`
+    /// is one message per slot of group `g` of `groups[src]`, in the group's
+    /// order. A program with a combiner has each message folded into its
     /// destination's slot as it arrives — the first arrival cloned, every
     /// later one folded in by reference, a left fold in delivery order (see
     /// [`crate::combiner`]); any other program has a clone of it appended
     /// to the destination's list.
     ///
     /// Buffers in `inbound` are drained in place so their capacity is reused
-    /// by the next superstep; `tables` is only read.
+    /// by the next superstep; `groups` and `tables` are only read.
     pub fn deliver(
         &mut self,
         program: &P,
         layout: &ShardLayout,
+        groups: &[EdgeGroups],
         inbound: &mut [Vec<(VertexId, u32)>],
         tables: &[Vec<P::Message>],
     ) {
@@ -133,6 +141,7 @@ impl<P: VertexProgram> WorkerShard<P> {
                 drain_arrivals(
                     layout,
                     worker,
+                    groups,
                     inbound,
                     tables,
                     |slot, msg| match &mut slots[slot] {
@@ -142,7 +151,7 @@ impl<P: VertexProgram> WorkerShard<P> {
                 );
             }
             Inbox::Lists(lists) => {
-                drain_arrivals(layout, worker, inbound, tables, |slot, msg| {
+                drain_arrivals(layout, worker, groups, inbound, tables, |slot, msg| {
                     lists[slot].push(msg.clone())
                 });
             }
@@ -152,19 +161,33 @@ impl<P: VertexProgram> WorkerShard<P> {
 
 /// Drains `inbound` in delivery order, handing `place` each message's
 /// payload, read from its source's table, with the slot its destination
-/// vertex has in the shard of `worker`.
+/// vertex has in the shard of `worker`. Group entries of `inbound[src]`
+/// expand through `groups[src]`.
 fn drain_arrivals<M>(
     layout: &ShardLayout,
     worker: usize,
+    groups: &[EdgeGroups],
     inbound: &mut [Vec<(VertexId, u32)>],
     tables: &[Vec<M>],
     mut place: impl FnMut(usize, &M),
 ) {
     debug_assert_eq!(inbound.len(), tables.len());
-    for (buf, table) in inbound.iter_mut().zip(tables) {
-        for (dst, handle) in buf.drain(..) {
-            debug_assert_eq!(layout.owner_of(dst), worker);
-            place(layout.slot_of(dst), &table[handle as usize]);
+    for (src, (buf, table)) in inbound.iter_mut().zip(tables).enumerate() {
+        for (entry, handle) in buf.drain(..) {
+            let msg = &table[handle as usize];
+            match group_of(entry) {
+                Some(group) => {
+                    let groups = &groups[src];
+                    debug_assert_eq!(groups.worker(group), worker);
+                    for &slot in groups.slots(group) {
+                        place(slot as usize, msg);
+                    }
+                }
+                None => {
+                    debug_assert_eq!(layout.owner_of(entry), worker);
+                    place(layout.slot_of(entry), msg);
+                }
+            }
         }
     }
 }
@@ -209,12 +232,16 @@ mod tests {
         }
     }
 
-    fn two_worker_setup() -> (CsrGraph, ShardLayout) {
+    /// The graph, its layout over two workers and both workers' edge groups.
+    fn two_worker_setup() -> (CsrGraph, ShardLayout, Vec<EdgeGroups>) {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
         let el: EdgeList = [(0u32, 1u32), (0, 2), (1, 3), (2, 3)].into_iter().collect();
         let g = CsrGraph::from_edge_list(&el);
         let l = ShardLayout::build(g.num_vertices(), 2, PartitionStrategy::Modulo);
-        (g, l)
+        let groups = (0..2)
+            .map(|w| EdgeGroups::build(WorkerGraph::Unified(&g), &l, w))
+            .collect();
+        (g, l, groups)
     }
 
     /// Inbound `(destination, message)` buffers, one per source worker, as
@@ -234,7 +261,7 @@ mod tests {
 
     #[test]
     fn superstep_zero_sends_messages_and_counts_them() {
-        let (g, l) = two_worker_setup();
+        let (g, l, groups) = two_worker_setup();
         let program = SumIds;
         // Worker 0 owns vertices 0 and 2 (modulo layout).
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 0);
@@ -242,6 +269,7 @@ mod tests {
             &program,
             WorkerGraph::Unified(&g),
             &l,
+            &groups[0],
             0,
             &Aggregates::new(),
         );
@@ -253,18 +281,32 @@ mod tests {
         assert_eq!(shard.counters.local_messages, 1);
         assert_eq!(shard.counters.remote_messages, 2);
         assert_eq!(shard.counters.total_message_bytes(), 12);
-        // Each vertex's payload was stored once, and its messages were
-        // routed by destination worker, in production order, as handles.
+        // Each vertex's payload was stored once, and each broadcast was
+        // routed as one entry per destination worker, in production order:
+        // vertex 0's groups 0 (to vertex 2) and 1 (to vertex 1), vertex 2's
+        // group 2 (to vertex 3).
         assert_eq!(shard.payloads, [0, 2]);
-        assert_eq!(shard.routed[0], vec![(2, 0)]);
-        assert_eq!(shard.routed[1], vec![(1, 0), (3, 1)]);
+        assert_eq!(shard.routed[0], vec![(GROUP_BIT, 0)]);
+        assert_eq!(
+            shard.routed[1],
+            vec![(GROUP_BIT | 1, 0), (GROUP_BIT | 2, 1)]
+        );
+        let slots = |v: VertexId| vec![l.slot_of(v) as u32];
+        assert_eq!(groups[0].slots(0), slots(2));
+        assert_eq!(groups[0].slots(1), slots(1));
+        assert_eq!(groups[0].slots(2), slots(3));
+        // A broadcast routes at most min(out-degree, workers) entries.
+        for (handle, &v) in (0u32..).zip(l.shard_vertices(0)) {
+            let entries = shard.routed.iter().flatten().filter(|e| e.1 == handle);
+            assert!(entries.count() <= g.out_degree(v).min(l.num_workers()));
+        }
         // Both vertices voted to halt.
         assert!(shard.all_halted());
     }
 
     #[test]
     fn halted_vertices_without_messages_are_skipped() {
-        let (g, l) = two_worker_setup();
+        let (g, l, groups) = two_worker_setup();
         let program = SumIds;
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 0);
         shard.halted = vec![true; 2];
@@ -272,6 +314,7 @@ mod tests {
             &program,
             WorkerGraph::Unified(&g),
             &l,
+            &groups[0],
             1,
             &Aggregates::new(),
         );
@@ -281,19 +324,20 @@ mod tests {
 
     #[test]
     fn messages_reactivate_halted_vertices_and_are_consumed() {
-        let (g, l) = two_worker_setup();
+        let (g, l, groups) = two_worker_setup();
         let program = SumIds;
         // Worker 1 owns vertices 1 and 3.
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 1);
         shard.halted = vec![true; 2];
         let (mut handles, tables) = inbound(vec![vec![(3u32, 1u32), (3, 2)], Vec::new()]);
-        shard.deliver(&program, &l, &mut handles, &tables);
+        shard.deliver(&program, &l, &groups, &mut handles, &tables);
         assert!(handles[0].is_empty(), "inbound buffers must be drained");
 
         shard.run_superstep(
             &program,
             WorkerGraph::Unified(&g),
             &l,
+            &groups[1],
             1,
             &Aggregates::new(),
         );
@@ -340,11 +384,11 @@ mod tests {
 
     #[test]
     fn deliver_applies_the_combiner_per_inbox() {
-        let (g, l) = two_worker_setup();
+        let (g, l, groups) = two_worker_setup();
         let program = MinIds;
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 1);
         let (mut handles, tables) = inbound(vec![vec![(3u32, 9u32), (3, 4), (1, 7)], vec![(3, 6)]]);
-        shard.deliver(&program, &l, &mut handles, &tables);
+        shard.deliver(&program, &l, &groups, &mut handles, &tables);
         assert!(handles.iter().all(Vec::is_empty), "buffers must be drained");
         assert_eq!(tables, [vec![9, 4, 7], vec![6]], "tables are only read");
         // Vertex 3 received 9, 4, 6 -> folded to the minimum on arrival.
@@ -353,7 +397,7 @@ mod tests {
         assert_eq!(shard.inbox.messages(l.slot_of(1)), [7]);
         // A second delivery before compute keeps folding into the same slot.
         let (mut handles, tables) = inbound(vec![vec![(3u32, 2u32)], Vec::new()]);
-        shard.deliver(&program, &l, &mut handles, &tables);
+        shard.deliver(&program, &l, &groups, &mut handles, &tables);
         assert_eq!(shard.inbox.messages(l.slot_of(3)), [2]);
 
         shard.halted = vec![true; 2];
@@ -361,6 +405,7 @@ mod tests {
             &program,
             WorkerGraph::Unified(&g),
             &l,
+            &groups[1],
             1,
             &Aggregates::new(),
         );
@@ -394,48 +439,51 @@ mod tests {
                 Some(&Trace)
             }
         }
-        let (g, l) = two_worker_setup();
+        let (g, l, groups) = two_worker_setup();
         let mut shard = WorkerShard::init(&Traced, WorkerGraph::Unified(&g), &l, 1);
         let msg = |dst: u32, m: &str| (dst, m.to_string());
         let (mut handles, tables) = inbound(vec![
             vec![msg(3, "a"), msg(1, "x"), msg(3, "b")],
             vec![msg(3, "c"), msg(3, "d")],
         ]);
-        shard.deliver(&Traced, &l, &mut handles, &tables);
+        shard.deliver(&Traced, &l, &groups, &mut handles, &tables);
         assert_eq!(shard.inbox.messages(l.slot_of(3)), ["(((a+b)+c)+d)"]);
         assert_eq!(shard.inbox.messages(l.slot_of(1)), ["x"]);
     }
 
     #[test]
     fn a_shared_payload_reaches_every_list_it_is_handed_to() {
-        let (g, l) = two_worker_setup();
+        let (g, l, groups) = two_worker_setup();
         let program = SumIds;
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 1);
-        // One payload per source, each handed to both owned vertices.
-        let mut handles = vec![vec![(3u32, 0u32), (1, 0)], vec![(3, 0)]];
+        // One payload per source, each handed to both owned vertices: by a
+        // vertex entry and by worker 0's group 2 (to vertex 3), and by
+        // worker 1's own group 0 (vertex 1's edge to vertex 3).
+        let mut handles = vec![vec![(GROUP_BIT | 2, 0u32), (1, 0)], vec![(GROUP_BIT, 0)]];
         let tables = vec![vec![5u32], vec![8]];
-        shard.deliver(&program, &l, &mut handles, &tables);
+        shard.deliver(&program, &l, &groups, &mut handles, &tables);
         assert_eq!(shard.inbox.messages(l.slot_of(3)), [5, 8]);
         assert_eq!(shard.inbox.messages(l.slot_of(1)), [5]);
     }
 
     #[test]
     fn buffers_keep_their_capacity_across_supersteps() {
-        let (g, l) = two_worker_setup();
+        let (g, l, groups) = two_worker_setup();
         let program = SumIds;
         let mut shard = WorkerShard::init(&program, WorkerGraph::Unified(&g), &l, 0);
         shard.run_superstep(
             &program,
             WorkerGraph::Unified(&g),
             &l,
+            &groups[0],
             0,
             &Aggregates::new(),
         );
-        // Superstep 0 routed 3 messages through the per-vertex scratch, two
-        // of them from vertex 0.
+        // Superstep 0 routed each vertex's broadcast through the per-vertex
+        // scratch.
         assert!(shard.outbox.is_empty(), "the scratch is emptied per vertex");
         let capacity = shard.outbox.capacity();
-        assert!(capacity >= 2);
+        assert!(capacity >= 1);
         let payloads = shard.payloads.capacity();
         let routed: Vec<usize> = shard.routed.iter().map(Vec::capacity).collect();
         shard.routed.iter_mut().for_each(Vec::clear);
@@ -444,6 +492,7 @@ mod tests {
             &program,
             WorkerGraph::Unified(&g),
             &l,
+            &groups[0],
             0,
             &Aggregates::new(),
         );

@@ -6,12 +6,17 @@
 //! bit for bit, for every program of `predict_algorithms`, at every thread
 //! count. A second property checks the message accounting and the
 //! worker-count independence that bit-equality cannot show, since the oracle
-//! counts messages by the same definitions.
+//! counts messages by the same definitions. A third holds the runtime's
+//! edge groups, through which a broadcast is routed, equal to routing it
+//! edge by edge.
 
 mod reference;
 
 use predict_algorithms::{with_program, ProgramSpec};
-use predict_bsp::{BspConfig, BspEngine, ExecutionMode, VertexProgram};
+use predict_bsp::storage::WorkerGraph;
+use predict_bsp::{
+    BspConfig, BspEngine, EdgeGroups, ExecutionMode, PartitionStrategy, ShardLayout, VertexProgram,
+};
 use predict_graph::CsrGraph;
 use proptest::prelude::*;
 use reference::{assert_same_run, graph_strategy, program_case, reference_run, suite_cases};
@@ -78,6 +83,45 @@ where
     Ok(())
 }
 
+/// Worker `w`'s edge groups against per-edge routing: in slot order, each
+/// vertex's groups are its out-neighbors' `(owner_of, slot_of)` routes split
+/// by destination worker, one group per worker in ascending order, and its
+/// `(local, remote)` counts are the per-edge counts.
+fn groups_route_every_edge(
+    graph: &CsrGraph,
+    layout: &ShardLayout,
+    w: usize,
+    groups: &EdgeGroups,
+) -> Result<(), TestCaseError> {
+    for (slot, &v) in layout.shard_vertices(w).iter().enumerate() {
+        let routes: Vec<(usize, u32)> = graph
+            .out_neighbors(v)
+            .iter()
+            .map(|&n| (layout.owner_of(n), layout.slot_of(n) as u32))
+            .collect();
+        let mut owners: Vec<usize> = routes.iter().map(|r| r.0).collect();
+        owners.sort_unstable();
+        owners.dedup();
+        let grouped: Vec<usize> = groups.of_vertex(slot).map(|g| groups.worker(g)).collect();
+        prop_assert_eq!(&grouped, &owners, "vertex {}", v);
+        for g in groups.of_vertex(slot) {
+            let dst = groups.worker(g);
+            let slots: Vec<u32> = routes.iter().filter(|r| r.0 == dst).map(|r| r.1).collect();
+            prop_assert_eq!(
+                groups.slots(g),
+                &slots[..],
+                "vertex {} to worker {}",
+                v,
+                dst
+            );
+        }
+        let local = routes.iter().filter(|r| r.0 == w).count() as u64;
+        let counts = (local, routes.len() as u64 - local);
+        prop_assert_eq!(groups.edge_counts(slot), counts, "vertex {}", v);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(suite_cases(96)))]
 
@@ -107,5 +151,26 @@ proptest! {
         with_program!(&spec, ranks, |program| {
             accounting(program, &graph, workers, broadcasts, order_free)
         })?;
+    }
+
+    #[test]
+    fn edge_groups_equal_per_edge_routing(
+        graph in graph_strategy(),
+        workers in 1usize..10,
+        strategy in 0usize..3,
+    ) {
+        let strategy = [
+            PartitionStrategy::Hash,
+            PartitionStrategy::Range,
+            PartitionStrategy::Modulo,
+        ][strategy];
+        let layout = ShardLayout::build(graph.num_vertices(), workers, strategy);
+        let shards = predict_graph::shard_csr(&graph, workers, |v| layout.owner_of(v));
+        for (w, shard) in shards.iter().enumerate() {
+            let groups = EdgeGroups::build(WorkerGraph::Unified(&graph), &layout, w);
+            groups_route_every_edge(&graph, &layout, w, &groups)?;
+            // A cluster worker, which sees only its own shard, builds the same.
+            prop_assert_eq!(&EdgeGroups::build(WorkerGraph::Shard(shard), &layout, w), &groups);
+        }
     }
 }

@@ -9,11 +9,12 @@
 //! vertices, one message list per vertex holding every message in delivery
 //! order, **no combiner**, no shards, no buffers, no threads, no wire; a
 //! payload handle a vertex sends is expanded back into a message of its own
-//! per destination. An executor — folding at delivery by reference for the
-//! programs that declare a combiner, storing each payload once and routing
-//! handles, routing as it computes, fanning phases out over a pool,
-//! relaying batch sections between worker processes — must produce the same
-//! vertex values and the same [`RunProfile`] bit for bit.
+//! per destination, a broadcast's per out-edge of the vertex. An executor —
+//! folding at delivery by reference for the programs that declare a
+//! combiner, storing each payload once and routing handles, routing a
+//! broadcast through edge groups, routing as it computes, fanning phases
+//! out over a pool, relaying batch sections between worker processes — must
+//! produce the same vertex values and the same [`RunProfile`] bit for bit.
 //!
 //! What the oracle and an executor share on purpose: the program under test
 //! and the simulated clock ([`ClusterClock`]) — inputs of a run, not the
@@ -25,7 +26,7 @@ use predict_algorithms::{
 };
 use predict_bsp::{
     Aggregates, BspConfig, ClusterClock, ComputeContext, HaltReason, InitContext,
-    PartitionStrategy, RunProfile, SuperstepProfile, VertexProgram, WorkerCounters,
+    PartitionStrategy, RunProfile, SuperstepProfile, VertexProgram, WorkerCounters, BROADCAST,
 };
 use predict_graph::{CsrGraph, EdgeList, VertexId};
 use proptest::prelude::*;
@@ -105,12 +106,19 @@ pub fn reference_run<P: VertexProgram>(
             };
             program.compute(&mut ctx, &incoming);
             halted[i] = vote;
-            // Every handle expands back into a message of its own.
+            // Every handle expands back into a message of its own, a
+            // broadcast's into one per out-edge.
             for (dst, handle) in outbox {
-                let message: P::Message = payloads[handle as usize].clone();
-                let bytes = program.message_size_bytes(&message);
-                counters[w].record_message(bytes, owner(dst) == w);
-                sent[w].push((dst, message));
+                let dsts = match dst {
+                    BROADCAST => graph.out_neighbors(v),
+                    _ => std::slice::from_ref(&dst),
+                };
+                for &dst in dsts {
+                    let message: P::Message = payloads[handle as usize].clone();
+                    let bytes = program.message_size_bytes(&message);
+                    counters[w].record_message(bytes, owner(dst) == w);
+                    sent[w].push((dst, message));
+                }
             }
         }
 

@@ -36,7 +36,9 @@
 //! ```
 //!
 //! A worker writes each non-empty routed buffer of payload handles as one
-//! section ([`encode_step_done`]). The driver decodes only the [`StepReport`] — what
+//! section ([`encode_step_done`]), expanding each broadcast's edge group
+//! into one destination per edge as it writes, so the wire carries the
+//! per-edge stream. The driver decodes only the [`StepReport`] — what
 //! the master merges — and each section's framing, then copies the section
 //! bytes verbatim into its destination's next `Step` ([`Relay`]); it decodes
 //! no message. The receiver decodes the sections into its per-source
@@ -52,7 +54,7 @@
 use crate::error::WireError;
 use crate::wire::{patch_u32, read_section, write_section, Reader, SectionHeader, Wire};
 pub use predict_algorithms::ProgramSpec;
-use predict_bsp::runtime::ShardLayout;
+use predict_bsp::runtime::{group_of, EdgeGroups, ShardLayout};
 use predict_bsp::{Aggregates, PartitionStrategy, WorkerCounters};
 use predict_graph::VertexId;
 use serde::{Deserialize, Serialize};
@@ -248,15 +250,19 @@ impl Wire for StepReport {
 /// Writes the `StepDone` body of worker `me` into `out` (cleared first):
 /// `report`, then one batch section per non-empty peer buffer of `routed`,
 /// ascending destination, written straight from the buffer of handles into
-/// `payloads` in production order. Written buffers are left empty with
-/// their capacity; `routed[me]`, whose messages never cross the wire, is not
-/// touched.
+/// `payloads` in production order. A group entry is expanded through
+/// `groups`, `me`'s edge groups, into one `(vertex, handle)` pair per edge
+/// as it is written, so the section is the per-edge stream. Written buffers
+/// are left empty with their capacity; `routed[me]`, whose messages never
+/// cross the wire, is not touched.
 pub fn encode_step_done<M: Wire>(
     out: &mut Vec<u8>,
     report: &StepReport,
     me: usize,
     routed: &mut [Vec<(VertexId, u32)>],
     payloads: &[M],
+    layout: &ShardLayout,
+    groups: &EdgeGroups,
 ) {
     out.clear();
     report.encode(out);
@@ -273,7 +279,19 @@ pub fn encode_step_done<M: Wire>(
             dst: dst as u32,
             seq: report.superstep,
         };
-        let messages = buffer.iter().map(|&(v, h)| (v, h, &payloads[h as usize]));
+        let vertices = layout.shard_vertices(dst);
+        let messages = buffer.iter().flat_map(|&(entry, h)| {
+            let (vertex, group) = match group_of(entry) {
+                Some(group) => (None, groups.slots(group)),
+                None => (Some(entry), &[][..]),
+            };
+            let edges = group.iter().map(|&slot| vertices[slot as usize]);
+            let payload = &payloads[h as usize];
+            vertex
+                .into_iter()
+                .chain(edges)
+                .map(move |v| (v, h, payload))
+        });
         write_section(out, header, messages);
         buffer.clear();
         count += 1;
@@ -522,10 +540,19 @@ mod tests {
     }
 
     /// Worker 1 of 3 writes its routed buffers, the relay forwards them, and
-    /// each receiver decodes exactly its buffer, in production order.
+    /// each receiver decodes exactly its per-edge buffer, in production
+    /// order, edge groups expanded.
     #[test]
     fn step_bodies_round_trip() {
+        use predict_bsp::runtime::GROUP_BIT;
+        use predict_bsp::storage::WorkerGraph;
+        use predict_graph::{CsrGraph, EdgeList};
         let layout = ShardLayout::build(9, 3, PartitionStrategy::Modulo);
+        // Vertex 1 (worker 1) broadcasts over 1 -> 6, 0, 8, 2: group 0 holds
+        // the edges to worker 0, group 1 those to worker 2.
+        let edges: EdgeList = [(1u32, 6u32), (1, 0), (1, 8), (1, 2)].into_iter().collect();
+        let graph = CsrGraph::from_edge_list(&edges);
+        let groups = EdgeGroups::build(WorkerGraph::Unified(&graph), &layout, 1);
         let mut aggs = Aggregates::new();
         aggs.add("delta", 1.25);
         let report = StepReport {
@@ -536,14 +563,27 @@ mod tests {
             compute_ns: 12345,
         };
         let payloads = [0.5f64, -0.0, 9.0, 0.25];
+        let mut routed: Vec<Vec<(VertexId, u32)>> = vec![
+            vec![(GROUP_BIT, 0), (3, 1)],
+            vec![(4, 2)],
+            vec![(GROUP_BIT | 1, 3)],
+        ];
+        // What goes on the wire: one destination per edge.
         let sent: Vec<Vec<(VertexId, u32)>> = vec![
             vec![(6, 0), (0, 0), (3, 1)],
             vec![(4, 2)],
             vec![(8, 3), (2, 3)],
         ];
-        let mut routed = sent.clone();
         let mut done = Vec::new();
-        encode_step_done(&mut done, &report, 1, &mut routed, &payloads);
+        encode_step_done(
+            &mut done,
+            &report,
+            1,
+            &mut routed,
+            &payloads,
+            &layout,
+            &groups,
+        );
         assert!(routed[0].is_empty() && routed[2].is_empty());
         assert_eq!(routed[1], sent[1], "local messages stay home");
 

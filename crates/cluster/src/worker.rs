@@ -12,13 +12,15 @@
 //! as batch sections, decoded straight into per-source payload tables and
 //! delivery rows of handles the episode reuses across supersteps
 //! ([`protocol::decode_step`]), and leave as sections written straight from
-//! the routed buffers and the shard's payload table
-//! ([`protocol::encode_step_done`]) instead of swapped `Vec`s. The worker's
-//! messages to itself never cross the wire at all: its own routed buffer and
-//! payload table become its own row and table, kept until the next step's
-//! delivery reads them at its own position, so every row holds exactly
-//! what the in-memory transpose would have put there, in production order
-//! (determinism contract point 8).
+//! the routed buffers and the shard's payload table, each broadcast's edge
+//! group expanded into one destination per edge as it is written
+//! ([`protocol::encode_step_done`]), instead of swapped `Vec`s. The worker
+//! builds its own [`EdgeGroups`] from its shard once per episode. Its
+//! messages to itself never cross the wire at all: its own routed buffer,
+//! group entries included, and payload table become its own row and table,
+//! kept until the next step's delivery reads them at its own position, so
+//! every inbox receives exactly what the in-memory executor delivers, in
+//! production order (determinism contract point 8).
 //!
 //! The loop structure (see [`crate::protocol`]): wait for `Init`, serve one
 //! episode of `Step`/`StepDone` rounds until `Finish`/`Values`, loop back to
@@ -29,7 +31,7 @@ use crate::endpoint::Endpoint;
 use crate::protocol::{self, tag, FaultSpec, InitHeader, StepReport};
 use crate::wire::{encode_to_vec, Wire};
 use predict_algorithms::with_program;
-use predict_bsp::runtime::{ShardLayout, WorkerShard};
+use predict_bsp::runtime::{EdgeGroups, ShardLayout, WorkerShard};
 use predict_bsp::storage::WorkerGraph;
 use predict_bsp::VertexProgram;
 use predict_graph::{ShardedCsr, VertexId};
@@ -110,6 +112,10 @@ where
     }
     let graph = WorkerGraph::Shard(&shard_csr);
     let mut state: WorkerShard<P> = WorkerShard::init(program, graph, &layout, me);
+    // This worker's edge groups, at its own index: only its own row holds
+    // group entries, since peers' arrive expanded off the wire.
+    let mut groups = vec![EdgeGroups::default(); num_workers];
+    groups[me] = EdgeGroups::build(graph, &layout, me);
     let fault = header.fault.unwrap_or_default();
 
     // Delivery rows of payload handles and the payload tables they index,
@@ -154,12 +160,20 @@ where
                 // Delivery phase: ascending source worker, this worker's own
                 // messages at its own position. Then every payload has been
                 // delivered.
-                state.deliver(program, &layout, &mut rows, &tables);
+                state.deliver(program, &layout, &groups, &mut rows, &tables);
                 tables.iter_mut().for_each(Vec::clear);
 
                 // Compute phase, measured.
                 let start = Instant::now();
-                state.run_superstep(program, graph, &layout, superstep, &previous_aggregates);
+                let own = &groups[me];
+                state.run_superstep(
+                    program,
+                    graph,
+                    &layout,
+                    own,
+                    superstep,
+                    &previous_aggregates,
+                );
                 let compute_ns = start.elapsed().as_nanos() as u64;
 
                 // Keep local messages and the payload table as next
@@ -175,7 +189,15 @@ where
                     all_halted: state.all_halted(),
                     compute_ns,
                 };
-                protocol::encode_step_done(&mut done, &report, me, &mut state.routed, &tables[me]);
+                protocol::encode_step_done(
+                    &mut done,
+                    &report,
+                    me,
+                    &mut state.routed,
+                    &tables[me],
+                    &layout,
+                    &groups[me],
+                );
                 ep.send(tag::STEP_DONE, &done)
                     .map_err(|e| format!("sending step-done: {e}"))?;
             }

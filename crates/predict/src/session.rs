@@ -26,7 +26,9 @@
 //! [`BspConfig`] names (in memory, or a worker group). A
 //! transported run can fail; the failure travels up every stage by `?` as
 //! [`PredictError::Cluster`] and nothing is cached for it.
-//! [`PredictionSession::actual_run`] is the one API that panics instead.
+//! [`PredictionSession::actual_run`], a wrapper over
+//! [`PredictionSession::try_actual_run`] that the frozen benchmark adapter
+//! names, is the one API that panics instead.
 //!
 //! Sessions are built fluently via [`PredictorBuilder`]:
 //!
@@ -1123,15 +1125,25 @@ impl PredictionSession {
     }
 
     /// Executes (or reuses) the actual run of `workload` on the full graph.
+    /// A failed cluster drive is a [`PredictError::Cluster`], and nothing is
+    /// cached for it.
+    pub fn try_actual_run(
+        &self,
+        workload: &dyn Workload,
+    ) -> Result<Arc<WorkloadRun>, PredictError> {
+        stage_actual(&self.ctx(), workload)
+    }
+
+    /// [`PredictionSession::try_actual_run`] for callers that cannot take a
+    /// `Result` (the signature is part of the frozen benchmark adapter).
     ///
     /// # Panics
     ///
-    /// Panics when the engine places the run on a cluster transport and the
-    /// drive fails. This is the one place a [`PredictError::Cluster`] becomes
-    /// a panic (the signature is part of the frozen benchmark adapter);
-    /// [`PredictionSession::evaluate`] returns the same failure as a value.
+    /// Panics with the error's message when
+    /// [`PredictionSession::try_actual_run`] fails.
     pub fn actual_run(&self, workload: &dyn Workload) -> Arc<WorkloadRun> {
-        stage_actual(&self.ctx(), workload).unwrap_or_else(|e| panic!("{e}"))
+        self.try_actual_run(workload)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Records a historical actual run. Bumps the history version, so models
@@ -1510,5 +1522,41 @@ mod tests {
             a.fingerprint(),
             a.clone().with_strict_training(true).fingerprint()
         );
+    }
+
+    #[test]
+    fn a_failed_socket_drive_is_a_typed_error_from_try_actual_run() {
+        use predict_bsp::TransportMode;
+        use predict_cluster::{checkin, checkout, protocol::tag, TransportKind};
+        // No other test of this binary drives a socket group, so the
+        // process-global group pool holds only what this test put there.
+        const WORKERS: usize = 3;
+        // Shuts one worker of a pooled socket group down behind the pool's
+        // back, so the next drive finds it gone. Without a `cluster_worker`
+        // binary the drive fails to spawn its group instead.
+        let poison = || {
+            if let Ok(mut group) = checkout(TransportKind::Socket, WORKERS) {
+                group.connections[1].send(tag::SHUTDOWN, &[]).unwrap();
+                checkin(group);
+            }
+        };
+        let socket = BspConfig::with_workers(WORKERS).with_transport(TransportMode::Socket);
+        let s = PredictorBuilder::new()
+            .engine(BspEngine::new(socket))
+            .sampler(BiasedRandomJump::default())
+            .config(PredictorConfig::single_ratio(0.1))
+            .bind(generate_rmat(&RmatConfig::new(8, 4).with_seed(5)), "socket");
+        let workload = PageRankWorkload::with_epsilon(0.01, s.graph().num_vertices());
+
+        poison();
+        match s.try_actual_run(&workload).err() {
+            Some(PredictError::Cluster(_)) => {}
+            other => panic!("expected PredictError::Cluster, got {other:?}"),
+        }
+        assert_eq!(s.stats().actual_runs, 0, "a failed run was cached");
+        // The frozen signature turns the same failure into a panic.
+        poison();
+        let run = std::panic::AssertUnwindSafe(|| s.actual_run(&workload));
+        assert!(std::panic::catch_unwind(run).is_err());
     }
 }
