@@ -47,8 +47,6 @@ registry!(tools, TOOLS: fn(&[String]) = [
     scenario_runner,
     trace_view,
     cluster_timing,
-    load_driver,
-    perf_probe,
     docs_links,
 ]);
 

@@ -5,12 +5,10 @@
 use std::path::Path;
 use std::process::Command;
 
-const TOOLS: [&str; 6] = [
+const TOOLS: [&str; 4] = [
     "scenario_runner",
     "trace_view",
     "cluster_timing",
-    "load_driver",
-    "perf_probe",
     "docs_links",
 ];
 

@@ -17,7 +17,7 @@
 use crate::config::BspConfig;
 use crate::profile::RunProfile;
 use crate::program::VertexProgram;
-use crate::runtime::{self, LayoutCache, WorkerPool};
+use crate::runtime::{self, LayoutCache, RunMetrics, WorkerPool};
 use predict_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,14 +57,15 @@ impl<V> BspRunResult<V> {
 /// A Giraph-like BSP execution engine with a simulated cluster clock.
 ///
 /// The engine keeps a cumulative count of executed runs, a cache of shard
-/// layouts and a persistent [`WorkerPool`] behind [`Arc`]s, so clones share
-/// all three. The prediction layer relies on the run counter to measure how
-/// many engine invocations a cached prediction session actually performed
-/// (its amortization guarantee); the layout cache means repeated runs over
-/// same-sized graphs skip the per-run partitioning scan entirely; the shared
-/// pool means warm parallel runs — and whole service batches scheduled onto
-/// it — spawn zero OS threads.
-#[derive(Debug, Clone, Default)]
+/// layouts, a persistent [`WorkerPool`] and its run instruments
+/// ([`RunMetrics`], resolved once in [`BspEngine::new`]) behind [`Arc`]s, so
+/// clones share all four. The prediction layer relies on the run counter to
+/// measure how many engine invocations a cached prediction session actually
+/// performed (its amortization guarantee); the layout cache means repeated
+/// runs over same-sized graphs skip the per-run partitioning scan entirely;
+/// the shared pool means warm parallel runs — and whole service batches
+/// scheduled onto it — spawn zero OS threads.
+#[derive(Debug, Clone)]
 pub struct BspEngine {
     config: BspConfig,
     /// Number of [`BspEngine::run`] invocations, shared across clones.
@@ -74,6 +75,14 @@ pub struct BspEngine {
     layouts: Arc<LayoutCache>,
     /// Persistent worker pool for parallel phases, shared across clones.
     pool: Arc<WorkerPool>,
+    /// The `bsp.*` instruments every run records into, shared across clones.
+    metrics: RunMetrics,
+}
+
+impl Default for BspEngine {
+    fn default() -> Self {
+        Self::new(BspConfig::default())
+    }
 }
 
 impl BspEngine {
@@ -84,6 +93,7 @@ impl BspEngine {
             runs: Arc::new(AtomicU64::new(0)),
             layouts: Arc::new(LayoutCache::default()),
             pool: Arc::new(WorkerPool::default()),
+            metrics: RunMetrics::new(predict_obs::registry()),
         }
     }
 
@@ -140,7 +150,7 @@ impl BspEngine {
         program: &P,
     ) -> BspRunResult<P::VertexValue> {
         self.runs.fetch_add(1, Ordering::Relaxed);
-        predict_obs::registry().counter("bsp.runs").incr();
+        self.metrics.runs.incr();
         let num_workers = self.config.workers();
         let layout = self.layouts.get_or_build(
             graph.num_vertices(),
@@ -151,7 +161,15 @@ impl BspEngine {
             .config
             .execution
             .resolve_threads(num_workers, graph.num_vertices() + graph.num_edges());
-        runtime::execute(program, graph, &layout, &self.config, threads, &self.pool)
+        runtime::execute(
+            program,
+            graph,
+            &layout,
+            &self.config,
+            threads,
+            &self.pool,
+            &self.metrics,
+        )
     }
 }
 

@@ -36,11 +36,38 @@ use crate::runtime::pool::WorkerPool;
 use crate::runtime::shard::{EdgeGroups, WorkerShard};
 use crate::storage::WorkerGraph;
 use predict_graph::{CsrGraph, VertexId};
+use predict_obs::metrics::{Counter, Histogram};
+use predict_obs::Registry;
 use std::convert::Infallible;
+use std::sync::Arc;
 
 /// One row of the inbound transpose matrix: the `(destination, handle)`
 /// buffers destined for one worker, one buffer per source worker.
 type MessageRow = Vec<Vec<(VertexId, u32)>>;
+
+/// The instruments an engine's runs record into: resolved once, when the
+/// engine is built, and shared by its clones, so a run never looks an
+/// instrument up by name.
+#[derive(Debug, Clone)]
+pub struct RunMetrics {
+    /// `bsp.runs`: one per in-memory run.
+    pub(crate) runs: Arc<Counter>,
+    /// `bsp.supersteps`: the supersteps of every in-memory run.
+    pub(crate) supersteps: Arc<Counter>,
+    /// `bsp.superstep_ns`: wall time of each in-memory superstep.
+    pub(crate) superstep_ns: Arc<Histogram>,
+}
+
+impl RunMetrics {
+    /// Resolves the three instruments in `registry`.
+    pub fn new(registry: &Registry) -> Self {
+        Self {
+            runs: registry.counter("bsp.runs"),
+            supersteps: registry.counter("bsp.supersteps"),
+            superstep_ns: registry.histogram("bsp.superstep_ns"),
+        }
+    }
+}
 
 /// Splits `items` into at most `threads` contiguous chunks and runs `f` on
 /// every item, scheduling the chunks as one scope on the persistent `pool`
@@ -95,7 +122,7 @@ struct LocalWorkers<'a, P: VertexProgram> {
     /// `tables[src]`: worker `src`'s payload table of the superstep being
     /// delivered, swapped with the shard's own the same way.
     tables: Vec<Vec<P::Message>>,
-    superstep_ns: std::sync::Arc<predict_obs::metrics::Histogram>,
+    superstep_ns: &'a Histogram,
 }
 
 impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
@@ -181,6 +208,7 @@ pub fn execute<P: VertexProgram>(
     config: &BspConfig,
     threads: usize,
     pool: &WorkerPool,
+    metrics: &RunMetrics,
 ) -> BspRunResult<P::VertexValue> {
     let _run_span = predict_obs::trace::span("bsp.run")
         .arg("algorithm", program.name())
@@ -201,7 +229,7 @@ pub fn execute<P: VertexProgram>(
             .map(|_| (0..num_workers).map(|_| Vec::new()).collect())
             .collect(),
         tables: (0..num_workers).map(|_| Vec::new()).collect(),
-        superstep_ns: predict_obs::registry().histogram("bsp.superstep_ns"),
+        superstep_ns: &metrics.superstep_ns,
     };
     // Value initialization and edge grouping fan out like a phase.
     let view = workers.graph;
@@ -218,8 +246,8 @@ pub fn execute<P: VertexProgram>(
         Ok(result) => result,
         Err(never) => match never {},
     };
-    predict_obs::registry()
-        .counter("bsp.supersteps")
+    metrics
+        .supersteps
         .add(result.profile.supersteps.len() as u64);
     result
 }

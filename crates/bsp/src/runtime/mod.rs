@@ -97,7 +97,7 @@ mod master;
 mod pool;
 mod shard;
 
-pub use executor::execute;
+pub use executor::{execute, RunMetrics};
 pub use layout::{LayoutCache, ShardLayout};
 pub use master::{run_master, StepSink, Workers};
 pub use pool::{WorkerPool, DEFAULT_POOL_CAPACITY};
@@ -148,9 +148,10 @@ mod tests {
         let config = BspConfig::with_workers(7);
         let layout = ShardLayout::build(graph.num_vertices(), 7, config.partition_strategy);
         let pool = WorkerPool::new(7);
-        let baseline = execute(&Ripple, &graph, &layout, &config, 1, &pool);
+        let metrics = RunMetrics::new(&predict_obs::Registry::new());
+        let baseline = execute(&Ripple, &graph, &layout, &config, 1, &pool, &metrics);
         for threads in [2usize, 3, 7] {
-            let run = execute(&Ripple, &graph, &layout, &config, threads, &pool);
+            let run = execute(&Ripple, &graph, &layout, &config, threads, &pool, &metrics);
             assert_eq!(baseline.values, run.values, "{threads} threads");
             assert_eq!(baseline.profile, run.profile, "{threads} threads");
             assert_eq!(baseline.halt_reason, run.halt_reason, "{threads} threads");
@@ -182,14 +183,15 @@ mod tests {
         let config = BspConfig::with_workers(6);
         let layout = ShardLayout::build(graph.num_vertices(), 6, config.partition_strategy);
         let pool = WorkerPool::new(4);
-        let sequential = execute(&Ripple, &graph, &layout, &config, 1, &pool);
+        let metrics = RunMetrics::new(&predict_obs::Registry::new());
+        let sequential = execute(&Ripple, &graph, &layout, &config, 1, &pool, &metrics);
         assert_eq!(
             pool.threads_spawned(),
             0,
             "one thread never touches the pool"
         );
         for threads in [2usize, 4] {
-            let pooled = execute(&Ripple, &graph, &layout, &config, threads, &pool);
+            let pooled = execute(&Ripple, &graph, &layout, &config, threads, &pool, &metrics);
             assert_eq!(sequential.values, pooled.values, "{threads} pooled threads");
             assert_eq!(
                 sequential.profile, pooled.profile,
@@ -200,7 +202,7 @@ mod tests {
         // Repeated pooled runs reuse the warm workers instead of spawning.
         let warm = pool.threads_spawned();
         for _ in 0..3 {
-            let _ = execute(&Ripple, &graph, &layout, &config, 4, &pool);
+            let _ = execute(&Ripple, &graph, &layout, &config, 4, &pool, &metrics);
         }
         assert_eq!(pool.threads_spawned(), warm, "warm runs must not spawn");
     }

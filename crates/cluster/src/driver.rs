@@ -35,7 +35,7 @@ use predict_bsp::{
 };
 use predict_graph::{shard_csr, CsrGraph};
 use predict_obs::metrics::{Counter, Histogram};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How a cluster drive runs: backend, read deadline, injected fault.
@@ -217,9 +217,29 @@ struct RemoteWorkers<'a> {
     /// The `Step` body being sent, reused across workers and supersteps.
     step_body: Vec<u8>,
     measured: Vec<MeasuredSuperstep>,
+    metrics: &'static DriveMetrics,
+}
+
+/// The `cluster.*` instruments every drive records into, resolved once per
+/// process on the first drive rather than once per drive.
+struct DriveMetrics {
     step_ns: Arc<Histogram>,
     wire_bytes: Arc<Counter>,
     steps: Arc<Counter>,
+}
+
+impl DriveMetrics {
+    fn get() -> &'static Self {
+        static METRICS: OnceLock<DriveMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| {
+            let registry = predict_obs::registry();
+            DriveMetrics {
+                step_ns: registry.histogram("cluster.step_ns"),
+                wire_bytes: registry.counter("cluster.wire_bytes"),
+                steps: registry.counter("cluster.steps"),
+            }
+        })
+    }
 }
 
 impl<'a> RemoteWorkers<'a> {
@@ -254,7 +274,6 @@ impl<'a> RemoteWorkers<'a> {
         for conn in &mut group.connections {
             expect_frame(conn, tag::INIT_OK, opts.timeout)?;
         }
-        let registry = predict_obs::registry();
         Ok(Self {
             group,
             layout,
@@ -262,9 +281,7 @@ impl<'a> RemoteWorkers<'a> {
             relay: Relay::new(num_workers),
             step_body: Vec::new(),
             measured: Vec::new(),
-            step_ns: registry.histogram("cluster.step_ns"),
-            wire_bytes: registry.counter("cluster.wire_bytes"),
-            steps: registry.counter("cluster.steps"),
+            metrics: DriveMetrics::get(),
         })
     }
 }
@@ -324,9 +341,9 @@ where
         // the STEP_DONE frames carried back.
         step_span.set_arg("worker_compute_ns", format!("{worker_compute_ns:?}"));
         let wall_ns = step_start.elapsed().as_nanos() as u64;
-        self.step_ns.record(wall_ns);
-        self.wire_bytes.add(wire_bytes.iter().sum());
-        self.steps.incr();
+        self.metrics.step_ns.record(wall_ns);
+        self.metrics.wire_bytes.add(wire_bytes.iter().sum());
+        self.metrics.steps.incr();
         self.measured.push(MeasuredSuperstep {
             wall_ns,
             worker_compute_ns,

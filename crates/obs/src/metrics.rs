@@ -2,10 +2,13 @@
 //! histograms with deterministically ordered snapshots.
 //!
 //! Instruments are created (or fetched) by name from the global
-//! [`registry`]; handles are `Arc`s, so hot paths cache them once and then
-//! touch only relaxed atomics. A [`Registry::snapshot`] walks every
-//! instrument in **sorted name order** and freezes its value — two
-//! processes performing the same multiset of metric operations produce
+//! [`registry`], which takes a lock per lookup; handles are `Arc`s, so each
+//! instrument is resolved once, by the object that owns it (a service, a
+//! session, an engine, a store), and a request or a run then touches only
+//! relaxed atomics. A [`ScopeTimer`] starts from a histogram its caller
+//! already holds ([`Histogram::start_timer`]). A [`Registry::snapshot`]
+//! walks every instrument in **sorted name order** and freezes its value —
+//! two processes performing the same multiset of metric operations produce
 //! byte-identical serialized snapshots no matter how their threads
 //! interleaved, because every mutation is a commutative atomic add.
 //!
@@ -126,29 +129,30 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
+
+    /// Starts a [`ScopeTimer`] that records into this histogram when
+    /// dropped.
+    pub fn start_timer(&self) -> ScopeTimer<'_> {
+        ScopeTimer {
+            histogram: self,
+            start: Instant::now(),
+        }
+    }
 }
 
 /// RAII timer recording elapsed nanoseconds into a histogram on drop, so
 /// every return path of a scope (including early returns and unwinds) is
-/// measured.
-pub struct ScopeTimer {
-    histogram: Arc<Histogram>,
+/// measured. Started by [`Histogram::start_timer`] on a histogram the caller
+/// already holds, so timing a scope never looks an instrument up.
+pub struct ScopeTimer<'a> {
+    histogram: &'a Histogram,
     start: Instant,
 }
 
-impl Drop for ScopeTimer {
+impl Drop for ScopeTimer<'_> {
     fn drop(&mut self) {
         self.histogram
             .record(self.start.elapsed().as_nanos() as u64);
-    }
-}
-
-/// Starts a [`ScopeTimer`] against the named histogram in the global
-/// [`registry`] (created with the default latency edges if absent).
-pub fn time_scope(name: &str) -> ScopeTimer {
-    ScopeTimer {
-        histogram: registry().histogram(name),
-        start: Instant::now(),
     }
 }
 
@@ -169,14 +173,12 @@ impl Registry {
 
     /// Fetches or creates the named counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(name.to_string()).or_default())
+        fetch_or_insert(&self.counters, name, Counter::default)
     }
 
     /// Fetches or creates the named gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(name.to_string()).or_default())
+        fetch_or_insert(&self.gauges, name, Gauge::default)
     }
 
     /// Fetches or creates the named histogram with the default latency
@@ -188,11 +190,7 @@ impl Registry {
     /// Fetches the named histogram, creating it with `edges()` if absent.
     /// An existing histogram keeps its original edges.
     pub fn histogram_with(&self, name: &str, edges: impl FnOnce() -> Vec<u64>) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(edges()))),
-        )
+        fetch_or_insert(&self.histograms, name, || Histogram::new(edges()))
     }
 
     /// Freezes every instrument into a deterministically ordered snapshot.
@@ -240,6 +238,22 @@ impl Registry {
             histograms,
         }
     }
+}
+
+/// The instrument `name` in `map`, created by `make` if absent. A hit is a
+/// lookup by `&str`; only an insert allocates the owned name.
+fn fetch_or_insert<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(existing) = map.get(name) {
+        return Arc::clone(existing);
+    }
+    let created = Arc::new(make());
+    map.insert(name.to_string(), Arc::clone(&created));
+    created
 }
 
 /// The process-global registry.
@@ -469,13 +483,31 @@ mod tests {
 
     #[test]
     fn scope_timer_records_on_drop() {
-        // Uses the global registry: assert on the count delta because other
-        // tests in the process may share it.
-        let before = registry().histogram("test.scope_timer").count();
+        let registry = Registry::new();
+        let histogram = registry.histogram("scope");
         {
-            let _t = time_scope("test.scope_timer");
+            let _t = histogram.start_timer();
         }
-        let after = registry().histogram("test.scope_timer").count();
-        assert_eq!(after, before + 1);
+        assert_eq!(histogram.count(), 1);
+        assert_eq!(registry.snapshot().histogram("scope").unwrap().count, 1);
+    }
+
+    #[test]
+    fn fetching_an_existing_instrument_returns_it_and_adds_nothing() {
+        let registry = Registry::new();
+        let (c, g, h) = (
+            registry.counter("c"),
+            registry.gauge("g"),
+            registry.histogram("h"),
+        );
+        let size = |r: &Registry| {
+            let s = r.snapshot();
+            (s.counters.len(), s.gauges.len(), s.histograms.len())
+        };
+        assert_eq!(size(&registry), (1, 1, 1));
+        assert!(Arc::ptr_eq(&c, &registry.counter("c")));
+        assert!(Arc::ptr_eq(&g, &registry.gauge("g")));
+        assert!(Arc::ptr_eq(&h, &registry.histogram("h")));
+        assert_eq!(size(&registry), (1, 1, 1));
     }
 }

@@ -18,12 +18,16 @@
 //! `(sampler, ratio, seed)`, a sample run additionally depends on the
 //! workload configuration and the transform rule, and a trained model
 //! depends on the whole predictor configuration plus the history version.
+//! In memory the keys compare and hash by value — floats by bit pattern,
+//! nothing formatted; each renders a string only as its store key, after a
+//! memory miss.
 
 use crate::cost_model::CostModel;
 use crate::critical_path::{observations_from_profile, WorkerSelection};
 use crate::error::PredictError;
 use crate::extrapolator::Extrapolator;
 use crate::features::IterationObservation;
+use crate::session::{ConfigIdentity, PredictorConfig};
 use crate::transform::TransformFunction;
 use predict_algorithms::Workload;
 use predict_bsp::{BspEngine, HaltReason, RunProfile};
@@ -160,34 +164,36 @@ impl SampleArtifact {
 
 /// Cache key of a sample-run artifact: the sample it ran on, the workload
 /// configuration (via [`Workload::cache_token`]) and the transform rule that
-/// rescaled the convergence threshold.
+/// rescaled the convergence threshold. Compared and hashed structurally; only
+/// [`RunKey::store_key`] renders it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunKey {
     /// Key of the sample graph the run executed on.
     pub sample: SampleKey,
     /// The workload's [`Workload::cache_token`].
     pub workload: String,
-    /// Debug rendering of the transform function (exact: rules are plain
-    /// enums over f64 parameters).
-    pub transform: String,
+    /// The transform function (exact: its parameters compare by bit
+    /// pattern).
+    pub transform: TransformFunction,
 }
 
 impl RunKey {
-    /// Builds the key for `workload` run on the sample identified by
-    /// `sample` under `transform`.
-    pub fn new(sample: &SampleKey, workload: &dyn Workload, transform: TransformFunction) -> Self {
+    /// Builds the key for the workload whose [`Workload::cache_token`] is
+    /// `workload`, run on the sample identified by `sample` under
+    /// `transform`.
+    pub fn new(sample: &SampleKey, workload: &str, transform: TransformFunction) -> Self {
         Self {
             sample: sample.clone(),
-            workload: workload.cache_token(),
-            transform: format!("{transform:?}"),
+            workload: workload.to_string(),
+            transform,
         }
     }
 
     /// Stable textual rendering of this key for the persistent artifact
-    /// store.
+    /// store (the transform by its `Debug` rendering).
     pub fn store_key(&self) -> String {
         format!(
-            "{}|{}|{}",
+            "{}|{}|{:?}",
             self.sample.store_key(),
             self.workload,
             self.transform
@@ -296,28 +302,50 @@ impl TrainedModel {
     }
 }
 
-/// Cache key of a trained model: workload configuration, the fingerprint of
-/// the full predictor configuration, and the history version the training
-/// set was assembled against.
+/// Cache key of a trained model: workload configuration, the exact identity
+/// of the full predictor configuration, and the history version the training
+/// set was assembled against. Compared and hashed structurally; only
+/// [`ModelKey::store_key`] renders (and fingerprints) anything.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelKey {
     /// The workload's [`Workload::cache_token`].
     pub workload: String,
-    /// Fingerprint of the predictor configuration (see
-    /// [`crate::PredictorConfig::fingerprint`]).
-    pub config_fingerprint: u64,
+    /// Every field of the predictor configuration (see
+    /// [`PredictorConfig::identity`]).
+    pub config: ConfigIdentity,
     /// Version of the session's history store.
     pub history_version: u64,
 }
 
 impl ModelKey {
+    /// Builds the key for the workload whose [`Workload::cache_token`] is
+    /// `workload`, trained under `config` against history `history_version`.
+    pub fn new(workload: &str, config: &PredictorConfig, history_version: u64) -> Self {
+        Self {
+            workload: workload.to_string(),
+            config: config.identity(),
+            history_version,
+        }
+    }
+
     /// Stable textual rendering of this key for the persistent artifact
-    /// store. History replay is deterministic, so equal versions identify
-    /// equal training sets across restarts.
-    pub fn store_key(&self) -> String {
+    /// store: `sampler|workload|fingerprint|history version`, where `config`
+    /// is the configuration the key was built from and `fingerprint` its
+    /// [`PredictorConfig::fingerprint`]. The sampler is part of the store key
+    /// because the store is shared by every session of a process, while an
+    /// in-memory cache lives inside one single-sampler session. History
+    /// replay is deterministic, so equal versions identify equal training
+    /// sets across restarts.
+    pub fn store_key(&self, sampler: &str, config: &PredictorConfig) -> String {
+        debug_assert!(
+            config.identity() == self.config,
+            "a model's store key renders the config its key was built from"
+        );
         format!(
-            "{}|{:016x}|{:016x}",
-            self.workload, self.config_fingerprint, self.history_version
+            "{sampler}|{}|{:016x}|{:016x}",
+            self.workload,
+            config.fingerprint(),
+            self.history_version
         )
     }
 }
@@ -435,17 +463,18 @@ mod tests {
         let pr_a = PageRankWorkload::with_epsilon(0.01, g.num_vertices());
         let pr_b = PageRankWorkload::with_epsilon(0.001, g.num_vertices());
         let t = TransformFunction::default_for(pr_a.convergence());
+        let (a, b) = (pr_a.cache_token(), pr_b.cache_token());
         assert_ne!(
-            RunKey::new(&sample.key, &pr_a, t),
-            RunKey::new(&sample.key, &pr_b, t)
+            RunKey::new(&sample.key, &a, t),
+            RunKey::new(&sample.key, &b, t)
         );
         assert_eq!(
-            RunKey::new(&sample.key, &pr_a, t),
-            RunKey::new(&sample.key, &pr_a, t)
+            RunKey::new(&sample.key, &a, t),
+            RunKey::new(&sample.key, &a, t)
         );
         assert_ne!(
-            RunKey::new(&sample.key, &pr_a, t),
-            RunKey::new(&sample.key, &pr_a, TransformFunction::identity())
+            RunKey::new(&sample.key, &a, t),
+            RunKey::new(&sample.key, &a, TransformFunction::identity())
         );
     }
 

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// Which worker's counters represent an iteration when extracting features
 /// from a run profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum WorkerSelection {
     /// The worker with the largest simulated processing time in that
     /// iteration — the measured critical path (default, matches how the paper

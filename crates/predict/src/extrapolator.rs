@@ -25,7 +25,7 @@ pub struct Extrapolator {
 /// Ablation variants of the extrapolation rule: the paper's per-feature
 /// choice versus scaling everything by one factor (compared by the
 /// `ablation_extrapolation` experiment binary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExtrapolationRule {
     /// Table 1's per-feature rule: vertices by `e_V`, messages by `e_E`
     /// (the paper's design).

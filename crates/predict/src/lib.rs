@@ -103,6 +103,7 @@ pub use predict_store::{ArtifactKind, ArtifactStore};
 pub use regression::{LinearModel, RegressionError};
 pub use service::{PredictRequest, PredictService, PredictServiceConfig};
 pub use session::{
-    Evaluation, Prediction, PredictionSession, PredictorBuilder, PredictorConfig, SessionStats,
+    ConfigIdentity, Evaluation, Prediction, PredictionSession, PredictorBuilder, PredictorConfig,
+    SessionStats,
 };
 pub use transform::{ThresholdRule, TransformFunction};

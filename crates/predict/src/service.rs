@@ -40,6 +40,7 @@ use predict_algorithms::Workload;
 use predict_bsp::BspEngine;
 use predict_graph::CsrGraph;
 use predict_obs::diag;
+use predict_obs::metrics::{Counter, Histogram};
 use predict_sampling::Sampler;
 use predict_store::ArtifactStore;
 use std::path::PathBuf;
@@ -167,6 +168,10 @@ pub struct PredictService {
     store: Option<Arc<ArtifactStore>>,
     shards: Vec<RwLock<Shard>>,
     clock: AtomicU64,
+    /// `service.requests`, resolved once in [`PredictService::with_config`].
+    requests: Arc<Counter>,
+    /// `service.request_ns`, resolved once in [`PredictService::with_config`].
+    request_ns: Arc<Histogram>,
 }
 
 impl PredictService {
@@ -203,6 +208,7 @@ impl PredictService {
                     None
                 }
             });
+        let registry = predict_obs::registry();
         Self {
             engine,
             sampler,
@@ -210,6 +216,8 @@ impl PredictService {
             shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
             config,
             clock: AtomicU64::new(0),
+            requests: registry.counter("service.requests"),
+            request_ns: registry.histogram("service.request_ns"),
         }
     }
 
@@ -312,7 +320,7 @@ impl PredictService {
     fn request_span(&self, op: &'static str, dataset: &str) -> predict_obs::SpanGuard {
         static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
         let id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
-        predict_obs::registry().counter("service.requests").incr();
+        self.requests.incr();
         predict_obs::trace::span("service.request")
             .arg("request_id", id)
             .arg("op", op)
@@ -322,7 +330,7 @@ impl PredictService {
     /// Evaluates one prediction request.
     pub fn submit(&self, request: &PredictRequest) -> Result<Prediction, PredictError> {
         let _span = self.request_span("predict", &request.dataset);
-        let _timer = predict_obs::metrics::time_scope("service.request_ns");
+        let _timer = self.request_ns.start_timer();
         let session = self.session_for(&request.dataset, &request.graph);
         match &request.config {
             Some(config) => session.predict_with(request.workload.as_ref(), config),
@@ -334,7 +342,7 @@ impl PredictService {
     /// session after the first evaluation).
     pub fn evaluate(&self, request: &PredictRequest) -> Result<Evaluation, PredictError> {
         let _span = self.request_span("evaluate", &request.dataset);
-        let _timer = predict_obs::metrics::time_scope("service.request_ns");
+        let _timer = self.request_ns.start_timer();
         let session = self.session_for(&request.dataset, &request.graph);
         match &request.config {
             Some(config) => session.evaluate_with(request.workload.as_ref(), config),

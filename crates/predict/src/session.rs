@@ -12,8 +12,9 @@
 //! * sample-run [`SampleRunArtifact`]s keyed by `(sample, workload,
 //!   transform)` — each `(ratio, seed)` sample run of a workload executes
 //!   exactly once, no matter how many predictions reuse it;
-//! * [`TrainedModel`]s keyed by `(workload, config fingerprint, history
-//!   version)`;
+//! * [`TrainedModel`]s keyed by `(workload, config identity, history
+//!   version)`, where the identity is every config field by value
+//!   ([`PredictorConfig::identity`]);
 //! * actual-run profiles keyed by workload, for [`PredictionSession::evaluate`].
 //!
 //! Sessions are `Sync`: all caches sit behind locks, the engine and sampler
@@ -59,7 +60,8 @@ use crate::cost_model::{CostModel, CostModelConfig};
 use crate::critical_path::WorkerSelection;
 use crate::error::PredictError;
 use crate::extrapolator::{ExtrapolationRule, Extrapolator};
-use crate::features::{FeatureSet, IterationObservation};
+use crate::feature_selection::SelectionConfig;
+use crate::features::{FeatureSet, IterationObservation, KeyFeature};
 use crate::history::HistoryStore;
 use crate::metrics::signed_relative_error;
 use crate::transform::TransformFunction;
@@ -67,6 +69,8 @@ use predict_algorithms::{Workload, WorkloadRun};
 use predict_bsp::{BspConfig, BspEngine, RunProfile};
 use predict_graph::CsrGraph;
 use predict_obs::diag;
+use predict_obs::metrics::Histogram;
+use predict_obs::Registry;
 use predict_sampling::{BiasedRandomJump, Sampler, ScratchPool};
 use predict_store::{ArtifactKind, ArtifactStore, Checksum};
 use serde::Serialize;
@@ -170,13 +174,77 @@ impl PredictorConfig {
 
     /// A stable fingerprint of every field that influences a prediction,
     /// used (together with the workload token and history version) to key
-    /// cached [`TrainedModel`]s. Two configs with equal fingerprints train
-    /// identical models on identical sessions.
+    /// stored [`TrainedModel`]s on disk. Two configs with equal fingerprints
+    /// train identical models on identical sessions. It formats the whole
+    /// config, so it is computed only for a store key; the in-memory cache is
+    /// keyed by [`PredictorConfig::identity`].
     pub fn fingerprint(&self) -> u64 {
         // The Debug rendering covers every field exactly (f64 Debug prints
         // the shortest round-trip representation).
         stable_fingerprint(&format!("{self:?}"))
     }
+
+    /// The exact identity of this configuration: every field by value,
+    /// floats by bit pattern. It keys cached [`TrainedModel`]s in memory
+    /// without formatting anything.
+    pub fn identity(&self) -> ConfigIdentity {
+        // Exhaustive destructuring, no `..`: a field added to any of these
+        // structs does not compile here until the identity covers it.
+        let Self {
+            sampling_ratio,
+            training_ratios,
+            seed,
+            worker_selection,
+            cost_model,
+            transform,
+            extrapolation_rule,
+            strict_training,
+        } = self;
+        let CostModelConfig {
+            candidate_features,
+            selection,
+            ridge_lambda,
+        } = cost_model;
+        let SelectionConfig {
+            min_relative_improvement,
+            max_features,
+            ridge_lambda: selection_ridge_lambda,
+        } = selection;
+        ConfigIdentity {
+            sampling_ratio: sampling_ratio.to_bits(),
+            training_ratios: training_ratios.iter().map(|r| r.to_bits()).collect(),
+            seed: *seed,
+            worker_selection: *worker_selection,
+            candidate_features: candidate_features.clone(),
+            min_relative_improvement: min_relative_improvement.to_bits(),
+            max_features: *max_features,
+            selection_ridge_lambda: selection_ridge_lambda.to_bits(),
+            ridge_lambda: ridge_lambda.to_bits(),
+            transform: *transform,
+            extrapolation_rule: *extrapolation_rule,
+            strict_training: *strict_training,
+        }
+    }
+}
+
+/// Every field of a [`PredictorConfig`] by value — floats by bit pattern, so
+/// `0.0` and `-0.0` differ — with derived `Eq` and `Hash`. Built only by
+/// [`PredictorConfig::identity`]; two configs with equal identities are the
+/// same config.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ConfigIdentity {
+    sampling_ratio: u64,
+    training_ratios: Vec<u64>,
+    seed: u64,
+    worker_selection: WorkerSelection,
+    candidate_features: Vec<KeyFeature>,
+    min_relative_improvement: u64,
+    max_features: usize,
+    selection_ridge_lambda: u64,
+    ridge_lambda: u64,
+    transform: Option<TransformFunction>,
+    extrapolation_rule: ExtrapolationRule,
+    strict_training: bool,
 }
 
 /// The output of the prediction pipeline for one workload on one dataset.
@@ -453,8 +521,32 @@ fn cache_lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The latency histograms a session's stages record into, resolved once at
+/// bind so a request never looks an instrument up by name.
+struct SessionMetrics {
+    sample_ns: Arc<Histogram>,
+    sample_run_ns: Arc<Histogram>,
+    train_ns: Arc<Histogram>,
+    actual_ns: Arc<Histogram>,
+    predict_ns: Arc<Histogram>,
+    evaluate_ns: Arc<Histogram>,
+}
+
+impl SessionMetrics {
+    fn new(registry: &Registry) -> Self {
+        Self {
+            sample_ns: registry.histogram("predict.stage.sample_ns"),
+            sample_run_ns: registry.histogram("predict.stage.sample_run_ns"),
+            train_ns: registry.histogram("predict.stage.train_ns"),
+            actual_ns: registry.histogram("predict.stage.actual_ns"),
+            predict_ns: registry.histogram("session.predict_ns"),
+            evaluate_ns: registry.histogram("session.evaluate_ns"),
+        }
+    }
+}
+
 /// Borrowed inputs of one prediction: the execution substrate plus the
-/// session's artifact tiers.
+/// session's artifact tiers and instruments.
 struct StageCtx<'a> {
     engine: &'a BspEngine,
     sampler: &'a dyn Sampler,
@@ -464,6 +556,7 @@ struct StageCtx<'a> {
     /// Persistent artifact store, consulted between the in-memory cache and
     /// recomputation (`None` = memory-only).
     store: Option<&'a StoreBinding>,
+    metrics: &'a SessionMetrics,
 }
 
 /// The one tiered lookup every stage goes through: memory, then the store,
@@ -522,7 +615,7 @@ fn stage_sample(
     seed: u64,
 ) -> Result<Arc<SampleArtifact>, PredictError> {
     let _span = predict_obs::trace::span("predict.stage.sample").arg("ratio", ratio);
-    let _timer = predict_obs::metrics::time_scope("predict.stage.sample_ns");
+    let _timer = ctx.metrics.sample_ns.start_timer();
     get_or_compute(
         ctx,
         &ctx.caches.samples,
@@ -538,21 +631,23 @@ fn stage_sample(
     )
 }
 
-/// Stage 2: execute (or reuse) the transformed sample run of `workload` on
-/// `sample`. A failed run is not cached, so the next request runs it again.
+/// Stage 2: execute (or reuse) the transformed sample run of `workload`,
+/// whose [`Workload::cache_token`] is `token`, on `sample`. A failed run is
+/// not cached, so the next request runs it again.
 fn stage_run(
     ctx: &StageCtx<'_>,
     workload: &dyn Workload,
+    token: &str,
     transform: TransformFunction,
     sample: &SampleArtifact,
 ) -> Result<Arc<SampleRunArtifact>, PredictError> {
     let _span =
         predict_obs::trace::span("predict.stage.sample_run").arg("workload", workload.name());
-    let _timer = predict_obs::metrics::time_scope("predict.stage.sample_run_ns");
+    let _timer = ctx.metrics.sample_run_ns.start_timer();
     get_or_compute(
         ctx,
         &ctx.caches.runs,
-        RunKey::new(&sample.key, workload, transform),
+        RunKey::new(&sample.key, token, transform),
         ArtifactKind::SampleRun,
         RunKey::store_key,
         || SampleRunArtifact::execute(ctx.engine, workload, transform, sample),
@@ -571,6 +666,7 @@ fn stage_run(
 fn stage_model(
     ctx: &StageCtx<'_>,
     workload: &dyn Workload,
+    token: &str,
     config: &PredictorConfig,
     transform: TransformFunction,
     sample_observations: &[IterationObservation],
@@ -578,23 +674,15 @@ fn stage_model(
     history_version: u64,
 ) -> Result<Arc<TrainedModel>, PredictError> {
     let _span = predict_obs::trace::span("predict.stage.train").arg("workload", workload.name());
-    let _timer = predict_obs::metrics::time_scope("predict.stage.train_ns");
-    let key = ModelKey {
-        workload: workload.cache_token(),
-        config_fingerprint: config.fingerprint(),
-        history_version,
-    };
+    let _timer = ctx.metrics.train_ns.start_timer();
     get_or_compute(
         ctx,
         &ctx.caches.models,
-        key,
+        ModelKey::new(token, config, history_version),
         ArtifactKind::Model,
-        // The persistent key additionally carries the sampler: a model is
-        // trained on *this sampler's* sample runs, which `ModelKey` never
-        // had to say because an in-memory cache lives inside one
-        // single-sampler session, while the store is shared by every
-        // session of a process.
-        |key| format!("{}|{}", ctx.sampler.name(), key.store_key()),
+        // The config's fingerprint is formatted here, after a memory miss on
+        // a store-backed session, and nowhere else.
+        |key| key.store_key(ctx.sampler.name(), config),
         // A store-hit model skips the whole training-set assembly —
         // including the training-ratio sample runs — which is what lets a
         // warm restart answer with zero engine executions.
@@ -602,6 +690,7 @@ fn stage_model(
             train_model(
                 ctx,
                 workload,
+                token,
                 config,
                 transform,
                 sample_observations,
@@ -618,6 +707,7 @@ fn stage_model(
 fn train_model(
     ctx: &StageCtx<'_>,
     workload: &dyn Workload,
+    token: &str,
     config: &PredictorConfig,
     transform: TransformFunction,
     sample_observations: &[IterationObservation],
@@ -638,7 +728,7 @@ fn train_model(
             Err(e) if e.is_empty_sample() => continue,
             Err(e) => return Err(e),
         };
-        let train_run = stage_run(ctx, workload, transform, &train_sample)?;
+        let train_run = stage_run(ctx, workload, token, transform, &train_sample)?;
         training.extend(train_run.observations(config.worker_selection));
     }
     let sample_rows = training.len();
@@ -681,21 +771,23 @@ fn train_model(
     })
 }
 
-/// Executes (or reuses) the actual run of `workload` on the full graph —
-/// through the same `predict_cluster::run_workload` seam as the sample run,
-/// on whichever executor the engine's transport mode names. Actual runs are
-/// the most expensive artifact of all; persisting them is what makes a warm
+/// Executes (or reuses) the actual run of `workload`, whose
+/// [`Workload::cache_token`] is `token`, on the full graph — through the
+/// same `predict_cluster::run_workload` seam as the sample run, on whichever
+/// executor the engine's transport mode names. Actual runs are the most
+/// expensive artifact of all; persisting them is what makes a warm
 /// evaluation pass execute zero runs.
 fn stage_actual(
     ctx: &StageCtx<'_>,
     workload: &dyn Workload,
+    token: String,
 ) -> Result<Arc<WorkloadRun>, PredictError> {
     let _span = predict_obs::trace::span("predict.stage.actual").arg("workload", workload.name());
-    let _timer = predict_obs::metrics::time_scope("predict.stage.actual_ns");
+    let _timer = ctx.metrics.actual_ns.start_timer();
     get_or_compute(
         ctx,
         &ctx.caches.actuals,
-        workload.cache_token(),
+        token,
         ArtifactKind::ActualRun,
         String::clone,
         || {
@@ -707,22 +799,25 @@ fn stage_actual(
 }
 
 /// The full prediction: stages 1–3 plus extrapolation and assembly.
+/// `token` is the workload's [`Workload::cache_token`], rendered once per
+/// request by the caller and shared by the run and model keys.
 fn predict_stages(
     ctx: &StageCtx<'_>,
     workload: &dyn Workload,
+    token: &str,
     config: &PredictorConfig,
     history: &HistoryStore,
     history_version: u64,
 ) -> Result<Prediction, PredictError> {
     let _span = predict_obs::trace::span("session.predict").arg("workload", workload.name());
-    let _timer = predict_obs::metrics::time_scope("session.predict_ns");
+    let _timer = ctx.metrics.predict_ns.start_timer();
     config.validate()?;
     let transform = config
         .transform
         .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
 
     let sample = stage_sample(ctx, config.sampling_ratio, config.seed)?;
-    let run = stage_run(ctx, workload, transform, &sample)?;
+    let run = stage_run(ctx, workload, token, transform, &sample)?;
     // Extracted once: stage 3 trains on these observations (when a training
     // ratio equals the sampling ratio) and the extrapolation below scales
     // them to the full graph.
@@ -730,6 +825,7 @@ fn predict_stages(
     let model = stage_model(
         ctx,
         workload,
+        token,
         config,
         transform,
         &sample_observations,
@@ -783,9 +879,10 @@ fn evaluate_stages(
     history_version: u64,
 ) -> Result<Evaluation, PredictError> {
     let _span = predict_obs::trace::span("session.evaluate").arg("workload", workload.name());
-    let _timer = predict_obs::metrics::time_scope("session.evaluate_ns");
-    let prediction = predict_stages(ctx, workload, config, history, history_version)?;
-    let actual = stage_actual(ctx, workload)?;
+    let _timer = ctx.metrics.evaluate_ns.start_timer();
+    let token = workload.cache_token();
+    let prediction = predict_stages(ctx, workload, &token, config, history, history_version)?;
+    let actual = stage_actual(ctx, workload, token)?;
     let actual_remote_message_bytes: f64 = actual
         .profile
         .per_superstep_totals()
@@ -941,6 +1038,7 @@ impl PredictorBuilder {
             dataset: dataset.to_string(),
             caches: ArtifactCaches::default(),
             store,
+            metrics: SessionMetrics::new(predict_obs::registry()),
             history: RwLock::new(HistoryState {
                 store: Arc::new(history),
                 version: 0,
@@ -996,6 +1094,7 @@ pub struct PredictionSession {
     dataset: String,
     caches: ArtifactCaches,
     store: Option<StoreBinding>,
+    metrics: SessionMetrics,
     history: RwLock<HistoryState>,
 }
 
@@ -1008,6 +1107,7 @@ impl PredictionSession {
             dataset: &self.dataset,
             caches: &self.caches,
             store: self.store.as_ref(),
+            metrics: &self.metrics,
         }
     }
 
@@ -1056,7 +1156,8 @@ impl PredictionSession {
         config: &PredictorConfig,
     ) -> Result<Prediction, PredictError> {
         let (history, version) = self.history_snapshot();
-        predict_stages(&self.ctx(), workload, config, &history, version)
+        let token = workload.cache_token();
+        predict_stages(&self.ctx(), workload, &token, config, &history, version)
     }
 
     /// Predicts and then executes (or reuses) the actual run, returning both
@@ -1094,7 +1195,8 @@ impl PredictionSession {
         transform: TransformFunction,
     ) -> Result<Arc<SampleRunArtifact>, PredictError> {
         let sample = self.sample_artifact(ratio, seed)?;
-        stage_run(&self.ctx(), workload, transform, &sample)
+        let token = workload.cache_token();
+        stage_run(&self.ctx(), workload, &token, transform, &sample)
     }
 
     /// Trains (or reuses) the stage-3 cost model of `workload` under
@@ -1109,13 +1211,15 @@ impl PredictionSession {
             .transform
             .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
         let ctx = self.ctx();
+        let token = workload.cache_token();
         let sample = stage_sample(&ctx, config.sampling_ratio, config.seed)?;
-        let run = stage_run(&ctx, workload, transform, &sample)?;
+        let run = stage_run(&ctx, workload, &token, transform, &sample)?;
         let sample_observations = run.observations(config.worker_selection);
         let (history, version) = self.history_snapshot();
         stage_model(
             &ctx,
             workload,
+            &token,
             config,
             transform,
             &sample_observations,
@@ -1131,7 +1235,7 @@ impl PredictionSession {
         &self,
         workload: &dyn Workload,
     ) -> Result<Arc<WorkloadRun>, PredictError> {
-        stage_actual(&self.ctx(), workload)
+        stage_actual(&self.ctx(), workload, workload.cache_token())
     }
 
     /// [`PredictionSession::try_actual_run`] for callers that cannot take a
@@ -1521,6 +1625,79 @@ mod tests {
         assert_ne!(
             a.fingerprint(),
             a.clone().with_strict_training(true).fingerprint()
+        );
+    }
+
+    #[test]
+    fn the_model_cache_keys_every_config_field_and_store_keys_never_move() {
+        let base = PredictorConfig::single_ratio(0.1);
+        let s = session(base.clone());
+        let workload = PageRankWorkload::with_epsilon(0.01, s.graph().num_vertices());
+        let models = |s: &PredictionSession| s.stats().models;
+        s.trained_model(&workload, &base).unwrap();
+        assert_eq!(models(&s), 1);
+
+        // One variant per field of `PredictorConfig` (nested configs field by
+        // field), each differing from `base` there alone: each misses.
+        let vary = |change: &dyn Fn(&mut PredictorConfig)| {
+            let mut config = base.clone();
+            change(&mut config);
+            config
+        };
+        let variants = [
+            vary(&|c| c.sampling_ratio = 0.2),
+            vary(&|c| c.training_ratios = vec![0.1, 0.2]),
+            vary(&|c| c.seed += 1),
+            vary(&|c| c.worker_selection = WorkerSelection::MeanWorker),
+            vary(&|c| c.cost_model.candidate_features.truncate(3)),
+            vary(&|c| c.cost_model.selection.min_relative_improvement = 0.05),
+            vary(&|c| c.cost_model.selection.max_features = 2),
+            vary(&|c| c.cost_model.selection.ridge_lambda = 1e-3),
+            // `0.0` and `-0.0` are different keys, as their renderings were.
+            vary(&|c| c.cost_model.ridge_lambda = -0.0),
+            vary(&|c| c.transform = Some(TransformFunction::identity())),
+            vary(&|c| c.extrapolation_rule = ExtrapolationRule::EdgesOnly),
+            vary(&|c| c.strict_training = true),
+        ];
+        for (i, config) in variants.iter().enumerate() {
+            assert_ne!(config.identity(), base.identity(), "variant {i}");
+            s.trained_model(&workload, config).unwrap();
+            assert_eq!(models(&s), 2 + i, "variant {i} hit another config's model");
+        }
+        // An equal config built independently hits.
+        let hits = s.stats().hits;
+        let model = s
+            .trained_model(&workload, &PredictorConfig::single_ratio(0.1))
+            .unwrap();
+        assert_eq!(models(&s), 1 + variants.len());
+        assert_eq!(
+            s.stats().hits,
+            hits + 3,
+            "sample, sample run and model all hit"
+        );
+        assert!(Arc::ptr_eq(
+            &model,
+            &s.trained_model(&workload, &base).unwrap()
+        ));
+
+        // Store keys, pinned as the literals the formatted in-memory keys
+        // rendered: an in-memory key change must never re-key the store.
+        let sample = SampleKey::new("BRJ", 0.1, 7);
+        let pagerank = PageRankWorkload::with_epsilon(0.001, 1000);
+        let token = pagerank.cache_token();
+        let transform = TransformFunction::default_for(pagerank.convergence());
+        let config = PredictorConfig::single_ratio(0.1).with_seed(7);
+        assert_eq!(sample.store_key(), "BRJ:3fb999999999999a:0000000000000007");
+        assert_eq!(
+            RunKey::new(&sample, &token, transform).store_key(),
+            "BRJ:3fb999999999999a:0000000000000007|PR#PageRankWorkload { params: \
+             PageRankParams { damping: 0.85, tolerance: 1e-6 } }|TransformFunction { rule: \
+             InverseSamplingRatio }"
+        );
+        assert_eq!(
+            ModelKey::new(&token, &config, 3).store_key("BRJ", &config),
+            "BRJ|PR#PageRankWorkload { params: PageRankParams { damping: 0.85, tolerance: \
+             1e-6 } }|c64a074fe943f122|0000000000000003"
         );
     }
 

@@ -13,10 +13,14 @@
 
 use predict_algorithms::{ConvergenceKind, Workload};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// How the convergence threshold of the sample run relates to the threshold
 /// of the actual run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Rules compare and hash by their exact parameter bit patterns, so they can
+/// key artifact caches: `Power(0.0)` and `Power(-0.0)` are different rules.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub enum ThresholdRule {
     /// `τ_S = τ_G`: keep the threshold (ratio-based convergence, e.g.
     /// semi-clustering, top-k ranking).
@@ -31,9 +35,36 @@ pub enum ThresholdRule {
     Fixed(f64),
 }
 
+impl ThresholdRule {
+    /// The variant and its parameter's bit pattern: the rule's exact
+    /// identity.
+    fn identity(self) -> (u8, u64) {
+        match self {
+            Self::Identity => (0, 0),
+            Self::InverseSamplingRatio => (1, 0),
+            Self::Power(exponent) => (2, exponent.to_bits()),
+            Self::Fixed(factor) => (3, factor.to_bits()),
+        }
+    }
+}
+
+impl PartialEq for ThresholdRule {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for ThresholdRule {}
+
+impl Hash for ThresholdRule {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
+    }
+}
+
 /// A transform function: the identity over the configuration space plus a
 /// threshold rule over the convergence space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TransformFunction {
     /// The threshold mapping `Conv_S => Conv_G`.
     pub rule: ThresholdRule,

@@ -1,10 +1,12 @@
 //! Integration tests for the session/service layer: the amortization
 //! guarantee (each `(ratio, seed)` sample run executes exactly once), the
-//! concurrency determinism of `submit_batch`, and the throughput win of the
-//! cached path over the uncached one-shot pipeline.
+//! concurrency determinism of `submit_batch`, the throughput win of the
+//! cached path over the uncached one-shot pipeline, and a warm restart that
+//! answers a concurrent batch from the store alone.
 
 use predict_repro::bsp::BspEngine;
 use predict_repro::graph::VertexId;
+use predict_repro::predict::PredictServiceConfig;
 use predict_repro::prelude::*;
 use predict_repro::sampling::BiasedRandomJump;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -230,4 +232,58 @@ fn warm_service_does_no_engine_work() {
         "warm service: {warm:?} for {} requests vs a cold session per request {cold:?}",
         rounds * requests.len()
     );
+}
+
+/// A restarted store-backed service answers a concurrent batch from disk
+/// alone: the same bytes as the service that computed them, zero engine
+/// runs, and every store read a hit. The store counters are process-global;
+/// no other test of this binary touches a store.
+#[test]
+fn a_warm_restart_serves_a_concurrent_batch_from_the_store_alone() {
+    let dir = std::env::temp_dir().join(format!("predict_warm_restart_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let g = graph();
+    let requests: Vec<PredictRequest> = four_workloads(g.num_vertices())
+        .into_iter()
+        .flat_map(|w| {
+            let g = Arc::clone(&g);
+            (0..2).map(move |seed| {
+                PredictRequest::new("Wiki", Arc::clone(&g), Arc::clone(&w))
+                    .with_config(PredictorConfig::single_ratio(0.1).with_seed(seed))
+            })
+        })
+        .collect();
+    let service = || {
+        PredictService::with_config(
+            BspEngine::new(BspConfig::with_workers(4)),
+            Arc::new(BiasedRandomJump::default()),
+            PredictServiceConfig::default().store(&dir),
+        )
+    };
+    let answer = |service: &PredictService| -> Vec<String> {
+        service
+            .submit_batch(&requests, 4)
+            .into_iter()
+            .map(|r| serde_json::to_string(&r.expect("prediction succeeds")).unwrap())
+            .collect()
+    };
+
+    let cold = service();
+    let computed = answer(&cold);
+    assert!(cold.engine().runs_executed() > 0);
+    drop(cold);
+
+    let warm = service();
+    let counter = |name: &str| warm.metrics_snapshot().counter(name).unwrap_or(0);
+    let (reads, hits) = (counter("store.reads"), counter("store.hits"));
+    assert_eq!(answer(&warm), computed, "the warm restart diverged");
+    assert_eq!(
+        warm.engine().runs_executed(),
+        0,
+        "a warm restart ran an engine"
+    );
+    let (reads, hits) = (counter("store.reads") - reads, counter("store.hits") - hits);
+    assert!(reads > 0, "the warm restart never read the store");
+    assert_eq!(hits, reads, "a store read of the warm restart missed");
+    std::fs::remove_dir_all(&dir).ok();
 }
