@@ -1,10 +1,11 @@
 //! Compressed sparse row (CSR) directed graph.
 //!
 //! [`CsrGraph`] is the frozen, read-optimized graph representation used by the
-//! BSP engine and the samplers. It stores both the out-adjacency (for message
-//! sending and random walks) and the in-adjacency (for in-degree statistics
-//! and property analysis), plus optional per-out-edge weights for weighted
-//! algorithms such as semi-clustering.
+//! BSP engine and the samplers. It stores the out-adjacency (for message
+//! sending and random walks) plus optional per-out-edge weights for weighted
+//! algorithms such as semi-clustering. The in-adjacency (for in-degree
+//! statistics, property analysis and Metropolis–Hastings walks) is derived
+//! data, built on first use unless the constructor had it for free.
 
 use crate::edge_list::EdgeList;
 use crate::types::{Edge, VertexId};
@@ -15,29 +16,44 @@ use std::sync::OnceLock;
 ///
 /// Vertices are densely numbered `0..num_vertices()`. Out-neighbors of vertex
 /// `v` are `out_offsets[v]..out_offsets[v + 1]` into `out_targets`; the
-/// in-adjacency is stored symmetrically. Edge weights, when present, are
-/// aligned with `out_targets`.
+/// in-adjacency has the same shape. Edge weights, when present, are aligned
+/// with `out_targets`.
 ///
-/// Construction is sorting-free end to end: both adjacency directions are
-/// placed by a two-pass counting build (degree histogram → prefix offsets →
-/// direct placement), and the degree ordering consumed by Biased Random Jump
-/// seed selection is produced by a counting-bucket pass cached on the graph.
+/// Construction is sorting-free end to end: the out-adjacency is placed by a
+/// two-pass counting build (degree histogram → prefix offsets → direct
+/// placement), and the degree ordering consumed by Biased Random Jump seed
+/// selection is produced by a counting-bucket pass cached on the graph.
 ///
-/// `Deserialize` exists for the persistent artifact store (`predict_store`),
-/// which round-trips sampled subgraphs across process restarts; the skipped
-/// degree-order cache starts empty and is rebuilt on first use.
+/// The in-adjacency is a cache like the degree order. [`Self::from_edges`]
+/// fills it in its single placement pass, in edge-list order; every other
+/// constructor (subgraph extraction, [`Self::to_undirected`],
+/// `Deserialize`) leaves it empty, and the first [`Self::in_degree`] or
+/// [`Self::in_neighbors`] call builds it by a counting transpose in CSR
+/// order. Both caches are excluded from serialization, so the persistent
+/// artifact store (`predict_store`) keeps only the out-adjacency of the
+/// sampled subgraphs it round-trips across process restarts.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CsrGraph {
     num_vertices: usize,
     out_offsets: Vec<usize>,
     out_targets: Vec<VertexId>,
     out_weights: Option<Vec<f32>>,
-    in_offsets: Vec<usize>,
-    in_sources: Vec<VertexId>,
+    /// Lazily built in-adjacency. Derived data: excluded from serialization
+    /// and rebuilt on demand.
+    #[serde(skip)]
+    in_adjacency: OnceLock<InAdjacency>,
     /// Lazily computed [`Self::vertices_by_out_degree_desc`] cache. Derived
     /// data: excluded from serialization and rebuilt on demand.
     #[serde(skip)]
     degree_order: OnceLock<Vec<VertexId>>,
+}
+
+/// The in-adjacency of a [`CsrGraph`]: sources of the incoming edges of `v`
+/// are `sources[offsets[v]..offsets[v + 1]]`.
+#[derive(Debug, Clone)]
+struct InAdjacency {
+    offsets: Vec<usize>,
+    sources: Vec<VertexId>,
 }
 
 impl CsrGraph {
@@ -101,19 +117,20 @@ impl CsrGraph {
             out_offsets,
             out_targets,
             out_weights,
-            in_offsets,
-            in_sources,
+            in_adjacency: OnceLock::from(InAdjacency {
+                offsets: in_offsets,
+                sources: in_sources,
+            }),
             degree_order: OnceLock::new(),
         }
     }
 
     /// Builds a CSR graph directly from pre-assembled out-adjacency arrays
     /// (offsets must be a valid prefix-sum over `num_vertices + 1` entries and
-    /// every target `< num_vertices`). The in-adjacency is derived with the
-    /// same counting pass [`Self::from_edges`] uses, visiting the out-edges in
-    /// CSR order — identical to building from the equivalent edge list. Used
-    /// by [`crate::subgraph::induced_subgraph`] to skip the intermediate
-    /// edge-list materialization.
+    /// every target `< num_vertices`). The in-adjacency is left to be built
+    /// on first use, in CSR order — identical to building from the
+    /// equivalent edge list. Used by [`crate::subgraph::induced_subgraph`] to
+    /// skip the intermediate edge-list materialization.
     pub(crate) fn from_csr_parts(
         num_vertices: usize,
         out_offsets: Vec<usize>,
@@ -122,31 +139,38 @@ impl CsrGraph {
     ) -> Self {
         debug_assert_eq!(out_offsets.len(), num_vertices + 1);
         debug_assert_eq!(out_offsets.last().copied().unwrap_or(0), out_targets.len());
-
-        let mut in_degree = vec![0usize; num_vertices];
-        for &dst in &out_targets {
-            in_degree[dst as usize] += 1;
-        }
-        let in_offsets = prefix_sum(&in_degree);
-        let mut in_sources = vec![0 as VertexId; out_targets.len()];
-        let mut in_cursor = in_offsets.clone();
-        for v in 0..num_vertices {
-            for &dst in &out_targets[out_offsets[v]..out_offsets[v + 1]] {
-                let c = &mut in_cursor[dst as usize];
-                in_sources[*c] = v as VertexId;
-                *c += 1;
-            }
-        }
-
         Self {
             num_vertices,
             out_offsets,
             out_targets,
             out_weights,
-            in_offsets,
-            in_sources,
+            in_adjacency: OnceLock::new(),
             degree_order: OnceLock::new(),
         }
+    }
+
+    /// The in-adjacency, built on first use by the counting transpose of the
+    /// out-adjacency: one in-degree histogram, prefix offsets, then direct
+    /// placement visiting the out-edges in CSR order.
+    fn in_adjacency(&self) -> &InAdjacency {
+        self.in_adjacency.get_or_init(|| {
+            let mut in_degree = vec![0usize; self.num_vertices];
+            for &dst in &self.out_targets {
+                in_degree[dst as usize] += 1;
+            }
+            let offsets = prefix_sum(&in_degree);
+            let mut sources = vec![0 as VertexId; self.out_targets.len()];
+            let mut cursor = offsets.clone();
+            for v in 0..self.num_vertices {
+                let row = &self.out_targets[self.out_offsets[v]..self.out_offsets[v + 1]];
+                for &dst in row {
+                    let c = &mut cursor[dst as usize];
+                    sources[*c] = v as VertexId;
+                    *c += 1;
+                }
+            }
+            InAdjacency { offsets, sources }
+        })
     }
 
     /// Number of vertices in the graph.
@@ -170,10 +194,12 @@ impl CsrGraph {
         self.out_offsets[v + 1] - self.out_offsets[v]
     }
 
-    /// In-degree of vertex `v`.
+    /// In-degree of vertex `v`. The first in-adjacency query of a graph
+    /// not built by [`Self::from_edges`] builds the in-adjacency.
     pub fn in_degree(&self, v: VertexId) -> usize {
+        let offsets = &self.in_adjacency().offsets;
         let v = v as usize;
-        self.in_offsets[v + 1] - self.in_offsets[v]
+        offsets[v + 1] - offsets[v]
     }
 
     /// Out-neighbors of vertex `v`.
@@ -200,10 +226,14 @@ impl CsrGraph {
             .map(|w| &w[self.out_offsets[v]..self.out_offsets[v + 1]])
     }
 
-    /// In-neighbors (sources of incoming edges) of vertex `v`.
+    /// In-neighbors (sources of incoming edges) of vertex `v`: in edge-list
+    /// order for a graph built by [`Self::from_edges`], in CSR order (by
+    /// ascending source) otherwise. Builds the in-adjacency on first use like
+    /// [`Self::in_degree`].
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
+        let inc = self.in_adjacency();
         let v = v as usize;
-        &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
+        &inc.sources[inc.offsets[v]..inc.offsets[v + 1]]
     }
 
     /// Iterates over all vertex ids.
@@ -282,22 +312,39 @@ impl CsrGraph {
     /// `CsrGraph::from_edge_list(&self.to_edge_list().to_undirected())`
     /// builds, without the edge list, the mirroring or the dedup sort.
     ///
-    /// The structure comes straight from the two adjacencies this graph
-    /// already holds. A weighted graph keeps, for both directions of a pair,
-    /// the weight of the pair's first edge in CSR order (ascending source,
-    /// then stored order), which is the first occurrence
+    /// The structure comes from the two adjacencies of this graph (building
+    /// the in-adjacency if it is not built yet) in one scatter: row `x` is
+    /// sized by `out_degree(x) + in_degree(x)`, each distinct neighbor is
+    /// placed once, and the rows are then compacted in place. The result is
+    /// symmetric, so its own in-adjacency equals its out-adjacency and is
+    /// left to be built on first use. A weighted graph keeps, for both
+    /// directions of a pair, the weight of the pair's first edge in CSR order
+    /// (ascending source, then stored order), which is the first occurrence
     /// [`EdgeList::to_undirected`]'s dedup keeps.
     pub fn to_undirected(&self) -> CsrGraph {
         let n = self.num_vertices;
-        let mut degree = vec![0usize; n];
-        self.for_each_undirected_edge(|x, _| degree[x] += 1);
-        let offsets = prefix_sum(&degree);
-        let mut targets = vec![0 as VertexId; offsets[n]];
-        let mut cursor = offsets[..n].to_vec();
+        let inc = self.in_adjacency();
+        // Both offset arrays are prefix sums, so their sum is the prefix sum
+        // of `out_degree + in_degree`: the start of each row's room.
+        let room: Vec<usize> = (0..=n)
+            .map(|x| self.out_offsets[x] + inc.offsets[x])
+            .collect();
+        let mut targets = vec![0 as VertexId; room[n]];
+        let mut cursor = room[..n].to_vec();
         self.for_each_undirected_edge(|x, u| {
             targets[cursor[x]] = u as VertexId;
             cursor[x] += 1;
         });
+        // Compact: every row moves down to where the previous one ended,
+        // never past its own start.
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for x in 0..n {
+            let end = offsets[x];
+            targets.copy_within(room[x]..cursor[x], end);
+            offsets.push(end + cursor[x] - room[x]);
+        }
+        targets.truncate(offsets[n]);
 
         // `edges()` walks CSR order: the first edge to reach a slot, forward
         // or mirrored, is the first occurrence the edge-list dedup keeps.
@@ -319,15 +366,7 @@ impl CsrGraph {
         // Like `from_edges`: all-1.0 weights freeze as an unweighted graph.
         let weights = weights.filter(|ws| ws.iter().any(|&w| w != 1.0));
 
-        Self {
-            num_vertices: n,
-            in_offsets: offsets.clone(),
-            in_sources: targets.clone(),
-            out_offsets: offsets,
-            out_targets: targets,
-            out_weights: weights,
-            degree_order: OnceLock::new(),
-        }
+        Self::from_csr_parts(n, offsets, targets, weights)
     }
 
     /// Calls `add(x, u)` once per ordered pair of distinct vertices joined
@@ -337,10 +376,11 @@ impl CsrGraph {
     /// to it makes the repeats of one `u` (parallel edges, an edge present
     /// both ways) adjacent in time: `last[x] == u` spots them.
     fn for_each_undirected_edge(&self, mut add: impl FnMut(usize, usize)) {
+        let inc = self.in_adjacency();
         let mut last = vec![usize::MAX; self.num_vertices];
         for u in 0..self.num_vertices {
             let out = &self.out_targets[self.out_offsets[u]..self.out_offsets[u + 1]];
-            let inc = &self.in_sources[self.in_offsets[u]..self.in_offsets[u + 1]];
+            let inc = &inc.sources[inc.offsets[u]..inc.offsets[u + 1]];
             out.iter().chain(inc).for_each(|&x| {
                 let x = x as usize;
                 if x != u && last[x] != u {
@@ -352,12 +392,12 @@ impl CsrGraph {
     }
 
     /// Rough in-memory footprint in bytes of the graph structure, used by the
-    /// dataset presets to report a "size" column analogous to Table 2.
+    /// dataset presets to report a "size" column analogous to Table 2. Counts
+    /// both adjacencies whether or not the in-adjacency is built yet: it has
+    /// the out-adjacency's shape.
     pub fn size_bytes(&self) -> usize {
-        self.out_offsets.len() * std::mem::size_of::<usize>()
-            + self.in_offsets.len() * std::mem::size_of::<usize>()
-            + self.out_targets.len() * std::mem::size_of::<VertexId>()
-            + self.in_sources.len() * std::mem::size_of::<VertexId>()
+        2 * self.out_offsets.len() * std::mem::size_of::<usize>()
+            + 2 * self.out_targets.len() * std::mem::size_of::<VertexId>()
             + self
                 .out_weights
                 .as_ref()
@@ -380,6 +420,7 @@ pub(crate) fn prefix_sum(counts: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn diamond() -> CsrGraph {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -492,6 +533,37 @@ mod tests {
     fn size_bytes_is_positive_for_nonempty_graph() {
         let g = diamond();
         assert!(g.size_bytes() > 0);
+    }
+
+    /// A graph serialized with `in_offsets`/`in_sources`, the form older
+    /// store files carry, still deserializes: the two extra keys are ignored
+    /// and the in-adjacency is rebuilt equal. Stored graphs are induced
+    /// subgraphs, whose stored in-adjacency is in CSR order, so the edges
+    /// here are listed in CSR order too.
+    #[test]
+    fn stored_in_adjacency_is_ignored_on_read() {
+        let el: EdgeList = [(0u32, 1u32), (0, 1), (1, 1), (2, 0), (2, 3), (3, 1)]
+            .into_iter()
+            .collect();
+        let g = CsrGraph::from_edge_list(&el);
+        let Value::Map(mut fields) = g.serialize_value() else {
+            panic!("a graph serializes as a map");
+        };
+        let in_degrees: Vec<usize> = g.vertices().map(|v| g.in_degree(v)).collect();
+        let in_offsets = prefix_sum(&in_degrees);
+        let in_sources: Vec<VertexId> = g
+            .vertices()
+            .flat_map(|v| g.in_neighbors(v).to_vec())
+            .collect();
+        fields.push(("in_offsets".to_string(), in_offsets.serialize_value()));
+        fields.push(("in_sources".to_string(), in_sources.serialize_value()));
+
+        let back = CsrGraph::deserialize_value(&Value::Map(fields)).unwrap();
+        assert_eq!(back.out_csr(), g.out_csr());
+        for v in g.vertices() {
+            assert_eq!(back.in_neighbors(v), g.in_neighbors(v));
+        }
+        assert_eq!(back.size_bytes(), g.size_bytes());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! in the workspace builds on:
 //!
 //! * [`CsrGraph`] — an immutable, compressed-sparse-row directed graph with
-//!   optional edge weights and both out- and in-adjacency, the representation
-//!   used by the BSP engine and the samplers.
+//!   optional edge weights and an out-adjacency plus an in-adjacency built on
+//!   first use, the representation used by the BSP engine and the samplers.
 //! * [`ShardedCsr`] — the per-worker slice of a graph (local CSR over the
 //!   owned vertices), the only part of a graph a cluster worker holds.
 //! * [`EdgeList`] / [`GraphBuilder`] — mutable construction APIs.

@@ -11,20 +11,38 @@
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
 use serde::{Deserialize, Serialize, Value};
+use std::sync::OnceLock;
+
+/// Marks an original vertex that was not selected in a dense `u32` map.
+const NOT_SELECTED: VertexId = VertexId::MAX;
 
 /// Mapping between the dense vertex ids of an induced subgraph and the vertex
 /// ids of the graph it was extracted from.
 ///
-/// Serializes as `to_original` plus the vertex count of the original graph;
-/// `to_sample` is its exact inverse and is rebuilt on deserialization, which
-/// rejects ids outside the original graph and ids selected twice.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Holds `to_original` plus the vertex count of the original graph, and
+/// serializes exactly those. The inverse (original id → sample id) is
+/// derived data: [`Self::sample_id`] builds it on first use, so a mapping
+/// that is only read forward never pays for a table the size of the
+/// original graph. Deserialization rejects ids outside the original graph
+/// and ids selected twice. Equality compares the two stored fields.
+#[derive(Debug, Clone)]
 pub struct SubgraphMapping {
     /// `to_original[new_id] = original_id`.
     to_original: Vec<VertexId>,
-    /// `to_sample[original_id] = Some(new_id)` for selected vertices.
-    to_sample: Vec<Option<VertexId>>,
+    /// Vertex count of the original graph.
+    num_original: usize,
+    /// `to_sample[original_id] = new_id` for selected vertices,
+    /// [`NOT_SELECTED`] otherwise; built on first use.
+    to_sample: OnceLock<Vec<VertexId>>,
 }
+
+impl PartialEq for SubgraphMapping {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_original == other.to_original && self.num_original == other.num_original
+    }
+}
+
+impl Eq for SubgraphMapping {}
 
 impl Serialize for SubgraphMapping {
     fn serialize_value(&self) -> Value {
@@ -35,7 +53,7 @@ impl Serialize for SubgraphMapping {
             ),
             (
                 "num_original".to_string(),
-                self.to_sample.len().serialize_value(),
+                self.num_original.serialize_value(),
             ),
         ])
     }
@@ -49,23 +67,28 @@ impl Deserialize for SubgraphMapping {
         let to_original =
             Vec::<VertexId>::deserialize_value(serde::get_field(entries, "to_original")?)?;
         let num_original = usize::deserialize_value(serde::get_field(entries, "num_original")?)?;
-        let mut to_sample: Vec<Option<VertexId>> = vec![None; num_original];
-        for (sample_id, &original_id) in to_original.iter().enumerate() {
-            let slot = to_sample.get_mut(original_id as usize).ok_or_else(|| {
-                serde::Error::msg(format!(
+        // One bit per original vertex: enough to reject out-of-range and
+        // repeated ids without building the inverse.
+        let mut seen = vec![0u64; num_original.div_ceil(64)];
+        for &original_id in &to_original {
+            let id = original_id as usize;
+            if id >= num_original {
+                return Err(serde::Error::msg(format!(
                     "SubgraphMapping: original id {original_id} out of range {num_original}"
-                ))
-            })?;
-            if slot.is_some() {
+                )));
+            }
+            let (word, bit) = (&mut seen[id / 64], 1u64 << (id % 64));
+            if *word & bit != 0 {
                 return Err(serde::Error::msg(format!(
                     "SubgraphMapping: original id {original_id} selected twice"
                 )));
             }
-            *slot = Some(sample_id as VertexId);
+            *word |= bit;
         }
         Ok(SubgraphMapping {
             to_original,
-            to_sample,
+            num_original,
+            to_sample: OnceLock::new(),
         })
     }
 }
@@ -81,9 +104,19 @@ impl SubgraphMapping {
     }
 
     /// Subgraph vertex id for an original vertex id, or `None` if that vertex
-    /// was not selected.
+    /// was not selected. The first call builds the inverse map.
     pub fn sample_id(&self, original_id: VertexId) -> Option<VertexId> {
-        self.to_sample.get(original_id as usize).copied().flatten()
+        let to_sample = self.to_sample.get_or_init(|| {
+            let mut to_sample = vec![NOT_SELECTED; self.num_original];
+            for (sample, original) in self.iter() {
+                to_sample[original as usize] = sample;
+            }
+            to_sample
+        });
+        to_sample
+            .get(original_id as usize)
+            .copied()
+            .filter(|&id| id != NOT_SELECTED)
     }
 
     /// Number of vertices in the subgraph.
@@ -103,69 +136,61 @@ impl SubgraphMapping {
 /// Extracts the subgraph induced by `vertices` (duplicates are ignored; order
 /// determines the new dense ids). Edge weights are preserved.
 ///
-/// The sample graph's CSR is assembled directly — no intermediate edge-list
-/// materialization. Because the selected vertices are visited in ascending
-/// new-id order and each adjacency in neighbor order, the surviving edges are
-/// emitted already grouped by source in CSR order: the out-adjacency is a
-/// single append pass, and the in-adjacency follows from the same counting
-/// build a full-graph construction uses. Neighbor order is byte-identical to
-/// building the equivalent edge list and freezing it (pinned by the
-/// `induced_subgraph_matches_edge_list_reference` property test).
+/// The sample graph's out-adjacency is assembled directly — no intermediate
+/// edge-list materialization and no in-adjacency, which the sample graph
+/// builds on first use. Because the selected vertices are visited in
+/// ascending new-id order and each adjacency in neighbor order, the
+/// surviving edges are emitted already grouped by source in CSR order. The
+/// per-edge filter is branch-free: every edge writes its mapped target (and
+/// weight) at the cursor, and the cursor advances only past survivors.
+/// Neighbor order is byte-identical to building the equivalent edge list and
+/// freezing it (pinned by the `induced_subgraph_matches_edge_list_reference`
+/// property test).
 pub fn induced_subgraph(graph: &CsrGraph, vertices: &[VertexId]) -> (CsrGraph, SubgraphMapping) {
-    let mut to_sample: Vec<Option<VertexId>> = vec![None; graph.num_vertices()];
+    let mut to_sample = vec![NOT_SELECTED; graph.num_vertices()];
     let mut to_original: Vec<VertexId> = Vec::with_capacity(vertices.len());
     for &v in vertices {
         let slot = &mut to_sample[v as usize];
-        if slot.is_none() {
-            *slot = Some(to_original.len() as VertexId);
+        if *slot == NOT_SELECTED {
+            *slot = to_original.len() as VertexId;
             to_original.push(v);
         }
     }
 
-    // Upper bound on the surviving edge count: the selected vertices' full
-    // out-degrees.
+    // Room for every out-edge of a selected vertex: the cursor never passes
+    // the number of edges visited so far, so every write lands in bounds.
     let capacity: usize = to_original.iter().map(|&v| graph.out_degree(v)).sum();
     let mut out_offsets: Vec<usize> = Vec::with_capacity(to_original.len() + 1);
     out_offsets.push(0);
-    let mut out_targets: Vec<VertexId> = Vec::with_capacity(capacity);
+    let mut out_targets = vec![0 as VertexId; capacity];
+    let mut weights = vec![0f32; if graph.is_weighted() { capacity } else { 0 }];
+    let mut len = 0usize;
+    for &orig_src in &to_original {
+        let src_weights = graph.out_weights(orig_src);
+        for (i, &orig_dst) in graph.out_neighbors(orig_src).iter().enumerate() {
+            let new_dst = to_sample[orig_dst as usize];
+            out_targets[len] = new_dst;
+            if let Some(ws) = src_weights {
+                weights[len] = ws[i];
+            }
+            len += usize::from(new_dst != NOT_SELECTED);
+        }
+        out_offsets.push(len);
+    }
+    out_targets.truncate(len);
+    weights.truncate(len);
+
     // Weight storage mirrors `CsrGraph::from_edges`: the subgraph is weighted
     // only when a surviving edge carries a non-unit weight.
-    let mut weight_buf: Vec<f32> = Vec::new();
-    let mut weighted = false;
-    if graph.is_weighted() {
-        weight_buf.reserve(capacity);
-    }
-
-    for &orig_src in &to_original {
-        let nbrs = graph.out_neighbors(orig_src);
-        match graph.out_weights(orig_src) {
-            Some(weights) => {
-                for (i, &orig_dst) in nbrs.iter().enumerate() {
-                    if let Some(new_dst) = to_sample[orig_dst as usize] {
-                        out_targets.push(new_dst);
-                        weight_buf.push(weights[i]);
-                        weighted |= weights[i] != 1.0;
-                    }
-                }
-            }
-            None => {
-                for &orig_dst in nbrs {
-                    if let Some(new_dst) = to_sample[orig_dst as usize] {
-                        out_targets.push(new_dst);
-                    }
-                }
-            }
-        }
-        out_offsets.push(out_targets.len());
-    }
-
-    let out_weights = weighted.then_some(weight_buf);
+    let out_weights = weights.iter().any(|&w| w != 1.0).then_some(weights);
+    let num_original = graph.num_vertices();
     let sub = CsrGraph::from_csr_parts(to_original.len(), out_offsets, out_targets, out_weights);
     (
         sub,
         SubgraphMapping {
             to_original,
-            to_sample,
+            num_original,
+            to_sample: OnceLock::new(),
         },
     )
 }

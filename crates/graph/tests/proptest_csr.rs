@@ -3,6 +3,7 @@
 
 use predict_graph::{induced_subgraph, shard_csr, CsrGraph, Edge, EdgeList, ShardedCsr, VertexId};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
 /// Strategy: an arbitrary edge list over up to `max_vertices` vertices.
 fn edge_list(max_vertices: u32, max_edges: usize) -> impl Strategy<Value = EdgeList> {
@@ -261,6 +262,57 @@ proptest! {
             prop_assert_eq!(sub.out_neighbors(v), reference.out_neighbors(v));
             prop_assert_eq!(sub.in_neighbors(v), reference.in_neighbors(v));
             prop_assert_eq!(sub.out_weights(v), reference.out_weights(v));
+        }
+    }
+
+    /// The in-adjacency a graph builds on first use equals the one an eager
+    /// build lays down: an induced subgraph's equals that of the edge-list
+    /// build over its edges listed in CSR order, before and after a serde
+    /// round trip (which stores no in-adjacency); the undirected twin's
+    /// equals its own out-adjacency, and the twin is the edge-list path's
+    /// graph; and four threads racing the first query all see equal slices.
+    #[test]
+    fn lazy_in_adjacency_equals_the_eager_one(
+        triples in prop::collection::vec((0u32..40, 0u32..40, 1.0f32..4.0), 0..220),
+        selector in prop::collection::vec(any::<bool>(), 40),
+        weighted in any::<bool>(),
+    ) {
+        let mut el = EdgeList::new();
+        el.ensure_vertices(40);
+        for &(s, d, w) in &triples {
+            el.push_edge(Edge::weighted(s, d, if weighted { w } else { 1.0 }));
+        }
+        let g = CsrGraph::from_edge_list(&el);
+        let selected: Vec<VertexId> = g.vertices().filter(|&v| selector[v as usize]).collect();
+        let (sub, _) = induced_subgraph(&g, &selected);
+        let racing = sub.clone();
+
+        let eager = CsrGraph::from_edge_list(&sub.to_edge_list());
+        let round_trip = CsrGraph::deserialize_value(&sub.serialize_value()).unwrap();
+        prop_assert_eq!(round_trip.out_csr(), sub.out_csr());
+        for v in sub.vertices() {
+            prop_assert_eq!(sub.in_neighbors(v), eager.in_neighbors(v));
+            prop_assert_eq!(round_trip.in_neighbors(v), eager.in_neighbors(v));
+            prop_assert_eq!(round_trip.out_weights(v), sub.out_weights(v));
+        }
+
+        let twin = g.to_undirected();
+        let expected = CsrGraph::from_edge_list(&g.to_edge_list().to_undirected());
+        prop_assert_eq!(twin.out_csr(), expected.out_csr());
+        for v in twin.vertices() {
+            prop_assert_eq!(twin.in_neighbors(v), twin.out_neighbors(v));
+            prop_assert_eq!(twin.out_weights(v), expected.out_weights(v));
+        }
+
+        let views: Vec<Vec<Vec<VertexId>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| racing.vertices().map(|v| racing.in_neighbors(v).to_vec()).collect()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let reference: Vec<Vec<VertexId>> = sub.vertices().map(|v| sub.in_neighbors(v).to_vec()).collect();
+        for view in &views {
+            prop_assert_eq!(view, &reference);
         }
     }
 

@@ -478,6 +478,35 @@ mod tests {
         );
     }
 
+    /// The stored form of a sample holds only what was sampled: the
+    /// subgraph's out-adjacency, the forward id mapping and the ratios. The
+    /// literals pin the encoded tree (bytes and checksum) and the column
+    /// section of one fixed draw, so neither the in-adjacency nor the
+    /// inverse id map can creep back into the store unnoticed.
+    #[test]
+    fn stored_sample_holds_only_what_it_samples() {
+        let artifact =
+            SampleArtifact::draw(&BiasedRandomJump::default(), &graph(), 0.2, 11).unwrap();
+        let value = artifact.serialize_value();
+        let keys = |v: &serde::Value| -> Vec<String> {
+            v.as_map().unwrap().iter().map(|(k, _)| k.clone()).collect()
+        };
+        // `SampleArtifact.sample` holds `graph`, then `mapping`.
+        let sample = value.as_map().unwrap()[1].1.as_map().unwrap();
+        assert_eq!(
+            keys(&sample[0].1),
+            ["num_vertices", "out_offsets", "out_targets", "out_weights"]
+        );
+        assert_eq!(keys(&sample[1].1), ["to_original", "num_original"]);
+        let encoded = predict_store::encode_value(&value);
+        let mut checksum = predict_store::Checksum::default();
+        checksum.update(&encoded.tree);
+        assert_eq!(
+            (encoded.tree.len(), encoded.columns.len(), checksum.finish()),
+            (414, 1208, 0xd59f_f39e_d469_d9a4)
+        );
+    }
+
     #[test]
     fn stable_fingerprint_is_deterministic_and_sensitive() {
         let a = stable_fingerprint("hello");

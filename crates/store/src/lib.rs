@@ -81,9 +81,14 @@ use std::sync::Arc;
 /// Container layout version (the file framing, not the artifact schema).
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Artifact schema version: bump when the serialized shape of any artifact
-/// changes so older store directories read as stale misses instead of
-/// feeding mismatched fields to a deserializer.
+/// Artifact schema version: bump when a field of any artifact is added or
+/// changes shape or meaning, so older store directories read as stale misses
+/// instead of feeding mismatched fields to a deserializer.
+///
+/// Dropping a field needs no bump: deserializers look fields up by name and
+/// ignore the rest, so an older file that still carries the field decodes to
+/// the same value (sample files that carry a graph's in-adjacency read warm
+/// this way).
 pub const SCHEMA_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"PSTR";
