@@ -6,8 +6,8 @@
 //! in the stack: a transport-backed run records the driver-observed wall
 //! time of every superstep round plus per-worker compute time and serialized
 //! bytes on the wire. This report drives the same pinned PageRank run
-//! through the in-process channel transport and the socket transport and
-//! prints both timelines side by side, which is what lets the simulated cost
+//! through in-process worker threads and worker processes (the `inproc` and
+//! `socket` transports) and prints both timelines side by side, which is what lets the simulated cost
 //! model be sanity-checked against an actual message-passing execution.
 //!
 //! The run's *results* are byte-identical across transports (runtime
@@ -140,8 +140,8 @@ pub fn run(args: &[String]) {
         );
         assert_eq!(points[0].supersteps, p.supersteps);
         // Serialized frames are deterministic, so measured wire bytes are a
-        // transport-independent property of the run — channels and sockets must
-        // report the same count, superstep by superstep.
+        // transport-independent property of the run — threads and processes
+        // must report the same count, superstep by superstep.
         assert_eq!(
             points[0].wire_bytes, p.wire_bytes,
             "measured wire bytes must be identical across transports"

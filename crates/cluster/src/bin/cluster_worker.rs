@@ -1,42 +1,47 @@
 //! Long-lived BSP worker process.
 //!
-//! Speaks the framed cluster protocol over the Unix-domain socket it
-//! connects back to the driver on (`--socket <path>`). Serves episodes
-//! until the driver closes the connection or sends `Shutdown`. Diagnostics
-//! go to stderr, where the driver tails them into failure reports. Any other
-//! invocation — including none at all, which once meant "serve on
-//! stdin/stdout" — is a usage error, so a stale launcher fails fast instead
-//! of blocking on stdin.
+//! Speaks the framed cluster protocol over its standard input, which the
+//! driver makes the worker's end of a Unix-domain socket pair
+//! (`--stdin-socket`). Serves episodes until the driver closes the
+//! connection or sends `Shutdown`. Diagnostics go to stderr, where the
+//! driver tails them into failure reports. Any other invocation — no
+//! arguments, or a standard input that is not a socket — is a usage error,
+//! so a stale launcher fails fast instead of blocking on stdin.
 
-use predict_cluster::socket::{connect, CONNECT_TIMEOUT};
 use predict_cluster::{serve, StreamEndpoint};
-use std::path::Path;
+use std::os::fd::AsFd;
+use std::os::unix::net::UnixStream;
+
+const USAGE: &str = "cluster_worker: usage: cluster_worker --stdin-socket \
+                     (standard input must be a Unix-domain socket)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.as_slice() {
-        [flag, path] if flag == "--socket" => serve_socket(Path::new(path)),
-        _ => {
-            predict_obs::diag!(
-                Error,
-                "cluster_worker: usage: cluster_worker --socket <path>"
-            );
-            std::process::exit(2);
-        }
+    let stream = match args.as_slice() {
+        [flag] if flag == "--stdin-socket" => stdin_socket(),
+        _ => None,
     };
-    if let Err(message) = result {
+    let Some(stream) = stream else {
+        predict_obs::diag!(Error, "{USAGE}");
+        std::process::exit(2);
+    };
+    if let Err(message) = serve_stream(stream) {
         predict_obs::diag!(Error, "cluster_worker: {message}");
         std::process::exit(2);
     }
 }
 
-/// Connects back to the driver's listener and serves frames over the
-/// stream. The driver binds before spawning this process, so the connect
-/// normally succeeds on the first try; `CONNECT_TIMEOUT` bounds the retry
-/// loop on a loaded machine.
-fn serve_socket(path: &Path) -> Result<(), String> {
-    let stream = connect(path, CONNECT_TIMEOUT)
-        .map_err(|e| format!("connecting to driver at {}: {e}", path.display()))?;
+/// Standard input as a socket stream, or `None` when it is not a socket
+/// (`local_addr` fails with ENOTSOCK on a pipe or a file).
+fn stdin_socket() -> Option<UnixStream> {
+    let fd = std::io::stdin().as_fd().try_clone_to_owned().ok()?;
+    let stream = UnixStream::from(fd);
+    stream.local_addr().ok()?;
+    Some(stream)
+}
+
+/// Serves frames over `stream` until the driver hangs up.
+fn serve_stream(stream: UnixStream) -> Result<(), String> {
     let reader = stream
         .try_clone()
         .map_err(|e| format!("cloning socket stream: {e}"))?;

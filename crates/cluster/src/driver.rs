@@ -8,7 +8,7 @@
 //! master's view of a worker group — what the in-memory executor does with
 //! buffer swaps, it does with `Init`/`Step`/`StepDone`/`Finish` frames:
 //! ship each worker its shard, fan a step out, collect the replies in
-//! ascending worker order under a read deadline, validate them, relay
+//! ascending worker order under a read timeout, validate them, relay
 //! outbound batch sections to next superstep's `Step`.
 //!
 //! The relay is opaque ([`Relay`]): of a `StepDone` the driver decodes the
@@ -38,14 +38,14 @@ use predict_obs::metrics::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How a cluster drive runs: backend, read deadline, injected fault.
+/// How a cluster drive runs: backend, read timeout, injected fault.
 #[derive(Debug, Clone)]
 pub struct DriveOptions {
     /// Transport backend to run the workers on.
     pub kind: TransportKind,
-    /// Driver-side read deadline per expected frame. A worker that sends
-    /// nothing for this long fails the drive with [`ClusterError::Timeout`]
-    /// instead of hanging it.
+    /// The longest silence allowed while the driver waits for a frame. A
+    /// worker that sends no byte for this long fails the drive with
+    /// [`ClusterError::Timeout`] instead of hanging it.
     pub timeout: Duration,
     /// Fault injected into one worker `(worker, fault)` — robustness tests
     /// only. Faulted drives always use a fresh worker group and never
@@ -54,7 +54,7 @@ pub struct DriveOptions {
     /// Deterministic transport-level fault schedule wrapped around one
     /// worker's endpoint `(worker, schedule)` — the fault-injection test
     /// battery. In-process transport only (the wrapper sits between the
-    /// serve loop and its channels); like [`DriveOptions::fault`], such
+    /// serve loop and its stream); like [`DriveOptions::fault`], such
     /// drives always use a fresh group and never repool it.
     pub endpoint_fault: Option<(usize, FaultSchedule)>,
 }
@@ -109,11 +109,11 @@ where
         }
         let (fw, schedule) = (*fw, schedule.clone());
         WorkerGroup::spawn_with(opts.kind, config.workers(), |w| {
-            Ok(if w == fw {
+            if w == fw {
                 Connection::spawn_inproc_faulty(w, schedule.clone())
             } else {
                 Connection::spawn_inproc(w)
-            })
+            }
         })?
     } else if opts.fault.is_some() {
         WorkerGroup::spawn(opts.kind, config.workers())?

@@ -1,16 +1,16 @@
 //! The worker's view of its transport: a bidirectional frame pipe.
 //!
 //! [`Endpoint`] is everything the serve loop ([`crate::worker`]) knows about
-//! the outside world — send a frame, receive a frame. A standalone worker
-//! process serves a [`StreamEndpoint`] (frames over the two halves of its
-//! socket stream); an in-process worker thread
-//! serves a [`ChannelEndpoint`] (frames over a pair of mpsc channels). The
-//! serve loop is byte-for-byte the same code either way, which is the point:
-//! the process boundary is a property of the transport, not of the worker.
+//! the outside world — send a frame, receive a frame. Every worker, OS
+//! process or in-process thread, serves a [`StreamEndpoint`] over its end of
+//! a socket pair, so the serve loop and its frame I/O are byte-for-byte the
+//! same code either way, which is the point: the process boundary is a
+//! property of the transport, not of the worker. The trait stays so that
+//! wrappers such as [`FaultEndpoint`](crate::FaultEndpoint) can sit between
+//! the serve loop and its stream.
 
 use crate::protocol::{read_frame, write_frame};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::sync::mpsc::{Receiver, Sender};
 
 /// One frame: protocol tag plus body bytes.
 pub type Frame = (u8, Vec<u8>);
@@ -26,8 +26,8 @@ pub trait Endpoint {
     fn recv(&mut self) -> io::Result<Option<Frame>>;
 }
 
-/// Frames over a `Read`/`Write` pair — the socket stream of the
-/// `cluster_worker` binary, or any in-memory pair in tests.
+/// Frames over a `Read`/`Write` pair — a worker's end of its socket pair,
+/// or any in-memory pair in tests.
 pub struct StreamEndpoint<R: Read, W: Write> {
     reader: BufReader<R>,
     writer: BufWriter<W>,
@@ -53,61 +53,10 @@ impl<R: Read, W: Write> Endpoint for StreamEndpoint<R, W> {
     }
 }
 
-/// Frames over an mpsc channel pair — the in-process transport. A dropped
-/// peer reads as a clean close on `recv` and a broken pipe on `send`,
-/// mirroring how a dead process behaves on a real pipe.
-pub struct ChannelEndpoint {
-    /// Frames from the driver.
-    pub rx: Receiver<Frame>,
-    /// Frames to the driver.
-    pub tx: Sender<Frame>,
-}
-
-impl Endpoint for ChannelEndpoint {
-    fn send(&mut self, tag: u8, body: &[u8]) -> io::Result<()> {
-        self.tx
-            .send((tag, body.to_vec()))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "driver hung up"))
-    }
-
-    fn recv(&mut self) -> io::Result<Option<Frame>> {
-        Ok(self.rx.recv().ok())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::tag;
-    use std::sync::mpsc;
-
-    #[test]
-    fn channel_endpoint_round_trips_frames() {
-        let (to_worker, from_driver) = mpsc::channel();
-        let (to_driver, from_worker) = mpsc::channel();
-        let mut ep = ChannelEndpoint {
-            rx: from_driver,
-            tx: to_driver,
-        };
-        to_worker.send((tag::STEP, vec![1, 2, 3])).unwrap();
-        assert_eq!(ep.recv().unwrap(), Some((tag::STEP, vec![1, 2, 3])));
-        ep.send(tag::STEP_DONE, &[9]).unwrap();
-        assert_eq!(from_worker.recv().unwrap(), (tag::STEP_DONE, vec![9]));
-    }
-
-    #[test]
-    fn channel_endpoint_reports_hangup_cleanly() {
-        let (to_driver, from_worker) = mpsc::channel();
-        let (_unused_tx, from_driver) = mpsc::channel::<Frame>();
-        drop(from_worker);
-        let mut ep = ChannelEndpoint {
-            rx: from_driver,
-            tx: to_driver,
-        };
-        assert!(ep.send(tag::STEP_DONE, &[]).is_err());
-        drop(_unused_tx);
-        assert_eq!(ep.recv().unwrap(), None);
-    }
 
     #[test]
     fn stream_endpoint_round_trips_over_buffers() {

@@ -15,14 +15,10 @@
 //! ([`FaultSchedule::at`]) or a seeded generator
 //! ([`FaultSchedule::seeded`], splitmix64 — no dependencies, stable
 //! forever).
-//!
-//! [`FaultStream`] is the byte-level sibling: a `Write` wrapper that cuts
-//! the stream mid-frame after a byte budget, for true short-read /
-//! torn-frame coverage under the framed codecs.
 
 use crate::endpoint::{Endpoint, Frame};
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io;
 
 /// Which way a counted frame is travelling, from the worker's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +48,7 @@ pub enum FaultAction {
     },
     /// Hold the frame back until `frames` more frames pass in the same
     /// direction (if the episode ends first, the frame is simply lost and
-    /// the peer's read deadline fires).
+    /// the peer's read timeout fires).
     Delay {
         /// Frames that must pass before release.
         frames: usize,
@@ -278,69 +274,22 @@ impl<E: Endpoint> Endpoint for FaultEndpoint<E> {
     }
 }
 
-/// A `Write` that cuts the stream after a byte budget — the byte-level
-/// fault: frames tear *mid-encoding*, producing the short reads and torn
-/// length prefixes [`read_frame`](crate::protocol::read_frame) must treat
-/// as corruption, never as clean EOF.
-pub struct FaultStream<W: Write> {
-    inner: W,
-    remaining: usize,
-}
-
-impl<W: Write> FaultStream<W> {
-    /// Passes through the first `budget` bytes, then fails every write.
-    pub fn cut_after(inner: W, budget: usize) -> Self {
-        Self {
-            inner,
-            remaining: budget,
-        }
-    }
-}
-
-impl<W: Write> Write for FaultStream<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.remaining == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "injected stream cut",
-            ));
-        }
-        let n = buf.len().min(self.remaining);
-        let written = self.inner.write(&buf[..n])?;
-        self.remaining -= written;
-        Ok(written)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::ChannelEndpoint;
+    use crate::endpoint::StreamEndpoint;
     use crate::protocol::{read_frame, tag, write_frame};
-    use std::sync::mpsc::{self, Receiver, Sender};
+    use std::os::unix::net::UnixStream;
 
-    fn pair() -> (FaultEndpointHarness, ChannelEndpoint) {
-        let (to_worker, worker_rx) = mpsc::channel::<Frame>();
-        let (worker_tx, from_worker) = mpsc::channel::<Frame>();
-        (
-            FaultEndpointHarness {
-                to_worker,
-                from_worker,
-            },
-            ChannelEndpoint {
-                rx: worker_rx,
-                tx: worker_tx,
-            },
-        )
+    /// The driver's end of a socket pair and a worker endpoint on the other.
+    fn pair() -> (UnixStream, StreamEndpoint<UnixStream, UnixStream>) {
+        let (driver, worker) = UnixStream::pair().unwrap();
+        let reader = worker.try_clone().unwrap();
+        (driver, StreamEndpoint::new(reader, worker))
     }
 
-    /// The driver's two channel ends in tests.
-    struct FaultEndpointHarness {
-        to_worker: Sender<Frame>,
-        from_worker: Receiver<Frame>,
+    fn recv_frame(driver: &mut UnixStream) -> Option<Frame> {
+        read_frame(driver).unwrap()
     }
 
     #[test]
@@ -354,7 +303,7 @@ mod tests {
 
     #[test]
     fn truncate_cuts_the_body_and_keeps_the_stream() {
-        let (driver, worker) = pair();
+        let (mut driver, worker) = pair();
         let schedule = FaultSchedule::new().at(
             Direction::Outbound,
             0,
@@ -363,36 +312,27 @@ mod tests {
         let mut ep = FaultEndpoint::new(worker, schedule);
         ep.send(tag::STEP_DONE, &[1, 2, 3, 4]).unwrap();
         ep.send(tag::STEP_DONE, &[9, 9]).unwrap();
-        assert_eq!(
-            driver.from_worker.recv().unwrap(),
-            (tag::STEP_DONE, vec![1, 2])
-        );
-        assert_eq!(
-            driver.from_worker.recv().unwrap(),
-            (tag::STEP_DONE, vec![9, 9])
-        );
+        assert_eq!(recv_frame(&mut driver), Some((tag::STEP_DONE, vec![1, 2])));
+        assert_eq!(recv_frame(&mut driver), Some((tag::STEP_DONE, vec![9, 9])));
     }
 
     #[test]
     fn disconnect_kills_both_directions() {
-        let (driver, worker) = pair();
+        let (mut driver, worker) = pair();
         let schedule = FaultSchedule::new().at(Direction::Outbound, 1, FaultAction::Disconnect);
         let mut ep = FaultEndpoint::new(worker, schedule);
         ep.send(tag::STEP_DONE, &[1]).unwrap();
         assert!(ep.send(tag::STEP_DONE, &[2]).is_err());
         assert!(ep.send(tag::STEP_DONE, &[3]).is_err(), "stays dead");
         assert_eq!(ep.recv().unwrap(), None, "reads like a hangup");
-        // The driver got the first frame, then the channel closed.
-        assert_eq!(
-            driver.from_worker.recv().unwrap(),
-            (tag::STEP_DONE, vec![1])
-        );
-        assert!(driver.from_worker.recv().is_err());
+        // The driver got the first frame, then the stream ended.
+        assert_eq!(recv_frame(&mut driver), Some((tag::STEP_DONE, vec![1])));
+        assert_eq!(recv_frame(&mut driver), None);
     }
 
     #[test]
     fn delay_reorders_outbound_frames() {
-        let (driver, worker) = pair();
+        let (mut driver, worker) = pair();
         let schedule =
             FaultSchedule::new().at(Direction::Outbound, 0, FaultAction::Delay { frames: 2 });
         let mut ep = FaultEndpoint::new(worker, schedule);
@@ -400,19 +340,17 @@ mod tests {
         ep.send(0x11, &[1]).unwrap();
         ep.send(0x12, &[2]).unwrap();
         ep.send(0x13, &[3]).unwrap();
-        let order: Vec<u8> = (0..4)
-            .map(|_| driver.from_worker.recv().unwrap().0)
-            .collect();
+        let order: Vec<u8> = (0..4).map(|_| recv_frame(&mut driver).unwrap().0).collect();
         assert_eq!(order, vec![0x11, 0x12, 0x10, 0x13]);
     }
 
     #[test]
     fn duplicate_delivers_inbound_frames_twice() {
-        let (driver, worker) = pair();
+        let (mut driver, worker) = pair();
         let schedule = FaultSchedule::new().at(Direction::Inbound, 0, FaultAction::Duplicate);
         let mut ep = FaultEndpoint::new(worker, schedule);
-        driver.to_worker.send((tag::STEP, vec![7])).unwrap();
-        driver.to_worker.send((tag::FINISH, vec![])).unwrap();
+        write_frame(&mut driver, tag::STEP, &[7]).unwrap();
+        write_frame(&mut driver, tag::FINISH, &[]).unwrap();
         assert_eq!(ep.recv().unwrap(), Some((tag::STEP, vec![7])));
         assert_eq!(ep.recv().unwrap(), Some((tag::STEP, vec![7])));
         assert_eq!(ep.recv().unwrap(), Some((tag::FINISH, vec![])));
@@ -420,26 +358,14 @@ mod tests {
 
     #[test]
     fn inbound_delay_holds_a_frame_back() {
-        let (driver, worker) = pair();
+        let (mut driver, worker) = pair();
         let schedule =
             FaultSchedule::new().at(Direction::Inbound, 0, FaultAction::Delay { frames: 2 });
         let mut ep = FaultEndpoint::new(worker, schedule);
         for i in 0..3u8 {
-            driver.to_worker.send((0x20 + i, vec![])).unwrap();
+            write_frame(&mut driver, 0x20 + i, &[]).unwrap();
         }
         let order: Vec<u8> = (0..3).map(|_| ep.recv().unwrap().unwrap().0).collect();
         assert_eq!(order, vec![0x21, 0x22, 0x20]);
-    }
-
-    #[test]
-    fn fault_stream_tears_a_frame_mid_write() {
-        let mut buf = Vec::new();
-        {
-            let mut cut = FaultStream::cut_after(&mut buf, 7);
-            assert!(write_frame(&mut cut, tag::STEP, b"hello world").is_err());
-        }
-        // The receiver sees a torn frame: an error, never a clean EOF.
-        let mut cursor = &buf[..];
-        assert!(read_frame(&mut cursor).is_err());
     }
 }

@@ -17,15 +17,15 @@
 //!   everything that crosses a worker boundary: message batches as
 //!   production-order batch sections ([`WireBatch`]), counters, aggregates,
 //!   shards, values. Pure bytes; no transport anywhere in sight.
-//! * [`protocol`] + [`transport`] + [`endpoint`] + [`socket`] — framed
-//!   star-topology superstep protocol (`Init`/`Step`/`StepDone`/`Finish`),
-//!   spoken over two interchangeable backends: in-process worker threads
-//!   over channels ([`TransportKind::InProc`]) and long-lived
-//!   `cluster_worker` OS processes over Unix-domain socket streams
-//!   ([`TransportKind::Socket`]). Barrier, halt voting and aggregate
-//!   exchange ride the same frames; the driver relays peer messages as
-//!   opaque sections, encoded once by the sender and decoded once by the
-//!   receiver.
+//! * [`protocol`] + [`transport`] + [`endpoint`] — framed star-topology
+//!   superstep protocol (`Init`/`Step`/`StepDone`/`Finish`), spoken over
+//!   one Unix-domain socket pair per worker. The worker's end is served by a
+//!   thread of this process ([`TransportKind::InProc`]) or by a long-lived
+//!   `cluster_worker` OS process that gets it as its standard input
+//!   ([`TransportKind::Socket`]); the frame I/O is the same code either way.
+//!   Barrier, halt voting and aggregate exchange ride the same frames; the
+//!   driver relays peer messages as opaque sections, encoded once by the
+//!   sender and decoded once by the receiver.
 //! * [`driver`] + [`runner`] — a worker group as the `Workers` of the
 //!   engine's own master loop (`predict_bsp::run_master`), so results are
 //!   *byte-identical* to in-memory runs by construction (the engine's
@@ -52,18 +52,16 @@ pub mod error;
 pub mod fault;
 pub mod protocol;
 pub mod runner;
-pub mod socket;
 pub mod transport;
 pub mod wire;
 pub mod worker;
 
 pub use driver::{drive, drive_on, DriveOptions};
-pub use endpoint::{ChannelEndpoint, Endpoint, StreamEndpoint};
+pub use endpoint::{Endpoint, StreamEndpoint};
 pub use error::{ClusterError, WireError};
-pub use fault::{Direction, FaultAction, FaultEndpoint, FaultSchedule, FaultStream};
+pub use fault::{Direction, FaultAction, FaultEndpoint, FaultSchedule};
 pub use protocol::{FaultSpec, InitHeader, ProgramSpec, PROTOCOL_VERSION};
 pub use runner::run_workload;
-pub use socket::SocketListener;
 pub use transport::{checkin, checkout, worker_bin_path, Connection, TransportKind, WorkerGroup};
 pub use wire::{decode_exact, encode_to_vec, Wire, WireBatch, WIRE_VERSION};
 pub use worker::serve;

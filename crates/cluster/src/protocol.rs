@@ -130,7 +130,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<(u8, Vec<u8>)>> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Superstep at which the worker dies abruptly (process exit / closed
-    /// channel), if any.
+    /// stream), if any.
     #[serde(default)]
     pub crash_at: Option<usize>,
     /// Superstep at which the worker stops responding forever, if any.

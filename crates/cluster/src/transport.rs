@@ -1,22 +1,21 @@
 //! Driver-side transports: in-process worker threads and worker OS
-//! processes over sockets.
+//! processes, both over one Unix-domain socket pair per worker.
 //!
-//! A [`Connection`] is the driver's handle to one worker. Every backend
-//! exposes the same three operations — send a frame, receive a frame with a
-//! deadline, read the worker's stderr tail — so the cluster driver
-//! ([`crate::driver`]) is transport-agnostic:
+//! A [`Connection`] is the driver's handle to one worker: buffered frame
+//! I/O over the driver's end of a `UnixStream::pair()`. Both backends hand
+//! the other end to the same serve loop ([`serve`] over a
+//! [`StreamEndpoint`]) and differ only in where that loop runs:
 //!
-//! * [`TransportKind::InProc`] spawns a thread running the same serve loop
-//!   the worker binary runs, connected by mpsc channel pairs. A panicking or
-//!   crashing worker drops its sender, which the driver observes as a
-//!   disconnect — the thread-level analogue of a dead process.
-//! * [`TransportKind::Socket`] spawns a long-lived `cluster_worker` OS
-//!   process pointed at a per-worker Unix-domain socket (`cluster_worker
-//!   --socket <path>`); the driver binds and accepts with a deadline, then
-//!   speaks the framed protocol over the socket stream. A reader thread
-//!   pumps inbound frames into a channel (so receives can time out without
-//!   platform-specific tricks) and a second thread tails the worker's
-//!   stderr into a bounded ring buffer that failure reports quote.
+//! * [`TransportKind::InProc`] spawns a thread in this process. A panicking
+//!   or crashing worker drops its end, which the driver reads as end of
+//!   stream — the thread-level analogue of a dead process.
+//! * [`TransportKind::Socket`] spawns a long-lived `cluster_worker
+//!   --stdin-socket` OS process whose standard input is the worker's end.
+//!   A second thread tails the worker's stderr into a bounded ring buffer
+//!   that failure reports quote.
+//!
+//! The driver reads frames itself, under the socket's read timeout, so a
+//! receive fails once a worker has been silent for the drive's timeout.
 //!
 //! Workers survive across runs — after serving one episode they loop back to
 //! waiting for the next `Init` — so [`WorkerGroup`]s are pooled globally,
@@ -24,24 +23,21 @@
 //! once, not per prediction run. A group that errors is dropped, never
 //! re-pooled.
 
-use crate::endpoint::{ChannelEndpoint, Frame};
+use crate::endpoint::{Frame, StreamEndpoint};
 use crate::error::ClusterError;
 use crate::fault::{FaultEndpoint, FaultSchedule};
-use crate::socket::{fresh_socket_path, SocketListener, ACCEPT_TIMEOUT};
+use crate::protocol::{read_frame, tag, write_frame};
 use crate::worker::serve;
 use predict_bsp::TransportMode;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::Shutdown;
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crate::protocol::{read_frame, tag, write_frame};
 
 /// Lines of worker stderr kept for failure reports.
 const STDERR_TAIL_LINES: usize = 40;
@@ -49,9 +45,9 @@ const STDERR_TAIL_LINES: usize = 40;
 /// Which backend a [`Connection`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportKind {
-    /// Worker threads in this process, talking over channels.
+    /// Worker threads in this process.
     InProc,
-    /// Worker OS processes, talking over Unix-domain socket streams.
+    /// Worker OS processes.
     Socket,
 }
 
@@ -94,111 +90,92 @@ impl StderrRing {
     }
 }
 
-/// The driver's handle to one worker.
+/// The driver's handle to one worker: buffered frame I/O over the driver's
+/// end of the worker's socket pair, plus the worker process when there is
+/// one.
 pub struct Connection {
     worker: usize,
-    inner: ConnInner,
+    reader: BufReader<UnixStream>,
+    writer: BufWriter<UnixStream>,
+    process: Option<WorkerProcess>,
 }
 
-enum ConnInner {
-    InProc {
-        tx: Sender<Frame>,
-        rx: Receiver<Frame>,
-    },
-    Socket {
-        /// The worker process, when this connection spawned one (`None` for
-        /// connections built from a raw accepted stream in tests).
-        child: Option<Child>,
-        writer: BufWriter<UnixStream>,
-        /// A second handle to the stream, shut down on drop to unblock the
-        /// pump thread.
-        stream: UnixStream,
-        /// Frames pumped off the socket; closed on EOF or read error.
-        rx: Receiver<Frame>,
-        stderr: Arc<Mutex<StderrRing>>,
-        /// The thread tailing the child's stderr into `stderr`; joined when
-        /// the worker is reported dead so the report holds its last words.
-        stderr_reader: Option<JoinHandle<()>>,
-        /// Socket file unlinked on drop (`None` for connections built from a
-        /// raw stream).
-        path: Option<PathBuf>,
-    },
+/// A spawned `cluster_worker` and the thread tailing its stderr.
+struct WorkerProcess {
+    child: Child,
+    stderr: Arc<Mutex<StderrRing>>,
+    /// Joined when the worker is reported dead, so the report holds its last
+    /// words.
+    stderr_reader: Option<JoinHandle<()>>,
+}
+
+/// A fresh socket pair for `worker`: the driver's end and the worker's.
+fn socket_pair(worker: usize) -> Result<(UnixStream, UnixStream), ClusterError> {
+    UnixStream::pair().map_err(|e| ClusterError::Spawn {
+        worker,
+        detail: format!("creating a socket pair: {e}"),
+    })
 }
 
 impl Connection {
     /// Spawns an in-process worker thread serving the standard loop.
-    pub fn spawn_inproc(worker: usize) -> Self {
+    pub fn spawn_inproc(worker: usize) -> Result<Self, ClusterError> {
         Self::spawn_inproc_with(worker, None)
     }
 
     /// Spawns an in-process worker whose endpoint is wrapped in a
     /// deterministic [`FaultSchedule`] — the repeatable-saboteur variant
     /// the fault-injection battery drives.
-    pub fn spawn_inproc_faulty(worker: usize, schedule: FaultSchedule) -> Self {
+    pub fn spawn_inproc_faulty(
+        worker: usize,
+        schedule: FaultSchedule,
+    ) -> Result<Self, ClusterError> {
         Self::spawn_inproc_with(worker, Some(schedule))
     }
 
-    fn spawn_inproc_with(worker: usize, schedule: Option<FaultSchedule>) -> Self {
-        let (to_worker, worker_rx) = mpsc::channel::<Frame>();
-        let (worker_tx, from_worker) = mpsc::channel::<Frame>();
+    fn spawn_inproc_with(
+        worker: usize,
+        schedule: Option<FaultSchedule>,
+    ) -> Result<Self, ClusterError> {
+        let (driver_end, worker_end) = socket_pair(worker)?;
+        let reader = worker_end.try_clone().map_err(|e| ClusterError::Spawn {
+            worker,
+            detail: format!("cloning socket stream: {e}"),
+        })?;
         std::thread::Builder::new()
             .name(format!("cluster-worker-{worker}"))
             .spawn(move || {
-                let ep = ChannelEndpoint {
-                    rx: worker_rx,
-                    tx: worker_tx,
+                let mut ep = StreamEndpoint::new(reader, worker_end);
+                // An Err return just drops the endpoint and closes the
+                // worker's end: the driver sees a disconnect, exactly like a
+                // process death.
+                let _ = match schedule {
+                    Some(schedule) => serve(&mut FaultEndpoint::new(ep, schedule), false),
+                    None => serve(&mut ep, false),
                 };
-                // An Err return just drops the endpoint: the driver sees a
-                // disconnect, exactly like a process death.
-                match schedule {
-                    Some(schedule) => {
-                        let _ = serve(&mut FaultEndpoint::new(ep, schedule), false);
-                    }
-                    None => {
-                        let mut ep = ep;
-                        let _ = serve(&mut ep, false);
-                    }
-                }
             })
             .expect("spawning an OS thread");
-        Self {
-            worker,
-            inner: ConnInner::InProc {
-                tx: to_worker,
-                rx: from_worker,
-            },
-        }
+        Self::from_socket_stream(worker, driver_end)
     }
 
-    /// Spawns a `cluster_worker` process connected over a fresh Unix-domain
-    /// socket: bind, spawn `cluster_worker --socket <path>`, accept with a
-    /// deadline.
+    /// Spawns a `cluster_worker --stdin-socket` process whose standard input
+    /// is the worker's end of a fresh socket pair.
     pub fn spawn_socket(worker: usize) -> Result<Self, ClusterError> {
-        let path = fresh_socket_path(worker);
-        let listener = SocketListener::bind_unix(&path).map_err(|e| ClusterError::Spawn {
-            worker,
-            detail: format!("binding {}: {e}", path.display()),
-        })?;
-        let cleanup_path = || {
-            let _ = std::fs::remove_file(&path);
-        };
-        let bin = worker_bin_path().map_err(|detail| {
-            cleanup_path();
-            ClusterError::Spawn { worker, detail }
-        })?;
+        let (driver_end, worker_end) = socket_pair(worker)?;
+        let mut conn = Self::from_socket_stream(worker, driver_end)?;
+        let bin = worker_bin_path().map_err(|detail| ClusterError::Spawn { worker, detail })?;
+        // The `Command` is a temporary dropped at the end of this statement,
+        // and with it this process's copy of the worker's end: a dead worker
+        // must read as end of stream.
         let mut child = Command::new(&bin)
-            .arg("--socket")
-            .arg(listener.path())
-            .stdin(Stdio::null())
+            .arg("--stdin-socket")
+            .stdin(OwnedFd::from(worker_end))
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
-            .map_err(|e| {
-                cleanup_path();
-                ClusterError::Spawn {
-                    worker,
-                    detail: format!("{}: {e}", bin.display()),
-                }
+            .map_err(|e| ClusterError::Spawn {
+                worker,
+                detail: format!("{}: {e}", bin.display()),
             })?;
         let child_stderr = child.stderr.take().expect("piped stderr");
         let stderr = Arc::new(Mutex::new(StderrRing::default()));
@@ -214,87 +191,27 @@ impl Connection {
                 }
             })
             .expect("spawning an OS thread");
-
-        // The worker was told where to connect; give it ACCEPT_TIMEOUT to
-        // show up, then clean up the child we spawned for nothing.
-        let stream = match listener.accept_timeout(ACCEPT_TIMEOUT) {
-            Ok(stream) => stream,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                cleanup_path();
-                return Err(ClusterError::Spawn {
-                    worker,
-                    detail: format!(
-                        "worker never connected to {}: {e}; stderr tail:\n{}",
-                        path.display(),
-                        stderr.lock().unwrap().tail()
-                    ),
-                });
-            }
-        };
-        Self::from_stream(
-            worker,
-            stream,
-            Some((child, stderr_reader)),
+        conn.process = Some(WorkerProcess {
+            child,
             stderr,
-            Some(path),
-        )
+            stderr_reader: Some(stderr_reader),
+        });
+        Ok(conn)
     }
 
-    /// Wraps an already-accepted socket stream as a connection with no
-    /// child process behind it — lifecycle tests use this to play the
-    /// driver against hand-rolled fake workers.
+    /// Wraps the driver's end of a socket stream as a connection with no
+    /// child process behind it — tests use this to play the driver against
+    /// serve loops and hand-rolled fake workers on the other end.
     pub fn from_socket_stream(worker: usize, stream: UnixStream) -> Result<Self, ClusterError> {
-        Self::from_stream(
-            worker,
-            stream,
-            None,
-            Arc::new(Mutex::new(StderrRing::default())),
-            None,
-        )
-    }
-
-    fn from_stream(
-        worker: usize,
-        stream: UnixStream,
-        child: Option<(Child, JoinHandle<()>)>,
-        stderr: Arc<Mutex<StderrRing>>,
-        path: Option<PathBuf>,
-    ) -> Result<Self, ClusterError> {
-        let reader = stream.try_clone().map_err(|e| ClusterError::Spawn {
-            worker,
-            detail: format!("cloning socket stream: {e}"),
-        })?;
         let writer = stream.try_clone().map_err(|e| ClusterError::Spawn {
             worker,
             detail: format!("cloning socket stream: {e}"),
         })?;
-        let (frame_tx, rx) = mpsc::channel::<Frame>();
-        std::thread::Builder::new()
-            .name(format!("cluster-socket-{worker}"))
-            .spawn(move || {
-                let mut reader = BufReader::new(reader);
-                while let Ok(Some(frame)) = read_frame(&mut reader) {
-                    if frame_tx.send(frame).is_err() {
-                        break; // driver dropped the connection
-                    }
-                }
-                // EOF or read error: dropping frame_tx signals disconnect.
-            })
-            .expect("spawning an OS thread");
-        let (child, stderr_reader) = child.unzip();
         Ok(Self {
             worker,
-            inner: ConnInner::Socket {
-                child,
-                writer: BufWriter::new(writer),
-                stream,
-                rx,
-                stderr,
-                stderr_reader,
-                path,
-            },
+            reader: BufReader::new(stream),
+            writer: BufWriter::new(writer),
+            process: None,
         })
     }
 
@@ -303,23 +220,19 @@ impl Connection {
         self.worker
     }
 
-    /// Last lines of the worker's stderr (always empty for in-process
-    /// workers, which share the driver's stderr).
+    /// Last lines of the worker's stderr (always empty for workers without a
+    /// process, which share the driver's stderr).
     pub fn stderr_tail(&self) -> String {
-        match &self.inner {
-            ConnInner::InProc { .. } => String::new(),
-            ConnInner::Socket { stderr, .. } => stderr.lock().unwrap().tail(),
-        }
+        self.process
+            .as_ref()
+            .map_or_else(String::new, |p| p.stderr.lock().unwrap().tail())
     }
 
     /// OS process id of the worker, when one exists (spawned socket
     /// workers). Lets tests verify spawn-failure cleanup actually reaped
     /// the children.
     pub fn process_id(&self) -> Option<u32> {
-        match &self.inner {
-            ConnInner::InProc { .. } => None,
-            ConnInner::Socket { child, .. } => child.as_ref().map(Child::id),
-        }
+        self.process.as_ref().map(|p| p.child.id())
     }
 
     /// Reports this worker as dead. A spawned worker is reaped first —
@@ -327,15 +240,10 @@ impl Connection {
     /// carries the worker's last words instead of racing the reader for
     /// them. The caller drops a group with a dead worker anyway.
     fn died(&mut self) -> ClusterError {
-        if let ConnInner::Socket {
-            child: Some(child),
-            stderr_reader,
-            ..
-        } = &mut self.inner
-        {
-            let _ = child.kill();
-            let _ = child.wait();
-            if let Some(reader) = stderr_reader.take() {
+        if let Some(process) = &mut self.process {
+            let _ = process.child.kill();
+            let _ = process.child.wait();
+            if let Some(reader) = process.stderr_reader.take() {
                 let _ = reader.join();
             }
         }
@@ -349,40 +257,32 @@ impl Connection {
     /// Sends one frame to the worker. A send failure means the worker is
     /// gone and is reported as [`ClusterError::WorkerDied`].
     pub fn send(&mut self, tag: u8, body: &[u8]) -> Result<(), ClusterError> {
-        let sent = match &mut self.inner {
-            ConnInner::InProc { tx, .. } => tx.send((tag, body.to_vec())).is_ok(),
-            ConnInner::Socket { writer, .. } => write_frame(writer, tag, body).is_ok(),
-        };
-        if sent {
-            Ok(())
-        } else {
-            Err(self.died())
-        }
+        write_frame(&mut self.writer, tag, body).map_err(|_| self.died())
     }
 
-    /// Receives the next frame, waiting at most `timeout`.
+    /// Receives the next frame, failing once the worker has been silent for
+    /// `timeout`.
     ///
-    /// A disconnect (dead process, panicked thread) is
-    /// [`ClusterError::WorkerDied`]; an elapsed deadline with the worker
+    /// End of stream or a broken stream (dead process, panicked thread) is
+    /// [`ClusterError::WorkerDied`]; a silence of `timeout` with the worker
     /// still alive is [`ClusterError::Timeout`] — for processes the child is
-    /// polled to tell the two apart. Both carry the stderr tail.
+    /// polled to tell the two apart. Both carry the stderr tail. A frame cut
+    /// off by the timeout is lost, which is harmless: a connection that
+    /// errored is never reused.
     pub fn recv(&mut self, timeout: Duration) -> Result<Frame, ClusterError> {
-        let received = match &self.inner {
-            ConnInner::InProc { rx, .. } => rx.recv_timeout(timeout),
-            ConnInner::Socket { rx, .. } => rx.recv_timeout(timeout),
-        };
+        // A zero read timeout is an error; the shortest allowed one is 1 ns.
+        let silence = timeout.max(Duration::from_nanos(1));
+        let received = self
+            .reader
+            .get_ref()
+            .set_read_timeout(Some(silence))
+            .and_then(|()| read_frame(&mut self.reader));
         match received {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Disconnected) => Err(self.died()),
-            Err(RecvTimeoutError::Timeout) => {
-                // A process that died instants ago may still race the pump
-                // thread; report a death as a death, not a timeout.
-                let child = match &mut self.inner {
-                    ConnInner::Socket { child, .. } => child.as_mut(),
-                    ConnInner::InProc { .. } => None,
-                };
-                if let Some(child) = child {
-                    if matches!(child.try_wait(), Ok(Some(_))) {
+            Ok(Some(frame)) => Ok(frame),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                // A process that died instants ago is a death, not a timeout.
+                if let Some(process) = &mut self.process {
+                    if matches!(process.child.try_wait(), Ok(Some(_))) {
                         return Err(self.died());
                     }
                 }
@@ -393,38 +293,21 @@ impl Connection {
                     stderr_tail: self.stderr_tail(),
                 })
             }
+            Ok(None) | Err(_) => Err(self.died()),
         }
     }
 }
 
 impl Drop for Connection {
     fn drop(&mut self) {
-        match &mut self.inner {
-            ConnInner::InProc { tx, .. } => {
-                // Ask the thread to exit; if it already died this is a no-op.
-                let _ = tx.send((tag::SHUTDOWN, Vec::new()));
-            }
-            ConnInner::Socket {
-                child,
-                writer,
-                stream,
-                path,
-                ..
-            } => {
-                let _ = write_frame(writer, tag::SHUTDOWN, &[]);
-                let _ = writer.flush();
-                // Unblock the pump thread's read, then reap and unlink. Give
-                // the process no reason to linger: kill unconditionally (a
-                // worker that honored Shutdown is already gone).
-                let _ = stream.shutdown(Shutdown::Both);
-                if let Some(child) = child {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                if let Some(path) = path {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
+        // Ask the worker to exit; if it already died this is a no-op. A
+        // thread worker also exits on the end of stream that dropping the
+        // driver's end gives it. Give a process no reason to linger: kill
+        // it unconditionally (one that honored Shutdown is already gone).
+        let _ = write_frame(&mut self.writer, tag::SHUTDOWN, &[]);
+        if let Some(process) = &mut self.process {
+            let _ = process.child.kill();
+            let _ = process.child.wait();
         }
     }
 }
@@ -478,7 +361,7 @@ impl WorkerGroup {
     /// Spawns a fresh group of `num_workers` workers on `kind`.
     pub fn spawn(kind: TransportKind, num_workers: usize) -> Result<Self, ClusterError> {
         Self::spawn_with(kind, num_workers, |w| match kind {
-            TransportKind::InProc => Ok(Connection::spawn_inproc(w)),
+            TransportKind::InProc => Connection::spawn_inproc(w),
             TransportKind::Socket => Connection::spawn_socket(w),
         })
     }
@@ -486,8 +369,7 @@ impl WorkerGroup {
     /// Spawns a group through `factory` (one call per worker index,
     /// ascending). If worker `k` of `N` fails to spawn, the `k` workers
     /// already running are shut down and reaped before the error is
-    /// returned — a failed group never leaks processes, threads or socket
-    /// files.
+    /// returned — a failed group never leaks processes or threads.
     pub fn spawn_with(
         kind: TransportKind,
         num_workers: usize,
@@ -566,7 +448,7 @@ mod tests {
 
     #[test]
     fn inproc_worker_disconnect_is_a_death_not_a_timeout() {
-        let mut conn = Connection::spawn_inproc(2);
+        let mut conn = Connection::spawn_inproc(2).unwrap();
         // An unknown tag makes the worker error out and drop its endpoint.
         conn.send(0x66, &[]).unwrap();
         let err = loop {

@@ -42,7 +42,7 @@ use std::time::Instant;
 ///
 /// `standalone` selects how an injected crash manifests: a standalone
 /// (process) worker calls `std::process::exit`, an in-process worker
-/// returns `Err`, which its transport turns into a dropped channel — both
+/// returns `Err`, which drops and so closes its end of the stream — both
 /// look like an abrupt death to the driver. Protocol violations are
 /// reported back through an `Error` frame before returning.
 pub fn serve(ep: &mut impl Endpoint, standalone: bool) -> Result<(), String> {

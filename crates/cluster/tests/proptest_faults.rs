@@ -6,9 +6,10 @@
 //! on the same pool-driven path must then reproduce the in-memory bits
 //! exactly, pinning the service-level recovery story.
 //!
-//! The schedules run over the in-process transport (worker threads over
-//! channels), which makes the battery fast and exact: frame indices are
-//! deterministic, so a failing case shrinks to a repeatable schedule.
+//! The schedules run over the in-process transport (worker threads, each on
+//! one end of a socket pair), which makes the battery fast and exact: frame
+//! indices are deterministic, so a failing case shrinks to a repeatable
+//! schedule.
 
 use predict_algorithms::{PageRank, PageRankParams};
 use predict_bsp::{BspConfig, BspEngine};

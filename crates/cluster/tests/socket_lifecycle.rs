@@ -1,32 +1,28 @@
 //! Socket-transport lifecycle tests: what the driver reports when a socket
 //! worker misbehaves *around* the protocol rather than inside it.
 //!
-//! Fake peers stand in for workers via [`Connection::from_socket_stream`],
-//! so each failure mode is exact and repeatable: a peer that connects and
-//! dies before `INIT` must surface as [`ClusterError::WorkerDied`], a peer
-//! that connects and never speaks must surface as [`ClusterError::Timeout`],
-//! and a group whose spawn fails partway must reap every process and socket
-//! file it already created. (Stale socket-file reclaim on bind and the
-//! two-drivers-one-path race are pinned by unit tests in
-//! `src/socket.rs`.)
+//! Fake peers stand in for workers via [`Connection::from_socket_stream`] on
+//! one end of a socket pair, so each failure mode is exact and repeatable:
+//! a peer that dies before `INIT` must surface as
+//! [`ClusterError::WorkerDied`], a peer that never speaks must surface as
+//! [`ClusterError::Timeout`], a killed worker process must read as a death
+//! at once, and a group whose spawn fails partway must reap every process it
+//! already created.
 //!
 //! Lives in `tests/` of the `predict_cluster` package so cargo builds the
-//! `cluster_worker` binary first — the partial-failure tests spawn real
-//! workers.
+//! `cluster_worker` binary first — several tests spawn real workers.
 
 use predict_algorithms::{PageRank, PageRankParams};
 use predict_bsp::BspConfig;
-use predict_cluster::socket::{connect, fresh_socket_path};
 use predict_cluster::{
-    drive_on, ClusterError, Connection, DriveOptions, ProgramSpec, SocketListener, TransportKind,
-    WorkerGroup,
+    drive_on, ClusterError, Connection, DriveOptions, ProgramSpec, TransportKind, WorkerGroup,
 };
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_graph::CsrGraph;
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_graph() -> CsrGraph {
     generate_rmat(&RmatConfig::new(7, 5).with_seed(3))
@@ -39,40 +35,28 @@ fn single_worker_config() -> BspConfig {
     }
 }
 
-/// Accepts one fake-peer connection on a fresh Unix socket and wraps it as a
-/// one-worker group; `peer` runs on its own thread with the connected stream.
+/// Wraps one end of a socket pair as a one-worker group; `peer` runs on its
+/// own thread with the other end.
 fn group_with_fake_peer(
     peer: impl FnOnce(UnixStream) + Send + 'static,
 ) -> (WorkerGroup, std::thread::JoinHandle<()>) {
-    let path = fresh_socket_path(0);
-    let listener = SocketListener::bind_unix(&path).expect("binding a fresh socket path");
-    let peer_path = path.clone();
-    let handle = std::thread::spawn(move || {
-        let stream = connect(&peer_path, Duration::from_secs(5)).expect("fake peer connects");
-        peer(stream);
-    });
-    let stream = listener
-        .accept_timeout(Duration::from_secs(5))
-        .expect("accepting the fake peer");
-    let conn = Connection::from_socket_stream(0, stream).expect("wrapping the accepted stream");
+    let (driver_end, peer_end) = UnixStream::pair().expect("creating a socket pair");
+    let handle = std::thread::spawn(move || peer(peer_end));
+    let conn = Connection::from_socket_stream(0, driver_end).expect("wrapping the driver's end");
     let mut conn = Some(conn);
     let group = WorkerGroup::spawn_with(TransportKind::Socket, 1, |_| {
         Ok(conn.take().expect("single worker"))
     })
     .expect("building a one-connection group");
-    // The listener (and with it the socket file) drops here; the accepted
-    // stream stays live.
-    drop(listener);
-    let _ = std::fs::remove_file(&path);
     (group, handle)
 }
 
-/// A worker that connects and dies before ever answering `INIT` must be
-/// reported as a death, not a timeout or a hang.
+/// A worker that dies before ever answering `INIT` must be reported as a
+/// death, not a timeout or a hang.
 #[test]
 fn peer_death_before_init_surfaces_as_worker_died() {
     let (group, handle) = group_with_fake_peer(|stream| {
-        // Connect, then vanish: close both directions and exit.
+        // Vanish: close both directions and exit.
         let _ = stream.shutdown(Shutdown::Both);
     });
 
@@ -97,7 +81,7 @@ fn peer_death_before_init_surfaces_as_worker_died() {
     }
 }
 
-/// A worker that accepts the connection but never responds must trip the
+/// A worker that holds its end open but never responds must trip the
 /// driver's recv timeout — and be reported as a timeout, since the peer is
 /// still alive.
 #[test]
@@ -137,6 +121,30 @@ fn unresponsive_peer_surfaces_as_timeout() {
     }
 }
 
+/// A worker process killed while the driver waits on it must read as a
+/// death as soon as it is gone, not after the receive timeout: no copy of
+/// the worker's end of the socket pair may stay open in the driver.
+#[test]
+fn killed_socket_worker_reads_as_a_death_at_once() {
+    let mut conn = Connection::spawn_socket(0).expect("spawning a socket worker");
+    let pid = conn.process_id().expect("socket workers are processes");
+    let killed = std::process::Command::new("kill")
+        .args(["-KILL", &pid.to_string()])
+        .status()
+        .expect("running kill");
+    assert!(killed.success(), "kill -KILL {pid} failed");
+    let start = Instant::now();
+    let err = conn
+        .recv(Duration::from_secs(30))
+        .expect_err("a killed worker sends nothing");
+    let waited = start.elapsed();
+    assert!(
+        matches!(err, ClusterError::WorkerDied { worker: 0, .. }),
+        "expected WorkerDied, got {err:?}"
+    );
+    assert!(waited < Duration::from_secs(5), "took {waited:?}");
+}
+
 /// Waits for `/proc/<pid>` to disappear; panics if the process is still
 /// around after ~2s. `Drop` kills *and reaps* children, so a clean group
 /// teardown leaves no trace in the process table.
@@ -153,7 +161,7 @@ fn assert_process_gone(pid: u32) {
 
 /// Pins the `WorkerGroup::spawn` partial-failure fix: when spawning worker N
 /// fails, workers 0..N that already started must be killed and reaped, not
-/// leaked (their socket files are checked by the test below).
+/// leaked.
 #[test]
 fn partial_spawn_failure_reaps_already_spawned_processes() {
     let mut pids = Vec::new();
@@ -186,102 +194,50 @@ fn partial_spawn_failure_reaps_already_spawned_processes() {
     }
 }
 
-/// Same property for the socket backend, including its on-disk footprint: a
-/// failed group must unlink every socket file its spawned workers bound.
-#[test]
-fn partial_spawn_failure_unlinks_socket_files() {
-    let prefix = format!("predict-cw-{}-", std::process::id());
-    let leftover_sockets = || -> Vec<std::path::PathBuf> {
-        std::fs::read_dir(std::env::temp_dir())
-            .expect("listing the temp dir")
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(&prefix))
-            })
-            .collect()
-    };
-
-    let mut pids = Vec::new();
-    let group = WorkerGroup::spawn_with(TransportKind::Socket, 3, |w| {
-        if w == 2 {
-            return Err(ClusterError::Spawn {
-                worker: 2,
-                detail: "injected spawn failure".into(),
-            });
-        }
-        let conn = Connection::spawn_socket(w)?;
-        pids.push(
-            conn.process_id()
-                .expect("socket transport spawns a process"),
-        );
-        Ok(conn)
-    });
-    let err = match group {
-        Err(e) => e,
-        Ok(_) => panic!("factory failure must fail the group"),
-    };
-
-    assert!(matches!(err, ClusterError::Spawn { worker: 2, .. }));
-    assert_eq!(pids.len(), 2, "two workers spawned before the failure");
-    for pid in pids {
-        assert_process_gone(pid);
-    }
-    // Other tests in this binary create (and clean up) socket files with the
-    // same pid prefix concurrently; poll briefly so a transient neighbor
-    // doesn't read as a leak.
-    let mut leftovers = leftover_sockets();
-    for _ in 0..200 {
-        if leftovers.is_empty() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        leftovers = leftover_sockets();
-    }
-    assert!(
-        leftovers.is_empty(),
-        "socket files must be unlinked on group failure: {leftovers:?}"
-    );
-}
-
-/// `cluster_worker` with no arguments used to serve the framed protocol on
-/// stdin/stdout. That transport is gone: the invocation must now fail fast
-/// with a usage message instead of blocking on a stdin nobody writes to.
+/// `cluster_worker` serves only a socket handed to it as standard input.
+/// With no arguments, or with `--stdin-socket` over a piped standard input,
+/// it must fail fast with a usage message instead of blocking on a stdin
+/// nobody writes to.
 #[test]
 fn worker_without_arguments_prints_usage_and_exits_2() {
     use std::io::Read;
     use std::process::{Command, Stdio};
     let bin = predict_cluster::worker_bin_path().expect("cargo built cluster_worker");
-    let mut child = Command::new(bin)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawning cluster_worker");
-    // Held open for the whole wait: a worker that reads stdin would block.
-    let _stdin = child.stdin.take();
-    let mut status = None;
-    for _ in 0..500 {
-        status = child.try_wait().expect("polling cluster_worker");
-        if status.is_some() {
-            break;
+    let no_args: &[&str] = &[];
+    for args in [no_args, &["--stdin-socket"]] {
+        let mut child = Command::new(&bin)
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawning cluster_worker");
+        // Held open for the whole wait: a worker that reads stdin would block.
+        let _stdin = child.stdin.take();
+        let mut status = None;
+        for _ in 0..500 {
+            status = child.try_wait().expect("polling cluster_worker");
+            if status.is_some() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
-        std::thread::sleep(Duration::from_millis(10));
+        let Some(status) = status else {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("cluster_worker {args:?} on a pipe is still running after 5 s");
+        };
+        assert_eq!(status.code(), Some(2), "args {args:?}");
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("reading stderr");
+        assert!(
+            stderr.contains("usage: cluster_worker"),
+            "args {args:?}, got: {stderr:?}"
+        );
     }
-    let Some(status) = status else {
-        let _ = child.kill();
-        let _ = child.wait();
-        panic!("cluster_worker without arguments is still running after 5 s");
-    };
-    assert_eq!(status.code(), Some(2));
-    let mut stderr = String::new();
-    child
-        .stderr
-        .take()
-        .expect("piped stderr")
-        .read_to_string(&mut stderr)
-        .expect("reading stderr");
-    assert!(stderr.contains("usage: cluster_worker"), "got: {stderr:?}");
 }
