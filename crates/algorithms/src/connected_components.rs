@@ -95,8 +95,8 @@ impl VertexProgram for ConnectedComponents {
     }
 
     /// Only the smallest incoming label matters.
-    fn combiner(&self) -> Option<&dyn MessageCombiner<VertexId>> {
-        Some(&MinCombiner)
+    fn combiner(&self) -> Option<impl MessageCombiner<VertexId>> {
+        Some(MinCombiner)
     }
 }
 

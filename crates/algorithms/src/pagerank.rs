@@ -149,8 +149,8 @@ impl VertexProgram for PageRank {
 
     /// A vertex only needs the sum of its rank transfers; the runtime's
     /// delivery-order left fold is the sum `compute` would have taken.
-    fn combiner(&self) -> Option<&dyn MessageCombiner<f64>> {
-        Some(&SumCombiner)
+    fn combiner(&self) -> Option<impl MessageCombiner<f64>> {
+        Some(SumCombiner)
     }
 
     fn master_halt(&self, superstep: usize, aggregates: &Aggregates) -> bool {

@@ -98,8 +98,8 @@ impl VertexProgram for ShortestPaths {
     }
 
     /// Only the shortest offered distance matters.
-    fn combiner(&self) -> Option<&dyn MessageCombiner<f64>> {
-        Some(&MinCombiner)
+    fn combiner(&self) -> Option<impl MessageCombiner<f64>> {
+        Some(MinCombiner)
     }
 }
 

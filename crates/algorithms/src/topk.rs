@@ -242,7 +242,7 @@ impl VertexProgram for TopKRanking {
         (msg.len() * 12) as u64
     }
 
-    fn combiner(&self) -> Option<&dyn MessageCombiner<TopKMessage>> {
+    fn combiner(&self) -> Option<impl MessageCombiner<TopKMessage>> {
         Some(self)
     }
 

@@ -2,11 +2,15 @@
 //! follow the vertices that send and receive, never the messages between
 //! them.
 //!
-//! * **PageRank** folds `f64` shares into one slot per vertex, so once the
-//!   two sets of payload tables and routed buffers the executor swaps have
-//!   grown to the run's volume (supersteps 0 and 1), a superstep allocates a
-//!   small constant — aggregate names and the master's per-superstep
-//!   bookkeeping — that is the same for a degree-8 and a degree-32 graph.
+//! * **PageRank** folds `f64` shares into one slot per vertex and its
+//!   aggregates into one slot per name per worker, so once the two sets of
+//!   payload tables and routed buffers the executor swaps have grown to the
+//!   run's volume (supersteps 0 and 1), a superstep allocates at most 7
+//!   times, the same for a degree-8 and a degree-32 graph: the superstep's
+//!   profile record (the master's merged aggregates — two names and a tree
+//!   node — its counter vector and per-worker times), now and then growth
+//!   of the run's list of those records, and the executor's list of shard
+//!   and inbound-row pairs it fans delivery out over. No worker allocates.
 //!   A routed buffer holds one entry per point send and one per destination
 //!   worker of a broadcast, never one per edge: the edge groups a broadcast
 //!   expands through are built once per run, before superstep 0.
@@ -91,7 +95,7 @@ impl<P: VertexProgram> VertexProgram for Marked<P> {
     fn message_size_bytes(&self, msg: &P::Message) -> u64 {
         self.inner.message_size_bytes(msg)
     }
-    fn combiner(&self) -> Option<&dyn MessageCombiner<P::Message>> {
+    fn combiner(&self) -> Option<impl MessageCombiner<P::Message>> {
         self.inner.combiner()
     }
     fn master_halt(&self, superstep: usize, aggregates: &Aggregates) -> bool {
@@ -160,7 +164,7 @@ fn allocations_follow_sending_vertices_not_messages() {
         "the same at a third of the messages"
     );
     assert!(
-        steady_dense.iter().all(|&allocations| allocations <= 32),
+        steady_dense.iter().all(|&allocations| allocations <= 7),
         "per-superstep bookkeeping only, nothing per vertex or message: {steady_dense:?}"
     );
 

@@ -11,8 +11,13 @@
 //! The timeline groups events by thread and indents by span nesting
 //! (recomputed from the event intervals, exactly as chrome://tracing stacks
 //! complete events), so the service → session → superstep → phase structure
-//! is readable without leaving the terminal. The metrics table renders the
-//! snapshot the trace guard embedded under the file's `metrics` key:
+//! is readable without leaving the terminal. A phase summary follows: per
+//! superstep phase of the in-memory runtime, its calls, total time, and time
+//! per unit of work — nanoseconds per active vertex for `bsp.compute`, per
+//! delivered message for `bsp.deliver` — from the counts each phase span
+//! carries, so a kernel change can show its gain on one phase. The metrics
+//! table renders the snapshot the trace guard embedded under the file's
+//! `metrics` key:
 //! counters, gauges, and histogram count/p50/p90/p99 (quantiles are bucket
 //! upper bounds, in microseconds for `*_ns` instruments).
 //!
@@ -23,6 +28,10 @@ use serde::Value;
 
 /// Events printed before the timeline truncates without `--full`.
 const DEFAULT_EVENT_CAP: usize = 200;
+
+/// The phases the summary covers: span name, and the span argument counting
+/// the phase's units of work.
+const PHASES: [(&str, &str); 2] = [("bsp.compute", "active"), ("bsp.deliver", "messages")];
 
 /// One decoded trace event (only the fields the viewer needs).
 struct Event {
@@ -92,7 +101,7 @@ fn decode_events(root: &[(String, Value)]) -> Vec<Event> {
 /// Prints the per-thread timeline, indenting by nesting depth. Depth is
 /// recomputed from the intervals: a span nests under every span on the same
 /// thread whose interval still covers its start.
-fn print_timeline(mut events: Vec<Event>, full: bool) {
+fn print_timeline(events: &mut [Event], full: bool) {
     events.sort_by(|a, b| {
         (a.tid, a.ts_us)
             .partial_cmp(&(b.tid, b.ts_us))
@@ -129,6 +138,40 @@ fn print_timeline(mut events: Vec<Event>, full: bool) {
             event.name, event.ts_us, event.dur_us
         );
         open_ends.push(event.ts_us + event.dur_us);
+    }
+}
+
+/// Prints one row per [`PHASES`] entry present in `events` — calls, total
+/// milliseconds, units of work, and nanoseconds per unit — or nothing when
+/// the trace holds no phase span.
+fn print_phases(events: &[Event]) {
+    let mut header = true;
+    for (name, unit) in PHASES {
+        let (mut calls, mut total_us, mut units) = (0u64, 0.0, 0u64);
+        for event in events.iter().filter(|e| e.name == name) {
+            calls += 1;
+            total_us += event.dur_us;
+            let count = event.args.iter().find(|(k, _)| k == unit);
+            units += count.and_then(|(_, v)| v.parse::<u64>().ok()).unwrap_or(0);
+        }
+        if calls == 0 {
+            continue;
+        }
+        if std::mem::take(&mut header) {
+            println!(
+                "\n== phases ==\n{:<12} {:>8} {:>10} {:>12} {:>10}  unit",
+                "phase", "calls", "total_ms", "units", "ns/unit"
+            );
+        }
+        let per_unit = if units == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}", total_us * 1e3 / units as f64)
+        };
+        println!(
+            "{name:<12} {calls:>8} {:>10.3} {units:>12} {per_unit:>10}  {unit}",
+            total_us / 1e3
+        );
     }
 }
 
@@ -228,6 +271,8 @@ pub fn run(args: &[String]) {
         predict_obs::diag!(Error, "{path}: top level is not a JSON object");
         std::process::exit(1);
     };
-    print_timeline(decode_events(&root), full);
+    let mut events = decode_events(&root);
+    print_timeline(&mut events, full);
+    print_phases(&events);
     print_metrics(&root);
 }

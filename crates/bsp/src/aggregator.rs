@@ -8,6 +8,14 @@
 //! combined value available in the next superstep and to the termination
 //! check. [`Aggregates`] implements the sum-aggregator flavour all paper
 //! algorithms need, plus min/max variants for completeness.
+//!
+//! A vertex contributes through [`AggregateSlots`] instead: its worker's
+//! short list of `(&'static str, f64)` slots, one per name the worker's
+//! vertices touched this superstep, found by comparing the name's pointer
+//! before its text. The worker folds its slots into its named partial
+//! [`Aggregates`] once, at the end of its compute phase, so the per-vertex
+//! path never walks the tree and names stay at the edges (profiles, the
+//! wire).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -85,13 +93,6 @@ impl Aggregates {
         self.values.is_empty()
     }
 
-    /// Removes every aggregator, returning the set to its freshly-created
-    /// state. The runtime reuses per-worker partial aggregate sets across
-    /// supersteps instead of reallocating them.
-    pub fn clear(&mut self) {
-        self.values.clear();
-    }
-
     /// Merges another aggregate set into this one (used by the master to
     /// combine per-worker partial aggregates; merge order does not change the
     /// result for min/max and only reorders floating-point sums within one
@@ -117,6 +118,66 @@ impl Aggregates {
         self.values
             .iter()
             .map(|(k, (kind, v))| (k.as_str(), *kind, *v))
+    }
+}
+
+/// One worker's sum-aggregator contributions of the superstep being
+/// computed: a slot per name contributed to so far, in first-contribution
+/// order.
+///
+/// A program uses one to three names, each a `const` or a literal, so a
+/// slot is found by a linear scan comparing the name's pointer first and its
+/// text only if no pointer matches; two equal names at different addresses
+/// share one slot. A slot's first contribution is stored as is, later ones
+/// are summed in contribution order — exactly what [`Aggregates::add`]
+/// computes — and a name nobody contributed to has no slot at all.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AggregateSlots {
+    slots: Vec<(&'static str, f64)>,
+}
+
+impl AggregateSlots {
+    /// No slots.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `value` to the slot of `name`, opening it with `value` if this
+    /// is the name's first contribution.
+    #[inline]
+    pub fn add(&mut self, name: &'static str, value: f64) {
+        let slots = &mut self.slots;
+        let found = slots
+            .iter()
+            .position(|(n, _)| std::ptr::eq(*n, name))
+            .or_else(|| slots.iter().position(|(n, _)| *n == name));
+        match found {
+            Some(i) => slots[i].1 += value,
+            None => slots.push((name, value)),
+        }
+    }
+
+    /// Moves the slots into `partial`, which then holds exactly one sum
+    /// aggregator per slot, valued as the slot, and empties the slots
+    /// (keeping their capacity). A name `partial` held that has no slot is
+    /// removed; one that has keeps its entry, so a worker that contributes
+    /// to the same names every superstep reuses its partial set without
+    /// allocating.
+    pub fn drain_into(&mut self, partial: &mut Aggregates) {
+        let slots = &mut self.slots;
+        partial
+            .values
+            .retain(|name, _| slots.iter().any(|(n, _)| *n == name));
+        for (name, value) in slots.drain(..) {
+            match partial.values.get_mut(name) {
+                Some(entry) => *entry = (AggregatorKind::Sum, value),
+                None => {
+                    partial
+                        .values
+                        .insert(name.to_string(), (AggregatorKind::Sum, value));
+                }
+            }
+        }
     }
 }
 
@@ -175,6 +236,77 @@ mod tests {
         a.add("alpha", 2.0);
         let names: Vec<_> = a.iter().map(|(n, _)| n.to_string()).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
+    }
+
+    /// `slots` folded into a fresh aggregate set.
+    fn folded(mut slots: AggregateSlots) -> Aggregates {
+        let mut aggregates = Aggregates::new();
+        slots.drain_into(&mut aggregates);
+        aggregates
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_share_a_slot() {
+        const DELTA: &str = "delta";
+        let leaked: &'static str = String::from("delta").leak();
+        assert!(!std::ptr::eq(DELTA, leaked));
+        let mut slots = AggregateSlots::new();
+        slots.add(DELTA, 1.5);
+        slots.add(leaked, 2.0);
+        slots.add(DELTA, 0.5);
+        let aggregates = folded(slots);
+        assert_eq!(aggregates.iter().collect::<Vec<_>>(), [("delta", 4.0)]);
+    }
+
+    #[test]
+    fn slots_fold_bit_for_bit_like_add() {
+        let contributions = [
+            ("sum", -0.0),
+            ("zero", -0.0),
+            ("sum", 0.1),
+            ("sum", 0.2),
+            ("sum", 1e16),
+            ("sum", -1e16),
+        ];
+        let (mut slots, mut direct) = (AggregateSlots::new(), Aggregates::new());
+        for (name, value) in contributions {
+            slots.add(name, value);
+            direct.add(name, value);
+        }
+        let aggregates = folded(slots);
+        // A first contribution of -0.0 is stored as is, not as 0.0 + -0.0.
+        assert_eq!(
+            aggregates.get("zero").map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        let bits = |a: &Aggregates| {
+            a.iter()
+                .map(|(n, v)| (n.to_string(), v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&aggregates), bits(&direct));
+    }
+
+    #[test]
+    fn drained_slots_replace_the_partial_set() {
+        let mut slots = AggregateSlots::new();
+        slots.add("a", 1.0);
+        slots.add("b", 2.0);
+        let mut partial = Aggregates::new();
+        slots.drain_into(&mut partial);
+        assert_eq!((partial.get("a"), partial.get("b")), (Some(1.0), Some(2.0)));
+        // The next superstep touches only "b" and "c": "a" must be absent,
+        // not 0.0, and "b" holds this superstep's sum alone.
+        slots.add("c", -0.0);
+        slots.add("b", 3.0);
+        slots.drain_into(&mut partial);
+        let entries: Vec<_> = partial.iter().map(|(n, v)| (n, v.to_bits())).collect();
+        assert_eq!(
+            entries,
+            [("b", 3.0f64.to_bits()), ("c", (-0.0f64).to_bits())]
+        );
+        slots.drain_into(&mut partial);
+        assert!(partial.is_empty(), "no contribution leaves nothing");
     }
 
     #[test]

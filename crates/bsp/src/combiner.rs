@@ -18,6 +18,13 @@
 //! and SSSP ([`MinCombiner`]) and top-k ranking (which merges rank lists) run
 //! this way.
 //!
+//! The fold is **statically dispatched**: [`VertexProgram::combiner`]
+//! returns a concrete type per program (`impl MessageCombiner`, not a trait
+//! object), fetched once per delivery call, so `*acc += *msg` inlines into
+//! the loop over arriving messages. A program without a combiner returns
+//! `None` of the uninhabited [`NoCombiner`]; a program that is its own
+//! combiner returns `Some(self)` through the blanket impl for references.
+//!
 //! The fold is a left fold in delivery order — source worker ascending, then
 //! the order the source worker produced the messages in (source vertex
 //! ascending, send order within a vertex): the slot of a vertex that received
@@ -39,12 +46,35 @@ pub trait MessageCombiner<M>: Sync {
     fn combine(&self, acc: &mut M, msg: &M);
 }
 
+/// A reference to a combiner combines like the combiner itself — how a
+/// program that is its own combiner hands out `Some(self)`.
+impl<M, C: MessageCombiner<M> + ?Sized> MessageCombiner<M> for &C {
+    #[inline]
+    fn combine(&self, acc: &mut M, msg: &M) {
+        (**self).combine(acc, msg);
+    }
+}
+
+/// The combiner type of a program that declares none — the default
+/// [`VertexProgram::combiner`](crate::program::VertexProgram::combiner)
+/// returns `None::<NoCombiner>`. Uninhabited: no value exists, so no message
+/// is ever folded through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoCombiner {}
+
+impl<M> MessageCombiner<M> for NoCombiner {
+    fn combine(&self, _acc: &mut M, _msg: &M) {
+        match *self {}
+    }
+}
+
 /// Combiner that sums `f64` messages — correct for PageRank-style rank
 /// transfer where the receiving vertex only needs the sum of contributions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SumCombiner;
 
 impl MessageCombiner<f64> for SumCombiner {
+    #[inline]
     fn combine(&self, acc: &mut f64, msg: &f64) {
         *acc += *msg;
     }
@@ -56,12 +86,14 @@ impl MessageCombiner<f64> for SumCombiner {
 pub struct MinCombiner;
 
 impl MessageCombiner<f64> for MinCombiner {
+    #[inline]
     fn combine(&self, acc: &mut f64, msg: &f64) {
         *acc = acc.min(*msg);
     }
 }
 
 impl MessageCombiner<u32> for MinCombiner {
+    #[inline]
     fn combine(&self, acc: &mut u32, msg: &u32) {
         *acc = (*acc).min(*msg);
     }
@@ -87,6 +119,12 @@ mod tests {
             fold(&SumCombiner, msgs[0], &msgs[1..]).to_bits(),
             sum.to_bits()
         );
+    }
+
+    #[test]
+    fn a_reference_combines_like_its_referent() {
+        assert_eq!(fold(&&SumCombiner, 1.0, &[2.0, 3.0]), 6.0);
+        assert_eq!(fold(&&MinCombiner, 5u32, &[9, 2]), 2);
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub mod runtime;
 pub mod storage;
 pub mod worker;
 
-pub use aggregator::{Aggregates, AggregatorKind};
-pub use combiner::{MessageCombiner, MinCombiner, SumCombiner};
+pub use aggregator::{AggregateSlots, Aggregates, AggregatorKind};
+pub use combiner::{MessageCombiner, MinCombiner, NoCombiner, SumCombiner};
 pub use config::{BspConfig, ExecutionMode};
 pub use cost::{ClusterClock, ClusterCostConfig};
 pub use counters::{sum_counters, WorkerCounters};

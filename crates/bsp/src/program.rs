@@ -8,8 +8,8 @@
 //! master evaluates [`VertexProgram::master_halt`] — the algorithm's global
 //! convergence condition — after every superstep.
 
-use crate::aggregator::Aggregates;
-use crate::combiner::MessageCombiner;
+use crate::aggregator::{AggregateSlots, Aggregates};
+use crate::combiner::{MessageCombiner, NoCombiner};
 use predict_graph::{CsrGraph, VertexId};
 
 /// The destination of an outbox entry that stands for every out-edge of the
@@ -106,12 +106,17 @@ pub trait VertexProgram: Sync {
     /// recorded at send time and are unaffected. The answer must not change
     /// during a run.
     ///
+    /// The combiner is a concrete type per program, not a trait object:
+    /// delivery fetches it once per call and the fold is statically
+    /// dispatched, so a plain-value fold inlines into the delivery loop. A
+    /// program that is its own combiner returns `Some(self)`.
+    ///
     /// Only opt in when the program's semantics are combine-safe — i.e. its
     /// compute function only consumes the combined reduction of its messages,
-    /// never their count or individual values. The default is no combining,
-    /// which preserves exact message multisets.
-    fn combiner(&self) -> Option<&dyn MessageCombiner<Self::Message>> {
-        None
+    /// never their count or individual values. The default is no combining
+    /// ([`NoCombiner`]), which preserves exact message multisets.
+    fn combiner(&self) -> Option<impl MessageCombiner<Self::Message>> {
+        None::<NoCombiner>
     }
 }
 
@@ -145,8 +150,9 @@ pub struct ComputeContext<'a, V, M> {
     /// an executor outside this crate — the reference interpreter the runtime
     /// is tested against — can run a program.
     pub outbox: &'a mut Vec<(VertexId, u32)>,
-    /// The executing worker's partial aggregates ([`Self::aggregate`]).
-    pub partial_aggregates: &'a mut Aggregates,
+    /// The executing worker's aggregate slots of this superstep
+    /// ([`Self::aggregate`]).
+    pub aggregate_slots: &'a mut AggregateSlots,
     /// The vertex's halt vote ([`Self::vote_to_halt`]).
     pub halted: &'a mut bool,
 }
@@ -185,9 +191,12 @@ impl<'a, V, M> ComputeContext<'a, V, M> {
         self.outbox.push((BROADCAST, handle));
     }
 
-    /// Contributes `value` to the global sum-aggregator `name`.
-    pub fn aggregate(&mut self, name: &str, value: f64) {
-        self.partial_aggregates.add(name, value);
+    /// Contributes `value` to the global sum-aggregator `name` — a name
+    /// fixed at compile time, resolved to the worker's slot for it without
+    /// touching the named [`Aggregates`].
+    #[inline]
+    pub fn aggregate(&mut self, name: &'static str, value: f64) {
+        self.aggregate_slots.add(name, value);
     }
 
     /// Votes to halt: the vertex becomes inactive and will not execute
@@ -244,7 +253,7 @@ mod tests {
         let program = Broadcast;
         let prev = Aggregates::new();
         let (mut payloads, mut outbox) = (vec![7u32], Vec::new());
-        let mut partial = Aggregates::new();
+        let mut slots = AggregateSlots::new();
         let mut halted = false;
         let mut value = program.init_vertex(0, &InitContext::for_vertex(&g, 0));
 
@@ -259,7 +268,7 @@ mod tests {
             previous_aggregates: &prev,
             payloads: &mut payloads,
             outbox: &mut outbox,
-            partial_aggregates: &mut partial,
+            aggregate_slots: &mut slots,
             halted: &mut halted,
         };
         program.compute(&mut ctx, &[]);
@@ -270,6 +279,8 @@ mod tests {
         // its own.
         assert_eq!(payloads, [7, 0, 9]);
         assert_eq!(outbox, [(BROADCAST, 1), (2, 2)]);
+        let mut partial = Aggregates::new();
+        slots.drain_into(&mut partial);
         assert_eq!(partial.get("sent"), Some(2.0));
         assert!(halted);
     }
@@ -281,7 +292,7 @@ mod tests {
         let prev = Aggregates::new();
         let mut payloads: Vec<u32> = Vec::new();
         let mut outbox = Vec::new();
-        let mut partial = Aggregates::new();
+        let mut slots = AggregateSlots::new();
         let mut halted = false;
         let mut value = 0u32;
         let mut ctx = ComputeContext {
@@ -295,7 +306,7 @@ mod tests {
             previous_aggregates: &prev,
             payloads: &mut payloads,
             outbox: &mut outbox,
-            partial_aggregates: &mut partial,
+            aggregate_slots: &mut slots,
             halted: &mut halted,
         };
         ctx.vote_to_halt();

@@ -48,11 +48,13 @@ pub enum TransportMode {
     Auto,
     /// The in-memory executor (`crate::runtime`) — no transport boundary.
     InMemory,
-    /// One worker thread per shard, connected by in-process channels
-    /// carrying serialized wire-format frames.
+    /// One worker thread per shard, serving one end of a Unix-domain socket
+    /// pair whose other end the driver holds; the frames are the
+    /// `Socket` transport's, byte for byte.
     InProc,
     /// One long-lived OS worker process per shard (the `cluster_worker`
-    /// binary), speaking the wire format over a Unix-domain socket stream.
+    /// binary), speaking the wire format over one end of a Unix-domain
+    /// socket pair handed to it as its standard input.
     Socket,
 }
 

@@ -141,13 +141,22 @@ impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
         let superstep_start = std::time::Instant::now();
         // Compute phase: every shard processes its vertices against the
         // graph. Shards are disjoint; the fan-out cannot reorder anything
-        // observable.
+        // observable. Each phase span carries what it processed — active
+        // vertices, then delivered messages — read from the counters the
+        // master is sent.
+        let mut messages = 0;
         {
-            let _compute_span = predict_obs::trace::span("bsp.compute");
+            let mut compute_span = predict_obs::trace::span("bsp.compute");
             for_each_chunked(&mut self.shards, threads, pool, |shard| {
                 let own = &groups[shard.worker];
                 shard.run_superstep(program, graph, layout, own, superstep, previous_aggregates);
             });
+            let mut active = 0;
+            for shard in &self.shards {
+                active += shard.counters.active_vertices;
+                messages += shard.counters.total_messages();
+            }
+            compute_span.set_arg("active", active);
         }
 
         for shard in &self.shards {
@@ -172,7 +181,7 @@ impl<P: VertexProgram> Workers<P> for LocalWorkers<'_, P> {
         // (ascending source worker, production order within a source),
         // reading the payloads and edge groups of every source.
         {
-            let _deliver_span = predict_obs::trace::span("bsp.deliver");
+            let _deliver_span = predict_obs::trace::span("bsp.deliver").arg("messages", messages);
             let tables = &self.tables;
             let mut pairs: Vec<(&mut WorkerShard<P>, &mut MessageRow)> = self
                 .shards

@@ -31,7 +31,9 @@
 //!   slot by reference or cloning it into the destination's list;
 //! * **buffer reuse** — inboxes, payload tables, outboxes and the inbound
 //!   transpose matrix are allocated once per run and cleared in place;
-//!   counter and aggregate accumulators are reset, never reallocated.
+//!   counters are reset, and a vertex's aggregate contribution lands in its
+//!   worker's per-name slot ([`AggregateSlots`](crate::AggregateSlots)),
+//!   folded into the worker's named partial set once per superstep.
 //!
 //! # Determinism contract
 //!
@@ -60,7 +62,9 @@
 //!    `combine(slot, m3)` fold the later payloads in, read in place from
 //!    their senders' tables — bit for bit what a compute function folding
 //!    the uncombined list front to back computes, and, the order being point
-//!    4's, insensitive to phase scheduling too;
+//!    4's, insensitive to phase scheduling too. The fold is statically
+//!    dispatched — each program's combiner is a concrete type, fetched once
+//!    per delivery call — which changes its speed, not its order;
 //! 7. the worker pool only decides *which OS thread* executes a chunk
 //!    closure: chunk boundaries come from the resolved thread count alone,
 //!    chunks write disjoint state, work stealing moves whole chunks and

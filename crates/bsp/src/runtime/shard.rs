@@ -17,7 +17,7 @@
 //! The phase logic itself — compute and delivery — lives in
 //! [`crate::worker`], which operates on shards.
 
-use crate::aggregator::Aggregates;
+use crate::aggregator::{AggregateSlots, Aggregates};
 use crate::counters::WorkerCounters;
 use crate::program::{InitContext, VertexProgram};
 use crate::runtime::layout::ShardLayout;
@@ -227,7 +227,12 @@ pub struct WorkerShard<P: VertexProgram> {
     pub routed: Vec<Vec<(VertexId, u32)>>,
     /// Table 1 counters of the current superstep (reset in place).
     pub counters: WorkerCounters,
-    /// Partial aggregates of the current superstep (cleared in place).
+    /// Compute-phase scratch: the aggregate contributions of the superstep
+    /// being computed, one slot per name, drained into
+    /// [`Self::partial_aggregates`] as the phase ends (capacity kept).
+    pub aggregate_slots: AggregateSlots,
+    /// Partial aggregates of the last computed superstep, by name: what the
+    /// master merges and a cluster worker reports.
     pub partial_aggregates: Aggregates,
 }
 
@@ -247,6 +252,7 @@ impl<P: VertexProgram> WorkerShard<P> {
             outbox: Vec::new(),
             routed: (0..layout.num_workers()).map(|_| Vec::new()).collect(),
             counters: WorkerCounters::new(vertices.len() as u64),
+            aggregate_slots: AggregateSlots::new(),
             partial_aggregates: Aggregates::new(),
         }
     }

@@ -6,7 +6,8 @@
 //!
 //! * [`WorkerShard::run_superstep`] — the **compute phase**: execute the
 //!   program's compute function for every active owned vertex (ascending
-//!   vertex id), accumulate partial aggregates, and route what each vertex
+//!   vertex id), accumulate aggregate contributions in one slot per name
+//!   (named partial aggregates once, at the end), and route what each vertex
 //!   sent — one payload per send, one entry per destination worker. The
 //!   shard's payload table holds each sent payload once, sized once; a
 //!   point send routes one `(vertex, handle)` entry after one ownership
@@ -27,6 +28,7 @@
 //! the whole run deterministic.
 
 use crate::aggregator::Aggregates;
+use crate::combiner::MessageCombiner;
 use crate::program::{ComputeContext, VertexProgram, BROADCAST};
 use crate::runtime::{group_of, EdgeGroups, Inbox, ShardLayout, WorkerShard, GROUP_BIT};
 use crate::storage::WorkerGraph;
@@ -41,10 +43,12 @@ impl<P: VertexProgram> WorkerShard<P> {
     /// preserving production order (ascending sender vertex, send order
     /// within a vertex) and counting every message at send time. A broadcast
     /// is routed through `groups`, this worker's edge groups. The payloads
-    /// land in `self.payloads`, cleared first. `graph` is this worker's view
-    /// of the graph — the whole CSR in memory, only the worker's own shard
-    /// on a cluster worker; the phase never reads adjacency outside the
-    /// owned vertices either way.
+    /// land in `self.payloads`, cleared first. Aggregate contributions
+    /// collect in `self.aggregate_slots`, which replace
+    /// `self.partial_aggregates` as the phase ends. `graph` is this worker's
+    /// view of the graph — the whole CSR in memory, only the worker's own
+    /// shard on a cluster worker; the phase never reads adjacency outside
+    /// the owned vertices either way.
     pub fn run_superstep(
         &mut self,
         program: &P,
@@ -55,7 +59,6 @@ impl<P: VertexProgram> WorkerShard<P> {
         previous_aggregates: &Aggregates,
     ) {
         self.counters.reset(self.values.len() as u64);
-        self.partial_aggregates.clear();
         self.payloads.clear();
         debug_assert!(self.outbox.is_empty());
 
@@ -82,7 +85,7 @@ impl<P: VertexProgram> WorkerShard<P> {
                     previous_aggregates,
                     payloads: &mut self.payloads,
                     outbox: &mut self.outbox,
-                    partial_aggregates: &mut self.partial_aggregates,
+                    aggregate_slots: &mut self.aggregate_slots,
                     halted: &mut vertex_halted,
                 };
                 program.compute(&mut ctx, incoming);
@@ -108,6 +111,9 @@ impl<P: VertexProgram> WorkerShard<P> {
                 }
             }
         }
+        // The slots become the named partial aggregates once per superstep.
+        self.aggregate_slots
+            .drain_into(&mut self.partial_aggregates);
     }
 
     /// Executes the delivery phase for this shard: hands the messages of
@@ -118,7 +124,8 @@ impl<P: VertexProgram> WorkerShard<P> {
     /// is one message per slot of group `g` of `groups[src]`, in the group's
     /// order. A program with a combiner has each message folded into its
     /// destination's slot as it arrives — the first arrival cloned, every
-    /// later one folded in by reference, a left fold in delivery order (see
+    /// later one folded in by reference through the program's concrete
+    /// combiner, fetched once per call, a left fold in delivery order (see
     /// [`crate::combiner`]); any other program has a clone of it appended
     /// to the destination's list.
     ///
@@ -195,7 +202,7 @@ fn drain_arrivals<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::combiner::{MessageCombiner, MinCombiner};
+    use crate::combiner::MinCombiner;
     use crate::partition::PartitionStrategy;
     use crate::program::InitContext;
     use predict_graph::{CsrGraph, EdgeList};
@@ -377,8 +384,8 @@ mod tests {
             4
         }
 
-        fn combiner(&self) -> Option<&dyn MessageCombiner<u32>> {
-            Some(&MinCombiner)
+        fn combiner(&self) -> Option<impl MessageCombiner<u32>> {
+            Some(MinCombiner)
         }
     }
 
@@ -435,8 +442,8 @@ mod tests {
             fn message_size_bytes(&self, m: &String) -> u64 {
                 m.len() as u64
             }
-            fn combiner(&self) -> Option<&dyn MessageCombiner<String>> {
-                Some(&Trace)
+            fn combiner(&self) -> Option<impl MessageCombiner<String>> {
+                Some(Trace)
             }
         }
         let (g, l, groups) = two_worker_setup();
@@ -449,6 +456,39 @@ mod tests {
         shard.deliver(&Traced, &l, &groups, &mut handles, &tables);
         assert_eq!(shard.inbox.messages(l.slot_of(3)), ["(((a+b)+c)+d)"]);
         assert_eq!(shard.inbox.messages(l.slot_of(1)), ["x"]);
+    }
+
+    #[test]
+    fn a_name_untouched_in_a_superstep_is_absent_from_its_aggregates() {
+        /// Every vertex contributes to "every" each superstep, to "odd" in
+        /// odd supersteps only, and never halts.
+        struct Alternating;
+        impl VertexProgram for Alternating {
+            type VertexValue = ();
+            type Message = u32;
+            fn name(&self) -> &'static str {
+                "alternating"
+            }
+            fn init_vertex(&self, _v: VertexId, _ctx: &InitContext<'_>) {}
+            fn compute(&self, ctx: &mut ComputeContext<'_, (), u32>, _m: &[u32]) {
+                ctx.aggregate("every", 1.0);
+                if ctx.superstep % 2 == 1 {
+                    ctx.aggregate("odd", 1.0);
+                }
+            }
+            fn message_size_bytes(&self, _m: &u32) -> u64 {
+                4
+            }
+        }
+        let (g, _, _) = two_worker_setup();
+        let config = crate::config::BspConfig::with_workers(2).with_max_supersteps(4);
+        let run = crate::engine::BspEngine::new(config).run(&g, &Alternating);
+        let merged = |name| -> Vec<Option<f64>> {
+            let steps = &run.profile.supersteps;
+            steps.iter().map(|s| s.aggregates.get(name)).collect()
+        };
+        assert_eq!(merged("every"), [Some(4.0); 4]);
+        assert_eq!(merged("odd"), [None, Some(4.0), None, Some(4.0)]);
     }
 
     #[test]

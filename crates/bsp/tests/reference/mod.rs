@@ -25,7 +25,7 @@ use predict_algorithms::{
     NeighborhoodParams, PageRankParams, ProgramSpec, SemiClusteringParams, TopKParams,
 };
 use predict_bsp::{
-    Aggregates, BspConfig, ClusterClock, ComputeContext, HaltReason, InitContext,
+    AggregateSlots, Aggregates, BspConfig, ClusterClock, ComputeContext, HaltReason, InitContext,
     PartitionStrategy, RunProfile, SuperstepProfile, VertexProgram, WorkerCounters, BROADCAST,
 };
 use predict_graph::{CsrGraph, EdgeList, VertexId};
@@ -76,7 +76,7 @@ pub fn reference_run<P: VertexProgram>(
             .map_or_else(Aggregates::new, |s| s.aggregates.clone());
         let mut counters: Vec<WorkerCounters> =
             owned.iter().map(|&o| WorkerCounters::new(o)).collect();
-        let mut partials = vec![Aggregates::new(); workers];
+        let mut slots = vec![AggregateSlots::new(); workers];
         // What each worker's vertices sent, in production order.
         let mut sent: Vec<Vec<(VertexId, P::Message)>> = vec![Vec::new(); workers];
 
@@ -101,7 +101,7 @@ pub fn reference_run<P: VertexProgram>(
                 previous_aggregates: &previous,
                 payloads: &mut payloads,
                 outbox: &mut outbox,
-                partial_aggregates: &mut partials[w],
+                aggregate_slots: &mut slots[w],
                 halted: &mut vote,
             };
             program.compute(&mut ctx, &incoming);
@@ -129,7 +129,11 @@ pub fn reference_run<P: VertexProgram>(
 
         // The master: merge in ascending worker order, time, decide.
         let mut aggregates = Aggregates::new();
-        partials.iter().for_each(|p| aggregates.merge(p));
+        for worker_slots in &mut slots {
+            let mut partial = Aggregates::new();
+            worker_slots.drain_into(&mut partial);
+            aggregates.merge(&partial);
+        }
         let in_flight: u64 = counters.iter().map(WorkerCounters::total_messages).sum();
         let (wall_time_ms, worker_times_ms) = clock.superstep_time_ms(&counters);
         let halt = if program.master_halt(superstep, &aggregates) {
