@@ -14,10 +14,10 @@
 //!    ratios) as a plain-text table on stdout and as JSON under
 //!    `target/experiments/`.
 
-use predict_algorithms::{Workload, WorkloadRun};
+use predict_algorithms::Workload;
 use predict_bsp::{BspConfig, BspEngine};
 use predict_core::{
-    observations_from_profile, PredictRequest, PredictService, Prediction, PredictorConfig,
+    observations_from_profile, Evaluation, PredictRequest, PredictService, PredictorConfig,
     WorkerSelection,
 };
 use predict_graph::datasets::{Dataset, DatasetConfig, DatasetScale};
@@ -165,57 +165,40 @@ pub struct PredictionPoint {
 }
 
 impl PredictionPoint {
-    fn from_prediction(
-        dataset: Dataset,
-        ratio: f64,
-        prediction: &Prediction,
-        actual: &WorkloadRun,
-    ) -> Self {
-        let actual_superstep_ms = actual.profile.superstep_phase_ms();
-        let actual_remote_bytes: f64 = actual
-            .profile
-            .per_superstep_totals()
-            .iter()
-            .map(|t| t.remote_message_bytes as f64)
-            .sum();
-        let actual_obs = observations_from_profile(&actual.profile, WorkerSelection::SlowestWorker);
+    fn from_evaluation(dataset: Dataset, ratio: f64, evaluation: &Evaluation) -> Self {
+        let prediction = &evaluation.prediction;
+        let actual_obs =
+            observations_from_profile(&evaluation.actual_profile, WorkerSelection::SlowestWorker);
         Self {
             dataset: dataset.prefix().to_string(),
             ratio,
             predicted_iterations: prediction.predicted_iterations,
-            actual_iterations: actual.iterations(),
-            iteration_error: predict_core::signed_relative_error(
-                prediction.predicted_iterations as f64,
-                actual.iterations() as f64,
-            ),
+            actual_iterations: evaluation.actual_iterations,
+            iteration_error: evaluation.iteration_error(),
             predicted_runtime_ms: prediction.predicted_superstep_ms,
-            actual_runtime_ms: actual_superstep_ms,
-            runtime_error: predict_core::signed_relative_error(
-                prediction.predicted_superstep_ms,
-                actual_superstep_ms,
-            ),
-            remote_bytes_error: predict_core::signed_relative_error(
-                prediction.predicted_remote_message_bytes,
-                actual_remote_bytes,
-            ),
+            actual_runtime_ms: evaluation.actual_superstep_ms,
+            runtime_error: evaluation.runtime_error(),
+            remote_bytes_error: evaluation.remote_bytes_error(),
             cost_model_r_squared: prediction.cost_model.r_squared(),
             cost_model_r_squared_on_actual: prediction.cost_model.r_squared_on(&actual_obs),
             sample_total_ms: prediction.sample_run_total_ms,
-            actual_total_ms: actual.profile.total_ms(),
+            actual_total_ms: evaluation.actual_total_ms,
         }
     }
 }
 
 /// Runs a full prediction sweep: for every dataset, execute the actual run
-/// once, then produce one PREDIcT prediction per sampling ratio.
+/// once, then evaluate one PREDIcT prediction per sampling ratio against it.
 ///
 /// The sweep goes through a [`PredictService`]: one cached
 /// [`predict_core::PredictionSession`] per dataset executes and caches the
 /// actual run, holds the leave-one-out history of the other datasets, and
 /// shares sampling artifacts between sweep points with a common `(ratio,
-/// seed)` draw. Outputs are identical to predicting each point with a fresh
-/// predictor — every stage is deterministic — just without redundant engine
-/// invocations.
+/// seed)` draw. Each point is one [`PredictService::evaluate`], which reuses
+/// the cached actual run, and its errors are read from the returned
+/// [`Evaluation`] — the one place they are computed. Outputs are identical
+/// to predicting each point with a fresh predictor — every stage is
+/// deterministic — just without redundant engine invocations.
 ///
 /// `make_workload` builds the workload for a given graph (the threshold of
 /// PageRank-style workloads depends on the graph size); `make_config` builds
@@ -278,19 +261,19 @@ pub fn prediction_sweep(
             // Through the service front door (not the raw session), so each
             // sweep point is a counted, traced `service.request`. The request
             // clones the dataset's own graph `Arc`, so the service cache-hits
-            // on the session warmed above: identical bytes, no extra work.
+            // on the session warmed above, whose actual run is cached: the
+            // evaluation runs nothing beyond the prediction's stages.
             let request = PredictRequest::new(
                 dataset.prefix(),
                 Arc::clone(&graphs[i]),
                 Arc::clone(&workload),
             )
             .with_config(config);
-            match service.submit(&request) {
-                Ok(prediction) => points.push(PredictionPoint::from_prediction(
+            match service.evaluate(&request) {
+                Ok(evaluation) => points.push(PredictionPoint::from_evaluation(
                     dataset,
                     ratio,
-                    &prediction,
-                    &actual_runs[i],
+                    &evaluation,
                 )),
                 Err(e) => eprintln!(
                     "[prediction] skipped {} at ratio {ratio}: {e}",

@@ -74,9 +74,11 @@ fn parse_threads(var: &str, value: Option<&str>) -> Option<usize> {
 }
 
 /// Parses the transport knob: `inmem`/`inmemory` (or unset) selects the
-/// in-memory executor, `inproc` the channel transport, `socket` the
-/// Unix-domain socket transport; anything else — including the removed
-/// `process` spelling — warns and stays in memory. Never returns
+/// in-memory executor; `inproc` and `socket` both serve the versioned wire
+/// format over one Unix-domain socket pair per worker, `inproc` with each
+/// worker a thread and `socket` with each worker a `cluster_worker
+/// --stdin-socket` process. Anything else — including the removed `process`
+/// spelling — warns and stays in memory. Never returns
 /// [`TransportMode::Auto`].
 fn parse_transport(var: &str, value: Option<&str>) -> TransportMode {
     let Some(raw) = value else {

@@ -294,14 +294,6 @@ pub struct TrainedModel {
     pub provenance: TrainingProvenance,
 }
 
-impl TrainedModel {
-    /// True when the model saw no training data beyond the extrapolation
-    /// sample run (the silent-fallback case surfaced by provenance).
-    pub fn is_sample_only(&self) -> bool {
-        self.provenance.source == TrainingSource::ExtrapolationSampleOnly
-    }
-}
-
 /// Cache key of a trained model: workload configuration, the exact identity
 /// of the full predictor configuration, and the history version the training
 /// set was assembled against. Compared and hashed structurally; only

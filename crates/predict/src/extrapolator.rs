@@ -9,7 +9,7 @@
 //! extrapolated. Extrapolation is performed at the granularity of iterations:
 //! iteration `i` of the sample run predicts iteration `i` of the actual run.
 
-use crate::features::{ExtrapolationKind, FeatureSet, IterationObservation, KeyFeature};
+use crate::features::{ExtrapolationKind, FeatureSet, KeyFeature};
 use predict_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 
@@ -120,17 +120,6 @@ impl Extrapolator {
             out.set(f, features.get(f) * self.factor_for(f, rule));
         }
         out
-    }
-
-    /// Extrapolates a whole sample run, iteration by iteration.
-    pub fn extrapolate_observations(
-        &self,
-        observations: &[IterationObservation],
-    ) -> Vec<FeatureSet> {
-        observations
-            .iter()
-            .map(|o| self.extrapolate(&o.features))
-            .collect()
     }
 }
 

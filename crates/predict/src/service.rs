@@ -332,10 +332,8 @@ impl PredictService {
         let _span = self.request_span("predict", &request.dataset);
         let _timer = self.request_ns.start_timer();
         let session = self.session_for(&request.dataset, &request.graph);
-        match &request.config {
-            Some(config) => session.predict_with(request.workload.as_ref(), config),
-            None => session.predict(request.workload.as_ref()),
-        }
+        let config = request.config.as_ref().unwrap_or(session.config());
+        session.predict_with(request.workload.as_ref(), config)
     }
 
     /// Evaluates one request against the measured actual run (cached in the
@@ -344,10 +342,8 @@ impl PredictService {
         let _span = self.request_span("evaluate", &request.dataset);
         let _timer = self.request_ns.start_timer();
         let session = self.session_for(&request.dataset, &request.graph);
-        match &request.config {
-            Some(config) => session.evaluate_with(request.workload.as_ref(), config),
-            None => session.evaluate(request.workload.as_ref()),
-        }
+        let config = request.config.as_ref().unwrap_or(session.config());
+        session.evaluate_with(request.workload.as_ref(), config)
     }
 
     /// Freezes the process-wide metrics registry: request counts, per-stage

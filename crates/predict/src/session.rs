@@ -17,6 +17,13 @@
 //!   ([`PredictorConfig::identity`]);
 //! * actual-run profiles keyed by workload, for [`PredictionSession::evaluate`].
 //!
+//! The ladder is written once: the stages are private methods of the
+//! session, one private `stages` runs stages 1–3 for both
+//! [`PredictionSession::predict_with`] and
+//! [`PredictionSession::trained_model`], extrapolation and pricing are a
+//! pure function of the stage products, and [`Evaluation`] computes the
+//! prediction errors.
+//!
 //! Sessions are `Sync`: all caches sit behind locks, the engine and sampler
 //! are shared via [`Arc`], and every stage is deterministic, so concurrent
 //! predictions return byte-identical results to sequential ones.
@@ -299,6 +306,18 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
+    /// Compares `prediction` with the measured `actual` run.
+    fn new(prediction: Prediction, actual: &WorkloadRun) -> Self {
+        Self {
+            prediction,
+            actual_iterations: actual.iterations(),
+            actual_superstep_ms: actual.profile.superstep_phase_ms(),
+            actual_total_ms: actual.profile.total_ms(),
+            actual_remote_message_bytes: remote_message_bytes(&actual.profile),
+            actual_profile: actual.profile.clone(),
+        }
+    }
+
     /// Signed relative error of the iteration prediction (Figures 4–6).
     pub fn iteration_error(&self) -> f64 {
         signed_relative_error(
@@ -545,358 +564,348 @@ impl SessionMetrics {
     }
 }
 
-/// Borrowed inputs of one prediction: the execution substrate plus the
-/// session's artifact tiers and instruments.
-struct StageCtx<'a> {
-    engine: &'a BspEngine,
-    sampler: &'a dyn Sampler,
-    graph: &'a CsrGraph,
-    dataset: &'a str,
-    caches: &'a ArtifactCaches,
-    /// Persistent artifact store, consulted between the in-memory cache and
-    /// recomputation (`None` = memory-only).
-    store: Option<&'a StoreBinding>,
-    metrics: &'a SessionMetrics,
+/// What stages 1–3 produce for one request: the sample, its run, the run's
+/// observations under the configured worker selection, and the model.
+struct StageProducts {
+    sample: Arc<SampleArtifact>,
+    run: Arc<SampleRunArtifact>,
+    observations: Vec<IterationObservation>,
+    model: Arc<TrainedModel>,
 }
 
-/// The one tiered lookup every stage goes through: memory, then the store,
-/// then `compute` — with the result written through to the store and
-/// published to memory.
-///
-/// Tier order and counting are part of the session's observable behavior
-/// ([`SessionStats`], the `store.*` counters): a memory hit records a hit
-/// and touches nothing else; a memory miss records a miss and, on a
-/// store-backed session, costs exactly one store read; a computed artifact
-/// costs exactly one store write. `store_key` therefore runs only after a
-/// memory miss on a store-backed session — a warm request allocates no key
-/// it never reads.
-fn get_or_compute<K, T>(
-    ctx: &StageCtx<'_>,
-    map: &Mutex<HashMap<K, Arc<T>>>,
-    key: K,
-    kind: ArtifactKind,
-    store_key: impl FnOnce(&K) -> String,
-    compute: impl FnOnce() -> Result<T, PredictError>,
-) -> Result<Arc<T>, PredictError>
-where
-    K: Eq + std::hash::Hash,
-    T: Serialize + serde::Deserialize,
-{
-    if let Some(hit) = cache_lock(map).get(&key) {
-        ctx.caches.record(true);
-        return Ok(Arc::clone(hit));
-    }
-    ctx.caches.record(false);
-    let store = ctx.store.map(|store| (store, store_key(&key)));
-    let stored = store
-        .as_ref()
-        .and_then(|(store, store_key)| store.load::<T>(kind, store_key));
-    let artifact = match stored {
-        Some(artifact) => artifact,
-        None => {
-            let artifact = compute()?;
-            if let Some((store, store_key)) = &store {
-                store.save(kind, store_key, &artifact);
-            }
-            artifact
-        }
-    };
-    // Concurrent misses may race here; both hold the same deterministic
-    // artifact, so keeping the first insert is fine.
-    Ok(Arc::clone(
-        cache_lock(map).entry(key).or_insert(Arc::new(artifact)),
-    ))
-}
-
-/// Stage 1: draw (or reuse) the sample for `(ratio, seed)`.
-fn stage_sample(
-    ctx: &StageCtx<'_>,
-    ratio: f64,
-    seed: u64,
-) -> Result<Arc<SampleArtifact>, PredictError> {
-    let _span = predict_obs::trace::span("predict.stage.sample").arg("ratio", ratio);
-    let _timer = ctx.metrics.sample_ns.start_timer();
-    get_or_compute(
-        ctx,
-        &ctx.caches.samples,
-        SampleKey::new(ctx.sampler.name(), ratio, seed),
-        ArtifactKind::Sample,
-        SampleKey::store_key,
-        || {
-            // Each concurrent draw checks out its own pooled scratch; once
-            // the pool is warm (peak concurrency reached) no draw allocates.
-            let mut scratch = ctx.caches.scratch.acquire();
-            SampleArtifact::draw_with(ctx.sampler, ctx.graph, ratio, seed, &mut scratch)
-        },
-    )
-}
-
-/// Stage 2: execute (or reuse) the transformed sample run of `workload`,
-/// whose [`Workload::cache_token`] is `token`, on `sample`. A failed run is
-/// not cached, so the next request runs it again.
-fn stage_run(
-    ctx: &StageCtx<'_>,
-    workload: &dyn Workload,
-    token: &str,
-    transform: TransformFunction,
-    sample: &SampleArtifact,
-) -> Result<Arc<SampleRunArtifact>, PredictError> {
-    let _span =
-        predict_obs::trace::span("predict.stage.sample_run").arg("workload", workload.name());
-    let _timer = ctx.metrics.sample_run_ns.start_timer();
-    get_or_compute(
-        ctx,
-        &ctx.caches.runs,
-        RunKey::new(&sample.key, token, transform),
-        ArtifactKind::SampleRun,
-        RunKey::store_key,
-        || SampleRunArtifact::execute(ctx.engine, workload, transform, sample),
-    )
-}
-
-/// Stage 3: assemble the training set and train (or reuse) the cost model.
-///
-/// `sample_observations` are the per-iteration observations of the
-/// `(sampling_ratio, seed)` extrapolation run under the configured worker
-/// selection (the caller has them anyway for extrapolation): training ratios
-/// equal to the sampling ratio reuse them instead of re-running, and they
-/// are the fallback training source when every training ratio yields an
-/// empty sample and no history exists.
-#[allow(clippy::too_many_arguments)]
-fn stage_model(
-    ctx: &StageCtx<'_>,
-    workload: &dyn Workload,
-    token: &str,
-    config: &PredictorConfig,
-    transform: TransformFunction,
-    sample_observations: &[IterationObservation],
-    history: &HistoryStore,
-    history_version: u64,
-) -> Result<Arc<TrainedModel>, PredictError> {
-    let _span = predict_obs::trace::span("predict.stage.train").arg("workload", workload.name());
-    let _timer = ctx.metrics.train_ns.start_timer();
-    get_or_compute(
-        ctx,
-        &ctx.caches.models,
-        ModelKey::new(token, config, history_version),
-        ArtifactKind::Model,
-        // The config's fingerprint is formatted here, after a memory miss on
-        // a store-backed session, and nowhere else.
-        |key| key.store_key(ctx.sampler.name(), config),
-        // A store-hit model skips the whole training-set assembly —
-        // including the training-ratio sample runs — which is what lets a
-        // warm restart answer with zero engine executions.
-        || {
-            train_model(
-                ctx,
-                workload,
-                token,
-                config,
-                transform,
-                sample_observations,
-                history,
-                history_version,
-            )
-        },
-    )
-}
-
-/// Assembles the training set of [`stage_model`] — one sample run per
-/// training ratio plus matching history — and fits the cost model on it.
-#[allow(clippy::too_many_arguments)]
-fn train_model(
-    ctx: &StageCtx<'_>,
-    workload: &dyn Workload,
-    token: &str,
-    config: &PredictorConfig,
-    transform: TransformFunction,
-    sample_observations: &[IterationObservation],
-    history: &HistoryStore,
-    history_version: u64,
-) -> Result<TrainedModel, PredictError> {
-    let mut training: Vec<IterationObservation> = Vec::new();
-    for (i, &train_ratio) in config.training_ratios.iter().enumerate() {
-        if (train_ratio - config.sampling_ratio).abs() < 1e-12 {
-            training.extend(sample_observations.iter().copied());
-            continue;
-        }
-        let seed = config.seed.wrapping_add(1 + i as u64);
-        let train_sample = match stage_sample(ctx, train_ratio, seed) {
-            Ok(s) => s,
-            // An empty training sample is skipped, exactly as the paper's
-            // protocol drops ratios too small for the dataset.
-            Err(e) if e.is_empty_sample() => continue,
-            Err(e) => return Err(e),
-        };
-        let train_run = stage_run(ctx, workload, token, transform, &train_sample)?;
-        training.extend(train_run.observations(config.worker_selection));
-    }
-    let sample_rows = training.len();
-    // Historical actual runs of the same workload on *other* datasets.
-    let history_observations =
-        history.observations_for(workload.name(), Some(ctx.dataset), config.worker_selection);
-    let history_rows = history_observations.len();
-    training.extend(history_observations);
-
-    let source = if training.is_empty() {
-        if config.strict_training {
-            return Err(PredictError::InsufficientTraining {
-                workload: workload.name().to_string(),
-                dataset: ctx.dataset.to_string(),
-            });
-        }
-        training = sample_observations.to_vec();
-        TrainingSource::ExtrapolationSampleOnly
-    } else if history_rows > 0 {
-        TrainingSource::SampleRunsWithHistory
-    } else {
-        TrainingSource::SampleRuns
-    };
-
-    let cost_model =
-        CostModel::train(&training, &config.cost_model).map_err(PredictError::CostModel)?;
-    Ok(TrainedModel {
-        cost_model,
-        provenance: TrainingProvenance {
-            source,
-            sample_observations: if source == TrainingSource::ExtrapolationSampleOnly {
-                training.len()
-            } else {
-                sample_rows
-            },
-            history_observations: history_rows,
-            history_version,
-            training_ratios: config.training_ratios.clone(),
-        },
-    })
-}
-
-/// Executes (or reuses) the actual run of `workload`, whose
-/// [`Workload::cache_token`] is `token`, on the full graph — through the
-/// same `predict_cluster::run_workload` seam as the sample run, on whichever
-/// executor the engine's transport mode names. Actual runs are the most
-/// expensive artifact of all; persisting them is what makes a warm
-/// evaluation pass execute zero runs.
-fn stage_actual(
-    ctx: &StageCtx<'_>,
-    workload: &dyn Workload,
-    token: String,
-) -> Result<Arc<WorkloadRun>, PredictError> {
-    let _span = predict_obs::trace::span("predict.stage.actual").arg("workload", workload.name());
-    let _timer = ctx.metrics.actual_ns.start_timer();
-    get_or_compute(
-        ctx,
-        &ctx.caches.actuals,
-        token,
-        ArtifactKind::ActualRun,
-        String::clone,
-        || {
-            Ok(predict_cluster::run_workload(
-                ctx.engine, workload, ctx.graph,
-            )?)
-        },
-    )
-}
-
-/// The full prediction: stages 1–3 plus extrapolation and assembly.
-/// `token` is the workload's [`Workload::cache_token`], rendered once per
-/// request by the caller and shared by the run and model keys.
-fn predict_stages(
-    ctx: &StageCtx<'_>,
-    workload: &dyn Workload,
-    token: &str,
-    config: &PredictorConfig,
-    history: &HistoryStore,
-    history_version: u64,
-) -> Result<Prediction, PredictError> {
-    let _span = predict_obs::trace::span("session.predict").arg("workload", workload.name());
-    let _timer = ctx.metrics.predict_ns.start_timer();
-    config.validate()?;
-    let transform = config
-        .transform
-        .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
-
-    let sample = stage_sample(ctx, config.sampling_ratio, config.seed)?;
-    let run = stage_run(ctx, workload, token, transform, &sample)?;
-    // Extracted once: stage 3 trains on these observations (when a training
-    // ratio equals the sampling ratio) and the extrapolation below scales
-    // them to the full graph.
-    let sample_observations = run.observations(config.worker_selection);
-    let model = stage_model(
-        ctx,
-        workload,
-        token,
-        config,
-        transform,
-        &sample_observations,
-        history,
-        history_version,
-    )?;
-
-    // Extrapolation and per-iteration prediction (cheap; never cached).
-    let extrapolator = sample.extrapolator();
-    let extrapolated_features: Vec<FeatureSet> = sample_observations
+/// Graph-level remote message bytes of a run: the sum over its supersteps.
+fn remote_message_bytes(profile: &RunProfile) -> f64 {
+    profile
+        .per_superstep_totals()
         .iter()
-        .map(|o| extrapolator.extrapolate_with_rule(&o.features, config.extrapolation_rule))
+        .map(|t| t.remote_message_bytes as f64)
+        .sum()
+}
+
+/// Stage 4, the pure tail of the ladder: extrapolates the sample run's
+/// observations to the full graph under `rule`, prices them with the model
+/// and assembles the prediction. It touches no cache and runs nothing, so a
+/// caller may swap one stage product before it.
+fn extrapolate_and_price(
+    workload: &str,
+    rule: ExtrapolationRule,
+    products: &StageProducts,
+) -> Prediction {
+    let StageProducts {
+        sample,
+        run,
+        observations,
+        model,
+    } = products;
+    let extrapolator = sample.extrapolator();
+    let extrapolated_features: Vec<FeatureSet> = observations
+        .iter()
+        .map(|o| extrapolator.extrapolate_with_rule(&o.features, rule))
         .collect();
     let per_iteration_ms: Vec<f64> = extrapolated_features
         .iter()
         .map(|f| model.cost_model.predict_iteration_ms(f).max(0.0))
         .collect();
-    let predicted_superstep_ms = per_iteration_ms.iter().sum();
-
-    // Graph-level remote message bytes, extrapolated by the edge factor.
-    let predicted_remote_message_bytes: f64 = run
-        .profile
-        .per_superstep_totals()
-        .iter()
-        .map(|t| t.remote_message_bytes as f64)
-        .sum::<f64>()
-        * extrapolator.edge_factor;
-
-    Ok(Prediction {
-        workload: workload.name().to_string(),
+    Prediction {
+        workload: workload.to_string(),
         predicted_iterations: run.iterations(),
-        predicted_superstep_ms,
+        predicted_superstep_ms: per_iteration_ms.iter().sum(),
         per_iteration_ms,
         extrapolated_features,
-        predicted_remote_message_bytes,
+        predicted_remote_message_bytes: remote_message_bytes(&run.profile)
+            * extrapolator.edge_factor,
         cost_model: model.cost_model.clone(),
         training: model.provenance.clone(),
         extrapolator,
         sample_run_total_ms: run.profile.total_ms(),
         sample_profile: run.profile.clone(),
         achieved_sampling_ratio: sample.clamped_ratio(),
-    })
+    }
 }
 
-/// Prediction plus the measured actual run.
-fn evaluate_stages(
-    ctx: &StageCtx<'_>,
-    workload: &dyn Workload,
-    config: &PredictorConfig,
-    history: &HistoryStore,
-    history_version: u64,
-) -> Result<Evaluation, PredictError> {
-    let _span = predict_obs::trace::span("session.evaluate").arg("workload", workload.name());
-    let _timer = ctx.metrics.evaluate_ns.start_timer();
-    let token = workload.cache_token();
-    let prediction = predict_stages(ctx, workload, &token, config, history, history_version)?;
-    let actual = stage_actual(ctx, workload, token)?;
-    let actual_remote_message_bytes: f64 = actual
-        .profile
-        .per_superstep_totals()
-        .iter()
-        .map(|t| t.remote_message_bytes as f64)
-        .sum();
-    Ok(Evaluation {
-        prediction,
-        actual_iterations: actual.iterations(),
-        actual_superstep_ms: actual.profile.superstep_phase_ms(),
-        actual_total_ms: actual.profile.total_ms(),
-        actual_remote_message_bytes,
-        actual_profile: actual.profile.clone(),
-    })
+impl PredictionSession {
+    /// The one tiered lookup every stage goes through: memory, then the
+    /// store, then `compute` — with the result written through to the store
+    /// and published to memory.
+    ///
+    /// Tier order and counting are part of the session's observable behavior
+    /// ([`SessionStats`], the `store.*` counters): a memory hit records a hit
+    /// and touches nothing else; a memory miss records a miss and, on a
+    /// store-backed session, costs exactly one store read; a computed
+    /// artifact costs exactly one store write. `store_key` therefore runs
+    /// only after a memory miss on a store-backed session — a warm request
+    /// allocates no key it never reads.
+    fn get_or_compute<K, T>(
+        &self,
+        map: &Mutex<HashMap<K, Arc<T>>>,
+        key: K,
+        kind: ArtifactKind,
+        store_key: impl FnOnce(&K) -> String,
+        compute: impl FnOnce() -> Result<T, PredictError>,
+    ) -> Result<Arc<T>, PredictError>
+    where
+        K: Eq + std::hash::Hash,
+        T: Serialize + serde::Deserialize,
+    {
+        if let Some(hit) = cache_lock(map).get(&key) {
+            self.caches.record(true);
+            return Ok(Arc::clone(hit));
+        }
+        self.caches.record(false);
+        let store = self.store.as_ref().map(|store| (store, store_key(&key)));
+        let stored = store
+            .as_ref()
+            .and_then(|(store, store_key)| store.load::<T>(kind, store_key));
+        let artifact = match stored {
+            Some(artifact) => artifact,
+            None => {
+                let artifact = compute()?;
+                if let Some((store, store_key)) = &store {
+                    store.save(kind, store_key, &artifact);
+                }
+                artifact
+            }
+        };
+        // Concurrent misses may race here; both hold the same deterministic
+        // artifact, so keeping the first insert is fine.
+        Ok(Arc::clone(
+            cache_lock(map).entry(key).or_insert(Arc::new(artifact)),
+        ))
+    }
+
+    /// Stage 1: draw (or reuse) the sample for `(ratio, seed)`.
+    fn stage_sample(&self, ratio: f64, seed: u64) -> Result<Arc<SampleArtifact>, PredictError> {
+        let _span = predict_obs::trace::span("predict.stage.sample").arg("ratio", ratio);
+        let _timer = self.metrics.sample_ns.start_timer();
+        self.get_or_compute(
+            &self.caches.samples,
+            SampleKey::new(self.sampler.name(), ratio, seed),
+            ArtifactKind::Sample,
+            SampleKey::store_key,
+            || {
+                // Each concurrent draw checks out its own pooled scratch;
+                // once the pool is warm (peak concurrency reached) no draw
+                // allocates.
+                let mut scratch = self.caches.scratch.acquire();
+                SampleArtifact::draw_with(&*self.sampler, &self.graph, ratio, seed, &mut scratch)
+            },
+        )
+    }
+
+    /// Stage 2: execute (or reuse) the transformed sample run of `workload`,
+    /// whose [`Workload::cache_token`] is `token`, on `sample`. A failed run
+    /// is not cached, so the next request runs it again.
+    fn stage_run(
+        &self,
+        workload: &dyn Workload,
+        token: &str,
+        transform: TransformFunction,
+        sample: &SampleArtifact,
+    ) -> Result<Arc<SampleRunArtifact>, PredictError> {
+        let _span =
+            predict_obs::trace::span("predict.stage.sample_run").arg("workload", workload.name());
+        let _timer = self.metrics.sample_run_ns.start_timer();
+        self.get_or_compute(
+            &self.caches.runs,
+            RunKey::new(&sample.key, token, transform),
+            ArtifactKind::SampleRun,
+            RunKey::store_key,
+            || SampleRunArtifact::execute(&self.engine, workload, transform, sample),
+        )
+    }
+
+    /// Stage 3: assemble the training set and train (or reuse) the cost
+    /// model.
+    ///
+    /// `sample_observations` are the per-iteration observations of the
+    /// `(sampling_ratio, seed)` extrapolation run under the configured worker
+    /// selection (the ladder has them anyway for extrapolation): training
+    /// ratios equal to the sampling ratio reuse them instead of re-running,
+    /// and they are the fallback training source when every training ratio
+    /// yields an empty sample and no history exists. The stage takes one
+    /// history snapshot, so the model key and the training set see the same
+    /// history version.
+    fn stage_model(
+        &self,
+        workload: &dyn Workload,
+        token: &str,
+        config: &PredictorConfig,
+        transform: TransformFunction,
+        sample_observations: &[IterationObservation],
+    ) -> Result<Arc<TrainedModel>, PredictError> {
+        let _span =
+            predict_obs::trace::span("predict.stage.train").arg("workload", workload.name());
+        let _timer = self.metrics.train_ns.start_timer();
+        let history = self.history_snapshot();
+        self.get_or_compute(
+            &self.caches.models,
+            ModelKey::new(token, config, history.version),
+            ArtifactKind::Model,
+            // The config's fingerprint is formatted here, after a memory miss
+            // on a store-backed session, and nowhere else.
+            |key| key.store_key(self.sampler.name(), config),
+            // A store-hit model skips the whole training-set assembly —
+            // including the training-ratio sample runs — which is what lets
+            // a warm restart answer with zero engine executions.
+            || {
+                self.train_model(
+                    workload,
+                    token,
+                    config,
+                    transform,
+                    sample_observations,
+                    &history,
+                )
+            },
+        )
+    }
+
+    /// Assembles the training set of [`PredictionSession::stage_model`] —
+    /// one sample run per training ratio plus matching history — and fits
+    /// the cost model on it.
+    fn train_model(
+        &self,
+        workload: &dyn Workload,
+        token: &str,
+        config: &PredictorConfig,
+        transform: TransformFunction,
+        sample_observations: &[IterationObservation],
+        history: &HistoryState,
+    ) -> Result<TrainedModel, PredictError> {
+        let mut training: Vec<IterationObservation> = Vec::new();
+        for (i, &train_ratio) in config.training_ratios.iter().enumerate() {
+            if (train_ratio - config.sampling_ratio).abs() < 1e-12 {
+                training.extend(sample_observations.iter().copied());
+                continue;
+            }
+            let seed = config.seed.wrapping_add(1 + i as u64);
+            let train_sample = match self.stage_sample(train_ratio, seed) {
+                Ok(s) => s,
+                // An empty training sample is skipped, exactly as the paper's
+                // protocol drops ratios too small for the dataset.
+                Err(e) if e.is_empty_sample() => continue,
+                Err(e) => return Err(e),
+            };
+            let train_run = self.stage_run(workload, token, transform, &train_sample)?;
+            training.extend(train_run.observations(config.worker_selection));
+        }
+        let sample_rows = training.len();
+        // Historical actual runs of the same workload on *other* datasets.
+        let history_observations = history.store.observations_for(
+            workload.name(),
+            Some(&self.dataset),
+            config.worker_selection,
+        );
+        let history_rows = history_observations.len();
+        training.extend(history_observations);
+
+        let source = if training.is_empty() {
+            if config.strict_training {
+                return Err(PredictError::InsufficientTraining {
+                    workload: workload.name().to_string(),
+                    dataset: self.dataset.clone(),
+                });
+            }
+            training = sample_observations.to_vec();
+            TrainingSource::ExtrapolationSampleOnly
+        } else if history_rows > 0 {
+            TrainingSource::SampleRunsWithHistory
+        } else {
+            TrainingSource::SampleRuns
+        };
+
+        let cost_model =
+            CostModel::train(&training, &config.cost_model).map_err(PredictError::CostModel)?;
+        Ok(TrainedModel {
+            cost_model,
+            provenance: TrainingProvenance {
+                source,
+                sample_observations: if source == TrainingSource::ExtrapolationSampleOnly {
+                    training.len()
+                } else {
+                    sample_rows
+                },
+                history_observations: history_rows,
+                history_version: history.version,
+                training_ratios: config.training_ratios.clone(),
+            },
+        })
+    }
+
+    /// Executes (or reuses) the actual run of `workload`, whose
+    /// [`Workload::cache_token`] is `token`, on the full graph — through the
+    /// same `predict_cluster::run_workload` seam as the sample run, on
+    /// whichever executor the engine's transport mode names. Actual runs are
+    /// the most expensive artifact of all; persisting them is what makes a
+    /// warm evaluation pass execute zero runs.
+    fn stage_actual(
+        &self,
+        workload: &dyn Workload,
+        token: String,
+    ) -> Result<Arc<WorkloadRun>, PredictError> {
+        let _span =
+            predict_obs::trace::span("predict.stage.actual").arg("workload", workload.name());
+        let _timer = self.metrics.actual_ns.start_timer();
+        self.get_or_compute(
+            &self.caches.actuals,
+            token,
+            ArtifactKind::ActualRun,
+            String::clone,
+            || {
+                Ok(predict_cluster::run_workload(
+                    &self.engine,
+                    workload,
+                    &self.graph,
+                )?)
+            },
+        )
+    }
+
+    /// The ladder, written once: validates `config`, resolves the transform,
+    /// then runs stages 1–3. `token` is the workload's
+    /// [`Workload::cache_token`], rendered once per request by the caller
+    /// and shared by the run and model keys.
+    fn stages(
+        &self,
+        workload: &dyn Workload,
+        token: &str,
+        config: &PredictorConfig,
+    ) -> Result<StageProducts, PredictError> {
+        config.validate()?;
+        let transform = config
+            .transform
+            .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
+        let sample = self.stage_sample(config.sampling_ratio, config.seed)?;
+        let run = self.stage_run(workload, token, transform, &sample)?;
+        // Extracted once: stage 3 trains on these observations (when a
+        // training ratio equals the sampling ratio) and the tail scales them
+        // to the full graph.
+        let observations = run.observations(config.worker_selection);
+        let model = self.stage_model(workload, token, config, transform, &observations)?;
+        Ok(StageProducts {
+            sample,
+            run,
+            observations,
+            model,
+        })
+    }
+
+    /// The full prediction: the ladder plus its pure tail.
+    fn predict_stages(
+        &self,
+        workload: &dyn Workload,
+        token: &str,
+        config: &PredictorConfig,
+    ) -> Result<Prediction, PredictError> {
+        let _span = predict_obs::trace::span("session.predict").arg("workload", workload.name());
+        let _timer = self.metrics.predict_ns.start_timer();
+        let products = self.stages(workload, token, config)?;
+        Ok(extrapolate_and_price(
+            workload.name(),
+            config.extrapolation_rule,
+            &products,
+        ))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1039,19 +1048,21 @@ impl PredictorBuilder {
             caches: ArtifactCaches::default(),
             store,
             metrics: SessionMetrics::new(predict_obs::registry()),
-            history: RwLock::new(HistoryState {
-                store: Arc::new(history),
+            history: RwLock::new(Arc::new(HistoryState {
+                store: history,
                 version: 0,
-            }),
+            })),
         }
     }
 }
 
-/// History store behind copy-on-write: readers snapshot the `Arc` in a
-/// narrow lock scope (see [`PredictionSession::history_snapshot`]), so the
-/// lock is never held across engine work.
+/// The history store and its version, behind copy-on-write: readers
+/// snapshot the `Arc` in a narrow lock scope (see
+/// [`PredictionSession::history_snapshot`]), so the lock is never held
+/// across engine work.
+#[derive(Clone)]
 struct HistoryState {
-    store: Arc<HistoryStore>,
+    store: HistoryStore,
     version: u64,
 }
 
@@ -1095,22 +1106,10 @@ pub struct PredictionSession {
     caches: ArtifactCaches,
     store: Option<StoreBinding>,
     metrics: SessionMetrics,
-    history: RwLock<HistoryState>,
+    history: RwLock<Arc<HistoryState>>,
 }
 
 impl PredictionSession {
-    fn ctx<'a>(&'a self) -> StageCtx<'a> {
-        StageCtx {
-            engine: &self.engine,
-            sampler: self.sampler.as_ref(),
-            graph: &self.graph,
-            dataset: &self.dataset,
-            caches: &self.caches,
-            store: self.store.as_ref(),
-            metrics: &self.metrics,
-        }
-    }
-
     /// The dataset label this session is bound to.
     pub fn dataset(&self) -> &str {
         &self.dataset
@@ -1136,9 +1135,8 @@ impl PredictionSession {
     /// concurrent [`PredictionSession::record_history`] is not blocked by
     /// in-flight predictions (and cannot serialize other readers behind a
     /// waiting writer).
-    fn history_snapshot(&self) -> (Arc<HistoryStore>, u64) {
-        let history = self.history.read().unwrap_or_else(|e| e.into_inner());
-        (Arc::clone(&history.store), history.version)
+    fn history_snapshot(&self) -> Arc<HistoryState> {
+        Arc::clone(&self.history.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Predicts `workload` with the session's default configuration.
@@ -1155,9 +1153,7 @@ impl PredictionSession {
         workload: &dyn Workload,
         config: &PredictorConfig,
     ) -> Result<Prediction, PredictError> {
-        let (history, version) = self.history_snapshot();
-        let token = workload.cache_token();
-        predict_stages(&self.ctx(), workload, &token, config, &history, version)
+        self.predict_stages(workload, &workload.cache_token(), config)
     }
 
     /// Predicts and then executes (or reuses) the actual run, returning both
@@ -1172,8 +1168,12 @@ impl PredictionSession {
         workload: &dyn Workload,
         config: &PredictorConfig,
     ) -> Result<Evaluation, PredictError> {
-        let (history, version) = self.history_snapshot();
-        evaluate_stages(&self.ctx(), workload, config, &history, version)
+        let _span = predict_obs::trace::span("session.evaluate").arg("workload", workload.name());
+        let _timer = self.metrics.evaluate_ns.start_timer();
+        let token = workload.cache_token();
+        let prediction = self.predict_stages(workload, &token, config)?;
+        let actual = self.stage_actual(workload, token)?;
+        Ok(Evaluation::new(prediction, &actual))
     }
 
     /// Draws (or reuses) the stage-1 sampling artifact for `(ratio, seed)`.
@@ -1182,7 +1182,7 @@ impl PredictionSession {
         ratio: f64,
         seed: u64,
     ) -> Result<Arc<SampleArtifact>, PredictError> {
-        stage_sample(&self.ctx(), ratio, seed)
+        self.stage_sample(ratio, seed)
     }
 
     /// Executes (or reuses) the stage-2 sample run of `workload` on the
@@ -1194,9 +1194,8 @@ impl PredictionSession {
         seed: u64,
         transform: TransformFunction,
     ) -> Result<Arc<SampleRunArtifact>, PredictError> {
-        let sample = self.sample_artifact(ratio, seed)?;
-        let token = workload.cache_token();
-        stage_run(&self.ctx(), workload, &token, transform, &sample)
+        let sample = self.stage_sample(ratio, seed)?;
+        self.stage_run(workload, &workload.cache_token(), transform, &sample)
     }
 
     /// Trains (or reuses) the stage-3 cost model of `workload` under
@@ -1206,26 +1205,8 @@ impl PredictionSession {
         workload: &dyn Workload,
         config: &PredictorConfig,
     ) -> Result<Arc<TrainedModel>, PredictError> {
-        config.validate()?;
-        let transform = config
-            .transform
-            .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
-        let ctx = self.ctx();
-        let token = workload.cache_token();
-        let sample = stage_sample(&ctx, config.sampling_ratio, config.seed)?;
-        let run = stage_run(&ctx, workload, &token, transform, &sample)?;
-        let sample_observations = run.observations(config.worker_selection);
-        let (history, version) = self.history_snapshot();
-        stage_model(
-            &ctx,
-            workload,
-            &token,
-            config,
-            transform,
-            &sample_observations,
-            &history,
-            version,
-        )
+        self.stages(workload, &workload.cache_token(), config)
+            .map(|products| products.model)
     }
 
     /// Executes (or reuses) the actual run of `workload` on the full graph.
@@ -1235,7 +1216,7 @@ impl PredictionSession {
         &self,
         workload: &dyn Workload,
     ) -> Result<Arc<WorkloadRun>, PredictError> {
-        stage_actual(&self.ctx(), workload, workload.cache_token())
+        self.stage_actual(workload, workload.cache_token())
     }
 
     /// [`PredictionSession::try_actual_run`] for callers that cannot take a
@@ -1259,25 +1240,14 @@ impl PredictionSession {
     /// underlying data.
     pub fn record_history(&self, workload: &str, dataset: &str, profile: RunProfile) {
         let mut history = self.history.write().unwrap_or_else(|e| e.into_inner());
-        Arc::make_mut(&mut history.store).record(workload, dataset, profile);
+        let history = Arc::make_mut(&mut history);
+        history.store.record(workload, dataset, profile);
         history.version += 1;
     }
 
     /// The current history version (starts at 0, +1 per recorded run).
     pub fn history_version(&self) -> u64 {
-        self.history
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .version
-    }
-
-    /// Number of historical runs the session currently holds.
-    pub fn history_len(&self) -> usize {
-        self.history
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .store
-            .len()
+        self.history_snapshot().version
     }
 
     /// Cache occupancy and hit statistics.
@@ -1540,6 +1510,10 @@ mod tests {
         // ...but no new engine runs were needed: sample runs stayed cached.
         assert_eq!(s.engine().runs_executed(), runs_after_actual);
         assert_eq!(s.stats().models, 2);
+        // Stage 3 reached directly keys and trains on the same snapshot.
+        let model = s.trained_model(&workload, s.config()).unwrap();
+        assert_eq!(model.provenance.history_version, 1);
+        assert_eq!(s.engine().runs_executed(), runs_after_actual);
     }
 
     #[test]
@@ -1564,19 +1538,23 @@ mod tests {
     fn invalid_configs_error_instead_of_panicking() {
         let s = session(PredictorConfig::default());
         let workload = PageRankWorkload::with_epsilon(0.01, s.graph().num_vertices());
+        // Every entry point of the ladder validates through it.
+        let rejects = |config: &PredictorConfig| {
+            let invalid = |err: PredictError| matches!(err, PredictError::InvalidConfig(_));
+            invalid(s.predict_with(&workload, config).unwrap_err())
+                && invalid(s.trained_model(&workload, config).unwrap_err())
+                && invalid(s.evaluate_with(&workload, config).unwrap_err())
+        };
         for bad in [f64::NAN, f64::INFINITY, 0.0, -0.5] {
             let config = PredictorConfig::default().with_sampling_ratio(bad);
-            let err = s.predict_with(&workload, &config).unwrap_err();
-            assert!(matches!(err, PredictError::InvalidConfig(_)), "{bad}");
+            assert!(rejects(&config), "{bad}");
         }
         let config = PredictorConfig {
             training_ratios: vec![0.1, f64::NAN],
             ..Default::default()
         };
-        assert!(matches!(
-            s.predict_with(&workload, &config).unwrap_err(),
-            PredictError::InvalidConfig(_)
-        ));
+        assert!(rejects(&config));
+        assert_eq!(s.engine().runs_executed(), 0, "a rejected config ran");
     }
 
     #[test]
