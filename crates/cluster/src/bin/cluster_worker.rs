@@ -3,10 +3,13 @@
 //! Speaks the framed cluster protocol over its standard input, which the
 //! driver makes the worker's end of a Unix-domain socket pair
 //! (`--stdin-socket`). Serves episodes until the driver closes the
-//! connection or sends `Shutdown`. Diagnostics go to stderr, where the
-//! driver tails them into failure reports. Any other invocation — no
-//! arguments, or a standard input that is not a socket — is a usage error,
-//! so a stale launcher fails fast instead of blocking on stdin.
+//! connection or sends `Shutdown`, then exits with status 0. Diagnostics go
+//! to stderr, where the driver tails them into failure reports. Every other
+//! end exits with status 2: a protocol violation (after its `Error` frame)
+//! or a broken stream, and any invocation but `--stdin-socket` over a
+//! socket — no arguments, or a standard input that is a pipe or a file — as
+//! a usage error, so a stale launcher fails fast instead of blocking on
+//! stdin.
 
 use predict_cluster::{serve, StreamEndpoint};
 use std::os::fd::AsFd;
@@ -45,5 +48,5 @@ fn serve_stream(stream: UnixStream) -> Result<(), String> {
     let reader = stream
         .try_clone()
         .map_err(|e| format!("cloning socket stream: {e}"))?;
-    serve(&mut StreamEndpoint::new(reader, stream), true)
+    serve(&mut StreamEndpoint::new(reader, stream))
 }

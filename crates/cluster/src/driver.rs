@@ -11,6 +11,12 @@
 //! ascending worker order under a read timeout, validate them, relay
 //! outbound batch sections to next superstep's `Step`.
 //!
+//! There is one group path: [`drive`] checks a group out of the pool, runs
+//! on it and checks it back in only when the run succeeded; a group that
+//! failed is dropped, its workers with it. [`drive_on`] runs the same code
+//! on a group the caller built — tests build theirs from workers behind a
+//! fault schedule or a recording endpoint — and never pools it.
+//!
 //! The relay is opaque ([`Relay`]): of a `StepDone` the driver decodes the
 //! [`StepReport`](crate::protocol::StepReport) the master reads — superstep
 //! echo, counters, aggregates, halt vote, `compute_ns` — and each section's
@@ -24,8 +30,7 @@
 //! [`MeasuredRun`].
 
 use crate::error::ClusterError;
-use crate::fault::FaultSchedule;
-use crate::protocol::{self, tag, FaultSpec, InitHeader, ProgramSpec, Relay};
+use crate::protocol::{self, tag, InitHeader, ProgramSpec, Relay};
 use crate::transport::{self, Connection, TransportKind, WorkerGroup};
 use crate::wire::{decode_exact, Wire};
 use predict_bsp::runtime::ShardLayout;
@@ -38,7 +43,7 @@ use predict_obs::metrics::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How a cluster drive runs: backend, read timeout, injected fault.
+/// How a cluster drive runs: backend and read timeout.
 #[derive(Debug, Clone)]
 pub struct DriveOptions {
     /// Transport backend to run the workers on.
@@ -47,33 +52,15 @@ pub struct DriveOptions {
     /// worker that sends no byte for this long fails the drive with
     /// [`ClusterError::Timeout`] instead of hanging it.
     pub timeout: Duration,
-    /// Fault injected into one worker `(worker, fault)` — robustness tests
-    /// only. Faulted drives always use a fresh worker group and never
-    /// return it to the pool.
-    pub fault: Option<(usize, FaultSpec)>,
-    /// Deterministic transport-level fault schedule wrapped around one
-    /// worker's endpoint `(worker, schedule)` — the fault-injection test
-    /// battery. In-process transport only (the wrapper sits between the
-    /// serve loop and its stream); like [`DriveOptions::fault`], such
-    /// drives always use a fresh group and never repool it.
-    pub endpoint_fault: Option<(usize, FaultSchedule)>,
 }
 
 impl DriveOptions {
-    /// Options for a normal (fault-free) drive on `kind`.
+    /// Options for a drive on `kind` with the default two-minute timeout.
     pub fn new(kind: TransportKind) -> Self {
         Self {
             kind,
             timeout: Duration::from_secs(120),
-            fault: None,
-            endpoint_fault: None,
         }
-    }
-
-    /// True when this drive injects any fault — such drives must run on a
-    /// fresh worker group and may never return it to the pool.
-    fn faulted(&self) -> bool {
-        self.fault.is_some() || self.endpoint_fault.is_some()
     }
 }
 
@@ -98,41 +85,20 @@ where
     P: VertexProgram,
     P::VertexValue: Wire,
 {
-    // Faulted groups die by design; never take one from (or return one to)
-    // the shared pool.
-    let mut group = if let Some((fw, schedule)) = &opts.endpoint_fault {
-        if opts.kind != TransportKind::InProc {
-            return Err(ClusterError::Spawn {
-                worker: *fw,
-                detail: "endpoint fault schedules require the in-process transport".into(),
-            });
-        }
-        let (fw, schedule) = (*fw, schedule.clone());
-        WorkerGroup::spawn_with(opts.kind, config.workers(), |w| {
-            if w == fw {
-                Connection::spawn_inproc_faulty(w, schedule.clone())
-            } else {
-                Connection::spawn_inproc(w)
-            }
-        })?
-    } else if opts.fault.is_some() {
-        WorkerGroup::spawn(opts.kind, config.workers())?
-    } else {
-        transport::checkout(opts.kind, config.workers())?
-    };
+    let mut group = transport::checkout(opts.kind, config.workers())?;
     let result = drive_on_group(program, spec, ranks, graph, config, opts, &mut group);
-    if result.is_ok() && !opts.faulted() {
+    if result.is_ok() {
         transport::checkin(group);
     }
-    // On error (or after a faulted drive) the group drops here, killing its
-    // workers; its protocol state is unknown and must not be reused.
+    // On error the group drops here, killing its workers; its protocol
+    // state is unknown and must not be reused.
     result
 }
 
 /// Runs one drive on a caller-provided worker group — for tests and tools
-/// that build groups through custom spawns (e.g. workers behind a raw
-/// socket stream). The group is consumed: healthy or not, it is never
-/// pooled.
+/// that build groups through custom spawns (workers behind a fault
+/// schedule, a recording endpoint or a raw socket stream). The group is
+/// consumed: healthy or not, it is never pooled.
 pub fn drive_on<P>(
     program: &P,
     spec: &ProgramSpec,
@@ -255,18 +221,12 @@ impl<'a> RemoteWorkers<'a> {
     ) -> Result<Self, ClusterError> {
         let num_workers = layout.num_workers();
         let shards = shard_csr(graph, num_workers, |v| layout.owner_of(v));
+        let header = InitHeader {
+            protocol_version: protocol::PROTOCOL_VERSION,
+            strategy: layout.strategy(),
+            program: spec.clone(),
+        };
         for (w, shard) in shards.iter().enumerate() {
-            let header = InitHeader {
-                protocol_version: protocol::PROTOCOL_VERSION,
-                worker: w,
-                num_workers,
-                strategy: layout.strategy(),
-                program: spec.clone(),
-                fault: match &opts.fault {
-                    Some((fw, fault)) if *fw == w => Some(*fault),
-                    _ => None,
-                },
-            };
             let body = protocol::encode_init(&header, shard, ranks);
             group.connections[w].send(tag::INIT, &body)?;
         }

@@ -1,20 +1,24 @@
-//! Deterministic fault injection for the frame protocol.
+//! Deterministic fault injection for the frame protocol — the one way to
+//! break a worker, and it works from outside: the library's run path holds
+//! no fault hook.
 //!
-//! Kill-based robustness tests ([`FaultSpec`](crate::protocol::FaultSpec))
-//! exercise *whole-worker* failure; this module exercises the *transport*:
-//! truncated bodies, partial writes, delayed and duplicated frames, hard
-//! disconnects — each at an exact frame index, from a schedule that is pure
-//! data. The same schedule always injects the same faults, so every driver
-//! error path is pinned by a repeatable test instead of kill timing.
+//! [`FaultEndpoint`] wraps a worker's [`Endpoint`], a saboteur between the
+//! serve loop and its stream. It truncates bodies, cuts writes short, delays
+//! and duplicates frames and drops the connection, each at an exact frame
+//! index, from a schedule that is pure data. The same schedule always
+//! injects the same faults, so every driver error path is pinned by a
+//! repeatable test instead of kill timing.
 //!
-//! [`FaultEndpoint`] wraps any [`Endpoint`] — it is the worker-side
-//! endpoint with a saboteur in the middle. Frames are counted per
-//! direction ([`Direction::Outbound`] = worker→driver, inbound the
-//! reverse), and when a direction's counter hits a scheduled index the
-//! [`FaultAction`] fires. Schedules come from an explicit builder
-//! ([`FaultSchedule::at`]) or a seeded generator
-//! ([`FaultSchedule::seeded`], splitmix64 — no dependencies, stable
-//! forever).
+//! Frames are counted per direction ([`Direction::Outbound`] =
+//! worker→driver, inbound the reverse), and when a direction's counter hits
+//! a scheduled index the [`FaultAction`] fires. Inbound frame 0 is `Init`
+//! and inbound frame `s + 1` is the `Step` of superstep `s`, so a worker
+//! that dies at superstep `s` is a [`FaultAction::Disconnect`] at inbound
+//! frame `s + 1`, and one that stops answering there is a
+//! [`FaultAction::Delay`] at that frame. Schedules are built with
+//! [`FaultSchedule::at`]; a group of workers behind them is built with
+//! [`Connection::spawn_inproc_faulty`](crate::Connection::spawn_inproc_faulty)
+//! and run with [`drive_on`](crate::drive_on).
 
 use crate::endpoint::{Endpoint, Frame};
 use std::collections::VecDeque;
@@ -78,58 +82,12 @@ impl FaultSchedule {
         self
     }
 
-    /// A reproducible pseudo-random schedule: `count` faults over the first
-    /// `horizon` frame indices of either direction. Same seed, same
-    /// schedule, on every platform.
-    pub fn seeded(seed: u64, count: usize, horizon: u64) -> Self {
-        let mut state = seed;
-        let mut next = move || splitmix64(&mut state);
-        let mut schedule = Self::new();
-        for _ in 0..count {
-            let direction = if next() % 2 == 0 {
-                Direction::Inbound
-            } else {
-                Direction::Outbound
-            };
-            let index = next() % horizon.max(1);
-            let action = match next() % 5 {
-                0 => FaultAction::TruncateBody {
-                    keep: (next() % 9) as usize,
-                },
-                1 => FaultAction::PartialWrite {
-                    keep: (next() % 9) as usize,
-                },
-                2 => FaultAction::Delay {
-                    frames: 1 + (next() % 3) as usize,
-                },
-                3 => FaultAction::Duplicate,
-                _ => FaultAction::Disconnect,
-            };
-            schedule = schedule.at(direction, index, action);
-        }
-        schedule
-    }
-
-    /// True when the schedule injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     fn action_at(&self, direction: Direction, index: u64) -> Option<FaultAction> {
         self.faults
             .iter()
             .find(|(d, i, _)| *d == direction && *i == index)
             .map(|(_, _, a)| *a)
     }
-}
-
-/// The splitmix64 mixer — 8 lines, stable, plenty for fault schedules.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// An [`Endpoint`] with a deterministic saboteur in the middle.
@@ -290,15 +248,6 @@ mod tests {
 
     fn recv_frame(driver: &mut UnixStream) -> Option<Frame> {
         read_frame(driver).unwrap()
-    }
-
-    #[test]
-    fn seeded_schedules_are_reproducible() {
-        let a = FaultSchedule::seeded(42, 4, 16);
-        let b = FaultSchedule::seeded(42, 4, 16);
-        assert_eq!(a, b);
-        assert_ne!(a, FaultSchedule::seeded(43, 4, 16));
-        assert_eq!(a.faults.len(), 4);
     }
 
     #[test]

@@ -41,10 +41,12 @@
 //! Failure is structured, not silent: a worker that dies or hangs
 //! mid-superstep surfaces as a [`ClusterError`] naming the worker, the
 //! superstep and the tail of its stderr. The [`fault`] module makes those
-//! failure paths *testable*: a deterministic [`FaultEndpoint`] injects
-//! truncations, partial writes, delayed/duplicated frames and hard
-//! disconnects at scheduled frame indices, so every error path is pinned by
-//! a repeatable test instead of kill timing.
+//! failure paths *testable* from outside the run path, which holds no fault
+//! hook: a deterministic [`FaultEndpoint`] wrapped around one worker's
+//! endpoint injects truncations, partial writes, delayed/duplicated frames
+//! and hard disconnects at scheduled frame indices, and [`drive_on`] runs a
+//! group built from such workers, so every error path is pinned by a
+//! repeatable test instead of kill timing.
 
 pub mod driver;
 pub mod endpoint;
@@ -60,7 +62,7 @@ pub use driver::{drive, drive_on, DriveOptions};
 pub use endpoint::{Endpoint, StreamEndpoint};
 pub use error::{ClusterError, WireError};
 pub use fault::{Direction, FaultAction, FaultEndpoint, FaultSchedule};
-pub use protocol::{FaultSpec, InitHeader, ProgramSpec, PROTOCOL_VERSION};
+pub use protocol::{InitHeader, ProgramSpec, PROTOCOL_VERSION};
 pub use runner::run_workload;
 pub use transport::{checkin, checkout, worker_bin_path, Connection, TransportKind, WorkerGroup};
 pub use wire::{decode_exact, encode_to_vec, Wire, WireBatch, WIRE_VERSION};

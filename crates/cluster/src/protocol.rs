@@ -63,8 +63,10 @@ use std::io::{Read, Write};
 /// Version of the frame protocol, carried in every [`InitHeader`]; workers
 /// refuse an `Init` from a driver speaking another version. Version 2
 /// dropped the per-peer cut lists from the shard section of `Init`; version
-/// 3 carries peer messages as relayed batch sections.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// 3 carries peer messages as relayed batch sections; version 4 drops the
+/// worker index, the worker count and the fault field from the `Init`
+/// header (the shard states the first two).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Frame tags.
 pub mod tag {
@@ -125,45 +127,19 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<(u8, Vec<u8>)>> {
     Ok(Some((tag[0], body)))
 }
 
-/// Fault injected into a worker for robustness tests: die or hang at the
-/// start of the given superstep's compute.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultSpec {
-    /// Superstep at which the worker dies abruptly (process exit / closed
-    /// stream), if any.
-    #[serde(default)]
-    pub crash_at: Option<usize>,
-    /// Superstep at which the worker stops responding forever, if any.
-    #[serde(default)]
-    pub hang_at: Option<usize>,
-}
-
-impl FaultSpec {
-    /// True when no fault is injected.
-    pub fn is_none(&self) -> bool {
-        self.crash_at.is_none() && self.hang_at.is_none()
-    }
-}
-
-/// JSON header of the `Init` frame. The shard and (for TOP-K) the input
-/// ranks follow in binary; see [`encode_init`].
+/// JSON header of the `Init` frame. The shard, which names the worker it
+/// belongs to and the worker count, and (for TOP-K) the input ranks follow
+/// in binary; see [`encode_init`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InitHeader {
     /// Protocol version of the driver; workers reject mismatches.
     pub protocol_version: u32,
-    /// Index of the worker this `Init` addresses.
-    pub worker: usize,
-    /// Workers in the cluster.
-    pub num_workers: usize,
     /// Partition strategy; the worker rebuilds the (deterministic) shard
-    /// layout from `(global_vertices, num_workers, strategy)` instead of
-    /// shipping the layout.
+    /// layout from its shard's `(global_vertices, num_workers)` and this
+    /// strategy instead of shipping the layout.
     pub strategy: PartitionStrategy,
     /// Program to run.
     pub program: ProgramSpec,
-    /// Injected fault, if any (tests only).
-    #[serde(default)]
-    pub fault: Option<FaultSpec>,
 }
 
 /// Encodes an `Init` frame body:
@@ -479,13 +455,10 @@ mod tests {
         let shards = predict_graph::shard_csr(&g, 2, |v| v as usize % 2);
         let header = InitHeader {
             protocol_version: PROTOCOL_VERSION,
-            worker: 1,
-            num_workers: 2,
             strategy: PartitionStrategy::Modulo,
             program: ProgramSpec::TopK {
                 params: predict_algorithms::TopKParams::default(),
             },
-            fault: None,
         };
         let ranks = {
             let mut r = vec![0.0f64; g.num_vertices()];
@@ -497,13 +470,17 @@ mod tests {
         let body = encode_init(&header, &shards[1], &ranks);
         let (h2, s2, r2) = decode_init(&body).unwrap();
         assert_eq!(h2, header);
-        assert_eq!(s2.owned(), shards[1].owned());
+        assert_eq!(
+            (s2.worker(), s2.num_workers(), s2.owned()),
+            (1, 2, shards[1].owned())
+        );
         assert_eq!(r2, ranks);
     }
 
-    /// Pins the `Init` body to the sections a worker reads — header, the four
-    /// shard scalars, owned, offsets, targets, optional weights, ranks — so a
-    /// derived structure cannot ride along unnoticed again.
+    /// Pins the `Init` body to the sections a worker reads — a header of
+    /// version, strategy and program, the four shard scalars, owned,
+    /// offsets, targets, optional weights, ranks — so a derived structure or
+    /// a second statement of a fact cannot ride along unnoticed again.
     #[test]
     fn init_body_holds_only_what_a_worker_reads() {
         use predict_graph::{CsrGraph, EdgeList};
@@ -514,18 +491,20 @@ mod tests {
         let unweighted: EdgeList = [(0u32, 1u32), (1, 2), (2, 3), (3, 0), (0, 2)]
             .into_iter()
             .collect();
+        let header = InitHeader {
+            protocol_version: PROTOCOL_VERSION,
+            strategy: PartitionStrategy::Modulo,
+            program: ProgramSpec::ConnectedComponents {},
+        };
+        // The worker index and count are the shard's to state, not the header's.
+        let json = serde_json::to_string(&header).unwrap();
+        assert_eq!(
+            json,
+            r#"{"protocol_version":4,"strategy":"Modulo","program":{"ConnectedComponents":{}}}"#
+        );
         for (list, ranks) in [(weighted, vec![0.25f64; 3]), (unweighted, Vec::new())] {
             let g = CsrGraph::from_edge_list(&list);
-            let header = InitHeader {
-                protocol_version: PROTOCOL_VERSION,
-                worker: 0,
-                num_workers: 2,
-                strategy: PartitionStrategy::Modulo,
-                program: ProgramSpec::ConnectedComponents {},
-                fault: None,
-            };
             for shard in predict_graph::shard_csr(&g, 2, |v| v as usize % 2) {
-                let json = serde_json::to_string(&header).unwrap();
                 let (n, m) = (shard.num_local_vertices(), shard.num_local_edges());
                 let expected = (4 + json.len())      // header
                     + 4 * 8                          // worker, workers, |V|, |E|

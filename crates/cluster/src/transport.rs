@@ -109,6 +109,14 @@ struct WorkerProcess {
     stderr_reader: Option<JoinHandle<()>>,
 }
 
+/// The error of a thread that could not be started for `worker`.
+fn thread_spawn_failed(worker: usize, e: std::io::Error) -> ClusterError {
+    ClusterError::Spawn {
+        worker,
+        detail: format!("spawning an OS thread: {e}"),
+    }
+}
+
 /// A fresh socket pair for `worker`: the driver's end and the worker's.
 fn socket_pair(worker: usize) -> Result<(UnixStream, UnixStream), ClusterError> {
     UnixStream::pair().map_err(|e| ClusterError::Spawn {
@@ -150,11 +158,11 @@ impl Connection {
                 // worker's end: the driver sees a disconnect, exactly like a
                 // process death.
                 let _ = match schedule {
-                    Some(schedule) => serve(&mut FaultEndpoint::new(ep, schedule), false),
-                    None => serve(&mut ep, false),
+                    Some(schedule) => serve(&mut FaultEndpoint::new(ep, schedule)),
+                    None => serve(&mut ep),
                 };
             })
-            .expect("spawning an OS thread");
+            .map_err(|e| thread_spawn_failed(worker, e))?;
         Self::from_socket_stream(worker, driver_end)
     }
 
@@ -189,8 +197,15 @@ impl Connection {
                         Err(_) => break,
                     }
                 }
-            })
-            .expect("spawning an OS thread");
+            });
+        let stderr_reader = match stderr_reader {
+            Ok(reader) => reader,
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(thread_spawn_failed(worker, e));
+            }
+        };
         conn.process = Some(WorkerProcess {
             child,
             stderr,

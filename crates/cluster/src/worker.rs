@@ -28,7 +28,7 @@
 //! ends the loop.
 
 use crate::endpoint::Endpoint;
-use crate::protocol::{self, tag, FaultSpec, InitHeader, StepReport};
+use crate::protocol::{self, tag, InitHeader, StepReport};
 use crate::wire::{encode_to_vec, Wire};
 use predict_algorithms::with_program;
 use predict_bsp::runtime::{EdgeGroups, ShardLayout, WorkerShard};
@@ -38,14 +38,9 @@ use predict_graph::{ShardedCsr, VertexId};
 use std::time::Instant;
 
 /// Serves a worker endpoint until the peer shuts it down (Shutdown frame or
-/// EOF between episodes).
-///
-/// `standalone` selects how an injected crash manifests: a standalone
-/// (process) worker calls `std::process::exit`, an in-process worker
-/// returns `Err`, which drops and so closes its end of the stream — both
-/// look like an abrupt death to the driver. Protocol violations are
-/// reported back through an `Error` frame before returning.
-pub fn serve(ep: &mut impl Endpoint, standalone: bool) -> Result<(), String> {
+/// EOF between episodes). Protocol violations are reported back through an
+/// `Error` frame before returning.
+pub fn serve(ep: &mut impl Endpoint) -> Result<(), String> {
     loop {
         let frame = match ep.recv() {
             Ok(Some(frame)) => frame,
@@ -71,7 +66,7 @@ pub fn serve(ep: &mut impl Endpoint, standalone: bool) -> Result<(), String> {
                 // One monomorphized episode loop per program the header can
                 // name.
                 with_program!(&header.program, ranks, |program| run_episode(
-                    ep, standalone, &header, shard, program
+                    ep, &header, shard, program
                 ))?;
             }
             (other, _) => {
@@ -93,7 +88,6 @@ fn fail(ep: &mut impl Endpoint, message: String) -> Result<(), String> {
 /// One episode: the per-worker superstep loop over an explicit transport.
 fn run_episode<P>(
     ep: &mut impl Endpoint,
-    standalone: bool,
     header: &InitHeader,
     shard_csr: ShardedCsr,
     program: &P,
@@ -103,8 +97,7 @@ where
     P::Message: Wire,
     P::VertexValue: Wire,
 {
-    let me = header.worker;
-    let num_workers = header.num_workers;
+    let (me, num_workers) = (shard_csr.worker(), shard_csr.num_workers());
     let layout = ShardLayout::build(shard_csr.global_vertices(), num_workers, header.strategy);
     if layout.shard_vertices(me) != shard_csr.owned() {
         let msg = format!("shard ownership of worker {me} does not match the layout");
@@ -116,7 +109,6 @@ where
     // group entries, since peers' arrive expanded off the wire.
     let mut groups = vec![EdgeGroups::default(); num_workers];
     groups[me] = EdgeGroups::build(graph, &layout, me);
-    let fault = header.fault.unwrap_or_default();
 
     // Delivery rows of payload handles and the payload tables they index,
     // one of each per source worker. Rows are drained by every delivery,
@@ -155,7 +147,6 @@ where
                 }
                 expected_superstep += 1;
                 let superstep = step as usize;
-                inject_fault(&fault, superstep, standalone)?;
 
                 // Delivery phase: ascending source worker, this worker's own
                 // messages at its own position. Then every payload has been
@@ -214,28 +205,4 @@ where
             }
         }
     }
-}
-
-/// Applies an injected fault at the start of a superstep's compute.
-fn inject_fault(fault: &FaultSpec, superstep: usize, standalone: bool) -> Result<(), String> {
-    if fault.hang_at == Some(superstep) {
-        // Hang forever (well past any driver timeout); the driver's read
-        // timeout is the only way out.
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        }
-    }
-    if fault.crash_at == Some(superstep) {
-        if standalone {
-            predict_obs::diag!(
-                Warn,
-                "cluster_worker: injected crash at superstep {superstep}"
-            );
-            std::process::exit(3);
-        }
-        // In-process: die without an Error frame, so the driver sees an
-        // abrupt disconnect exactly like a process death.
-        return Err(format!("injected crash at superstep {superstep}"));
-    }
-    Ok(())
 }

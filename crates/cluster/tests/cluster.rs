@@ -1,5 +1,8 @@
 //! End-to-end cluster tests: transported runs must be byte-identical to
-//! in-memory runs, and worker failures must surface as structured errors.
+//! in-memory runs, and worker failures must surface as structured errors
+//! naming the worker and the superstep. Failures are injected from outside,
+//! by a fault schedule around one in-process worker's endpoint; the
+//! driver-side code that attributes them is the same for both transports.
 //!
 //! These live in `tests/` of the `predict_cluster` package (not in a
 //! downstream crate) so cargo builds the `cluster_worker` binary before
@@ -10,7 +13,8 @@ use predict_algorithms::{
 };
 use predict_bsp::{BspConfig, BspEngine, HaltReason, TransportMode};
 use predict_cluster::{
-    drive, run_workload, ClusterError, DriveOptions, FaultSpec, ProgramSpec, TransportKind,
+    drive, drive_on, run_workload, ClusterError, Connection, Direction, DriveOptions, FaultAction,
+    FaultSchedule, ProgramSpec, TransportKind, WorkerGroup,
 };
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_graph::CsrGraph;
@@ -179,106 +183,70 @@ fn topk_workload_runs_identically_over_the_cluster() {
     );
 }
 
-#[test]
-fn crashed_socket_worker_reports_superstep_and_stderr() {
+/// Drives PageRank on the test graph over an in-process group whose worker
+/// `faulted` serves behind `schedule`, returning the error the drive must
+/// fail with.
+fn drive_with_faulty_worker(
+    faulted: usize,
+    schedule: FaultSchedule,
+    timeout: Duration,
+) -> ClusterError {
     let graph = test_graph();
+    let config = test_config();
     let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
+    let group = WorkerGroup::spawn_with(TransportKind::InProc, config.workers(), |w| {
+        if w == faulted {
+            Connection::spawn_inproc_faulty(w, schedule.clone())
+        } else {
+            Connection::spawn_inproc(w)
+        }
+    })
+    .expect("spawning the group");
     let opts = DriveOptions {
-        fault: Some((
-            3,
-            FaultSpec {
-                crash_at: Some(1),
-                hang_at: None,
-            },
-        )),
-        ..DriveOptions::new(TransportKind::Socket)
+        timeout,
+        ..DriveOptions::new(TransportKind::InProc)
     };
-    let err = drive(
+    drive_on(
         &PageRank::new(params),
         &ProgramSpec::PageRank { params },
         &[],
         &graph,
-        &test_config(),
+        &config,
         &opts,
+        group,
     )
-    .expect_err("a crashed worker must fail the drive");
-    match err {
-        ClusterError::WorkerDied {
-            worker,
-            superstep,
-            stderr_tail,
-        } => {
-            assert_eq!(worker, 3);
-            assert_eq!(superstep, Some(1));
-            assert!(
-                stderr_tail.contains("injected crash at superstep 1"),
-                "stderr tail must quote the worker's last words, got: {stderr_tail:?}"
-            );
-        }
-        other => panic!("expected WorkerDied, got: {other}"),
+    .expect_err("a faulted worker must fail the drive")
+}
+
+/// Inbound frame 0 is `Init` and frame `s + 1` the `Step` of superstep `s`:
+/// a worker that drops its connection there dies at superstep `s`, and the
+/// driver attributes the death to it.
+#[test]
+fn crashed_inproc_worker_reports_a_death_too() {
+    for (worker, superstep) in [(0, 0), (3, 1)] {
+        let schedule = FaultSchedule::new().at(
+            Direction::Inbound,
+            superstep as u64 + 1,
+            FaultAction::Disconnect,
+        );
+        let err = drive_with_faulty_worker(worker, schedule, Duration::from_secs(120));
+        assert!(
+            matches!(
+                err,
+                ClusterError::WorkerDied { worker: w, superstep: Some(s), .. }
+                    if (w, s) == (worker, superstep)
+            ),
+            "expected WorkerDied of worker {worker} at superstep {superstep}, got: {err}"
+        );
     }
 }
 
-#[test]
-fn crashed_inproc_worker_reports_a_death_too() {
-    let graph = test_graph();
-    let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
-    let opts = DriveOptions {
-        fault: Some((
-            0,
-            FaultSpec {
-                crash_at: Some(0),
-                hang_at: None,
-            },
-        )),
-        ..DriveOptions::new(TransportKind::InProc)
-    };
-    let err = drive(
-        &PageRank::new(params),
-        &ProgramSpec::PageRank { params },
-        &[],
-        &graph,
-        &test_config(),
-        &opts,
-    )
-    .expect_err("a crashed worker must fail the drive");
-    assert!(
-        matches!(
-            err,
-            ClusterError::WorkerDied {
-                worker: 0,
-                superstep: Some(0),
-                ..
-            }
-        ),
-        "expected WorkerDied at superstep 0, got: {err}"
-    );
-}
-
+/// A worker whose `Step` of superstep 1 is held back never answers it; the
+/// driver must time out instead of hanging.
 #[test]
 fn hung_worker_times_out_instead_of_hanging_the_driver() {
-    let graph = test_graph();
-    let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
-    let opts = DriveOptions {
-        timeout: Duration::from_millis(250),
-        fault: Some((
-            1,
-            FaultSpec {
-                crash_at: None,
-                hang_at: Some(1),
-            },
-        )),
-        ..DriveOptions::new(TransportKind::InProc)
-    };
-    let err = drive(
-        &PageRank::new(params),
-        &ProgramSpec::PageRank { params },
-        &[],
-        &graph,
-        &test_config(),
-        &opts,
-    )
-    .expect_err("a hung worker must time the drive out");
+    let schedule = FaultSchedule::new().at(Direction::Inbound, 2, FaultAction::Delay { frames: 1 });
+    let err = drive_with_faulty_worker(1, schedule, Duration::from_millis(250));
     match err {
         ClusterError::Timeout {
             worker, superstep, ..

@@ -3,19 +3,19 @@
 //! the driver. Every drive either completes byte-identical to the in-memory
 //! engine (the fault was absorbed — e.g. a delay released in time) or fails
 //! with a structured [`ClusterError`] naming the worker — and a clean retry
-//! on the same pool-driven path must then reproduce the in-memory bits
+//! on the pooled [`drive`] path must then reproduce the in-memory bits
 //! exactly, pinning the service-level recovery story.
 //!
 //! The schedules run over the in-process transport (worker threads, each on
-//! one end of a socket pair), which makes the battery fast and exact: frame
-//! indices are deterministic, so a failing case shrinks to a repeatable
-//! schedule.
+//! one end of a socket pair), in a group built here and run with
+//! [`drive_on`], which makes the battery fast and exact: frame indices are
+//! deterministic, so a failing case shrinks to a repeatable schedule.
 
 use predict_algorithms::{PageRank, PageRankParams};
 use predict_bsp::{BspConfig, BspEngine};
 use predict_cluster::{
-    drive, ClusterError, Direction, DriveOptions, FaultAction, FaultSchedule, ProgramSpec,
-    TransportKind,
+    drive, drive_on, ClusterError, Connection, Direction, DriveOptions, FaultAction, FaultSchedule,
+    ProgramSpec, TransportKind, WorkerGroup,
 };
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_graph::CsrGraph;
@@ -58,6 +58,37 @@ fn reference_bits() -> &'static Vec<u64> {
         let result = engine.run(test_graph(), &PageRank::new(pagerank_params()));
         result.values.iter().map(|v| v.to_bits()).collect()
     })
+}
+
+/// Drives PageRank on a fresh in-process group whose worker `faulted`
+/// serves behind `schedule`, under a short timeout: a starved drive (a
+/// Delay holding back a frame the episode never replaces) stays quick and
+/// must still be classified as a Timeout, not hang.
+fn drive_faulted(
+    faulted: usize,
+    schedule: &FaultSchedule,
+) -> Result<predict_bsp::BspRunResult<f64>, ClusterError> {
+    let params = pagerank_params();
+    let group = WorkerGroup::spawn_with(TransportKind::InProc, NUM_WORKERS, |w| {
+        if w == faulted {
+            Connection::spawn_inproc_faulty(w, schedule.clone())
+        } else {
+            Connection::spawn_inproc(w)
+        }
+    })?;
+    let opts = DriveOptions {
+        timeout: Duration::from_millis(400),
+        ..DriveOptions::new(TransportKind::InProc)
+    };
+    drive_on(
+        &PageRank::new(params),
+        &ProgramSpec::PageRank { params },
+        &[],
+        test_graph(),
+        &test_config(),
+        &opts,
+        group,
+    )
 }
 
 /// All five fault kinds, selected by a discriminant draw (the vendored
@@ -103,20 +134,7 @@ proptest! {
         schedule in fault_schedule(),
         faulted_worker in 0usize..NUM_WORKERS,
     ) {
-        let graph = test_graph();
-        let config = test_config();
-        let params = pagerank_params();
-        let program = PageRank::new(params);
-        let spec = ProgramSpec::PageRank { params };
-
-        // A short deadline keeps starved drives (a Delay holding back a
-        // frame the episode never replaces) quick; the driver must still
-        // classify them as Timeout, not hang.
-        let mut opts = DriveOptions::new(TransportKind::InProc);
-        opts.timeout = Duration::from_millis(400);
-        opts.endpoint_fault = Some((faulted_worker, schedule));
-
-        match drive(&program, &spec, &[], graph, &config, &opts) {
+        match drive_faulted(faulted_worker, &schedule) {
             Ok(result) => {
                 let bits: Vec<u64> = result.values.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(
@@ -138,30 +156,16 @@ proptest! {
             }
         }
 
-        // The faulted group is never repooled, so the retry must see only
+        // The faulted group is never pooled, so the retry must see only
         // healthy workers and reproduce the in-memory bits exactly.
+        let params = pagerank_params();
         let clean = DriveOptions::new(TransportKind::InProc);
-        let retry = drive(&program, &spec, &[], graph, &config, &clean)
+        let spec = ProgramSpec::PageRank { params };
+        let retry = drive(&PageRank::new(params), &spec, &[], test_graph(), &test_config(), &clean)
             .expect("clean retry after a faulted drive succeeds");
         let bits: Vec<u64> = retry.values.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(&bits, reference_bits(), "clean retry matches in-memory bits");
     }
-}
-
-/// The canned seeded schedules are platform-stable; pin one so a silent
-/// change to the generator (which would re-map every recorded repro seed)
-/// fails loudly.
-#[test]
-fn seeded_schedules_are_stable() {
-    let a = FaultSchedule::seeded(42, 3, 10);
-    let b = FaultSchedule::seeded(42, 3, 10);
-    assert_eq!(a, b, "same seed, same schedule");
-    assert!(!a.is_empty());
-    assert_ne!(
-        a,
-        FaultSchedule::seeded(43, 3, 10),
-        "different seeds diverge"
-    );
 }
 
 /// A deterministic end-to-end repro of the nastiest single fault: the
@@ -169,22 +173,9 @@ fn seeded_schedules_are_stable() {
 /// with a disconnect. The driver must name the worker rather than stall.
 #[test]
 fn disconnect_on_first_outbound_frame_names_the_worker() {
-    let graph = test_graph();
-    let config = test_config();
-    let params = pagerank_params();
     let schedule = FaultSchedule::new().at(Direction::Outbound, 0, FaultAction::Disconnect);
-    let mut opts = DriveOptions::new(TransportKind::InProc);
-    opts.timeout = Duration::from_millis(400);
-    opts.endpoint_fault = Some((1, schedule));
-    let err = drive(
-        &PageRank::new(params),
-        &ProgramSpec::PageRank { params },
-        &[],
-        graph,
-        &config,
-        &opts,
-    )
-    .expect_err("a disconnected worker cannot complete a drive");
+    let err =
+        drive_faulted(1, &schedule).expect_err("a disconnected worker cannot complete a drive");
     match err {
         ClusterError::WorkerDied { worker, .. } => assert_eq!(worker, 1),
         ClusterError::Timeout { worker, .. } => assert_eq!(worker, 1),

@@ -68,7 +68,7 @@ where
         serving.push(std::thread::spawn(move || {
             let reader = worker_side.try_clone().expect("cloning the worker socket");
             let inner = StreamEndpoint::new(reader, worker_side);
-            serve(&mut Recording { inner, log }, false)
+            serve(&mut Recording { inner, log })
         }));
         Connection::from_socket_stream(w, driver_side)
     })

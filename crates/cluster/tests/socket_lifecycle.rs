@@ -6,7 +6,8 @@
 //! a peer that dies before `INIT` must surface as
 //! [`ClusterError::WorkerDied`], a peer that never speaks must surface as
 //! [`ClusterError::Timeout`], a killed worker process must read as a death
-//! at once, and a group whose spawn fails partway must reap every process it
+//! at once, a worker that fails must be reported with the tail of its
+//! stderr, and a group whose spawn fails partway must reap every process it
 //! already created.
 //!
 //! Lives in `tests/` of the `predict_cluster` package so cargo builds the
@@ -143,6 +144,29 @@ fn killed_socket_worker_reads_as_a_death_at_once() {
         "expected WorkerDied, got {err:?}"
     );
     assert!(waited < Duration::from_secs(5), "took {waited:?}");
+}
+
+/// A socket worker that meets a protocol violation says why on its stderr
+/// and exits; the driver reports the death with those last words.
+#[test]
+fn failed_socket_worker_reports_its_stderr_tail() {
+    let mut conn = Connection::spawn_socket(0).expect("spawning a socket worker");
+    conn.send(0x66, &[]).expect("sending an unknown tag");
+    let (tag, _) = conn
+        .recv(Duration::from_secs(30))
+        .expect("the worker answers with an error frame");
+    assert_eq!(tag, predict_cluster::protocol::tag::ERROR);
+    match conn.recv(Duration::from_secs(30)) {
+        Err(ClusterError::WorkerDied {
+            worker: 0,
+            stderr_tail,
+            ..
+        }) => assert!(
+            stderr_tail.contains("unexpected frame tag"),
+            "stderr tail must quote the worker's last words, got: {stderr_tail:?}"
+        ),
+        other => panic!("expected WorkerDied, got {other:?}"),
+    }
 }
 
 /// Waits for `/proc/<pid>` to disappear; panics if the process is still

@@ -739,7 +739,7 @@ mod tests {
         let workload: Arc<dyn Workload> =
             Arc::new(PageRankWorkload::with_epsilon(0.01, g.num_vertices()));
         let req = PredictRequest::new("Lost", Arc::clone(&g), Arc::clone(&workload));
-        let seeded = |seed| {
+        let at_seed = |seed| {
             req.clone()
                 .with_config(PredictorConfig::single_ratio(0.1).with_seed(seed))
         };
@@ -779,7 +779,7 @@ mod tests {
         // A pooled batch: whichever request pops the poisoned group reports
         // the typed error in its slot (not `WorkerPanicked`), the other runs.
         poison_the_pooled_group();
-        let results = svc.submit_batch(&[seeded(5), seeded(6)], 2);
+        let results = svc.submit_batch(&[at_seed(5), at_seed(6)], 2);
         let (failed, served): (Vec<_>, Vec<_>) = results.iter().partition(|r| r.is_err());
         assert_eq!((failed.len(), served.len()), (1, 1), "{results:?}");
         assert_worker_2_died(failed[0]);
