@@ -15,9 +15,13 @@
 //! superstep phase of the in-memory runtime, its calls, total time, and time
 //! per unit of work — nanoseconds per active vertex for `bsp.compute`, per
 //! delivered message for `bsp.deliver` — from the counts each phase span
-//! carries, so a kernel change can show its gain on one phase. The metrics
-//! table renders the snapshot the trace guard embedded under the file's
-//! `metrics` key:
+//! carries, so a kernel change can show its gain on one phase. A store
+//! summary follows when the trace read the artifact store: per artifact
+//! kind, its reads and hits, and the total and mean milliseconds spent in
+//! each read stage — the whole `store.read`, its `store.decompress` and
+//! `store.decode`, and the typed `store.deserialize` after it — grouped by
+//! the `kind` argument those spans carry. The metrics table renders the
+//! snapshot the trace guard embedded under the file's `metrics` key:
 //! counters, gauges, and histogram count/p50/p90/p99 (quantiles are bucket
 //! upper bounds, in microseconds for `*_ns` instruments).
 //!
@@ -33,6 +37,14 @@ const DEFAULT_EVENT_CAP: usize = 200;
 /// the phase's units of work.
 const PHASES: [(&str, &str); 2] = [("bsp.compute", "active"), ("bsp.deliver", "messages")];
 
+/// The read stages the store summary covers, in the order a read runs them.
+const STORE_STAGES: [&str; 4] = [
+    "store.read",
+    "store.decompress",
+    "store.decode",
+    "store.deserialize",
+];
+
 /// One decoded trace event (only the fields the viewer needs).
 struct Event {
     name: String,
@@ -40,6 +52,14 @@ struct Event {
     dur_us: f64,
     tid: u64,
     args: Vec<(String, String)>,
+}
+
+impl Event {
+    /// The rendered value of argument `key`, if the span carries it.
+    fn arg(&self, key: &str) -> Option<&str> {
+        let found = self.args.iter().find(|(k, _)| k == key);
+        found.map(|(_, v)| v.as_str())
+    }
 }
 
 fn lookup<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
@@ -151,8 +171,7 @@ fn print_phases(events: &[Event]) {
         for event in events.iter().filter(|e| e.name == name) {
             calls += 1;
             total_us += event.dur_us;
-            let count = event.args.iter().find(|(k, _)| k == unit);
-            units += count.and_then(|(_, v)| v.parse::<u64>().ok()).unwrap_or(0);
+            units += event.arg(unit).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
         }
         if calls == 0 {
             continue;
@@ -173,6 +192,48 @@ fn print_phases(events: &[Event]) {
             total_us / 1e3
         );
     }
+}
+
+/// Renders one row per artifact kind that `store.read` spans name — reads,
+/// hits (reads that carry `payload_bytes`), and total / mean milliseconds
+/// per [`STORE_STAGES`] entry — or `None` when the trace read no store.
+fn store_summary(events: &[Event]) -> Option<String> {
+    use std::fmt::Write;
+    let mut kinds: Vec<&str> = events
+        .iter()
+        .filter(|e| e.name == STORE_STAGES[0])
+        .filter_map(|e| e.arg("kind"))
+        .collect();
+    kinds.sort();
+    kinds.dedup();
+    if kinds.is_empty() {
+        return None;
+    }
+    let mut out = format!("== store ==\n{:<12} {:>7} {:>7}", "kind", "reads", "hits");
+    for stage in STORE_STAGES {
+        let stage = stage.trim_start_matches("store.");
+        let _ = write!(out, " {:>16} {:>10}", format!("{stage}_ms"), "mean_ms");
+    }
+    for kind in &kinds {
+        let of_kind = |e: &&Event| e.arg("kind") == Some(kind);
+        let reads: Vec<&Event> = events
+            .iter()
+            .filter(|e| e.name == STORE_STAGES[0])
+            .filter(of_kind)
+            .collect();
+        let hits = reads.iter().filter(|e| e.arg("payload_bytes").is_some());
+        let _ = write!(out, "\n{kind:<12} {:>7} {:>7}", reads.len(), hits.count());
+        for stage in STORE_STAGES {
+            let (mut calls, mut total_us) = (0u64, 0.0);
+            for event in events.iter().filter(|e| e.name == stage).filter(of_kind) {
+                calls += 1;
+                total_us += event.dur_us;
+            }
+            let mean_ms = total_us / 1e3 / calls.max(1) as f64;
+            let _ = write!(out, " {:>16.3} {mean_ms:>10.4}", total_us / 1e3);
+        }
+    }
+    Some(out)
 }
 
 /// Prints the embedded metrics snapshot: counters and gauges as name/value
@@ -274,5 +335,57 @@ pub fn run(args: &[String]) {
     let mut events = decode_events(&root);
     print_timeline(&mut events, full);
     print_phases(&events);
+    if let Some(summary) = store_summary(&events) {
+        println!("\n{summary}");
+    }
     print_metrics(&root);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn event(name: &str, dur_us: f64, args: &[(&str, &str)]) -> Event {
+        Event {
+            name: name.to_string(),
+            ts_us: 0.0,
+            dur_us,
+            tid: 1,
+            args: args
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn store_summary_groups_read_stages_by_kind() {
+        let hit = [("kind", "sample_run"), ("payload_bytes", "900")];
+        let events = [
+            event("store.read", 30.0, &hit),
+            event("store.decompress", 4.0, &[("kind", "sample_run")]),
+            event("store.decode", 10.0, &[("kind", "sample_run")]),
+            event("store.read", 10.0, &[("kind", "sample_run")]),
+            event("store.read", 8.0, &[("kind", "model"), ("payload_bytes", "1")]),
+            event("bsp.compute", 99.0, &[("active", "3")]),
+        ];
+        let summary = store_summary(&events).expect("the trace read the store");
+        let lines: Vec<&str> = summary.lines().collect();
+        assert_eq!(lines[0], "== store ==");
+        assert!(lines[1].contains("decompress_ms") && lines[1].contains("deserialize_ms"));
+        // Kinds sort by name; a miss (no payload_bytes) is a read, not a hit.
+        let model: Vec<&str> = lines[2].split_whitespace().collect();
+        assert_eq!(model[..5], ["model", "1", "1", "0.008", "0.0080"]);
+        let sample_run: Vec<&str> = lines[3].split_whitespace().collect();
+        assert_eq!(
+            sample_run[..9],
+            ["sample_run", "2", "1", "0.040", "0.0200", "0.004", "0.0040", "0.010", "0.0100"]
+        );
+        assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn store_summary_is_absent_without_store_reads() {
+        assert!(store_summary(&[event("bsp.compute", 1.0, &[])]).is_none());
+    }
 }

@@ -5,15 +5,21 @@
 //! and byte counts. The BSP engine maintains exactly these counters for every
 //! worker in every superstep, mirroring how the paper instruments the code
 //! path of each Giraph worker (section 3.4, "Training Methodology").
+//!
+//! One worker's counters serialize as a map of the six fields; a slice of
+//! them (the workers of a superstep, or of a whole run) as six `u64`
+//! columns under the same keys, so a stored profile decodes a handful of
+//! columns instead of a map per worker. A boxed sequence of per-worker maps,
+//! the form JSON and older stores hold, still deserializes.
 
-use serde::{Deserialize, Serialize};
+use serde::{boxed_seq, get_field, Deserialize, Error, Packed, Serialize, Value};
 
 /// Counters collected by a single worker during a single superstep.
 ///
 /// "Local" messages have a destination vertex assigned to the same worker as
 /// the sender; "remote" messages cross workers and therefore the (simulated)
 /// network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerCounters {
     /// Number of vertices that executed the compute function this superstep.
     pub active_vertices: u64,
@@ -99,6 +105,102 @@ impl WorkerCounters {
             local_message_bytes: self.local_message_bytes + other.local_message_bytes,
             remote_message_bytes: self.remote_message_bytes + other.remote_message_bytes,
         }
+    }
+}
+
+/// The serialized field names, in declaration order: the keys of one
+/// worker's map and of the columns a slice of workers becomes.
+const FIELDS: [&str; 6] = [
+    "active_vertices",
+    "total_vertices",
+    "local_messages",
+    "remote_messages",
+    "local_message_bytes",
+    "remote_message_bytes",
+];
+
+impl WorkerCounters {
+    /// The fields in [`FIELDS`] order.
+    fn to_fields(self) -> [u64; 6] {
+        [
+            self.active_vertices,
+            self.total_vertices,
+            self.local_messages,
+            self.remote_messages,
+            self.local_message_bytes,
+            self.remote_message_bytes,
+        ]
+    }
+
+    /// Inverse of [`to_fields`](Self::to_fields).
+    fn from_fields(f: [u64; 6]) -> Self {
+        Self {
+            active_vertices: f[0],
+            total_vertices: f[1],
+            local_messages: f[2],
+            remote_messages: f[3],
+            local_message_bytes: f[4],
+            remote_message_bytes: f[5],
+        }
+    }
+}
+
+impl Serialize for WorkerCounters {
+    fn serialize_value(&self) -> Value {
+        let fields = self.to_fields();
+        Value::Map(
+            FIELDS
+                .iter()
+                .zip(fields)
+                .map(|(key, v)| (key.to_string(), Value::UInt(v)))
+                .collect(),
+        )
+    }
+
+    /// Six `U64` columns, one per field.
+    fn serialize_slice(slice: &[Self]) -> Value {
+        Value::Map(
+            FIELDS
+                .iter()
+                .enumerate()
+                .map(|(i, key)| {
+                    let column = slice.iter().map(|w| w.to_fields()[i]).collect();
+                    (key.to_string(), Value::Packed(Packed::U64(column)))
+                })
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for WorkerCounters {
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| Error::msg(format!("expected WorkerCounters map, got {value:?}")))?;
+        let mut fields = [0u64; 6];
+        for (slot, key) in fields.iter_mut().zip(FIELDS) {
+            *slot = u64::deserialize_value(get_field(entries, key)?)?;
+        }
+        Ok(Self::from_fields(fields))
+    }
+
+    /// Reads the six columns [`serialize_slice`](Serialize::serialize_slice)
+    /// writes, or a boxed sequence of per-worker maps.
+    fn deserialize_seq(value: &Value) -> Result<Vec<Self>, Error> {
+        let Value::Map(entries) = value else {
+            return boxed_seq(value);
+        };
+        let mut columns: [Vec<u64>; 6] = Default::default();
+        for (column, key) in columns.iter_mut().zip(FIELDS) {
+            *column = Vec::deserialize_value(get_field(entries, key)?)?;
+        }
+        let len = columns[0].len();
+        if columns.iter().any(|c| c.len() != len) {
+            return Err(Error::msg("WorkerCounters columns differ in length"));
+        }
+        Ok((0..len)
+            .map(|i| Self::from_fields(columns.each_ref().map(|c| c[i])))
+            .collect())
     }
 }
 

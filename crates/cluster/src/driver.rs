@@ -98,7 +98,9 @@ where
 /// Runs one drive on a caller-provided worker group — for tests and tools
 /// that build groups through custom spawns (workers behind a fault
 /// schedule, a recording endpoint or a raw socket stream). The group is
-/// consumed: healthy or not, it is never pooled.
+/// consumed: healthy or not, it is never pooled. A group whose size is not
+/// `config.workers()` fails with [`ClusterError::GroupSize`] before any
+/// worker is sent a frame.
 pub fn drive_on<P>(
     program: &P,
     spec: &ProgramSpec,
@@ -112,6 +114,10 @@ where
     P: VertexProgram,
     P::VertexValue: Wire,
 {
+    let (expected, actual) = (config.workers(), group.connections.len());
+    if actual != expected {
+        return Err(ClusterError::GroupSize { expected, actual });
+    }
     drive_on_group(program, spec, ranks, graph, config, opts, &mut group)
 }
 

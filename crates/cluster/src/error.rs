@@ -102,6 +102,14 @@ pub enum ClusterError {
         /// The worker's message.
         message: String,
     },
+    /// A caller-built group does not have one worker per shard of the
+    /// configuration; found before any worker is sent a frame.
+    GroupSize {
+        /// Workers the configuration shards the graph over.
+        expected: usize,
+        /// Workers in the group.
+        actual: usize,
+    },
 }
 
 impl ClusterError {
@@ -171,6 +179,12 @@ impl fmt::Display for ClusterError {
             }
             Self::Remote { worker, message } => {
                 write!(f, "cluster worker {worker} reported an error: {message}")
+            }
+            Self::GroupSize { expected, actual } => {
+                write!(
+                    f,
+                    "worker group has {actual} workers, the configuration shards over {expected}"
+                )
             }
         }
     }

@@ -269,3 +269,39 @@ fn test_runs_actually_converge() {
     assert_eq!(result.halt_reason, HaltReason::MasterConverged);
     assert!(result.profile.supersteps.len() > 2);
 }
+
+/// A caller-built group of the wrong size fails at once with a typed error
+/// naming both sizes — before any `Init`, so neither an index past the
+/// group's end nor a worker waiting for a shard that never comes.
+#[test]
+fn a_group_of_the_wrong_size_is_refused_before_init() {
+    let graph = test_graph();
+    let config = BspConfig {
+        num_workers: 3,
+        ..BspConfig::default()
+    };
+    let params = PageRankParams::with_epsilon(0.01, graph.num_vertices());
+    for actual in [2, 4] {
+        let group = WorkerGroup::spawn(TransportKind::InProc, actual).expect("spawning the group");
+        let started = std::time::Instant::now();
+        let err = drive_on(
+            &PageRank::new(params),
+            &ProgramSpec::PageRank { params },
+            &[],
+            &graph,
+            &config,
+            &DriveOptions::new(TransportKind::InProc),
+            group,
+        )
+        .expect_err("a group of the wrong size must fail the drive");
+        assert_eq!(
+            err,
+            ClusterError::GroupSize {
+                expected: 3,
+                actual
+            }
+        );
+        assert!(err.to_string().contains(&format!("{actual} workers")));
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+}

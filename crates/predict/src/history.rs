@@ -173,6 +173,36 @@ mod tests {
     }
 
     #[test]
+    fn a_history_file_of_the_boxed_profile_form_still_loads() {
+        // What `save` wrote before profiles serialized as columns: one map
+        // per superstep, one map per worker.
+        let worker = r#"{"active_vertices": 0, "total_vertices": 50, "local_messages": 0,
+            "remote_messages": 0, "local_message_bytes": 0, "remote_message_bytes": 0}"#;
+        let step = |s: usize| {
+            format!(
+                r#"{{"superstep": {s}, "workers": [{worker}, {worker}],
+                "worker_times_ms": [1.0, 2.0], "wall_time_ms": 5.0,
+                "aggregates": {{"values": {{}}}}}}"#
+            )
+        };
+        let old = format!(
+            r#"{{"runs": [{{"workload": "PR", "dataset": "Wiki", "profile": {{
+                "algorithm": "pagerank", "num_vertices": 100, "num_edges": 500,
+                "num_workers": 2, "setup_ms": 1.0, "read_ms": 2.0, "write_ms": 3.0,
+                "supersteps": [{}, {}]}}}}]}}"#,
+            step(0),
+            step(1)
+        );
+        let mut expected = HistoryStore::new();
+        expected.record("PR", "Wiki", profile("pagerank", 2));
+        assert_eq!(HistoryStore::from_json(&old).unwrap(), expected);
+        // Saving again writes the column form, which reads back the same.
+        let columns = expected.to_json().unwrap();
+        assert!(columns.contains("\"worker_count\""), "{columns}");
+        assert_eq!(HistoryStore::from_json(&columns).unwrap(), expected);
+    }
+
+    #[test]
     fn a_non_finite_timing_survives_the_json_roundtrip() {
         // Non-finite floats serialize as `null` (JSON has no NaN literal); a
         // store containing one must still load — it comes back as NaN rather

@@ -442,7 +442,7 @@ impl ArtifactStore {
         key: &str,
         provenance: u64,
     ) -> (Option<Value>, Option<MissReason>) {
-        let _span = span("store.read");
+        let mut read_span = span("store.read").arg("kind", kind.name());
         self.metrics.reads.incr();
         let path = self.artifact_path(kind, key);
         let mut bytes = Vec::new();
@@ -455,9 +455,11 @@ impl ArtifactStore {
             }
             Err(_) => return (None, Some(MissReason::Absent)),
         }
+        read_span.set_arg("file_bytes", bytes.len());
 
         match self.parse_file(&bytes, kind, key, provenance) {
-            Ok(ParseOutcome::Hit(value)) => {
+            Ok(ParseOutcome::Hit(value, payload_bytes)) => {
+                read_span.set_arg("payload_bytes", payload_bytes);
                 self.metrics.hits.incr();
                 (Some(value), None)
             }
@@ -480,6 +482,7 @@ impl ArtifactStore {
         provenance: u64,
     ) -> Option<T> {
         let value = self.get(kind, key, provenance)?;
+        let _span = span("store.deserialize").arg("kind", kind.name());
         match T::deserialize_value(&value) {
             Ok(artifact) => Some(artifact),
             Err(err) => {
@@ -564,7 +567,7 @@ impl ArtifactStore {
             return Err("decompressed length mismatch");
         }
         let tree = {
-            let _span = span("store.decompress");
+            let _span = span("store.decompress").arg("kind", kind.name());
             lz4_flex::decompress_size_prepended(compressed)
                 .map_err(|_| "payload decompression failed")?
         };
@@ -574,9 +577,12 @@ impl ArtifactStore {
         if payload_checksum.finish() != manifest.payload_checksum {
             return Err("payload checksum mismatch");
         }
-        let _span = span("store.decode");
+        let _span = span("store.decode").arg("kind", kind.name());
         let value = decode_value(&tree, columns).map_err(|_| "payload decode failed")?;
-        Ok(ParseOutcome::Hit(value))
+        Ok(ParseOutcome::Hit(
+            value,
+            (tree.len() + columns.len()) as u64,
+        ))
     }
 
     fn quarantine(&self, path: &Path, reason: &str) {
@@ -607,7 +613,8 @@ impl ArtifactStore {
 }
 
 enum ParseOutcome {
-    Hit(Value),
+    /// The decoded value and its payload size (tree + columns, uncompressed).
+    Hit(Value, u64),
     Stale,
 }
 
