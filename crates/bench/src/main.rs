@@ -58,8 +58,8 @@ fn main() -> ExitCode {
     if let Some(&(name, run)) = EXPERIMENTS.iter().find(|(name, _)| name == command) {
         // One guard per experiment process: it writes the trace file and the
         // `[store-summary]` line `scenario_runner --expect-warm` parses. Only
-        // tools that do engine work install one; a guard in the
-        // `scenario_runner` parent would overwrite its children's trace.
+        // experiments install one; `scenario_runner` hands each child its
+        // own trace path and records nothing itself.
         let _obs = predict_bench::observability_guard();
         return match run() {
             Ok(()) => ExitCode::SUCCESS,

@@ -16,8 +16,11 @@
 //! ```
 //!
 //! The scenarios are the experiments registered in `main.rs`. Each runs as a
-//! child process of this binary (`predict_bench <name>`), so its metrics, its
-//! `[store-summary]` line and its `PREDICT_TRACE` file are its own.
+//! child process of this binary (`predict_bench <name>`), so its metrics and
+//! its `[store-summary]` line are its own, and so is its trace: with
+//! `PREDICT_TRACE=<dir>/<stem>.json` set, scenario `<name>` writes
+//! `<dir>/<stem>.<name>.json` (render them together with `predict_bench
+//! trace_view <dir>/<stem>.*.json`).
 //!
 //! `--expect-warm` requires `PREDICT_STORE` to point at a directory a prior
 //! pass already populated: every scenario must still match its golden *and*
@@ -28,10 +31,9 @@
 //!
 //! Scenarios execute at `PREDICT_SCALE=small` (goldens are small-scale
 //! artifacts; override by exporting `PREDICT_SCALE` yourself) and honor
-//! `PREDICT_THREADS` and `PREDICT_TRANSPORT`, so CI can assert that 1-thread
-//! and 4-thread sweeps — and the in-memory, in-process and
-//! Unix-domain-socket transports — all produce the same goldens. The summary table carries a
-//! transport column recording which transport each scenario ran under, and a
+//! `PREDICT_TRANSPORT`, so CI can assert that the in-memory, in-process and
+//! Unix-domain-socket transports all produce the same goldens. The summary
+//! table's header records which transport the scenarios ran under, and a
 //! scenario that dies mid-run (e.g. a killed cluster worker) surfaces the
 //! tail of its stderr, which includes the worker id, superstep and worker
 //! stderr carried by the structured cluster error. Exit code: 0 when every
@@ -53,19 +55,42 @@ struct ScenarioRun {
     stderr: String,
 }
 
-fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
-    // A file an earlier run left behind must never stand in for this run's.
-    let json_path = predict_bench::output_dir().join(format!("{name}.json"));
-    match std::fs::remove_file(&json_path) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(format!("could not remove stale {}: {e}", json_path.display())),
+/// Deletes `path` so a file an earlier run left behind never stands in for
+/// this run's.
+fn remove_stale(path: &Path) -> Result<(), String> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(format!("could not remove stale {}: {e}", path.display())),
     }
+}
+
+/// The trace file scenario `name` writes when the runner's own trace path
+/// is `trace`: `<dir>/<stem>.json` becomes `<dir>/<stem>.<name>.json` (a
+/// path without an extension gets `.<name>` appended).
+fn scenario_trace_path(trace: &Path, name: &str) -> PathBuf {
+    let mut file = trace.file_stem().unwrap_or_default().to_os_string();
+    file.push(format!(".{name}"));
+    if let Some(ext) = trace.extension() {
+        file.push(".");
+        file.push(ext);
+    }
+    trace.with_file_name(file)
+}
+
+fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
+    let json_path = predict_bench::output_dir().join(format!("{name}.json"));
+    remove_stale(&json_path)?;
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate current exe: {e}"))?;
     let scale = std::env::var("PREDICT_SCALE").unwrap_or_else(|_| "small".to_string());
-    let output = Command::new(&exe)
-        .arg(name)
-        .env("PREDICT_SCALE", &scale)
+    let mut child = Command::new(&exe);
+    child.arg(name).env("PREDICT_SCALE", &scale);
+    if let Some(trace) = predict_bsp::env_trace_path() {
+        let trace = scenario_trace_path(&trace, name);
+        remove_stale(&trace)?;
+        child.env(predict_bsp::knobs::TRACE_VAR, trace);
+    }
+    let output = child
         .output()
         .map_err(|e| format!("could not launch {} {name}: {e}", exe.display()))?;
     if !output.status.success() {
@@ -142,23 +167,18 @@ struct Outcome {
 
 /// Prints the aligned status-per-scenario table every run ends with, so a CI
 /// log shows the full blast radius of a golden mismatch at a glance instead
-/// of only the first diff encountered. The transport column records which
-/// executor produced each artifact — goldens are transport-independent, so
-/// the same table must read `ok` under every column value.
+/// of only the first diff encountered. The header records which executor
+/// produced every artifact — goldens are transport-independent, so the same
+/// table must read `ok` under every transport.
 fn print_summary(outcomes: &[Outcome], transport: &str) {
     let width = outcomes.iter().map(|o| o.name.len()).max().unwrap_or(8);
-    let twidth = transport.len().max("transport".len());
-    println!("\n== scenario summary ==");
-    println!(
-        "{:<width$}  stat  {:<twidth$}  detail",
-        "scenario", "transport"
-    );
+    println!("\n== scenario summary (transport: {transport}) ==");
+    println!("{:<width$}  stat  detail", "scenario");
     for o in outcomes {
         println!(
-            "{:<width$}  {}  {:<twidth$}  {}",
+            "{:<width$}  {}  {}",
             o.name,
             if o.failed { "FAIL" } else { "ok  " },
-            transport,
             o.status
         );
     }
@@ -292,5 +312,23 @@ pub fn run(args: &[String]) {
     print_summary(&outcomes, transport);
     if outcomes.iter().any(|o| o.failed) {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_scenario_gets_its_own_trace_file() {
+        let trace = Path::new("target/experiments/scenarios.trace.json");
+        assert_eq!(
+            scenario_trace_path(trace, "fig4_pagerank_iterations"),
+            Path::new("target/experiments/scenarios.trace.fig4_pagerank_iterations.json")
+        );
+        assert_eq!(
+            scenario_trace_path(Path::new("trace"), "upper_bounds"),
+            Path::new("trace.upper_bounds")
+        );
     }
 }

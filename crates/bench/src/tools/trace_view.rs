@@ -1,12 +1,18 @@
-//! Trace viewer: renders a Chrome trace-event file produced via
+//! Trace viewer: renders Chrome trace-event files produced via
 //! `PREDICT_TRACE` as a text timeline plus a metrics table.
 //!
-//! Any experiment exports a trace when the knob is set:
+//! Any experiment exports a trace when the knob is set, and a traced
+//! `scenario_runner` pass writes one file per scenario:
 //!
 //! ```text
 //! PREDICT_TRACE=target/experiments/fig4.trace.json predict_bench fig4_pagerank_iterations
 //! predict_bench trace_view target/experiments/fig4.trace.json [--full]
+//! predict_bench trace_view target/experiments/scenarios.trace.*.json
 //! ```
+//!
+//! Given several files, the viewer reads them as one trace: the timeline
+//! keeps each file's threads apart, the phase and store summaries sum over
+//! every file, and each file's metrics table follows under its name.
 //!
 //! The timeline groups events by thread and indents by span nesting
 //! (recomputed from the event intervals, exactly as chrome://tracing stacks
@@ -22,8 +28,8 @@
 //! `store.decode`, and the typed `store.deserialize` after it — grouped by
 //! the `kind` argument those spans carry. The metrics table renders the
 //! snapshot the trace guard embedded under the file's `metrics` key:
-//! counters, gauges, and histogram count/p50/p90/p99 (quantiles are bucket
-//! upper bounds, in microseconds for `*_ns` instruments).
+//! counters and histogram count/p50/p90/p99 (quantiles are bucket upper
+//! bounds, in microseconds for `*_ns` instruments).
 //!
 //! By default long timelines are truncated to the first
 //! [`DEFAULT_EVENT_CAP`] events; pass `--full` to print everything.
@@ -50,6 +56,9 @@ struct Event {
     name: String,
     ts_us: f64,
     dur_us: f64,
+    /// Index of the trace file the event came from; two files' thread ids
+    /// never share a timeline group.
+    source: usize,
     tid: u64,
     args: Vec<(String, String)>,
 }
@@ -90,7 +99,7 @@ fn render_arg(value: &Value) -> String {
     }
 }
 
-fn decode_events(root: &[(String, Value)]) -> Vec<Event> {
+fn decode_events(root: &[(String, Value)], source: usize) -> Vec<Event> {
     let Some(Value::Seq(items)) = lookup(root, "traceEvents") else {
         return Vec::new();
     };
@@ -105,6 +114,7 @@ fn decode_events(root: &[(String, Value)]) -> Vec<Event> {
                 },
                 ts_us: as_f64(lookup(map, "ts")?)?,
                 dur_us: as_f64(lookup(map, "dur")?)?,
+                source,
                 tid: as_u64(lookup(map, "tid")?)?,
                 args: match lookup(map, "args") {
                     Some(Value::Map(args)) => args
@@ -120,15 +130,16 @@ fn decode_events(root: &[(String, Value)]) -> Vec<Event> {
 
 /// Prints the per-thread timeline, indenting by nesting depth. Depth is
 /// recomputed from the intervals: a span nests under every span on the same
-/// thread whose interval still covers its start.
-fn print_timeline(events: &mut [Event], full: bool) {
+/// thread whose interval still covers its start. With several files, each
+/// thread heading names the file (`paths[source]`) its events came from.
+fn print_timeline(events: &mut [Event], paths: &[&String], full: bool) {
     events.sort_by(|a, b| {
-        (a.tid, a.ts_us)
-            .partial_cmp(&(b.tid, b.ts_us))
+        (a.source, a.tid, a.ts_us)
+            .partial_cmp(&(b.source, b.tid, b.ts_us))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     println!("== timeline ({} events) ==", events.len());
-    let mut current_tid = None;
+    let mut current_thread = None;
     let mut open_ends: Vec<f64> = Vec::new();
     for (printed, event) in events.iter().enumerate() {
         if printed >= DEFAULT_EVENT_CAP && !full {
@@ -138,10 +149,13 @@ fn print_timeline(events: &mut [Event], full: bool) {
             );
             break;
         }
-        if current_tid != Some(event.tid) {
-            current_tid = Some(event.tid);
+        if current_thread != Some((event.source, event.tid)) {
+            current_thread = Some((event.source, event.tid));
             open_ends.clear();
-            println!("-- thread {} --", event.tid);
+            match paths {
+                [_] => println!("-- thread {} --", event.tid),
+                _ => println!("-- {} thread {} --", paths[event.source], event.tid),
+            }
         }
         // Epsilon guards float round-trip of equal open/close timestamps.
         open_ends.retain(|&end| end > event.ts_us + 1e-9);
@@ -236,18 +250,15 @@ fn store_summary(events: &[Event]) -> Option<String> {
     Some(out)
 }
 
-/// Prints the embedded metrics snapshot: counters and gauges as name/value
-/// rows, histograms with count and bucket-derived quantiles.
-fn print_metrics(root: &[(String, Value)]) {
+/// Prints the embedded metrics snapshot under `heading`: counters as
+/// name/value rows, histograms with count and bucket-derived quantiles.
+fn print_metrics(root: &[(String, Value)], heading: &str) {
     let Some(Value::Map(metrics)) = lookup(root, "metrics") else {
         println!("\n(no metrics snapshot embedded in this trace)");
         return;
     };
-    println!("\n== metrics ==");
-    for section in ["counters", "gauges"] {
-        let Some(Value::Seq(items)) = lookup(metrics, section) else {
-            continue;
-        };
+    println!("\n== {heading} ==");
+    if let Some(Value::Seq(items)) = lookup(metrics, "counters") {
         for item in items {
             let Value::Map(map) = item else { continue };
             let (Some(Value::Str(name)), Some(value)) = (lookup(map, "name"), lookup(map, "value"))
@@ -303,17 +314,9 @@ fn print_metrics(root: &[(String, Value)]) {
     }
 }
 
-/// Renders the trace file named in `args`.
-pub fn run(args: &[String]) {
-    let full = args.iter().any(|a| a == "--full");
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        predict_obs::diag!(
-            Error,
-            "usage: predict_bench trace_view <trace.json> [--full]\n\
-             produce a trace with PREDICT_TRACE=<path> on any experiment"
-        );
-        std::process::exit(2);
-    };
+/// Reads `path` as a trace file's top-level JSON object, exiting 1 when it
+/// is unreadable or not a trace.
+fn read_root(path: &str) -> Vec<(String, Value)> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -321,24 +324,48 @@ pub fn run(args: &[String]) {
             std::process::exit(1);
         }
     };
-    let root: Value = match serde_json::from_str(&text) {
-        Ok(root) => root,
+    match serde_json::from_str(&text) {
+        Ok(Value::Map(root)) => root,
+        Ok(_) => {
+            predict_obs::diag!(Error, "{path}: top level is not a JSON object");
+            std::process::exit(1);
+        }
         Err(e) => {
             predict_obs::diag!(Error, "{path} is not valid trace JSON: {e}");
             std::process::exit(1);
         }
-    };
-    let Value::Map(root) = root else {
-        predict_obs::diag!(Error, "{path}: top level is not a JSON object");
-        std::process::exit(1);
-    };
-    let mut events = decode_events(&root);
-    print_timeline(&mut events, full);
+    }
+}
+
+/// Renders the trace files named in `args` as one trace.
+pub fn run(args: &[String]) {
+    let full = args.iter().any(|a| a == "--full");
+    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    if paths.is_empty() {
+        predict_obs::diag!(
+            Error,
+            "usage: predict_bench trace_view <trace.json>... [--full]\n\
+             produce a trace with PREDICT_TRACE=<path> on any experiment"
+        );
+        std::process::exit(2);
+    }
+    let roots: Vec<Vec<(String, Value)>> = paths.iter().map(|path| read_root(path)).collect();
+    let mut events: Vec<Event> = roots
+        .iter()
+        .enumerate()
+        .flat_map(|(source, root)| decode_events(root, source))
+        .collect();
+    print_timeline(&mut events, &paths, full);
     print_phases(&events);
     if let Some(summary) = store_summary(&events) {
         println!("\n{summary}");
     }
-    print_metrics(&root);
+    for (root, path) in roots.iter().zip(&paths) {
+        match paths.len() {
+            1 => print_metrics(root, "metrics"),
+            _ => print_metrics(root, &format!("metrics ({path})")),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +377,7 @@ mod tests {
             name: name.to_string(),
             ts_us: 0.0,
             dur_us,
+            source: 0,
             tid: 1,
             args: args
                 .iter()

@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use crate::cost::ClusterCostConfig;
-use crate::knobs;
 use crate::partition::PartitionStrategy;
 use crate::remote::TransportMode;
 use serde::{Deserialize, Serialize};
@@ -21,30 +20,28 @@ pub const DEFAULT_MAX_SUPERSTEPS: usize = 500;
 /// run on the calling thread regardless of available parallelism: PREDIcT
 /// executes thousands of tiny sample runs, and per-phase hand-offs to pool
 /// threads would dwarf the microseconds of per-shard work. An
-/// explicit `PREDICT_THREADS` or [`ExecutionMode::Parallel`] request always
-/// wins over this heuristic. Purely a scheduling decision — results are
-/// thread-count independent either way.
+/// explicit [`ExecutionMode::Parallel`] thread count always wins over this
+/// heuristic. Purely a scheduling decision — results are thread-count
+/// independent either way.
 pub const MIN_PARALLEL_WORK: usize = 1 << 14;
 
 /// How the runtime executes the compute phase of each superstep.
 ///
-/// Execution mode is a pure performance knob: the runtime guarantees that a
-/// run produces byte-identical values, counters and simulated timings under
-/// every mode and thread count (see [`crate::runtime`] for the determinism
-/// contract).
+/// Execution mode is a pure performance setting, read only from
+/// [`BspConfig::execution`]: the runtime guarantees that a run produces
+/// byte-identical values, counters and simulated timings under every mode
+/// and thread count (see [`crate::runtime`] for the determinism contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Pick automatically: honor the `PREDICT_THREADS` environment variable
-    /// when set (`1` means sequential), otherwise use the machine's available
-    /// parallelism, capped at the worker count — except for runs smaller
-    /// than [`MIN_PARALLEL_WORK`], which stay on the calling thread.
+    /// Pick automatically: the machine's available parallelism, capped at
+    /// the worker count — except for runs smaller than
+    /// [`MIN_PARALLEL_WORK`], which stay on the calling thread.
     #[default]
     Auto,
     /// Run every worker's compute phase on the calling thread.
     Sequential,
     /// Run worker compute phases on `threads` worker-pool threads
-    /// (`threads == 0` behaves like [`ExecutionMode::Auto`] without the
-    /// environment override).
+    /// (`threads == 0` behaves like [`ExecutionMode::Auto`]).
     Parallel {
         /// Number of OS threads the superstep phases are spread over.
         threads: usize,
@@ -57,31 +54,25 @@ impl ExecutionMode {
     /// Always at least 1 and never more than `num_workers` (extra threads
     /// would have no worker to execute).
     ///
-    /// Priority under [`ExecutionMode::Auto`]: an explicitly-set
-    /// `PREDICT_THREADS` wins unconditionally; otherwise runs below
-    /// [`MIN_PARALLEL_WORK`] stay on the calling thread; otherwise the
-    /// machine's available parallelism is used. That is read once per
-    /// process (it reads cgroup files); `PREDICT_THREADS` is read per call.
+    /// Under [`ExecutionMode::Auto`], runs below [`MIN_PARALLEL_WORK`] stay
+    /// on the calling thread; otherwise the machine's available parallelism
+    /// is used, read once per process (it reads cgroup files). No
+    /// environment variable is consulted.
     pub fn resolve_threads(self, num_workers: usize, run_work: usize) -> usize {
         static AVAILABLE: OnceLock<usize> = OnceLock::new();
-        let available = || {
-            *AVAILABLE.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-        };
-        let auto_no_env = || {
-            if run_work < MIN_PARALLEL_WORK {
-                1
-            } else {
-                available()
-            }
-        };
         let threads = match self {
             Self::Sequential => 1,
-            Self::Auto => knobs::env_threads().unwrap_or_else(auto_no_env),
-            Self::Parallel { threads: 0 } => auto_no_env(),
+            Self::Auto | Self::Parallel { threads: 0 } => {
+                if run_work < MIN_PARALLEL_WORK {
+                    1
+                } else {
+                    *AVAILABLE.get_or_init(|| {
+                        std::thread::available_parallelism()
+                            .map(|p| p.get())
+                            .unwrap_or(1)
+                    })
+                }
+            }
             Self::Parallel { threads } => threads,
         };
         threads.clamp(1, num_workers.max(1))
@@ -234,8 +225,12 @@ mod tests {
 
     #[test]
     fn small_runs_stay_sequential_unless_explicitly_parallel() {
-        // Below the work cutoff, Auto (without PREDICT_THREADS) and
-        // Parallel{0} stay on the calling thread...
+        // Below the work cutoff, Auto and Parallel{0} stay on the calling
+        // thread...
+        assert_eq!(
+            ExecutionMode::Auto.resolve_threads(8, MIN_PARALLEL_WORK - 1),
+            1
+        );
         assert_eq!(
             ExecutionMode::Parallel { threads: 0 }.resolve_threads(8, MIN_PARALLEL_WORK - 1),
             1
@@ -245,21 +240,6 @@ mod tests {
             ExecutionMode::Parallel { threads: 4 }.resolve_threads(8, MIN_PARALLEL_WORK - 1),
             4
         );
-    }
-
-    #[test]
-    fn predict_threads_env_wins_over_the_small_run_heuristic() {
-        // Mutating the env var can race with concurrently running tests, but
-        // thread resolution only affects scheduling, never results (the
-        // runtime's determinism contract), so the brief override is safe.
-        let prev = std::env::var("PREDICT_THREADS").ok();
-        std::env::set_var("PREDICT_THREADS", "4");
-        let resolved = ExecutionMode::Auto.resolve_threads(8, MIN_PARALLEL_WORK - 1);
-        match prev {
-            Some(v) => std::env::set_var("PREDICT_THREADS", v),
-            None => std::env::remove_var("PREDICT_THREADS"),
-        }
-        assert_eq!(resolved, 4, "explicit PREDICT_THREADS must win");
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Centralized parsing of the `PREDICT_*` environment knobs.
 //!
-//! Four environment variables tune how the engine executes a run without
-//! changing its results: `PREDICT_THREADS` (superstep-phase thread count),
-//! `PREDICT_TRANSPORT` (in-memory executor vs the out-of-process cluster
-//! driver), `PREDICT_TRACE` (Chrome-trace span export path) and
-//! `PREDICT_STORE` (persistent artifact-store directory). They used to
-//! be parsed ad hoc at each `resolve_*` site, and an invalid value —
-//! `PREDICT_THREADS=fast`, `PREDICT_TRANSPORT=sockets` — was silently
-//! ignored, which made typos indistinguishable from defaults. This module is
-//! the one place the knobs are read: every parser falls back to the documented
-//! default on an unrecognized value *and* warns once per process per
-//! variable on stderr, so a typo'd CI line shows up in the log instead of
-//! quietly benchmarking the wrong configuration.
+//! Three environment variables tune how the engine executes a run without
+//! changing its results: `PREDICT_TRANSPORT` (in-memory executor vs the
+//! out-of-process cluster driver), `PREDICT_TRACE` (Chrome-trace span
+//! export path) and `PREDICT_STORE` (persistent artifact-store directory).
+//! The superstep-phase thread count is not among them: it comes only from
+//! [`BspConfig::execution`](crate::config::BspConfig). The knobs used to
+//! be parsed ad hoc at each `resolve_*` site, and an invalid value such as
+//! `PREDICT_TRANSPORT=sockets` was silently ignored, which made typos
+//! indistinguishable from defaults. This module is the one place the knobs
+//! are read: every parser falls back to the documented default on an
+//! unrecognized value *and* warns once per process per variable on stderr,
+//! so a typo'd CI line shows up in the log instead of quietly benchmarking
+//! the wrong configuration.
 //!
 //! The parsing core is pure (`value` comes in as an argument), so the unit
 //! tests below never touch the real process environment and cannot race
@@ -22,9 +23,6 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// Thread-count knob honored by
-/// [`ExecutionMode::Auto`](crate::config::ExecutionMode).
-pub const THREADS_VAR: &str = "PREDICT_THREADS";
 /// Transport knob honored by
 /// [`TransportMode::Auto`](crate::remote::TransportMode).
 pub const TRANSPORT_VAR: &str = "PREDICT_TRANSPORT";
@@ -56,20 +54,6 @@ fn warn_invalid(var: &str, value: &str, expected: &str) {
             "ignoring invalid {var}={value:?} (expected {expected}); \
              using the default"
         );
-    }
-}
-
-/// Parses a positive thread count from `value`; `None` when the variable is
-/// unset, `Err` semantics folded into `None` + warning on garbage (`0`,
-/// `fast`, …).
-fn parse_threads(var: &str, value: Option<&str>) -> Option<usize> {
-    let raw = value?;
-    match raw.trim().parse::<usize>() {
-        Ok(t) if t > 0 => Some(t),
-        _ => {
-            warn_invalid(var, raw, "a positive integer");
-            None
-        }
     }
 }
 
@@ -110,12 +94,6 @@ fn env(var: &str) -> Option<String> {
     std::env::var(var).ok()
 }
 
-/// `PREDICT_THREADS` as a positive thread count, `None` when unset or
-/// invalid (invalid values warn once).
-pub fn env_threads() -> Option<usize> {
-    parse_threads(THREADS_VAR, env(THREADS_VAR).as_deref())
-}
-
 /// The transport `PREDICT_TRANSPORT` selects (never `Auto`).
 pub fn env_transport() -> TransportMode {
     parse_transport(TRANSPORT_VAR, env(TRANSPORT_VAR).as_deref())
@@ -139,20 +117,6 @@ mod tests {
 
     // Each test uses a unique fake variable name so the warn-once set never
     // couples two tests, and no test mutates the real process environment.
-
-    #[test]
-    fn threads_accepts_positive_integers() {
-        assert_eq!(parse_threads("T_OK", Some("4")), Some(4));
-        assert_eq!(parse_threads("T_OK2", Some(" 12 ")), Some(12));
-        assert_eq!(parse_threads("T_UNSET", None), None);
-    }
-
-    #[test]
-    fn threads_rejects_zero_and_garbage() {
-        assert_eq!(parse_threads("T_ZERO", Some("0")), None);
-        assert_eq!(parse_threads("T_WORD", Some("fast")), None);
-        assert_eq!(parse_threads("T_NEG", Some("-3")), None);
-    }
 
     #[test]
     fn transport_recognizes_every_backend() {
@@ -220,9 +184,15 @@ mod tests {
     fn warnings_fire_once_per_variable() {
         // The pure parsers route through the shared warn-once set; calling
         // twice with the same variable must not re-insert.
-        assert_eq!(parse_threads("W_ONCE", Some("junk")), None);
+        assert_eq!(
+            parse_transport("W_ONCE", Some("junk")),
+            TransportMode::InMemory
+        );
         let before = warned().lock().unwrap().len();
-        assert_eq!(parse_threads("W_ONCE", Some("junk")), None);
+        assert_eq!(
+            parse_transport("W_ONCE", Some("junk")),
+            TransportMode::InMemory
+        );
         assert_eq!(warned().lock().unwrap().len(), before);
         assert!(warned().lock().unwrap().contains("W_ONCE"));
     }

@@ -77,7 +77,7 @@ pub fn enabled(level: Level) -> bool {
 /// Prints a level-gated diagnostic to stderr.
 ///
 /// ```
-/// predict_obs::diag!(Warn, "ignoring invalid knob {}", "PREDICT_THREADS");
+/// predict_obs::diag!(Warn, "ignoring invalid knob {}", "PREDICT_TRANSPORT");
 /// ```
 ///
 /// The first argument is a [`Level`] variant name; the rest is a

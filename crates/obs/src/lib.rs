@@ -13,9 +13,9 @@
 //!   single relaxed atomic load, so goldens and perf stay byte/cost
 //!   identical. Collected spans export as Chrome trace-event JSON loadable
 //!   in `chrome://tracing` / Perfetto.
-//! * [`metrics`] — a process-wide registry of counters, gauges and
-//!   fixed-bucket histograms. Snapshots are deterministically ordered
-//!   (sorted by name) and identical for the same multiset of operations
+//! * [`metrics`] — a process-wide registry of counters and fixed-bucket
+//!   histograms. Snapshots are deterministically ordered (sorted by name)
+//!   and identical for the same multiset of operations
 //!   regardless of thread interleaving, so they can be asserted on and
 //!   diffed. p50/p90/p99 are derivable from the histogram buckets.
 //! * [`mod@diag`] — one level-gated stderr diagnostic macro ([`diag!`]),

@@ -1,5 +1,5 @@
-//! Process-wide metrics registry: counters, gauges and fixed-bucket
-//! histograms with deterministically ordered snapshots.
+//! Process-wide metrics registry: counters and fixed-bucket histograms
+//! with deterministically ordered snapshots.
 //!
 //! Instruments are created (or fetched) by name from the global
 //! [`registry`], which takes a lock per lookup; handles are `Arc`s, so each
@@ -44,24 +44,6 @@ impl Counter {
     }
 
     /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins instantaneous value.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -161,7 +143,6 @@ impl Drop for ScopeTimer<'_> {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -174,11 +155,6 @@ impl Registry {
     /// Fetches or creates the named counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         fetch_or_insert(&self.counters, name, Counter::default)
-    }
-
-    /// Fetches or creates the named gauge.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        fetch_or_insert(&self.gauges, name, Gauge::default)
     }
 
     /// Fetches or creates the named histogram with the default latency
@@ -205,16 +181,6 @@ impl Registry {
                 value: c.get(),
             })
             .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, g)| GaugeSnapshot {
-                name: name.clone(),
-                value: g.get(),
-            })
-            .collect();
         let histograms = self
             .histograms
             .lock()
@@ -234,7 +200,6 @@ impl Registry {
             .collect();
         MetricsSnapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -268,15 +233,6 @@ pub struct CounterSnapshot {
     /// Instrument name.
     pub name: String,
     /// Count at snapshot time.
-    pub value: u64,
-}
-
-/// Frozen gauge value.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct GaugeSnapshot {
-    /// Instrument name.
-    pub name: String,
-    /// Value at snapshot time.
     pub value: u64,
 }
 
@@ -339,8 +295,6 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// All counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
-    /// All gauges, sorted by name.
-    pub gauges: Vec<GaugeSnapshot>,
     /// All histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
 }
@@ -365,14 +319,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let registry = Registry::new();
         let c = registry.counter("c");
         c.incr();
         c.add(4);
-        registry.gauge("g").set(17);
         assert_eq!(registry.counter("c").get(), 5);
-        assert_eq!(registry.gauge("g").get(), 17);
     }
 
     #[test]
@@ -495,19 +447,14 @@ mod tests {
     #[test]
     fn fetching_an_existing_instrument_returns_it_and_adds_nothing() {
         let registry = Registry::new();
-        let (c, g, h) = (
-            registry.counter("c"),
-            registry.gauge("g"),
-            registry.histogram("h"),
-        );
+        let (c, h) = (registry.counter("c"), registry.histogram("h"));
         let size = |r: &Registry| {
             let s = r.snapshot();
-            (s.counters.len(), s.gauges.len(), s.histograms.len())
+            (s.counters.len(), s.histograms.len())
         };
-        assert_eq!(size(&registry), (1, 1, 1));
+        assert_eq!(size(&registry), (1, 1));
         assert!(Arc::ptr_eq(&c, &registry.counter("c")));
-        assert!(Arc::ptr_eq(&g, &registry.gauge("g")));
         assert!(Arc::ptr_eq(&h, &registry.histogram("h")));
-        assert_eq!(size(&registry), (1, 1, 1));
+        assert_eq!(size(&registry), (1, 1));
     }
 }

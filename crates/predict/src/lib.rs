@@ -96,9 +96,7 @@ pub use extrapolator::{ExtrapolationRule, Extrapolator};
 pub use feature_selection::{forward_select, SelectionConfig, SelectionResult};
 pub use features::{ExtrapolationKind, FeatureSet, IterationObservation, KeyFeature};
 pub use history::{HistoricalRun, HistoryStore};
-pub use metrics::{
-    absolute_relative_error, r_squared, signed_relative_error, ErrorSample, ErrorSummary,
-};
+pub use metrics::{absolute_relative_error, r_squared, signed_relative_error};
 pub use predict_store::{ArtifactKind, ArtifactStore};
 pub use regression::{LinearModel, RegressionError};
 pub use service::{PredictRequest, PredictService, PredictServiceConfig};

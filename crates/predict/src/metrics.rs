@@ -3,11 +3,8 @@
 //!
 //! The paper reports the *signed relative error* (negative = under-prediction,
 //! positive = over-prediction) for iterations, key input features and runtime,
-//! plus the coefficient of determination R² of the fitted cost models. Helper
-//! summaries over multiple measurements (mean absolute relative error, worst
-//! case) are provided for the experiment harness.
-
-use serde::{Deserialize, Serialize};
+//! plus the coefficient of determination R² of the fitted cost models.
+//! [`Evaluation`](crate::Evaluation) applies them to a finished prediction.
 
 /// Signed relative error `(predicted - actual) / actual`.
 ///
@@ -30,66 +27,6 @@ pub fn signed_relative_error(predicted: f64, actual: f64) -> f64 {
 /// Absolute relative error `|predicted - actual| / actual`.
 pub fn absolute_relative_error(predicted: f64, actual: f64) -> f64 {
     signed_relative_error(predicted, actual).abs()
-}
-
-/// A single predicted-versus-actual comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ErrorSample {
-    /// Predicted value.
-    pub predicted: f64,
-    /// Actual (measured) value.
-    pub actual: f64,
-}
-
-impl ErrorSample {
-    /// Creates a comparison.
-    pub fn new(predicted: f64, actual: f64) -> Self {
-        Self { predicted, actual }
-    }
-
-    /// Signed relative error of this sample.
-    pub fn signed_error(&self) -> f64 {
-        signed_relative_error(self.predicted, self.actual)
-    }
-}
-
-/// Summary statistics over a set of predicted-versus-actual comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ErrorSummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean of the signed relative errors.
-    pub mean_signed_error: f64,
-    /// Mean of the absolute relative errors.
-    pub mean_absolute_error: f64,
-    /// Largest absolute relative error.
-    pub max_absolute_error: f64,
-}
-
-impl ErrorSummary {
-    /// Summarizes a set of samples. Returns a zeroed summary for an empty
-    /// input.
-    pub fn from_samples(samples: &[ErrorSample]) -> Self {
-        if samples.is_empty() {
-            return Self {
-                count: 0,
-                mean_signed_error: 0.0,
-                mean_absolute_error: 0.0,
-                max_absolute_error: 0.0,
-            };
-        }
-        let signed: Vec<f64> = samples.iter().map(|s| s.signed_error()).collect();
-        let count = samples.len();
-        let mean_signed_error = signed.iter().sum::<f64>() / count as f64;
-        let mean_absolute_error = signed.iter().map(|e| e.abs()).sum::<f64>() / count as f64;
-        let max_absolute_error = signed.iter().map(|e| e.abs()).fold(0.0, f64::max);
-        Self {
-            count,
-            mean_signed_error,
-            mean_absolute_error,
-            max_absolute_error,
-        }
-    }
 }
 
 /// Coefficient of determination between predictions and actuals (the R² the
@@ -132,27 +69,6 @@ mod tests {
     fn absolute_error_is_magnitude_of_signed() {
         assert!((absolute_relative_error(8.0, 10.0) - 0.2).abs() < 1e-12);
         assert!((absolute_relative_error(12.0, 10.0) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_aggregates_samples() {
-        let samples = vec![
-            ErrorSample::new(9.0, 10.0),  // -0.1
-            ErrorSample::new(11.0, 10.0), // +0.1
-            ErrorSample::new(15.0, 10.0), // +0.5
-        ];
-        let s = ErrorSummary::from_samples(&samples);
-        assert_eq!(s.count, 3);
-        assert!((s.mean_signed_error - 0.5 / 3.0).abs() < 1e-12);
-        assert!((s.mean_absolute_error - 0.7 / 3.0).abs() < 1e-12);
-        assert!((s.max_absolute_error - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_summary_is_zeroed() {
-        let s = ErrorSummary::from_samples(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean_absolute_error, 0.0);
     }
 
     #[test]
