@@ -30,23 +30,3 @@ pub enum ConvergenceKind {
     /// threshold (e.g. connected components). No transform applies.
     FixedPoint,
 }
-
-impl ConvergenceKind {
-    /// True when the default transform function must scale the convergence
-    /// threshold for a sample run.
-    pub fn requires_threshold_scaling(&self) -> bool {
-        matches!(self, ConvergenceKind::AbsoluteAggregate)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn only_absolute_aggregates_need_scaling() {
-        assert!(ConvergenceKind::AbsoluteAggregate.requires_threshold_scaling());
-        assert!(!ConvergenceKind::RelativeRatio.requires_threshold_scaling());
-        assert!(!ConvergenceKind::FixedPoint.requires_threshold_scaling());
-    }
-}

@@ -53,6 +53,6 @@ pub use semi_clustering::{
 pub use sssp::{ShortestPaths, ShortestPathsResult};
 pub use topk::{TopKParams, TopKRanking, TopKResult, TopKState};
 pub use workload::{
-    to_undirected, ConnectedComponentsWorkload, NeighborhoodWorkload, PageRankWorkload,
-    ProgramSpec, RunPlan, SemiClusteringWorkload, TopKWorkload, Workload, WorkloadRun,
+    ConnectedComponentsWorkload, NeighborhoodWorkload, PageRankWorkload, ProgramSpec, RunPlan,
+    SemiClusteringWorkload, TopKWorkload, Workload, WorkloadRun,
 };

@@ -90,11 +90,6 @@ impl NeighborhoodSketch {
         2f64.powf(mean_r) / FM_PHI
     }
 
-    /// ORs another sketch into this one; returns `true` if any bit changed.
-    pub fn union_with(&mut self, other: &NeighborhoodSketch) -> bool {
-        self.union_with_bitmasks(&other.bitmasks)
-    }
-
     /// ORs another sketch's bitstrings into this one; returns `true` if any
     /// bit changed.
     fn union_with_bitmasks(&mut self, other: &[u64]) -> bool {
@@ -273,7 +268,7 @@ mod tests {
         let single = sketch.estimate();
         for v in 1..500u32 {
             let other = program.init_vertex(v, &ctx);
-            sketch.union_with(&other);
+            sketch.union_with_bitmasks(&other.bitmasks);
         }
         let many = sketch.estimate();
         assert!(

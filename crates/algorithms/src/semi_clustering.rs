@@ -369,7 +369,7 @@ mod tests {
     use super::*;
     use predict_bsp::{BspConfig, ClusterCostConfig};
     use predict_graph::generators::{generate_rmat, RmatConfig};
-    use predict_graph::{EdgeList, GraphBuilder};
+    use predict_graph::EdgeList;
 
     fn engine() -> BspEngine {
         BspEngine::new(BspConfig::with_workers(4).with_cost(ClusterCostConfig::noiseless()))
@@ -405,11 +405,10 @@ mod tests {
     #[test]
     fn two_triangles_yield_triangle_clusters() {
         // Two triangles {0,1,2} and {3,4,5} joined by a single weak edge 2-3.
-        let mut b = GraphBuilder::new().undirected(true);
-        for (s, d) in [(0u32, 1u32), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)] {
-            b.add_edge(s, d);
-        }
-        let g = b.build();
+        let edges: EdgeList = [(0u32, 1u32), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+            .into_iter()
+            .collect();
+        let g = CsrGraph::from_edge_list(&edges.to_undirected());
         let params = SemiClusteringParams::new(2, 2, 3, 0.2, 0.0);
         let result = SemiClustering::new(params).run(&engine(), &g);
         let best = result.best_clusters(2, params.boundary_factor);

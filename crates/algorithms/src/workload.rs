@@ -85,29 +85,11 @@ pub trait Workload: Send + Sync + std::fmt::Debug {
     fn with_threshold(&self, threshold: f64) -> Box<dyn Workload>;
 
     /// Describes this workload's run on `graph`: the graph the program
-    /// executes on, the optional pre-pass and the program itself. The five
-    /// workloads of this crate all return `Some`, which is what lets an
-    /// executor ship the run across a process boundary (the cluster
-    /// transports send the plan's [`ProgramSpec`] to worker processes instead
-    /// of the trait object). External `Workload` implementations may return
-    /// `None` (the default) and override [`Workload::run`]; they then always
-    /// execute in memory.
-    fn plan<'g>(&self, _graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
-        None
-    }
-
-    /// Executes the workload on `graph` in memory and returns the run
-    /// profile: [`RunPlan::run`] of [`Workload::plan`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the implementation provides neither a plan nor its own
-    /// `run`.
-    fn run(&self, engine: &BspEngine, graph: &CsrGraph) -> WorkloadRun {
-        self.plan(graph)
-            .expect("a Workload implements `plan` or overrides `run`")
-            .run(engine)
-    }
+    /// executes on, the optional pre-pass and the program itself. The plan
+    /// is the only way a workload runs: [`RunPlan::run`] executes it in
+    /// memory, and the cluster transports ship its [`ProgramSpec`] to worker
+    /// processes instead of the trait object.
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> RunPlan<'g>;
 }
 
 /// Which vertex program to run, with its parameters — the serializable form
@@ -212,7 +194,7 @@ impl<'g> RunPlan<'g> {
     /// CC.
     pub fn on_undirected(graph: &CsrGraph, program: ProgramSpec) -> Self {
         Self {
-            graph: Cow::Owned(to_undirected(graph)),
+            graph: Cow::Owned(graph.to_undirected()),
             pre_pass: None,
             program,
         }
@@ -229,12 +211,6 @@ impl<'g> RunPlan<'g> {
             .run(graph, program)
             .into())
     }
-}
-
-/// Undirected form of `graph`: every edge mirrored
-/// ([`CsrGraph::to_undirected`]).
-pub fn to_undirected(graph: &CsrGraph) -> CsrGraph {
-    graph.to_undirected()
 }
 
 /// PageRank workload (constant per-iteration runtime; absolute-aggregate
@@ -279,9 +255,9 @@ impl Workload for PageRankWorkload {
         })
     }
 
-    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> RunPlan<'g> {
         let params = self.params;
-        Some(RunPlan::on(graph, ProgramSpec::PageRank { params }))
+        RunPlan::on(graph, ProgramSpec::PageRank { params })
     }
 }
 
@@ -340,15 +316,15 @@ impl Workload for TopKWorkload {
         })
     }
 
-    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> RunPlan<'g> {
         let params = self.params;
-        Some(RunPlan {
+        RunPlan {
             pre_pass: Some(PageRankParams::with_epsilon(
                 self.pagerank_epsilon,
                 graph.num_vertices(),
             )),
             ..RunPlan::on(graph, ProgramSpec::TopK { params })
-        })
+        }
     }
 }
 
@@ -386,10 +362,10 @@ impl Workload for SemiClusteringWorkload {
         })
     }
 
-    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> RunPlan<'g> {
         let params = self.params;
         let program = ProgramSpec::SemiClustering { params };
-        Some(RunPlan::on_undirected(graph, program))
+        RunPlan::on_undirected(graph, program)
     }
 }
 
@@ -415,9 +391,9 @@ impl Workload for ConnectedComponentsWorkload {
         Box::new(Self)
     }
 
-    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> RunPlan<'g> {
         let program = ProgramSpec::ConnectedComponents {};
-        Some(RunPlan::on_undirected(graph, program))
+        RunPlan::on_undirected(graph, program)
     }
 }
 
@@ -454,9 +430,9 @@ impl Workload for NeighborhoodWorkload {
         })
     }
 
-    fn plan<'g>(&self, graph: &'g CsrGraph) -> Option<RunPlan<'g>> {
+    fn plan<'g>(&self, graph: &'g CsrGraph) -> RunPlan<'g> {
         let params = self.params;
-        Some(RunPlan::on(graph, ProgramSpec::Neighborhood { params }))
+        RunPlan::on(graph, ProgramSpec::Neighborhood { params })
     }
 }
 
@@ -485,7 +461,7 @@ mod tests {
             Box::new(NeighborhoodWorkload::default()),
         ];
         for w in &workloads {
-            let run = w.run(&engine(), &g);
+            let run = w.plan(&g).run(&engine());
             assert!(run.iterations() >= 2, "{} did not iterate", w.name());
             assert!(run.profile.superstep_phase_ms() > 0.0);
         }
@@ -538,8 +514,8 @@ mod tests {
         let engine = engine();
         let tight = PageRankWorkload::with_epsilon(0.001, g.num_vertices());
         let loose = tight.with_threshold(tight.threshold() * 100.0);
-        let tight_run = tight.run(&engine, &g);
-        let loose_run = loose.run(&engine, &g);
+        let tight_run = tight.plan(&g).run(&engine);
+        let loose_run = loose.plan(&g).run(&engine);
         assert!(tight_run.iterations() > loose_run.iterations());
     }
 }

@@ -85,15 +85,6 @@ impl ClusterCostConfig {
             ..Self::default()
         }
     }
-
-    /// Scales every variable cost coefficient by `factor`, keeping overheads
-    /// fixed. Used by ablation benchmarks that explore slower/faster networks.
-    pub fn with_network_scale(mut self, factor: f64) -> Self {
-        self.message_ms *= factor;
-        self.local_byte_ms *= factor;
-        self.remote_byte_ms *= factor;
-        self
-    }
 }
 
 /// The simulated cluster clock attached to a BSP run.
@@ -255,15 +246,5 @@ mod tests {
         assert!(read_more_workers < read_big);
         assert!(clock.write_time_ms(10_000, 4) > 0.0);
         assert!(clock.setup_time_ms() > 0.0);
-    }
-
-    #[test]
-    fn network_scale_multiplies_network_costs_only() {
-        let base = ClusterCostConfig::noiseless();
-        let scaled = ClusterCostConfig::noiseless().with_network_scale(2.0);
-        assert_eq!(scaled.message_ms, base.message_ms * 2.0);
-        assert_eq!(scaled.remote_byte_ms, base.remote_byte_ms * 2.0);
-        assert_eq!(scaled.superstep_overhead_ms, base.superstep_overhead_ms);
-        assert_eq!(scaled.active_vertex_ms, base.active_vertex_ms);
     }
 }

@@ -249,23 +249,6 @@ impl RunProfile {
         self.supersteps.iter().map(|s| s.totals()).collect()
     }
 
-    /// Ratio between the longest and shortest superstep wall time; the
-    /// paper's "runtime variability among consecutive iterations" (up to
-    /// ~100x for top-k ranking and connected components).
-    pub fn runtime_variability(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut max: f64 = 0.0;
-        for s in &self.supersteps {
-            min = min.min(s.wall_time_ms);
-            max = max.max(s.wall_time_ms);
-        }
-        if !min.is_finite() || min <= 0.0 {
-            1.0
-        } else {
-            max / min
-        }
-    }
-
     /// Serializes the profile to a JSON string (used by the historical-run
     /// store and the experiment harness).
     pub fn to_json(&self) -> serde_json::Result<String> {
@@ -343,12 +326,6 @@ mod tests {
         assert_eq!(p.supersteps[0].slowest_worker(), 1);
         assert_eq!(p.supersteps[1].slowest_worker(), 0);
         assert_eq!(p.supersteps[0].critical_path_counters().active_vertices, 20);
-    }
-
-    #[test]
-    fn runtime_variability_is_max_over_min() {
-        let p = sample_profile();
-        assert!((p.runtime_variability() - 6.0 / 2.5).abs() < 1e-9);
     }
 
     #[test]
@@ -573,6 +550,5 @@ mod tests {
         };
         assert_eq!(p.num_iterations(), 0);
         assert_eq!(p.superstep_phase_ms(), 0.0);
-        assert_eq!(p.runtime_variability(), 1.0);
     }
 }

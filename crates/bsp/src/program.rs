@@ -204,11 +204,6 @@ impl<'a, V, M> ComputeContext<'a, V, M> {
     pub fn vote_to_halt(&mut self) {
         *self.halted = true;
     }
-
-    /// Revokes a vote to halt issued earlier in the same compute call.
-    pub fn stay_active(&mut self) {
-        *self.halted = false;
-    }
 }
 
 #[cfg(test)]
@@ -283,34 +278,5 @@ mod tests {
         slots.drain_into(&mut partial);
         assert_eq!(partial.get("sent"), Some(2.0));
         assert!(halted);
-    }
-
-    #[test]
-    fn stay_active_revokes_halt() {
-        let el: EdgeList = [(0u32, 1u32)].into_iter().collect();
-        let g = CsrGraph::from_edge_list(&el);
-        let prev = Aggregates::new();
-        let mut payloads: Vec<u32> = Vec::new();
-        let mut outbox = Vec::new();
-        let mut slots = AggregateSlots::new();
-        let mut halted = false;
-        let mut value = 0u32;
-        let mut ctx = ComputeContext {
-            vertex: 0,
-            superstep: 0,
-            value: &mut value,
-            out_neighbors: g.out_neighbors(0),
-            out_weights: None,
-            num_vertices: 2,
-            num_edges: 1,
-            previous_aggregates: &prev,
-            payloads: &mut payloads,
-            outbox: &mut outbox,
-            aggregate_slots: &mut slots,
-            halted: &mut halted,
-        };
-        ctx.vote_to_halt();
-        ctx.stay_active();
-        assert!(!halted);
     }
 }

@@ -105,14 +105,20 @@ pub fn write_frame(w: &mut impl Write, tag: u8, body: &[u8]) -> std::io::Result<
 
 /// Reads one frame, blocking until it is complete. `Ok(None)` means the
 /// stream ended cleanly *between* frames (EOF before any length byte) — how
-/// a pooled worker learns its driver is gone.
+/// a pooled worker learns its driver is gone. A read interrupted by a signal
+/// is retried, as `read_exact` retries the rest of the frame.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<(u8, Vec<u8>)>> {
     let mut len_bytes = [0u8; 4];
     // Distinguish clean EOF (no bytes at all) from a truncated frame.
-    match r.read(&mut len_bytes[..1])? {
-        0 => return Ok(None),
-        _ => r.read_exact(&mut len_bytes[1..])?,
+    loop {
+        match r.read(&mut len_bytes[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
+    r.read_exact(&mut len_bytes[1..])?;
     let len = u32::from_le_bytes(len_bytes);
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(std::io::Error::new(
@@ -429,6 +435,36 @@ mod tests {
             Some((tag::FINISH, vec![]))
         );
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn an_interrupted_read_is_retried_not_reported() {
+        // A reader whose first read is interrupted by a signal, as a socket
+        // read can be while the process reaps children.
+        struct InterruptedOnce<'a> {
+            interrupted: bool,
+            rest: &'a [u8],
+        }
+        impl Read for InterruptedOnce<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if !self.interrupted {
+                    self.interrupted = true;
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                self.rest.read(buf)
+            }
+        }
+        let mut buf = Vec::new();
+        write_frame(&mut buf, tag::ERROR, b"boom").unwrap();
+        let mut reader = InterruptedOnce {
+            interrupted: false,
+            rest: &buf,
+        };
+        assert_eq!(
+            read_frame(&mut reader).unwrap(),
+            Some((tag::ERROR, b"boom".to_vec()))
+        );
+        assert!(reader.interrupted);
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! [`run_workload`] is what every sample run and every actual run of the
 //! prediction pipeline goes through. It does one thing: place the run. The
 //! engine's [`TransportMode`](predict_bsp::TransportMode) (honoring
-//! `PREDICT_TRANSPORT` under `Auto`) picks the executor; `InMemory` — and any
-//! workload without a [`RunPlan`] — is the in-memory
-//! [`Workload::run`], while `InProc`/`Socket` executes the workload's own
-//! plan (graph, pre-pass, program — prepared once, by the workload) as
-//! [`drive`] calls on a worker group. Either way the same plan runs, so
-//! profiles are byte-identical across executors; only a transported run can
-//! fail, and it fails with the structured [`ClusterError`] it met. Every
-//! cluster drive is counted through [`BspEngine::record_external_run`],
-//! keeping the engine's `runs_executed` statistic comparable across
-//! executors (the TOP-K workload is two runs on either path).
+//! `PREDICT_TRANSPORT` under `Auto`) picks the executor for the workload's
+//! [`RunPlan`] (graph, pre-pass, program — prepared once, by the workload):
+//! `InMemory` is the in-memory [`RunPlan::run`], while `InProc`/`Socket`
+//! executes the same plan as [`drive`] calls on a worker group. Either way
+//! the same plan runs, so profiles are byte-identical across executors; only
+//! a transported run can fail, and it fails with the structured
+//! [`ClusterError`] it met. Every cluster drive is counted through
+//! [`BspEngine::record_external_run`], keeping the engine's `runs_executed`
+//! statistic comparable across executors (the TOP-K workload is two runs on
+//! either path).
 
 use crate::driver::{drive, DriveOptions};
 use crate::error::ClusterError;
@@ -29,12 +29,11 @@ pub fn run_workload(
     workload: &dyn Workload,
     graph: &CsrGraph,
 ) -> Result<WorkloadRun, ClusterError> {
-    if let Some(kind) = TransportKind::from_mode(engine.config().transport) {
-        if let Some(plan) = workload.plan(graph) {
-            return run_plan(engine, &plan, &DriveOptions::new(kind));
-        }
+    let plan = workload.plan(graph);
+    match TransportKind::from_mode(engine.config().transport) {
+        Some(kind) => run_plan(engine, &plan, &DriveOptions::new(kind)),
+        None => Ok(plan.run(engine)),
     }
-    Ok(workload.run(engine, graph))
 }
 
 /// Executes `plan` as cluster drives: the in-memory [`RunPlan::run`] with

@@ -130,7 +130,7 @@ fn semi_cluster_bits(v: &predict_algorithms::SemiClusterList) -> Vec<u64> {
 
 #[test]
 fn semi_clustering_inproc_is_byte_identical_to_in_memory() {
-    let graph = predict_algorithms::to_undirected(&test_graph());
+    let graph = test_graph().to_undirected();
     let params = SemiClusteringParams::default();
     assert_transport_matches_in_memory(
         &SemiClustering::new(params),
@@ -143,7 +143,7 @@ fn semi_clustering_inproc_is_byte_identical_to_in_memory() {
 
 #[test]
 fn semi_clustering_socket_is_byte_identical_to_in_memory() {
-    let graph = predict_algorithms::to_undirected(&test_graph());
+    let graph = test_graph().to_undirected();
     let params = SemiClusteringParams::default();
     assert_transport_matches_in_memory(
         &SemiClustering::new(params),
@@ -154,16 +154,17 @@ fn semi_clustering_socket_is_byte_identical_to_in_memory() {
     );
 }
 
-/// The workload-level entry point must agree with `Workload::run` for a
-/// two-phase workload (TOP-K: PageRank pre-pass feeding the ranking phase),
-/// and must count both phases as engine runs like the in-memory path does.
+/// The workload-level entry point must agree with the in-memory
+/// `RunPlan::run` for a two-phase workload (TOP-K: PageRank pre-pass feeding
+/// the ranking phase), and must count both phases as engine runs like the
+/// in-memory path does.
 #[test]
 fn topk_workload_runs_identically_over_the_cluster() {
     let graph = test_graph();
     let workload = TopKWorkload::default();
 
     let in_memory_engine = BspEngine::new(test_config());
-    let in_memory = workload.run(&in_memory_engine, &graph);
+    let in_memory = workload.plan(&graph).run(&in_memory_engine);
 
     let cluster_engine = BspEngine::new(BspConfig {
         transport: TransportMode::InProc,

@@ -78,46 +78,6 @@ pub fn ks_statistic_from_histograms(a: &[usize], b: &[usize]) -> f64 {
     d
 }
 
-/// Kolmogorov–Smirnov statistic between two samples of real values.
-///
-/// Used for distributions that are not integer valued (e.g. per-vertex
-/// PageRank values when validating that a sample preserves relative ordering).
-pub fn ks_statistic_from_samples(a: &[f64], b: &[f64]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 1.0;
-    }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    sb.sort_by(|x, y| x.partial_cmp(y).unwrap());
-
-    let (mut i, mut j) = (0usize, 0usize);
-    let (na, nb) = (sa.len() as f64, sb.len() as f64);
-    let mut d: f64 = 0.0;
-    while i < sa.len() && j < sb.len() {
-        // Advance past ties on both sides together so identical samples
-        // compare as distance zero.
-        if sa[i] < sb[j] {
-            i += 1;
-        } else if sb[j] < sa[i] {
-            j += 1;
-        } else {
-            let v = sa[i];
-            while i < sa.len() && sa[i] == v {
-                i += 1;
-            }
-            while j < sb.len() && sb[j] == v {
-                j += 1;
-            }
-        }
-        d = d.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,23 +109,6 @@ mod tests {
         let d1 = ks_statistic_from_histograms(&a, &b);
         let d2 = ks_statistic_from_histograms(&b, &a);
         assert!((d1 - d2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_distance_zero_for_identical_samples() {
-        let s = vec![0.1, 0.5, 0.9, 1.3];
-        assert!(ks_statistic_from_samples(&s, &s) < 1e-12);
-    }
-
-    #[test]
-    fn sample_distance_detects_shift() {
-        let a: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
-        let b: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0 + 0.5).collect();
-        let d = ks_statistic_from_samples(&a, &b);
-        assert!(
-            d > 0.45,
-            "shifted uniform distributions should have large D, got {d}"
-        );
     }
 
     #[test]

@@ -80,16 +80,6 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Iterates over `(src, dst)` pairs.
-    pub fn iter_pairs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.edges.iter().map(|e| (e.src, e.dst))
-    }
-
-    /// Removes self-loops (`src == dst`) in place.
-    pub fn remove_self_loops(&mut self) {
-        self.edges.retain(|e| e.src != e.dst);
-    }
-
     /// Removes duplicate `(src, dst)` pairs in place, keeping the first
     /// occurrence (and therefore its weight). Sorts the list by `(src, dst)`
     /// as a side effect.
@@ -142,11 +132,6 @@ impl EdgeList {
         }
         out.dedup();
         out
-    }
-
-    /// Consumes the list and returns the underlying vector of edges.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
     }
 }
 
@@ -298,21 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_self_loops_drops_loops_only() {
-        let mut el = EdgeList::new();
-        el.push(0, 0);
-        el.push(0, 1);
-        el.push(2, 2);
-        el.remove_self_loops();
-        assert_eq!(el.num_edges(), 1);
-        assert_eq!(el.edges()[0].dst, 1);
-    }
-
-    #[test]
     fn to_undirected_mirrors_edges() {
         let el: EdgeList = [(0u32, 1u32), (1, 2)].into_iter().collect();
         let und = el.to_undirected();
-        let pairs: Vec<_> = und.iter_pairs().collect();
+        let pairs: Vec<_> = und.edges().iter().map(|e| (e.src, e.dst)).collect();
         assert!(pairs.contains(&(0, 1)));
         assert!(pairs.contains(&(1, 0)));
         assert!(pairs.contains(&(1, 2)));

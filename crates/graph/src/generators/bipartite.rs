@@ -68,17 +68,6 @@ impl BipartiteConfig {
         self
     }
 
-    /// Overrides the popularity skew.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `skew >= 1`.
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        assert!(skew >= 1.0, "skew must be at least 1, got {skew}");
-        self.skew = skew;
-        self
-    }
-
     /// Number of vertices the generated graph will have.
     pub fn num_vertices(&self) -> usize {
         self.num_left + self.num_right

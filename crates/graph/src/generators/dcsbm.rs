@@ -82,31 +82,6 @@ impl DcsbmConfig {
         self
     }
 
-    /// Overrides the within-block edge probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < within_probability <= 1`.
-    pub fn with_within_probability(mut self, p: f64) -> Self {
-        assert!(
-            p > 0.0 && p <= 1.0,
-            "within probability must be in (0, 1], got {p}"
-        );
-        self.within_probability = p;
-        self
-    }
-
-    /// Overrides the degree-propensity exponent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma` is negative.
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        assert!(gamma >= 0.0, "gamma must be non-negative, got {gamma}");
-        self.gamma = gamma;
-        self
-    }
-
     /// Block of vertex `v` (blocks are contiguous id ranges).
     ///
     /// Matches the generator's partition exactly: block `b` spans
@@ -217,8 +192,14 @@ mod tests {
 
     #[test]
     fn degree_correction_grows_hubs() {
-        let heavy = generate_dcsbm(&DcsbmConfig::new(2000, 4, 10).with_seed(3).with_gamma(0.9));
-        let flat = generate_dcsbm(&DcsbmConfig::new(2000, 4, 10).with_seed(3).with_gamma(0.0));
+        let heavy = generate_dcsbm(&DcsbmConfig {
+            gamma: 0.9,
+            ..DcsbmConfig::new(2000, 4, 10).with_seed(3)
+        });
+        let flat = generate_dcsbm(&DcsbmConfig {
+            gamma: 0.0,
+            ..DcsbmConfig::new(2000, 4, 10).with_seed(3)
+        });
         let max_deg = |g: &CsrGraph| g.vertices().map(|v| g.out_degree(v)).max().unwrap();
         assert!(
             max_deg(&heavy) > max_deg(&flat) * 2,

@@ -65,20 +65,6 @@ impl GridRoadConfig {
         self
     }
 
-    /// Overrides the probability that a lattice edge exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < keep_probability <= 1`.
-    pub fn with_keep_probability(mut self, p: f64) -> Self {
-        assert!(
-            p > 0.0 && p <= 1.0,
-            "keep probability must be in (0, 1], got {p}"
-        );
-        self.keep_probability = p;
-        self
-    }
-
     /// Number of vertices the generated graph will have.
     pub fn num_vertices(&self) -> usize {
         self.width * self.height
@@ -122,7 +108,10 @@ mod tests {
 
     #[test]
     fn full_grid_has_exact_counts() {
-        let g = generate_grid_road(&GridRoadConfig::new(10, 8).with_keep_probability(1.0));
+        let g = generate_grid_road(&GridRoadConfig {
+            keep_probability: 1.0,
+            ..GridRoadConfig::new(10, 8)
+        });
         assert_eq!(g.num_vertices(), 80);
         // Undirected lattice edges: (w-1)*h horizontal + w*(h-1) vertical,
         // each stored in both directions.

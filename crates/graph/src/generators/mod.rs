@@ -8,13 +8,9 @@
 //! * [`rmat`] — recursive-matrix (R-MAT) graphs, the standard synthetic model
 //!   for power-law web/social graphs (used for the Wikipedia, UK-2002 and
 //!   Twitter analogs).
-//! * [`barabasi_albert`] — preferential-attachment scale-free graphs
-//!   (alternative scale-free analog, also used in sampler tests).
 //! * [`erdos_renyi`] — uniform random graphs whose degree distribution is
 //!   binomial rather than power-law (used for the LiveJournal analog, whose
 //!   out-degree distribution the paper observes is *not* a power law).
-//! * [`watts_strogatz`] — small-world ring-rewiring graphs (used for
-//!   sensitivity tests on clustering-coefficient preservation).
 //! * [`degenerate`] — chains, stars, cycles, complete graphs and binary trees;
 //!   the "degenerate graph structures" on which the paper states its
 //!   methodology does not apply, used for negative tests.
@@ -32,20 +28,16 @@
 //!
 //! All generators are deterministic given a seed.
 
-pub mod barabasi_albert;
 pub mod bipartite;
 pub mod dcsbm;
 pub mod degenerate;
 pub mod erdos_renyi;
 pub mod grid_road;
 pub mod rmat;
-pub mod watts_strogatz;
 
-pub use barabasi_albert::{generate_barabasi_albert, BarabasiAlbertConfig};
 pub use bipartite::{generate_bipartite, BipartiteConfig};
 pub use dcsbm::{generate_dcsbm, DcsbmConfig};
 pub use degenerate::{binary_tree, chain, complete, cycle, star};
 pub use erdos_renyi::{generate_erdos_renyi, ErdosRenyiConfig};
 pub use grid_road::{generate_grid_road, GridRoadConfig};
 pub use rmat::{generate_rmat, RmatConfig};
-pub use watts_strogatz::{generate_watts_strogatz, WattsStrogatzConfig};

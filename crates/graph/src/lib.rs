@@ -8,12 +8,12 @@
 //!   first use, the representation used by the BSP engine and the samplers.
 //! * [`ShardedCsr`] — the per-worker slice of a graph (local CSR over the
 //!   owned vertices), the only part of a graph a cluster worker holds.
-//! * [`EdgeList`] / [`GraphBuilder`] — mutable construction APIs.
-//! * [`generators`] — synthetic graph generators (R-MAT, Barabási–Albert,
-//!   Erdős–Rényi, Watts–Strogatz, degenerate chains, plus grid road
-//!   networks, bipartite web graphs and degree-corrected block models) used
-//!   to build scaled-down analogs of the paper's datasets and regimes beyond
-//!   them.
+//! * [`EdgeList`] — the mutable construction API, an edge buffer frozen
+//!   into a [`CsrGraph`].
+//! * [`generators`] — synthetic graph generators (R-MAT, Erdős–Rényi,
+//!   degenerate chains, plus grid road networks, bipartite web graphs and
+//!   degree-corrected block models) used to build scaled-down analogs of the
+//!   paper's datasets and regimes beyond them.
 //! * [`datasets`] — presets mirroring Table 2 of the paper (LiveJournal,
 //!   Wikipedia, Twitter, UK-2002 analogs) plus the extended
 //!   road/bipartite/DC-SBM datasets.
@@ -22,7 +22,6 @@
 //!   used to validate that samples preserve the properties the paper relies on.
 //! * [`dstat`] — Kolmogorov–Smirnov D-statistic comparison between a sample's
 //!   property distributions and the full graph's (as in Leskovec & Faloutsos).
-//! * [`io`] — plain-text edge-list readers and writers.
 //!
 //! # Example
 //!
@@ -36,21 +35,18 @@
 //! assert!(props.avg_out_degree > 0.0);
 //! ```
 
-pub mod builder;
 pub mod csr;
 pub mod datasets;
 pub mod dstat;
 pub mod edge_list;
 pub mod generators;
-pub mod io;
 pub mod properties;
 pub mod sharded;
 pub mod subgraph;
 pub mod types;
 
-pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use edge_list::EdgeList;
 pub use sharded::{shard_csr, ShardedCsr};
 pub use subgraph::{induced_subgraph, SubgraphMapping};
-pub use types::{Edge, EdgeCount, VertexCount, VertexId};
+pub use types::{Edge, VertexId};

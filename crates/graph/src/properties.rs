@@ -338,8 +338,7 @@ pub fn fit_power_law(degrees: &[usize], x_min: usize) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::generators::{
-        chain, complete, generate_barabasi_albert, generate_erdos_renyi, generate_rmat,
-        BarabasiAlbertConfig, ErdosRenyiConfig, RmatConfig,
+        chain, complete, generate_erdos_renyi, generate_rmat, ErdosRenyiConfig, RmatConfig,
     };
 
     #[test]
@@ -412,10 +411,6 @@ mod tests {
 
     #[test]
     fn scale_free_graph_is_detected() {
-        let g = generate_barabasi_albert(&BarabasiAlbertConfig::new(3000, 4).with_seed(7));
-        // Out-degree of a BA digraph is nearly constant; use in-degree fit by
-        // analyzing the reversed graph via RMAT instead for the out-degree
-        // check, and assert the BA in-degree hubs exist.
         let rmat = generate_rmat(&RmatConfig::new(12, 8).with_seed(7));
         let p = GraphProperties::analyze(&rmat, 7);
         assert!(
@@ -424,7 +419,6 @@ mod tests {
             p.power_law_alpha,
             p.power_law_ks
         );
-        assert!(g.vertices().map(|v| g.in_degree(v)).max().unwrap() > 40);
     }
 
     #[test]

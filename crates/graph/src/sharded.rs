@@ -174,11 +174,6 @@ impl ShardedCsr {
             .map(|w| &w[self.out_offsets[slot]..self.out_offsets[slot + 1]])
     }
 
-    /// Out-degree of the owned vertex at `slot`.
-    pub fn out_degree_at(&self, slot: usize) -> usize {
-        self.out_offsets[slot + 1] - self.out_offsets[slot]
-    }
-
     /// Slot-indexed prefix offsets into [`Self::out_targets`]
     /// (`num_local_vertices() + 1` entries). The raw-parts counterpart of
     /// [`Self::from_parts`], used by the cluster wire encoder.

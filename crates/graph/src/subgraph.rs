@@ -119,11 +119,6 @@ impl SubgraphMapping {
             .filter(|&id| id != NOT_SELECTED)
     }
 
-    /// Number of vertices in the subgraph.
-    pub fn num_sampled(&self) -> usize {
-        self.to_original.len()
-    }
-
     /// Iterates over `(sample_id, original_id)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.to_original
@@ -216,7 +211,7 @@ mod tests {
         assert_eq!(sub.num_vertices(), 3);
         // Edges 0->1, 1->2, 0->2 survive; 2->3 and 3->0 do not.
         assert_eq!(sub.num_edges(), 3);
-        assert_eq!(map.num_sampled(), 3);
+        assert_eq!(map.iter().count(), 3);
     }
 
     #[test]
@@ -272,7 +267,7 @@ mod tests {
         let g = square();
         let (sub, map) = induced_subgraph(&g, &[0, 0, 1, 1]);
         assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(map.num_sampled(), 2);
+        assert_eq!(map.iter().count(), 2);
         assert_eq!(sub.num_edges(), 1); // only 0 -> 1
     }
 
@@ -293,7 +288,7 @@ mod tests {
         let (sub, map) = induced_subgraph(&g, &[]);
         assert_eq!(sub.num_vertices(), 0);
         assert_eq!(sub.num_edges(), 0);
-        assert_eq!(map.num_sampled(), 0);
+        assert_eq!(map.iter().count(), 0);
     }
 
     #[test]

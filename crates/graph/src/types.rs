@@ -6,12 +6,6 @@
 /// representation and the BSP engine index per-vertex state with plain vectors.
 pub type VertexId = u32;
 
-/// Number of vertices in a graph.
-pub type VertexCount = usize;
-
-/// Number of edges in a graph.
-pub type EdgeCount = usize;
-
 /// A directed edge `(source, destination)` with an optional weight.
 ///
 /// Weights default to `1.0` and are only meaningful for algorithms operating

@@ -26,30 +26,6 @@ pub fn pagerank_iteration_upper_bound(epsilon: f64, damping: f64) -> usize {
     (epsilon.log10() / damping.log10()).ceil() as usize
 }
 
-/// Generic bound for fixed-point iterations with a known contraction factor:
-/// the number of iterations needed for an error that shrinks by `contraction`
-/// per iteration to fall from 1 to `epsilon`. PageRank with damping `d` is the
-/// special case `contraction = d`.
-pub fn contraction_iteration_bound(epsilon: f64, contraction: f64) -> usize {
-    assert!(
-        epsilon > 0.0 && epsilon < 1.0,
-        "epsilon must be in (0, 1), got {epsilon}"
-    );
-    assert!(
-        contraction > 0.0 && contraction < 1.0,
-        "contraction must be in (0, 1), got {contraction}"
-    );
-    (epsilon.ln() / contraction.ln()).ceil() as usize
-}
-
-/// Upper bound for propagation-style algorithms (connected components,
-/// SSSP, neighborhood growth): information travels one hop per superstep, so
-/// the iteration count is bounded by the graph diameter plus one. The caller
-/// supplies a diameter (exact or the effective diameter estimate).
-pub fn propagation_iteration_bound(diameter: f64) -> usize {
-    diameter.max(0.0).ceil() as usize + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,22 +46,6 @@ mod tests {
         let loose = pagerank_iteration_upper_bound(0.1, 0.85);
         assert!(loose < tight);
         assert_eq!(loose, (0.1f64.log10() / 0.85f64.log10()).ceil() as usize);
-    }
-
-    #[test]
-    fn contraction_bound_equals_pagerank_bound_up_to_log_base() {
-        // Same expression in natural log; the results agree exactly.
-        assert_eq!(
-            contraction_iteration_bound(0.001, 0.85),
-            pagerank_iteration_upper_bound(0.001, 0.85)
-        );
-    }
-
-    #[test]
-    fn propagation_bound_is_diameter_plus_one() {
-        assert_eq!(propagation_iteration_bound(2.0), 3);
-        assert_eq!(propagation_iteration_bound(6.4), 8);
-        assert_eq!(propagation_iteration_bound(0.0), 1);
     }
 
     #[test]

@@ -97,14 +97,6 @@ impl CostModel {
         self.model.predict(&features.select(&self.features))
     }
 
-    /// Predicted total runtime of a sequence of iterations.
-    pub fn predict_total_ms(&self, iterations: &[FeatureSet]) -> f64 {
-        iterations
-            .iter()
-            .map(|f| self.predict_iteration_ms(f))
-            .sum()
-    }
-
     /// R² of the model on its training data.
     pub fn r_squared(&self) -> f64 {
         self.model.r_squared
@@ -119,15 +111,6 @@ impl CostModel {
             .collect();
         let targets: Vec<f64> = observations.iter().map(|o| o.wall_time_ms).collect();
         self.model.r_squared_on(&rows, &targets)
-    }
-
-    /// The cost value the model assigns to `feature`, or `None` when the
-    /// feature was not selected.
-    pub fn cost_of(&self, feature: KeyFeature) -> Option<f64> {
-        self.features
-            .iter()
-            .position(|f| *f == feature)
-            .map(|i| self.model.coefficients[i])
     }
 }
 
@@ -192,17 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn total_prediction_sums_iterations() {
-        let obs = synthetic_observations(20, 1.0, 4);
-        let model = CostModel::train(&obs, &CostModelConfig::default()).unwrap();
-        let features: Vec<FeatureSet> = obs.iter().map(|o| o.features).collect();
-        let total = model.predict_total_ms(&features);
-        let sum: f64 = features.iter().map(|f| model.predict_iteration_ms(f)).sum();
-        assert!((total - sum).abs() < 1e-9);
-        assert!(total > 0.0);
-    }
-
-    #[test]
     fn intercept_absorbs_fixed_overhead() {
         let obs = synthetic_observations(200, 1.0, 5);
         let model = CostModel::train(&obs, &CostModelConfig::default()).unwrap();
@@ -221,20 +193,6 @@ mod tests {
             CostModel::train(&[], &CostModelConfig::default()).unwrap_err(),
             RegressionError::EmptyTrainingSet
         );
-    }
-
-    #[test]
-    fn cost_of_reports_selected_coefficients_only() {
-        let obs = synthetic_observations(100, 1.0, 6);
-        let model = CostModel::train(&obs, &CostModelConfig::default()).unwrap();
-        let mut found = 0;
-        for f in KeyFeature::ALL {
-            if let Some(c) = model.cost_of(f) {
-                assert!(c.is_finite());
-                found += 1;
-            }
-        }
-        assert_eq!(found, model.features.len());
     }
 
     #[test]

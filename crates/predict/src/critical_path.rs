@@ -5,13 +5,13 @@
 //! model training and prediction on the features of the worker on the
 //! critical path. The paper identifies that worker *before execution* by the
 //! number of outbound edges owned by each worker (piggybacked on the read
-//! phase); after a run has executed, the profile also reveals which worker was
-//! actually slowest. Both selections are provided, plus a mean-worker
-//! alternative used as an ablation baseline.
+//! phase); here the sample run has already executed, so its profile names the
+//! worker that was actually slowest in each superstep, and that worker's
+//! counters represent the iteration. A mean-worker alternative is the
+//! ablation baseline.
 
 use crate::features::{FeatureSet, IterationObservation};
-use predict_bsp::{sum_counters, RunProfile, ShardLayout, SuperstepProfile, WorkerCounters};
-use predict_graph::CsrGraph;
+use predict_bsp::{sum_counters, RunProfile, SuperstepProfile, WorkerCounters};
 use serde::{Deserialize, Serialize};
 
 /// Which worker's counters represent an iteration when extracting features
@@ -23,27 +23,8 @@ pub enum WorkerSelection {
     /// instruments per-worker counters and models the slowest worker).
     #[default]
     SlowestWorker,
-    /// The fixed worker owning the most outbound edges, the paper's
-    /// before-execution heuristic (requires the shard layout, see
-    /// [`critical_path_worker_by_edges`]).
-    FixedWorker(usize),
     /// The average over all workers — an ablation that ignores skew.
     MeanWorker,
-}
-
-/// The paper's pre-execution critical-path heuristic: the worker whose
-/// vertices of `graph` have the largest total number of outbound edges under
-/// `layout`.
-pub fn critical_path_worker_by_edges(graph: &CsrGraph, layout: &ShardLayout) -> usize {
-    let mut outbound_edges = vec![0usize; layout.num_workers()];
-    for v in graph.vertices() {
-        outbound_edges[layout.owner_of(v)] += graph.out_degree(v);
-    }
-    outbound_edges
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &edges)| edges)
-        .map_or(0, |(w, _)| w)
 }
 
 fn mean_counters(workers: &[WorkerCounters]) -> WorkerCounters {
@@ -66,7 +47,6 @@ fn mean_counters(workers: &[WorkerCounters]) -> WorkerCounters {
 pub fn select_counters(superstep: &SuperstepProfile, selection: WorkerSelection) -> WorkerCounters {
     match selection {
         WorkerSelection::SlowestWorker => superstep.critical_path_counters(),
-        WorkerSelection::FixedWorker(w) => superstep.workers.get(w).copied().unwrap_or_default(),
         WorkerSelection::MeanWorker => mean_counters(&superstep.workers),
     }
 }
@@ -95,8 +75,7 @@ pub fn observations_from_profile(
 mod tests {
     use super::*;
     use crate::features::KeyFeature;
-    use predict_bsp::{Aggregates, PartitionStrategy};
-    use predict_graph::generators::star;
+    use predict_bsp::Aggregates;
 
     fn superstep() -> SuperstepProfile {
         let worker = |active: u64, remote_bytes: u64| WorkerCounters {
@@ -125,16 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_worker_selection_uses_the_requested_index() {
-        let s = superstep();
-        let c = select_counters(&s, WorkerSelection::FixedWorker(2));
-        assert_eq!(c.active_vertices, 20);
-        // Out-of-range index degrades to empty counters instead of panicking.
-        let missing = select_counters(&s, WorkerSelection::FixedWorker(9));
-        assert_eq!(missing.active_vertices, 0);
-    }
-
-    #[test]
     fn mean_worker_selection_averages_counters() {
         let s = superstep();
         let c = select_counters(&s, WorkerSelection::MeanWorker);
@@ -160,13 +129,5 @@ mod tests {
         assert_eq!(obs[0].superstep, 3);
         assert_eq!(obs[0].wall_time_ms, 12.0);
         assert_eq!(obs[0].features.get(KeyFeature::ActiveVertices), 30.0);
-    }
-
-    #[test]
-    fn edge_heuristic_picks_the_hub_owner_on_a_star() {
-        let g = star(64);
-        let layout = ShardLayout::build(g.num_vertices(), 4, PartitionStrategy::Modulo);
-        let w = critical_path_worker_by_edges(&g, &layout);
-        assert_eq!(w, layout.owner_of(0));
     }
 }

@@ -10,7 +10,6 @@
 //! iteration `i` of the sample run predicts iteration `i` of the actual run.
 
 use crate::features::{ExtrapolationKind, FeatureSet, KeyFeature};
-use predict_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 
 /// The two scaling factors of the paper's extrapolator.
@@ -51,22 +50,6 @@ impl Extrapolator {
             vertex_factor,
             edge_factor,
         }
-    }
-
-    /// Computes the factors from the full graph and the sample graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample graph is empty.
-    pub fn from_graphs(full: &CsrGraph, sample: &CsrGraph) -> Self {
-        assert!(
-            sample.num_vertices() > 0 && sample.num_edges() > 0,
-            "sample graph must have vertices and edges"
-        );
-        Self::new(
-            full.num_vertices() as f64 / sample.num_vertices() as f64,
-            full.num_edges() as f64 / sample.num_edges() as f64,
-        )
     }
 
     /// Computes the factors from raw counts.
@@ -127,8 +110,6 @@ impl Extrapolator {
 mod tests {
     use super::*;
     use predict_bsp::WorkerCounters;
-    use predict_graph::generators::{generate_rmat, RmatConfig};
-    use predict_graph::induced_subgraph;
 
     fn features() -> FeatureSet {
         FeatureSet::from_counters(&WorkerCounters {
@@ -180,20 +161,6 @@ mod tests {
     fn identity_factors_leave_features_unchanged() {
         let e = Extrapolator::new(1.0, 1.0);
         assert_eq!(e.extrapolate(&features()), features());
-    }
-
-    #[test]
-    fn factors_from_graphs_match_counts() {
-        let g = generate_rmat(&RmatConfig::new(9, 6).with_seed(3));
-        let selected: Vec<_> = g.vertices().filter(|v| v % 4 == 0).collect();
-        let (sample, _) = induced_subgraph(&g, &selected);
-        let e = Extrapolator::from_graphs(&g, &sample);
-        assert!(
-            (e.vertex_factor - g.num_vertices() as f64 / sample.num_vertices() as f64).abs()
-                < 1e-12
-        );
-        assert!((e.edge_factor - g.num_edges() as f64 / sample.num_edges() as f64).abs() < 1e-12);
-        assert!((e.vertex_factor - 4.0).abs() < 0.01);
     }
 
     #[test]

@@ -88,9 +88,7 @@ pub use artifacts::{
     TrainingProvenance, TrainingSource,
 };
 pub use cost_model::{CostModel, CostModelConfig};
-pub use critical_path::{
-    critical_path_worker_by_edges, observations_from_profile, WorkerSelection,
-};
+pub use critical_path::{observations_from_profile, WorkerSelection};
 pub use error::PredictError;
 pub use extrapolator::{ExtrapolationRule, Extrapolator};
 pub use feature_selection::{forward_select, SelectionConfig, SelectionResult};

@@ -662,11 +662,7 @@ mod tests {
         fn with_threshold(&self, _threshold: f64) -> Box<dyn Workload> {
             Box::new(*self)
         }
-        fn run(
-            &self,
-            _engine: &BspEngine,
-            _graph: &predict_graph::CsrGraph,
-        ) -> predict_algorithms::WorkloadRun {
+        fn plan<'g>(&self, _graph: &'g predict_graph::CsrGraph) -> predict_algorithms::RunPlan<'g> {
             panic!("injected workload failure")
         }
     }

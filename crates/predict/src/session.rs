@@ -1365,7 +1365,7 @@ mod tests {
 
         // Record an actual run on a *different* dataset in the history store.
         let other = generate_rmat(&RmatConfig::new(10, 6).with_seed(5));
-        let other_run = workload.run(&engine(), &other);
+        let other_run = workload.plan(&other).run(&engine());
         let mut history = HistoryStore::new();
         history.record(workload.name(), "other", other_run.profile);
 
@@ -1395,7 +1395,7 @@ mod tests {
         let workload = PageRankWorkload::with_epsilon(0.01, g.num_vertices());
         // History contains only runs on the dataset being predicted: they
         // must be excluded, so predictions match the no-history case exactly.
-        let actual = workload.run(&engine(), &g);
+        let actual = workload.plan(&g).run(&engine());
         let mut history = HistoryStore::new();
         history.record(workload.name(), "this", actual.profile);
 
@@ -1496,7 +1496,7 @@ mod tests {
 
         // An actual run on a different dataset becomes history.
         let other = generate_rmat(&RmatConfig::new(10, 6).with_seed(5));
-        let other_run = workload.run(s.engine(), &other);
+        let other_run = workload.plan(&other).run(s.engine());
         let runs_after_actual = s.engine().runs_executed();
         assert!(runs_after_actual > runs_before);
         s.record_history(workload.name(), "other", other_run.profile);

@@ -13,10 +13,9 @@
 //! * [`Mhrw`] (**MHRW**) — Metropolis–Hastings random walk with uniform
 //!   stationary distribution (Gjoka et al.), the unbiased extreme used in the
 //!   paper's Figure 9 sensitivity analysis.
-//! * [`ForestFire`] — burning-based sampling (Leskovec & Faloutsos).
-//! * [`RandomNode`] / [`RandomEdge`] — naive baselines.
+//! * [`RandomNode`] — the naive uniform-vertex baseline.
 //!
-//! plus [`quality`] metrics for ranking techniques by how well their samples
+//! plus [`quality`] metrics for measuring how well a technique's samples
 //! preserve graph properties.
 //!
 //! Sampler walks are the hot path of PREDIcT sample runs, so all per-draw
@@ -38,7 +37,6 @@
 //! ```
 
 pub mod biased_random_jump;
-pub mod forest_fire;
 pub mod mhrw;
 pub mod quality;
 pub mod random_jump;
@@ -47,11 +45,10 @@ pub mod traits;
 pub mod visited;
 
 pub use biased_random_jump::BiasedRandomJump;
-pub use forest_fire::ForestFire;
 pub use mhrw::Mhrw;
-pub use quality::{rank_samplers, SampleQualityReport};
+pub use quality::SampleQualityReport;
 pub use random_jump::RandomJump;
-pub use random_node::{RandomEdge, RandomNode};
+pub use random_node::RandomNode;
 pub use traits::{target_sample_size, technique_from_name, GraphSample, Sampler};
 pub use visited::{SampleScratch, ScratchGuard, ScratchPool, VisitedSet};
 

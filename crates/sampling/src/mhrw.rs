@@ -85,7 +85,7 @@ impl Sampler for Mhrw {
         }
         let n = graph.num_vertices();
         let mut rng = StdRng::seed_from_u64(seed);
-        let SampleScratch { visited, buf, .. } = scratch;
+        let SampleScratch { visited, buf } = scratch;
         visited.reset(n);
         let mut picked = Vec::with_capacity(target);
         let visit = |v: VertexId, visited: &mut VisitedSet, picked: &mut Vec<VertexId>| {

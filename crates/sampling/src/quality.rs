@@ -8,7 +8,7 @@
 //! the paper ranks BRJ / RJ / MHRW in Figure 9 and Leskovec & Faloutsos rank
 //! techniques by D-statistic).
 
-use crate::traits::{GraphSample, Sampler};
+use crate::traits::GraphSample;
 use predict_graph::dstat::DStatReport;
 use predict_graph::properties::GraphProperties;
 use predict_graph::CsrGraph;
@@ -123,35 +123,12 @@ impl SampleQualityReport {
     }
 }
 
-/// Evaluates several sampling techniques on the same graph at the same ratio
-/// and returns the reports sorted by [`SampleQualityReport::score`]
-/// (best technique first). This reproduces the apparatus behind the paper's
-/// sampler-sensitivity discussion.
-pub fn rank_samplers(
-    graph: &CsrGraph,
-    samplers: &[&dyn Sampler],
-    ratio: f64,
-    seed: u64,
-) -> Vec<SampleQualityReport> {
-    let full_props = GraphProperties::analyze(graph, seed);
-    // One scratch serves every technique in the comparison.
-    let mut scratch = crate::visited::SampleScratch::new();
-    let mut reports: Vec<SampleQualityReport> = samplers
-        .iter()
-        .map(|s| {
-            let sample = s.sample_with(graph, ratio, seed, &mut scratch);
-            SampleQualityReport::evaluate_with_full_properties(graph, &full_props, &sample, seed)
-        })
-        .collect();
-    reports.sort_by(|a, b| a.score().partial_cmp(&b.score()).unwrap());
-    reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::biased_random_jump::BiasedRandomJump;
     use crate::random_node::RandomNode;
+    use crate::traits::Sampler;
     use predict_graph::generators::{generate_rmat, RmatConfig};
 
     #[test]
@@ -177,17 +154,6 @@ mod tests {
             brj.score(),
             rn.score()
         );
-    }
-
-    #[test]
-    fn rank_samplers_orders_by_score() {
-        let g = generate_rmat(&RmatConfig::new(10, 8).with_seed(7));
-        let brj = BiasedRandomJump::default();
-        let rn = RandomNode;
-        let reports = rank_samplers(&g, &[&rn, &brj], 0.1, 3);
-        assert_eq!(reports.len(), 2);
-        assert!(reports[0].score() <= reports[1].score());
-        assert_eq!(reports[0].technique, "BRJ");
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub(crate) fn walk_until(
         return Vec::new();
     }
 
-    let SampleScratch { visited, buf, .. } = scratch;
+    let SampleScratch { visited, buf } = scratch;
     visited.reset(graph.num_vertices());
     let mut picked: Vec<VertexId> = Vec::with_capacity(target);
     let visit = |v: VertexId, visited: &mut VisitedSet, picked: &mut Vec<VertexId>| {

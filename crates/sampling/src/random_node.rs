@@ -1,17 +1,17 @@
-//! Uniform random vertex and random edge sampling baselines.
+//! Uniform random vertex sampling, the naive baseline.
 //!
-//! These are the naive baselines that the walk-based techniques are measured
+//! This is the baseline that the walk-based techniques are measured
 //! against: uniform vertex selection destroys connectivity (the induced
 //! subgraph of a sparse graph at a 10% vertex sample keeps roughly 1% of the
 //! edges), which is exactly the failure mode the paper's sampling requirements
 //! (section 3.2.1) are designed to avoid.
 
 use crate::traits::{target_sample_size, Sampler};
-use crate::visited::{SampleScratch, VisitedSet};
+use crate::visited::SampleScratch;
 use predict_graph::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Uniform random vertex sampling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,79 +38,6 @@ impl Sampler for RandomNode {
     }
 }
 
-/// Random edge sampling: repeatedly selects a uniformly random edge and adds
-/// both endpoints until the vertex target is reached. Preserves density
-/// better than [`RandomNode`] but still fragments the graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RandomEdge;
-
-impl Sampler for RandomEdge {
-    fn name(&self) -> &'static str {
-        "RE"
-    }
-
-    fn sample_vertices_with(
-        &self,
-        graph: &CsrGraph,
-        ratio: f64,
-        seed: u64,
-        scratch: &mut SampleScratch,
-    ) -> Vec<VertexId> {
-        let target = target_sample_size(graph.num_vertices(), ratio);
-        if target == 0 {
-            return Vec::new();
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let SampleScratch {
-            visited: selected,
-            buf,
-            ..
-        } = scratch;
-        selected.reset(graph.num_vertices());
-        let mut picked: Vec<VertexId> = Vec::with_capacity(target);
-        let visit = |v: VertexId, selected: &mut VisitedSet, picked: &mut Vec<VertexId>| {
-            if selected.insert(v) {
-                picked.push(v);
-            }
-        };
-
-        // Pick random edges by drawing a random vertex weighted by out-degree
-        // (pick a random position in the edge array via a random vertex's
-        // adjacency). To stay O(1) per draw we pick a random vertex and then a
-        // random out-edge, retrying on sinks; after too many retries fall back
-        // to uniform vertices.
-        let n = graph.num_vertices();
-        let max_attempts = target.saturating_mul(50).max(1000);
-        let mut attempts = 0usize;
-        while picked.len() < target && attempts < max_attempts {
-            attempts += 1;
-            let v = rng.gen_range(0..n) as VertexId;
-            let nbrs = graph.out_neighbors(v);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let u = nbrs[rng.gen_range(0..nbrs.len())];
-            visit(v, selected, &mut picked);
-            if picked.len() < target {
-                visit(u, selected, &mut picked);
-            }
-        }
-        if picked.len() < target {
-            let remaining = buf;
-            remaining.clear();
-            remaining.extend((0..n as VertexId).filter(|&v| !selected.contains(v)));
-            remaining.shuffle(&mut rng);
-            for &v in remaining.iter() {
-                if picked.len() >= target {
-                    break;
-                }
-                visit(v, selected, &mut picked);
-            }
-        }
-        picked
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,33 +54,20 @@ mod tests {
     }
 
     #[test]
-    fn random_edge_respects_target_size() {
-        let g = generate_rmat(&RmatConfig::new(9, 6).with_seed(3));
-        let s = RandomEdge.sample_vertices(&g, 0.1, 7);
-        assert_eq!(s.len(), (g.num_vertices() as f64 * 0.1).round() as usize);
-    }
-
-    #[test]
-    fn both_are_deterministic() {
+    fn random_node_is_deterministic() {
         let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(1));
         assert_eq!(
             RandomNode.sample_vertices(&g, 0.2, 5),
             RandomNode.sample_vertices(&g, 0.2, 5)
-        );
-        assert_eq!(
-            RandomEdge.sample_vertices(&g, 0.2, 5),
-            RandomEdge.sample_vertices(&g, 0.2, 5)
         );
     }
 
     #[test]
     fn vertices_are_unique() {
         let g = generate_rmat(&RmatConfig::new(8, 4).with_seed(1));
-        for sampler in [&RandomNode as &dyn Sampler, &RandomEdge as &dyn Sampler] {
-            let s = sampler.sample_vertices(&g, 0.3, 9);
-            let set: HashSet<_> = s.iter().collect();
-            assert_eq!(set.len(), s.len(), "{} returned duplicates", sampler.name());
-        }
+        let s = RandomNode.sample_vertices(&g, 0.3, 9);
+        let set: HashSet<_> = s.iter().collect();
+        assert_eq!(set.len(), s.len(), "RandomNode returned duplicates");
     }
 
     #[test]
@@ -175,9 +89,7 @@ mod tests {
     fn empty_and_zero_cases() {
         let empty = CsrGraph::from_edges(0, &[]);
         assert!(RandomNode.sample_vertices(&empty, 0.5, 1).is_empty());
-        assert!(RandomEdge.sample_vertices(&empty, 0.5, 1).is_empty());
         let g = generate_rmat(&RmatConfig::new(6, 4).with_seed(2));
         assert!(RandomNode.sample_vertices(&g, 0.0, 1).is_empty());
-        assert!(RandomEdge.sample_vertices(&g, 0.0, 1).is_empty());
     }
 }

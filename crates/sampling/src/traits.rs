@@ -34,24 +34,6 @@ pub struct GraphSample {
     pub technique: &'static str,
 }
 
-impl GraphSample {
-    /// Vertex scaling factor `|V_G| / |V_S|` used by the extrapolator.
-    pub fn vertex_scale_factor(&self, full: &CsrGraph) -> f64 {
-        if self.graph.num_vertices() == 0 {
-            return 0.0;
-        }
-        full.num_vertices() as f64 / self.graph.num_vertices() as f64
-    }
-
-    /// Edge scaling factor `|E_G| / |E_S|` used by the extrapolator.
-    pub fn edge_scale_factor(&self, full: &CsrGraph) -> f64 {
-        if self.graph.num_edges() == 0 {
-            return 0.0;
-        }
-        full.num_edges() as f64 / self.graph.num_edges() as f64
-    }
-}
-
 /// Maps a stored technique name back onto the canonical `&'static str` of a
 /// known in-tree technique, or `None` for out-of-tree names.
 ///
@@ -59,9 +41,7 @@ impl GraphSample {
 /// adding a technique without registering it here makes its persisted
 /// samples deserialize as store misses (safe, but wasteful).
 pub fn technique_from_name(name: &str) -> Option<&'static str> {
-    ["BRJ", "RJ", "RN", "RE", "FF", "MHRW"]
-        .into_iter()
-        .find(|&t| t == name)
+    ["BRJ", "RJ", "RN", "MHRW"].into_iter().find(|&t| t == name)
 }
 
 impl Deserialize for GraphSample {
@@ -230,8 +210,6 @@ mod tests {
         assert!((s.achieved_ratio - 0.25).abs() < 1e-9);
         assert_eq!(s.requested_ratio, 0.25);
         assert_eq!(s.technique, "FirstK");
-        assert!((s.vertex_scale_factor(&g) - 4.0).abs() < 1e-9);
-        assert!(s.edge_scale_factor(&g) >= 1.0);
     }
 
     #[test]
@@ -248,7 +226,6 @@ mod tests {
         let s = FirstK.sample(&g, 0.5, 0);
         assert_eq!(s.graph.num_vertices(), 0);
         assert_eq!(s.achieved_ratio, 0.0);
-        assert_eq!(s.vertex_scale_factor(&g), 0.0);
-        assert_eq!(s.edge_scale_factor(&g), 0.0);
+        assert_eq!(s.graph.num_edges(), 0);
     }
 }

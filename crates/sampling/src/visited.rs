@@ -12,7 +12,6 @@
 //! [`Sampler::sample_vertices_with`](crate::Sampler::sample_vertices_with)).
 
 use predict_graph::VertexId;
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -118,12 +117,10 @@ impl VisitedSet {
 /// amortized.
 #[derive(Debug, Default)]
 pub struct SampleScratch {
-    /// Visited/selected/burned membership of the current draw.
+    /// Visited/selected membership of the current draw.
     pub(crate) visited: VisitedSet,
-    /// General vertex buffer (remainder fill, unburned-neighbor staging).
+    /// Vertex buffer for the remainder fill.
     pub(crate) buf: Vec<VertexId>,
-    /// BFS frontier of burning-based techniques.
-    pub(crate) queue: VecDeque<VertexId>,
 }
 
 impl SampleScratch {

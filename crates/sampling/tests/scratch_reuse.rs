@@ -9,18 +9,14 @@ use predict_graph::generators::{
     RmatConfig,
 };
 use predict_graph::CsrGraph;
-use predict_sampling::{
-    BiasedRandomJump, ForestFire, Mhrw, RandomEdge, RandomJump, RandomNode, SampleScratch, Sampler,
-};
+use predict_sampling::{BiasedRandomJump, Mhrw, RandomJump, RandomNode, SampleScratch, Sampler};
 
 fn samplers() -> Vec<Box<dyn Sampler>> {
     vec![
         Box::new(BiasedRandomJump::default()),
         Box::new(RandomJump::default()),
         Box::new(Mhrw::default()),
-        Box::new(ForestFire::default()),
         Box::new(RandomNode),
-        Box::new(RandomEdge),
     ]
 }
 

@@ -53,8 +53,8 @@
 /// analysis (re-export of `predict-graph`).
 pub use predict_graph as graph;
 
-/// Sampling techniques: BRJ, RJ, MHRW, Forest Fire and baselines (re-export
-/// of `predict-sampling`).
+/// Sampling techniques: BRJ, RJ, MHRW and the random-node baseline
+/// (re-export of `predict-sampling`).
 pub use predict_sampling as sampling;
 
 /// The Giraph-like BSP engine with per-worker feature counters and a

@@ -17,7 +17,7 @@ fn history_store_roundtrips_through_disk_and_feeds_predictions() {
     let mut history = HistoryStore::new();
     for dataset in [Dataset::LiveJournal, Dataset::Uk2002] {
         let graph = dataset.load_small();
-        let run = workload.run(&engine, &graph);
+        let run = workload.plan(&graph).run(&engine);
         history.record(workload.name(), dataset.prefix(), run.profile);
     }
 

@@ -67,12 +67,15 @@ fn transformed_sample_run_converges_in_similar_iterations_as_actual() {
     let sampler = BiasedRandomJump::default();
     let workload = PageRankWorkload::with_epsilon(0.001, graph.num_vertices());
 
-    let actual_iterations = workload.run(&engine, &graph).iterations();
+    let actual_iterations = workload.plan(&graph).run(&engine).iterations();
 
     let sample = sampler.sample(&graph, 0.1, 3);
     let transform = TransformFunction::default_for(workload.convergence());
     let sample_workload = transform.apply(&workload, sample.achieved_ratio);
-    let sample_iterations = sample_workload.run(&engine, &sample.graph).iterations();
+    let sample_iterations = sample_workload
+        .plan(&sample.graph)
+        .run(&engine)
+        .iterations();
 
     let error =
         (sample_iterations as f64 - actual_iterations as f64).abs() / actual_iterations as f64;
