@@ -262,10 +262,9 @@ pub enum TrainingSource {
     /// Sample runs plus historical actual runs on other datasets.
     SampleRunsWithHistory,
     /// Every training ratio yielded an empty sample and no history was
-    /// available, so the model fell back to the extrapolation sample run
-    /// itself. Predictions from such a model extrapolate from the very data
-    /// the model was fit on; [`crate::PredictorConfig::strict_training`]
-    /// turns this case into [`PredictError::InsufficientTraining`] instead.
+    /// available, so the model was trained on the workers of the
+    /// extrapolation sample run itself. Predictions from such a model
+    /// extrapolate from the very run the model was fit on.
     ExtrapolationSampleOnly,
 }
 
@@ -274,9 +273,10 @@ pub enum TrainingSource {
 pub struct TrainingProvenance {
     /// Which data sources contributed training rows.
     pub source: TrainingSource,
-    /// Rows contributed by sample runs (including the fallback case).
+    /// Worker rows contributed by sample runs (including the fallback
+    /// case): one per worker of every superstep.
     pub sample_observations: usize,
-    /// Rows contributed by historical actual runs.
+    /// Worker rows contributed by historical actual runs.
     pub history_observations: usize,
     /// Version of the history store the model was trained against.
     pub history_version: u64,

@@ -1,13 +1,13 @@
 //! Critical-path worker selection.
 //!
 //! In the BSP model the runtime of a superstep is determined by the slowest
-//! worker (section 3.3 / 3.4 of the paper). PREDIcT therefore bases both cost
-//! model training and prediction on the features of the worker on the
-//! critical path. The paper identifies that worker *before execution* by the
-//! number of outbound edges owned by each worker (piggybacked on the read
-//! phase); here the sample run has already executed, so its profile names the
-//! worker that was actually slowest in each superstep, and that worker's
-//! counters represent the iteration. A mean-worker alternative is the
+//! worker (section 3.3 / 3.4 of the paper). The cost model is trained on
+//! every worker, but PREDIcT prices an iteration by the features of the
+//! worker on the critical path. The paper identifies that worker *before
+//! execution* by the number of outbound edges owned by each worker
+//! (piggybacked on the read phase); here the sample run has already
+//! executed, so its profile names the worker that was actually slowest in
+//! each superstep, and that worker's counters represent the iteration. A mean-worker alternative is the
 //! ablation baseline.
 
 use crate::features::{FeatureSet, IterationObservation};
@@ -53,9 +53,9 @@ pub fn select_counters(superstep: &SuperstepProfile, selection: WorkerSelection)
 
 /// Extracts one [`IterationObservation`] per superstep of `profile`, using
 /// `selection` to decide which worker's counters represent the iteration and
-/// pairing them with the superstep's wall time. These observations are both
-/// the training rows of the cost model and the per-iteration inputs of the
-/// extrapolator.
+/// pairing them with the superstep's wall time. These observations are the
+/// per-iteration inputs of the extrapolator, and an actual run's are what
+/// [`crate::CostModel::r_squared_on`] scores a model against.
 pub fn observations_from_profile(
     profile: &RunProfile,
     selection: WorkerSelection,

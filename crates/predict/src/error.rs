@@ -35,15 +35,6 @@ pub enum PredictError {
         /// The seed the sampler was driven by.
         seed: u64,
     },
-    /// Strict training was requested but every training ratio yielded an
-    /// empty sample and no historical runs were available, so the cost model
-    /// could only have been trained on the extrapolation sample run itself.
-    InsufficientTraining {
-        /// Workload whose cost model could not be trained.
-        workload: String,
-        /// Dataset label the prediction was bound to.
-        dataset: String,
-    },
     /// The cost model could not be trained on the assembled training set.
     CostModel(RegressionError),
     /// A sample run or actual run was placed on a cluster transport and the
@@ -76,10 +67,6 @@ impl std::fmt::Display for PredictError {
             } => write!(
                 f,
                 "sample graph has no vertices or edges ({technique} at ratio {ratio}, seed {seed})"
-            ),
-            PredictError::InsufficientTraining { workload, dataset } => write!(
-                f,
-                "no training data beyond the extrapolation sample run for {workload} on {dataset}"
             ),
             PredictError::CostModel(e) => write!(f, "cost model training failed: {e}"),
             PredictError::Cluster(e) => write!(f, "cluster transport failed: {e}"),
@@ -133,11 +120,8 @@ mod tests {
         assert!(msg.contains("BRJ") && msg.contains("0.001"));
         assert!(e.is_empty_sample());
 
-        let e = PredictError::InsufficientTraining {
-            workload: "PR".to_string(),
-            dataset: "Wiki".to_string(),
-        };
-        assert!(e.to_string().contains("PR"));
+        let e = PredictError::CostModel(RegressionError::EmptyTrainingSet);
+        assert!(e.to_string().contains("cost model"));
         assert!(!e.is_empty_sample());
 
         let e = PredictError::InvalidConfig("sampling ratio must be positive".to_string());

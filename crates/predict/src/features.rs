@@ -70,10 +70,7 @@ impl KeyFeature {
 
     /// Index of the feature within [`KeyFeature::ALL`] and [`FeatureSet`].
     pub fn index(&self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|f| f == self)
-            .expect("feature is in ALL")
+        *self as usize
     }
 
     /// How the feature is extrapolated (Table 1's "Extrapolation" column).
@@ -129,20 +126,14 @@ impl FeatureSet {
         self.values[feature.index()] = value;
     }
 
-    /// Values of a subset of features, in the given order (the shape the
-    /// regression consumes).
-    pub fn select(&self, features: &[KeyFeature]) -> Vec<f64> {
-        features.iter().map(|f| self.get(*f)).collect()
-    }
-
     /// All values in [`KeyFeature::ALL`] order.
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[f64; KeyFeature::ALL.len()] {
         &self.values
     }
 }
 
-/// One training or prediction example: the features of an iteration together
-/// with the measured wall time of that iteration.
+/// One iteration as its representing worker sees it: that worker's features
+/// together with the measured wall time of the iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IterationObservation {
     /// Superstep number within its run.
@@ -229,8 +220,11 @@ mod tests {
         assert_eq!(fs.get(KeyFeature::RemoteMessages), 7.0);
         fs.set(KeyFeature::RemoteMessages, 70.0);
         assert_eq!(fs.get(KeyFeature::RemoteMessages), 70.0);
-        let selected = fs.select(&[KeyFeature::AvgMessageSize, KeyFeature::ActiveVertices]);
+        // The regression reads a feature by its index into `as_slice`.
+        let selected: Vec<f64> = [KeyFeature::AvgMessageSize, KeyFeature::ActiveVertices]
+            .iter()
+            .map(|f| fs.as_slice()[f.index()])
+            .collect();
         assert_eq!(selected, vec![17.0, 10.0]);
-        assert_eq!(fs.as_slice().len(), 7);
     }
 }

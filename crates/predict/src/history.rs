@@ -8,8 +8,6 @@
 //! those profiles, keyed by workload and dataset, and can persist them to a
 //! JSON file so a deployment accumulates history across invocations.
 
-use crate::critical_path::{observations_from_profile, WorkerSelection};
-use crate::features::IterationObservation;
 use predict_bsp::RunProfile;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
@@ -73,20 +71,6 @@ impl HistoryStore {
             .collect()
     }
 
-    /// Per-iteration training observations extracted from the stored runs of
-    /// `workload` (excluding `exclude_dataset` when given).
-    pub fn observations_for(
-        &self,
-        workload: &str,
-        exclude_dataset: Option<&str>,
-        selection: WorkerSelection,
-    ) -> Vec<IterationObservation> {
-        self.runs_for(workload, exclude_dataset)
-            .iter()
-            .flat_map(|r| observations_from_profile(&r.profile, selection))
-            .collect()
-    }
-
     /// Serializes the store to JSON.
     pub fn to_json(&self) -> serde_json::Result<String> {
         serde_json::to_string_pretty(self)
@@ -115,6 +99,7 @@ impl HistoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostModel;
     use predict_bsp::{Aggregates, SuperstepProfile, WorkerCounters};
 
     fn profile(name: &str, supersteps: usize) -> RunProfile {
@@ -157,10 +142,14 @@ mod tests {
         let mut store = HistoryStore::new();
         store.record("SC", "Wiki", profile("semi-clustering", 3));
         store.record("SC", "UK", profile("semi-clustering", 4));
-        let obs = store.observations_for("SC", None, WorkerSelection::SlowestWorker);
-        assert_eq!(obs.len(), 7);
-        let excluded = store.observations_for("SC", Some("UK"), WorkerSelection::SlowestWorker);
-        assert_eq!(excluded.len(), 3);
+        // Every worker of every superstep of each matching run is a row.
+        let rows = |exclude| {
+            let runs = store.runs_for("SC", exclude);
+            let profiles: Vec<&RunProfile> = runs.iter().map(|r| &r.profile).collect();
+            CostModel::train(&profiles).unwrap().training_observations
+        };
+        assert_eq!(rows(None), 14);
+        assert_eq!(rows(Some("UK")), 6);
     }
 
     #[test]
@@ -235,8 +224,6 @@ mod tests {
     fn empty_store_behaves() {
         let store = HistoryStore::new();
         assert!(store.is_empty());
-        assert!(store
-            .observations_for("PR", None, WorkerSelection::SlowestWorker)
-            .is_empty());
+        assert!(store.runs_for("PR", None).is_empty());
     }
 }

@@ -13,9 +13,10 @@
 //!   profiles (sections 3.3 and 3.4);
 //! * [`extrapolator`] — per-iteration scaling of sample-run features to the
 //!   full dataset by vertex/edge ratios (section 3.4);
-//! * [`regression`], [`feature_selection`], [`cost_model`] — the customizable
-//!   cost model: multivariate linear regression over forward-selected
-//!   features (section 3.4);
+//! * [`regression`], [`cost_model`] — the customizable cost model: a
+//!   non-negative linear regression over all Table 1 features, fit on every
+//!   worker of every training superstep, plus a fixed per-superstep term
+//!   (section 3.4);
 //! * [`history`] — the historical-run store that improves cost models when
 //!   prior actual runs exist (section 5.2);
 //! * [`metrics`] — the signed-relative-error and R² metrics of section 5;
@@ -74,7 +75,6 @@ pub mod cost_model;
 pub mod critical_path;
 pub mod error;
 pub mod extrapolator;
-pub mod feature_selection;
 pub mod features;
 pub mod history;
 pub mod metrics;
@@ -87,11 +87,10 @@ pub use artifacts::{
     ModelKey, RunKey, SampleArtifact, SampleKey, SampleRunArtifact, TrainedModel,
     TrainingProvenance, TrainingSource,
 };
-pub use cost_model::{CostModel, CostModelConfig};
+pub use cost_model::CostModel;
 pub use critical_path::{observations_from_profile, WorkerSelection};
 pub use error::PredictError;
 pub use extrapolator::{ExtrapolationRule, Extrapolator};
-pub use feature_selection::{forward_select, SelectionConfig, SelectionResult};
 pub use features::{ExtrapolationKind, FeatureSet, IterationObservation, KeyFeature};
 pub use history::{HistoricalRun, HistoryStore};
 pub use metrics::{absolute_relative_error, r_squared, signed_relative_error};

@@ -63,12 +63,11 @@ use crate::artifacts::{
     stable_fingerprint, ModelKey, RunKey, SampleArtifact, SampleKey, SampleRunArtifact,
     TrainedModel, TrainingProvenance, TrainingSource,
 };
-use crate::cost_model::{CostModel, CostModelConfig};
+use crate::cost_model::CostModel;
 use crate::critical_path::WorkerSelection;
 use crate::error::PredictError;
 use crate::extrapolator::{ExtrapolationRule, Extrapolator};
-use crate::feature_selection::SelectionConfig;
-use crate::features::{FeatureSet, IterationObservation, KeyFeature};
+use crate::features::{FeatureSet, IterationObservation};
 use crate::history::HistoryStore;
 use crate::metrics::signed_relative_error;
 use crate::transform::TransformFunction;
@@ -96,21 +95,14 @@ pub struct PredictorConfig {
     pub training_ratios: Vec<f64>,
     /// Seed driving the sampler and any other randomized choice.
     pub seed: u64,
-    /// Which worker represents an iteration when extracting features.
+    /// Which worker represents an iteration when pricing it.
     pub worker_selection: WorkerSelection,
-    /// Cost model training configuration.
-    pub cost_model: CostModelConfig,
     /// Transform function override; `None` uses the paper's default rule for
     /// the workload's convergence kind.
     pub transform: Option<TransformFunction>,
     /// Extrapolation rule (the paper's per-feature rule by default; the other
     /// variants exist for the ablation benchmarks).
     pub extrapolation_rule: ExtrapolationRule,
-    /// When `true`, training falls through to
-    /// [`PredictError::InsufficientTraining`] instead of silently fitting the
-    /// cost model on the extrapolation sample run alone (the case marked by
-    /// [`TrainingSource::ExtrapolationSampleOnly`] in the model provenance).
-    pub strict_training: bool,
 }
 
 impl Default for PredictorConfig {
@@ -120,10 +112,8 @@ impl Default for PredictorConfig {
             training_ratios: vec![0.05, 0.1, 0.15, 0.2],
             seed: 0x9d1c,
             worker_selection: WorkerSelection::SlowestWorker,
-            cost_model: CostModelConfig::default(),
             transform: None,
             extrapolation_rule: ExtrapolationRule::PerFeature,
-            strict_training: false,
         }
     }
 }
@@ -149,13 +139,6 @@ impl PredictorConfig {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables strict training (see
-    /// [`PredictorConfig::strict_training`]).
-    pub fn with_strict_training(mut self, strict: bool) -> Self {
-        self.strict_training = strict;
         self
     }
 
@@ -195,41 +178,23 @@ impl PredictorConfig {
     /// floats by bit pattern. It keys cached [`TrainedModel`]s in memory
     /// without formatting anything.
     pub fn identity(&self) -> ConfigIdentity {
-        // Exhaustive destructuring, no `..`: a field added to any of these
-        // structs does not compile here until the identity covers it.
+        // Exhaustive destructuring, no `..`: a field added to the config
+        // does not compile here until the identity covers it.
         let Self {
             sampling_ratio,
             training_ratios,
             seed,
             worker_selection,
-            cost_model,
             transform,
             extrapolation_rule,
-            strict_training,
         } = self;
-        let CostModelConfig {
-            candidate_features,
-            selection,
-            ridge_lambda,
-        } = cost_model;
-        let SelectionConfig {
-            min_relative_improvement,
-            max_features,
-            ridge_lambda: selection_ridge_lambda,
-        } = selection;
         ConfigIdentity {
             sampling_ratio: sampling_ratio.to_bits(),
             training_ratios: training_ratios.iter().map(|r| r.to_bits()).collect(),
             seed: *seed,
             worker_selection: *worker_selection,
-            candidate_features: candidate_features.clone(),
-            min_relative_improvement: min_relative_improvement.to_bits(),
-            max_features: *max_features,
-            selection_ridge_lambda: selection_ridge_lambda.to_bits(),
-            ridge_lambda: ridge_lambda.to_bits(),
             transform: *transform,
             extrapolation_rule: *extrapolation_rule,
-            strict_training: *strict_training,
         }
     }
 }
@@ -244,14 +209,8 @@ pub struct ConfigIdentity {
     training_ratios: Vec<u64>,
     seed: u64,
     worker_selection: WorkerSelection,
-    candidate_features: Vec<KeyFeature>,
-    min_relative_improvement: u64,
-    max_features: usize,
-    selection_ridge_lambda: u64,
-    ridge_lambda: u64,
     transform: Option<TransformFunction>,
     extrapolation_rule: ExtrapolationRule,
-    strict_training: bool,
 }
 
 /// The output of the prediction pipeline for one workload on one dataset.
@@ -565,7 +524,8 @@ impl SessionMetrics {
 }
 
 /// What stages 1–3 produce for one request: the sample, its run, the run's
-/// observations under the configured worker selection, and the model.
+/// observations under the configured worker selection (the iterations to
+/// price), and the model.
 struct StageProducts {
     sample: Arc<SampleArtifact>,
     run: Arc<SampleRunArtifact>,
@@ -583,9 +543,10 @@ fn remote_message_bytes(profile: &RunProfile) -> f64 {
 }
 
 /// Stage 4, the pure tail of the ladder: extrapolates the sample run's
-/// observations to the full graph under `rule`, prices them with the model
-/// and assembles the prediction. It touches no cache and runs nothing, so a
-/// caller may swap one stage product before it.
+/// observations to the full graph under `rule`, prices each as the model's
+/// fixed term plus its representing worker's cost, and assembles the
+/// prediction. It touches no cache and runs nothing, so a caller may swap
+/// one stage product before it.
 fn extrapolate_and_price(
     workload: &str,
     rule: ExtrapolationRule,
@@ -604,7 +565,7 @@ fn extrapolate_and_price(
         .collect();
     let per_iteration_ms: Vec<f64> = extrapolated_features
         .iter()
-        .map(|f| model.cost_model.predict_iteration_ms(f).max(0.0))
+        .map(|f| model.cost_model.predict_iteration_ms(f))
         .collect();
     Prediction {
         workload: workload.to_string(),
@@ -717,21 +678,19 @@ impl PredictionSession {
     /// Stage 3: assemble the training set and train (or reuse) the cost
     /// model.
     ///
-    /// `sample_observations` are the per-iteration observations of the
-    /// `(sampling_ratio, seed)` extrapolation run under the configured worker
-    /// selection (the ladder has them anyway for extrapolation): training
-    /// ratios equal to the sampling ratio reuse them instead of re-running,
-    /// and they are the fallback training source when every training ratio
-    /// yields an empty sample and no history exists. The stage takes one
-    /// history snapshot, so the model key and the training set see the same
-    /// history version.
+    /// `extrapolation_run` is the `(sampling_ratio, seed)` sample run the
+    /// ladder extrapolates from: a training ratio equal to the sampling ratio
+    /// reuses it instead of re-running, and its workers are the training rows
+    /// when every training ratio yields an empty sample and no history
+    /// exists. The stage takes one history snapshot, so the model key and
+    /// the training set see the same history version.
     fn stage_model(
         &self,
         workload: &dyn Workload,
         token: &str,
         config: &PredictorConfig,
         transform: TransformFunction,
-        sample_observations: &[IterationObservation],
+        extrapolation_run: &Arc<SampleRunArtifact>,
     ) -> Result<Arc<TrainedModel>, PredictError> {
         let _span =
             predict_obs::trace::span("predict.stage.train").arg("workload", workload.name());
@@ -753,7 +712,7 @@ impl PredictionSession {
                     token,
                     config,
                     transform,
-                    sample_observations,
+                    extrapolation_run,
                     &history,
                 )
             },
@@ -762,20 +721,20 @@ impl PredictionSession {
 
     /// Assembles the training set of [`PredictionSession::stage_model`] —
     /// one sample run per training ratio plus matching history — and fits
-    /// the cost model on it.
+    /// the cost model on every worker of every superstep of those runs.
     fn train_model(
         &self,
         workload: &dyn Workload,
         token: &str,
         config: &PredictorConfig,
         transform: TransformFunction,
-        sample_observations: &[IterationObservation],
+        extrapolation_run: &Arc<SampleRunArtifact>,
         history: &HistoryState,
     ) -> Result<TrainedModel, PredictError> {
-        let mut training: Vec<IterationObservation> = Vec::new();
+        let mut runs: Vec<Arc<SampleRunArtifact>> = Vec::new();
         for (i, &train_ratio) in config.training_ratios.iter().enumerate() {
             if (train_ratio - config.sampling_ratio).abs() < 1e-12 {
-                training.extend(sample_observations.iter().copied());
+                runs.push(Arc::clone(extrapolation_run));
                 continue;
             }
             let seed = config.seed.wrapping_add(1 + i as u64);
@@ -786,45 +745,35 @@ impl PredictionSession {
                 Err(e) if e.is_empty_sample() => continue,
                 Err(e) => return Err(e),
             };
-            let train_run = self.stage_run(workload, token, transform, &train_sample)?;
-            training.extend(train_run.observations(config.worker_selection));
+            runs.push(self.stage_run(workload, token, transform, &train_sample)?);
         }
-        let sample_rows = training.len();
         // Historical actual runs of the same workload on *other* datasets.
-        let history_observations = history.store.observations_for(
-            workload.name(),
-            Some(&self.dataset),
-            config.worker_selection,
-        );
-        let history_rows = history_observations.len();
-        training.extend(history_observations);
-
-        let source = if training.is_empty() {
-            if config.strict_training {
-                return Err(PredictError::InsufficientTraining {
-                    workload: workload.name().to_string(),
-                    dataset: self.dataset.clone(),
-                });
-            }
-            training = sample_observations.to_vec();
-            TrainingSource::ExtrapolationSampleOnly
-        } else if history_rows > 0 {
-            TrainingSource::SampleRunsWithHistory
-        } else {
-            TrainingSource::SampleRuns
+        let history_runs = history.store.runs_for(workload.name(), Some(&self.dataset));
+        let worker_rows = |profile: &RunProfile| -> usize {
+            profile.supersteps.iter().map(|s| s.workers.len()).sum()
         };
+        let history_rows: usize = history_runs.iter().map(|r| worker_rows(&r.profile)).sum();
+        let source = if history_rows > 0 {
+            TrainingSource::SampleRunsWithHistory
+        } else if runs.iter().any(|r| worker_rows(&r.profile) > 0) {
+            TrainingSource::SampleRuns
+        } else {
+            runs = vec![Arc::clone(extrapolation_run)];
+            TrainingSource::ExtrapolationSampleOnly
+        };
+        let sample_rows: usize = runs.iter().map(|r| worker_rows(&r.profile)).sum();
+        let profiles: Vec<&RunProfile> = runs
+            .iter()
+            .map(|r| &r.profile)
+            .chain(history_runs.iter().map(|r| &r.profile))
+            .collect();
 
-        let cost_model =
-            CostModel::train(&training, &config.cost_model).map_err(PredictError::CostModel)?;
+        let cost_model = CostModel::train(&profiles).map_err(PredictError::CostModel)?;
         Ok(TrainedModel {
             cost_model,
             provenance: TrainingProvenance {
                 source,
-                sample_observations: if source == TrainingSource::ExtrapolationSampleOnly {
-                    training.len()
-                } else {
-                    sample_rows
-                },
+                sample_observations: sample_rows,
                 history_observations: history_rows,
                 history_version: history.version,
                 training_ratios: config.training_ratios.clone(),
@@ -877,11 +826,8 @@ impl PredictionSession {
             .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
         let sample = self.stage_sample(config.sampling_ratio, config.seed)?;
         let run = self.stage_run(workload, token, transform, &sample)?;
-        // Extracted once: stage 3 trains on these observations (when a
-        // training ratio equals the sampling ratio) and the tail scales them
-        // to the full graph.
+        let model = self.stage_model(workload, token, config, transform, &run)?;
         let observations = run.observations(config.worker_selection);
-        let model = self.stage_model(workload, token, config, transform, &observations)?;
         Ok(StageProducts {
             sample,
             run,
@@ -1517,21 +1463,24 @@ mod tests {
     }
 
     #[test]
-    fn strict_training_surfaces_insufficient_training() {
+    fn without_training_data_the_extrapolation_run_trains_the_model() {
         // training_ratios empty and no history: the only data is the
-        // extrapolation sample run itself.
+        // extrapolation sample run itself, every worker of it.
         let mut config = PredictorConfig::single_ratio(0.1);
         config.training_ratios = Vec::new();
-        let lenient = session(config.clone());
-        let workload = PageRankWorkload::with_epsilon(0.01, lenient.graph().num_vertices());
-        let p = lenient.predict(&workload).unwrap();
+        let s = session(config);
+        let workload = PageRankWorkload::with_epsilon(0.01, s.graph().num_vertices());
+        let p = s.predict(&workload).unwrap();
         assert_eq!(p.training.source, TrainingSource::ExtrapolationSampleOnly);
-        assert!(p.training.sample_observations > 0);
-
-        config.strict_training = true;
-        let strict = session(config);
-        let err = strict.predict(&workload).unwrap_err();
-        assert!(matches!(err, PredictError::InsufficientTraining { .. }));
+        let workers = p.sample_profile.num_workers;
+        assert_eq!(
+            p.training.sample_observations,
+            p.sample_profile.supersteps.len() * workers
+        );
+        assert_eq!(
+            p.cost_model.training_observations,
+            p.training.sample_observations
+        );
     }
 
     #[test]
@@ -1600,10 +1549,6 @@ mod tests {
             a.fingerprint(),
             a.clone().with_sampling_ratio(0.2).fingerprint()
         );
-        assert_ne!(
-            a.fingerprint(),
-            a.clone().with_strict_training(true).fingerprint()
-        );
     }
 
     #[test]
@@ -1615,8 +1560,8 @@ mod tests {
         s.trained_model(&workload, &base).unwrap();
         assert_eq!(models(&s), 1);
 
-        // One variant per field of `PredictorConfig` (nested configs field by
-        // field), each differing from `base` there alone: each misses.
+        // One variant per field of `PredictorConfig`, each differing from
+        // `base` there alone: each misses.
         let vary = |change: &dyn Fn(&mut PredictorConfig)| {
             let mut config = base.clone();
             change(&mut config);
@@ -1627,15 +1572,8 @@ mod tests {
             vary(&|c| c.training_ratios = vec![0.1, 0.2]),
             vary(&|c| c.seed += 1),
             vary(&|c| c.worker_selection = WorkerSelection::MeanWorker),
-            vary(&|c| c.cost_model.candidate_features.truncate(3)),
-            vary(&|c| c.cost_model.selection.min_relative_improvement = 0.05),
-            vary(&|c| c.cost_model.selection.max_features = 2),
-            vary(&|c| c.cost_model.selection.ridge_lambda = 1e-3),
-            // `0.0` and `-0.0` are different keys, as their renderings were.
-            vary(&|c| c.cost_model.ridge_lambda = -0.0),
             vary(&|c| c.transform = Some(TransformFunction::identity())),
             vary(&|c| c.extrapolation_rule = ExtrapolationRule::EdgesOnly),
-            vary(&|c| c.strict_training = true),
         ];
         for (i, config) in variants.iter().enumerate() {
             assert_ne!(config.identity(), base.identity(), "variant {i}");
@@ -1659,7 +1597,9 @@ mod tests {
         ));
 
         // Store keys, pinned as the literals the formatted in-memory keys
-        // rendered: an in-memory key change must never re-key the store.
+        // rendered: an in-memory key change must never re-key the store. A
+        // model's key carries the config's fingerprint, so it moves with the
+        // config's fields; sample and run keys never move.
         let sample = SampleKey::new("BRJ", 0.1, 7);
         let pagerank = PageRankWorkload::with_epsilon(0.001, 1000);
         let token = pagerank.cache_token();
@@ -1675,7 +1615,7 @@ mod tests {
         assert_eq!(
             ModelKey::new(&token, &config, 3).store_key("BRJ", &config),
             "BRJ|PR#PageRankWorkload { params: PageRankParams { damping: 0.85, tolerance: \
-             1e-6 } }|c64a074fe943f122|0000000000000003"
+             1e-6 } }|670631cb418e98cc|0000000000000003"
         );
     }
 

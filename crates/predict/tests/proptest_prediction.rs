@@ -1,15 +1,14 @@
 //! Property-based tests for the prediction building blocks: transform rules,
-//! cost models, feature selection and error metrics — plus the session
+//! cost models and error metrics — plus the session
 //! equivalence property: a warm `PredictionSession` and a freshly bound cold
 //! one produce byte-identical predictions for the same
 //! `(workload, graph, config, seed)`.
 
 use predict_algorithms::{PageRankWorkload, TopKWorkload, Workload};
-use predict_bsp::{BspConfig, BspEngine, WorkerCounters};
+use predict_bsp::{Aggregates, BspConfig, BspEngine, RunProfile, SuperstepProfile, WorkerCounters};
 use predict_core::{
-    absolute_relative_error, forward_select, signed_relative_error, CostModel, CostModelConfig,
-    FeatureSet, IterationObservation, KeyFeature, PredictorBuilder, PredictorConfig,
-    SelectionConfig, ThresholdRule, TransformFunction,
+    absolute_relative_error, signed_relative_error, CostModel, FeatureSet, KeyFeature,
+    PredictorBuilder, PredictorConfig, ThresholdRule, TransformFunction,
 };
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_sampling::BiasedRandomJump;
@@ -46,6 +45,36 @@ fn suite_cases(default_cases: u32) -> u32 {
         .ok()
         .and_then(|v| v.trim().parse::<u32>().ok())
         .map_or(default_cases, |env| default_cases.min(env))
+}
+
+/// A profile of one worker per superstep: worker `i` runs `counters[i]` in
+/// `worker_ms(counters[i])` and its superstep takes `fixed_ms` longer.
+fn one_worker_profile(
+    counters: &[WorkerCounters],
+    fixed_ms: f64,
+    worker_ms: impl Fn(&WorkerCounters) -> f64,
+) -> RunProfile {
+    RunProfile {
+        algorithm: "synthetic".into(),
+        num_vertices: 0,
+        num_edges: 0,
+        num_workers: 1,
+        setup_ms: 0.0,
+        read_ms: 0.0,
+        write_ms: 0.0,
+        supersteps: counters
+            .iter()
+            .enumerate()
+            .map(|(superstep, c)| SuperstepProfile {
+                superstep,
+                workers: vec![*c],
+                worker_times_ms: vec![worker_ms(c)],
+                wall_time_ms: fixed_ms + worker_ms(c),
+                aggregates: Aggregates::new(),
+            })
+            .collect(),
+        measured: None,
+    }
 }
 
 proptest! {
@@ -86,32 +115,39 @@ proptest! {
         }
     }
 
-    /// Forward selection only ever returns features from the candidate pool,
-    /// without duplicates and within the configured cap.
+    /// Whatever the training counters and times, every cost value and the
+    /// intercept are non-negative, so every priced iteration — at any scale
+    /// of its non-negative features — costs at least the fixed term.
     #[test]
-    fn forward_selection_respects_the_pool(
-        counters in prop::collection::vec(counters_strategy(), 5..40),
-        max_features in 1usize..5,
+    fn costs_are_non_negative_and_iterations_cost_at_least_the_fixed_term(
+        counters in prop::collection::vec(counters_strategy(), 2..40),
+        weights in prop::collection::vec(-0.01f64..0.01, 5),
+        offset in -50.0f64..50.0,
+        fixed_ms in 0.0f64..20.0,
+        scale in 0.0f64..20.0,
     ) {
-        let observations: Vec<FeatureSet> =
-            counters.iter().map(FeatureSet::from_counters).collect();
-        let targets: Vec<f64> = counters
-            .iter()
-            .map(|c| 5.0 + 0.001 * c.remote_message_bytes as f64 + 0.01 * c.active_vertices as f64)
-            .collect();
-        let pool = [
-            KeyFeature::ActiveVertices,
-            KeyFeature::RemoteMessages,
-            KeyFeature::RemoteMessageBytes,
-        ];
-        let config = SelectionConfig { max_features, ..Default::default() };
-        let result = forward_select(&observations, &targets, &pool, &config);
-        prop_assert!(result.features.len() <= max_features);
-        let mut unique = result.features.clone();
-        unique.dedup();
-        prop_assert_eq!(unique.len(), result.features.len());
-        for f in &result.features {
-            prop_assert!(pool.contains(f));
+        // Arbitrary-signed linear times, floored at zero like any clock.
+        let profile = one_worker_profile(&counters, fixed_ms, |c| {
+            let x = [
+                c.active_vertices,
+                c.local_messages,
+                c.remote_messages,
+                c.local_message_bytes,
+                c.remote_message_bytes,
+            ];
+            let linear: f64 = x.iter().zip(&weights).map(|(&x, w)| x as f64 * w).sum();
+            (offset + linear).max(0.0)
+        });
+        let model = CostModel::train(&[&profile]).unwrap();
+        prop_assert!(model.model.coefficients.iter().all(|&c| c >= 0.0));
+        prop_assert!(model.model.intercept >= 0.0);
+        prop_assert!((model.fixed_ms - fixed_ms).abs() < 1e-9);
+        for c in &counters {
+            let mut features = FeatureSet::from_counters(c);
+            for f in KeyFeature::ALL {
+                features.set(f, features.get(f) * scale);
+            }
+            prop_assert!(model.predict_iteration_ms(&features) >= model.fixed_ms);
         }
     }
 
@@ -124,42 +160,32 @@ proptest! {
         counters in prop::collection::vec(counters_strategy(), 12..50),
         scale in 2.0f64..20.0,
     ) {
-        let observations: Vec<IterationObservation> = counters
-            .iter()
-            .enumerate()
-            .map(|(i, c)| IterationObservation {
-                superstep: i,
-                features: FeatureSet::from_counters(c),
-                wall_time_ms: 10.0
-                    + 0.0005 * c.remote_message_bytes as f64
-                    + 0.0001 * c.local_message_bytes as f64
-                    + 0.002 * c.active_vertices as f64,
-            })
-            .collect();
-        let model = match CostModel::train(&observations, &CostModelConfig::default()) {
-            Ok(m) => m,
-            Err(_) => return Ok(()), // degenerate random data; nothing to check
-        };
+        let profile = one_worker_profile(&counters, 10.0, |c| {
+            0.0005 * c.remote_message_bytes as f64
+                + 0.0001 * c.local_message_bytes as f64
+                + 0.002 * c.active_vertices as f64
+        });
+        let model = CostModel::train(&[&profile]).unwrap();
         // Interpolation accuracy on the training data.
-        for o in &observations {
-            let predicted = model.predict_iteration_ms(&o.features);
+        for s in &profile.supersteps {
+            let predicted = model.predict_iteration_ms(&FeatureSet::from_counters(&s.workers[0]));
             prop_assert!(
-                (predicted - o.wall_time_ms).abs() <= o.wall_time_ms.abs() * 0.35 + 5.0,
+                (predicted - s.wall_time_ms).abs() <= s.wall_time_ms * 1e-6,
                 "prediction {} too far from {}",
                 predicted,
-                o.wall_time_ms
+                s.wall_time_ms
             );
         }
         // Linearity: predicting scaled features equals scaling the
         // feature-dependent part of the prediction.
-        let base = &observations[0].features;
+        let base = &FeatureSet::from_counters(&counters[0]);
         let mut scaled = *base;
         for f in KeyFeature::ALL {
             scaled.set(f, base.get(f) * scale);
         }
         let p_base = model.predict_iteration_ms(base);
         let p_scaled = model.predict_iteration_ms(&scaled);
-        let intercept = model.model.intercept;
+        let intercept = model.fixed_ms + model.model.intercept;
         let expected = intercept + (p_base - intercept) * scale;
         prop_assert!(
             (p_scaled - expected).abs() <= expected.abs() * 1e-6 + 1e-6,

@@ -81,10 +81,10 @@ fn a_warm_submit_allocates_only_its_keys_and_the_returned_prediction() {
         (
             "PR",
             Arc::new(PageRankWorkload::with_epsilon(0.001, n)),
-            138,
+            115,
         ),
-        ("TOPK", Arc::new(TopKWorkload::default()), 107),
-        ("CC", Arc::new(ConnectedComponentsWorkload), 64),
+        ("TOPK", Arc::new(TopKWorkload::default()), 86),
+        ("CC", Arc::new(ConnectedComponentsWorkload), 51),
     ];
     for (class, workload, pinned) in classes {
         let request = PredictRequest::new("LJ", Arc::clone(&graph), workload)

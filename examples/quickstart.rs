@@ -56,15 +56,18 @@ fn main() {
         "predicted superstep runtime: {:.0} ms (simulated)",
         prediction.predicted_superstep_ms
     );
+    let cost_model = &prediction.cost_model;
+    let costs: Vec<String> = KeyFeature::ALL
+        .iter()
+        .zip(&cost_model.model.coefficients)
+        .filter(|(_, &c)| c > 0.0)
+        .map(|(f, c)| format!("{} {c:.2e}", f.name()))
+        .collect();
     println!(
-        "cost model: features {:?}, R^2 = {:.3}",
-        prediction
-            .cost_model
-            .features
-            .iter()
-            .map(|f| f.name())
-            .collect::<Vec<_>>(),
-        prediction.cost_model.r_squared()
+        "cost model: {:.1} ms fixed + per-worker costs [{}], R^2 = {:.3}",
+        cost_model.fixed_ms,
+        costs.join(", "),
+        cost_model.r_squared()
     );
     println!(
         "training sources: {:?} ({} sample rows, {} history rows)",

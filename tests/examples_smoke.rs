@@ -26,7 +26,8 @@ fn quickstart_path_produces_a_complete_evaluation() {
 
     assert!(prediction.predicted_iterations > 0);
     assert!(prediction.predicted_superstep_ms > 0.0);
-    assert!(!prediction.cost_model.features.is_empty());
+    let costs = &prediction.cost_model.model.coefficients;
+    assert!(costs.iter().all(|&c| c.is_finite() && c >= 0.0));
     assert!(prediction.cost_model.r_squared().is_finite());
     assert_eq!(prediction.training.source, TrainingSource::SampleRuns);
     assert!(evaluation.actual_iterations > 0);

@@ -97,19 +97,24 @@ proptest! {
         }
     }
 
-    /// Ordinary least squares recovers a noiseless linear relationship for
-    /// arbitrary coefficients.
+    /// Non-negative least squares recovers a noiseless linear relationship
+    /// for arbitrary non-negative coefficients and intercept.
     #[test]
     fn regression_recovers_arbitrary_linear_models(
-        intercept in -100.0f64..100.0,
-        c1 in -10.0f64..10.0,
-        c2 in -10.0f64..10.0,
+        intercept in 0.0f64..100.0,
+        c1 in 0.0f64..10.0,
+        c2 in 0.0f64..10.0,
     ) {
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![i as f64, ((i * 7) % 13) as f64])
+        let rows: Vec<(FeatureSet, f64)> = (0..40)
+            .map(|i| {
+                let (x1, x2) = (i as f64, ((i * 7) % 13) as f64);
+                let mut features = FeatureSet::default();
+                features.set(KeyFeature::ActiveVertices, x1);
+                features.set(KeyFeature::TotalVertices, x2);
+                (features, intercept + c1 * x1 + c2 * x2)
+            })
             .collect();
-        let y: Vec<f64> = rows.iter().map(|r| intercept + c1 * r[0] + c2 * r[1]).collect();
-        let model = LinearModel::fit(&rows, &y).unwrap();
+        let model = LinearModel::fit(rows.iter().copied()).unwrap();
         prop_assert!((model.intercept - intercept).abs() < 1e-6);
         prop_assert!((model.coefficients[0] - c1).abs() < 1e-6);
         prop_assert!((model.coefficients[1] - c2).abs() < 1e-6);
