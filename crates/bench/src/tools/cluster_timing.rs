@@ -150,9 +150,9 @@ pub fn run(args: &[String]) {
     }
     // Network term against the wire: the simulated clock charges every
     // remote message its full payload, while a batch section writes a run of
-    // byte-identical messages once (a PageRank sender with more than three
-    // out-edges into one worker already costs less on the wire than Table 1
-    // charges), so the ratio is reported, not bounded.
+    // byte-identical messages once and a broadcast once per destination
+    // worker (its destinations cross once per drive, in superstep 0's
+    // tables), so the ratio is reported, not bounded.
     eprintln!(
         "[cluster_timing] network term: {} remote payload bytes, {} measured wire bytes \
          ({:.2}x the payload), identical across {} transports",

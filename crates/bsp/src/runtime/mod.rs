@@ -77,11 +77,12 @@
 //!    [`TransportMode`](crate::remote::TransportMode)) run too. All a
 //!    transport has to get right is per-worker: each worker computes over a
 //!    shard holding exactly its vertices' adjacency, a worker's messages to
-//!    a peer travel as one batch section in production order — its edge
-//!    groups expanded back into one `(vertex, message)` pair per edge as the
-//!    section is written, nothing regrouped — and are delivered in ascending
-//!    source-worker order with the receiver's own messages (groups kept) at
-//!    its own position, so every inbox receives exactly what the in-memory
+//!    a peer travel as one batch section in production order — groups
+//!    kept: a broadcast is one entry naming the sender's group for that
+//!    peer, whose slots crossed once per drive, nothing regrouped — and are
+//!    delivered in ascending source-worker order, each group expanded
+//!    through its sender's slots, with the receiver's own messages at its
+//!    own position, so every inbox receives exactly what the in-memory
 //!    transpose delivers, in the order of point (4); `StepDone` replies are
 //!    reported in ascending worker order.
 //!

@@ -45,6 +45,10 @@ pub fn group_of(entry: VertexId) -> Option<usize> {
 /// entry per group, and delivery expands it straight into destination slots
 /// with no per-edge ownership lookup. Each vertex's `(local, remote)` edge
 /// counts keep the Table 1 counters per edge.
+///
+/// A cluster worker sends each peer the slot lists of the groups bound for
+/// it once, in group order, and the peer keeps them as the slot-lists-only
+/// groups of [`EdgeGroups::from_slot_lists`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct EdgeGroups {
     /// The groups of the vertex at slot `i` are
@@ -112,6 +116,62 @@ impl EdgeGroups {
             groups.workers.len()
         );
         groups
+    }
+
+    /// The groups a peer received as a table, kept for delivery: group `g`
+    /// (the sender's `g`-th group bound for `worker`) goes to `worker`, at
+    /// the slots
+    /// `slots[ends[g - 1]..ends[g]]` (from 0 for the first group). Only
+    /// [`Self::worker`], [`Self::slots`] and [`Self::len`] answer on the
+    /// result.
+    ///
+    /// # Errors
+    ///
+    /// Fails unless every group has at least one slot, `ends` rises strictly
+    /// to `slots.len()`, and every slot is below `shard_len`, the size of
+    /// `worker`'s shard.
+    pub fn from_slot_lists(
+        worker: usize,
+        shard_len: usize,
+        ends: &[u32],
+        slots: Vec<u32>,
+    ) -> Result<Self, String> {
+        let mut group_slots = Vec::with_capacity(ends.len() + 1);
+        group_slots.push(0);
+        for &end in ends {
+            if end <= group_slots[group_slots.len() - 1] {
+                return Err(format!("group ends {end}: groups must hold a slot each"));
+            }
+            group_slots.push(end);
+        }
+        let last = group_slots[group_slots.len() - 1] as usize;
+        if last != slots.len() {
+            return Err(format!(
+                "groups end at {last}, not at {} slots",
+                slots.len()
+            ));
+        }
+        if let Some(slot) = slots.iter().find(|&&s| s as usize >= shard_len) {
+            return Err(format!("slot {slot} of a shard of {shard_len} vertices"));
+        }
+        Ok(Self {
+            workers: vec![worker as u32; ends.len()],
+            group_slots,
+            slots,
+            ..Self::default()
+        })
+    }
+
+    /// Number of groups.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// True when there is no group.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.workers.is_empty()
     }
 
     /// The groups of the owned vertex at shard slot `slot`.

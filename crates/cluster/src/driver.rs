@@ -8,8 +8,9 @@
 //! master's view of a worker group — what the in-memory executor does with
 //! buffer swaps, it does with `Init`/`Step`/`StepDone`/`Finish` frames:
 //! ship each worker its shard, fan a step out, collect the replies in
-//! ascending worker order under a read timeout, validate them, relay
-//! outbound batch sections to next superstep's `Step`.
+//! ascending worker order under a read timeout, validate them, relay each
+//! worker's edge-group tables to superstep 0's `Step` and outbound batch
+//! sections to next superstep's `Step`.
 //!
 //! There is one group path: [`drive`] checks a group out of the pool, runs
 //! on it and checks it back in only when the run succeeded; a group that
@@ -17,12 +18,13 @@
 //! on a group the caller built — tests build theirs from workers behind a
 //! fault schedule or a recording endpoint — and never pools it.
 //!
-//! The relay is opaque ([`Relay`]): of a `StepDone` the driver decodes the
+//! The relay is opaque ([`Relay`]): of an `InitOk` the driver decodes each
+//! table's framing, and of a `StepDone` the
 //! [`StepReport`](crate::protocol::StepReport) the master reads — superstep
 //! echo, counters, aggregates, halt vote, `compute_ns` — and each section's
-//! framing, then copies the sections verbatim into their destinations' next
-//! `Step`. It never decodes a message, so it is generic over the program
-//! only where the master and the final values need it.
+//! framing; it copies tables and sections verbatim into their destinations'
+//! next `Step`. It never decodes a group or a message, so it is generic over
+//! the program only where the master and the final values need it.
 //!
 //! On top of the master's simulated timings it records what a simulated
 //! clock cannot see: *measured* per-superstep wall time, per-worker compute
@@ -183,8 +185,9 @@ struct RemoteWorkers<'a> {
     group: &'a mut WorkerGroup,
     layout: &'a ShardLayout,
     timeout: Duration,
-    /// Undelivered sections per destination worker. Filled from `StepDone`
-    /// replies in ascending source order, drained into the next `Step`.
+    /// Undelivered tables and sections per destination worker. Filled from
+    /// `InitOk` and `StepDone` replies in ascending source order, drained
+    /// into the next `Step`.
     relay: Relay,
     /// The `Step` body being sent, reused across workers and supersteps.
     step_body: Vec<u8>,
@@ -216,7 +219,7 @@ impl DriveMetrics {
 
 impl<'a> RemoteWorkers<'a> {
     /// Ships every worker its shard of `graph`, then collects `InitOk` in
-    /// ascending worker order.
+    /// ascending worker order, queueing the tables it carries.
     fn init(
         spec: &ProgramSpec,
         ranks: &[f64],
@@ -237,14 +240,18 @@ impl<'a> RemoteWorkers<'a> {
             group.connections[w].send(tag::INIT, &body)?;
         }
         drop(shards);
-        for conn in &mut group.connections {
-            expect_frame(conn, tag::INIT_OK, opts.timeout)?;
+        let mut relay = Relay::new(num_workers);
+        for (w, conn) in group.connections.iter_mut().enumerate() {
+            let body = expect_frame(conn, tag::INIT_OK, opts.timeout)?;
+            relay
+                .collect_tables(&body, w)
+                .map_err(|e| ClusterError::from_wire(w, e))?;
         }
         Ok(Self {
             group,
             layout,
             timeout: opts.timeout,
-            relay: Relay::new(num_workers),
+            relay,
             step_body: Vec::new(),
             measured: Vec::new(),
             metrics: DriveMetrics::get(),

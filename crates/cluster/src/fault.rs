@@ -15,7 +15,11 @@
 //! and inbound frame `s + 1` is the `Step` of superstep `s`, so a worker
 //! that dies at superstep `s` is a [`FaultAction::Disconnect`] at inbound
 //! frame `s + 1`, and one that stops answering there is a
-//! [`FaultAction::Delay`] at that frame. Schedules are built with
+//! [`FaultAction::Delay`] at that frame. Outbound frame 0 is `InitOk`,
+//! which carries the worker's edge-group tables: a
+//! [`FaultAction::TruncateBody`] there tears a table the driver must
+//! reject, and inbound frame 1, superstep 0's `Step`, relays its peers'
+//! tables to it. Outbound frame `s + 1` is the `StepDone` of superstep `s`. Schedules are built with
 //! [`FaultSchedule::at`]; a group of workers behind them is built with
 //! [`Connection::spawn_inproc_faulty`](crate::Connection::spawn_inproc_faulty)
 //! and run with [`drive_on`](crate::drive_on).

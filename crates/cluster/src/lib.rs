@@ -15,8 +15,10 @@
 //!
 //! * [`wire`] — a compact, versioned, length-delimited encoding of
 //!   everything that crosses a worker boundary: message batches as
-//!   production-order batch sections ([`WireBatch`]), counters, aggregates,
-//!   shards, values. Pure bytes; no transport anywhere in sight.
+//!   production-order batch sections ([`WireBatch`]) whose broadcasts name
+//!   edge groups, the per-peer tables of those groups' destinations,
+//!   counters, aggregates, shards, values. Pure bytes; no transport
+//!   anywhere in sight.
 //! * [`protocol`] + [`transport`] + [`endpoint`] — framed star-topology
 //!   superstep protocol (`Init`/`Step`/`StepDone`/`Finish`), spoken over
 //!   one Unix-domain socket pair per worker. The worker's end is served by a

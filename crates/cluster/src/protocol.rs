@@ -8,7 +8,9 @@
 //! ```text
 //!   driver                                   worker
 //!     | -- Init(header, shard, ranks) ------->  |   decode, build state
-//!     | <------------------------- InitOk ----  |
+//!     | <---------------- InitOk(tables) ----  |   one table per peer
+//!     | -- Step(0, aggs, tables in) --------->  |   keep tables, compute 0
+//!     | <-- StepDone(report, sections out) ---  |   write routed buffers
 //!     | -- Step(s, aggs, sections in) ------->  |   decode, deliver, compute s
 //!     | <-- StepDone(report, sections out) ---  |   write routed buffers
 //!     |            ... repeat per superstep ... |
@@ -27,34 +29,42 @@
 //!
 //! The superstep bodies carry peer messages as batch sections
 //! ([`crate::wire`]), each encoded once by its sender and decoded once by
-//! its receiver:
+//! its receiver; the `InitOk` body carries the worker's edge-group tables,
+//! one per peer, which reach their peers in superstep 0's `Step`:
 //!
 //! ```text
+//!   InitOk   := count:u32  table × count                 (dst ascending)
 //!   StepDone := StepReport  count:u32  section × count   (dst ascending)
-//!   Step     := superstep:u64  aggregates  count:u32  section × count
-//!                                                         (src ascending)
+//!   Step     := superstep:u64  aggregates  count:u32  table × count
+//!               count:u32  section × count               (src ascending)
 //! ```
 //!
-//! A worker writes each non-empty routed buffer of payload handles as one
-//! section ([`encode_step_done`]), expanding each broadcast's edge group
-//! into one destination per edge as it writes, so the wire carries the
-//! per-edge stream. The driver decodes only the [`StepReport`] — what
-//! the master merges — and each section's framing, then copies the section
-//! bytes verbatim into its destination's next `Step` ([`Relay`]); it decodes
-//! no message. The receiver decodes the sections into its per-source
-//! payload tables and delivery rows of handles ([`decode_step`]), each
-//! group's message once. So a corrupt *message* is found, and
-//! reported through an `Error` frame, by the worker that receives it, while
-//! corrupt *framing* is a protocol error of the worker that sent it.
+//! Tables travel once per drive: only superstep 0's `Step` holds any, and
+//! it holds no section. A worker writes each non-empty routed buffer of
+//! payload handles as one section ([`encode_step_done`]): a point send as
+//! its destination vertex, a broadcast as one group entry naming the
+//! receiver's copy of the group, so the wire carries what the in-memory
+//! executor routes, not one destination per edge. The driver decodes only
+//! the [`StepReport`] — what the master merges — and the framing of each
+//! table and section, then copies their bytes verbatim into their
+//! destination's next `Step` ([`Relay`]); it decodes no group and no
+//! message. The receiver decodes the tables into the groups it delivers
+//! through and the sections into its per-source payload tables and delivery
+//! rows of entries ([`decode_step`]), each group's message once. So a
+//! corrupt *table* or *message* is found, and reported through an `Error`
+//! frame, by the worker that receives it, while corrupt *framing* is a
+//! protocol error of the worker that sent it.
 //!
 //! After `Values`, the worker loops back to waiting for the next `Init`, so
 //! a pooled worker serves many runs; `Shutdown` (or EOF on its pipe) ends
 //! it.
 
 use crate::error::WireError;
-use crate::wire::{patch_u32, read_section, write_section, Reader, SectionHeader, Wire};
+use crate::wire::{
+    patch_u32, read_section, read_table, write_section, write_table, Reader, SectionHeader, Wire,
+};
 pub use predict_algorithms::ProgramSpec;
-use predict_bsp::runtime::{group_of, EdgeGroups, ShardLayout};
+use predict_bsp::runtime::{group_of, EdgeGroups, ShardLayout, GROUP_BIT};
 use predict_bsp::{Aggregates, PartitionStrategy, WorkerCounters};
 use predict_graph::VertexId;
 use serde::{Deserialize, Serialize};
@@ -65,14 +75,16 @@ use std::io::{Read, Write};
 /// dropped the per-peer cut lists from the shard section of `Init`; version
 /// 3 carries peer messages as relayed batch sections; version 4 drops the
 /// worker index, the worker count and the fault field from the `Init`
-/// header (the shard states the first two).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// header (the shard states the first two); version 5 sends each worker's
+/// edge-group tables in `InitOk` and relays them in superstep 0's `Step`.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Frame tags.
 pub mod tag {
     /// Driver → worker: shard + program, starts an episode.
     pub const INIT: u8 = 0x01;
-    /// Worker → driver: episode state is built.
+    /// Worker → driver: episode state is built; carries its edge-group
+    /// tables.
     pub const INIT_OK: u8 = 0x02;
     /// Driver → worker: deliver these batches, compute one superstep.
     pub const STEP: u8 = 0x03;
@@ -229,22 +241,51 @@ impl Wire for StepReport {
     }
 }
 
+/// The `InitOk` body of worker `me` of `num_workers`: its table for every
+/// peer, ascending, built from `groups`, its own edge groups.
+pub fn encode_init_ok(me: usize, num_workers: usize, groups: &EdgeGroups) -> Vec<u8> {
+    let mut body = Vec::new();
+    (num_workers as u32 - 1).encode(&mut body);
+    for dst in (0..num_workers).filter(|&w| w != me) {
+        write_table(&mut body, me as u32, dst as u32, groups);
+    }
+    body
+}
+
+/// The peer index of each of `groups`' groups: its index among the groups
+/// bound for the same worker, in group order — its index in the table that
+/// worker holds ([`encode_init_ok`]). A worker computes these once per
+/// episode, so building [`EdgeGroups`] stays the in-memory executor's work.
+pub fn peer_indices(groups: &EdgeGroups) -> Vec<u32> {
+    let mut per_worker: Vec<u32> = Vec::new();
+    (0..groups.len())
+        .map(|g| {
+            let w = groups.worker(g);
+            if w >= per_worker.len() {
+                per_worker.resize(w + 1, 0);
+            }
+            per_worker[w] += 1;
+            per_worker[w] - 1
+        })
+        .collect()
+}
+
 /// Writes the `StepDone` body of worker `me` into `out` (cleared first):
 /// `report`, then one batch section per non-empty peer buffer of `routed`,
 /// ascending destination, written straight from the buffer of handles into
-/// `payloads` in production order. A group entry is expanded through
-/// `groups`, `me`'s edge groups, into one `(vertex, handle)` pair per edge
-/// as it is written, so the section is the per-edge stream. Written buffers
-/// are left empty with their capacity; `routed[me]`, whose messages never
-/// cross the wire, is not touched.
+/// `payloads` in production order. A point send keeps its vertex; a group
+/// entry of `me`'s edge groups is written as `GROUP_BIT` and the group's
+/// peer index from `peer_indices` ([`peer_indices`]), its index in the
+/// table the receiver holds. Written buffers are left empty with their
+/// capacity; `routed[me]`, whose messages never cross the wire, is not
+/// touched.
 pub fn encode_step_done<M: Wire>(
     out: &mut Vec<u8>,
     report: &StepReport,
     me: usize,
     routed: &mut [Vec<(VertexId, u32)>],
     payloads: &[M],
-    layout: &ShardLayout,
-    groups: &EdgeGroups,
+    peer_indices: &[u32],
 ) {
     out.clear();
     report.encode(out);
@@ -261,18 +302,12 @@ pub fn encode_step_done<M: Wire>(
             dst: dst as u32,
             seq: report.superstep,
         };
-        let vertices = layout.shard_vertices(dst);
-        let messages = buffer.iter().flat_map(|&(entry, h)| {
-            let (vertex, group) = match group_of(entry) {
-                Some(group) => (None, groups.slots(group)),
-                None => (Some(entry), &[][..]),
+        let messages = buffer.iter().map(|&(entry, h)| {
+            let entry = match group_of(entry) {
+                Some(group) => GROUP_BIT | peer_indices[group],
+                None => entry,
             };
-            let edges = group.iter().map(|&slot| vertices[slot as usize]);
-            let payload = &payloads[h as usize];
-            vertex
-                .into_iter()
-                .chain(edges)
-                .map(move |v| (v, h, payload))
+            (entry, h, &payloads[h as usize])
         });
         write_section(out, header, messages);
         buffer.clear();
@@ -281,21 +316,85 @@ pub fn encode_step_done<M: Wire>(
     patch_u32(out, count_at, count);
 }
 
-/// The driver's half of the message path: batch sections taken from
-/// `StepDone` bodies, queued verbatim per destination worker until its next
-/// `Step`. Queues keep their capacity across supersteps.
+/// Whether `other`, the next worker a body names, is a peer of `me` among
+/// `num_workers` workers and strictly above the previous one, `*next - 1`;
+/// `*next` moves past it.
+fn ascending_peer(next: &mut usize, other: usize, me: usize, num_workers: usize) -> bool {
+    let ok = other >= *next && other != me && other < num_workers;
+    *next = other + 1;
+    ok
+}
+
+/// Tables or sections bound for one worker: how many are queued, and their
+/// bytes.
+#[derive(Debug, Default)]
+struct Queue {
+    count: u32,
+    bytes: Vec<u8>,
+}
+
+impl Queue {
+    fn push(&mut self, raw: &[u8]) {
+        self.count += 1;
+        self.bytes.extend_from_slice(raw);
+    }
+
+    /// Appends the count and the bytes to `out` and empties the queue,
+    /// capacity kept.
+    fn drain_into(&mut self, out: &mut Vec<u8>) {
+        self.count.encode(out);
+        out.extend_from_slice(&self.bytes);
+        self.count = 0;
+        self.bytes.clear();
+    }
+}
+
+/// The driver's half of the message path: edge-group tables taken from
+/// `InitOk` bodies and batch sections taken from `StepDone` bodies, queued
+/// verbatim per destination worker until its next `Step`. Queues keep their
+/// capacity across supersteps.
 #[derive(Debug)]
 pub struct Relay {
-    /// Per destination worker: how many sections are queued, and their bytes.
-    queued: Vec<(u32, Vec<u8>)>,
+    /// Per destination worker: the tables of its peers, until superstep 0.
+    tables: Vec<Queue>,
+    /// Per destination worker: the sections of the last superstep.
+    sections: Vec<Queue>,
 }
 
 impl Relay {
     /// An empty relay for `num_workers` workers.
     pub fn new(num_workers: usize) -> Self {
+        let queues = || (0..num_workers).map(|_| Queue::default()).collect();
         Self {
-            queued: (0..num_workers).map(|_| (0, Vec::new())).collect(),
+            tables: queues(),
+            sections: queues(),
         }
+    }
+
+    /// Reads the `InitOk` body worker `src` sent: checks every table's
+    /// framing — version, source, a destination that is a peer and strictly
+    /// above the previous one, a body inside the frame — and queues each
+    /// table's bytes for its destination. No group is decoded.
+    pub fn collect_tables(&mut self, body: &[u8], src: usize) -> Result<(), WireError> {
+        let mut r = Reader::new(body);
+        let count = u32::decode(&mut r)?;
+        let mut next_dst = 0;
+        for _ in 0..count {
+            let table = read_table(&mut r)?;
+            let dst = table.dst as usize;
+            let peer = ascending_peer(&mut next_dst, dst, src, self.tables.len());
+            if table.src as usize != src || !peer {
+                return Err(WireError::Invalid(format!(
+                    "table from worker {} to worker {dst} in the init-ok of worker {src}",
+                    table.src
+                )));
+            }
+            self.tables[dst].push(table.raw);
+        }
+        if !r.is_empty() {
+            return Err(WireError::Invalid("trailing bytes after init-ok".into()));
+        }
+        Ok(())
     }
 
     /// Reads the `StepDone` body worker `src` sent for `superstep`: decodes
@@ -327,16 +426,14 @@ impl Relay {
             let framed = header.superstep == superstep
                 && header.seq == superstep
                 && header.src as usize == src;
-            if !framed || dst < next_dst || dst == src || dst >= self.queued.len() {
+            let peer = ascending_peer(&mut next_dst, dst, src, self.sections.len());
+            if !framed || !peer {
                 return Err(WireError::Invalid(format!(
                     "section {header:?} in the step-done of worker {src} for superstep \
                      {superstep}"
                 )));
             }
-            next_dst = dst + 1;
-            let (queued, bytes) = &mut self.queued[dst];
-            *queued += 1;
-            bytes.extend_from_slice(section.raw);
+            self.sections[dst].push(section.raw);
         }
         if !r.is_empty() {
             return Err(WireError::Invalid("trailing bytes after step-done".into()));
@@ -345,7 +442,7 @@ impl Relay {
     }
 
     /// Writes the `Step` body of superstep `superstep` for worker `dst` into
-    /// `out` (cleared first) and empties that worker's queue.
+    /// `out` (cleared first) and empties that worker's queues.
     pub fn step_body(
         &mut self,
         out: &mut Vec<u8>,
@@ -356,32 +453,49 @@ impl Relay {
         out.clear();
         superstep.encode(out);
         previous_aggregates.encode(out);
-        let (queued, bytes) = &mut self.queued[dst];
-        queued.encode(out);
-        out.extend_from_slice(bytes);
-        *queued = 0;
-        bytes.clear();
+        self.tables[dst].drain_into(out);
+        self.sections[dst].drain_into(out);
     }
 }
 
 /// Decodes the `Step` body worker `me` of `layout` received: returns the
-/// superstep to compute and the previous superstep's aggregates, and appends
-/// each section's payloads to `tables[src]` and its `(destination, handle)`
-/// pairs to `rows[src]`, one row and one table per worker (`rows[me]` and
-/// `tables[me]` are not touched). Sections must come from distinct peers in
-/// ascending order, be addressed to `me`, date from the previous superstep
-/// and name only vertices `me` owns: anything else is an error, never a
-/// misdelivery.
+/// superstep to compute and the previous superstep's aggregates. Each table
+/// becomes `groups[src]`, the groups `src` names in its group entries; each
+/// section's payloads are appended to `tables[src]` and its `(entry,
+/// handle)` pairs to `rows[src]`, one row and one table per worker
+/// (`groups[me]`, `rows[me]` and `tables[me]` are not touched). Tables and
+/// sections must each come from distinct peers in ascending order and be
+/// addressed to `me`; tables arrive only at superstep 0, sections date from
+/// the previous superstep, a vertex entry names a vertex `me` owns and a
+/// group entry a group of its source's table: anything else is an error,
+/// never a misdelivery.
 pub fn decode_step<M: Wire>(
     body: &[u8],
     layout: &ShardLayout,
     me: usize,
+    groups: &mut [EdgeGroups],
     rows: &mut [Vec<(VertexId, u32)>],
     tables: &mut [Vec<M>],
 ) -> Result<(u64, Aggregates), WireError> {
     let mut r = Reader::new(body);
     let superstep = u64::decode(&mut r)?;
     let previous_aggregates = Aggregates::decode(&mut r)?;
+    let num_workers = groups.len().min(rows.len()).min(tables.len());
+    let count = u32::decode(&mut r)?;
+    let mut next_src = 0;
+    for _ in 0..count {
+        let table = read_table(&mut r)?;
+        let src = table.src as usize;
+        let peer = ascending_peer(&mut next_src, src, me, num_workers);
+        if superstep != 0 || table.dst as usize != me || !peer {
+            return Err(WireError::Invalid(format!(
+                "table from worker {src} to worker {} in the superstep-{superstep} step of \
+                 worker {me}",
+                table.dst
+            )));
+        }
+        groups[src] = table.decode(layout.shard_vertices(me).len())?;
+    }
     let count = u32::decode(&mut r)?;
     let mut next_src = 0;
     for _ in 0..count {
@@ -391,22 +505,29 @@ pub fn decode_step<M: Wire>(
         let framed = header.dst as usize == me
             && header.superstep.checked_add(1) == Some(superstep)
             && header.seq == header.superstep;
-        if !framed || src < next_src || src == me || src >= rows.len().min(tables.len()) {
+        if !framed || !ascending_peer(&mut next_src, src, me, num_workers) {
             return Err(WireError::Invalid(format!(
                 "section {header:?} in the superstep-{superstep} step of worker {me}"
             )));
         }
-        next_src = src + 1;
         let row = &mut rows[src];
         let start = row.len();
         section.decode_into(row, &mut tables[src])?;
-        let foreign = row[start..]
-            .iter()
-            .find(|(v, _)| (*v as usize) >= layout.num_vertices() || layout.owner_of(*v) != me);
-        if let Some((v, _)) = foreign {
-            return Err(WireError::Invalid(format!(
-                "message for vertex {v}, which worker {me} does not own"
-            )));
+        for &(entry, _) in &row[start..] {
+            match group_of(entry) {
+                Some(group) if group >= groups[src].len() => {
+                    return Err(WireError::Invalid(format!(
+                        "group {group} of worker {src}, whose table for worker {me} holds {}",
+                        groups[src].len()
+                    )));
+                }
+                None if entry as usize >= layout.num_vertices() || layout.owner_of(entry) != me => {
+                    return Err(WireError::Invalid(format!(
+                        "message for vertex {entry}, which worker {me} does not own"
+                    )));
+                }
+                _ => {}
+            }
         }
     }
     if !r.is_empty() {
@@ -536,7 +657,7 @@ mod tests {
         let json = serde_json::to_string(&header).unwrap();
         assert_eq!(
             json,
-            r#"{"protocol_version":4,"strategy":"Modulo","program":{"ConnectedComponents":{}}}"#
+            r#"{"protocol_version":5,"strategy":"Modulo","program":{"ConnectedComponents":{}}}"#
         );
         for (list, ranks) in [(weighted, vec![0.25f64; 3]), (unweighted, Vec::new())] {
             let g = CsrGraph::from_edge_list(&list);
@@ -554,20 +675,22 @@ mod tests {
         }
     }
 
-    /// Worker 1 of 3 writes its routed buffers, the relay forwards them, and
-    /// each receiver decodes exactly its per-edge buffer, in production
-    /// order, edge groups expanded.
+    /// Worker 1 of 3 sends its tables and writes its routed buffers, the
+    /// relay forwards both, and each receiver expands exactly its per-edge
+    /// buffer, in production order, from a group entry per broadcast.
     #[test]
     fn step_bodies_round_trip() {
-        use predict_bsp::runtime::GROUP_BIT;
         use predict_bsp::storage::WorkerGraph;
         use predict_graph::{CsrGraph, EdgeList};
         let layout = ShardLayout::build(9, 3, PartitionStrategy::Modulo);
         // Vertex 1 (worker 1) broadcasts over 1 -> 6, 0, 8, 2: group 0 holds
-        // the edges to worker 0, group 1 those to worker 2.
+        // the edges to worker 0, group 1 those to worker 2; each is the
+        // first group bound for its worker.
         let edges: EdgeList = [(1u32, 6u32), (1, 0), (1, 8), (1, 2)].into_iter().collect();
         let graph = CsrGraph::from_edge_list(&edges);
         let groups = EdgeGroups::build(WorkerGraph::Unified(&graph), &layout, 1);
+        let peers = peer_indices(&groups);
+        assert_eq!(peers, [0, 0]);
         let mut aggs = Aggregates::new();
         aggs.add("delta", 1.25);
         let report = StepReport {
@@ -583,54 +706,88 @@ mod tests {
             vec![(4, 2)],
             vec![(GROUP_BIT | 1, 3)],
         ];
-        // What goes on the wire: one destination per edge.
+        // What each receiver delivers: one destination per edge.
         let sent: Vec<Vec<(VertexId, u32)>> = vec![
             vec![(6, 0), (0, 0), (3, 1)],
             vec![(4, 2)],
             vec![(8, 3), (2, 3)],
         ];
         let mut done = Vec::new();
-        encode_step_done(
-            &mut done,
-            &report,
-            1,
-            &mut routed,
-            &payloads,
-            &layout,
-            &groups,
-        );
+        encode_step_done(&mut done, &report, 1, &mut routed, &payloads, &peers);
         assert!(routed[0].is_empty() && routed[2].is_empty());
         assert_eq!(routed[1], sent[1], "local messages stay home");
 
         let mut relay = Relay::new(3);
+        let init_ok = encode_init_ok(1, 3, &groups);
+        relay.collect_tables(&init_ok, 1).unwrap();
+        assert!(
+            relay.collect_tables(&init_ok, 0).is_err(),
+            "another worker's tables"
+        );
+        let mut tables_steps = [Vec::new(), Vec::new(), Vec::new()];
+        for dst in [0, 2] {
+            relay.step_body(&mut tables_steps[dst], dst, 0, &Aggregates::new());
+        }
         assert_eq!(relay.collect(&done, 1, 4).unwrap(), report);
         assert!(relay.collect(&done, 1, 5).is_err(), "a stale barrier frame");
         // Each message as `(destination, payload bits)`.
-        let expand = |row: &[(VertexId, u32)], table: &[f64]| -> Vec<(VertexId, u64)> {
-            row.iter()
-                .map(|&(v, h)| (v, table[h as usize].to_bits()))
-                .collect()
+        let expand = |row: &[(VertexId, u32)], groups: &EdgeGroups, table: &[f64]| {
+            let mut out: Vec<(VertexId, u64)> = Vec::new();
+            for &(entry, h) in row {
+                let bits = table[h as usize].to_bits();
+                match group_of(entry) {
+                    Some(g) => {
+                        let vertices = layout.shard_vertices(groups.worker(g));
+                        let slots = groups.slots(g).iter();
+                        out.extend(slots.map(|&s| (vertices[s as usize], bits)));
+                    }
+                    None => out.push((entry, bits)),
+                }
+            }
+            out
         };
         let mut step = Vec::new();
         for dst in [0, 2] {
+            let tables_step = &tables_steps[dst];
             relay.step_body(&mut step, dst, 5, &aggs);
+            let mut groups_at = vec![EdgeGroups::default(); 3];
             let mut rows = vec![Vec::new(); 3];
             let mut tables: Vec<Vec<f64>> = vec![Vec::new(); 3];
-            let (superstep, previous) =
-                decode_step(&step, &layout, dst, &mut rows, &mut tables).unwrap();
+            let mut decode = |body: &[u8], me: usize, groups_at: &mut [EdgeGroups]| {
+                decode_step(body, &layout, me, groups_at, &mut rows, &mut tables)
+            };
+            // Tables arrive at superstep 0 only, and only for their worker.
+            assert!(decode(tables_step, 2 - dst, &mut groups_at).is_err());
+            assert!(groups_at.iter().all(EdgeGroups::is_empty));
+            assert_eq!(decode(tables_step, dst, &mut groups_at).unwrap().0, 0);
+            assert_eq!(groups_at[1].len(), 1, "one group bound for {dst}");
+            let (superstep, previous) = decode(&step, dst, &mut groups_at).unwrap();
             assert_eq!((superstep, previous), (5, aggs.clone()));
-            assert_eq!(expand(&rows[1], &tables[1]), expand(&sent[dst], &payloads));
+            let wired = tables[1].clone();
+            assert_eq!(rows[1][0].0, GROUP_BIT, "the broadcast is one group entry");
+            assert_eq!(
+                expand(&rows[1], &groups_at[1], &wired),
+                expand(&sent[dst], &EdgeGroups::default(), &payloads)
+            );
             // The messages are for `dst`; nobody else may accept them.
             let other = 2 - dst;
             let mut rows = vec![Vec::new(); 3];
             let mut tables: Vec<Vec<f64>> = vec![Vec::new(); 3];
-            assert!(decode_step(&step, &layout, other, &mut rows, &mut tables).is_err());
+            let decoded = decode_step(
+                &step,
+                &layout,
+                other,
+                &mut groups_at,
+                &mut rows,
+                &mut tables,
+            );
+            assert!(decoded.is_err());
         }
         relay.step_body(&mut step, 0, 6, &aggs);
         assert_eq!(
             step.len(),
-            8 + encode_to_vec(&aggs).len() + 4,
-            "queue drained"
+            8 + encode_to_vec(&aggs).len() + 4 + 4,
+            "queues drained"
         );
     }
 }

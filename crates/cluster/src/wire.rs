@@ -17,18 +17,31 @@
 //! straight from its buffer of payload handles ([`write_section`]); the
 //! driver relays it without looking past its header ([`read_section`]); the
 //! receiver decodes it once ([`Section::decode_into`]) into the same shape
-//! the sender held — a payload table and one handle per destination.
+//! the sender held — a payload table and one entry per destination.
+//!
+//! A destination *entry* is a vertex for a point send, or `GROUP_BIT |
+//! index` for a broadcast: the index names one of the sender's edge groups
+//! bound for the receiver, whose destination slots crossed the wire once per
+//! drive as the sender's *table* for that receiver ([`write_table`],
+//! [`read_table`], [`Table::decode`]). The receiver expands a group entry
+//! through that table exactly as the in-memory delivery expands it through
+//! the sender's groups, so a broadcast costs one entry per destination
+//! worker, not one per edge, every superstep after the first.
 //!
 //! ```text
 //!   section := version:u16  superstep:u64  src:u32  dst:u32  seq:u64
 //!              body_len:u32  body
 //!   body    := group*                       (production order)
-//!   group   := message  count:u32  vertex:u32 × count
+//!   group   := message  count:u32  entry:u32 × count
+//!   entry   := vertex | GROUP_BIT | index   (index into src's table for dst)
+//!
+//!   table   := version:u16  src:u32  dst:u32  body_len:u32  groups:u32
+//!              end:u32 × groups  slot:u32 × end[groups - 1]
 //! ```
 //!
 //! A group is a run of consecutive messages whose *encodings* are
 //! byte-identical: the message is written once, followed by the destination
-//! vertices it goes to — a PageRank sender's rank share, a CC label, one
+//! entries it goes to — a PageRank sender's rank share, a CC label, one
 //! broadcast top-k / semi-clustering / neighborhood list. Encodings are
 //! compared, never values, so `0.0` and `-0.0` (equal as floats) or two NaNs
 //! with different payloads never merge. A run of one payload handle is one
@@ -37,22 +50,33 @@
 //! body, and a group's `count` is checked against the bytes left before
 //! anything is reserved for it.
 //!
-//! [`WireBatch`] is the same section seen as a value: its `runs` are the
-//! consecutive same-vertex runs of the section's delivery order.
+//! A table lists, in index order, the destination shard slots of each of its
+//! groups: group `i` holds the slots from `end[i - 1]` (0 for the first) to
+//! `end[i]`. Its decoder checks that every group holds a slot, that the ends
+//! rise to exactly the slots present, and that every slot is inside the
+//! receiver's shard.
+//!
+//! [`WireBatch`] is the same section seen as a value, with vertex entries
+//! only: its `runs` are the consecutive same-vertex runs of the section's
+//! delivery order, and a section holding a group entry is not one.
 //!
 //! Floats travel as their IEEE-754 bit patterns (`to_bits`/`from_bits`), so
 //! every value — including NaN payloads — round-trips exactly.
 
 use crate::error::WireError;
 use predict_algorithms::{NeighborhoodSketch, SemiCluster, SemiClusterList, TopKState};
+use predict_bsp::runtime::{group_of, EdgeGroups};
 use predict_bsp::{Aggregates, AggregatorKind, WorkerCounters};
 use predict_graph::{ShardedCsr, VertexId};
 use std::sync::Arc;
 
-/// Version every batch section leads with; decoders reject anything else.
+/// Version every batch section and table leads with; decoders reject
+/// anything else.
 /// Bump on any incompatible change to an encoding. Version 2 replaced
-/// vertex-sorted runs with production-order groups.
-pub const WIRE_VERSION: u16 = 2;
+/// vertex-sorted runs with production-order groups; version 3 writes a
+/// broadcast as one group entry per destination worker, expanded by the
+/// receiver through the sender's table.
+pub const WIRE_VERSION: u16 = 3;
 
 /// Cursor over a byte payload being decoded.
 pub struct Reader<'a> {
@@ -462,8 +486,25 @@ pub(crate) fn patch_u32(out: &mut [u8], at: usize, value: u32) {
     out[at..at + 4].copy_from_slice(&value.to_le_bytes());
 }
 
+/// The little-endian `u32`s of `bytes`, whose length is a multiple of 4.
+fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    let le = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+    bytes.chunks_exact(4).map(le)
+}
+
+/// Takes `count` little-endian `u32`s, checking the count against the bytes
+/// left before anything is reserved for them.
+fn take_u32s<'a>(
+    r: &mut Reader<'a>,
+    count: usize,
+    what: &'static str,
+) -> Result<&'a [u8], WireError> {
+    let len = count.checked_mul(4).ok_or(WireError::Truncated { what })?;
+    r.take(len, what)
+}
+
 /// Appends one batch section to `out`: `header`, then `messages` —
-/// `(destination vertex, payload handle, payload)` triples in production
+/// `(destination entry, payload handle, payload)` triples in production
 /// order — as groups of byte-identical consecutive encodings (see the
 /// [module docs](self)).
 ///
@@ -494,7 +535,7 @@ pub fn write_section<'m, M: Wire + 'm>(
     // The open group: its message bytes, where its count goes, the count
     // (zero before the first message), the handle of its latest message.
     let (mut open, mut count_at, mut count, mut last) = (0..0, 0, 0u32, 0u32);
-    for (vertex, handle, message) in messages {
+    for (entry, handle, message) in messages {
         if count > 0 && handle == last {
             count += 1;
         } else {
@@ -512,13 +553,24 @@ pub fn write_section<'m, M: Wire + 'm>(
             }
             last = handle;
         }
-        vertex.encode(out);
+        entry.encode(out);
     }
     if count > 0 {
         patch_u32(out, count_at, count);
     }
     let len = u32::try_from(out.len() - body_start).expect("a section body fits a frame");
     patch_u32(out, len_at, len);
+}
+
+/// Reads the [`WIRE_VERSION`] a section or table leads with.
+fn read_version(r: &mut Reader<'_>) -> Result<(), WireError> {
+    match u16::decode(r)? {
+        WIRE_VERSION => Ok(()),
+        got => Err(WireError::VersionMismatch {
+            expected: WIRE_VERSION,
+            got,
+        }),
+    }
 }
 
 /// One batch section as it sits in a frame body, borrowed.
@@ -537,13 +589,7 @@ pub struct Section<'a> {
 /// beyond the bytes left, is an error before anything is allocated.
 pub fn read_section<'a>(r: &mut Reader<'a>) -> Result<Section<'a>, WireError> {
     let start = r.pos;
-    let version = u16::decode(r)?;
-    if version != WIRE_VERSION {
-        return Err(WireError::VersionMismatch {
-            expected: WIRE_VERSION,
-            got: version,
-        });
-    }
+    read_version(r)?;
     let header = SectionHeader {
         superstep: u64::decode(r)?,
         src: u32::decode(r)?,
@@ -560,14 +606,14 @@ pub fn read_section<'a>(r: &mut Reader<'a>) -> Result<Section<'a>, WireError> {
 }
 
 impl Section<'_> {
-    /// Decodes the section's groups in production order: `entry` takes each
-    /// group's message, decoded once, and returns what the group's
-    /// destinations carry; one `(destination vertex, entry)` pair per
+    /// Decodes the section's groups in production order: `carried` takes
+    /// each group's message, decoded once, and returns what the group's
+    /// destinations carry; one `(destination entry, carried)` pair per
     /// destination is appended to `row`.
     fn decode_groups<M: Wire, E: Clone>(
         &self,
         row: &mut Vec<(VertexId, E)>,
-        mut entry: impl FnMut(M) -> Result<E, WireError>,
+        mut carried: impl FnMut(M) -> Result<E, WireError>,
     ) -> Result<(), WireError> {
         let mut r = Reader::new(self.body);
         while !r.is_empty() {
@@ -576,24 +622,20 @@ impl Section<'_> {
             if count == 0 {
                 return Err(WireError::Invalid("group without destinations".into()));
             }
-            // Bounded by the bytes present before anything is reserved.
-            let what = "group destinations";
-            let len = count.checked_mul(4).ok_or(WireError::Truncated { what })?;
-            let vertices = r.take(len, what)?;
-            let entry = entry(message)?;
+            let entries = take_u32s(&mut r, count, "group destinations")?;
+            let carried = carried(message)?;
             row.reserve(count);
-            for vertex in vertices.chunks_exact(4) {
-                let vertex = u32::from_le_bytes(vertex.try_into().expect("4-byte chunk"));
-                row.push((vertex, entry.clone()));
-            }
+            row.extend(u32s(entries).map(|entry| (entry, carried.clone())));
         }
         Ok(())
     }
 
     /// Decodes the section's groups: each group's message is decoded once
-    /// and appended to the payload `table`, and one `(destination vertex,
+    /// and appended to the payload `table`, and one `(destination entry,
     /// handle into table)` pair per destination is appended to `row`, in
-    /// production order.
+    /// production order. Entries are not checked here: a vertex must be the
+    /// receiver's and a group index inside the sender's table, which only
+    /// the receiver knows.
     pub fn decode_into<M: Wire>(
         &self,
         row: &mut Vec<(VertexId, u32)>,
@@ -605,6 +647,86 @@ impl Section<'_> {
             table.push(message);
             Ok(handle)
         })
+    }
+}
+
+/// One worker's edge-group table for one peer, as it sits in a frame body,
+/// borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct Table<'a> {
+    /// Worker whose groups the table lists.
+    pub src: u32,
+    /// Worker that owns every slot of the table.
+    pub dst: u32,
+    /// The group ends and slots, undecoded.
+    pub body: &'a [u8],
+    /// The whole table, header included — what a relay forwards.
+    pub raw: &'a [u8],
+}
+
+/// Appends worker `src`'s table for peer `dst` to `out`: the slots of each
+/// of `groups`' groups bound for `dst`, in group order — which is their
+/// [`peer_indices`](crate::protocol::peer_indices) order (see the
+/// [module docs](self)).
+pub fn write_table(out: &mut Vec<u8>, src: u32, dst: u32, groups: &EdgeGroups) {
+    WIRE_VERSION.encode(out);
+    src.encode(out);
+    dst.encode(out);
+    let len_at = out.len();
+    0u32.encode(out);
+    let body_start = out.len();
+    let bound = || (0..groups.len()).filter(|&g| groups.worker(g) == dst as usize);
+    (bound().count() as u32).encode(out);
+    let mut end = 0;
+    for group in bound() {
+        end += groups.slots(group).len() as u32;
+        end.encode(out);
+    }
+    for group in bound() {
+        out.extend(
+            groups
+                .slots(group)
+                .iter()
+                .flat_map(|slot| slot.to_le_bytes()),
+        );
+    }
+    let len = u32::try_from(out.len() - body_start).expect("a table fits a frame");
+    patch_u32(out, len_at, len);
+}
+
+/// Reads one table's framing — version, workers, body length — and borrows
+/// its bytes without decoding a group. A wrong version, or a body length
+/// beyond the bytes left, is an error before anything is allocated.
+pub fn read_table<'a>(r: &mut Reader<'a>) -> Result<Table<'a>, WireError> {
+    let start = r.pos;
+    read_version(r)?;
+    let (src, dst) = (u32::decode(r)?, u32::decode(r)?);
+    let len = u32::decode(r)? as usize;
+    let body = r.take(len, "table body")?;
+    Ok(Table {
+        src,
+        dst,
+        body,
+        raw: &r.buf[start..r.pos],
+    })
+}
+
+impl Table<'_> {
+    /// Decodes the table into the groups its receiver keeps for delivery
+    /// ([`EdgeGroups::from_slot_lists`]), checking every slot against
+    /// `shard_len`, the size of the receiver's shard.
+    pub fn decode(&self, shard_len: usize) -> Result<EdgeGroups, WireError> {
+        let mut r = Reader::new(self.body);
+        let count = u32::decode(&mut r)? as usize;
+        let ends: Vec<u32> = u32s(take_u32s(&mut r, count, "table group ends")?).collect();
+        let slots = r.take(r.remaining(), "table slots")?;
+        if slots.len() % 4 != 0 {
+            return Err(WireError::Truncated {
+                what: "table slots",
+            });
+        }
+        EdgeGroups::from_slot_lists(self.dst as usize, shard_len, &ends, u32s(slots).collect())
+            .map_err(WireError::Invalid)
     }
 }
 
@@ -661,6 +783,11 @@ impl<M: Wire + Clone> Wire for WireBatch<M> {
         // A value holds a message per destination: no table, no handles.
         let mut row: Vec<(VertexId, M)> = Vec::new();
         section.decode_groups(&mut row, Ok)?;
+        if let Some((entry, _)) = row.iter().find(|(entry, _)| group_of(*entry).is_some()) {
+            return Err(WireError::Invalid(format!(
+                "group entry {entry:#x} in a batch of vertex entries"
+            )));
+        }
         let runs = row
             .chunk_by(|a, b| a.0 == b.0)
             .map(|run| (run[0].0, run.iter().map(|(_, m)| m.clone()).collect()))

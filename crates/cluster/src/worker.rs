@@ -10,17 +10,22 @@
 //! (`predict_bsp::run_master`) merges. The only difference from an
 //! in-memory shard is *where* the buffers come from: peer messages arrive
 //! as batch sections, decoded straight into per-source payload tables and
-//! delivery rows of handles the episode reuses across supersteps
+//! delivery rows of entries the episode reuses across supersteps
 //! ([`protocol::decode_step`]), and leave as sections written straight from
-//! the routed buffers and the shard's payload table, each broadcast's edge
-//! group expanded into one destination per edge as it is written
+//! the routed buffers and the shard's payload table
 //! ([`protocol::encode_step_done`]), instead of swapped `Vec`s. The worker
-//! builds its own [`EdgeGroups`] from its shard once per episode. Its
-//! messages to itself never cross the wire at all: its own routed buffer,
-//! group entries included, and payload table become its own row and table,
-//! kept until the next step's delivery reads them at its own position, so
-//! every inbox receives exactly what the in-memory executor delivers, in
-//! production order (determinism contract point 8).
+//! builds its own [`EdgeGroups`] from its shard once per episode and sends
+//! each peer the slot lists of the groups bound for it in `InitOk`; the
+//! tables its peers sent arrive in superstep 0's `Step` and become
+//! `groups[src]`, slot lists only. A broadcast then crosses the wire as one
+//! group entry per destination worker, and delivery expands a peer's group
+//! entries through `groups[src]` exactly as the in-memory executor expands
+//! them through the sender's own groups. Its messages to itself never cross
+//! the wire at all: its own routed buffer, group entries included, and
+//! payload table become its own row and table, kept until the next step's
+//! delivery reads them at its own position, so every inbox receives exactly
+//! what the in-memory executor delivers, in production order (determinism
+//! contract point 8).
 //!
 //! The loop structure (see [`crate::protocol`]): wait for `Init`, serve one
 //! episode of `Step`/`StepDone` rounds until `Finish`/`Values`, loop back to
@@ -105,10 +110,11 @@ where
     }
     let graph = WorkerGraph::Shard(&shard_csr);
     let mut state: WorkerShard<P> = WorkerShard::init(program, graph, &layout, me);
-    // This worker's edge groups, at its own index: only its own row holds
-    // group entries, since peers' arrive expanded off the wire.
+    // This worker's edge groups at its own index; each peer's table, once
+    // superstep 0's `Step` brings it, at the peer's.
     let mut groups = vec![EdgeGroups::default(); num_workers];
     groups[me] = EdgeGroups::build(graph, &layout, me);
+    let peer_indices = protocol::peer_indices(&groups[me]);
 
     // Delivery rows of payload handles and the payload tables they index,
     // one of each per source worker. Rows are drained by every delivery,
@@ -123,8 +129,11 @@ where
     // something to silently recompute.
     let mut expected_superstep: u64 = 0;
 
-    ep.send(tag::INIT_OK, &[])
-        .map_err(|e| format!("sending init-ok: {e}"))?;
+    ep.send(
+        tag::INIT_OK,
+        &protocol::encode_init_ok(me, num_workers, &groups[me]),
+    )
+    .map_err(|e| format!("sending init-ok: {e}"))?;
 
     loop {
         let frame = match ep.recv() {
@@ -134,11 +143,12 @@ where
         };
         match frame {
             (tag::STEP, body) => {
-                let (step, previous_aggregates) =
-                    match protocol::decode_step(&body, &layout, me, &mut rows, &mut tables) {
-                        Ok(step) => step,
-                        Err(e) => return fail(ep, format!("bad step frame: {e}")),
-                    };
+                let decoded =
+                    protocol::decode_step(&body, &layout, me, &mut groups, &mut rows, &mut tables);
+                let (step, previous_aggregates) = match decoded {
+                    Ok(step) => step,
+                    Err(e) => return fail(ep, format!("bad step frame: {e}")),
+                };
                 if step != expected_superstep {
                     let msg = format!(
                         "step frame for superstep {step} while expecting {expected_superstep}"
@@ -186,8 +196,7 @@ where
                     me,
                     &mut state.routed,
                     &tables[me],
-                    &layout,
-                    &groups[me],
+                    &peer_indices,
                 );
                 ep.send(tag::STEP_DONE, &done)
                     .map_err(|e| format!("sending step-done: {e}"))?;

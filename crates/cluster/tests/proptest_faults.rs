@@ -182,3 +182,19 @@ fn disconnect_on_first_outbound_frame_names_the_worker() {
         other => panic!("expected WorkerDied or Timeout for worker 1, got {other:?}"),
     }
 }
+
+/// The faulted worker's `INIT_OK` arrives with its tables cut short: the
+/// driver reads the body's framing, so the drive fails with a typed error
+/// naming the worker within the timeout instead of relaying a torn table
+/// or waiting for one.
+#[test]
+fn truncated_init_ok_is_a_typed_error_not_a_hang() {
+    for keep in [0, 3, 9] {
+        let schedule =
+            FaultSchedule::new().at(Direction::Outbound, 0, FaultAction::TruncateBody { keep });
+        match drive_faulted(1, &schedule).expect_err("a torn init-ok cannot complete a drive") {
+            ClusterError::Protocol { worker, .. } => assert_eq!(worker, 1, "keep {keep}"),
+            other => panic!("expected a protocol error of worker 1, got {other:?}"),
+        }
+    }
+}

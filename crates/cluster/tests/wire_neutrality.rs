@@ -83,10 +83,10 @@ fn step_done_sections_hash_to_their_pinned_values() {
 
     let measured = [pagerank, components, topk, semi];
     let pinned = [
-        (0xa131_5894_0484_c6dc, 108),
-        (0x2bbb_4180_8815_5338, 21),
-        (0xddba_c13d_597b_f14a, 28),
-        (0x37a1_52d5_bc9e_0e5c, 30),
+        (0x3582_5934_514f_69b9, 108),
+        (0xf6dd_add1_1e20_a719, 21),
+        (0x67c5_06db_1f00_079c, 28),
+        (0x5cca_e988_3db8_d81d, 30),
     ];
     assert_eq!(
         measured, pinned,
