@@ -9,16 +9,16 @@
 
 use predict_algorithms::PageRankWorkload;
 use predict_bench::{
-    experiment_engine, experiment_scale, load_dataset, ResultTable, EXPERIMENT_SEED,
+    experiment_scale, experiment_service, load_dataset, ResultTable, EXPERIMENT_SEED,
 };
-use predict_core::{bounds::pagerank_iteration_upper_bound, PredictService, PredictorConfig};
+use predict_core::{bounds::pagerank_iteration_upper_bound, PredictorConfig};
 use predict_graph::datasets::Dataset;
 use predict_sampling::BiasedRandomJump;
 use std::sync::Arc;
 
 pub fn run() -> std::io::Result<()> {
     let scale = experiment_scale();
-    let service = PredictService::new(experiment_engine(), Arc::new(BiasedRandomJump::default()));
+    let service = experiment_service(Arc::new(BiasedRandomJump::default()));
     let damping = 0.85;
 
     // One cached session per dataset: the 10% sample is drawn once and the

@@ -14,11 +14,14 @@
 //!    ratios) as a plain-text table on stdout and as JSON under
 //!    `target/experiments/`.
 
+pub mod knobs;
+
+use knobs::knobs;
 use predict_algorithms::Workload;
 use predict_bsp::{BspConfig, BspEngine};
 use predict_core::{
-    observations_from_profile, Evaluation, PredictRequest, PredictService, PredictorConfig,
-    WorkerSelection,
+    observations_from_profile, Evaluation, PredictRequest, PredictService, PredictServiceConfig,
+    PredictorConfig, WorkerSelection,
 };
 use predict_graph::datasets::{Dataset, DatasetConfig, DatasetScale};
 use predict_graph::CsrGraph;
@@ -48,10 +51,21 @@ pub fn experiment_scale() -> DatasetScale {
     }
 }
 
-/// The BSP engine configuration shared by all experiments: 8 workers and the
-/// default (hidden) simulated cluster cost model.
+/// The BSP engine configuration shared by all experiments: 8 workers, the
+/// default (hidden) simulated cluster cost model and the transport
+/// `PREDICT_TRANSPORT` names.
 pub fn experiment_engine() -> BspEngine {
-    BspEngine::new(BspConfig::with_workers(8))
+    BspEngine::new(BspConfig::with_workers(8).with_transport(knobs().transport))
+}
+
+/// A service over [`experiment_engine`] whose artifact store is the
+/// directory `PREDICT_STORE` names (memory-only when unset).
+pub fn experiment_service(sampler: Arc<dyn Sampler>) -> PredictService {
+    let config = PredictServiceConfig {
+        store: knobs().store.clone(),
+        ..Default::default()
+    };
+    PredictService::with_config(experiment_engine(), sampler, config)
 }
 
 /// Honors the observability knobs for this process. Call first thing in a
@@ -62,54 +76,45 @@ pub fn experiment_engine() -> BspEngine {
 /// let _obs = predict_bench::observability_guard();
 /// ```
 ///
-/// * `PREDICT_TRACE=<path>` enables span tracing; the guard writes the
-///   Chrome trace-event file (with the final metrics snapshot embedded)
-///   when it drops. Unset, tracing stays disabled and spans cost one atomic
-///   load.
-/// * `PREDICT_STORE=<dir>` (artifact persistence, consumed by the service
-///   layer) additionally makes the guard print one machine-readable
-///   `[store-summary] {...}` line to stderr on drop, reporting the engine
-///   runs this process executed and the store's read/hit/write/quarantine
-///   counters — what the scenario runner's `--expect-warm` mode and the CI
-///   warm-start step parse to assert a warm pass recomputed nothing.
-///
-/// This lives in the bench harness rather than `predict_obs` because the
-/// knob parsers sit in `predict_bsp::knobs`, *above* `predict_obs` in the
-/// dependency graph.
+/// `PREDICT_TRACE=<path>` enables span tracing; the guard writes the
+/// Chrome trace-event file (with the final metrics snapshot embedded) when
+/// it drops. Unset, tracing stays disabled and spans cost one atomic load.
+/// On drop the guard always prints one machine-readable
+/// `[run-summary] {...}` line to stderr (see [`run_summary_line`]).
 pub fn observability_guard() -> ObsGuard {
     ObsGuard {
-        trace: predict_bsp::env_trace_path().map(predict_obs::trace::start_file),
-        store_summary: predict_bsp::env_store_path().is_some(),
+        trace: knobs().trace.as_ref().map(predict_obs::trace::start_file),
     }
 }
 
-/// Guard returned by [`observability_guard`]; emits the configured
-/// end-of-run reports when dropped.
+/// Guard returned by [`observability_guard`]; emits the end-of-run reports
+/// when dropped.
 pub struct ObsGuard {
     trace: Option<predict_obs::TraceGuard>,
-    store_summary: bool,
 }
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        if self.store_summary {
-            eprintln!("{}", store_summary_line());
-        }
+        eprintln!("{}", run_summary_line());
         // `trace` drops afterwards, writing the trace file (it embeds its
         // own metrics snapshot, taken after the summary above).
         self.trace.take();
     }
 }
 
-/// Renders the `[store-summary]` stderr line: a stable prefix plus a JSON
-/// object of the process-global run and store counters.
-pub fn store_summary_line() -> String {
+/// Renders the `[run-summary]` stderr line: a stable prefix plus a JSON
+/// object of the process-global counters — the in-memory engine runs, the
+/// cluster supersteps driven, and the store's read/hit/write/quarantine
+/// counts. `scenario_runner` parses it to assert that a warm pass
+/// recomputed nothing and that a transported pass drove its engine work.
+pub fn run_summary_line() -> String {
     let snapshot = predict_obs::registry().snapshot();
     let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
     format!(
-        "[store-summary] {{\"bsp_runs\":{},\"store_reads\":{},\"store_hits\":{},\
-         \"store_writes\":{},\"store_quarantined\":{}}}",
+        "[run-summary] {{\"bsp_runs\":{},\"cluster_steps\":{},\"store_reads\":{},\
+         \"store_hits\":{},\"store_writes\":{},\"store_quarantined\":{}}}",
         counter("bsp.runs"),
+        counter("cluster.steps"),
         counter("store.reads"),
         counter("store.hits"),
         counter("store.writes"),
@@ -212,7 +217,7 @@ pub fn prediction_sweep(
     make_config: &dyn Fn(f64) -> PredictorConfig,
 ) -> Vec<PredictionPoint> {
     let scale = experiment_scale();
-    let service = PredictService::new(experiment_engine(), sampler);
+    let service = experiment_service(sampler);
 
     // Sessions and actual runs, one per dataset. The actual run is executed
     // through the session so later evaluations of the same workload reuse it.

@@ -7,10 +7,10 @@
 //!
 //! An experiment takes no arguments: it prints its table and saves it as
 //! `target/experiments/<name>.json`, honoring `PREDICT_SCALE` and the
-//! result-neutral `PREDICT_*` knobs. Each tool documents its arguments in its
-//! module. [`EXPERIMENTS`] is the one list of experiments: the dispatch
-//! table, the usage text and the scenario list `scenario_runner` diffs
-//! against `crates/bench/golden/`.
+//! result-neutral `PREDICT_*` knobs ([`predict_bench::knobs`]). Each tool
+//! documents its arguments in its module. [`EXPERIMENTS`] is the one list of
+//! experiments: the dispatch table, the usage text and the scenario list
+//! `scenario_runner` diffs against `crates/bench/golden/`.
 
 use std::process::ExitCode;
 
@@ -57,7 +57,7 @@ fn main() -> ExitCode {
     };
     if let Some(&(name, run)) = EXPERIMENTS.iter().find(|(name, _)| name == command) {
         // One guard per experiment process: it writes the trace file and the
-        // `[store-summary]` line `scenario_runner --expect-warm` parses. Only
+        // `[run-summary]` line `scenario_runner` parses. Only
         // experiments install one; `scenario_runner` hands each child its
         // own trace path and records nothing itself.
         let _obs = predict_bench::observability_guard();

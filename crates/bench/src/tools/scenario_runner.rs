@@ -17,28 +17,32 @@
 //!
 //! The scenarios are the experiments registered in `main.rs`. Each runs as a
 //! child process of this binary (`predict_bench <name>`), so its metrics and
-//! its `[store-summary]` line are its own, and so is its trace: with
+//! its `[run-summary]` line are its own, and so is its trace: with
 //! `PREDICT_TRACE=<dir>/<stem>.json` set, scenario `<name>` writes
 //! `<dir>/<stem>.<name>.json` (render them together with `predict_bench
 //! trace_view <dir>/<stem>.*.json`).
 //!
 //! `--expect-warm` requires `PREDICT_STORE` to point at a directory a prior
 //! pass already populated: every scenario must still match its golden *and*
-//! its `[store-summary]` stderr line (emitted by the experiment harness when
-//! the knob is set) must report zero engine runs — the warm pass answered
-//! entirely from the persistent artifact store, byte-identically, without
-//! re-executing a single stored sample or actual run.
+//! its `[run-summary]` stderr line (which every experiment prints) must
+//! report zero engine runs — the warm pass answered entirely from the
+//! persistent artifact store, byte-identically, without re-executing a
+//! single stored sample or actual run.
 //!
 //! Scenarios execute at `PREDICT_SCALE=small` (goldens are small-scale
 //! artifacts; override by exporting `PREDICT_SCALE` yourself) and honor
 //! `PREDICT_TRANSPORT`, so CI can assert that the in-memory, in-process and
-//! Unix-domain-socket transports all produce the same goldens. The summary
+//! Unix-domain-socket transports all produce the same goldens. Under
+//! `inproc` or `socket`, a scenario whose `[run-summary]` reports in-memory
+//! engine runs but no cluster superstep fails: its engine never reached the
+//! transport, and the goldens alone could not tell. The summary
 //! table's header records which transport the scenarios ran under, and a
 //! scenario that dies mid-run (e.g. a killed cluster worker) surfaces the
 //! tail of its stderr, which includes the worker id, superstep and worker
 //! stderr carried by the structured cluster error. Exit code: 0 when every
 //! scenario matches, 1 on any mismatch or missing golden.
 
+use predict_bench::knobs::{knobs, TRACE_VAR};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -49,7 +53,7 @@ pub(crate) fn golden_dir() -> PathBuf {
 }
 
 /// A finished scenario child: its experiment JSON plus its stderr (which
-/// carries the `[store-summary]` line when `PREDICT_STORE` is set).
+/// ends with its `[run-summary]` line).
 struct ScenarioRun {
     json: String,
     stderr: String,
@@ -85,10 +89,10 @@ fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
     let scale = std::env::var("PREDICT_SCALE").unwrap_or_else(|_| "small".to_string());
     let mut child = Command::new(&exe);
     child.arg(name).env("PREDICT_SCALE", &scale);
-    if let Some(trace) = predict_bsp::env_trace_path() {
-        let trace = scenario_trace_path(&trace, name);
+    if let Some(trace) = &knobs().trace {
+        let trace = scenario_trace_path(trace, name);
         remove_stale(&trace)?;
-        child.env(predict_bsp::knobs::TRACE_VAR, trace);
+        child.env(TRACE_VAR, trace);
     }
     let output = child
         .output()
@@ -116,24 +120,48 @@ fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
     })
 }
 
-/// The engine-run count a child's `[store-summary]` stderr line reported,
-/// or an error when the line is absent or unparseable (the harness only
-/// emits it when `PREDICT_STORE` is set).
-fn summary_bsp_runs(stderr: &str) -> Result<u64, String> {
+/// Counter `key` of a child's `[run-summary]` stderr line, or an error
+/// when the line is absent or the counter unparseable.
+fn summary_counter(stderr: &str, key: &str) -> Result<u64, String> {
     let line = stderr
         .lines()
         .rev()
-        .find_map(|l| l.trim().strip_prefix("[store-summary] "))
-        .ok_or_else(|| "no [store-summary] line on stderr (is PREDICT_STORE set?)".to_string())?;
-    let runs = line
-        .split("\"bsp_runs\":")
+        .find_map(|l| l.trim().strip_prefix("[run-summary] "))
+        .ok_or_else(|| "no [run-summary] line on stderr".to_string())?;
+    line.split(&format!("\"{key}\":"))
         .nth(1)
         .and_then(|rest| {
             let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
             digits.parse::<u64>().ok()
         })
-        .ok_or_else(|| format!("unparseable store summary: {line}"))?;
-    Ok(runs)
+        .ok_or_else(|| format!("no {key} in run summary: {line}"))
+}
+
+/// Why a child's `[run-summary]` fails the pass, if it does: a warm pass
+/// (`expect_warm`) must execute no engine run and drive no cluster step,
+/// and a transported pass must not run engine work in memory without
+/// driving a single cluster step.
+fn summary_failure(stderr: &str, expect_warm: bool, transported: bool) -> Option<String> {
+    let (runs, steps) = match (
+        summary_counter(stderr, "bsp_runs"),
+        summary_counter(stderr, "cluster_steps"),
+    ) {
+        (Ok(runs), Ok(steps)) => (runs, steps),
+        (Err(e), _) | (_, Err(e)) => return Some(e),
+    };
+    // `bsp_runs` counts in-memory runs only; a transported run shows as
+    // cluster steps.
+    if expect_warm && runs + steps > 0 {
+        return Some(format!(
+            "warm pass executed {runs} engine run(s) and {steps} cluster step(s)"
+        ));
+    }
+    if transported && runs > 0 && steps == 0 {
+        return Some(format!(
+            "{runs} in-memory engine run(s) and no cluster step under a transport"
+        ));
+    }
+    None
 }
 
 /// First line on which two strings differ, for a readable mismatch report.
@@ -190,7 +218,7 @@ fn print_summary(outcomes: &[Outcome], transport: &str) {
 pub fn run(args: &[String]) {
     let bless = args.iter().any(|a| a == "--bless");
     let expect_warm = args.iter().any(|a| a == "--expect-warm");
-    if expect_warm && predict_bsp::env_store_path().is_none() {
+    if expect_warm && knobs().store.is_none() {
         predict_obs::diag!(Error, "--expect-warm requires PREDICT_STORE to be set");
         std::process::exit(1);
     }
@@ -206,9 +234,9 @@ pub fn run(args: &[String]) {
     }
 
     // The transport every child scenario inherits through the environment;
-    // parsed with the same knob rules the engine itself applies.
-    let transport = predict_cluster::TransportKind::from_mode(predict_bsp::TransportMode::Auto)
-        .map_or("inmem", predict_cluster::TransportKind::name);
+    // parsed with the same knob rules the children apply.
+    let kind = predict_cluster::TransportKind::from_mode(knobs().transport);
+    let transport = kind.map_or("inmem", predict_cluster::TransportKind::name);
     println!("transport: {transport} (set PREDICT_TRANSPORT=inmem|inproc|socket)");
 
     let golden = golden_dir();
@@ -234,30 +262,17 @@ pub fn run(args: &[String]) {
             }
         };
         let actual = run.json;
-        // Warm-store assertion: a pass against a populated store must not
-        // have executed a single engine run — all artifacts came from disk.
-        if expect_warm {
-            match summary_bsp_runs(&run.stderr) {
-                Ok(0) => {}
-                Ok(runs) => {
-                    println!("[FAIL] {name}: warm pass executed {runs} engine run(s)");
-                    outcomes.push(Outcome {
-                        name,
-                        status: format!("warm pass executed {runs} engine run(s)"),
-                        failed: true,
-                    });
-                    continue;
-                }
-                Err(e) => {
-                    println!("[FAIL] {name}: {e}");
-                    outcomes.push(Outcome {
-                        name,
-                        status: e,
-                        failed: true,
-                    });
-                    continue;
-                }
-            }
+        // Counter assertions: a pass against a populated store must not have
+        // executed a single engine run (all artifacts came from disk), and a
+        // transported pass must have driven its engine work over the wire.
+        if let Some(failure) = summary_failure(&run.stderr, expect_warm, kind.is_some()) {
+            println!("[FAIL] {name}: {failure}");
+            outcomes.push(Outcome {
+                name,
+                status: failure,
+                failed: true,
+            });
+            continue;
         }
         let golden_path = golden.join(format!("{name}.json"));
         if bless {
@@ -330,5 +345,29 @@ mod tests {
             scenario_trace_path(Path::new("trace"), "upper_bounds"),
             Path::new("trace.upper_bounds")
         );
+    }
+
+    #[test]
+    fn run_summaries_gate_warm_and_transported_passes() {
+        let summary = |runs: u64, steps: u64| {
+            format!(
+                "[saved] x\n[run-summary] {{\"bsp_runs\":{runs},\"cluster_steps\":{steps},\
+                 \"store_reads\":0,\"store_hits\":0,\"store_writes\":0,\"store_quarantined\":0}}\n"
+            )
+        };
+        // An untransported cold pass passes whatever it ran.
+        assert_eq!(summary_failure(&summary(12, 0), false, false), None);
+        // A warm pass fails on a single engine run, in memory or over a
+        // transport.
+        assert_eq!(summary_failure(&summary(0, 0), true, false), None);
+        assert!(summary_failure(&summary(1, 0), true, false).is_some());
+        assert!(summary_failure(&summary(0, 1), true, true).is_some());
+        // A transported pass fails on engine work that never reached a
+        // cluster step, and passes one that did, or that ran nothing.
+        assert!(summary_failure(&summary(3, 0), false, true).is_some());
+        assert_eq!(summary_failure(&summary(3, 40), false, true), None);
+        assert_eq!(summary_failure(&summary(0, 0), false, true), None);
+        // Every child prints the line; its absence is a failure.
+        assert!(summary_failure("[saved] x\n", false, false).is_some());
     }
 }

@@ -3,7 +3,6 @@
 use crate::cost::ClusterCostConfig;
 use crate::partition::PartitionStrategy;
 use crate::remote::TransportMode;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Default number of workers. The paper's deployment runs 29 workers plus one
@@ -31,7 +30,7 @@ pub const MIN_PARALLEL_WORK: usize = 1 << 14;
 /// [`BspConfig::execution`]: the runtime guarantees that a run produces
 /// byte-identical values, counters and simulated timings under every mode
 /// and thread count (see [`crate::runtime`] for the determinism contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Pick automatically: the machine's available parallelism, capped at
     /// the worker count — except for runs smaller than
@@ -80,7 +79,7 @@ impl ExecutionMode {
 }
 
 /// Configuration of a [`BspEngine`](crate::engine::BspEngine).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BspConfig {
     /// Number of BSP workers the graph is partitioned over.
     pub num_workers: usize,
@@ -91,17 +90,12 @@ pub struct BspConfig {
     /// Cost coefficients of the simulated cluster clock.
     pub cost: ClusterCostConfig,
     /// How superstep phases are executed (sequentially or on OS threads).
-    /// Never affects results — see [`crate::runtime`]. Defaults to
-    /// [`ExecutionMode::Auto`] when absent from serialized configs (configs
-    /// written before this field existed keep deserializing).
-    #[serde(default)]
+    /// Never affects results — see [`crate::runtime`].
     pub execution: ExecutionMode,
-    /// Which executor runs the supersteps: the in-memory runtime or a
-    /// transport-backed worker cluster (interpreted by `predict_cluster`,
-    /// which sits above this crate). Never affects results — see
-    /// [`crate::remote`]. Defaults to [`TransportMode::Auto`] (honor
-    /// `PREDICT_TRANSPORT`) when absent from serialized configs.
-    #[serde(default)]
+    /// Which executor runs the supersteps: the in-memory runtime (the
+    /// default) or a transport-backed worker cluster (interpreted by
+    /// `predict_cluster`, which sits above this crate). Never affects
+    /// results — see [`crate::remote`].
     pub transport: TransportMode,
 }
 
@@ -113,7 +107,7 @@ impl Default for BspConfig {
             max_supersteps: DEFAULT_MAX_SUPERSTEPS,
             cost: ClusterCostConfig::default(),
             execution: ExecutionMode::Auto,
-            transport: TransportMode::Auto,
+            transport: TransportMode::InMemory,
         }
     }
 }
@@ -182,6 +176,7 @@ mod tests {
         assert_eq!(c.num_workers, DEFAULT_NUM_WORKERS);
         assert_eq!(c.max_supersteps, DEFAULT_MAX_SUPERSTEPS);
         assert_eq!(c.partition_strategy, PartitionStrategy::Hash);
+        assert_eq!(c.transport, TransportMode::InMemory);
     }
 
     #[test]
@@ -240,56 +235,5 @@ mod tests {
             ExecutionMode::Parallel { threads: 4 }.resolve_threads(8, MIN_PARALLEL_WORK - 1),
             4
         );
-    }
-
-    #[test]
-    fn configs_serialized_before_the_execution_field_still_deserialize() {
-        let config = BspConfig::with_workers(2);
-        let json = serde_json::to_string(&config).unwrap();
-        let stripped = json.replace(",\"execution\":\"Auto\"", "");
-        assert_ne!(stripped, json, "execution field must be present and Auto");
-        let back: BspConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back, config, "missing execution must default to Auto");
-    }
-
-    #[test]
-    fn configs_serialized_before_the_transport_field_still_deserialize() {
-        let config = BspConfig::with_workers(2);
-        let json = serde_json::to_string(&config).unwrap();
-        let stripped = json.replace(",\"transport\":\"Auto\"", "");
-        assert_ne!(stripped, json, "transport field must be present and Auto");
-        let back: BspConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back, config, "missing transport must default to Auto");
-    }
-
-    #[test]
-    fn transport_mode_round_trips_with_the_config() {
-        let config = BspConfig::with_workers(2).with_transport(TransportMode::InProc);
-        let json = serde_json::to_string(&config).unwrap();
-        let back: BspConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.transport, TransportMode::InProc);
-    }
-
-    #[test]
-    fn configs_that_still_carry_the_removed_pool_field_deserialize() {
-        // `pool` selected scoped threads vs the worker pool and `storage` a
-        // sharded in-memory graph layout until those paths were deleted;
-        // stored configs that still name them keep loading, with the fields
-        // ignored.
-        let config = BspConfig::with_workers(2);
-        let json = serde_json::to_string(&config).unwrap();
-        let legacy = json.replacen('{', "{\"pool\":\"Off\",\"storage\":\"Sharded\",", 1);
-        let back: BspConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back, config);
-    }
-
-    #[test]
-    fn execution_mode_serializes_with_the_config() {
-        let config =
-            BspConfig::with_workers(2).with_execution(ExecutionMode::Parallel { threads: 3 });
-        let json = serde_json::to_string(&config).unwrap();
-        let back: BspConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, config);
-        assert_eq!(back.execution, ExecutionMode::Parallel { threads: 3 });
     }
 }

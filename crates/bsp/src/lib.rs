@@ -64,7 +64,6 @@ pub mod config;
 pub mod cost;
 pub mod counters;
 pub mod engine;
-pub mod knobs;
 pub mod partition;
 pub mod profile;
 pub mod program;
@@ -79,7 +78,6 @@ pub use config::{BspConfig, ExecutionMode};
 pub use cost::{ClusterClock, ClusterCostConfig};
 pub use counters::{sum_counters, WorkerCounters};
 pub use engine::{BspEngine, BspRunResult, HaltReason};
-pub use knobs::{env_store_path, env_trace_path};
 pub use partition::PartitionStrategy;
 pub use profile::{RunProfile, SuperstepProfile};
 pub use program::{ComputeContext, InitContext, VertexProgram, BROADCAST};

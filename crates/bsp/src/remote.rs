@@ -7,9 +7,9 @@
 //! must live *in* the engine crate so they can ride [`BspConfig`] and
 //! [`RunProfile`] without a dependency cycle:
 //!
-//! * [`TransportMode`] — the `ExecutionMode`-style knob selecting which
-//!   executor a run uses. The engine itself only stores and resolves it
-//!   (`Auto` honors `PREDICT_TRANSPORT` through [`crate::knobs`]); the
+//! * [`TransportMode`] — the `ExecutionMode`-style setting selecting which
+//!   executor a run uses. The engine only stores it on [`BspConfig`] (set
+//!   with [`BspConfig::with_transport`]; the default is in memory); the
 //!   dispatch to a remote transport happens in `predict_cluster`, which
 //!   sits above this crate.
 //! * [`MeasuredRun`] / [`MeasuredSuperstep`] — *measured* wall-clock and
@@ -24,29 +24,25 @@
 //!   byte-for-byte by the golden scenarios and the history store.
 //!
 //! Like the execution mode, the transport is a pure performance/topology
-//! knob: both executors run the same master loop (see `crate::runtime`
+//! setting: both executors run the same master loop (see `crate::runtime`
 //! point 8), so values, serialized profiles and halt reasons are
 //! byte-identical under every transport.
 //!
 //! [`ClusterClock`]: crate::cost::ClusterClock
 //! [`BspConfig`]: crate::config::BspConfig
+//! [`BspConfig::with_transport`]: crate::config::BspConfig::with_transport
 //! [`RunProfile`]: crate::profile::RunProfile
 
-use crate::knobs;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which executor a run uses: the in-memory runtime or a transport-backed
 /// cluster of workers (driven by `predict_cluster`).
 ///
 /// Never affects results — only where workers live and how messages travel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
-    /// Honor the `PREDICT_TRANSPORT` environment variable (`inmem`,
-    /// `inproc` or `socket`; unset or invalid values fall back
-    /// to the in-memory executor, invalid ones with a warning).
-    #[default]
-    Auto,
     /// The in-memory executor (`crate::runtime`) — no transport boundary.
+    #[default]
     InMemory,
     /// One worker thread per shard, serving one end of a Unix-domain socket
     /// pair whose other end the driver holds; the frames are the
@@ -56,17 +52,6 @@ pub enum TransportMode {
     /// binary), speaking the wire format over one end of a Unix-domain
     /// socket pair handed to it as its standard input.
     Socket,
-}
-
-impl TransportMode {
-    /// Resolves `Auto` through `PREDICT_TRANSPORT`; the result is never
-    /// `Auto`.
-    pub fn resolve(self) -> Self {
-        match self {
-            Self::Auto => knobs::env_transport(),
-            forced => forced,
-        }
-    }
 }
 
 /// Measured timings of one superstep of a transport-backed run.
@@ -120,17 +105,6 @@ impl MeasuredRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn forced_modes_ignore_the_environment() {
-        for mode in [
-            TransportMode::InMemory,
-            TransportMode::InProc,
-            TransportMode::Socket,
-        ] {
-            assert_eq!(mode.resolve(), mode);
-        }
-    }
 
     #[test]
     fn measured_run_aggregates() {

@@ -37,8 +37,8 @@
 //!   sample and actual run through — it places a workload's
 //!   [`RunPlan`](predict_algorithms::RunPlan) on the executor the engine's
 //!   `BspConfig::transport` names and returns the [`ClusterError`] a
-//!   transported run met; `PREDICT_TRANSPORT=inproc|socket` switches
-//!   executors without touching results.
+//!   transported run met; `BspConfig::with_transport` switches executors
+//!   without touching results.
 //!
 //! Failure is structured, not silent: a worker that dies or hangs
 //! mid-superstep surfaces as a [`ClusterError`] naming the worker, the

@@ -2,9 +2,9 @@
 //!
 //! [`run_workload`] is what every sample run and every actual run of the
 //! prediction pipeline goes through. It does one thing: place the run. The
-//! engine's [`TransportMode`](predict_bsp::TransportMode) (honoring
-//! `PREDICT_TRANSPORT` under `Auto`) picks the executor for the workload's
-//! [`RunPlan`] (graph, pre-pass, program — prepared once, by the workload):
+//! engine's [`TransportMode`](predict_bsp::TransportMode), set on its
+//! `BspConfig`, picks the executor for the workload's [`RunPlan`] (graph,
+//! pre-pass, program — prepared once, by the workload):
 //! `InMemory` is the in-memory [`RunPlan::run`], while `InProc`/`Socket`
 //! executes the same plan as [`drive`] calls on a worker group. Either way
 //! the same plan runs, so profiles are byte-identical across executors; only
@@ -22,7 +22,7 @@ use predict_algorithms::{with_program, PageRank, RunPlan, Workload, WorkloadRun}
 use predict_bsp::BspEngine;
 use predict_graph::CsrGraph;
 
-/// Runs `workload` on `graph` under the engine's resolved transport. The
+/// Runs `workload` on `graph` under the engine's configured transport. The
 /// in-memory path cannot fail; every error is a cluster-transport failure.
 pub fn run_workload(
     engine: &BspEngine,

@@ -52,13 +52,13 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// The transport kind `mode` resolves to (`Auto` through
-    /// `PREDICT_TRANSPORT`); `InMemory` has no transport and returns `None`.
+    /// The transport kind `mode` names; `InMemory` has no transport and
+    /// returns `None`.
     pub fn from_mode(mode: TransportMode) -> Option<Self> {
-        match mode.resolve() {
+        match mode {
             TransportMode::InProc => Some(Self::InProc),
             TransportMode::Socket => Some(Self::Socket),
-            TransportMode::InMemory | TransportMode::Auto => None,
+            TransportMode::InMemory => None,
         }
     }
 

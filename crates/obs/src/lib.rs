@@ -18,15 +18,12 @@
 //!   and identical for the same multiset of operations
 //!   regardless of thread interleaving, so they can be asserted on and
 //!   diffed. p50/p90/p99 are derivable from the histogram buckets.
-//! * [`mod@diag`] — one level-gated stderr diagnostic macro ([`diag!`]),
-//!   replacing raw `eprintln!` across workers and drivers; the level comes
-//!   from `PREDICT_LOG`.
+//! * [`mod@diag`] — one stderr diagnostic macro ([`diag!`]) for warnings
+//!   and errors, replacing raw `eprintln!` across workers and drivers.
 //!
-//! The crate sits at the bottom of the workspace dependency graph (below
-//! `predict_bsp`), so it cannot read the centralized `PREDICT_*` knob
-//! parsers; enabling tracing is pushed in from above
-//! ([`trace::start_file`]), which `predict_bench::observability_guard` wires
-//! to the `PREDICT_TRACE` knob.
+//! The crate reads no environment variable: enabling tracing is pushed in
+//! from above ([`trace::start_file`]), which
+//! `predict_bench::observability_guard` wires to the `PREDICT_TRACE` knob.
 //!
 //! # Contract: zero cost when off, zero result skew when on
 //!

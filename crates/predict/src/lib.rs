@@ -93,7 +93,7 @@ pub use error::PredictError;
 pub use extrapolator::{ExtrapolationRule, Extrapolator};
 pub use features::{ExtrapolationKind, FeatureSet, IterationObservation, KeyFeature};
 pub use history::{HistoricalRun, HistoryStore};
-pub use metrics::{absolute_relative_error, r_squared, signed_relative_error};
+pub use metrics::{absolute_relative_error, signed_relative_error};
 pub use predict_store::{ArtifactKind, ArtifactStore};
 pub use regression::{LinearModel, RegressionError};
 pub use service::{PredictRequest, PredictService, PredictServiceConfig};

@@ -2,8 +2,8 @@
 //! Interest").
 //!
 //! The paper reports the *signed relative error* (negative = under-prediction,
-//! positive = over-prediction) for iterations, key input features and runtime,
-//! plus the coefficient of determination R² of the fitted cost models.
+//! positive = over-prediction) for iterations, key input features and runtime
+//! (the cost models' R² is [`CostModel::r_squared`](crate::CostModel::r_squared)).
 //! [`Evaluation`](crate::Evaluation) applies them to a finished prediction.
 
 /// Signed relative error `(predicted - actual) / actual`.
@@ -29,30 +29,6 @@ pub fn absolute_relative_error(predicted: f64, actual: f64) -> f64 {
     signed_relative_error(predicted, actual).abs()
 }
 
-/// Coefficient of determination between predictions and actuals (the R² the
-/// paper reports for its cost models).
-pub fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(
-        predicted.len(),
-        actual.len(),
-        "prediction and actual lengths differ"
-    );
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let mean = actual.iter().sum::<f64>() / actual.len() as f64;
-    let ss_tot: f64 = actual.iter().map(|a| (a - mean).powi(2)).sum();
-    let ss_res: f64 = predicted
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (a - p).powi(2))
-        .sum();
-    if ss_tot <= f64::EPSILON {
-        return if ss_res <= 1e-9 { 1.0 } else { 0.0 };
-    }
-    1.0 - ss_res / ss_tot
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,20 +45,5 @@ mod tests {
     fn absolute_error_is_magnitude_of_signed() {
         assert!((absolute_relative_error(8.0, 10.0) - 0.2).abs() < 1e-12);
         assert!((absolute_relative_error(12.0, 10.0) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_squared_is_one_for_perfect_predictions() {
-        let actual = vec![1.0, 2.0, 3.0, 4.0];
-        assert!((r_squared(&actual, &actual) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_squared_penalizes_bad_predictions() {
-        let actual = vec![1.0, 2.0, 3.0, 4.0];
-        let bad = vec![4.0, 3.0, 2.0, 1.0];
-        assert!(r_squared(&bad, &actual) < 0.0);
-        let mean_only = vec![2.5; 4];
-        assert!(r_squared(&mean_only, &actual).abs() < 1e-12);
     }
 }

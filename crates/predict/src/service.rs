@@ -105,10 +105,8 @@ pub struct PredictServiceConfig {
     /// from a session's in-memory cache are read from disk before being
     /// recomputed, and freshly computed artifacts are written through. A
     /// warm-restarted service therefore answers with byte-identical
-    /// predictions without re-executing stored sample runs. `None` falls
-    /// back to the `PREDICT_STORE` environment variable
-    /// ([`predict_bsp::knobs::STORE_VAR`]); when that is unset too, the
-    /// service is memory-only. Opening failures degrade to memory-only with
+    /// predictions without re-executing stored sample runs. `None` keeps
+    /// the service memory-only. Opening failures degrade to memory-only with
     /// a diagnostic — they never fail construction.
     pub store: Option<PathBuf>,
 }
@@ -188,15 +186,13 @@ impl PredictService {
     ) -> Self {
         let shards = config.shards.max(1);
         let engine = engine.into();
-        // Resolve the store directory (explicit config wins over the
-        // `PREDICT_STORE` environment knob) and open it once; every session
-        // the service binds shares this handle. An unopenable store is a
+        // Open the configured store directory once; every session the
+        // service binds shares this handle. An unopenable store is a
         // degradation, not an outage: warn and serve memory-only.
         let store = config
             .store
-            .clone()
-            .or_else(predict_bsp::knobs::env_store_path)
-            .and_then(|path| match ArtifactStore::open(&path) {
+            .as_ref()
+            .and_then(|path| match ArtifactStore::open(path) {
                 Ok(store) => Some(Arc::new(store)),
                 Err(err) => {
                     diag!(
