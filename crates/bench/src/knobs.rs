@@ -5,9 +5,11 @@
 //! changing their results: `PREDICT_TRANSPORT` (in-memory executor vs the
 //! out-of-process cluster driver), `PREDICT_TRACE` (Chrome-trace span
 //! export path) and `PREDICT_STORE` (persistent artifact-store directory).
-//! No library crate reads them: this module turns them into the values a
-//! library takes explicitly ([`BspConfig::with_transport`],
-//! `PredictServiceConfig::store`, [`predict_obs::trace::start_file`]).
+//! A fourth, `PREDICT_SCALE`, picks the size of the dataset analogs the
+//! experiments generate. No library crate reads them: this module turns
+//! them into the values a library takes explicitly
+//! ([`BspConfig::with_transport`], `PredictServiceConfig::store`,
+//! [`predict_obs::trace::start_file`], a [`DatasetScale`]).
 //!
 //! [`Knobs::parse`] is pure (the variables come in through a lookup
 //! function), so its tests never touch the process environment. [`knobs`]
@@ -18,6 +20,7 @@
 //! [`BspConfig::with_transport`]: predict_bsp::BspConfig::with_transport
 
 use predict_bsp::TransportMode;
+use predict_graph::datasets::DatasetScale;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -30,6 +33,8 @@ pub const TRACE_VAR: &str = "PREDICT_TRACE";
 /// artifacts (samples, sample runs, models, actual runs) across process
 /// restarts so a restarted service answers warm.
 const STORE_VAR: &str = "PREDICT_STORE";
+/// Dataset-scale knob: `small`, `default` or `large`.
+pub const SCALE_VAR: &str = "PREDICT_SCALE";
 
 /// The parsed knobs of one process.
 #[derive(Debug)]
@@ -40,6 +45,10 @@ pub struct Knobs {
     pub trace: Option<PathBuf>,
     /// The artifact-store directory; `None` keeps services memory-only.
     pub store: Option<PathBuf>,
+    /// The dataset scale; `None` (unset or invalid) leaves each caller's
+    /// own default: `Default` for an experiment, `Small` for the scenarios
+    /// `scenario_runner` launches.
+    pub scale: Option<DatasetScale>,
 }
 
 impl Knobs {
@@ -58,11 +67,22 @@ impl Knobs {
                 TransportMode::InMemory
             }),
         };
+        let scale = lookup(SCALE_VAR).and_then(|raw| {
+            let scale = parse_scale(&raw);
+            if scale.is_none() {
+                warnings.push(format!(
+                    "ignoring invalid {SCALE_VAR}={raw:?} \
+                     (expected `small`, `default` or `large`); using the default"
+                ));
+            }
+            scale
+        });
         let path = |var| lookup(var).as_deref().and_then(parse_path);
         let knobs = Self {
             transport,
             trace: path(TRACE_VAR),
             store: path(STORE_VAR),
+            scale,
         };
         (knobs, warnings)
     }
@@ -92,6 +112,26 @@ fn parse_transport(raw: &str) -> Option<TransportMode> {
         "inproc" => Some(TransportMode::InProc),
         "socket" => Some(TransportMode::Socket),
         _ => None,
+    }
+}
+
+/// `small`, `default` or `large`, in any case and with surrounding blanks;
+/// anything else is invalid (`None`).
+fn parse_scale(raw: &str) -> Option<DatasetScale> {
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "small" => Some(DatasetScale::Small),
+        "default" => Some(DatasetScale::Default),
+        "large" => Some(DatasetScale::Large),
+        _ => None,
+    }
+}
+
+/// The value of [`SCALE_VAR`] that selects `scale`.
+pub fn scale_name(scale: DatasetScale) -> &'static str {
+    match scale {
+        DatasetScale::Small => "small",
+        DatasetScale::Default => "default",
+        DatasetScale::Large => "large",
     }
 }
 
@@ -159,6 +199,30 @@ mod tests {
         assert_eq!(store(""), None);
         assert_eq!(store("  "), None);
         assert_eq!(store(" target/store "), Some(PathBuf::from("target/store")));
+    }
+
+    #[test]
+    fn scale_recognizes_every_size_and_warns_on_a_typo() {
+        let scale = |value| parse(&[(SCALE_VAR, value)]).0.scale;
+        assert_eq!(parse(&[]).0.scale, None);
+        assert_eq!(scale("small"), Some(DatasetScale::Small));
+        assert_eq!(scale(" Default "), Some(DatasetScale::Default));
+        assert_eq!(scale("LARGE"), Some(DatasetScale::Large));
+        for valid in [
+            DatasetScale::Small,
+            DatasetScale::Default,
+            DatasetScale::Large,
+        ] {
+            assert_eq!(scale(scale_name(valid)), Some(valid));
+        }
+        // A typo no longer runs the default scale silently.
+        let (knobs, warnings) = parse(&[(SCALE_VAR, "smal")]);
+        assert_eq!(knobs.scale, None);
+        assert_eq!(warnings.len(), 1);
+        assert!(
+            warnings[0].contains("PREDICT_SCALE=\"smal\""),
+            "{warnings:?}"
+        );
     }
 
     #[test]

@@ -38,17 +38,10 @@ pub const PAPER_SAMPLING_RATIOS: [f64; 6] = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25];
 pub const EXPERIMENT_SEED: u64 = 0xE9;
 
 /// Scale selected through the `PREDICT_SCALE` environment variable
-/// (`small` / `default` / `large`), defaulting to [`DatasetScale::Default`].
+/// (`small` / `default` / `large`, parsed by [`knobs()`]), defaulting to
+/// [`DatasetScale::Default`].
 pub fn experiment_scale() -> DatasetScale {
-    match std::env::var("PREDICT_SCALE")
-        .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "small" => DatasetScale::Small,
-        "large" => DatasetScale::Large,
-        _ => DatasetScale::Default,
-    }
+    knobs().scale.unwrap_or(DatasetScale::Default)
 }
 
 /// The BSP engine configuration shared by all experiments: 8 workers, the
@@ -216,7 +209,27 @@ pub fn prediction_sweep(
     make_workload: &dyn Fn(&CsrGraph) -> Box<dyn Workload>,
     make_config: &dyn Fn(f64) -> PredictorConfig,
 ) -> Vec<PredictionPoint> {
-    let scale = experiment_scale();
+    prediction_sweep_at(
+        experiment_scale(),
+        datasets,
+        ratios,
+        sampler,
+        history_mode,
+        make_workload,
+        make_config,
+    )
+}
+
+/// [`prediction_sweep`] on the dataset analogs at `scale`.
+fn prediction_sweep_at(
+    scale: DatasetScale,
+    datasets: &[Dataset],
+    ratios: &[f64],
+    sampler: Arc<dyn Sampler>,
+    history_mode: HistoryMode,
+    make_workload: &dyn Fn(&CsrGraph) -> Box<dyn Workload>,
+    make_config: &dyn Fn(f64) -> PredictorConfig,
+) -> Vec<PredictionPoint> {
     let service = experiment_service(sampler);
 
     // Sessions and actual runs, one per dataset. The actual run is executed
@@ -439,8 +452,8 @@ mod tests {
         // A minimal end-to-end exercise of the sweep machinery at Small scale
         // with a single dataset and ratio, so the harness itself is covered by
         // `cargo test`.
-        std::env::set_var("PREDICT_SCALE", "small");
-        let points = prediction_sweep(
+        let points = prediction_sweep_at(
+            DatasetScale::Small,
             &[Dataset::Wikipedia],
             &[0.1],
             Arc::new(BiasedRandomJump::default()),
@@ -448,7 +461,6 @@ mod tests {
             &|g| Box::new(PageRankWorkload::with_epsilon(0.01, g.num_vertices())),
             &|ratio| PredictorConfig::single_ratio(ratio).with_seed(EXPERIMENT_SEED),
         );
-        std::env::remove_var("PREDICT_SCALE");
         assert_eq!(points.len(), 1);
         let p = &points[0];
         assert_eq!(p.dataset, "Wiki");

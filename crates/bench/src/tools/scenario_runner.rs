@@ -42,7 +42,8 @@
 //! stderr carried by the structured cluster error. Exit code: 0 when every
 //! scenario matches, 1 on any mismatch or missing golden.
 
-use predict_bench::knobs::{knobs, TRACE_VAR};
+use predict_bench::knobs::{knobs, scale_name, SCALE_VAR, TRACE_VAR};
+use predict_graph::datasets::DatasetScale;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -86,9 +87,9 @@ fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
     let json_path = predict_bench::output_dir().join(format!("{name}.json"));
     remove_stale(&json_path)?;
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate current exe: {e}"))?;
-    let scale = std::env::var("PREDICT_SCALE").unwrap_or_else(|_| "small".to_string());
+    let scale = knobs().scale.unwrap_or(DatasetScale::Small);
     let mut child = Command::new(&exe);
-    child.arg(name).env("PREDICT_SCALE", &scale);
+    child.arg(name).env(SCALE_VAR, scale_name(scale));
     if let Some(trace) = &knobs().trace {
         let trace = scenario_trace_path(trace, name);
         remove_stale(&trace)?;

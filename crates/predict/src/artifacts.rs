@@ -7,7 +7,8 @@
 //! 1. [`SampleArtifact`] — the sampled graph with its achieved ratio and full
 //!    seed provenance (stage 1, keyed by [`SampleKey`]);
 //! 2. [`SampleRunArtifact`] — the profile of the transformed workload
-//!    executed on a sample graph (stage 2, keyed by [`RunKey`]);
+//!    executed on a sample graph, plus the sample's [`SampleScale`] (stage 2,
+//!    keyed by [`RunKey`]);
 //! 3. [`TrainedModel`] — a cost model plus the [`TrainingProvenance`]
 //!    describing what it was trained on (stage 3, keyed by [`ModelKey`]).
 //!
@@ -18,6 +19,9 @@
 //! `(sampler, ratio, seed)`, a sample run additionally depends on the
 //! workload configuration and the transform rule, and a trained model
 //! depends on the whole predictor configuration plus the history version.
+//! A sample run carries the few numbers a prediction reads from its sample
+//! (the [`SampleScale`]), so a prediction whose run is cached never needs
+//! the sample graph itself.
 //! In memory the keys compare and hash by value — floats by bit pattern,
 //! nothing formatted; each renders a string only as its store key, after a
 //! memory miss.
@@ -78,6 +82,43 @@ impl SampleKey {
         format!(
             "{}:{:016x}:{:016x}",
             self.sampler, self.ratio_bits, self.seed
+        )
+    }
+}
+
+/// What a prediction reads from a sample: the vertex and edge counts of the
+/// full graph and of the sample, and the ratio the sampler achieved. A
+/// [`SampleArtifact`] derives it from its graph, and a [`SampleRunArtifact`]
+/// carries a copy, so both compute the extrapolation factors and the
+/// transform's ratio through the same two methods.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SampleScale {
+    /// Vertex count of the full graph the sample was drawn from.
+    pub full_vertices: usize,
+    /// Edge count of the full graph the sample was drawn from.
+    pub full_edges: usize,
+    /// Vertex count of the sample.
+    pub sample_vertices: usize,
+    /// Edge count of the sample.
+    pub sample_edges: usize,
+    /// The ratio the sampler actually achieved.
+    pub achieved_ratio: f64,
+}
+
+impl SampleScale {
+    /// The achieved ratio clamped into `(0, 1]`, the domain the transform
+    /// function accepts.
+    pub fn clamped_ratio(&self) -> f64 {
+        self.achieved_ratio.clamp(f64::MIN_POSITIVE, 1.0)
+    }
+
+    /// The extrapolation factors from the sample to the full graph.
+    pub fn extrapolator(&self) -> Extrapolator {
+        Extrapolator::from_counts(
+            self.full_vertices,
+            self.full_edges,
+            self.sample_vertices,
+            self.sample_edges,
         )
     }
 }
@@ -145,20 +186,25 @@ impl SampleArtifact {
         self.sample.achieved_ratio
     }
 
-    /// The achieved ratio clamped into `(0, 1]`, the domain the transform
-    /// function accepts.
-    pub fn clamped_ratio(&self) -> f64 {
-        self.sample.achieved_ratio.clamp(f64::MIN_POSITIVE, 1.0)
+    /// The counts and ratio a prediction reads from this sample.
+    pub fn scale(&self) -> SampleScale {
+        SampleScale {
+            full_vertices: self.full_vertices,
+            full_edges: self.full_edges,
+            sample_vertices: self.sample.graph.num_vertices(),
+            sample_edges: self.sample.graph.num_edges(),
+            achieved_ratio: self.sample.achieved_ratio,
+        }
     }
 
-    /// The extrapolation factors from this sample to the full graph.
+    /// [`SampleScale::clamped_ratio`] of this sample.
+    pub fn clamped_ratio(&self) -> f64 {
+        self.scale().clamped_ratio()
+    }
+
+    /// [`SampleScale::extrapolator`] of this sample.
     pub fn extrapolator(&self) -> Extrapolator {
-        Extrapolator::from_counts(
-            self.full_vertices,
-            self.full_edges,
-            self.sample.graph.num_vertices(),
-            self.sample.graph.num_edges(),
-        )
+        self.scale().extrapolator()
     }
 }
 
@@ -181,9 +227,9 @@ impl RunKey {
     /// Builds the key for the workload whose [`Workload::cache_token`] is
     /// `workload`, run on the sample identified by `sample` under
     /// `transform`.
-    pub fn new(sample: &SampleKey, workload: &str, transform: TransformFunction) -> Self {
+    pub fn new(sample: SampleKey, workload: &str, transform: TransformFunction) -> Self {
         Self {
-            sample: sample.clone(),
+            sample,
             workload: workload.to_string(),
             transform,
         }
@@ -202,11 +248,14 @@ impl RunKey {
 }
 
 /// Stage-2 artifact: the profile of one transformed workload execution on a
-/// sample graph — the "sample run" the paper's methodology revolves around.
+/// sample graph — the "sample run" the paper's methodology revolves around —
+/// and the scale of that sample, which is all a prediction reads from it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SampleRunArtifact {
     /// Key of the sample the run executed on.
     pub sample_key: SampleKey,
+    /// Counts and achieved ratio of the sample the run executed on.
+    pub scale: SampleScale,
     /// The workload's cache token.
     pub workload: String,
     /// The transformed convergence threshold the sample run used.
@@ -229,12 +278,13 @@ impl SampleRunArtifact {
         transform: TransformFunction,
         sample: &SampleArtifact,
     ) -> Result<Self, PredictError> {
-        let ratio = sample.clamped_ratio();
-        let sample_workload = transform.apply(workload, ratio);
+        let scale = sample.scale();
+        let sample_workload = transform.apply(workload, scale.clamped_ratio());
         let run =
             predict_cluster::run_workload(engine, sample_workload.as_ref(), &sample.sample.graph)?;
         Ok(Self {
             sample_key: sample.key.clone(),
+            scale,
             workload: workload.cache_token(),
             transformed_threshold: sample_workload.threshold(),
             profile: run.profile,
@@ -444,6 +494,7 @@ mod tests {
         assert!(run.iterations() >= 2);
         assert!(run.transformed_threshold > workload.threshold());
         assert_eq!(run.sample_key, sample.key);
+        assert_eq!(run.scale, sample.scale());
         assert!(!run.observations(WorkerSelection::SlowestWorker).is_empty());
     }
 
@@ -457,16 +508,16 @@ mod tests {
         let t = TransformFunction::default_for(pr_a.convergence());
         let (a, b) = (pr_a.cache_token(), pr_b.cache_token());
         assert_ne!(
-            RunKey::new(&sample.key, &a, t),
-            RunKey::new(&sample.key, &b, t)
+            RunKey::new(sample.key.clone(), &a, t),
+            RunKey::new(sample.key.clone(), &b, t)
         );
         assert_eq!(
-            RunKey::new(&sample.key, &a, t),
-            RunKey::new(&sample.key, &a, t)
+            RunKey::new(sample.key.clone(), &a, t),
+            RunKey::new(sample.key.clone(), &a, t)
         );
         assert_ne!(
-            RunKey::new(&sample.key, &a, t),
-            RunKey::new(&sample.key, &a, TransformFunction::identity())
+            RunKey::new(sample.key.clone(), &a, t),
+            RunKey::new(sample.key.clone(), &a, TransformFunction::identity())
         );
     }
 

@@ -31,8 +31,9 @@
 //!
 //! * [`artifacts`] — the first-class stage products: [`SampleArtifact`]
 //!   (sampled graph + achieved ratio + seed provenance), [`SampleRunArtifact`]
-//!   (profile of the transformed sample run) and [`TrainedModel`] (cost model
-//!   plus [`TrainingProvenance`]), each independently constructible and
+//!   (profile of the transformed sample run plus the sample's
+//!   [`SampleScale`]) and [`TrainedModel`] (cost model plus
+//!   [`TrainingProvenance`]), each independently constructible and
 //!   serializable;
 //! * [`session`] — [`PredictionSession`] binds one dataset to an engine and a
 //!   sampler and caches artifacts across predictions, so predicting many
@@ -84,7 +85,7 @@ pub mod session;
 pub mod transform;
 
 pub use artifacts::{
-    ModelKey, RunKey, SampleArtifact, SampleKey, SampleRunArtifact, TrainedModel,
+    ModelKey, RunKey, SampleArtifact, SampleKey, SampleRunArtifact, SampleScale, TrainedModel,
     TrainingProvenance, TrainingSource,
 };
 pub use cost_model::CostModel;

@@ -11,7 +11,9 @@
 //!   shared by *every* workload predicted through the session;
 //! * sample-run [`SampleRunArtifact`]s keyed by `(sample, workload,
 //!   transform)` — each `(ratio, seed)` sample run of a workload executes
-//!   exactly once, no matter how many predictions reuse it;
+//!   exactly once, no matter how many predictions reuse it, and carries the
+//!   sample's [`SampleScale`](crate::SampleScale), the only part of the
+//!   sample a prediction reads;
 //! * [`TrainedModel`]s keyed by `(workload, config identity, history
 //!   version)`, where the identity is every config field by value
 //!   ([`PredictorConfig::identity`]);
@@ -22,7 +24,10 @@
 //! [`PredictionSession::predict_with`] and
 //! [`PredictionSession::trained_model`], extrapolation and pricing are a
 //! pure function of the stage products, and [`Evaluation`] computes the
-//! prediction errors.
+//! prediction errors. A request looks its sample run up before its sample:
+//! the sample is drawn or loaded only inside the run's compute, so a run
+//! found in memory or in the store never touches the sample graph, and a
+//! restarted service answers from two store reads (the run and the model).
 //!
 //! Sessions are `Sync`: all caches sit behind locks, the engine and sampler
 //! are shared via [`Arc`], and every stage is deterministic, so concurrent
@@ -523,11 +528,10 @@ impl SessionMetrics {
     }
 }
 
-/// What stages 1–3 produce for one request: the sample, its run, the run's
-/// observations under the configured worker selection (the iterations to
-/// price), and the model.
+/// What stages 1–3 produce for one request: the sample run (with its
+/// sample's scale), the run's observations under the configured worker
+/// selection (the iterations to price), and the model.
 struct StageProducts {
-    sample: Arc<SampleArtifact>,
     run: Arc<SampleRunArtifact>,
     observations: Vec<IterationObservation>,
     model: Arc<TrainedModel>,
@@ -553,12 +557,11 @@ fn extrapolate_and_price(
     products: &StageProducts,
 ) -> Prediction {
     let StageProducts {
-        sample,
         run,
         observations,
         model,
     } = products;
-    let extrapolator = sample.extrapolator();
+    let extrapolator = run.scale.extrapolator();
     let extrapolated_features: Vec<FeatureSet> = observations
         .iter()
         .map(|o| extrapolator.extrapolate_with_rule(&o.features, rule))
@@ -580,7 +583,7 @@ fn extrapolate_and_price(
         extrapolator,
         sample_run_total_ms: run.profile.total_ms(),
         sample_profile: run.profile.clone(),
-        achieved_sampling_ratio: sample.clamped_ratio(),
+        achieved_sampling_ratio: run.scale.clamped_ratio(),
     }
 }
 
@@ -654,24 +657,36 @@ impl PredictionSession {
     }
 
     /// Stage 2: execute (or reuse) the transformed sample run of `workload`,
-    /// whose [`Workload::cache_token`] is `token`, on `sample`. A failed run
-    /// is not cached, so the next request runs it again.
+    /// whose [`Workload::cache_token`] is `token`, on the `(ratio, seed)`
+    /// sample. The sample stage runs only inside the compute, after the run
+    /// missed in memory and in the store, so a reused run never draws or
+    /// loads its sample; a cold run's time therefore includes its sample
+    /// stage. An empty sample is this stage's error. A failed run is not
+    /// cached, so the next request runs it again.
     fn stage_run(
         &self,
         workload: &dyn Workload,
         token: &str,
         transform: TransformFunction,
-        sample: &SampleArtifact,
+        ratio: f64,
+        seed: u64,
     ) -> Result<Arc<SampleRunArtifact>, PredictError> {
         let _span =
             predict_obs::trace::span("predict.stage.sample_run").arg("workload", workload.name());
         let _timer = self.metrics.sample_run_ns.start_timer();
         self.get_or_compute(
             &self.caches.runs,
-            RunKey::new(&sample.key, token, transform),
+            RunKey::new(
+                SampleKey::new(self.sampler.name(), ratio, seed),
+                token,
+                transform,
+            ),
             ArtifactKind::SampleRun,
             RunKey::store_key,
-            || SampleRunArtifact::execute(&self.engine, workload, transform, sample),
+            || {
+                let sample = self.stage_sample(ratio, seed)?;
+                SampleRunArtifact::execute(&self.engine, workload, transform, &sample)
+            },
         )
     }
 
@@ -738,14 +753,13 @@ impl PredictionSession {
                 continue;
             }
             let seed = config.seed.wrapping_add(1 + i as u64);
-            let train_sample = match self.stage_sample(train_ratio, seed) {
-                Ok(s) => s,
+            match self.stage_run(workload, token, transform, train_ratio, seed) {
+                Ok(run) => runs.push(run),
                 // An empty training sample is skipped, exactly as the paper's
                 // protocol drops ratios too small for the dataset.
                 Err(e) if e.is_empty_sample() => continue,
                 Err(e) => return Err(e),
-            };
-            runs.push(self.stage_run(workload, token, transform, &train_sample)?);
+            }
         }
         // Historical actual runs of the same workload on *other* datasets.
         let history_runs = history.store.runs_for(workload.name(), Some(&self.dataset));
@@ -824,12 +838,16 @@ impl PredictionSession {
         let transform = config
             .transform
             .unwrap_or_else(|| TransformFunction::default_for(workload.convergence()));
-        let sample = self.stage_sample(config.sampling_ratio, config.seed)?;
-        let run = self.stage_run(workload, token, transform, &sample)?;
+        let run = self.stage_run(
+            workload,
+            token,
+            transform,
+            config.sampling_ratio,
+            config.seed,
+        )?;
         let model = self.stage_model(workload, token, config, transform, &run)?;
         let observations = run.observations(config.worker_selection);
         Ok(StageProducts {
-            sample,
             run,
             observations,
             model,
@@ -1140,8 +1158,7 @@ impl PredictionSession {
         seed: u64,
         transform: TransformFunction,
     ) -> Result<Arc<SampleRunArtifact>, PredictError> {
-        let sample = self.stage_sample(ratio, seed)?;
-        self.stage_run(workload, &workload.cache_token(), transform, &sample)
+        self.stage_run(workload, &workload.cache_token(), transform, ratio, seed)
     }
 
     /// Trains (or reuses) the stage-3 cost model of `workload` under
@@ -1384,6 +1401,10 @@ mod tests {
         s.predict(&workload).unwrap();
         let after_first = s.engine().runs_executed();
         assert!(after_first >= 1);
+        let cold = s.stats();
+        // The cold predict misses the sample run, its sample and the model
+        // once each.
+        assert_eq!((cold.hits, cold.misses), (0, 3));
         s.predict(&workload).unwrap();
         assert_eq!(
             s.engine().runs_executed(),
@@ -1394,7 +1415,10 @@ mod tests {
         assert_eq!(stats.samples, 1);
         assert_eq!(stats.sample_runs, 1);
         assert_eq!(stats.models, 1);
-        assert!(stats.hits >= 3);
+        // The warm predict makes two lookups, the sample run and the model,
+        // and both hit; the sample is never looked up.
+        assert_eq!(stats.hits, cold.hits + 2);
+        assert_eq!(stats.misses, cold.misses);
     }
 
     #[test]
@@ -1581,15 +1605,15 @@ mod tests {
             assert_eq!(models(&s), 2 + i, "variant {i} hit another config's model");
         }
         // An equal config built independently hits.
-        let hits = s.stats().hits;
+        let before = s.stats();
         let model = s
             .trained_model(&workload, &PredictorConfig::single_ratio(0.1))
             .unwrap();
         assert_eq!(models(&s), 1 + variants.len());
         assert_eq!(
-            s.stats().hits,
-            hits + 3,
-            "sample, sample run and model all hit"
+            (s.stats().hits, s.stats().misses),
+            (before.hits + 2, before.misses),
+            "the sample run and the model hit, and the sample is never looked up"
         );
         assert!(Arc::ptr_eq(
             &model,
@@ -1607,7 +1631,7 @@ mod tests {
         let config = PredictorConfig::single_ratio(0.1).with_seed(7);
         assert_eq!(sample.store_key(), "BRJ:3fb999999999999a:0000000000000007");
         assert_eq!(
-            RunKey::new(&sample, &token, transform).store_key(),
+            RunKey::new(sample.clone(), &token, transform).store_key(),
             "BRJ:3fb999999999999a:0000000000000007|PR#PageRankWorkload { params: \
              PageRankParams { damping: 0.85, tolerance: 1e-6 } }|TransformFunction { rule: \
              InverseSamplingRatio }"

@@ -1,14 +1,16 @@
 //! Property-based tests of the persistent artifact store: every artifact
 //! kind — samples, sample runs, trained models, actual runs — survives the
 //! full write → compress → publish → read → decompress → decode path
-//! byte-identically, and a crash that leaves a partial write behind is
-//! recovered (swept or quarantined) without losing the store.
+//! byte-identically, a restarted service answers from its sample run and
+//! its model without reading the sample, and a crash that leaves a partial
+//! write behind is recovered (swept or quarantined) without losing the
+//! store.
 
 use predict_algorithms::{PageRankWorkload, TopKWorkload, Workload};
 use predict_bsp::{BspConfig, BspEngine};
 use predict_core::{
-    ArtifactKind, ArtifactStore, PredictionSession, PredictorBuilder, PredictorConfig,
-    TransformFunction,
+    ArtifactKind, ArtifactStore, PredictRequest, PredictService, PredictServiceConfig,
+    PredictionSession, PredictorBuilder, PredictorConfig, TrainingSource, TransformFunction,
 };
 use predict_graph::generators::{generate_rmat, RmatConfig};
 use predict_sampling::BiasedRandomJump;
@@ -16,6 +18,7 @@ use proptest::prelude::*;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Fresh per-case store directory; best-effort cleanup on drop.
 struct TempStoreDir(PathBuf);
@@ -65,6 +68,23 @@ fn stage_artifact_bytes(
     ]
 }
 
+/// The `store.reads` counter is process-global and both properties of this
+/// file read stores; holding this lock while reading one keeps the other's
+/// reads out of a counted window.
+static STORE_READS: Mutex<()> = Mutex::new(());
+
+fn store_reads_lock() -> MutexGuard<'static, ()> {
+    STORE_READS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn store_reads() -> u64 {
+    predict_obs::registry().counter("store.reads").get()
+}
+
+/// A training ratio whose sample of these 256-vertex graphs is one vertex
+/// and no edge: an empty sample that training skips.
+const EMPTY_RATIO: f64 = 0.001;
+
 /// Case count bounded by `PROPTEST_CASES` (CI keeps the suites fast); same
 /// convention as `proptest_prediction.rs`.
 fn suite_cases(default_cases: u32) -> u32 {
@@ -84,37 +104,73 @@ proptest! {
     /// fresh engine. Everything must come back from disk bit-exact — the
     /// serialized predictions match byte for byte and the warm engine
     /// executes zero runs.
+    ///
+    /// Between the two, a restarted service `submit`s the same request: it
+    /// reads the sample run and the model (two store reads), never the
+    /// sample, and runs nothing. It then predicts a new workload on the
+    /// stored sample, which reads that sample once and runs once. With
+    /// `empty_training_ratio` the config also trains at [`EMPTY_RATIO`],
+    /// which every pass skips.
     #[test]
     fn every_artifact_kind_roundtrips_byte_identically(
         graph_seed in 0u64..50,
         predict_seed in 0u64..1000,
         ratio in 0.1f64..0.4,
         use_topk in any::<bool>(),
+        empty_training_ratio in any::<bool>(),
     ) {
         let dir = TempStoreDir::new();
         let graph = generate_rmat(&RmatConfig::new(8, 5).with_seed(graph_seed));
         prop_assume!(graph.num_edges() > 0);
-        let workload: Box<dyn Workload> = if use_topk {
-            Box::new(TopKWorkload::default())
+        let workload: Arc<dyn Workload> = if use_topk {
+            Arc::new(TopKWorkload::default())
         } else {
-            Box::new(PageRankWorkload::with_epsilon(0.01, graph.num_vertices()))
+            Arc::new(PageRankWorkload::with_epsilon(0.01, graph.num_vertices()))
         };
-        let config = PredictorConfig::single_ratio(ratio).with_seed(predict_seed);
-        let graph = std::sync::Arc::new(graph);
+        let mut config = PredictorConfig::single_ratio(ratio).with_seed(predict_seed);
+        if empty_training_ratio {
+            config.training_ratios = vec![EMPTY_RATIO, ratio];
+        }
+        let graph = Arc::new(graph);
 
-        let store = std::sync::Arc::new(ArtifactStore::open(&dir.0).unwrap());
+        let store = Arc::new(ArtifactStore::open(&dir.0).unwrap());
         let cold = PredictorBuilder::new()
             .engine(BspEngine::new(BspConfig::with_workers(3)))
             .sampler(BiasedRandomJump::default())
             .config(config.clone())
-            .store_arc(std::sync::Arc::clone(&store))
-            .bind(std::sync::Arc::clone(&graph), "prop");
-        let cold_eval = match cold.evaluate(workload.as_ref()) {
-            Ok(eval) => serde_json::to_string(&eval).unwrap(),
+            .store_arc(Arc::clone(&store))
+            .bind(Arc::clone(&graph), "prop");
+        let (cold_eval, cold_prediction) = match cold.evaluate(workload.as_ref()) {
+            Ok(eval) => (
+                serde_json::to_string(&eval).unwrap(),
+                serde_json::to_string(&eval.prediction).unwrap(),
+            ),
             // Tiny ratios on sparse graphs may legitimately fail to sample;
-            // nothing is stored, nothing to round-trip.
-            Err(_) => return Ok(()),
+            // nothing is stored, nothing to round-trip. Any other failure,
+            // an empty training sample included, fails the case.
+            Err(e) if e.is_empty_sample()
+                && cold.sample_artifact(ratio, predict_seed).is_err() => return Ok(()),
+            Err(e) => return Err(TestCaseError::fail(format!("cold evaluation: {e}"))),
         };
+        if empty_training_ratio {
+            // The empty ratio is skipped: the model trains on the
+            // extrapolation run's workers alone, and no run is cached for it.
+            let empty = cold.sample_artifact(EMPTY_RATIO, predict_seed + 1);
+            prop_assert!(empty.unwrap_err().is_empty_sample());
+            let training = cold.trained_model(workload.as_ref(), &config).unwrap();
+            let run = cold
+                .sample_run(
+                    workload.as_ref(),
+                    ratio,
+                    predict_seed,
+                    TransformFunction::default_for(workload.convergence()),
+                )
+                .unwrap();
+            let rows: usize = run.profile.supersteps.iter().map(|s| s.workers.len()).sum();
+            prop_assert_eq!(training.provenance.source, TrainingSource::SampleRuns);
+            prop_assert_eq!(training.provenance.sample_observations, rows);
+            prop_assert_eq!(cold.stats().sample_runs, 1);
+        }
         // The cold pass must have published every artifact kind.
         for kind in ArtifactKind::ALL {
             prop_assert!(
@@ -127,13 +183,56 @@ proptest! {
         drop(cold);
         drop(store);
 
+        // Restart as a service: the same request reads its sample run and
+        // its model, never its sample, and runs nothing.
+        let restarted_engine = Arc::new(BspEngine::new(BspConfig::with_workers(3)));
+        let restarted = PredictService::with_config(
+            Arc::clone(&restarted_engine),
+            Arc::new(BiasedRandomJump::default()),
+            PredictServiceConfig {
+                store: Some(dir.0.clone()),
+                predictor: config.clone(),
+                ..PredictServiceConfig::default()
+            },
+        );
+        let request = |workload: &Arc<dyn Workload>| {
+            PredictRequest::new("prop", Arc::clone(&graph), Arc::clone(workload))
+        };
+        let (reads, prediction) = {
+            let _lock = store_reads_lock();
+            let before = store_reads();
+            let prediction = restarted.submit(&request(&workload)).unwrap();
+            (store_reads() - before, prediction)
+        };
+        prop_assert_eq!(serde_json::to_string(&prediction).unwrap(), cold_prediction);
+        prop_assert_eq!(reads, 2, "a restarted submit reads the sample run and the model");
+        let session = restarted.session_for("prop", &graph);
+        let stats = session.stats();
+        prop_assert_eq!((stats.store_hits, stats.sample_runs, stats.models), (2, 1, 1));
+        prop_assert_eq!(stats.samples, 0, "a restarted submit read its sample");
+        prop_assert_eq!(restarted_engine.runs_executed(), 0);
+
+        // A new workload on the stored sample: its submit reads that sample
+        // (its one store hit) and runs once.
+        let other: Arc<dyn Workload> =
+            Arc::new(PageRankWorkload::with_epsilon(0.05, graph.num_vertices()));
+        restarted.submit(&request(&other)).unwrap();
+        let after = session.stats();
+        prop_assert_eq!(
+            (after.store_hits - stats.store_hits, after.samples - stats.samples),
+            (1, 1)
+        );
+        prop_assert_eq!(restarted_engine.runs_executed(), 1);
+        drop(session);
+        drop(restarted);
+
         // Restart: fresh store handle, fresh engine, same directory.
-        let warm_engine = std::sync::Arc::new(BspEngine::new(BspConfig::with_workers(3)));
+        let warm_engine = Arc::new(BspEngine::new(BspConfig::with_workers(3)));
         let warm = PredictorBuilder::new()
-            .engine(std::sync::Arc::clone(&warm_engine))
+            .engine(Arc::clone(&warm_engine))
             .sampler(BiasedRandomJump::default())
             .config(config.clone())
-            .store_arc(std::sync::Arc::new(ArtifactStore::open(&dir.0).unwrap()))
+            .store_arc(Arc::new(ArtifactStore::open(&dir.0).unwrap()))
             .bind(graph, "prop");
         // Kind by kind first: each stage's artifact is read back from disk
         // (nothing is in the fresh session's memory) exactly as computed.
@@ -170,6 +269,7 @@ proptest! {
         let graph = generate_rmat(&RmatConfig::new(8, 5).with_seed(graph_seed));
         prop_assume!(graph.num_edges() > 0);
 
+        let _lock = store_reads_lock();
         let store = ArtifactStore::open(&dir.0).unwrap();
         store.put(ArtifactKind::Sample, "partial", 7, &graph).unwrap();
         let published = store.artifact_path(ArtifactKind::Sample, "partial");

@@ -6,7 +6,8 @@
 //! the engine), the model cache is keyed by the configuration's field values
 //! and the workload token is rendered once per request, so what a warm
 //! `submit` allocates is pinned exactly: a new allocation on this path fails
-//! here. The pinned counts are the keys the three lookups build plus the
+//! here. The pinned counts are the keys the two lookups build (the sample
+//! run and the model; the sample is never looked up) plus the
 //! clones of the returned `Prediction` (its profile, cost model and
 //! provenance), almost all of them the latter.
 //!
@@ -55,13 +56,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Every latency histogram one warm `submit` records into, once each.
-const REQUEST_HISTOGRAMS: [&str; 5] = [
+const REQUEST_HISTOGRAMS: [&str; 4] = [
     "service.request_ns",
     "session.predict_ns",
-    "predict.stage.sample_ns",
     "predict.stage.sample_run_ns",
     "predict.stage.train_ns",
 ];
+
+/// The sample stage's histogram: a warm `submit` finds its sample run and
+/// never looks its sample up, so it records nothing here.
+const SAMPLE_HISTOGRAM: &str = "predict.stage.sample_ns";
 
 fn histogram_count(snapshot: &MetricsSnapshot, name: &str) -> u64 {
     snapshot.histogram(name).map_or(0, |h| h.count)
@@ -81,10 +85,10 @@ fn a_warm_submit_allocates_only_its_keys_and_the_returned_prediction() {
         (
             "PR",
             Arc::new(PageRankWorkload::with_epsilon(0.001, n)),
-            115,
+            114,
         ),
-        ("TOPK", Arc::new(TopKWorkload::default()), 86),
-        ("CC", Arc::new(ConnectedComponentsWorkload), 51),
+        ("TOPK", Arc::new(TopKWorkload::default()), 85),
+        ("CC", Arc::new(ConnectedComponentsWorkload), 50),
     ];
     for (class, workload, pinned) in classes {
         let request = PredictRequest::new("LJ", Arc::clone(&graph), workload)
@@ -118,6 +122,11 @@ fn a_warm_submit_allocates_only_its_keys_and_the_returned_prediction() {
                 "{class}: {name} did not record the warm submit exactly once"
             );
         }
+        assert_eq!(
+            histogram_count(&after, SAMPLE_HISTOGRAM),
+            histogram_count(&before, SAMPLE_HISTOGRAM),
+            "{class}: a warm submit looked its sample up"
+        );
         assert_eq!(
             allocations, pinned,
             "{class}: a warm submit made {allocations} allocations, pinned at {pinned}"

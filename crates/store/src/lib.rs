@@ -89,7 +89,11 @@ pub const FORMAT_VERSION: u32 = 2;
 /// ignore the rest, so an older file that still carries the field decodes to
 /// the same value (sample files that carry a graph's in-adjacency read warm
 /// this way).
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// Version 3 added the sample's scale (full and sample vertex and edge
+/// counts, achieved ratio) to every sample-run artifact, so that a
+/// prediction never reads the sample itself.
+pub const SCHEMA_VERSION: u32 = 3;
 
 const MAGIC: [u8; 4] = *b"PSTR";
 
@@ -732,32 +736,63 @@ mod tests {
         }
     }
 
+    /// Rewrites the manifest of the file at `path` in place to carry schema
+    /// `version`, with a matching manifest checksum: a sound file of another
+    /// schema.
+    fn stamp_schema(path: &Path, version: u32) {
+        let bytes = fs::read(path).unwrap();
+        let mlen = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let manifest = std::str::from_utf8(&bytes[12..12 + mlen]).unwrap();
+        let stamped = manifest.replace(
+            &format!("\"schema_version\":{SCHEMA_VERSION}"),
+            &format!("\"schema_version\":{version}"),
+        );
+        assert_eq!(stamped.len(), mlen, "single-digit versions keep the length");
+        let mut file = bytes[..12].to_vec();
+        file.extend_from_slice(stamped.as_bytes());
+        file.extend_from_slice(&checksum(stamped.as_bytes()).to_le_bytes());
+        file.extend_from_slice(&bytes[12 + mlen + 8..]);
+        fs::write(path, &file).unwrap();
+    }
+
     #[test]
     fn older_schema_version_is_stale_not_quarantined() {
         let dir = TempStoreDir::new();
         let store = ArtifactStore::open(&dir.0).unwrap();
         store.put(ArtifactKind::Model, "m", 4, &tree()).unwrap();
         let path = store.artifact_path(ArtifactKind::Model, "m");
-        // Rewrite the manifest in place with the previous schema version and
-        // a matching manifest checksum: a sound file of an older schema.
-        let bytes = fs::read(&path).unwrap();
-        let mlen = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let manifest = std::str::from_utf8(&bytes[12..12 + mlen]).unwrap();
-        let older = manifest.replace(
-            &format!("\"schema_version\":{SCHEMA_VERSION}"),
-            &format!("\"schema_version\":{}", SCHEMA_VERSION - 1),
-        );
-        assert_eq!(older.len(), mlen, "single-digit versions keep the length");
-        let mut file = bytes[..12].to_vec();
-        file.extend_from_slice(older.as_bytes());
-        file.extend_from_slice(&checksum(older.as_bytes()).to_le_bytes());
-        file.extend_from_slice(&bytes[12 + mlen + 8..]);
-        fs::write(&path, &file).unwrap();
+        stamp_schema(&path, SCHEMA_VERSION - 1);
 
         let (value, reason) = store.get_explained(ArtifactKind::Model, "m", 4);
         assert!(value.is_none());
         assert_eq!(reason, Some(MissReason::Stale));
         assert!(path.exists());
+        assert_eq!(store.quarantined_files(), 0);
+    }
+
+    /// A sample run stored under schema 2 lacks the sample's scale: it reads
+    /// as a stale miss, the write-through rewrites it in place, and nothing is
+    /// quarantined.
+    #[test]
+    fn a_schema_2_sample_run_is_rewritten_not_quarantined() {
+        let dir = TempStoreDir::new();
+        let store = ArtifactStore::open(&dir.0).unwrap();
+        store
+            .put(ArtifactKind::SampleRun, "run", 9, &tree())
+            .unwrap();
+        let path = store.artifact_path(ArtifactKind::SampleRun, "run");
+        stamp_schema(&path, 2);
+
+        let (value, reason) = store.get_explained(ArtifactKind::SampleRun, "run", 9);
+        assert!(value.is_none());
+        assert_eq!(reason, Some(MissReason::Stale));
+        assert!(path.exists(), "a stale file stays until overwritten");
+
+        store
+            .put(ArtifactKind::SampleRun, "run", 9, &tree())
+            .unwrap();
+        assert_eq!(store.get(ArtifactKind::SampleRun, "run", 9), Some(tree()));
+        assert_eq!(store.artifact_count(ArtifactKind::SampleRun), 1);
         assert_eq!(store.quarantined_files(), 0);
     }
 
