@@ -3,8 +3,9 @@
 //! Two training regimes, as in the paper: (a) the cost model is trained on
 //! sample runs only (ratios 0.05, 0.1, 0.15, 0.2), and (b) it is additionally
 //! trained on the actual runs of the other datasets ("history"). The paper
-//! reports the signed relative runtime error per sampling ratio plus the R²
-//! of each fitted cost model.
+//! reports the signed relative runtime error per sampling ratio; beside it,
+//! the predicted and actual iteration counts show how much of a runtime miss
+//! the iteration prediction explains.
 
 use predict_algorithms::{SemiClusteringParams, SemiClusteringWorkload};
 use predict_bench::{
@@ -54,7 +55,7 @@ pub fn run() -> std::io::Result<()> {
             "pred ms",
             "actual ms",
             "runtime error",
-            "R^2 (train)",
+            "pred / actual iters",
         ],
     );
     for (label, points) in [
@@ -69,7 +70,7 @@ pub fn run() -> std::io::Result<()> {
                 format!("{:.0}", p.predicted_runtime_ms),
                 format!("{:.0}", p.actual_runtime_ms),
                 pct(p.runtime_error),
-                format!("{:.3}", p.cost_model_r_squared),
+                format!("{} / {}", p.predicted_iterations, p.actual_iterations),
             ]);
         }
     }

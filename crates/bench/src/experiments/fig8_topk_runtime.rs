@@ -47,7 +47,7 @@ pub fn run() -> std::io::Result<()> {
             "pred ms",
             "actual ms",
             "runtime error",
-            "R^2 (train)",
+            "pred / actual iters",
         ],
     );
     for (label, points) in [
@@ -62,7 +62,7 @@ pub fn run() -> std::io::Result<()> {
                 format!("{:.0}", p.predicted_runtime_ms),
                 format!("{:.0}", p.actual_runtime_ms),
                 pct(p.runtime_error),
-                format!("{:.3}", p.cost_model_r_squared),
+                format!("{} / {}", p.predicted_iterations, p.actual_iterations),
             ]);
         }
     }

@@ -10,8 +10,8 @@
 //!    `PREDICT_SCALE` environment variable (`small`, `default` or `large`);
 //! 2. execute the **actual run** of the workload once per dataset;
 //! 3. sweep sampling ratios, producing one PREDIcT prediction per point;
-//! 4. report the paper's metrics (signed relative errors, R², overhead
-//!    ratios) as a plain-text table on stdout and as JSON under
+//! 4. report the paper's metrics (signed relative errors, overhead ratios)
+//!    as a plain-text table on stdout and as JSON under
 //!    `target/experiments/`.
 
 pub mod knobs;
@@ -20,8 +20,7 @@ use knobs::knobs;
 use predict_algorithms::Workload;
 use predict_bsp::{BspConfig, BspEngine};
 use predict_core::{
-    observations_from_profile, Evaluation, PredictRequest, PredictService, PredictServiceConfig,
-    PredictorConfig, WorkerSelection,
+    Evaluation, PredictRequest, PredictService, PredictServiceConfig, PredictorConfig,
 };
 use predict_graph::datasets::{Dataset, DatasetConfig, DatasetScale};
 use predict_graph::CsrGraph;
@@ -152,10 +151,6 @@ pub struct PredictionPoint {
     pub runtime_error: f64,
     /// Signed relative error of the remote-message-bytes prediction.
     pub remote_bytes_error: f64,
-    /// R² of the trained cost model on its training data.
-    pub cost_model_r_squared: f64,
-    /// R² of the trained cost model evaluated on the actual run's iterations.
-    pub cost_model_r_squared_on_actual: f64,
     /// Simulated end-to-end runtime of the sample run.
     pub sample_total_ms: f64,
     /// Simulated end-to-end runtime of the actual run.
@@ -165,8 +160,6 @@ pub struct PredictionPoint {
 impl PredictionPoint {
     fn from_evaluation(dataset: Dataset, ratio: f64, evaluation: &Evaluation) -> Self {
         let prediction = &evaluation.prediction;
-        let actual_obs =
-            observations_from_profile(&evaluation.actual_profile, WorkerSelection::SlowestWorker);
         Self {
             dataset: dataset.prefix().to_string(),
             ratio,
@@ -177,8 +170,6 @@ impl PredictionPoint {
             actual_runtime_ms: evaluation.actual_superstep_ms,
             runtime_error: evaluation.runtime_error(),
             remote_bytes_error: evaluation.remote_bytes_error(),
-            cost_model_r_squared: prediction.cost_model.r_squared(),
-            cost_model_r_squared_on_actual: prediction.cost_model.r_squared_on(&actual_obs),
             sample_total_ms: prediction.sample_run_total_ms,
             actual_total_ms: evaluation.actual_total_ms,
         }

@@ -30,7 +30,7 @@ use crate::cost_model::CostModel;
 use crate::critical_path::{observations_from_profile, WorkerSelection};
 use crate::error::PredictError;
 use crate::extrapolator::Extrapolator;
-use crate::features::IterationObservation;
+use crate::features::FeatureSet;
 use crate::session::{ConfigIdentity, PredictorConfig};
 use crate::transform::TransformFunction;
 use predict_algorithms::Workload;
@@ -297,9 +297,10 @@ impl SampleRunArtifact {
         self.profile.num_iterations()
     }
 
-    /// Per-iteration observations under the given worker selection. Derived
-    /// on demand so one cached profile serves every selection strategy.
-    pub fn observations(&self, selection: WorkerSelection) -> Vec<IterationObservation> {
+    /// Per-iteration observations: the features of the worker that
+    /// `selection` picks in each superstep. Derived on demand so one cached
+    /// profile serves every selection strategy.
+    pub fn observations(&self, selection: WorkerSelection) -> Vec<FeatureSet> {
         observations_from_profile(&self.profile, selection)
     }
 }
@@ -548,6 +549,34 @@ mod tests {
             (encoded.tree.len(), encoded.columns.len(), checksum.finish()),
             (414, 1208, 0xd59f_f39e_d469_d9a4)
         );
+    }
+
+    /// A model stored before the cost model dropped its R² still carries an
+    /// `r_squared` field; it decodes to the same model (fields are looked up
+    /// by name), so such a store stays warm without a schema bump.
+    #[test]
+    fn stored_model_with_r_squared_decodes_to_the_same_model() {
+        let stored = |model_extra: &str| {
+            format!(
+                r#"{{"cost_model": {{"model": {{"coefficients": [0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 2.0],
+                "intercept": 1.5{model_extra}}}, "fixed_ms": 3.0, "training_observations": 40}},
+                "provenance": {{"source": "SampleRuns", "sample_observations": 40,
+                "history_observations": 0, "history_version": 2, "training_ratios": [0.1, 0.2]}}}}"#
+            )
+        };
+        let with: TrainedModel = serde_json::from_str(&stored(r#", "r_squared": 0.999"#)).unwrap();
+        let without: TrainedModel = serde_json::from_str(&stored("")).unwrap();
+        let expected = CostModel {
+            model: crate::LinearModel {
+                coefficients: [0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 2.0],
+                intercept: 1.5,
+            },
+            fixed_ms: 3.0,
+            training_observations: 40,
+        };
+        assert_eq!(with.cost_model, expected);
+        assert_eq!(with.cost_model, without.cost_model);
+        assert_eq!(with.provenance, without.provenance);
     }
 
     #[test]

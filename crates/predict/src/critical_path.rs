@@ -10,7 +10,7 @@
 //! each superstep, and that worker's counters represent the iteration. A mean-worker alternative is the
 //! ablation baseline.
 
-use crate::features::{FeatureSet, IterationObservation};
+use crate::features::FeatureSet;
 use predict_bsp::{sum_counters, RunProfile, SuperstepProfile, WorkerCounters};
 use serde::{Deserialize, Serialize};
 
@@ -51,23 +51,17 @@ pub fn select_counters(superstep: &SuperstepProfile, selection: WorkerSelection)
     }
 }
 
-/// Extracts one [`IterationObservation`] per superstep of `profile`, using
-/// `selection` to decide which worker's counters represent the iteration and
-/// pairing them with the superstep's wall time. These observations are the
-/// per-iteration inputs of the extrapolator, and an actual run's are what
-/// [`crate::CostModel::r_squared_on`] scores a model against.
+/// Extracts one observation per superstep of `profile`: the features of the
+/// worker that `selection` picks to represent the iteration. These are the
+/// per-iteration inputs of the extrapolator.
 pub fn observations_from_profile(
     profile: &RunProfile,
     selection: WorkerSelection,
-) -> Vec<IterationObservation> {
+) -> Vec<FeatureSet> {
     profile
         .supersteps
         .iter()
-        .map(|s| IterationObservation {
-            superstep: s.superstep,
-            features: FeatureSet::from_counters(&select_counters(s, selection)),
-            wall_time_ms: s.wall_time_ms,
-        })
+        .map(|s| FeatureSet::from_counters(&select_counters(s, selection)))
         .collect()
 }
 
@@ -112,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn observations_pair_features_with_wall_times() {
+    fn observations_are_the_selected_workers_features() {
         let profile = RunProfile {
             algorithm: "x".into(),
             num_vertices: 10,
@@ -126,8 +120,6 @@ mod tests {
         };
         let obs = observations_from_profile(&profile, WorkerSelection::SlowestWorker);
         assert_eq!(obs.len(), 1);
-        assert_eq!(obs[0].superstep, 3);
-        assert_eq!(obs[0].wall_time_ms, 12.0);
-        assert_eq!(obs[0].features.get(KeyFeature::ActiveVertices), 30.0);
+        assert_eq!(obs[0].get(KeyFeature::ActiveVertices), 30.0);
     }
 }

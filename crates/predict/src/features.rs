@@ -132,18 +132,6 @@ impl FeatureSet {
     }
 }
 
-/// One iteration as its representing worker sees it: that worker's features
-/// together with the measured wall time of the iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IterationObservation {
-    /// Superstep number within its run.
-    pub superstep: usize,
-    /// Feature values of the observed worker.
-    pub features: FeatureSet,
-    /// Measured wall time of the superstep in (simulated) milliseconds.
-    pub wall_time_ms: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

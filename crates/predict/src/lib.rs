@@ -19,7 +19,7 @@
 //!   (section 3.4);
 //! * [`history`] — the historical-run store that improves cost models when
 //!   prior actual runs exist (section 5.2);
-//! * [`metrics`] — the signed-relative-error and R² metrics of section 5;
+//! * [`metrics`] — the signed-relative-error metrics of section 5;
 //! * [`bounds`] — the analytical iteration upper bounds PREDIcT is compared
 //!   against (section 5.1).
 //!
@@ -89,10 +89,10 @@ pub use artifacts::{
     TrainingProvenance, TrainingSource,
 };
 pub use cost_model::CostModel;
-pub use critical_path::{observations_from_profile, WorkerSelection};
+pub use critical_path::WorkerSelection;
 pub use error::PredictError;
 pub use extrapolator::{ExtrapolationRule, Extrapolator};
-pub use features::{ExtrapolationKind, FeatureSet, IterationObservation, KeyFeature};
+pub use features::{ExtrapolationKind, FeatureSet, KeyFeature};
 pub use history::{HistoricalRun, HistoryStore};
 pub use metrics::{absolute_relative_error, signed_relative_error};
 pub use predict_store::{ArtifactKind, ArtifactStore};

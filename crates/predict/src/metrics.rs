@@ -2,8 +2,7 @@
 //! Interest").
 //!
 //! The paper reports the *signed relative error* (negative = under-prediction,
-//! positive = over-prediction) for iterations, key input features and runtime
-//! (the cost models' R² is [`CostModel::r_squared`](crate::CostModel::r_squared)).
+//! positive = over-prediction) for iterations, key input features and runtime.
 //! [`Evaluation`](crate::Evaluation) applies them to a finished prediction.
 
 /// Signed relative error `(predicted - actual) / actual`.

@@ -32,8 +32,6 @@ pub struct LinearModel {
     pub coefficients: [f64; FEATURES],
     /// Intercept (the paper's residual value `r`), ≥ 0.
     pub intercept: f64,
-    /// Coefficient of determination on the training data.
-    pub r_squared: f64,
 }
 
 /// Errors produced when fitting a model.
@@ -56,21 +54,15 @@ impl std::error::Error for RegressionError {}
 impl LinearModel {
     /// Fits `y` on the features of `rows` by non-negative least squares:
     /// minimizes `Σ (y - ŷ)²` subject to every coefficient and the intercept
-    /// being ≥ 0. The rows are walked twice (the fit, then R²), so the
-    /// iterator must be cloneable; no row is copied into a buffer.
-    pub fn fit<I>(rows: I) -> Result<Self, RegressionError>
-    where
-        I: IntoIterator<Item = (FeatureSet, f64)>,
-        I::IntoIter: Clone,
-    {
-        let rows = rows.into_iter();
+    /// being ≥ 0. The rows are read once; none is copied into a buffer.
+    pub fn fit(rows: impl IntoIterator<Item = (FeatureSet, f64)>) -> Result<Self, RegressionError> {
         // Normal equations of the design matrix [1, x_1, …, x_7], upper
         // triangle only (mirrored below).
         let mut xtx = [[0.0f64; DIM]; DIM];
         let mut xty = [0.0f64; DIM];
         let mut yty = 0.0f64;
         let mut n = 0usize;
-        for (features, y) in rows.clone() {
+        for (features, y) in rows {
             let mut design = [1.0f64; DIM];
             design[1..].copy_from_slice(features.as_slice());
             for i in 0..DIM {
@@ -114,13 +106,10 @@ impl LinearModel {
             }
         });
 
-        let mut model = Self {
+        Ok(Self {
             coefficients: std::array::from_fn(|i| unscaled[i + 1]),
             intercept: unscaled[0],
-            r_squared: 0.0,
-        };
-        model.r_squared = model.r_squared_on(rows);
-        Ok(model)
+        })
     }
 
     /// Predicted value for one feature row.
@@ -132,28 +121,6 @@ impl LinearModel {
                 .zip(features.as_slice())
                 .map(|(c, x)| c * x)
                 .sum::<f64>()
-    }
-
-    /// Coefficient of determination (R²) of the model on a dataset, in one
-    /// pass (Welford's running variance of the targets).
-    pub fn r_squared_on(&self, rows: impl IntoIterator<Item = (FeatureSet, f64)>) -> f64 {
-        let (mut n, mut mean, mut ss_tot, mut ss_res) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (features, y) in rows {
-            n += 1.0;
-            let delta = y - mean;
-            mean += delta / n;
-            ss_tot += delta * (y - mean);
-            ss_res += (y - self.predict(&features)).powi(2);
-        }
-        if n == 0.0 {
-            return 0.0;
-        }
-        if ss_tot <= f64::EPSILON {
-            // A constant response that the model matches exactly counts as a
-            // perfect fit; otherwise the notion of R² degenerates to 0.
-            return if ss_res <= 1e-9 { 1.0 } else { 0.0 };
-        }
-        1.0 - ss_res / ss_tot
     }
 }
 
@@ -307,7 +274,6 @@ mod tests {
         assert!((model.coefficients[0] - 2.0).abs() < 1e-9);
         assert!((model.coefficients[1] - 0.5).abs() < 1e-9);
         assert!(model.coefficients[2..].iter().all(|&c| c == 0.0));
-        assert!(model.r_squared > 0.999999);
     }
 
     #[test]
@@ -324,7 +290,6 @@ mod tests {
         let model = LinearModel::fit(rows.iter().copied()).unwrap();
         assert!((model.coefficients[0] - 0.7).abs() < 0.05);
         assert!((model.coefficients[1] - 3.0).abs() < 0.2);
-        assert!(model.r_squared > 0.95);
     }
 
     #[test]
@@ -369,7 +334,6 @@ mod tests {
         for (features, y) in &rows {
             assert!((model.predict(features) - y).abs() < 1e-9);
         }
-        assert!(model.r_squared_on(rows.iter().copied()) > 0.999_999);
     }
 
     #[test]
@@ -381,10 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn r_squared_handles_constant_targets() {
+    fn constant_targets_fit_the_intercept() {
         let rows = (0..5).map(|i| (row(&[i as f64]), 4.0));
         let model = LinearModel::fit(rows).unwrap();
         assert!((model.predict(&row(&[2.0])) - 4.0).abs() < 1e-9);
-        assert_eq!(model.r_squared, 1.0);
     }
 }

@@ -72,7 +72,7 @@ use crate::cost_model::CostModel;
 use crate::critical_path::WorkerSelection;
 use crate::error::PredictError;
 use crate::extrapolator::{ExtrapolationRule, Extrapolator};
-use crate::features::{FeatureSet, IterationObservation};
+use crate::features::FeatureSet;
 use crate::history::HistoryStore;
 use crate::metrics::signed_relative_error;
 use crate::transform::TransformFunction;
@@ -265,8 +265,6 @@ pub struct Evaluation {
     pub actual_total_ms: f64,
     /// Measured graph-level total of remote message bytes of the actual run.
     pub actual_remote_message_bytes: f64,
-    /// Profile of the actual run.
-    pub actual_profile: RunProfile,
 }
 
 impl Evaluation {
@@ -278,7 +276,6 @@ impl Evaluation {
             actual_superstep_ms: actual.profile.superstep_phase_ms(),
             actual_total_ms: actual.profile.total_ms(),
             actual_remote_message_bytes: remote_message_bytes(&actual.profile),
-            actual_profile: actual.profile.clone(),
         }
     }
 
@@ -533,7 +530,7 @@ impl SessionMetrics {
 /// selection (the iterations to price), and the model.
 struct StageProducts {
     run: Arc<SampleRunArtifact>,
-    observations: Vec<IterationObservation>,
+    observations: Vec<FeatureSet>,
     model: Arc<TrainedModel>,
 }
 
@@ -564,7 +561,7 @@ fn extrapolate_and_price(
     let extrapolator = run.scale.extrapolator();
     let extrapolated_features: Vec<FeatureSet> = observations
         .iter()
-        .map(|o| extrapolator.extrapolate_with_rule(&o.features, rule))
+        .map(|o| extrapolator.extrapolate_with_rule(o, rule))
         .collect();
     let per_iteration_ms: Vec<f64> = extrapolated_features
         .iter()
@@ -1237,7 +1234,6 @@ impl PredictionSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::critical_path::observations_from_profile;
     use predict_algorithms::{
         ConnectedComponentsWorkload, NeighborhoodWorkload, PageRankWorkload, TopKWorkload,
     };
@@ -1307,7 +1303,6 @@ mod tests {
             eval.prediction.predicted_superstep_ms,
             eval.actual_superstep_ms
         );
-        assert!(eval.prediction.cost_model.r_squared() > 0.5);
     }
 
     #[test]
@@ -1323,7 +1318,7 @@ mod tests {
     }
 
     #[test]
-    fn history_improves_or_matches_cost_model_fit_on_actual_runs() {
+    fn history_does_not_worsen_runtime_error() {
         let workload = TopKWorkload::default();
 
         // Record an actual run on a *different* dataset in the history store.
@@ -1340,15 +1335,13 @@ mod tests {
             .evaluate(&workload)
             .unwrap();
 
-        // Fit quality on the actual run's own observations: history-trained
-        // models have seen full-scale iterations and should not fit worse.
-        let actual_obs =
-            observations_from_profile(&with.actual_profile, WorkerSelection::SlowestWorker);
-        let r2_without = without.prediction.cost_model.r_squared_on(&actual_obs);
-        let r2_with = with.prediction.cost_model.r_squared_on(&actual_obs);
+        // History-trained models have seen full-scale iterations and should
+        // not price the actual run worse.
+        let (error_without, error_with) =
+            (without.runtime_error().abs(), with.runtime_error().abs());
         assert!(
-            r2_with >= r2_without - 0.05,
-            "history should not hurt the fit: {r2_with} vs {r2_without}"
+            error_with <= error_without + 0.01,
+            "history should not hurt the runtime error: {error_with} vs {error_without}"
         );
     }
 

@@ -64,10 +64,9 @@ fn main() {
         .map(|(f, c)| format!("{} {c:.2e}", f.name()))
         .collect();
     println!(
-        "cost model: {:.1} ms fixed + per-worker costs [{}], R^2 = {:.3}",
+        "cost model: {:.1} ms fixed + per-worker costs [{}]",
         cost_model.fixed_ms,
-        costs.join(", "),
-        cost_model.r_squared()
+        costs.join(", ")
     );
     println!(
         "training sources: {:?} ({} sample rows, {} history rows)",
@@ -93,8 +92,10 @@ fn main() {
 
     println!("\n--- errors ---");
     println!(
-        "iteration error: {:+.1}%",
-        evaluation.iteration_error() * 100.0
+        "iteration error: {:+.1}% ({} predicted / {} actual iterations)",
+        evaluation.iteration_error() * 100.0,
+        prediction.predicted_iterations,
+        evaluation.actual_iterations
     );
     println!(
         "runtime error:   {:+.1}%",

@@ -28,7 +28,8 @@ fn quickstart_path_produces_a_complete_evaluation() {
     assert!(prediction.predicted_superstep_ms > 0.0);
     let costs = &prediction.cost_model.model.coefficients;
     assert!(costs.iter().all(|&c| c.is_finite() && c >= 0.0));
-    assert!(prediction.cost_model.r_squared().is_finite());
+    let fixed_ms = prediction.cost_model.fixed_ms;
+    assert!(fixed_ms.is_finite() && fixed_ms >= 0.0);
     assert_eq!(prediction.training.source, TrainingSource::SampleRuns);
     assert!(evaluation.actual_iterations > 0);
     assert!(evaluation.actual_superstep_ms > 0.0);
